@@ -70,7 +70,7 @@ fn main() {
         mtrl_bench::mean(&fr)
     };
     let pnn_cross = cross(&|i, j| w_pnn.get(i, j));
-    let spg_cross = cross(&|i, j| 0.5 * (spg.w[(i, j)] + spg.w[(j, i)]));
+    let spg_cross = cross(&|i, j| 0.5 * (spg.w.get(i, j) + spg.w.get(j, i)));
 
     // Distant same-manifold recovery.
     let (mut pairs, mut pnn_hit, mut spg_hit) = (0usize, 0usize, 0usize);
@@ -85,7 +85,7 @@ fn main() {
                 if w_pnn.get(i, j) > 0.0 {
                     pnn_hit += 1;
                 }
-                if spg.w[(i, j)] + spg.w[(j, i)] > 1e-6 {
+                if spg.w.get(i, j) + spg.w.get(j, i) > 1e-6 {
                     spg_hit += 1;
                 }
             }
@@ -125,7 +125,7 @@ fn main() {
         }
     };
     let pnn_purity = purity(&|i, j| w_pnn_s.get(i, j));
-    let spg_purity = purity(&|i, j| 0.5 * (spg_s.w[(i, j)] + spg_s.w[(j, i)]));
+    let spg_purity = purity(&|i, j| 0.5 * (spg_s.w.get(i, j) + spg_s.w.get(j, i)));
 
     print_table(
         &[

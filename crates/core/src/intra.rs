@@ -20,8 +20,8 @@ use crate::Result;
 use mtrl_ann::{pnn_graph_backend_prec, GraphBackend};
 use mtrl_graph::{laplacian_csr, LaplacianKind, WeightScheme};
 use mtrl_linalg::{Mat, Precision};
-use mtrl_sparse::SparseBlockDiag;
-use mtrl_subspace::{affinity_to_weights, spg_affinity, SpgConfig};
+use mtrl_sparse::{Csr, CsrBuilder, SparseBlockDiag};
+use mtrl_subspace::{affinity_to_weights, spg_affinity, SpgConfig, CANDIDATES};
 
 /// Relative pruning threshold applied to subspace affinities before graph
 /// construction: entries below `PRUNE_REL * max(W)` are dropped, removing
@@ -34,8 +34,10 @@ const PRUNE_REL: f64 = 1e-4;
 /// (within-subspace) than its mass average, so truncation sharpens `L_S`
 /// without losing the distant within-manifold links the method exists to
 /// find. `TOP_K = 10 = 2p` keeps `L_S` on the same sparsity scale as the
-/// pNN member of the ensemble.
+/// pNN member of the ensemble. The SPG solver's per-row support,
+/// [`CANDIDATES`]` = 64`, bounds what this truncation can see.
 const TOP_K: usize = 10;
+const _: () = assert!(TOP_K <= CANDIDATES);
 
 /// Per-type pNN Laplacians assembled into a sparse block-diagonal
 /// operator (`O(p·n_k)` stored entries per block — the fit loop never
@@ -95,7 +97,9 @@ pub fn pnn_laplacians_backend_prec(
 
 /// Per-type subspace-learned Laplacians (`L_S`) via SPG, as a block
 /// diagonal. `base_cfg.seed` is offset per type so types do not share RNG
-/// streams.
+/// streams. Each type's affinity arrives sparse (at most
+/// [`CANDIDATES`] entries per row) and is truncated and symmetrised on
+/// its rows, so no stage here is `n x n`.
 pub fn subspace_laplacians(
     features: &[Mat],
     base_cfg: &SpgConfig,
@@ -109,33 +113,34 @@ pub fn subspace_laplacians(
         };
         let res = spg_affinity(f, &cfg)?;
         let truncated = truncate_rows_top_k(&res.w, TOP_K);
-        let max_w = truncated.max().max(0.0);
+        let max_w = truncated.iter().fold(0.0, |acc: f64, (_, _, v)| acc.max(v));
         let w = affinity_to_weights(&truncated, PRUNE_REL * max_w);
         blocks.push(laplacian_csr(&w, kind));
     }
     Ok(SparseBlockDiag::new(blocks)?)
 }
 
-/// Keep only the `k` largest entries in each row of a nonnegative
-/// affinity matrix, zeroing the rest.
-fn truncate_rows_top_k(w: &Mat, k: usize) -> Mat {
-    let n = w.rows();
-    if k >= n {
-        return w.clone();
-    }
-    let mut out = Mat::zeros(n, w.cols());
-    let mut order: Vec<usize> = Vec::with_capacity(w.cols());
-    for i in 0..n {
-        let row = w.row(i);
+/// Keep only the `k` largest entries in each row of a nonnegative sparse
+/// affinity, ties going to the lower column. `total_cmp` orders every
+/// value, so a non-finite entry cannot panic the selection.
+fn truncate_rows_top_k(w: &Csr, k: usize) -> Csr {
+    let mut out = CsrBuilder::with_capacity(w.rows(), w.cols(), w.rows() * k);
+    let mut order: Vec<usize> = Vec::new();
+    for i in 0..w.rows() {
+        let (cols, vals) = w.row(i);
         order.clear();
-        order.extend(0..w.cols());
-        order.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).expect("NaN affinity"));
-        let dst = out.row_mut(i);
-        for &j in order.iter().take(k) {
-            dst[j] = row[j];
+        order.extend(0..cols.len());
+        if k < cols.len() {
+            order.select_nth_unstable_by(k, |&a, &b| vals[b].total_cmp(&vals[a]).then(a.cmp(&b)));
+            order.truncate(k);
+            order.sort_unstable();
         }
+        for &p in &order {
+            out.push(cols[p], vals[p]);
+        }
+        out.finish_row();
     }
-    out
+    out.build()
 }
 
 /// Combine the two Laplacian families into the heterogeneous manifold
@@ -227,6 +232,25 @@ mod tests {
         for k in 0..2 {
             assert!(l.block(k).is_symmetric(1e-9), "block {k} not symmetric");
         }
+    }
+
+    #[test]
+    fn truncation_keeps_the_largest_entries_with_index_ties() {
+        let w = Csr::from_sparse_rows(
+            &[
+                (vec![1, 2, 3, 4], vec![0.5, 2.0, 0.5, 1.0]),
+                (vec![0], vec![3.0]),
+                (vec![0, 1, 3], vec![f64::NAN, 1.0, f64::INFINITY]),
+            ],
+            5,
+        );
+        let t = truncate_rows_top_k(&w, 2);
+        assert_eq!(t.row(0), (&[2, 4][..], &[2.0, 1.0][..]));
+        assert_eq!(t.row(1), (&[0][..], &[3.0][..]));
+        // total_cmp ranks NaN above +inf: no panic, two entries kept.
+        assert_eq!(t.row(2).0, &[0, 3]);
+        let t1 = truncate_rows_top_k(&w, 3);
+        assert_eq!(t1.row(0).0, &[1, 2, 4]); // the 0.5 tie goes to column 1
     }
 
     #[test]

@@ -142,6 +142,45 @@ pub fn gram(a: &Mat) -> Mat {
     out
 }
 
+/// Row Gram matrix `A Aᵀ` (`rows x rows`): the inner products of every
+/// pair of rows, e.g. the object Gram `K = X Xᵀ` of a feature matrix.
+///
+/// Row `i` accumulates `Σ_k a_ik · (Aᵀ)_k` over the contiguous rows of
+/// `Aᵀ`, so the inner loop is a vectorisable axpy that skips zero
+/// features; only the upper triangle is computed and then mirrored, so
+/// the result is exactly symmetric. Each entry sums its products in
+/// feature order, independent of the thread count.
+pub fn row_gram(a: &Mat) -> Mat {
+    let n = a.rows();
+    let at = a.transpose();
+    let mut out = Mat::zeros(n, n);
+    let upper_rows = |r0: usize, r1: usize, chunk: &mut [f64]| {
+        for (local, i) in (r0..r1).enumerate() {
+            let orow = &mut chunk[local * n + i..(local + 1) * n];
+            for (k, &v) in a.row(i).iter().enumerate() {
+                if v == 0.0 {
+                    continue;
+                }
+                for (o, &x) in orow.iter_mut().zip(&at.row(k)[i..]) {
+                    *o += v * x;
+                }
+            }
+        }
+    };
+    if n * n * a.cols() < 2 * PAR_THRESHOLD || num_threads() == 1 || n < 2 {
+        upper_rows(0, n, out.as_mut_slice());
+    } else {
+        par_row_chunks(out.as_mut_slice(), n, n, upper_rows);
+    }
+    for i in 1..n {
+        for j in 0..i {
+            let v = out[(j, i)];
+            out[(i, j)] = v;
+        }
+    }
+    out
+}
+
 /// Matrix-vector product `A * x`.
 ///
 /// # Errors
@@ -291,6 +330,29 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn row_gram_matches_matmul_nt() {
+        let mut a = rand_uniform(37, 11, -1.0, 1.0, 5);
+        for i in 0..37 {
+            a[(i, i % 11)] = 0.0; // exercise the zero-skip path
+        }
+        let g = row_gram(&a);
+        assert!(g.approx_eq(&matmul_nt(&a, &a).unwrap(), 1e-12));
+        for i in 0..37 {
+            for j in 0..37 {
+                assert_eq!(g[(i, j)].to_bits(), g[(j, i)].to_bits());
+            }
+        }
+        let threads = num_threads();
+        set_num_threads(3);
+        let big = rand_uniform(300, 120, -1.0, 1.0, 6);
+        let par = row_gram(&big);
+        set_num_threads(1);
+        let serial = row_gram(&big);
+        set_num_threads(threads);
+        assert_eq!(par.as_slice(), serial.as_slice());
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn main() {
 
     let confusion_pnn = cross_manifold_mass(&near_intersection, &labels, |i, j| w_pnn.get(i, j));
     let confusion_spg = cross_manifold_mass(&near_intersection, &labels, |i, j| {
-        0.5 * (spg.w[(i, j)] + spg.w[(j, i)])
+        0.5 * (spg.w.get(i, j) + spg.w.get(j, i))
     });
     println!("cross-manifold neighbour mass at the intersection:");
     println!("  pNN graph        : {:.1}%", confusion_pnn * 100.0);
@@ -77,7 +77,7 @@ fn main() {
             let d = mtrl_linalg::vecops::sq_dist(points.row(i), points.row(j)).sqrt();
             if d > 1.5 {
                 distant_pairs += 1;
-                if spg.w[(i, j)] + spg.w[(j, i)] > 1e-6 {
+                if spg.w.get(i, j) + spg.w.get(j, i) > 1e-6 {
                     spg_connected += 1;
                 }
                 if w_pnn.get(i, j) > 0.0 {
