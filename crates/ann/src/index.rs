@@ -27,12 +27,11 @@ use crate::config::GraphBackend;
 use crate::{cluster::ClusterIndex, forest::RpForestIndex};
 use mtrl_graph::knn::{
     center_columns, dist_less, gram_sq_dist, gram_sq_dist_x4, graph_from_neighbours,
-    knn_indices_with_threads, pnn_graph_with_threads, select_p_nearest, WeightScheme,
+    knn_indices_prec, pnn_graph_with_threads, select_p_nearest, WeightScheme,
 };
-use mtrl_graph::knn_f32::{knn_indices_f32_with_threads, pnn_graph_f32_with_threads};
 use mtrl_linalg::par::{num_threads, par_chunks_map};
 use mtrl_linalg::vecops::dot;
-use mtrl_linalg::{Mat, MatF32, Precision};
+use mtrl_linalg::{Mat, Precision, Quantize};
 use mtrl_sparse::Csr;
 
 /// An approximate nearest-neighbour index over centred feature rows.
@@ -240,10 +239,9 @@ pub fn knn_indices_backend(
 ///
 /// In [`Precision::F32`] mode the centred rows are quantised through
 /// `f32` before any distance is computed. The exact backend routes to
-/// the f32-storage blocked kernel
-/// ([`mtrl_graph::knn_f32::knn_indices_f32_with_threads`]); approximate
-/// backends run the candidate machinery on the *widened* quantised
-/// matrix — widening `f32 → f64` is exact, so every distance equals the
+/// [`mtrl_graph::knn_indices_prec`] (f32-storage Gram tile); approximate
+/// backends run the candidate machinery on the quantised `f64` matrix —
+/// widening `f32 → f64` is exact, so every distance equals the
 /// f32-storage kernel's value bit for bit while the index structures
 /// stay precision-agnostic. Output remains bit-identical for every
 /// `threads` value within each mode.
@@ -255,16 +253,11 @@ pub fn knn_indices_backend_prec(
     threads: usize,
 ) -> Vec<Vec<usize>> {
     if backend.is_exact() {
-        return match precision {
-            Precision::F64 => knn_indices_with_threads(data, p, threads),
-            Precision::F32 => knn_indices_f32_with_threads(data, p, threads),
-        };
+        return knn_indices_prec(data, p, precision, threads);
     }
     let n = data.rows();
-    let centered = match precision {
-        Precision::F64 => center_columns(data),
-        Precision::F32 => MatF32::from_mat(&center_columns(data)).widen(),
-    };
+    let mut centered = center_columns(data);
+    centered.quantize(precision);
     let sq_norms: Vec<f64> = (0..n)
         .map(|i| dot(centered.row(i), centered.row(i)))
         .collect();
@@ -310,11 +303,10 @@ pub fn pnn_graph_backend_prec(
     precision: Precision,
 ) -> Csr {
     let threads = auto_threads(data);
-    if backend.is_exact() {
-        return match precision {
-            Precision::F64 => pnn_graph_with_threads(data, p, scheme, threads),
-            Precision::F32 => pnn_graph_f32_with_threads(data, p, scheme, threads),
-        };
+    // The default build keeps `mtrl_graph`'s `graph.*` span names; every
+    // other backend/precision pair is timed as `ann.pnn_build`.
+    if backend.is_exact() && precision.is_f64() {
+        return pnn_graph_with_threads(data, p, scheme, threads);
     }
     let _span = mtrl_obs::span!("ann.pnn_build");
     let neighbours = knn_indices_backend_prec(data, p, backend, precision, threads);

@@ -8,10 +8,12 @@
 //! for every thread count 1–4.
 
 use mtrl_ann::{
-    knn_indices_backend, pnn_graph_backend, ClusterParams, GraphBackend, RpForestParams,
+    knn_indices_backend, pnn_graph_backend, pnn_graph_backend_prec, ClusterParams, GraphBackend,
+    RpForestParams,
 };
 use mtrl_graph::knn::{knn_indices_with_threads, pnn_graph_with_threads, WeightScheme};
 use mtrl_linalg::random::{rand_normal, rand_uniform};
+use mtrl_linalg::Precision;
 use proptest::prelude::*;
 
 fn exhaustive_backends(seed: u64) -> [GraphBackend; 2] {
@@ -122,4 +124,30 @@ fn smoke_duplicate_row_equivalence() {
     for backend in exhaustive_backends(99) {
         assert_eq!(knn_indices_backend(&data, 3, &backend, 2), exact);
     }
+}
+
+#[test]
+fn exact_f32_graph_weights_come_from_raw_rows() {
+    // Same neighbour lists on well-separated data ⇒ the F32-mode graph
+    // is byte-identical to the F64 one, because weighting runs on the
+    // raw f64 rows in both modes.
+    let mut data = rand_uniform(60, 5, 0.0, 1.0, 41);
+    for i in 0..data.rows() {
+        let shift = (i % 2) as f64 * 40.0;
+        for v in data.row_mut(i) {
+            *v += shift;
+        }
+    }
+    let graph = |precision| {
+        pnn_graph_backend_prec(
+            &data,
+            3,
+            WeightScheme::Cosine,
+            &GraphBackend::Exact,
+            precision,
+        )
+    };
+    let f32_graph = graph(Precision::F32);
+    assert!(f32_graph.is_symmetric(0.0));
+    assert_eq!(f32_graph, graph(Precision::F64));
 }

@@ -77,8 +77,8 @@ fn engine_cfg() -> EngineConfig {
     }
 }
 
-/// The same step with the mixed-precision kernel backend (f32 storage,
-/// f64 accumulation in the SpMM / low-rank / residual hot loops).
+/// The same step in F32 mode (SpMM / low-rank / residual operands
+/// quantised through f32, f64 kernels and accumulation).
 fn engine_cfg_f32() -> EngineConfig {
     EngineConfig {
         precision: mtrl_linalg::Precision::F32,

@@ -9,12 +9,20 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mtrl_graph::knn::pnn_graph_brute_reference;
 use mtrl_graph::{
-    knn_indices, knn_indices_f32, knn_indices_f32_with_threads, knn_indices_with_threads,
-    laplacian_csr, laplacian_dense, pnn_graph, pnn_graph_f32_with_threads, pnn_graph_with_threads,
-    LaplacianKind, WeightScheme,
+    graph_from_neighbours, knn_indices, knn_indices_prec, knn_indices_with_threads, laplacian_csr,
+    laplacian_dense, pnn_graph, pnn_graph_with_threads, LaplacianKind, WeightScheme,
 };
 use mtrl_linalg::random::rand_uniform;
+use mtrl_linalg::{Mat, Precision};
+use mtrl_sparse::Csr;
 use std::hint::black_box;
+
+/// The exact pNN build (`p = 5`, cosine) in f32-storage mode: the
+/// f32 Gram search, then weighting on the raw `f64` rows.
+fn pnn_graph_f32(data: &Mat, threads: usize) -> Csr {
+    let neighbours = knn_indices_prec(data, 5, Precision::F32, threads);
+    graph_from_neighbours(data, &neighbours, WeightScheme::Cosine, threads)
+}
 
 fn bench_pnn(c: &mut Criterion) {
     let mut group = c.benchmark_group("pnn_graph_p5");
@@ -46,16 +54,16 @@ fn bench_pnn_scaling(c: &mut Criterion) {
     // bitwise determinism within f32 mode and check the f32 neighbour
     // lists against the f64 reference — quantisation may only reorder
     // near-ties, so the lists must agree on (effectively) every slot.
-    let f32_ref = pnn_graph_f32_with_threads(&data, 5, WeightScheme::Cosine, 1);
+    let f32_ref = pnn_graph_f32(&data, 1);
     for threads in [2usize, 4] {
         assert_eq!(
-            pnn_graph_f32_with_threads(&data, 5, WeightScheme::Cosine, threads),
+            pnn_graph_f32(&data, threads),
             f32_ref,
             "f32 kernel (t={threads}) is not thread-count deterministic"
         );
     }
     let nn64 = knn_indices(&data, 5);
-    let nn32 = knn_indices_f32(&data, 5);
+    let nn32 = knn_indices_prec(&data, 5, Precision::F32, 4);
     let (mut shared, mut total) = (0usize, 0usize);
     for (a, b) in nn64.iter().zip(&nn32) {
         total += a.len();
@@ -80,9 +88,7 @@ fn bench_pnn_scaling(c: &mut Criterion) {
     }
     for threads in [1usize, 2, 4] {
         group.bench_function(format!("blocked_f32_t{threads}"), |bencher| {
-            bencher.iter(|| {
-                pnn_graph_f32_with_threads(black_box(&data), 5, WeightScheme::Cosine, threads)
-            });
+            bencher.iter(|| pnn_graph_f32(black_box(&data), threads));
         });
     }
     group.finish();
@@ -106,14 +112,14 @@ fn bench_pnn_gram_bandwidth(c: &mut Criterion) {
     // Same pre-timing contract as the scaling group, at this shape:
     // f32 mode is thread-count deterministic and its neighbour lists
     // agree with f64 on effectively every slot.
-    let f32_ref = pnn_graph_f32_with_threads(&data, 5, WeightScheme::Cosine, 1);
+    let f32_ref = pnn_graph_f32(&data, 1);
     assert_eq!(
-        pnn_graph_f32_with_threads(&data, 5, WeightScheme::Cosine, 4),
+        pnn_graph_f32(&data, 4),
         f32_ref,
         "f32 kernel (t=4) is not thread-count deterministic at d=256"
     );
     let nn64 = knn_indices(&data, 5);
-    let nn32 = knn_indices_f32(&data, 5);
+    let nn32 = knn_indices_prec(&data, 5, Precision::F32, 4);
     let (mut shared, mut total) = (0usize, 0usize);
     for (a, b) in nn64.iter().zip(&nn32) {
         total += a.len();
@@ -131,7 +137,7 @@ fn bench_pnn_gram_bandwidth(c: &mut Criterion) {
             bencher.iter(|| knn_indices_with_threads(black_box(&data), 5, threads));
         });
         group.bench_function(format!("knn_f32_t{threads}"), |bencher| {
-            bencher.iter(|| knn_indices_f32_with_threads(black_box(&data), 5, threads));
+            bencher.iter(|| knn_indices_prec(black_box(&data), 5, Precision::F32, threads));
         });
     }
     group.finish();

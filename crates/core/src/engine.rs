@@ -99,17 +99,15 @@
 use crate::error::RhchmeError;
 use crate::multitype::MultiTypeData;
 use crate::Result;
-use mtrl_linalg::lowrank::{
-    diag_lowrank_combine, diag_lowrank_combine_f32, row_dots, row_dots_f32, row_quad_forms,
-    row_quad_forms_f32,
-};
+use mtrl_linalg::lowrank::{diag_lowrank_combine, row_dots, row_quad_forms};
 use mtrl_linalg::norms::row_l2_norms;
 use mtrl_linalg::ops::{g_s_gt, gram, matmul, matmul_tn};
 use mtrl_linalg::simplex::project_simplex;
 use mtrl_linalg::solve::ridge_inverse;
-use mtrl_linalg::{Mat, MatF32, Precision, EPS};
+use mtrl_linalg::{Mat, Precision, Quantize, EPS};
 use mtrl_obs::{FitTelemetry, IterTelemetry};
-use mtrl_sparse::{Csr, CsrF32, RowSparse, SparseBlockDiag, SparseBlockDiagF32};
+use mtrl_sparse::{Csr, RowSparse, SparseBlockDiag};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Kernel-phase indices for [`PhaseClock`] (see the module docs'
@@ -119,11 +117,20 @@ const PHASE_LOWRANK: usize = 1;
 const PHASE_UPDATE: usize = 2;
 const PHASE_RESIDUAL: usize = 3;
 
-/// Cumulative per-phase wall clock for the iteration loop. Inert (no
-/// clock reads at all) when observability is off.
+/// The stable span-aggregate name of each phase.
+const PHASE_SPANS: [(&str, usize); 4] = [
+    ("engine.fit.spmm", PHASE_SPMM),
+    ("engine.fit.lowrank", PHASE_LOWRANK),
+    ("engine.fit.update", PHASE_UPDATE),
+    ("engine.fit.residual", PHASE_RESIDUAL),
+];
+
+/// Cumulative and worst-lap per-phase wall clock for the iteration
+/// loop. Inert (no clock reads at all) when observability is off.
 struct PhaseClock {
     lap_start: Option<Instant>,
     ns: [u64; 4],
+    max_ns: [u64; 4],
 }
 
 impl PhaseClock {
@@ -131,6 +138,7 @@ impl PhaseClock {
         PhaseClock {
             lap_start: enabled.then(Instant::now),
             ns: [0; 4],
+            max_ns: [0; 4],
         }
     }
 
@@ -145,7 +153,9 @@ impl PhaseClock {
     fn lap(&mut self, phase: usize) {
         if let Some(start) = self.lap_start {
             let now = Instant::now();
-            self.ns[phase] += u64::try_from(now.duration_since(start).as_nanos()).unwrap_or(0);
+            let lap = u64::try_from(now.duration_since(start).as_nanos()).unwrap_or(0);
+            self.ns[phase] += lap;
+            self.max_ns[phase] = self.max_ns[phase].max(lap);
             self.lap_start = Some(now);
         }
     }
@@ -200,16 +210,18 @@ pub struct EngineConfig {
     /// stored. Keeps the export at `O(active · n)` — under the ℓ2,1
     /// model only outlier (corrupted) rows clear half the maximum.
     pub error_export_rel: f64,
-    /// Storage precision of the iteration hot loops. [`Precision::F32`]
-    /// stores the SpMM / low-rank / residual / regulariser operands
-    /// (`R`, a fixed `L` and its part split, the per-iteration `G`
-    /// snapshot and low-rank factors) in `f32` and accumulates every
-    /// product in `f64`, halving the memory traffic of the
-    /// bandwidth-bound kernels. Iterates (`G`, `S`) and the small dense
-    /// algebra stay `f64`. The RMC ensemble regulariser re-optimises its
-    /// combination every iteration and stays `f64` in both modes. Runs
-    /// remain bit-identical across thread counts *within* each mode;
-    /// the two modes produce different (both valid) descent paths.
+    /// Operand precision of the iteration hot loops. [`Precision::F32`]
+    /// quantises the SpMM / low-rank / residual / regulariser operands
+    /// through `f32` — `R` and a fixed `(L, L⁺, L⁻)` once per fit, the
+    /// `G`, `R·G`, `R·G·Sᵀ` and low-rank factor snapshots at their
+    /// point of use — and runs the ordinary `f64` kernels on them, so
+    /// it keeps a quantised `f64` copy of `R` beside the caller's.
+    /// Iterates (`G`, `S`) and the small dense algebra stay
+    /// unquantised. The RMC ensemble regulariser re-optimises its
+    /// combination every iteration and reads unquantised `G` in both
+    /// modes. Runs remain bit-identical across thread counts *within*
+    /// each mode; the two modes produce different (both valid) descent
+    /// paths.
     pub precision: Precision,
 }
 
@@ -312,20 +324,40 @@ fn validate_common(
 
 /// The per-iteration regulariser state shared by both engine paths.
 struct RegState<'a> {
-    /// Fixed case: borrowed Laplacian + its part split, computed once.
-    /// The Laplacian itself is **borrowed** from the caller's
-    /// [`GraphRegularizer`] — a fit never deep-copies the `O(p·n)`
-    /// triplets (the split parts are new matrices by necessity).
-    fixed: Option<(&'a SparseBlockDiag, (SparseBlockDiag, SparseBlockDiag))>,
+    /// Fixed case: the Laplacian + its part split, computed once and
+    /// quantised at `precision`. In F64 mode the Laplacian is
+    /// **borrowed** from the caller's [`GraphRegularizer`] — a fit never
+    /// deep-copies the `O(p·n)` triplets (the split parts are new
+    /// matrices by necessity). The parts are split from the unquantised
+    /// Laplacian, then quantised.
+    fixed: Option<(Cow<'a, SparseBlockDiag>, (SparseBlockDiag, SparseBlockDiag))>,
+    precision: Precision,
 }
 
 impl<'a> RegState<'a> {
-    fn new(reg: &'a GraphRegularizer) -> Self {
+    fn new(reg: &'a GraphRegularizer, precision: Precision) -> Self {
         RegState {
             fixed: match reg {
-                GraphRegularizer::Fixed(l) => Some((l, l.split_parts())),
+                GraphRegularizer::Fixed(l) => {
+                    let (mut lp, mut lm) = l.split_parts();
+                    lp.quantize(precision);
+                    lm.quantize(precision);
+                    Some((precision.quantized(l), (lp, lm)))
+                }
                 _ => None,
             },
+            precision,
+        }
+    }
+
+    /// The `G` this iteration's regulariser products read: quantised
+    /// like the fixed operator, unquantised for the ensemble, whose
+    /// combination is rebuilt from `G` in `f64` every iteration.
+    fn operand<'g>(&self, g: &'g Mat) -> Cow<'g, Mat> {
+        if self.fixed.is_some() {
+            self.precision.quantized(g)
+        } else {
+            Cow::Borrowed(g)
         }
     }
 
@@ -345,7 +377,7 @@ impl<'a> RegState<'a> {
         Option<&'b SparseBlockDiag>,
     )> {
         match (&self.fixed, reg) {
-            (Some((l, (lp, lm))), _) => Ok((Some(*l), Some(lp), Some(lm))),
+            (Some((l, (lp, lm))), _) => Ok((Some(l), Some(lp), Some(lm))),
             (None, GraphRegularizer::Ensemble { candidates, mu }) => {
                 let traces: Vec<f64> = candidates
                     .iter()
@@ -453,60 +485,37 @@ pub fn run_engine(
 
     let mut g = g0;
     let mut s = Mat::zeros(c, c);
-    let reg_state = RegState::new(reg);
+    // Operand precision (see [`EngineConfig::precision`]): `R` and a
+    // fixed regulariser are quantised once here; the `G`-derived
+    // snapshots are quantised where each product reads them. F64 mode
+    // borrows everything.
+    let prec = cfg.precision;
+    let r_q = prec.quantized(r);
+    let reg_state = RegState::new(reg, prec);
     let mut ensemble_weights: Option<Vec<f64>> = None;
 
-    // F32 mode: quantised storage twins of the loop-invariant sparse
-    // operands, built once. `R` feeds every SpMM; a fixed regulariser's
-    // `(L, L⁺, L⁻)` feed the update products and the objective trace
-    // term. The ensemble (RMC) regulariser rebuilds its combination
-    // every iteration and stays f64 (see [`EngineConfig::precision`]).
-    let f32_mode = !cfg.precision.is_f64();
-    let r32 = f32_mode.then(|| CsrF32::from_csr(r));
-    let fixed_f32: Option<(SparseBlockDiagF32, SparseBlockDiagF32, SparseBlockDiagF32)> = match reg
-    {
-        GraphRegularizer::Fixed(l) if f32_mode => {
-            let (lp, lm) = l.split_parts();
-            Some((
-                SparseBlockDiagF32::from_block_diag(l),
-                SparseBlockDiagF32::from_block_diag(&lp),
-                SparseBlockDiagF32::from_block_diag(&lm),
-            ))
-        }
-        _ => None,
-    };
-
     // Row structure of R for the residual trace identity — of the
-    // quantised R in f32 mode, so the identity's three terms see one
-    // consistent operand.
-    let r_row_sq: Vec<f64> = match &r32 {
-        Some(r32) => r32.row_sq_sums(),
-        None => (0..n)
-            .map(|i| r.row(i).1.iter().map(|v| v * v).sum())
-            .collect(),
-    };
+    // quantised R, so the identity's three terms see one consistent
+    // operand.
+    let r_row_sq: Vec<f64> = (0..n)
+        .map(|i| r_q.row(i).1.iter().map(|v| v * v).sum())
+        .collect();
 
     // Implicit E_R: shrinkage factors f plus the previous iterate's
     // low-rank factors (U = G·S, H = G), so that
     // R − E_R = D_{1−f}·R + D_f·U·Hᵀ.
     let mut f_er: Vec<f64> = vec![0.0; n];
     let mut one_minus_f: Vec<f64> = vec![1.0; n];
+    // `U` is stored quantised, `H` not.
     let mut prev_lowrank: Option<(Mat, Mat)> = None;
-    let mut prev_u32: Option<MatF32> = None;
     let mut error_row_norms: Vec<f64> = Vec::new();
     let mut final_q_norms: Vec<f64> = Vec::new();
 
     // R·G and GᵀG for the *current* G — computed before the loop,
     // refreshed after every G update, and shared between the residual
     // identity of iteration t and step 3 of iteration t+1 (one SpMM and
-    // one gram per iteration). In f32 mode the SpMM streams the
-    // quantised `R` against an f32 snapshot of `G` (accumulating in
-    // f64); `g32` tracks `G` across the update.
-    let mut g32 = f32_mode.then(|| MatF32::from_mat(&g));
-    let mut rg = match (&r32, &g32) {
-        (Some(r32), Some(g32)) => r32.spmm_dense(g32),
-        _ => r.spmm_dense(&g),
-    };
+    // one gram per iteration). The SpMM reads quantised `R` and `G`.
+    let mut rg = r_q.spmm_dense(&prec.quantized(&g));
     let mut gram_cur = gram(&g);
 
     let mut objective_trace = Vec::with_capacity(cfg.max_iter);
@@ -534,13 +543,13 @@ pub fn run_engine(
         let m1_corrected = match &prev_lowrank {
             Some((u, h)) => {
                 let w = matmul_tn(h, &g)?; // Hᵀ·G, c x c
-                Some(match &prev_u32 {
-                    Some(u32) => {
-                        let rg32 = MatF32::from_mat(&rg);
-                        diag_lowrank_combine_f32(&one_minus_f, &rg32, &f_er, u32, &w)?
-                    }
-                    None => diag_lowrank_combine(&one_minus_f, &rg, &f_er, u, &w)?,
-                })
+                Some(diag_lowrank_combine(
+                    &one_minus_f,
+                    &prec.quantized(&rg),
+                    &f_er,
+                    u,
+                    &w,
+                )?)
             }
             None => None,
         };
@@ -557,14 +566,12 @@ pub fn run_engine(
         let (b_pos, b_neg) = mtrl_linalg::parts::split_parts(&b);
         let gb_pos = matmul(&g, &b_pos)?;
         let gb_neg = matmul(&g, &b_neg)?;
-        let (lp_g, lm_g) = match (&fixed_f32, &g32) {
-            (Some((_, lp32, lm32)), Some(g32c)) => {
-                (Some(lp32.mul_dense(g32c)?), Some(lm32.mul_dense(g32c)?))
+        let (lp_g, lm_g) = match (&l_plus, &l_minus) {
+            (Some(lp), Some(lm)) => {
+                let g_l = reg_state.operand(&g);
+                (Some(lp.mul_dense(&g_l)?), Some(lm.mul_dense(&g_l)?))
             }
-            _ => match (&l_plus, &l_minus) {
-                (Some(lp), Some(lm)) => (Some(lp.mul_dense(&g)?), Some(lm.mul_dense(&g)?)),
-                _ => (None, None),
-            },
+            _ => (None, None),
         };
         multiplicative_update(
             &mut g,
@@ -588,29 +595,16 @@ pub fn run_engine(
         // ---- Steps 6-7: E_R update (Eqs. 25-27), trace form ----------
         // Refresh R·G and GᵀG for the updated G (also next iteration's
         // step 3 — neither is recomputed there).
-        if let Some(g32m) = &mut g32 {
-            *g32m = MatF32::from_mat(&g);
-        }
-        rg = match (&r32, &g32) {
-            (Some(r32), Some(g32c)) => r32.spmm_dense(g32c),
-            _ => r.spmm_dense(&g),
-        };
+        let g_q = prec.quantized(&g);
+        rg = r_q.spmm_dense(&g_q);
         gram_cur = gram(&g);
         clock.lap(PHASE_SPMM);
         // ‖q_i‖² = ‖r_i‖² − 2·(R G Sᵀ)_i·g_i + g_i (S GᵀG Sᵀ) g_iᵀ —
         // per row block, no Q matrix. Cancellation is clamped at zero.
         let m_q = matmul(&matmul(&s, &gram_cur)?, &s.transpose())?; // S K Sᵀ
         let rgst = matmul(&rg, &s.transpose())?;
-        let (cross, quad) = match &g32 {
-            Some(g32c) => {
-                let rgst32 = MatF32::from_mat(&rgst);
-                (
-                    row_dots_f32(&rgst32, g32c)?,
-                    row_quad_forms_f32(g32c, &m_q)?,
-                )
-            }
-            None => (row_dots(&rgst, &g)?, row_quad_forms(&g, &m_q)?),
-        };
+        let cross = row_dots(&prec.quantized(&rgst), &g_q)?;
+        let quad = row_quad_forms(&g_q, &m_q)?;
         let q_norms: Vec<f64> = (0..n)
             .map(|i| (r_row_sq[i] - 2.0 * cross[i] + quad[i]).max(0.0).sqrt())
             .collect();
@@ -628,10 +622,8 @@ pub fn run_engine(
             }
             error_row_norms = f_er.iter().zip(&q_norms).map(|(f, qn)| f * qn).collect();
             // Next iteration's low-rank factors of R − E_R.
-            let u = matmul(&g, &s)?;
-            if f32_mode {
-                prev_u32 = Some(MatF32::from_mat(&u));
-            }
+            let mut u = matmul(&g, &s)?;
+            u.quantize(prec);
             prev_lowrank = Some((u, g.clone()));
             final_q_norms = q_norms;
         } else {
@@ -639,12 +631,9 @@ pub fn run_engine(
         }
 
         // ---- Objective J₄ (Eq. 15) ----------------------------------
-        let reg_term = match (&fixed_f32, &g32) {
-            (Some((l32, _, _)), Some(g32c)) => l32.trace_quad(g32c)?,
-            _ => match &l_current {
-                Some(l) => l.trace_quad(&g)?,
-                None => 0.0,
-            },
+        let reg_term = match &l_current {
+            Some(l) => l.trace_quad(&reg_state.operand(&g))?,
+            None => 0.0,
         };
         let l21_term = if cfg.use_error_matrix {
             cfg.beta * l21
@@ -697,10 +686,9 @@ pub fn run_engine(
     if obs {
         let reg_handle = mtrl_obs::global();
         let iters = iterations as u64;
-        reg_handle.record_span_agg("engine.fit.spmm", iters, clock.ns[PHASE_SPMM], 0);
-        reg_handle.record_span_agg("engine.fit.lowrank", iters, clock.ns[PHASE_LOWRANK], 0);
-        reg_handle.record_span_agg("engine.fit.update", iters, clock.ns[PHASE_UPDATE], 0);
-        reg_handle.record_span_agg("engine.fit.residual", iters, clock.ns[PHASE_RESIDUAL], 0);
+        for (name, phase) in PHASE_SPANS {
+            reg_handle.record_span_agg(name, iters, clock.ns[phase], clock.max_ns[phase]);
+        }
         reg_handle.add("engine.fits", 1);
         reg_handle.add("engine.iterations", iters);
         reg_handle.record_fit(FitTelemetry {
@@ -814,7 +802,7 @@ pub fn run_engine_dense_reference(
 
     let mut g = g0;
     let mut s = Mat::zeros(c, c);
-    let reg_state = RegState::new(reg);
+    let reg_state = RegState::new(reg, Precision::F64);
     let mut ensemble_weights: Option<Vec<f64>> = None;
 
     // Workhorse n x n buffers.
@@ -1363,16 +1351,18 @@ mod tests {
             assert!(it.rel_change.is_finite() && it.rel_change >= 0.0);
             assert!(it.er_active_rows <= data.total_objects());
         }
+        // Each phase aggregate carries its worst single-iteration lap.
         let spans = mtrl_obs::global().spans_snapshot();
-        for phase in [
-            "engine.fit.spmm",
-            "engine.fit.lowrank",
-            "engine.fit.update",
-            "engine.fit.residual",
-        ] {
+        for (phase, _) in PHASE_SPANS {
+            let (_, st) = spans
+                .iter()
+                .find(|(p, st)| p == phase && st.count > 0)
+                .unwrap_or_else(|| panic!("missing phase aggregate {phase}"));
             assert!(
-                spans.iter().any(|(p, st)| p == phase && st.count > 0),
-                "missing phase aggregate {phase}"
+                0 < st.max_ns && st.max_ns <= st.total_ns,
+                "{phase}: max {} vs total {}",
+                st.max_ns,
+                st.total_ns
             );
         }
     }

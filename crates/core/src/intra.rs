@@ -72,9 +72,9 @@ pub fn pnn_laplacians_backend(
 
 /// [`pnn_laplacians_backend`] with an explicit kernel [`Precision`]:
 /// [`Precision::F32`] routes the neighbour search through the
-/// f32-storage Gram chain (`mtrl_graph::knn_f32` / the quantised ANN
-/// candidate path) while edge weighting and the Laplacian normalisation
-/// stay `f64`.
+/// f32-storage Gram tile (`mtrl_graph::knn_indices_prec`) or the
+/// quantised ANN candidate path, while edge weighting and the Laplacian
+/// normalisation stay `f64`.
 pub fn pnn_laplacians_backend_prec(
     features: &[Mat],
     p: usize,

@@ -57,8 +57,8 @@ pub struct RhchmeConfig {
     pub graph_backend: mtrl_ann::GraphBackend,
     /// Kernel storage precision for the hot loops: the pNN Gram chain
     /// and the engine's SpMM / low-rank / residual kernels
-    /// ([`Precision::F32`] stores their operands in `f32`, accumulates
-    /// in `f64`). SPG subspace learning and all small dense algebra stay
+    /// ([`Precision::F32`] quantises their operands through `f32`,
+    /// accumulates in `f64`). SPG subspace learning and all small dense algebra stay
     /// `f64` in both modes. Composes with `graph_backend` exactly like
     /// that knob: per-thread-count determinism holds within each mode.
     pub precision: Precision,

@@ -17,10 +17,10 @@
 //! index build, descent, and candidate re-ranking must also be
 //! thread-count invariant end to end.
 //!
-//! `--f32` runs the fit with the mixed-precision kernel backend
-//! (f32 storage, f64 accumulation). The contract is per-mode: f32
-//! results need not match f64 results, but within f32 mode every
-//! thread count must produce the same bytes.
+//! `--f32` runs the fit in F32 mode (operands quantised through f32,
+//! f64 accumulation). The contract is per-mode: f32 results need not
+//! match f64 results, but within f32 mode every thread count must
+//! produce the same bytes.
 //!
 //! `--ensemble` runs a full consensus-ensemble fit instead (default
 //! `EnsembleSpec`: member generation, sparse co-association build,

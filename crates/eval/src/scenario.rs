@@ -276,8 +276,8 @@ pub fn quick_matrix() -> Vec<Scenario> {
         )
         .with_backend(ann),
     );
-    // The f32 cells: the two heaviest RHCHME cold fits re-run with the
-    // f32-storage kernel backend. The quality gate pins them within the
+    // The f32 cells: the two heaviest RHCHME cold fits re-run in F32
+    // mode (operands quantised through f32). The quality gate pins them within the
     // shared tolerance of their f64 siblings, so a precision regression
     // (accumulator narrowed to f32, centring dropped, …) trips CI as a
     // quality loss rather than hiding behind "approximate anyway".
@@ -334,8 +334,7 @@ mod tests {
         assert!(ann.iter().all(|s| s.shape == CorpusShape::Large3));
         assert!(ann.iter().any(|s| s.name == "clean/rhchme+rp_forest"));
         assert!(ann.iter().any(|s| s.name == "clean/serve_foldin+rp_forest"));
-        // The f32 cells gate the mixed-precision kernel backend against
-        // their f64 siblings.
+        // The f32 cells gate F32 mode against their f64 siblings.
         let f32s: Vec<_> = m.iter().filter(|s| !s.precision.is_f64()).collect();
         assert_eq!(f32s.len(), 2);
         assert!(f32s.iter().any(|s| s.name == "clean/rhchme+f32"));

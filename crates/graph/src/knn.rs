@@ -23,10 +23,23 @@
 //! neighbour index under `f64::total_cmp`, so neighbour sets are
 //! **bit-identical** for every thread count (see the cross-thread
 //! proptests in `tests/proptest_invariants.rs`).
+//!
+//! ## Precision
+//!
+//! [`knn_indices_prec`] with [`Precision::F32`] stores the centred
+//! features as [`MatF32`] and runs the *same* tile kernel on them: the
+//! kernel is generic over the stored element and widens each one to
+//! `f64` at its point of use, so every distance equals the `f64`
+//! kernel's on the quantised operands bit for bit. This is the one place
+//! f32 storage pays (the tile is bandwidth-bound once `Xᵀ` spills L2).
+//! Centring stays in `f64` and quantisation happens after it; edge
+//! weighting ([`graph_from_neighbours`]) always runs on the raw `f64`
+//! rows, so precision only moves neighbour *sets* where quantisation
+//! reorders a near-tie.
 
 use mtrl_linalg::par::{num_threads, par_chunks_map};
-use mtrl_linalg::vecops::{cosine, dot, sq_dist};
-use mtrl_linalg::Mat;
+use mtrl_linalg::vecops::{cosine, sq_dist};
+use mtrl_linalg::{Mat, MatF32, Precision};
 use mtrl_sparse::Csr;
 
 /// Edge weighting schemes of Eq. (3).
@@ -49,7 +62,7 @@ pub enum WeightScheme {
 /// Rows per distance tile: bounds the per-worker scratch at
 /// `TILE * n` doubles (512 KB at `n = 2000`) while keeping the axpy
 /// kernel long enough to vectorise.
-pub(crate) const TILE: usize = 32;
+const TILE: usize = 32;
 
 /// Work threshold (`n² d` multiply-adds) below which the row fan-out is
 /// not worth a thread spawn.
@@ -75,21 +88,115 @@ pub fn knn_indices(data: &Mat, p: usize) -> Vec<Vec<usize>> {
 ///
 /// The output is bit-identical for every `threads` value.
 pub fn knn_indices_with_threads(data: &Mat, p: usize, threads: usize) -> Vec<Vec<usize>> {
-    let n = data.rows();
+    knn_indices_prec(data, p, Precision::F64, threads)
+}
+
+/// [`knn_indices_with_threads`] at an explicit [`Precision`] — the exact
+/// search entry of both modes. In [`Precision::F32`] mode the centred
+/// features are stored as `f32` and every accumulation is `f64`, so the
+/// lists equal the `f64` search on the quantised centred features
+/// ([`Precision::quantize_in_place`]). Bit-identical for every
+/// `threads` value within each mode.
+pub fn knn_indices_prec(
+    data: &Mat,
+    p: usize,
+    precision: Precision,
+    threads: usize,
+) -> Vec<Vec<usize>> {
     // Centre the columns before the Gram expansion. Euclidean distances
     // are translation-invariant, but `gi + gj − 2·xiᵀxj` cancels
     // catastrophically when ‖x‖² dwarfs the pairwise separations (data
     // clustered far from the origin — the classic euclidean_distances
     // pitfall); centring puts the origin inside the cloud where the
     // expansion is stable. Means are computed once, globally, so every
-    // chunking sees the same centred values.
+    // chunking sees the same centred values. Quantising *after*
+    // centring spends the f32 mantissa on the pairwise separations, not
+    // on a common offset.
     let centered = center_columns(data);
+    match precision {
+        Precision::F64 => knn_stored(&centered, p, threads),
+        Precision::F32 => knn_stored(&MatF32::from_mat(&centered), p, threads),
+    }
+}
+
+/// Row storage the Gram tile reads: `f64` ([`Mat`]) or `f32`
+/// ([`MatF32`]) elements, each widened to `f64` at its point of use.
+/// Widening is exact and row grouping never changes the per-output
+/// rounding sequence, so both instantiations compute the same bits on
+/// the same (quantised) values; only the blocking constants differ.
+trait GramRows: Sync {
+    type Elem: Copy + Into<f64>;
+    /// Query rows that share each streamed strip of `Xᵀ`.
+    const GROUP: usize;
+    /// Column-strip width of the micro-kernel.
+    const JT: usize;
+    fn rows(&self) -> usize;
+    fn cols(&self) -> usize;
+    fn row(&self, i: usize) -> &[Self::Elem];
+    fn transpose(&self) -> Self;
+}
+
+impl GramRows for Mat {
+    type Elem = f64;
+    const GROUP: usize = 4;
+    /// Four 4 KB output strips plus one 4 KB strip of `Xᵀ` stay
+    /// L1-resident across the `k` loop.
+    const JT: usize = 512;
+    fn rows(&self) -> usize {
+        Mat::rows(self)
+    }
+    fn cols(&self) -> usize {
+        Mat::cols(self)
+    }
+    fn row(&self, i: usize) -> &[f64] {
+        Mat::row(self, i)
+    }
+    fn transpose(&self) -> Self {
+        Mat::transpose(self)
+    }
+}
+
+impl GramRows for MatF32 {
+    type Elem = f32;
+    /// Eight query rows per `Xᵀ` pass halve the `Xᵀ` traffic on top of
+    /// the halved element width.
+    const GROUP: usize = 8;
+    /// Eight strip accumulators × 256 × 8 B = 16 KiB of `f64` tile plus
+    /// 4 KiB of `f32` strips sit comfortably in L1d.
+    const JT: usize = 256;
+    fn rows(&self) -> usize {
+        MatF32::rows(self)
+    }
+    fn cols(&self) -> usize {
+        MatF32::cols(self)
+    }
+    fn row(&self, i: usize) -> &[f32] {
+        MatF32::row(self, i)
+    }
+    fn transpose(&self) -> Self {
+        MatF32::transpose(self)
+    }
+}
+
+/// The exact search on already-centred rows in `S`'s storage.
+fn knn_stored<S: GramRows>(x: &S, p: usize, threads: usize) -> Vec<Vec<usize>> {
+    let n = x.rows();
+    // Squared norms of the rows as stored, widened, summed in the same
+    // ascending order as `vecops::dot`.
     let sq_norms: Vec<f64> = (0..n)
-        .map(|i| dot(centered.row(i), centered.row(i)))
+        .map(|i| {
+            x.row(i)
+                .iter()
+                .map(|&v| {
+                    let w: f64 = v.into();
+                    w * w
+                })
+                .sum()
+        })
         .collect();
-    let xt = centered.transpose();
+    let xt = x.transpose();
     par_chunks_map(n, threads, |range| {
-        knn_rows(&centered, &xt, &sq_norms, p, range.start, range.end)
+        knn_rows(x, &xt, &sq_norms, p, range.start, range.end)
     })
 }
 
@@ -132,14 +239,10 @@ pub fn knn_indices_serial(data: &Mat, p: usize) -> Vec<Vec<usize>> {
     knn_indices_with_threads(data, p, 1)
 }
 
-/// Column-tile width of the Gram micro-kernel: four 4 KB output strips
-/// plus one 4 KB strip of `Xᵀ` stay L1-resident across the `k` loop.
-pub(crate) const JT: usize = 512;
-
 /// Neighbour lists for rows `[r0, r1)` via tiled Gram-trick distances.
-fn knn_rows(
-    data: &Mat,
-    xt: &Mat,
+fn knn_rows<S: GramRows>(
+    data: &S,
+    xt: &S,
     sq_norms: &[f64],
     p: usize,
     r0: usize,
@@ -166,44 +269,39 @@ fn knn_rows(
 
 /// Accumulate `tile_buf[local][j] = −2 · src[t0 + local] · Xᵀ[.., j]`
 /// for the row tile `[t0, t1)` of `src` — the one Gram micro-kernel
-/// behind both [`knn_indices`] (`src` = the data itself) and
-/// [`cross_sq_dist_map`] (`src` = the query batch). Sharing the
-/// implementation is what makes their per-pair values bit-identical
+/// behind both [`knn_indices_prec`] (`src` = the data itself, in either
+/// storage) and [`cross_sq_dist_map`] (`src` = the query batch). Sharing
+/// the implementation is what makes their per-pair values bit-identical
 /// **by construction** — the exactness contract `mtrl-stream`'s
 /// incremental maintenance rests on.
 ///
 /// Every output row is accumulated over `k` in ascending order with no
 /// skip, so the value of each `(i, j)` cross term is independent of
-/// tiles, register blocking and threads.
-fn gram_tile_neg2(src: &Mat, xt: &Mat, t0: usize, t1: usize, tile_buf: &mut [f64]) {
+/// tiles, register blocking, threads and storage width.
+fn gram_tile_neg2<S: GramRows>(src: &S, xt: &S, t0: usize, t1: usize, tile_buf: &mut [f64]) {
     let n = xt.cols();
     let d = src.cols();
     let rows = t1 - t0;
     tile_buf[..rows * n].fill(0.0);
     let mut brows: Vec<&mut [f64]> = tile_buf[..rows * n].chunks_mut(n.max(1)).collect();
-    for (g, group) in brows.chunks_mut(4).enumerate() {
-        let i0 = t0 + g * 4;
-        if let [b0, b1, b2, b3] = group {
-            // Register-blocked micro-kernel: four output rows share
-            // each streamed strip of Xᵀ (quartering Xᵀ traffic) and
-            // the k dimension is unrolled by four so each output
-            // load/store amortises over four FMAs. `mul_add` maps to
-            // one hardware FMA per element (the repo builds with
-            // `target-cpu=native`, see .cargo/config.toml); on
-            // FMA-less targets it falls back to a slow libm call but
-            // stays exact. A nested `mul_add` chain performs the
-            // exact same rounding sequence as the sequential k loop
-            // of the remainder kernel below, keeping every path
-            // bit-identical.
-            let xr = [
-                src.row(i0),
-                src.row(i0 + 1),
-                src.row(i0 + 2),
-                src.row(i0 + 3),
-            ];
+    for (g, group) in brows.chunks_mut(S::GROUP).enumerate() {
+        let i0 = t0 + g * S::GROUP;
+        if group.len() == S::GROUP {
+            // Register-blocked micro-kernel: a group of output rows
+            // shares each streamed strip of Xᵀ and the k dimension is
+            // unrolled by four so each output load/store amortises over
+            // four FMAs. `mul_add` maps to one hardware FMA per element
+            // (the repo builds with `target-cpu=native`, see
+            // .cargo/config.toml); on FMA-less targets it falls back to
+            // a slow libm call but stays exact. A nested `mul_add` chain
+            // performs the exact same rounding sequence as the
+            // sequential k loop of the remainder kernel below, keeping
+            // every path bit-identical. Each f32 element is widened at
+            // its point of use (the convert fuses with the load);
+            // widening into an f64 scratch first was measured slower.
             let mut jt = 0;
             while jt < n {
-                let je = (jt + JT).min(n);
+                let je = (jt + S::JT).min(n);
                 let mut k = 0;
                 while k + 4 <= d {
                     let xk = [
@@ -212,12 +310,13 @@ fn gram_tile_neg2(src: &Mat, xt: &Mat, t0: usize, t1: usize, tile_buf: &mut [f64
                         &xt.row(k + 2)[jt..je],
                         &xt.row(k + 3)[jt..je],
                     ];
-                    for (b, x) in [&mut **b0, b1, b2, b3].into_iter().zip(xr) {
+                    for (local, b) in group.iter_mut().enumerate() {
+                        let x = &src.row(i0 + local)[k..k + 4];
                         let a = [
-                            -2.0 * x[k],
-                            -2.0 * x[k + 1],
-                            -2.0 * x[k + 2],
-                            -2.0 * x[k + 3],
+                            -2.0 * x[0].into(),
+                            -2.0 * x[1].into(),
+                            -2.0 * x[2].into(),
+                            -2.0 * x[3].into(),
                         ];
                         axpy4_fma(&mut b[jt..je], a, xk);
                     }
@@ -225,8 +324,8 @@ fn gram_tile_neg2(src: &Mat, xt: &Mat, t0: usize, t1: usize, tile_buf: &mut [f64
                 }
                 while k < d {
                     let xk = &xt.row(k)[jt..je];
-                    for (b, x) in [&mut **b0, b1, b2, b3].into_iter().zip(xr) {
-                        axpy1_fma(&mut b[jt..je], -2.0 * x[k], xk);
+                    for (local, b) in group.iter_mut().enumerate() {
+                        axpy1_fma(&mut b[jt..je], -2.0 * src.row(i0 + local)[k].into(), xk);
                     }
                     k += 1;
                 }
@@ -234,11 +333,11 @@ fn gram_tile_neg2(src: &Mat, xt: &Mat, t0: usize, t1: usize, tile_buf: &mut [f64
             }
         } else {
             // Remainder rows one at a time; per-(i, j) arithmetic is
-            // the same k-ascending accumulation as the quad kernel.
+            // the same k-ascending accumulation as the group kernel.
             for (local, brow) in group.iter_mut().enumerate() {
                 let xrow = src.row(i0 + local);
                 for (k, &xv) in xrow.iter().enumerate() {
-                    axpy1_fma(brow, -2.0 * xv, xt.row(k));
+                    axpy1_fma(brow, -2.0 * xv.into(), xt.row(k));
                 }
             }
         }
@@ -371,11 +470,11 @@ where
     })
 }
 
-/// `o[j] += a · x[j]` as one FMA per element.
+/// `o[j] += a · x[j]` as one widening + one FMA per element.
 #[inline]
-fn axpy1_fma(o: &mut [f64], a: f64, x: &[f64]) {
+fn axpy1_fma<E: Copy + Into<f64>>(o: &mut [f64], a: f64, x: &[E]) {
     for (ov, &xv) in o.iter_mut().zip(x) {
-        *ov = a.mul_add(xv, *ov);
+        *ov = a.mul_add(xv.into(), *ov);
     }
 }
 
@@ -384,12 +483,15 @@ fn axpy1_fma(o: &mut [f64], a: f64, x: &[f64]) {
 /// same rounding sequence as four [`axpy1_fma`] calls, with the output
 /// load/store amortised over all four.
 #[inline]
-fn axpy4_fma(o: &mut [f64], a: [f64; 4], x: [&[f64]; 4]) {
+fn axpy4_fma<E: Copy + Into<f64>>(o: &mut [f64], a: [f64; 4], x: [&[E]; 4]) {
     let [x0, x1, x2, x3] = x;
     for ((((ov, &v0), &v1), &v2), &v3) in o.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
         *ov = a[3].mul_add(
-            v3,
-            a[2].mul_add(v2, a[1].mul_add(v1, a[0].mul_add(v0, *ov))),
+            v3.into(),
+            a[2].mul_add(
+                v2.into(),
+                a[1].mul_add(v1.into(), a[0].mul_add(v0.into(), *ov)),
+            ),
         );
     }
 }
@@ -412,7 +514,7 @@ pub fn dist_less(a: (f64, usize), b: (f64, usize)) -> bool {
 /// g_i + g_j + buf_j` and a `p`-element insertion set, no scratch tuple
 /// vector. Expected insertions are `O(p log n)`, so the scan is one
 /// compare per candidate almost everywhere.
-pub(crate) fn top_p_scan(
+fn top_p_scan(
     brow: &[f64],
     sq_norms: &[f64],
     i: usize,
@@ -518,7 +620,7 @@ pub fn pnn_graph_brute_reference(data: &Mat, p: usize, scheme: WeightScheme) -> 
     coo.to_csr().max_symmetrize()
 }
 
-pub(crate) fn auto_threads(data: &Mat) -> usize {
+fn auto_threads(data: &Mat) -> usize {
     let n = data.rows();
     if n * n * data.cols() < PAR_THRESHOLD {
         1
@@ -636,6 +738,7 @@ fn self_tuning_sigma(data: &Mat, neighbours: &[Vec<usize>]) -> f64 {
 mod tests {
     use super::*;
     use mtrl_linalg::random::rand_uniform;
+    use mtrl_linalg::vecops::dot;
 
     /// Three tight, well-separated clusters on a line.
     fn clustered_data() -> Mat {
@@ -971,5 +1074,83 @@ mod tests {
         let same = Mat::zeros(5, 2);
         let nn2 = knn_indices(&same, 2);
         assert_eq!(self_tuning_sigma(&same, &nn2), 1.0);
+    }
+
+    #[test]
+    fn f32_tile_bit_equal_f64_tile_on_quantised_operands() {
+        // The mixed-precision pin: the f32-storage instantiation of the
+        // one tile kernel equals the f64 instantiation on the quantised
+        // operands, bit for bit — across a full group and a remainder
+        // group (19 rows = 2·8 + 3), a k remainder (d = 13) and several
+        // column strips (n = 600 > both JTs).
+        let x = rand_uniform(600, 13, -2.0, 2.0, 95);
+        let x32 = MatF32::from_mat(&x);
+        let xq = Precision::F32.quantized(&x);
+        let (xt32, xtq) = (x32.transpose(), xq.transpose());
+        let mut tile32 = vec![0.0; 19 * 600];
+        let mut tile64 = vec![0.0; 19 * 600];
+        for (t0, t1) in [(0, 19), (581, 600)] {
+            gram_tile_neg2(&x32, &xt32, t0, t1, &mut tile32);
+            gram_tile_neg2(xq.as_ref(), &xtq, t0, t1, &mut tile64);
+            let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&tile32), bits(&tile64), "tile [{t0}, {t1})");
+        }
+    }
+
+    #[test]
+    fn f32_knn_equals_pair_function_on_quantised_centred_rows() {
+        let data = rand_uniform(83, 13, -3.0, 3.0, 23);
+        let p = 6;
+        let mut centered = center_columns(&data);
+        Precision::F32.quantize_in_place(centered.as_mut_slice());
+        let n = data.rows();
+        let g: Vec<f64> = (0..n)
+            .map(|i| dot(centered.row(i), centered.row(i)))
+            .collect();
+        let expected: Vec<Vec<usize>> = (0..n)
+            .map(|i| {
+                let mut scratch: Vec<(f64, usize)> = (0..n)
+                    .filter(|&j| j != i)
+                    .map(|j| {
+                        (
+                            gram_sq_dist(centered.row(i), centered.row(j), g[i], g[j]),
+                            j,
+                        )
+                    })
+                    .collect();
+                select_p_nearest(&mut scratch, p)
+            })
+            .collect();
+        assert_eq!(knn_indices_prec(&data, p, Precision::F32, 1), expected);
+    }
+
+    #[test]
+    fn f32_knn_parallel_bit_identical_to_serial() {
+        let data = rand_uniform(301, 17, -1.0, 4.0, 31);
+        let serial = knn_indices_prec(&data, 5, Precision::F32, 1);
+        for threads in [2, 3, 8] {
+            assert_eq!(
+                knn_indices_prec(&data, 5, Precision::F32, threads),
+                serial,
+                "threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn f32_lists_match_f64_on_well_separated_data() {
+        // Quantisation can only flip near-ties; on clustered data with
+        // clear margins the f32 neighbour lists equal the f64 ones.
+        let mut data = rand_uniform(120, 8, 0.0, 1.0, 43);
+        for i in 0..data.rows() {
+            let shift = (i % 3) as f64 * 50.0;
+            for v in data.row_mut(i) {
+                *v += shift;
+            }
+        }
+        assert_eq!(
+            knn_indices_prec(&data, 7, Precision::F32, 2),
+            knn_indices_with_threads(&data, 7, 2),
+        );
     }
 }

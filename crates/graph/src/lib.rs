@@ -14,9 +14,10 @@
 //!
 //! Graphs are built over objects given as **rows** of a dense feature
 //! matrix with a parallel, blocked Gram-trick kernel (see [`knn`]) whose
-//! output is bit-identical for every thread count; [`knn_f32`] provides
-//! the f32-storage / f64-accumulation twins of the same chain for
-//! [`mtrl_linalg::Precision::F32`] mode. The weight matrices
+//! output is bit-identical for every thread count. The same kernel,
+//! generic over the stored element, serves
+//! [`mtrl_linalg::Precision::F32`] mode with `f32` storage and `f64`
+//! accumulation ([`knn_indices_prec`]). The weight matrices
 //! are sparse ([`mtrl_sparse::Csr`]) and the Laplacians stay sparse too
 //! ([`laplacian_csr`], ≤ `2pn + n` entries) — the positive/negative
 //! splits and `L·G` products of the multiplicative update run on CSR
@@ -26,18 +27,13 @@
 pub mod components;
 pub mod ensemble;
 pub mod knn;
-pub mod knn_f32;
 pub mod laplacian;
 mod serde_impl;
 
 pub use ensemble::{hetero_ensemble, linear_combination};
 pub use knn::{
     center_columns, cross_sq_dist_map, dist_less, gram_sq_dist, gram_sq_dist_x4,
-    graph_from_neighbours, knn_indices, knn_indices_serial, knn_indices_with_threads, pnn_graph,
-    pnn_graph_with_threads, select_p_nearest, WeightScheme,
-};
-pub use knn_f32::{
-    cross_sq_dist_map_f32, gram_sq_dist_f32, gram_sq_dist_x4_f32, knn_indices_f32,
-    knn_indices_f32_with_threads, pnn_graph_f32, pnn_graph_f32_with_threads,
+    graph_from_neighbours, knn_indices, knn_indices_prec, knn_indices_serial,
+    knn_indices_with_threads, pnn_graph, pnn_graph_with_threads, select_p_nearest, WeightScheme,
 };
 pub use laplacian::{laplacian_csr, laplacian_dense, LaplacianKind};

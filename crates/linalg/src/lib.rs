@@ -9,8 +9,11 @@
 //! primitives without any external BLAS:
 //!
 //! * [`Mat`] — a row-major dense `f64` matrix with cache-friendly row access;
-//! * [`MatF32`] + [`Precision`] — the f32-storage / f64-accumulation
-//!   backend of the mixed-precision hot loops ([`matf32`], [`precision`]);
+//! * [`Precision`] — the storage-precision knob; F32 mode is one
+//!   quantisation of operands ([`Precision::quantize_in_place`]) in
+//!   front of the ordinary `f64` kernels ([`precision`]);
+//! * [`MatF32`] — `f32` storage for the one kernel that keeps it, the
+//!   Gram kNN tile in `mtrl-graph` ([`matf32`]);
 //! * blocked and multi-threaded matrix products ([`ops`]);
 //! * the scoped-thread worker pool shared by every parallel kernel in
 //!   the workspace ([`par`]; `MTRL_NUM_THREADS` overrides the count);
@@ -52,7 +55,7 @@ pub use block::{BlockDiag, BlockSpec};
 pub use error::LinalgError;
 pub use mat::Mat;
 pub use matf32::MatF32;
-pub use precision::Precision;
+pub use precision::{Precision, Quantize};
 
 /// Numerical floor used to guard divisions in multiplicative updates.
 ///

@@ -15,17 +15,12 @@
 //!
 //! All three run on the shared [`crate::par`] pool above a work
 //! threshold; each output row depends only on its own input rows, so
-//! results are bit-identical for every thread count.
-//!
-//! Each kernel has an `_f32` twin taking [`MatF32`] storage for the
-//! `n x c` operands (the small `c x c` factors stay `f64`). The twins
-//! widen every element to `f64` and then run the *same* operation
-//! sequence, so `k_f32(x) == k(x.widen())` bit for bit — the
-//! mixed-precision contract of [`crate::precision::Precision`].
+//! results are bit-identical for every thread count. In
+//! [`crate::Precision::F32`] mode the engine passes quantised `n x c`
+//! operands to the same kernels.
 
 use crate::error::LinalgError;
 use crate::mat::Mat;
-use crate::matf32::MatF32;
 use crate::par::{num_threads, par_chunks_map, par_row_chunks};
 use crate::Result;
 
@@ -171,142 +166,6 @@ pub fn diag_lowrank_combine(
     Ok(out)
 }
 
-/// [`row_dots`] over `f32` storage: widened elements, `f64`
-/// accumulation, bit-identical to the reference on widened operands.
-///
-/// # Errors
-/// Returns [`LinalgError::ShapeMismatch`] when the shapes differ.
-pub fn row_dots_f32(a: &MatF32, b: &MatF32) -> Result<Vec<f64>> {
-    if a.shape() != b.shape() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "row_dots_f32",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let n = a.rows();
-    let threads = if n * a.cols() < PAR_THRESHOLD {
-        1
-    } else {
-        num_threads()
-    };
-    Ok(par_chunks_map(n, threads, |range| {
-        range
-            .map(|i| {
-                a.row(i)
-                    .iter()
-                    .zip(b.row(i))
-                    .map(|(&x, &y)| x as f64 * y as f64)
-                    .sum::<f64>()
-            })
-            .collect()
-    }))
-}
-
-/// [`row_quad_forms`] with `f32` storage rows and an `f64` small square
-/// factor: widened elements, `f64` accumulation, same zero-skip logic
-/// (widening preserves zeros exactly).
-///
-/// # Errors
-/// Returns [`LinalgError::ShapeMismatch`] when `M` is not
-/// `g.cols() x g.cols()`.
-pub fn row_quad_forms_f32(g: &MatF32, m: &Mat) -> Result<Vec<f64>> {
-    let c = g.cols();
-    if m.shape() != (c, c) {
-        return Err(LinalgError::ShapeMismatch {
-            op: "row_quad_forms_f32",
-            lhs: g.shape(),
-            rhs: m.shape(),
-        });
-    }
-    let n = g.rows();
-    let threads = if n * c * c < PAR_THRESHOLD {
-        1
-    } else {
-        num_threads()
-    };
-    Ok(par_chunks_map(n, threads, |range| {
-        range
-            .map(|i| {
-                let gi = g.row(i);
-                let mut acc = 0.0;
-                for (j, &gj) in gi.iter().enumerate() {
-                    if gj == 0.0 {
-                        continue;
-                    }
-                    let mrow = m.row(j);
-                    let dot: f64 = mrow.iter().zip(gi).map(|(&x, &y)| x * y as f64).sum();
-                    acc += gj as f64 * dot;
-                }
-                acc
-            })
-            .collect()
-    }))
-}
-
-/// [`diag_lowrank_combine`] with `f32` storage for the `n x c` operands
-/// `A` and `U` (the rank-`c` factor `W` stays `f64`): widened elements,
-/// `f64` accumulation and output, same zero-skip and threading logic.
-///
-/// # Errors
-/// Returns [`LinalgError::ShapeMismatch`] when `A` and `U` shapes
-/// differ, `W` is not `U.cols() x A.cols()`, or a coefficient slice does
-/// not match the row count.
-pub fn diag_lowrank_combine_f32(
-    a_coeff: &[f64],
-    a: &MatF32,
-    u_coeff: &[f64],
-    u: &MatF32,
-    w: &Mat,
-) -> Result<Mat> {
-    let (n, c) = a.shape();
-    if u.rows() != n || w.shape() != (u.cols(), c) {
-        return Err(LinalgError::ShapeMismatch {
-            op: "diag_lowrank_combine_f32",
-            lhs: u.shape(),
-            rhs: w.shape(),
-        });
-    }
-    if a_coeff.len() != n || u_coeff.len() != n {
-        return Err(LinalgError::ShapeMismatch {
-            op: "diag_lowrank_combine_f32",
-            lhs: (a_coeff.len(), u_coeff.len()),
-            rhs: (n, n),
-        });
-    }
-    let mut out = Mat::zeros(n, c);
-    let work = n * (c + u.cols() * c);
-    let rows_into = |r0: usize, r1: usize, chunk: &mut [f64]| {
-        for (local, i) in (r0..r1).enumerate() {
-            let orow = &mut chunk[local * c..(local + 1) * c];
-            let (da, du) = (a_coeff[i], u_coeff[i]);
-            for (o, &av) in orow.iter_mut().zip(a.row(i)) {
-                *o = da * av as f64;
-            }
-            if du == 0.0 {
-                continue;
-            }
-            for (k, &uv) in u.row(i).iter().enumerate() {
-                if uv == 0.0 {
-                    continue;
-                }
-                let s = du * uv as f64;
-                for (o, &wv) in orow.iter_mut().zip(w.row(k)) {
-                    *o += s * wv;
-                }
-            }
-        }
-    };
-    if work < PAR_THRESHOLD || num_threads() == 1 || n < 2 {
-        rows_into(0, n, out.as_mut_slice());
-    } else {
-        par_row_chunks(out.as_mut_slice(), n, c, |r0, r1, chunk| {
-            rows_into(r0, r1, chunk)
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,63 +226,6 @@ mod tests {
         assert!(diag_lowrank_combine(&c5, &a, &c5, &u, &Mat::zeros(3, 3)).is_err());
         assert!(diag_lowrank_combine(&c5, &a, &[0.0; 4], &u, &w).is_err());
         assert!(diag_lowrank_combine(&c5, &a, &c5, &Mat::zeros(4, 2), &w).is_err());
-    }
-
-    #[test]
-    fn f32_kernels_bit_equal_reference_on_widened_operands() {
-        // The mixed-precision pin: each `_f32` kernel equals its f64
-        // reference applied to the widened (quantised) operands, bit
-        // for bit. Sizes stay below PAR_THRESHOLD; the threaded branch
-        // is covered by `f32_kernels_bit_identical_across_threads`.
-        let n = 29;
-        let c = 6;
-        let a32 = MatF32::from_mat(&rand_uniform(n, c, -1.0, 1.0, 21));
-        let b32 = MatF32::from_mat(&rand_uniform(n, c, -1.0, 1.0, 20));
-        let u32 = MatF32::from_mat(&rand_uniform(n, 4, -1.0, 1.0, 22));
-        let w = rand_uniform(4, c, -1.0, 1.0, 23);
-        let m = rand_uniform(c, c, -1.0, 1.0, 24);
-        let coeff: Vec<f64> = (0..n).map(|i| (i % 5) as f64 * 0.2).collect();
-        let (aw, bw, uw) = (a32.widen(), b32.widen(), u32.widen());
-        assert_eq!(
-            row_dots_f32(&a32, &b32).unwrap(),
-            row_dots(&aw, &bw).unwrap()
-        );
-        assert_eq!(
-            row_quad_forms_f32(&a32, &m).unwrap(),
-            row_quad_forms(&aw, &m).unwrap()
-        );
-        assert_eq!(
-            diag_lowrank_combine_f32(&coeff, &a32, &coeff, &u32, &w)
-                .unwrap()
-                .as_slice(),
-            diag_lowrank_combine(&coeff, &aw, &coeff, &uw, &w)
-                .unwrap()
-                .as_slice()
-        );
-    }
-
-    #[test]
-    fn f32_kernels_bit_identical_across_threads() {
-        let n = 700;
-        let c = 24;
-        let a = MatF32::from_mat(&rand_uniform(n, c, -1.0, 1.0, 25));
-        let u = MatF32::from_mat(&rand_uniform(n, c, -1.0, 1.0, 26));
-        let w = rand_uniform(c, c, -1.0, 1.0, 27);
-        let m = rand_uniform(c, c, -1.0, 1.0, 28);
-        let coeff: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 0.1).collect();
-        let before = num_threads();
-        set_num_threads(1);
-        let d1 = row_dots_f32(&a, &u).unwrap();
-        let q1 = row_quad_forms_f32(&a, &m).unwrap();
-        let c1 = diag_lowrank_combine_f32(&coeff, &a, &coeff, &u, &w).unwrap();
-        for threads in [2usize, 4, 8] {
-            set_num_threads(threads);
-            assert_eq!(row_dots_f32(&a, &u).unwrap(), d1, "row_dots t={threads}");
-            assert_eq!(row_quad_forms_f32(&a, &m).unwrap(), q1, "quad t={threads}");
-            let ct = diag_lowrank_combine_f32(&coeff, &a, &coeff, &u, &w).unwrap();
-            assert_eq!(ct.as_slice(), c1.as_slice(), "combine t={threads}");
-        }
-        set_num_threads(before);
     }
 
     #[test]

@@ -1,25 +1,24 @@
-//! Dense row-major `f32` storage matrix for the mixed-precision kernels.
+//! Dense row-major `f32` storage matrix for the Gram kNN tile.
 //!
-//! [`MatF32`] is the storage half of the f32-storage / f64-accumulation
-//! contract ([`crate::precision::Precision`]): hot kernels read `f32`
-//! operand rows (half the bandwidth of [`Mat`]) and widen each element
-//! to `f64` before it enters an accumulation chain. Widening is exact,
-//! so a kernel that widens and then performs the *same* `f64` operation
-//! sequence as its reference is bit-identical to that reference applied
-//! to the widened operands — the property the cross-precision tests pin.
+//! [`MatF32`] backs the one kernel where [`crate::Precision::F32`] keeps
+//! genuine `f32` storage: `mtrl-graph`'s Gram tile reads `f32` operand
+//! rows (half the bandwidth of [`Mat`]) and widens each element to
+//! `f64` before it enters an accumulation chain. Widening is exact, so
+//! the tile is bit-identical to its `f64` instantiation applied to the
+//! quantised operands ([`crate::Precision::quantize_in_place`]) — the
+//! property the cross-precision tests pin.
 //!
 //! It is intentionally not a general matrix type: no arithmetic lives
-//! here, only storage, conversion and the row access the kernels need.
+//! here, only storage, conversion and the row access the kernel needs.
 //! Constructors record into the same [`crate::mat::alloc_peak`] oracle
 //! as [`Mat`] (element counts, conservatively ignoring the halved
-//! element width), so the engine's no-`n x n`-allocation guarantee is
-//! enforced in both precision modes.
+//! element width).
 
 use crate::mat::{alloc_peak, Mat};
 
-/// Dense row-major matrix of `f32` — storage for the mixed-precision
-/// kernels, always accumulated in `f64`.
-#[derive(PartialEq, Debug)]
+/// Dense row-major matrix of `f32` — storage for the Gram kNN tile,
+/// always accumulated in `f64`.
+#[derive(Debug)]
 pub struct MatF32 {
     rows: usize,
     cols: usize,
@@ -31,7 +30,7 @@ impl MatF32 {
     ///
     /// # Panics
     /// Panics if `rows * cols` overflows `usize`.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    fn zeros(rows: usize, cols: usize) -> Self {
         let len = rows
             .checked_mul(cols)
             .expect("matrix dimensions overflow usize");
@@ -53,18 +52,6 @@ impl MatF32 {
         }
     }
 
-    /// Widen back to an `f64` [`Mat`] whose entries are exactly the
-    /// stored `f32` values. `MatF32::from_mat(m).widen()` is therefore
-    /// the "quantise through f32" map the F32 mode applies to operands.
-    pub fn widen(&self) -> Mat {
-        Mat::from_vec(
-            self.rows,
-            self.cols,
-            self.data.iter().map(|&v| v as f64).collect(),
-        )
-        .expect("shape is consistent by construction")
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -75,30 +62,6 @@ impl MatF32 {
     #[inline]
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// `(rows, cols)` pair.
-    #[inline]
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Total number of entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// `true` if the matrix has zero entries (degenerate shape).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Borrow the underlying row-major data.
-    #[inline]
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
     }
 
     /// Borrow row `i` as a slice.
@@ -132,39 +95,31 @@ impl MatF32 {
     }
 }
 
-impl Clone for MatF32 {
-    // Manual so the [`alloc_peak`] oracle sees clones of large matrices
-    // too, matching `Mat`'s convention.
-    fn clone(&self) -> Self {
-        alloc_peak::record(self.data.len());
-        MatF32 {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every stored entry, widened, in row-major order.
+    fn widened(m: &MatF32) -> Vec<f64> {
+        (0..m.rows())
+            .flat_map(|i| m.row(i).iter().map(|&v| v as f64))
+            .collect()
+    }
+
     #[test]
-    fn round_trip_is_quantisation() {
+    fn from_mat_stores_the_quantised_values() {
         let m = Mat::from_fn(5, 3, |i, j| 0.1 * (i * 3 + j) as f64 + 1.0 / 3.0);
-        let q = MatF32::from_mat(&m).widen();
-        assert_eq!(q.shape(), m.shape());
-        for (a, b) in q.as_slice().iter().zip(m.as_slice()) {
-            assert_eq!(*a, (*b as f32) as f64);
-        }
+        let m32 = MatF32::from_mat(&m);
+        assert_eq!((m32.rows(), m32.cols()), m.shape());
+        let q = crate::Precision::F32.quantized(&m);
+        assert_eq!(widened(&m32), q.as_slice());
     }
 
     #[test]
     fn transpose_matches_f64_transpose() {
         let m = Mat::from_fn(70, 45, |i, j| (i * 1000 + j) as f64 * 0.25);
         let t32 = MatF32::from_mat(&m).transpose();
-        let t = m.transpose();
-        assert_eq!(t32.widen(), t);
+        assert_eq!(widened(&t32), m.transpose().as_slice());
     }
 
     #[test]

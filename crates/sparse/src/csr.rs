@@ -1,6 +1,6 @@
 //! Compressed sparse row matrix.
 
-use mtrl_linalg::Mat;
+use mtrl_linalg::{Mat, Precision, Quantize};
 
 /// Compressed sparse row (CSR) matrix of `f64`.
 ///
@@ -8,7 +8,8 @@ use mtrl_linalg::Mat;
 /// * `indptr.len() == rows + 1`, `indptr[0] == 0`, non-decreasing;
 /// * `indices` / `values` have length `indptr[rows]`;
 /// * within each row, column indices are strictly increasing;
-/// * stored values may be zero only transiently (constructors drop them).
+/// * stored values may be zero only transiently (constructors drop
+///   them) or after [`Quantize::quantize`], which keeps the pattern.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     rows: usize,
@@ -546,6 +547,14 @@ impl Csr {
     }
 }
 
+impl Quantize for Csr {
+    /// Round the stored values in place. The sparsity pattern is kept:
+    /// an entry that underflows to zero stays stored.
+    fn quantize(&mut self, precision: Precision) {
+        precision.quantize_in_place(&mut self.values);
+    }
+}
+
 /// Row-ordered CSR assembly for transformation code that already visits
 /// rows in order with strictly increasing columns (cheaper than a [`Coo`]
 /// round-trip: no sort, no duplicate merge). Exact zeros are dropped on
@@ -610,6 +619,7 @@ mod tests {
     use crate::Coo;
     use mtrl_linalg::ops::matmul;
     use mtrl_linalg::random::rand_uniform;
+    use std::borrow::Cow;
 
     fn random_sparse(rows: usize, cols: usize, density: f64, seed: u64) -> Csr {
         let dense = rand_uniform(rows, cols, -1.0, 1.0, seed);
@@ -858,5 +868,26 @@ mod tests {
         let twice = s.scaled(2.0);
         assert!(twice.to_dense().approx_eq(&s.to_dense().scaled(2.0), 0.0));
         assert_eq!(s.scaled(0.0).nnz(), 0);
+    }
+
+    #[test]
+    fn quantize_keeps_the_pattern_and_an_underflowing_entry() {
+        let s = Csr::from_raw_parts(
+            2,
+            3,
+            vec![0, 2, 3],
+            vec![0, 2, 1],
+            vec![1.0 / 3.0, 1e-300, -0.1],
+        );
+        assert!(matches!(Precision::F64.quantized(&s), Cow::Borrowed(_)));
+        let q = Precision::F32.quantized(&s);
+        assert_eq!(q.shape(), s.shape());
+        assert_eq!(q.nnz(), 3, "the underflowing entry stays stored");
+        assert_eq!(q.row(0).0, &[0, 2]);
+        assert_eq!(q.row(0).1[1].to_bits(), 0.0f64.to_bits());
+        for ((i, j, a), (i2, j2, b)) in q.iter().zip(s.iter()) {
+            assert_eq!((i, j), (i2, j2));
+            assert_eq!(a.to_bits(), (b as f32 as f64).to_bits());
+        }
     }
 }

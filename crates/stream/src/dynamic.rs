@@ -56,7 +56,7 @@ use mtrl_graph::{
 };
 use mtrl_linalg::par::num_threads;
 use mtrl_linalg::vecops::dot;
-use mtrl_linalg::{Mat, Precision};
+use mtrl_linalg::{Mat, Precision, Quantize};
 use mtrl_sparse::Csr;
 
 /// Tuning knobs of a [`DynamicGraph`].
@@ -87,12 +87,12 @@ pub struct DynamicGraphConfig {
     pub backend: GraphBackend,
     /// Kernel storage precision. [`Precision::F32`] quantises every
     /// *centred* row through f32 on arrival (and on rebuild), so all
-    /// stored distances are exactly what the f32-storage batch kernels
-    /// (`mtrl_graph::knn_f32`) compute: widening f32 → f64 is exact, so
-    /// running the unchanged f64 maintenance machinery on quantised
-    /// rows is bit-identical to true f32 storage. Centring means stay
-    /// f64 (quantise-after-centre, the same contract as the batch
-    /// path), raw rows are kept at full precision, and the exported
+    /// stored distances are exactly what the batch search
+    /// (`mtrl_graph::knn_indices_prec`) computes: widening f32 → f64 is
+    /// exact, so running the unchanged f64 maintenance machinery on
+    /// quantised rows is bit-identical to true f32 storage. Centring
+    /// means stay f64 (quantise-after-centre, the same contract as the
+    /// batch path), raw rows are kept at full precision, and the exported
     /// graph weights come from the raw rows — so precision only moves
     /// neighbour selection where quantisation reorders near-ties.
     pub precision: Precision,
@@ -262,16 +262,13 @@ impl DynamicGraph {
         // Append raw + centred rows and their norms.
         self.features = self.features.vstack(rows).expect("same width");
         let mut centred_new = rows.clone();
-        let f32_mode = !self.cfg.precision.is_f64();
         for i in 0..b {
             let r = centred_new.row_mut(i);
             for (v, &m) in r.iter_mut().zip(&self.means) {
                 *v -= m;
             }
-            if f32_mode {
-                quantize_row_f32(r);
-            }
         }
+        centred_new.quantize(self.cfg.precision);
         self.centered = self.centered.vstack(&centred_new).expect("same width");
         for i in 0..b {
             let r = centred_new.row(i);
@@ -484,16 +481,13 @@ impl DynamicGraph {
         let n_total = self.features.rows();
         self.means = alive_column_means(&self.features, &self.alive, self.n_alive);
         self.centered = self.features.clone();
-        let f32_mode = !self.cfg.precision.is_f64();
         for i in 0..n_total {
             let r = self.centered.row_mut(i);
             for (v, &m) in r.iter_mut().zip(&self.means) {
                 *v -= m;
             }
-            if f32_mode {
-                quantize_row_f32(r);
-            }
         }
+        self.centered.quantize(self.cfg.precision);
         self.sq_norms = (0..n_total)
             .map(|i| {
                 let r = self.centered.row(i);
@@ -559,17 +553,6 @@ impl DynamicGraph {
     /// for rebuild-then-`laplacian_csr` (`O(n² d)`).
     pub fn laplacian(&self, kind: LaplacianKind) -> Csr {
         laplacian_csr(&self.graph(), kind)
-    }
-}
-
-/// Quantise a centred row through f32 storage in place: `v as f32 as
-/// f64` is exactly the widened f32 value, so every downstream f64
-/// primitive (`gram_sq_dist`, `cross_sq_dist_map`, the ANN candidate
-/// path) computes bit-for-bit what the f32-storage kernels in
-/// `mtrl_graph::knn_f32` would on the same rows.
-fn quantize_row_f32(row: &mut [f64]) {
-    for v in row {
-        *v = *v as f32 as f64;
     }
 }
 
@@ -857,9 +840,15 @@ mod tests {
         let g = DynamicGraph::new(&data, graph_cfg_f32(4));
         assert_eq!(
             g.graph(),
-            mtrl_graph::pnn_graph_f32(&data, 4, WeightScheme::Cosine)
+            mtrl_ann::pnn_graph_backend_prec(
+                &data,
+                4,
+                WeightScheme::Cosine,
+                &GraphBackend::Exact,
+                Precision::F32
+            )
         );
-        let nn = mtrl_graph::knn_indices_f32(&data, 4);
+        let nn = mtrl_graph::knn_indices_prec(&data, 4, Precision::F32, 1);
         for (i, expect) in nn.iter().enumerate() {
             assert_eq!(&g.neighbours(i), expect, "row {i}");
         }

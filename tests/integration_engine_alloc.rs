@@ -91,10 +91,10 @@ fn sparse_engine_allocates_no_nxn_dense() {
         n * n
     );
 
-    // --- The f32-storage mode: the quantised operand copies (CsrF32,
-    // the MatF32 snapshots of G, RG and the low-rank factor) are all
-    // O(nnz) or O(n·c), and MatF32 constructors record into the same
-    // oracle, so the no-`n x n` guarantee holds in both precision modes.
+    // --- F32 mode: the quantised operand copies (R and the fixed
+    // Laplacian parts, O(nnz); the G, RG, RGSᵀ and low-rank factor
+    // snapshots, O(n·c) dense `Mat`s recorded by the same oracle) keep
+    // the no-`n x n` guarantee in both precision modes.
     let cfg32 = EngineConfig {
         precision: mtrl_linalg::Precision::F32,
         ..cfg.clone()

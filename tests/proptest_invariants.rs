@@ -126,12 +126,13 @@ proptest! {
         threads in 2usize..9,
         seed in any::<u64>()
     ) {
-        // The mixed-precision twin makes the same promise as the f64
-        // kernel: neighbour lists are a pure function of the data,
+        // The f32-storage search makes the same promise as the f64
+        // one: neighbour lists are a pure function of the data,
         // independent of the worker-thread count.
         let data = rand_uniform(n, d, -2.0, 2.0, seed);
-        let serial = mtrl_graph::knn_indices_f32_with_threads(&data, p, 1);
-        let par = mtrl_graph::knn_indices_f32_with_threads(&data, p, threads);
+        let f32_mode = mtrl_linalg::Precision::F32;
+        let serial = mtrl_graph::knn_indices_prec(&data, p, f32_mode, 1);
+        let par = mtrl_graph::knn_indices_prec(&data, p, f32_mode, threads);
         prop_assert_eq!(par, serial);
     }
 
@@ -269,11 +270,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Mixed-precision invariants: the f32-storage backend must be a drop-in
-// for f64 at the *fit* level — same labels, same convergence contract —
-// not merely kernel-for-kernel bit-stable. Full RHCHME fits are orders
-// of magnitude costlier than the kernel properties above, so this block
-// runs far fewer cases.
+// Mixed-precision invariants: F32 mode (operands quantised through
+// f32) must be a drop-in for f64 at the *fit* level — same labels, same
+// convergence contract — not merely kernel-for-kernel bit-stable. Full
+// RHCHME fits are orders of magnitude costlier than the kernel
+// properties above, so this block runs far fewer cases.
 
 fn precision_corpus(seed: u64) -> MultiTypeCorpus {
     mtrl_datagen::corpus::generate(&CorpusConfig {
