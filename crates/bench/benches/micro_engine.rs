@@ -12,6 +12,12 @@
 //! (quick-mode numbers on the CI container comfortably exceed it).
 //! Outputs are asserted equivalent (objective within 1e-9 relative,
 //! identical labels) before anything is timed.
+//!
+//! The `engine_narrow_large3_240` group times the shapes an ensemble
+//! member runs on: the 240-document Large3 corpus of the end-to-end
+//! `ensemble_fit` workload (`n = 430` objects, `c = 22` clusters,
+//! `nnz(R) ≈ 40k`) — the `R·G` SpMM, a `430x22 · 22x22` product, and
+//! one whole RMC engine fit (six-candidate ensemble regulariser).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtrl_linalg::block::stack_membership;
@@ -20,7 +26,9 @@ use mtrl_sparse::Coo;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rhchme::engine::{run_engine, run_engine_dense_reference, EngineConfig, GraphRegularizer};
+use rhchme::intra::rmc_candidates;
 use rhchme::kmeans::labels_to_membership;
+use rhchme::pipeline::Artifacts;
 use rhchme::MultiTypeData;
 use std::hint::black_box;
 
@@ -175,5 +183,51 @@ fn bench_engine_step(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engine_step);
+fn bench_narrow_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_narrow_large3_240");
+    group.sample_size(20);
+    let seed = 64;
+    let params = mtrl_eval::runner::quick_params(seed);
+    let corpus = mtrl_datagen::corpus::generate(&mtrl_datagen::CorpusConfig {
+        docs_per_class: vec![80, 80, 80],
+        seed,
+        ..mtrl_eval::CorpusShape::Large3.config()
+    });
+    let arts = Artifacts::new(&corpus, &params).expect("artifacts");
+    let (n, k) = arts.g0.shape();
+    assert_eq!((n, k), (430, 22), "the ensemble_fit member shape");
+    group.bench_function("spmm_rg", |bencher| {
+        bencher.iter(|| black_box(&arts.r).spmm_dense(&arts.g0));
+    });
+    let s = mtrl_linalg::random::rand_uniform(k, k, -1.0, 1.0, 65);
+    group.bench_function("matmul_430x22_22x22", |bencher| {
+        bencher.iter(|| mtrl_linalg::ops::matmul(black_box(&arts.g0), &s).expect("shapes"));
+    });
+    let reg = GraphRegularizer::Ensemble {
+        candidates: rmc_candidates(
+            &arts.features,
+            mtrl_graph::LaplacianKind::SymNormalized,
+            None,
+        )
+        .expect("candidates"),
+        mu: params.rmc_mu,
+    };
+    let cfg = EngineConfig {
+        lambda: params.lambda,
+        use_error_matrix: false,
+        l1_row_normalize: false,
+        max_iter: params.max_iter,
+        tol: params.tol,
+        ..EngineConfig::default()
+    };
+    group.bench_function("rmc_fit", |bencher| {
+        bencher.iter(|| {
+            run_engine(black_box(&arts.r), &arts.data, &reg, arts.g0.clone(), &cfg)
+                .expect("rmc engine")
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_engine_step, bench_narrow_shapes);
 criterion_main!(benches);

@@ -64,7 +64,7 @@ pub struct RmcResult {
 /// Propagates engine failures ([`crate::RhchmeError`]).
 pub fn run_rmc(data: &MultiTypeData, cfg: &RmcConfig) -> Result<RmcResult> {
     let features = data.all_features();
-    let candidates = rmc_candidates(&features, cfg.laplacian_kind)?;
+    let candidates = rmc_candidates(&features, cfg.laplacian_kind, None)?;
     let g0 = init_membership(data, &features, cfg.seed);
     let r = data.assemble_r_csr();
     let engine_cfg = EngineConfig {

@@ -42,7 +42,26 @@
 //!   no `n x n` temporary survives anywhere in the loop.
 //!
 //! Per-iteration cost is `O(nnz·c + n·c²)` (was `O(n²·c)`) and resident
-//! memory is `O(nnz + n·c)` (was three `n x n` buffers). The original
+//! memory is `O(nnz + n·c)` (was three `n x n` buffers).
+//!
+//! # Kernel shape
+//!
+//! With `c` a few dozen columns, every product in the loop is narrow:
+//! `R·G` and `L±·G` ([`Csr::spmm_dense`]), the `n x c · c x c` products
+//! ([`matmul`]), [`diag_lowrank_combine`], and the [`gram`] /
+//! [`matmul_tn`] / [`row_quad_forms`] / `tr(GᵀLG)` reductions. Each
+//! makes **one pass per output row** and keeps that row in a fixed-size
+//! register accumulator (up to 32 columns per pass, wider outputs in
+//! further passes) instead of reloading and re-storing it once per
+//! term. Each entry sums its terms in the scalar loop's order, and the
+//! only terms skipped are **exact zeros** (the zeros of the left
+//! operand, and in the quadratic forms the block-structured zeros of a
+//! finite `G`), so every output is bit-identical to the scalar loops,
+//! which survive as `#[cfg(test)]` oracles beside each kernel. RMC's
+//! ensemble regulariser runs on one union pattern fixed at fit start:
+//! each iteration computes every `g_i · g_j` once for the six candidate
+//! traces and the objective, and writes the `β`-combination and its
+//! `±` split into fixed value arrays. The original
 //! dense loop is kept verbatim as [`run_engine_dense_reference`] for
 //! tests and benches; a cross-implementation proptest
 //! (`tests/integration_engine.rs`) pins the two to the same objective
@@ -316,6 +335,11 @@ fn validate_common(
                     "ensemble candidate with wrong dimension".into(),
                 ));
             }
+            if candidates.iter().any(|l| l.spec() != candidates[0].spec()) {
+                return Err(RhchmeError::InvalidData(
+                    "ensemble candidates with different block layouts".into(),
+                ));
+            }
             Ok(())
         }
         _ => Ok(()),
@@ -323,81 +347,352 @@ fn validate_common(
 }
 
 /// The per-iteration regulariser state shared by both engine paths.
-struct RegState<'a> {
-    /// Fixed case: the Laplacian + its part split, computed once and
-    /// quantised at `precision`. In F64 mode the Laplacian is
-    /// **borrowed** from the caller's [`GraphRegularizer`] — a fit never
-    /// deep-copies the `O(p·n)` triplets (the split parts are new
-    /// matrices by necessity). The parts are split from the unquantised
-    /// Laplacian, then quantised.
-    fixed: Option<(Cow<'a, SparseBlockDiag>, (SparseBlockDiag, SparseBlockDiag))>,
-    precision: Precision,
+enum RegState<'a> {
+    None,
+    /// A fixed Laplacian and its part split, computed once and quantised
+    /// at `precision`. In F64 mode the Laplacian is **borrowed** from the
+    /// caller's [`GraphRegularizer`] — a fit never deep-copies the
+    /// `O(p·n)` triplets (the split parts are new matrices by
+    /// necessity). The parts are split from the unquantised Laplacian,
+    /// then quantised.
+    Fixed {
+        l: Cow<'a, SparseBlockDiag>,
+        lp: SparseBlockDiag,
+        lm: SparseBlockDiag,
+        precision: Precision,
+    },
+    /// RMC's candidate ensemble, re-weighted every iteration on one
+    /// union pattern (see [`UnionEnsemble`]).
+    Ensemble(UnionEnsemble<'a>),
 }
 
 impl<'a> RegState<'a> {
     fn new(reg: &'a GraphRegularizer, precision: Precision) -> Self {
-        RegState {
-            fixed: match reg {
-                GraphRegularizer::Fixed(l) => {
-                    let (mut lp, mut lm) = l.split_parts();
-                    lp.quantize(precision);
-                    lm.quantize(precision);
-                    Some((precision.quantized(l), (lp, lm)))
+        match reg {
+            GraphRegularizer::None => RegState::None,
+            GraphRegularizer::Fixed(l) => {
+                let (mut lp, mut lm) = l.split_parts();
+                lp.quantize(precision);
+                lm.quantize(precision);
+                RegState::Fixed {
+                    l: precision.quantized(l),
+                    lp,
+                    lm,
+                    precision,
                 }
-                _ => None,
-            },
-            precision,
-        }
-    }
-
-    /// The `G` this iteration's regulariser products read: quantised
-    /// like the fixed operator, unquantised for the ensemble, whose
-    /// combination is rebuilt from `G` in `f64` every iteration.
-    fn operand<'g>(&self, g: &'g Mat) -> Cow<'g, Mat> {
-        if self.fixed.is_some() {
-            self.precision.quantized(g)
-        } else {
-            Cow::Borrowed(g)
-        }
-    }
-
-    /// Resolve this iteration's `(L, L⁺, L⁻)`; the ensemble case
-    /// re-optimises `β` against the current `G` and stores the combined
-    /// Laplacian in `storage` so references stay borrowable.
-    #[allow(clippy::type_complexity)]
-    fn resolve<'b>(
-        &'b self,
-        reg: &'b GraphRegularizer,
-        g: &Mat,
-        storage: &'b mut Option<(SparseBlockDiag, SparseBlockDiag, SparseBlockDiag)>,
-        ensemble_weights: &mut Option<Vec<f64>>,
-    ) -> Result<(
-        Option<&'b SparseBlockDiag>,
-        Option<&'b SparseBlockDiag>,
-        Option<&'b SparseBlockDiag>,
-    )> {
-        match (&self.fixed, reg) {
-            (Some((l, (lp, lm))), _) => Ok((Some(l), Some(lp), Some(lm))),
-            (None, GraphRegularizer::Ensemble { candidates, mu }) => {
-                let traces: Vec<f64> = candidates
-                    .iter()
-                    .map(|cand| cand.trace_quad(g))
-                    .collect::<std::result::Result<_, _>>()?;
-                let target: Vec<f64> = traces.iter().map(|&t| -t / (2.0 * mu)).collect();
-                let beta_w = project_simplex(&target, 1.0);
-                // L = Σ β L̂ over the shared block layout (sparse
-                // patterns merge; the combination never densifies).
-                let mut acc = candidates[0].scaled(beta_w[0]);
-                for (cand, &b) in candidates.iter().zip(&beta_w).skip(1) {
-                    acc = acc.lin_comb(1.0, cand, b).expect("same layout");
-                }
-                *ensemble_weights = Some(beta_w);
-                let (lp, lm) = acc.split_parts();
-                *storage = Some((acc, lp, lm));
-                let (l, lp, lm) = storage.as_ref().expect("just stored");
-                Ok((Some(l), Some(lp), Some(lm)))
             }
-            (None, _) => Ok((None, None, None)),
+            GraphRegularizer::Ensemble { candidates, mu } => {
+                RegState::Ensemble(UnionEnsemble::new(candidates, *mu))
+            }
+        }
+    }
+
+    /// Resolve this iteration's regulariser against the current `G`:
+    /// the ensemble re-optimises `β` and rewrites its combination and
+    /// part split; a fixed or absent regulariser has nothing to do.
+    fn resolve(&mut self, g: &Mat, ensemble_weights: &mut Option<Vec<f64>>) {
+        if let RegState::Ensemble(ens) = self {
+            *ensemble_weights = Some(ens.resolve(g));
+        }
+    }
+
+    /// `(L⁺·G, L⁻·G)` for the multiplicative update, `None` without a
+    /// regulariser. The fixed operator reads `G` quantised like itself;
+    /// the ensemble, whose combination is rebuilt from `G` in `f64`
+    /// every iteration, reads it unquantised.
+    fn part_products(&self, g: &Mat) -> Result<Option<(Mat, Mat)>> {
+        let (lp, lm, g_l) = match self {
+            RegState::None => return Ok(None),
+            RegState::Fixed {
+                lp, lm, precision, ..
+            } => (lp, lm, precision.quantized(g)),
+            RegState::Ensemble(ens) => {
+                let (lp, lm) = ens.parts.as_ref().expect("resolved before use");
+                (lp, lm, Cow::Borrowed(g))
+            }
+        };
+        Ok(Some((lp.mul_dense(&g_l)?, lm.mul_dense(&g_l)?)))
+    }
+
+    /// The regulariser trace `tr(GᵀLG)` of the objective (0 without a
+    /// regulariser), at the same operand precision as
+    /// [`Self::part_products`].
+    fn trace(&mut self, g: &Mat) -> Result<f64> {
+        Ok(match self {
+            RegState::None => 0.0,
+            RegState::Fixed { l, precision, .. } => l.trace_quad(&precision.quantized(g))?,
+            RegState::Ensemble(ens) => ens.trace(g),
+        })
+    }
+}
+
+/// RMC's ensemble regulariser `L = Σ βᵢ L̂ᵢ` on the union of the
+/// candidates' sparsity patterns, fixed at fit start.
+///
+/// Every quantity an iteration needs is a sum over stored entries of
+/// `value · (g_i · g_j)`, so the inner products are computed once per
+/// `G` on the union pattern and shared: by the six candidate traces
+/// that set `β`, and by the objective's `tr(GᵀLG)`. The `G` the
+/// objective reads is the `G` the next iteration's traces read, so the
+/// objective's products are reused there. The combination and its
+/// `L⁺`/`L⁻` split are written into fixed value arrays.
+///
+/// Every value equals what merging the candidates one by one
+/// (`L̂₀·β₀ + L̂₁·β₁ + …`, dropping entries that come out zero) and
+/// splitting the result produces, summed in the same order; an entry
+/// that merge would drop holds a zero here instead, which adds nothing
+/// to any product with the finite `G` the engine iterates on.
+struct UnionEnsemble<'a> {
+    candidates: &'a [SparseBlockDiag],
+    mu: f64,
+    blocks: Vec<UnionBlock>,
+    /// Per block, `g_i · g_j` on the union pattern.
+    dots: Vec<Vec<f64>>,
+    /// Whether `dots` belong to the `G` the next [`Self::resolve`] sees.
+    dots_fresh: bool,
+    /// Per block, the combination's values on the union pattern.
+    comb: Vec<Vec<f64>>,
+    /// Whether a zero in `comb` is a stored entry (one candidate, which
+    /// is scaled, never merged) rather than a dropped one.
+    keep_zeros: bool,
+    /// This iteration's `(L⁺, L⁻)`.
+    parts: Option<(SparseBlockDiag, SparseBlockDiag)>,
+}
+
+/// One diagonal block's union pattern.
+struct UnionBlock {
+    offset: usize,
+    indptr: Vec<usize>,
+    indices: Vec<usize>,
+    /// Per candidate, the union slot and the value of each of its stored
+    /// entries, in row order.
+    slots: Vec<Vec<usize>>,
+    values: Vec<Vec<f64>>,
+    /// The entries where some candidate is positive (`L⁺`'s possible
+    /// support: `β ≥ 0`) and where some is negative (`L⁻`'s).
+    pos: SlotPattern,
+    neg: SlotPattern,
+}
+
+/// A sub-pattern of a union block: CSR arrays plus the union slot of
+/// each entry.
+struct SlotPattern {
+    indptr: Vec<usize>,
+    indices: Vec<usize>,
+    slots: Vec<usize>,
+}
+
+impl SlotPattern {
+    /// The union entries whose slot satisfies `keep`, in row order.
+    fn select(indptr: &[usize], indices: &[usize], keep: impl Fn(usize) -> bool) -> Self {
+        let mut out = SlotPattern {
+            indptr: vec![0],
+            indices: Vec::new(),
+            slots: Vec::new(),
+        };
+        for w in indptr.windows(2) {
+            for (slot, &j) in indices.iter().enumerate().take(w[1]).skip(w[0]) {
+                if keep(slot) {
+                    out.indices.push(j);
+                    out.slots.push(slot);
+                }
+            }
+            out.indptr.push(out.indices.len());
+        }
+        out
+    }
+
+    /// The `n x n` CSR with `value(slot)` at each entry.
+    fn csr(&self, n: usize, value: impl Fn(usize) -> f64) -> Csr {
+        let values = self.slots.iter().map(|&slot| value(slot)).collect();
+        Csr::from_raw_parts(n, n, self.indptr.clone(), self.indices.clone(), values)
+    }
+}
+
+impl UnionBlock {
+    fn new(blocks: &[&Csr], offset: usize) -> Self {
+        let n = blocks[0].rows();
+        let mut indptr = vec![0];
+        let mut indices: Vec<usize> = Vec::new();
+        for i in 0..n {
+            let mut row: Vec<usize> = blocks.iter().flat_map(|b| b.row(i).0).copied().collect();
+            row.sort_unstable();
+            row.dedup();
+            indices.extend(row);
+            indptr.push(indices.len());
+        }
+        let slots: Vec<Vec<usize>> = blocks
+            .iter()
+            .map(|b| {
+                (0..n)
+                    .flat_map(|i| {
+                        let row = &indices[indptr[i]..indptr[i + 1]];
+                        let base = indptr[i];
+                        b.row(i).0.iter().map(move |j| {
+                            base + row.binary_search(j).expect("union covers every candidate")
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let values: Vec<Vec<f64>> = blocks
+            .iter()
+            .map(|b| b.iter().map(|(_, _, v)| v).collect())
+            .collect();
+        let mut any_pos = vec![false; indices.len()];
+        let mut any_neg = vec![false; indices.len()];
+        for (slots, values) in slots.iter().zip(&values) {
+            for (&slot, &v) in slots.iter().zip(values) {
+                any_pos[slot] |= v > 0.0;
+                any_neg[slot] |= v < 0.0;
+            }
+        }
+        let pos = SlotPattern::select(&indptr, &indices, |slot| any_pos[slot]);
+        let neg = SlotPattern::select(&indptr, &indices, |slot| any_neg[slot]);
+        UnionBlock {
+            offset,
+            indptr,
+            indices,
+            slots,
+            values,
+            pos,
+            neg,
+        }
+    }
+}
+
+impl<'a> UnionEnsemble<'a> {
+    fn new(candidates: &'a [SparseBlockDiag], mu: f64) -> Self {
+        let spec = candidates[0].spec();
+        let blocks: Vec<UnionBlock> = (0..candidates[0].num_blocks())
+            .map(|k| {
+                let members: Vec<&Csr> = candidates.iter().map(|c| c.block(k)).collect();
+                UnionBlock::new(&members, spec.offset(k))
+            })
+            .collect();
+        UnionEnsemble {
+            candidates,
+            mu,
+            dots: blocks.iter().map(|b| vec![0.0; b.indices.len()]).collect(),
+            comb: blocks.iter().map(|b| vec![0.0; b.indices.len()]).collect(),
+            blocks,
+            dots_fresh: false,
+            keep_zeros: false,
+            parts: None,
+        }
+    }
+
+    /// Fill `dots` with `g_i · g_j` on the union pattern of every block.
+    fn refresh_dots(&mut self, g: &Mat) {
+        for (block, dots) in self.blocks.iter().zip(&mut self.dots) {
+            pattern_dots(g, block.offset, &block.indptr, &block.indices, dots);
+        }
+    }
+
+    /// Re-optimise `β` against `G`, rewrite the combination and its part
+    /// split, and return `β`.
+    fn resolve(&mut self, g: &Mat) -> Vec<f64> {
+        if !self.dots_fresh {
+            self.refresh_dots(g);
+        }
+        // G changes before the next resolve.
+        self.dots_fresh = false;
+        let traces: Vec<f64> = (0..self.candidates.len())
+            .map(|c| {
+                self.blocks
+                    .iter()
+                    .zip(&self.dots)
+                    .map(|(block, dots)| {
+                        let mut acc = 0.0;
+                        for (&slot, &v) in block.slots[c].iter().zip(&block.values[c]) {
+                            acc += v * dots[slot];
+                        }
+                        acc
+                    })
+                    .sum()
+            })
+            .collect();
+        let target: Vec<f64> = traces.iter().map(|&t| -t / (2.0 * self.mu)).collect();
+        let beta = project_simplex(&target, 1.0);
+        // L = L̂₀·β₀ + L̂₁·β₁ + … in candidate order over the shared
+        // block layout: a zero β₀ contributes no entries, a later
+        // candidate adds `β·v` to what is there.
+        for (block, comb) in self.blocks.iter().zip(&mut self.comb) {
+            comb.fill(0.0);
+            for (c, &b) in beta.iter().enumerate() {
+                let entries = block.slots[c].iter().zip(&block.values[c]);
+                if c == 0 {
+                    if b != 0.0 {
+                        for (&slot, &v) in entries {
+                            comb[slot] = v * b;
+                        }
+                    }
+                } else {
+                    for (&slot, &v) in entries {
+                        comb[slot] += b * v;
+                    }
+                }
+            }
+        }
+        self.keep_zeros = self.candidates.len() == 1 && beta[0] != 0.0;
+        let split = |pick: fn(f64) -> f64, part: fn(&UnionBlock) -> &SlotPattern| {
+            let blocks = self
+                .blocks
+                .iter()
+                .zip(&self.comb)
+                .map(|(block, comb)| {
+                    part(block).csr(block.indptr.len() - 1, |slot| pick(comb[slot]))
+                })
+                .collect();
+            SparseBlockDiag::new(blocks).expect("square blocks")
+        };
+        let lp = split(|v| if v > 0.0 { v } else { 0.0 }, |b| &b.pos);
+        let lm = split(|v| if v < 0.0 { -v } else { 0.0 }, |b| &b.neg);
+        self.parts = Some((lp, lm));
+        beta
+    }
+
+    /// `tr(GᵀLG)` of this iteration's combination at `G`; the products
+    /// are kept for the next [`Self::resolve`].
+    fn trace(&mut self, g: &Mat) -> f64 {
+        self.refresh_dots(g);
+        self.dots_fresh = true;
+        let keep_zeros = self.keep_zeros;
+        self.comb
+            .iter()
+            .zip(&self.dots)
+            .map(|(comb, dots)| {
+                let mut acc = 0.0;
+                for (&v, &dot) in comb.iter().zip(dots) {
+                    if v != 0.0 || keep_zeros {
+                        acc += v * dot;
+                    }
+                }
+                acc
+            })
+            .sum()
+    }
+}
+
+/// `dots[e] = g_i · g_j` for every entry `(i, j)` of one block's
+/// pattern, `G` rows taken from `offset` on — the products of
+/// [`Csr::quad_form_at`], which runs each over `g_i`'s nonzero span when
+/// the block's rows are finite (see there).
+fn pattern_dots(g: &Mat, offset: usize, indptr: &[usize], indices: &[usize], dots: &mut [f64]) {
+    let c = g.cols();
+    let rows = &g.as_slice()[offset * c..(offset + indptr.len() - 1) * c];
+    let finite = rows.iter().all(|v| v.is_finite());
+    for (i, w) in indptr.windows(2).enumerate() {
+        let gi = g.row(offset + i);
+        let (lo, hi) = match gi.iter().position(|&v| v != 0.0) {
+            Some(lo) if finite => (lo, gi.iter().rposition(|&v| v != 0.0).map_or(lo, |p| p + 1)),
+            None if finite => (0, 0),
+            _ => (0, c),
+        };
+        let gi = &gi[lo..hi];
+        for (dot, &j) in dots[w[0]..w[1]].iter_mut().zip(&indices[w[0]..w[1]]) {
+            let gj = &g.row(offset + j)[lo..hi];
+            *dot = gi.iter().zip(gj).map(|(a, b)| a * b).sum();
         }
     }
 }
@@ -409,8 +704,7 @@ fn multiplicative_update(
     a: &Mat,
     gb_pos: &Mat,
     gb_neg: &Mat,
-    lp_g: Option<&Mat>,
-    lm_g: Option<&Mat>,
+    l_g: Option<&(Mat, Mat)>,
     lambda: f64,
 ) {
     let (n, c) = g.shape();
@@ -418,8 +712,8 @@ fn multiplicative_update(
         let a_row = a.row(i);
         let gbp = gb_pos.row(i);
         let gbn = gb_neg.row(i);
-        let lpg = lp_g.as_ref().map(|m| m.row(i));
-        let lmg = lm_g.as_ref().map(|m| m.row(i));
+        let lpg = l_g.map(|(lp, _)| lp.row(i));
+        let lmg = l_g.map(|(_, lm)| lm.row(i));
         let grow = g.row_mut(i);
         for j in 0..c {
             let gv = grow[j];
@@ -491,7 +785,7 @@ pub fn run_engine(
     // borrows everything.
     let prec = cfg.precision;
     let r_q = prec.quantized(r);
-    let reg_state = RegState::new(reg, prec);
+    let mut reg_state = RegState::new(reg, prec);
     let mut ensemble_weights: Option<Vec<f64>> = None;
 
     // Row structure of R for the residual trace identity — of the
@@ -523,19 +817,13 @@ pub fn run_engine(
     let mut prev_obj = f64::INFINITY;
     let mut converged = false;
     let mut iterations = 0;
-    // Per-iteration storage for the (recomputed) ensemble Laplacian so the
-    // fixed case can hand out references without cloning.
-    #[allow(unused_assignments)]
-    let mut ens_storage: Option<(SparseBlockDiag, SparseBlockDiag, SparseBlockDiag)> = None;
 
     for t in 0..cfg.max_iter {
         iterations = t + 1;
         clock.mark();
 
         // ---- Regulariser for this iteration -------------------------
-        ens_storage = None;
-        let (l_current, l_plus, l_minus) =
-            reg_state.resolve(reg, &g, &mut ens_storage, &mut ensemble_weights)?;
+        reg_state.resolve(&g, &mut ensemble_weights);
 
         // ---- Step 3: S update (Eq. 18) ------------------------------
         // m1 = (R − E_R)·G = D_{1−f}·(R·G) + D_f·U·(Hᵀ·G); before the
@@ -566,22 +854,8 @@ pub fn run_engine(
         let (b_pos, b_neg) = mtrl_linalg::parts::split_parts(&b);
         let gb_pos = matmul(&g, &b_pos)?;
         let gb_neg = matmul(&g, &b_neg)?;
-        let (lp_g, lm_g) = match (&l_plus, &l_minus) {
-            (Some(lp), Some(lm)) => {
-                let g_l = reg_state.operand(&g);
-                (Some(lp.mul_dense(&g_l)?), Some(lm.mul_dense(&g_l)?))
-            }
-            _ => (None, None),
-        };
-        multiplicative_update(
-            &mut g,
-            &a,
-            &gb_pos,
-            &gb_neg,
-            lp_g.as_ref(),
-            lm_g.as_ref(),
-            cfg.lambda,
-        );
+        let l_g = reg_state.part_products(&g)?;
+        multiplicative_update(&mut g, &a, &gb_pos, &gb_neg, l_g.as_ref(), cfg.lambda);
         if g.has_non_finite() {
             return Err(RhchmeError::Diverged { iteration: t });
         }
@@ -631,10 +905,7 @@ pub fn run_engine(
         }
 
         // ---- Objective J₄ (Eq. 15) ----------------------------------
-        let reg_term = match &l_current {
-            Some(l) => l.trace_quad(&reg_state.operand(&g))?,
-            None => 0.0,
-        };
+        let reg_term = reg_state.trace(&g)?;
         let l21_term = if cfg.use_error_matrix {
             cfg.beta * l21
         } else {
@@ -802,7 +1073,7 @@ pub fn run_engine_dense_reference(
 
     let mut g = g0;
     let mut s = Mat::zeros(c, c);
-    let reg_state = RegState::new(reg, Precision::F64);
+    let mut reg_state = RegState::new(reg, Precision::F64);
     let mut ensemble_weights: Option<Vec<f64>> = None;
 
     // Workhorse n x n buffers.
@@ -817,16 +1088,12 @@ pub fn run_engine_dense_reference(
     let mut prev_obj = f64::INFINITY;
     let mut converged = false;
     let mut iterations = 0;
-    #[allow(unused_assignments)]
-    let mut ens_storage: Option<(SparseBlockDiag, SparseBlockDiag, SparseBlockDiag)> = None;
 
     for t in 0..cfg.max_iter {
         iterations = t + 1;
 
         // ---- Regulariser for this iteration -------------------------
-        ens_storage = None;
-        let (l_current, l_plus, l_minus) =
-            reg_state.resolve(reg, &g, &mut ens_storage, &mut ensemble_weights)?;
+        reg_state.resolve(&g, &mut ensemble_weights);
 
         // ---- Step 3: S update (Eq. 18) ------------------------------
         let m1 = matmul(&r_eff, &g)?; // (R − E_R)·G, n x c
@@ -841,19 +1108,8 @@ pub fn run_engine_dense_reference(
         let (b_pos, b_neg) = mtrl_linalg::parts::split_parts(&b);
         let gb_pos = matmul(&g, &b_pos)?;
         let gb_neg = matmul(&g, &b_neg)?;
-        let (lp_g, lm_g) = match (&l_plus, &l_minus) {
-            (Some(lp), Some(lm)) => (Some(lp.mul_dense(&g)?), Some(lm.mul_dense(&g)?)),
-            _ => (None, None),
-        };
-        multiplicative_update(
-            &mut g,
-            &a,
-            &gb_pos,
-            &gb_neg,
-            lp_g.as_ref(),
-            lm_g.as_ref(),
-            cfg.lambda,
-        );
+        let l_g = reg_state.part_products(&g)?;
+        multiplicative_update(&mut g, &a, &gb_pos, &gb_neg, l_g.as_ref(), cfg.lambda);
         if g.has_non_finite() {
             return Err(RhchmeError::Diverged { iteration: t });
         }
@@ -898,10 +1154,7 @@ pub fn run_engine_dense_reference(
         }
 
         // ---- Objective J₄ (Eq. 15) ----------------------------------
-        let reg_term = match &l_current {
-            Some(l) => l.trace_quad(&g)?,
-            None => 0.0,
-        };
+        let reg_term = reg_state.trace(&g)?;
         let l21_term = if cfg.use_error_matrix {
             cfg.beta * l21
         } else {
@@ -1216,6 +1469,71 @@ mod tests {
         let labels = data.labels_from_membership(&res.g, 0);
         let f = mtrl_metrics::fscore(&corpus.labels, &labels);
         assert!(f > 0.8, "fscore {f}");
+    }
+
+    /// Today's per-iteration ensemble resolve, kept as the oracle of
+    /// [`UnionEnsemble`]: candidate traces by [`SparseBlockDiag::trace_quad`],
+    /// the combination by merging candidates one by one, the split by
+    /// [`SparseBlockDiag::split_parts`].
+    fn resolve_oracle(
+        candidates: &[SparseBlockDiag],
+        mu: f64,
+        g: &Mat,
+    ) -> (Vec<f64>, SparseBlockDiag, SparseBlockDiag, SparseBlockDiag) {
+        let traces: Vec<f64> = candidates
+            .iter()
+            .map(|c| c.trace_quad(g).unwrap())
+            .collect();
+        let target: Vec<f64> = traces.iter().map(|&t| -t / (2.0 * mu)).collect();
+        let beta = project_simplex(&target, 1.0);
+        let mut acc = candidates[0].scaled(beta[0]);
+        for (cand, &b) in candidates.iter().zip(&beta).skip(1) {
+            acc = acc.lin_comb(1.0, cand, b).unwrap();
+        }
+        let (lp, lm) = acc.split_parts();
+        (beta, acc, lp, lm)
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn union_ensemble_matches_merging_the_candidates() {
+        let (data, _) = tiny_data();
+        let feats = data.all_features();
+        let mut candidates =
+            crate::intra::rmc_candidates(&feats, LaplacianKind::SymNormalized, None).unwrap();
+        // A heavily negative candidate makes β put weight on several
+        // candidates and exercises entries of both signs.
+        candidates.push(candidates[1].scaled(-0.5));
+        for n_cands in [1usize, 2, candidates.len()] {
+            let cands = &candidates[..n_cands];
+            let mut ens = UnionEnsemble::new(cands, 0.7);
+            for seed in 0..4 {
+                let mut g = init_g(&data, seed);
+                if seed == 3 {
+                    g.as_mut_slice()[5] = -0.0;
+                }
+                let beta = ens.resolve(&g);
+                let (beta_o, l_o, lp_o, lm_o) = resolve_oracle(cands, 0.7, &g);
+                assert!(same_bits(&beta, &beta_o), "β, {n_cands} candidates");
+                let (lp, lm) = ens.parts.as_ref().unwrap();
+                assert!(same_bits(
+                    lp.mul_dense(&g).unwrap().as_slice(),
+                    lp_o.mul_dense(&g).unwrap().as_slice()
+                ));
+                assert!(same_bits(
+                    lm.mul_dense(&g).unwrap().as_slice(),
+                    lm_o.mul_dense(&g).unwrap().as_slice()
+                ));
+                // The objective's trace, then a resolve that reuses its
+                // products for the same G.
+                let t = ens.trace(&g);
+                assert!(same_bits(&[t], &[l_o.trace_quad(&g).unwrap()]), "trace");
+                assert!(same_bits(&ens.resolve(&g), &beta_o));
+            }
+        }
     }
 
     #[test]

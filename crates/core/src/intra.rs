@@ -17,8 +17,11 @@
 //! all.
 
 use crate::Result;
-use mtrl_ann::{pnn_graph_backend_prec, GraphBackend};
-use mtrl_graph::{laplacian_csr, LaplacianKind, WeightScheme};
+use mtrl_ann::{insert_capped, pnn_graph_backend_prec, GraphBackend};
+use mtrl_graph::{
+    center_columns, cross_sq_dist_map, graph_from_neighbours, laplacian_csr, LaplacianKind,
+    WeightScheme,
+};
 use mtrl_linalg::{Mat, Precision};
 use mtrl_sparse::{Csr, CsrBuilder, SparseBlockDiag};
 use mtrl_subspace::{affinity_to_weights, spg_affinity, SpgConfig, CANDIDATES};
@@ -160,18 +163,93 @@ pub fn hetero_laplacian(
 /// The six RMC candidate Laplacians of Sec. IV-B: `p ∈ {5, 10}` crossed
 /// with binary / heat-kernel (self-tuned σ) / cosine weighting, each as a
 /// block diagonal over all types.
-pub fn rmc_candidates(features: &[Mat], kind: LaplacianKind) -> Result<Vec<SparseBlockDiag>> {
-    let mut out = Vec::with_capacity(6);
-    for p in [5usize, 10] {
-        for scheme in [
-            WeightScheme::Binary,
-            WeightScheme::HeatKernel { sigma: -1.0 },
-            WeightScheme::Cosine,
-        ] {
-            out.push(pnn_laplacians(features, p, scheme, kind)?);
+///
+/// Each type takes one exact neighbour search for `p = 10` whose lists
+/// come back in [`mtrl_graph::dist_less`] order. That order is total, so
+/// each `p = 5` list is exactly the first five of its `p = 10` list, and
+/// all six graphs equal what six [`pnn_laplacians`] calls build. A
+/// caller that already holds the exact `p = 5` cosine Laplacian of the
+/// same features and `kind` (the shared `L_E`) passes it as
+/// `pnn5_cosine`, and it is reused as that candidate.
+pub fn rmc_candidates(
+    features: &[Mat],
+    kind: LaplacianKind,
+    pnn5_cosine: Option<&SparseBlockDiag>,
+) -> Result<Vec<SparseBlockDiag>> {
+    const SCHEMES: [WeightScheme; 3] = [
+        WeightScheme::Binary,
+        WeightScheme::HeatKernel { sigma: -1.0 },
+        WeightScheme::Cosine,
+    ];
+    let mut blocks: Vec<Vec<Csr>> = vec![Vec::new(); 6];
+    for f in features {
+        let threads = auto_threads(f);
+        let (p5, p10) = nearest_5_and_10(f, threads);
+        for (slot, neighbours) in [&p5, &p5, &p5, &p10, &p10, &p10].into_iter().enumerate() {
+            if slot == 2 && pnn5_cosine.is_some() {
+                continue;
+            }
+            let w = graph_from_neighbours(f, neighbours, SCHEMES[slot % 3], threads);
+            blocks[slot].push(laplacian_csr(&w, kind));
         }
     }
+    let mut out = blocks
+        .into_iter()
+        .map(SparseBlockDiag::new)
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    if let Some(l) = pnn5_cosine {
+        out[2] = l.clone();
+    }
     Ok(out)
+}
+
+/// The exact kernel's work threshold: below ~1M multiply-adds
+/// (`n²·d`) a thread fan-out costs more than it saves.
+fn auto_threads(data: &Mat) -> usize {
+    if data.rows() * data.rows() * data.cols() < (1 << 20) {
+        1
+    } else {
+        mtrl_linalg::par::num_threads()
+    }
+}
+
+/// The exact 5- and 10-nearest neighbour lists of every row (index
+/// sorted, self excluded), from one search: the blocked Gram-tile
+/// distances of [`mtrl_graph::knn_indices`] on the same centred rows,
+/// each row's ten best kept in [`mtrl_graph::dist_less`] order, the five
+/// best taken as their prefix.
+fn nearest_5_and_10(data: &Mat, threads: usize) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    let centered = center_columns(data);
+    let sq_norms: Vec<f64> = (0..centered.rows())
+        .map(|i| centered.row(i).iter().map(|&v| v * v).sum())
+        .collect();
+    let ranked = cross_sq_dist_map(
+        &centered,
+        &sq_norms,
+        &centered,
+        &sq_norms,
+        threads,
+        |i, strip| {
+            let mut best: Vec<(f64, usize)> = Vec::with_capacity(11);
+            for (j, &d) in strip.iter().enumerate() {
+                if j != i {
+                    insert_capped(&mut best, (d, j), 10);
+                }
+            }
+            best
+        },
+    );
+    let sorted = |take: usize| -> Vec<Vec<usize>> {
+        ranked
+            .iter()
+            .map(|best| {
+                let mut list: Vec<usize> = best.iter().take(take).map(|&(_, j)| j).collect();
+                list.sort_unstable();
+                list
+            })
+            .collect()
+    };
+    (sorted(5), sorted(10))
 }
 
 #[cfg(test)]
@@ -272,7 +350,7 @@ mod tests {
     #[test]
     fn rmc_candidate_count_and_layout() {
         let f = toy_features();
-        let cands = rmc_candidates(&f, LaplacianKind::SymNormalized).unwrap();
+        let cands = rmc_candidates(&f, LaplacianKind::SymNormalized, None).unwrap();
         assert_eq!(cands.len(), 6);
         assert!(cands.iter().all(|c| c.n() == 27));
     }

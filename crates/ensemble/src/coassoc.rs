@@ -16,7 +16,6 @@
 
 use mtrl_linalg::par::{num_threads, par_chunks_map};
 use mtrl_sparse::Csr;
-use std::collections::HashMap;
 
 /// Incremental builder: feed base partitions (in any batching), then
 /// [`CoAssocBuilder::build`].
@@ -80,21 +79,30 @@ impl CoAssocBuilder {
             .collect();
         let inv_m = 1.0 / m as f64;
         let rows: Vec<(Vec<usize>, Vec<f64>)> = par_chunks_map(n, num_threads(), |range| {
+            let mut counts = CountScratch::new(n);
             let mut out = Vec::with_capacity(range.len());
             for i in range {
-                let mut counts: HashMap<usize, u32> = HashMap::new();
+                counts.begin();
                 for (labels, bucket) in self.partitions.iter().zip(&buckets) {
                     for &j in &bucket[labels[i]] {
                         if j != i {
-                            *counts.entry(j).or_insert(0) += 1;
+                            counts.bump(j);
                         }
                     }
                 }
-                // Full sort by (count desc, index asc) before truncation
-                // makes the kept set independent of hash iteration order.
-                let mut cand: Vec<(usize, u32)> = counts.into_iter().collect();
-                cand.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                cand.truncate(p);
+                // The p best under the total order (count desc, index
+                // asc) are one set whatever order the candidates come in.
+                let mut cand: Vec<(usize, u32)> = counts
+                    .touched
+                    .iter()
+                    .map(|&j| (j, counts.count[j]))
+                    .collect();
+                let by_rank =
+                    |a: &(usize, u32), b: &(usize, u32)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
+                if p < cand.len() {
+                    cand.select_nth_unstable_by(p, by_rank);
+                    cand.truncate(p);
+                }
                 cand.sort_unstable_by_key(|&(j, _)| j);
                 let idx: Vec<usize> = cand.iter().map(|&(j, _)| j).collect();
                 let vals: Vec<f64> = cand.iter().map(|&(_, c)| f64::from(c) * inv_m).collect();
@@ -106,9 +114,114 @@ impl CoAssocBuilder {
     }
 }
 
+/// Per-row co-cluster counts over ids `< n` in dense arrays, reset in
+/// O(1) per row by an epoch stamp (the same scheme as `mtrl-ann`'s
+/// `QueryScratch`): a count is live only where its stamp is the current
+/// epoch.
+struct CountScratch {
+    count: Vec<u32>,
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Ids counted in the current row, in first-seen order.
+    touched: Vec<usize>,
+}
+
+impl CountScratch {
+    fn new(n: usize) -> Self {
+        CountScratch {
+            count: vec![0; n],
+            stamp: vec![0; n],
+            epoch: 0,
+            touched: Vec::new(),
+        }
+    }
+
+    /// Start a row: open a fresh epoch (clearing stamps on the rare u32
+    /// wrap).
+    fn begin(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.touched.clear();
+    }
+
+    fn bump(&mut self, j: usize) {
+        if self.stamp[j] != self.epoch {
+            self.stamp[j] = self.epoch;
+            self.count[j] = 0;
+            self.touched.push(j);
+        }
+        self.count[j] += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    /// The per-row `HashMap` build [`CoAssocBuilder::build`] replaced.
+    fn build_oracle(n: usize, partitions: &[Vec<usize>], p: usize) -> Csr {
+        let m = partitions.len();
+        if m == 0 || p == 0 {
+            return Csr::zeros(n, n);
+        }
+        let inv_m = 1.0 / m as f64;
+        let rows: Vec<(Vec<usize>, Vec<f64>)> = (0..n)
+            .map(|i| {
+                let mut counts: HashMap<usize, u32> = HashMap::new();
+                for labels in partitions {
+                    for (j, &l) in labels.iter().enumerate() {
+                        if j != i && l == labels[i] {
+                            *counts.entry(j).or_insert(0) += 1;
+                        }
+                    }
+                }
+                let mut cand: Vec<(usize, u32)> = counts.into_iter().collect();
+                cand.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                cand.truncate(p);
+                cand.sort_unstable_by_key(|&(j, _)| j);
+                (
+                    cand.iter().map(|&(j, _)| j).collect(),
+                    cand.iter().map(|&(_, c)| f64::from(c) * inv_m).collect(),
+                )
+            })
+            .collect();
+        Csr::from_sparse_rows(&rows, n).max_symmetrize()
+    }
+
+    #[test]
+    fn dense_scratch_build_equals_the_hash_map_build() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |k: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % k as u64) as usize
+        };
+        for (n, m, k) in [
+            (40usize, 5usize, 3usize),
+            (61, 8, 7),
+            (25, 3, 1),
+            (90, 12, 12),
+        ] {
+            let partitions: Vec<Vec<usize>> =
+                (0..m).map(|_| (0..n).map(|_| next(k)).collect()).collect();
+            let mut builder = CoAssocBuilder::new(n);
+            for labels in &partitions {
+                builder.add_partition(labels);
+            }
+            for p in [1usize, 4, 10, n] {
+                assert_eq!(
+                    builder.build(p),
+                    build_oracle(n, &partitions, p),
+                    "n={n} m={m} p={p}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn full_agreement_gives_unit_cliques() {

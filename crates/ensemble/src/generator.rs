@@ -63,7 +63,14 @@ impl SharedRegularizers {
     pub fn new(arts: &Artifacts, params: &PipelineParams) -> Result<Self> {
         let l_sub = arts.subspace_laplacian(params.gamma, params.spg_max_iter, params.seed)?;
         let l_hetero = hetero_laplacian(&l_sub, &arts.l_pnn, params.alpha)?;
-        let candidates = rmc_candidates(&arts.features, mtrl_graph::LaplacianKind::SymNormalized)?;
+        // `arts.l_pnn` is the exact p = 5 cosine candidate whenever the
+        // fit's own graph is.
+        let pnn5_cosine = (params.p == 5 && params.graph_backend.is_exact()).then_some(&arts.l_pnn);
+        let candidates = rmc_candidates(
+            &arts.features,
+            mtrl_graph::LaplacianKind::SymNormalized,
+            pnn5_cosine,
+        )?;
         Ok(SharedRegularizers {
             none: GraphRegularizer::None,
             pnn: GraphRegularizer::Fixed(arts.l_pnn.clone()),
@@ -141,6 +148,7 @@ pub fn generate_members(
     let mut members = Vec::with_capacity(spec.members);
     for i in 0..spec.members {
         let (method, seed, doc_k) = member_plan(i, spec, params, &arts.data, &mut state);
+        let _span = mtrl_obs::span!("ensemble.member");
         members.push(fit_member(arts, regs, params, method, seed, doc_k)?);
     }
     Ok(members)

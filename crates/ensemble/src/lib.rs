@@ -81,8 +81,14 @@ pub fn fit_corpus(
 ) -> Result<EnsembleResult> {
     validate_spec(spec)?;
     let arts = Artifacts::new(corpus, params)?;
-    let regs = SharedRegularizers::new(&arts, params)?;
-    let members = generator::generate_members(&arts, &regs, spec, params)?;
+    let regs = {
+        let _span = mtrl_obs::span!("ensemble.regularizers");
+        SharedRegularizers::new(&arts, params)?
+    };
+    let members = {
+        let _span = mtrl_obs::span!("ensemble.members");
+        generator::generate_members(&arts, &regs, spec, params)?
+    };
     merge_members(&arts.data, &arts.r, &members, spec)
 }
 
@@ -120,6 +126,7 @@ pub fn merge_members(
     members: &[BasePartition],
     spec: &EnsembleSpec,
 ) -> Result<EnsembleResult> {
+    let _span = mtrl_obs::span!("ensemble.merge");
     let k_types = data.num_types();
     let mut labels_per_type = Vec::with_capacity(k_types);
     let mut blocks = Vec::with_capacity(k_types);
@@ -127,11 +134,9 @@ pub fn merge_members(
     for t in 0..k_types {
         let n_t = data.sizes()[t];
         let k_t = data.cluster_counts()[t];
-        let mut builder = CoAssocBuilder::new(n_t);
         let mut hyperedges: Vec<Vec<usize>> = Vec::new();
         for member in members {
             let labels = &member.labels_per_type[t];
-            builder.add_partition(labels);
             let clusters = labels.iter().copied().max().unwrap_or(0) + 1;
             let mut buckets = vec![Vec::new(); clusters];
             for (i, &c) in labels.iter().enumerate() {
@@ -139,7 +144,14 @@ pub fn merge_members(
             }
             hyperedges.extend(buckets.into_iter().filter(|b| !b.is_empty()));
         }
-        let coassoc = builder.build(spec.coassoc_p);
+        let coassoc = {
+            let _span = mtrl_obs::span!("ensemble.coassoc");
+            let mut builder = CoAssocBuilder::new(n_t);
+            for member in members {
+                builder.add_partition(&member.labels_per_type[t]);
+            }
+            builder.build(spec.coassoc_p)
+        };
         // Every member whose partition fits in k_t clusters is a candidate
         // walk anchor; the merge picks the best consensus by
         // ratio-association score, so one weak member cannot pin the

@@ -31,12 +31,19 @@
 //!   deterministic.
 //!
 //! The crate is deliberately free of `unsafe` code; hot loops are written
-//! so that bounds checks vanish after slicing rows.
+//! so that bounds checks vanish after slicing rows. The narrow kernels
+//! behind the NMTF engine (`matmul` into `c` columns, `matmul_tn`,
+//! `gram`, `diag_lowrank_combine`, `row_quad_forms`) make one pass per
+//! output row with the row held in a fixed-size register accumulator
+//! (up to 32 columns per pass), and skip only exact zeros, so their
+//! results are bit-identical to the scalar loops they replaced (kept as
+//! `#[cfg(test)]` oracles).
 
 pub mod block;
 pub mod eigen;
 pub mod error;
 pub mod kmeans;
+mod lanes;
 pub mod lowrank;
 pub mod mat;
 pub mod matf32;

@@ -13,6 +13,12 @@
 //! * [`row_quad_forms`] — per-row quadratic forms `gᵢ M gᵢᵀ`, the
 //!   `‖(G S Gᵀ)ᵢ‖² = gᵢ (S GᵀG Sᵀ) gᵢᵀ` term of the same expansion.
 //!
+//! [`diag_lowrank_combine`] and [`row_quad_forms`] keep each output row
+//! (for the quadratic forms, the products `M·gᵢ`) in a fixed-size
+//! register accumulator, summing every entry's terms in the scalar
+//! loop's order and skipping only exact zeros, so they are
+//! bit-identical to the loops they replaced.
+//!
 //! All three run on the shared [`crate::par`] pool above a work
 //! threshold; each output row depends only on its own input rows, so
 //! results are bit-identical for every thread count. In
@@ -20,6 +26,7 @@
 //! operands to the same kernels.
 
 use crate::error::LinalgError;
+use crate::lanes::{panels, store_lanes, with_lanes, Panel};
 use crate::mat::Mat;
 use crate::par::{num_threads, par_chunks_map, par_row_chunks};
 use crate::Result;
@@ -81,23 +88,59 @@ pub fn row_quad_forms(g: &Mat, m: &Mat) -> Result<Vec<f64>> {
     } else {
         num_threads()
     };
+    // Row i's inner products t_ij = m_j · g_i for every j, one lane per
+    // j, summed over ascending k from -0 like `Iterator::sum`. With a
+    // finite `M` the zeros of g_i add exact zeros, which only the sign
+    // of a zero t_ij could notice, and a zero t_ij adds nothing to the
+    // +0-started outer sum, so they are skipped.
+    let mt = m.transpose();
+    let skip_zeros = m.as_slice().iter().all(|v| v.is_finite());
     Ok(par_chunks_map(n, threads, |range| {
-        range
-            .map(|i| {
-                let gi = g.row(i);
-                let mut acc = 0.0;
-                for (j, &gj) in gi.iter().enumerate() {
-                    if gj == 0.0 {
-                        continue;
-                    }
-                    let mrow = m.row(j);
-                    let dot: f64 = mrow.iter().zip(gi).map(|(x, y)| x * y).sum();
-                    acc += gj * dot;
-                }
-                acc
-            })
-            .collect()
+        let mut out = vec![0.0; range.len()];
+        for (p0, w) in panels(c) {
+            with_lanes!(
+                w,
+                quad_panel(g, &mt, skip_zeros, &mut out, range.start, p0, w)
+            );
+        }
+        out
     }))
+}
+
+/// Columns `[p0, p0 + w)` of [`row_quad_forms`] for rows
+/// `r0..r0 + out.len()`: `t = M·g_i` in a `W`-lane accumulator (lane
+/// `j` sums `g_ik · m_jk` over ascending `k`), then
+/// `out[i] += g_ij · t_j` over ascending `j`, skipping the zeros of
+/// `g_i`.
+fn quad_panel<const W: usize>(
+    g: &Mat,
+    mt: &Mat,
+    skip_zeros: bool,
+    out: &mut [f64],
+    r0: usize,
+    p0: usize,
+    w: usize,
+) {
+    let mp = Panel::<W>::new(mt.as_slice(), mt.rows(), mt.cols(), p0, w);
+    let mut lanes = [0.0; W];
+    for (local, acc) in out.iter_mut().enumerate() {
+        let gi = g.row(r0 + local);
+        let mut t = [-0.0; W];
+        for (k, &gk) in gi.iter().enumerate() {
+            if skip_zeros && gk == 0.0 {
+                continue;
+            }
+            for (o, &mv) in t.iter_mut().zip(mp.row(k)) {
+                *o += gk * mv;
+            }
+        }
+        store_lanes(t, &mut lanes[..w]);
+        for (&gj, &tj) in gi[p0..p0 + w].iter().zip(&lanes) {
+            if gj != 0.0 {
+                *acc += gj * tj;
+            }
+        }
+    }
 }
 
 /// Fused diagonal-plus-low-rank combination:
@@ -136,8 +179,97 @@ pub fn diag_lowrank_combine(
     let mut out = Mat::zeros(n, c);
     let work = n * (c + u.cols() * c);
     let rows_into = |r0: usize, r1: usize, chunk: &mut [f64]| {
-        for (local, i) in (r0..r1).enumerate() {
-            let orow = &mut chunk[local * c..(local + 1) * c];
+        for (p0, pw) in panels(c) {
+            with_lanes!(
+                pw,
+                combine_panel(a_coeff, a, u_coeff, u, w, chunk, p0, pw, r0, r1)
+            );
+        }
+    };
+    if work < PAR_THRESHOLD || num_threads() == 1 || n < 2 {
+        rows_into(0, n, out.as_mut_slice());
+    } else {
+        par_row_chunks(out.as_mut_slice(), n, c, |r0, r1, chunk| {
+            rows_into(r0, r1, chunk)
+        });
+    }
+    Ok(out)
+}
+
+/// Columns `[p0, p0 + pw)` of rows `[r0, r1)` of
+/// [`diag_lowrank_combine`]: the row starts as `a_coeff[i]·A.row(i)` in
+/// a `W`-lane accumulator and takes `(u_coeff[i]·u_ik)·W.row(k)` over
+/// ascending `k`, skipping zero coefficients.
+#[allow(clippy::too_many_arguments)]
+fn combine_panel<const W: usize>(
+    a_coeff: &[f64],
+    a: &Mat,
+    u_coeff: &[f64],
+    u: &Mat,
+    w: &Mat,
+    chunk: &mut [f64],
+    p0: usize,
+    pw: usize,
+    r0: usize,
+    r1: usize,
+) {
+    let c = a.cols();
+    let ap = Panel::<W>::new(a.as_slice(), a.rows(), a.cols(), p0, pw);
+    let wp = Panel::<W>::new(w.as_slice(), w.rows(), w.cols(), p0, pw);
+    for (local, i) in (r0..r1).enumerate() {
+        let (da, du) = (a_coeff[i], u_coeff[i]);
+        let mut acc = [0.0; W];
+        for (o, &av) in acc.iter_mut().zip(ap.row(i)) {
+            *o = da * av;
+        }
+        if du != 0.0 {
+            for (k, &uv) in u.row(i).iter().enumerate() {
+                if uv == 0.0 {
+                    continue;
+                }
+                let s = du * uv;
+                for (o, &wv) in acc.iter_mut().zip(wp.row(k)) {
+                    *o += s * wv;
+                }
+            }
+        }
+        store_lanes(acc, &mut chunk[local * c + p0..][..pw]);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lanes::oracle::{awkward, block_rows, same_bits};
+    use crate::ops::matmul;
+    use crate::par::set_num_threads;
+    use crate::random::rand_uniform;
+
+    /// The scalar loop [`row_quad_forms`] replaced: a full-width dot
+    /// `m_j · g_i` for every nonzero `g_ij`.
+    fn row_quad_forms_oracle(g: &Mat, m: &Mat) -> Vec<f64> {
+        (0..g.rows())
+            .map(|i| {
+                let gi = g.row(i);
+                let mut acc = 0.0;
+                for (j, &gj) in gi.iter().enumerate() {
+                    if gj == 0.0 {
+                        continue;
+                    }
+                    let dot: f64 = m.row(j).iter().zip(gi).map(|(x, y)| x * y).sum();
+                    acc += gj * dot;
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// The scalar loop [`diag_lowrank_combine`] replaced.
+    fn combine_oracle(a_coeff: &[f64], a: &Mat, u_coeff: &[f64], u: &Mat, w: &Mat) -> Mat {
+        let c = a.cols();
+        let mut out = Mat::zeros(a.rows(), c);
+        for i in 0..a.rows() {
+            let orow = &mut out.as_mut_slice()[i * c..(i + 1) * c];
             let (da, du) = (a_coeff[i], u_coeff[i]);
             for (o, &av) in orow.iter_mut().zip(a.row(i)) {
                 *o = da * av;
@@ -155,23 +287,62 @@ pub fn diag_lowrank_combine(
                 }
             }
         }
-    };
-    if work < PAR_THRESHOLD || num_threads() == 1 || n < 2 {
-        rows_into(0, n, out.as_mut_slice());
-    } else {
-        par_row_chunks(out.as_mut_slice(), n, c, |r0, r1, chunk| {
-            rows_into(r0, r1, chunk)
-        });
+        out
     }
-    Ok(out)
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ops::matmul;
-    use crate::par::set_num_threads;
-    use crate::random::rand_uniform;
+    fn mat(rows: usize, cols: usize, data: Vec<f64>) -> Mat {
+        Mat::from_vec(rows, cols, data).unwrap()
+    }
+
+    #[test]
+    fn register_kernels_match_their_oracles_at_every_width() {
+        // Widths 1..=70 cross every accumulator size and the multi-pass
+        // widths. `G` is block-structured with all-zero rows and -0.0s;
+        // NaN and ±∞ sit in `M`, `A` and the coefficients.
+        for c in 1..=70usize {
+            let seed = 1000 + c as u64;
+            let n = 29;
+            let g = mat(n, c, block_rows(n, c, seed));
+            let m_finite = mat(c, c, awkward(c * c, seed + 1, false));
+            let m_special = mat(c, c, awkward(c * c, seed + 2, true));
+            for m in [&m_finite, &m_special] {
+                let fast = row_quad_forms(&g, m).unwrap();
+                assert!(
+                    same_bits(&fast, &row_quad_forms_oracle(&g, m)),
+                    "row_quad c={c}"
+                );
+            }
+            let a = mat(n, c, awkward(n * c, seed + 3, true));
+            let u = mat(n, c, block_rows(n, c, seed + 4));
+            let coeff = awkward(n, seed + 5, true);
+            let fast = diag_lowrank_combine(&coeff, &a, &coeff, &u, &m_special).unwrap();
+            let slow = combine_oracle(&coeff, &a, &coeff, &u, &m_special);
+            assert!(same_bits(fast.as_slice(), slow.as_slice()), "combine c={c}");
+        }
+    }
+
+    #[test]
+    fn register_kernels_match_their_oracles_across_threads() {
+        // Above PAR_THRESHOLD, so the chunked branch runs at 4 threads.
+        let (n, c) = (800, 40);
+        let g = mat(n, c, block_rows(n, c, 21));
+        let m = mat(c, c, awkward(c * c, 22, true));
+        let a = mat(n, c, awkward(n * c, 23, true));
+        let coeff = awkward(n, 24, false);
+        let quad = row_quad_forms_oracle(&g, &m);
+        let comb = combine_oracle(&coeff, &a, &coeff, &g, &m);
+        let before = num_threads();
+        for threads in [1usize, 4] {
+            set_num_threads(threads);
+            assert!(
+                same_bits(&row_quad_forms(&g, &m).unwrap(), &quad),
+                "t={threads}"
+            );
+            let fast = diag_lowrank_combine(&coeff, &a, &coeff, &g, &m).unwrap();
+            assert!(same_bits(fast.as_slice(), comb.as_slice()), "t={threads}");
+        }
+        set_num_threads(before);
+    }
 
     #[test]
     fn row_dots_matches_explicit() {

@@ -6,12 +6,17 @@
 //! * `(n x c)T * (n x c)` — small Gram matrices `GᵀG`;
 //! * `(n x c) * (c x c) * (n x c)ᵀ` — the reconstruction `G S Gᵀ`.
 //!
-//! All kernels are written i-k-j (row-major streaming) with a skip-zero
-//! fast path — the block structure of `G` (Section I-A of the paper) makes
-//! it mostly zeros, which this exploits. Products above a work threshold
-//! are split row-wise across threads with `std::thread::scope`.
+//! [`matmul`], [`matmul_tn`] and [`gram`] make one pass per output row
+//! and keep the row in a fixed-size register accumulator, at most 32
+//! columns per pass (see the private `lanes` module), with a skip-zero
+//! fast path on the left operand — the block structure of `G` (Section
+//! I-A of the paper) makes it mostly zeros, which this exploits. Every
+//! entry sums its terms in the scalar i-k-j loop's order, so results are
+//! bit-identical to it. Products above a work threshold are split
+//! row-wise across threads with `std::thread::scope`.
 
 use crate::error::LinalgError;
+use crate::lanes::{panels, store_lanes, with_lanes, Panel};
 use crate::mat::Mat;
 use crate::par::par_row_chunks;
 use crate::Result;
@@ -51,9 +56,10 @@ pub fn matmul(a: &Mat, b: &Mat) -> Result<Mat> {
 
 /// Product `Aᵀ * B` where `A` is `k x m` and `B` is `k x n`.
 ///
-/// Implemented as per-row rank-1 accumulation, which is efficient when the
-/// output (`m x n`) is small — exactly the `GᵀG`, `GᵀRG` shapes of the
-/// paper. Falls back to an explicit transpose for large outputs.
+/// Output row `i` accumulates `a[r][i] · b[r]` over the rows `r` of `A`
+/// in a register accumulator, which is efficient when the output
+/// (`m x n`) is small — exactly the `GᵀG`, `GᵀRG` shapes of the paper.
+/// Falls back to an explicit transpose for large outputs.
 ///
 /// # Errors
 /// Returns [`LinalgError::ShapeMismatch`] when `A.rows != B.rows`.
@@ -71,18 +77,8 @@ pub fn matmul_tn(a: &Mat, b: &Mat) -> Result<Mat> {
         return matmul(&a.transpose(), b);
     }
     let mut out = Mat::zeros(m, n);
-    for r in 0..a.rows() {
-        let arow = a.row(r);
-        let brow = b.row(r);
-        for (i, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let orow = &mut out.as_mut_slice()[i * n..(i + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
+    for (p0, w) in panels(n) {
+        with_lanes!(w, tn_panel(a, b, out.as_mut_slice(), p0, w));
     }
     Ok(out)
 }
@@ -120,17 +116,8 @@ pub fn matmul_nt(a: &Mat, b: &Mat) -> Result<Mat> {
 pub fn gram(a: &Mat) -> Mat {
     let c = a.cols();
     let mut out = Mat::zeros(c, c);
-    for r in 0..a.rows() {
-        let row = a.row(r);
-        for (i, &vi) in row.iter().enumerate() {
-            if vi == 0.0 {
-                continue;
-            }
-            let orow = &mut out.as_mut_slice()[i * c..(i + 1) * c];
-            for (j, &vj) in row.iter().enumerate().skip(i) {
-                orow[j] += vi * vj;
-            }
-        }
+    for (p0, w) in panels(c) {
+        with_lanes!(w, gram_panel(a, out.as_mut_slice(), p0, w));
     }
     // Mirror the upper triangle.
     for i in 0..c {
@@ -284,19 +271,82 @@ pub fn g_s_gt(g: &Mat, s: &Mat) -> Result<Mat> {
 
 /// Compute rows `[r0, r1)` of `A*B` into `chunk` (row-major, `r1-r0` rows).
 fn mul_rows_into(a: &Mat, b: &Mat, chunk: &mut [f64], r0: usize, r1: usize) {
+    for (p0, w) in panels(b.cols()) {
+        with_lanes!(w, mul_panel(a, b, chunk, p0, w, r0, r1));
+    }
+}
+
+/// Columns `[p0, p0 + w)` of rows `[r0, r1)` of `A*B`: one pass per
+/// output row, the row held in a `W`-lane accumulator, terms added in
+/// ascending `k` with the zeros of `A` skipped.
+fn mul_panel<const W: usize>(
+    a: &Mat,
+    b: &Mat,
+    chunk: &mut [f64],
+    p0: usize,
+    w: usize,
+    r0: usize,
+    r1: usize,
+) {
     let n = b.cols();
+    let bp = Panel::<W>::new(b.as_slice(), b.rows(), b.cols(), p0, w);
     for (local, gi) in (r0..r1).enumerate() {
-        let arow = a.row(gi);
-        let orow = &mut chunk[local * n..(local + 1) * n];
-        for (k, &av) in arow.iter().enumerate() {
+        let mut acc = [0.0; W];
+        for (k, &av) in a.row(gi).iter().enumerate() {
             if av == 0.0 {
                 continue;
             }
-            let brow = b.row(k);
-            for (o, &bv) in orow.iter_mut().zip(brow) {
+            for (o, &bv) in acc.iter_mut().zip(bp.row(k)) {
                 *o += av * bv;
             }
         }
+        store_lanes(acc, &mut chunk[local * n + p0..][..w]);
+    }
+}
+
+/// Columns `[p0, p0 + w)` of `AᵀB` into `out` (`a.cols() x b.cols()`):
+/// output row `i` sums `a[r][i] · b[r]` over ascending `r`, skipping
+/// the zeros of `A`.
+fn tn_panel<const W: usize>(a: &Mat, b: &Mat, out: &mut [f64], p0: usize, w: usize) {
+    let n = b.cols();
+    let bp = Panel::<W>::new(b.as_slice(), b.rows(), b.cols(), p0, w);
+    for i in 0..a.cols() {
+        let mut acc = [0.0; W];
+        for r in 0..a.rows() {
+            let av = a.row(r)[i];
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in acc.iter_mut().zip(bp.row(r)) {
+                *o += av * bv;
+            }
+        }
+        store_lanes(acc, &mut out[i * n + p0..][..w]);
+    }
+}
+
+/// The upper-triangle entries of `AᵀA` in columns `[p0, p0 + w)`:
+/// output row `i` sums `a[r][i] · a[r]` over ascending `r`, skipping the
+/// zeros of column `i`; lanes left of the diagonal are computed and
+/// discarded.
+fn gram_panel<const W: usize>(a: &Mat, out: &mut [f64], p0: usize, w: usize) {
+    let c = a.cols();
+    let ap = Panel::<W>::new(a.as_slice(), a.rows(), a.cols(), p0, w);
+    for i in 0..p0 + w {
+        let mut acc = [0.0; W];
+        for r in 0..a.rows() {
+            let vi = a.row(r)[i];
+            if vi == 0.0 {
+                continue;
+            }
+            for (o, &vj) in acc.iter_mut().zip(ap.row(r)) {
+                *o += vi * vj;
+            }
+        }
+        let mut row = [0.0; W];
+        store_lanes(acc, &mut row[..w]);
+        let from = i.max(p0) - p0;
+        out[i * c + p0 + from..][..w - from].copy_from_slice(&row[from..w]);
     }
 }
 
@@ -316,7 +366,140 @@ fn nt_rows_into(a: &Mat, b: &Mat, chunk: &mut [f64], r0: usize, r1: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::oracle::{awkward, block_rows, same_bits};
     use crate::random::rand_uniform;
+
+    /// The scalar loop [`mul_rows_into`] replaced: i-k-j, the output row
+    /// updated in memory, zeros of `A` skipped.
+    fn matmul_oracle(a: &Mat, b: &Mat) -> Mat {
+        let n = b.cols();
+        let mut out = Mat::zeros(a.rows(), n);
+        for i in 0..a.rows() {
+            let orow = &mut out.as_mut_slice()[i * n..(i + 1) * n];
+            for (k, &av) in a.row(i).iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in orow.iter_mut().zip(b.row(k)) {
+                    *o += av * bv;
+                }
+            }
+        }
+        out
+    }
+
+    /// The scalar rank-1 loop of [`matmul_tn`]'s small-output branch.
+    fn tn_oracle(a: &Mat, b: &Mat) -> Mat {
+        let n = b.cols();
+        let mut out = Mat::zeros(a.cols(), n);
+        for r in 0..a.rows() {
+            for (i, &av) in a.row(r).iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let orow = &mut out.as_mut_slice()[i * n..(i + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(b.row(r)) {
+                    *o += av * bv;
+                }
+            }
+        }
+        out
+    }
+
+    /// The scalar upper-triangle loop of [`gram`], then the mirror.
+    fn gram_oracle(a: &Mat) -> Mat {
+        let c = a.cols();
+        let mut out = Mat::zeros(c, c);
+        for r in 0..a.rows() {
+            let row = a.row(r);
+            for (i, &vi) in row.iter().enumerate() {
+                if vi == 0.0 {
+                    continue;
+                }
+                let orow = &mut out.as_mut_slice()[i * c..(i + 1) * c];
+                for (j, &vj) in row.iter().enumerate().skip(i) {
+                    orow[j] += vi * vj;
+                }
+            }
+        }
+        for i in 0..c {
+            for j in 0..i {
+                out[(i, j)] = out[(j, i)];
+            }
+        }
+        out
+    }
+
+    fn mat(rows: usize, cols: usize, data: Vec<f64>) -> Mat {
+        Mat::from_vec(rows, cols, data).unwrap()
+    }
+
+    #[test]
+    fn register_kernels_match_their_oracles_at_every_width() {
+        // Widths 1..=70 cross every accumulator size (8/16/24/32) and
+        // the two- and three-pass widths; NaN and ±∞ sit in A.
+        for w in 1..=70usize {
+            let seed = w as u64;
+            // NaN and ±∞ on either side: against a zero of A the oracle
+            // never forms 0·∞, and neither may the kernel.
+            for (sa, sb) in [(true, false), (false, true)] {
+                let a = mat(23, 9, awkward(23 * 9, seed, sa));
+                let b = mat(9, w, awkward(9 * w, seed + 100, sb));
+                let fast = matmul(&a, &b).unwrap();
+                let slow = matmul_oracle(&a, &b);
+                assert!(same_bits(fast.as_slice(), slow.as_slice()), "matmul w={w}");
+            }
+
+            let g = mat(31, w, block_rows(31, w, seed));
+            let h = mat(31, w, awkward(31 * w, seed + 200, true));
+            let tn = matmul_tn(&g, &h).unwrap();
+            assert!(
+                same_bits(tn.as_slice(), tn_oracle(&g, &h).as_slice()),
+                "tn w={w}"
+            );
+            let tn_special = matmul_tn(&h, &g).unwrap();
+            assert!(
+                same_bits(tn_special.as_slice(), tn_oracle(&h, &g).as_slice()),
+                "tn (NaN side) w={w}"
+            );
+            assert!(
+                same_bits(gram(&g).as_slice(), gram_oracle(&g).as_slice()),
+                "gram w={w}"
+            );
+            assert!(
+                same_bits(gram(&h).as_slice(), gram_oracle(&h).as_slice()),
+                "gram (NaN) w={w}"
+            );
+        }
+    }
+
+    #[test]
+    fn register_matmul_matches_its_oracle_on_empty_and_parallel_shapes() {
+        let empty = Mat::zeros(0, 5);
+        assert_eq!(matmul(&empty, &Mat::zeros(5, 7)).unwrap().shape(), (0, 7));
+        assert_eq!(
+            matmul(&Mat::zeros(4, 5), &Mat::zeros(5, 0))
+                .unwrap()
+                .shape(),
+            (4, 0)
+        );
+        // All-zero rows of A, and a product above PAR_THRESHOLD so the
+        // row fan-out runs.
+        let a = mat(300, 230, block_rows(300, 230, 7));
+        let b = mat(230, 70, awkward(230 * 70, 8, true));
+        const { assert!(300 * 230 * 70 >= PAR_THRESHOLD) };
+        let expect = matmul_oracle(&a, &b);
+        let before = num_threads();
+        for threads in [1usize, 4] {
+            set_num_threads(threads);
+            let fast = matmul(&a, &b).unwrap();
+            assert!(
+                same_bits(fast.as_slice(), expect.as_slice()),
+                "threads={threads}"
+            );
+        }
+        set_num_threads(before);
+    }
 
     fn naive_matmul(a: &Mat, b: &Mat) -> Mat {
         let mut out = Mat::zeros(a.rows(), b.cols());

@@ -1,5 +1,6 @@
 //! Compressed sparse row matrix.
 
+use crate::lanes::{panels, store_lanes, with_lanes, Panel};
 use mtrl_linalg::{Mat, Precision, Quantize};
 
 /// Compressed sparse row (CSR) matrix of `f64`.
@@ -186,9 +187,15 @@ impl Csr {
 
     /// [`Self::spmm_dense`] as one diagonal block of a stacked operator:
     /// multiplies against rows `[offset, offset + cols)` of `b` and
-    /// accumulates into rows `[offset, offset + rows)` of `out` — the
-    /// per-block step of [`crate::SparseBlockDiag::mul_dense`], with no
-    /// submatrix copies.
+    /// writes rows `[offset, offset + rows)` of `out` — the per-block
+    /// step of [`crate::SparseBlockDiag::mul_dense`], with no submatrix
+    /// copies. Rows of `out` outside the block are left as they are.
+    ///
+    /// Each output row takes one pass over its stored entries per panel
+    /// of at most 32 columns, with the row held in a register
+    /// accumulator; every entry sums `v · b[j]` over the row's entries
+    /// in column order starting from `+0`, so the result is
+    /// bit-identical to a scalar loop, NaN positions included.
     ///
     /// # Panics
     /// Panics if either matrix ends before the block does or the column
@@ -205,29 +212,44 @@ impl Csr {
         assert_eq!(b.cols(), out.cols(), "spmm_dense_at: column mismatch");
         let n = b.cols();
         let span = &mut out.as_mut_slice()[offset * n..(offset + self.rows) * n];
-        // nnz * b.cols multiply-adds; below ~1M the row fan-out costs
-        // more than it saves.
-        if self.nnz() * n < (1 << 20) {
-            self.spmm_rows_into(b, offset, span, 0, self.rows);
-        } else {
-            mtrl_linalg::par::par_row_chunks(span, self.rows, n, |r0, r1, chunk| {
-                self.spmm_rows_into(b, offset, chunk, r0, r1)
-            });
+        let rhs = &b.as_slice()[offset * n..];
+        for (p0, w) in panels(n) {
+            with_lanes!(w, Self::spmm_panel(self, rhs, span, n, p0, w));
         }
     }
 
-    /// Accumulate rows `[r0, r1)` of `self * B[offset..]` into `chunk`.
-    fn spmm_rows_into(&self, b: &Mat, offset: usize, chunk: &mut [f64], r0: usize, r1: usize) {
-        let n = b.cols();
-        for (local, i) in (r0..r1).enumerate() {
-            let (cols, vals) = self.row(i);
-            let orow = &mut chunk[local * n..(local + 1) * n];
-            for (&j, &v) in cols.iter().zip(vals) {
-                let brow = b.row(offset + j);
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += v * bv;
+    /// Columns `[p0, p0 + w)` of `self * B` into the block rows `span`,
+    /// where `rhs` holds `B`'s rows from the block's first on, both with
+    /// row stride `n`. Rows split across the [`mtrl_linalg::par`] pool
+    /// above a work threshold; each row is independent, so the result is
+    /// bit-identical for every thread count.
+    fn spmm_panel<const W: usize>(
+        &self,
+        rhs: &[f64],
+        span: &mut [f64],
+        n: usize,
+        p0: usize,
+        w: usize,
+    ) {
+        let bp = Panel::<W>::new(rhs, self.cols, n, p0, w);
+        let rows_into = |r0: usize, r1: usize, chunk: &mut [f64]| {
+            for (local, i) in (r0..r1).enumerate() {
+                let (cols, vals) = self.row(i);
+                let mut acc = [0.0; W];
+                for (&j, &v) in cols.iter().zip(vals) {
+                    for (o, &bv) in acc.iter_mut().zip(bp.row(j)) {
+                        *o += v * bv;
+                    }
                 }
+                store_lanes(acc, &mut chunk[local * n + p0..][..w]);
             }
+        };
+        // nnz * w multiply-adds; below ~1M the row fan-out costs more
+        // than it saves.
+        if self.nnz() * w < (1 << 20) {
+            rows_into(0, self.rows, span);
+        } else {
+            mtrl_linalg::par::par_row_chunks(span, self.rows, n, rows_into);
         }
     }
 
@@ -263,12 +285,26 @@ impl Csr {
             g.rows() >= offset + self.rows,
             "quad_form_at: G ends before the block does"
         );
+        // Over a finite G, the terms of g_i · g_j outside g_i's nonzero
+        // span have an exact-zero factor and a finite one: they are ±0,
+        // and dropping them can change the dot product only in the sign
+        // of a zero result, which `acc += v · dot` cannot see (a
+        // +0-started sum never becomes -0, and a non-finite v gives NaN
+        // either way).
+        let rows = &g.as_slice()[offset * g.cols()..(offset + self.rows) * g.cols()];
+        let finite = rows.iter().all(|v| v.is_finite());
         let mut acc = 0.0;
         for i in 0..self.rows {
             let (cols, vals) = self.row(i);
             let gi = g.row(offset + i);
+            let (lo, hi) = if finite {
+                nonzero_span(gi)
+            } else {
+                (0, gi.len())
+            };
+            let gi = &gi[lo..hi];
             for (&j, &v) in cols.iter().zip(vals) {
-                let gj = g.row(offset + j);
+                let gj = &g.row(offset + j)[lo..hi];
                 let dot: f64 = gi.iter().zip(gj).map(|(a, b)| a * b).sum();
                 acc += v * dot;
             }
@@ -555,6 +591,18 @@ impl Quantize for Csr {
     }
 }
 
+/// The columns `[lo, hi)` from the first to the last nonzero of `row`
+/// (empty for an all-zero row).
+fn nonzero_span(row: &[f64]) -> (usize, usize) {
+    match row.iter().position(|&v| v != 0.0) {
+        Some(lo) => (
+            lo,
+            row.iter().rposition(|&v| v != 0.0).map_or(lo, |p| p + 1),
+        ),
+        None => (0, 0),
+    }
+}
+
 /// Row-ordered CSR assembly for transformation code that already visits
 /// rows in order with strictly increasing columns (cheaper than a [`Coo`]
 /// round-trip: no sort, no duplicate merge). Exact zeros are dropped on
@@ -616,10 +664,120 @@ impl CsrBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::oracle::{awkward, block_rows, same_bits};
     use crate::Coo;
     use mtrl_linalg::ops::matmul;
     use mtrl_linalg::random::rand_uniform;
     use std::borrow::Cow;
+
+    /// The scalar loop the register SpMM replaced: rows of `out`
+    /// starting at zero, updated in memory once per stored entry.
+    fn spmm_oracle(a: &Csr, b: &Mat) -> Mat {
+        let n = b.cols();
+        let mut out = Mat::zeros(a.rows(), n);
+        for i in 0..a.rows() {
+            let (cols, vals) = a.row(i);
+            let orow = &mut out.as_mut_slice()[i * n..(i + 1) * n];
+            for (&j, &v) in cols.iter().zip(vals) {
+                for (o, &bv) in orow.iter_mut().zip(b.row(j)) {
+                    *o += v * bv;
+                }
+            }
+        }
+        out
+    }
+
+    /// The full-width dot products [`Csr::quad_form`] replaced.
+    fn quad_form_oracle(a: &Csr, g: &Mat) -> f64 {
+        let mut acc = 0.0;
+        for i in 0..a.rows() {
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                let dot: f64 = g.row(i).iter().zip(g.row(j)).map(|(x, y)| x * y).sum();
+                acc += v * dot;
+            }
+        }
+        acc
+    }
+
+    /// A square pattern with empty rows and stored values drawn from
+    /// [`awkward`] (exact zeros, `-0.0`, and with `specials` NaN/±∞).
+    fn awkward_csr(n: usize, density: f64, seed: u64, specials: bool) -> Csr {
+        let mask = rand_uniform(n, n, 0.0, 1.0, seed);
+        let vals = awkward(n * n, seed + 1, specials);
+        let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+        for i in 0..n {
+            for j in 0..n {
+                if i % 6 != 5 && mask[(i, j)] < density {
+                    indices.push(j);
+                    values.push(vals[i * n + j]);
+                }
+            }
+            indptr.push(indices.len());
+        }
+        Csr::from_raw_parts(n, n, indptr, indices, values)
+    }
+
+    #[test]
+    fn register_spmm_and_quad_form_match_their_oracles_at_every_width() {
+        // Widths 1..=70 cross every accumulator size and the multi-pass
+        // widths; NaN/±∞ sit in R (the SpMM's stored values) and the
+        // quad form's A, exact zeros and -0.0 in both operands.
+        for w in 1..=70usize {
+            let seed = 300 + w as u64;
+            let r = awkward_csr(37, 0.3, seed, true);
+            let g = Mat::from_vec(37, w, block_rows(37, w, seed)).unwrap();
+            let dense = Mat::from_vec(37, w, awkward(37 * w, seed + 2, true)).unwrap();
+            for b in [&g, &dense] {
+                let fast = r.spmm_dense(b);
+                assert!(
+                    same_bits(fast.as_slice(), spmm_oracle(&r, b).as_slice()),
+                    "w={w}"
+                );
+            }
+            let q = r.quad_form(&g);
+            let expect = quad_form_oracle(&r, &g);
+            assert!(same_bits(&[q], &[expect]), "quad w={w}: {q} vs {expect}");
+            let a = awkward_csr(37, 0.3, seed + 3, false);
+            for b in [&g, &dense] {
+                let (q, expect) = (a.quad_form(b), quad_form_oracle(&a, b));
+                assert!(same_bits(&[q], &[expect]), "quad w={w}: {q} vs {expect}");
+            }
+        }
+    }
+
+    #[test]
+    fn register_spmm_matches_its_oracle_across_threads_and_blocks() {
+        // Above the parallel threshold, so 4 threads take the fan-out.
+        let r = awkward_csr(600, 0.15, 77, true);
+        let g = Mat::from_vec(600, 40, block_rows(600, 40, 78)).unwrap();
+        assert!(r.nnz() * 32 >= (1 << 20));
+        let expect = spmm_oracle(&r, &g);
+        let before = mtrl_linalg::par::num_threads();
+        for threads in [1usize, 4] {
+            mtrl_linalg::par::set_num_threads(threads);
+            assert!(
+                same_bits(r.spmm_dense(&g).as_slice(), expect.as_slice()),
+                "t={threads}"
+            );
+        }
+        mtrl_linalg::par::set_num_threads(before);
+        // The block step writes only its own rows, against its own rows
+        // of a taller G.
+        let blocks = [
+            awkward_csr(11, 0.4, 79, true),
+            awkward_csr(7, 0.5, 80, true),
+        ];
+        let tall = Mat::from_vec(18, 23, block_rows(18, 23, 81)).unwrap();
+        let mut out = Mat::filled(18, 23, 9.0);
+        blocks[1].spmm_dense_at(&tall, 11, &mut out);
+        let sub = Mat::from_vec(7, 23, tall.as_slice()[11 * 23..].to_vec()).unwrap();
+        assert!(same_bits(
+            &out.as_slice()[11 * 23..],
+            spmm_oracle(&blocks[1], &sub).as_slice()
+        ));
+        assert!(out.as_slice()[..11 * 23].iter().all(|&v| v == 9.0));
+    }
 
     fn random_sparse(rows: usize, cols: usize, density: f64, seed: u64) -> Csr {
         let dense = rand_uniform(rows, cols, -1.0, 1.0, seed);

@@ -19,6 +19,14 @@
 //!   row) for the ℓ2,1-structured error matrix `E_R` of Sec. III-C:
 //!   only the shrunk-active rows are stored.
 //!
+//! The engine's products with these types are narrow (`c` a few dozen
+//! columns). [`Csr::spmm_dense`] and [`Csr::quad_form`] make one pass
+//! per output row, keep the row in a register accumulator (up to 32
+//! columns per pass), and skip only exact zeros — the quadratic form
+//! runs each `g_i · g_j` over `g_i`'s nonzero span when `G` is finite —
+//! so results are bit-identical to the scalar loops they replaced
+//! (kept as `#[cfg(test)]` oracles).
+//!
 //! [`Csr`] and [`SparseBlockDiag`] implement [`mtrl_linalg::Quantize`],
 //! so [`mtrl_linalg::Precision::F32`] mode rounds their values through
 //! `f32` once and runs the ordinary kernels on the result.
@@ -26,6 +34,10 @@
 pub mod block;
 pub mod coo;
 pub mod csr;
+// The register-accumulator helpers of `mtrl-linalg`'s narrow kernels,
+// compiled here for the SpMM without widening either public API.
+#[path = "../../linalg/src/lanes.rs"]
+mod lanes;
 pub mod rowsparse;
 
 pub use block::SparseBlockDiag;

@@ -140,3 +140,47 @@ fn objective_traces_decrease_monotonically() {
         }
     }
 }
+
+/// The six RMC candidates come from one p = 10 search per type whose
+/// lists are ranked, the p = 5 lists being their prefixes; every
+/// Laplacian must equal what six separate searches build, bit for bit —
+/// on a Large3 corpus and on features full of exact ties (each row
+/// three times, so every object has zero-distance twins).
+#[test]
+fn rmc_candidates_equal_six_separate_searches() {
+    use rhchme::intra::{pnn_laplacians, rmc_candidates};
+    use rhchme_repro::graph::{LaplacianKind, WeightScheme};
+    use rhchme_repro::linalg::Mat;
+
+    let corpus = mtrl_datagen::corpus::generate(&CorpusConfig {
+        docs_per_class: vec![30, 30, 30],
+        seed: 17 + mtrl_datagen::seed_from_env(0),
+        ..mtrl_eval::CorpusShape::Large3.config()
+    });
+    let data = MultiTypeData::from_corpus(&corpus, 10).unwrap();
+    let features = data.all_features();
+    let tied: Vec<Mat> = features
+        .iter()
+        .map(|f| {
+            let rows: Vec<Vec<f64>> = (0..3 * f.rows()).map(|i| f.row(i / 3).to_vec()).collect();
+            Mat::from_rows(&rows).unwrap()
+        })
+        .collect();
+    let kind = LaplacianKind::SymNormalized;
+    for feats in [&features, &tied] {
+        let mut separate = Vec::new();
+        for p in [5usize, 10] {
+            for scheme in [
+                WeightScheme::Binary,
+                WeightScheme::HeatKernel { sigma: -1.0 },
+                WeightScheme::Cosine,
+            ] {
+                separate.push(pnn_laplacians(feats, p, scheme, kind).unwrap());
+            }
+        }
+        let shared = rmc_candidates(feats, kind, None).unwrap();
+        assert!(shared == separate, "one search differs from six");
+        let reused = rmc_candidates(feats, kind, Some(&separate[2])).unwrap();
+        assert!(reused == separate, "the reused p = 5 cosine candidate");
+    }
+}
