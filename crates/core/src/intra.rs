@@ -103,6 +103,11 @@ pub fn pnn_laplacians_backend_prec(
 /// streams. Each type's affinity arrives sparse (at most
 /// [`CANDIDATES`] entries per row) and is truncated and symmetrised on
 /// its rows, so no stage here is `n x n`.
+///
+/// With obs enabled, each solve's health is counted: `subspace.spg.types`
+/// (solves), `subspace.spg.converged_types` (solves that met the
+/// stopping rule rather than the iteration cap) and
+/// `subspace.spg.iterations` (iterations over all solves).
 pub fn subspace_laplacians(
     features: &[Mat],
     base_cfg: &SpgConfig,
@@ -115,6 +120,12 @@ pub fn subspace_laplacians(
             ..base_cfg.clone()
         };
         let res = spg_affinity(f, &cfg)?;
+        if mtrl_obs::enabled() {
+            let reg = mtrl_obs::global();
+            reg.add("subspace.spg.types", 1);
+            reg.add("subspace.spg.converged_types", u64::from(res.converged));
+            reg.add("subspace.spg.iterations", res.iterations as u64);
+        }
         let truncated = truncate_rows_top_k(&res.w, TOP_K);
         let max_w = truncated.iter().fold(0.0, |acc: f64, (_, _, v)| acc.max(v));
         let w = affinity_to_weights(&truncated, PRUNE_REL * max_w);

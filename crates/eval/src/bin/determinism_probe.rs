@@ -1,7 +1,7 @@
 //! Byte-exact fit dump for the CI determinism leg.
 //!
 //! ```text
-//! determinism_probe <out_file> [--ann] [--f32]
+//! determinism_probe <out_file> [--ann] [--f32] [--ensemble] [--large]
 //! ```
 //!
 //! Runs one full RHCHME fit (corpus seeded from `MTRL_SEED`, quick
@@ -28,14 +28,19 @@
 //! byte-identical contract to every ensemble stage — the co-association
 //! rows are built with the same order-splicing parallel primitive as the
 //! kernels, so thread count must not move a single bit.
+//!
+//! `--large` fits a 330-document Large3-shaped corpus instead of the
+//! small Balanced3 one. Its document type is large enough
+//! (`n·(K′+1)² ≥ 2²⁰` multiply-adds) for the SPG support product to
+//! split rows across threads, which the small corpus never does.
 
-use mtrl_datagen::{seed_from_env, CorruptionSpec};
+use mtrl_datagen::{seed_from_env, CorpusConfig, CorruptionSpec};
 use mtrl_eval::{quick_params, rhchme_config, CorpusShape};
 use rhchme::pipeline::EnsembleSpec;
 use rhchme::rhchme::Rhchme;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: determinism_probe <out_file> [--ann] [--f32] [--ensemble]";
+const USAGE: &str = "usage: determinism_probe <out_file> [--ann] [--f32] [--ensemble] [--large]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -43,11 +48,13 @@ fn main() -> ExitCode {
     let mut ann = false;
     let mut f32_mode = false;
     let mut ensemble = false;
+    let mut large = false;
     for a in &args {
         match a.as_str() {
             "--ann" => ann = true,
             "--f32" => f32_mode = true,
             "--ensemble" => ensemble = true,
+            "--large" => large = true,
             _ if out_path.is_none() => out_path = Some(a.clone()),
             _ => {
                 eprintln!("{USAGE}");
@@ -61,8 +68,15 @@ fn main() -> ExitCode {
     };
     let out_path = &out_path;
     let seed = seed_from_env(2015);
-    let corpus =
-        CorruptionSpec::relation_corruption(0.1).corpus(&CorpusShape::Balanced3.config(), seed);
+    let shape = if large {
+        CorpusConfig {
+            docs_per_class: vec![110; 3],
+            ..CorpusShape::Large3.config()
+        }
+    } else {
+        CorpusShape::Balanced3.config()
+    };
+    let corpus = CorruptionSpec::relation_corruption(0.1).corpus(&shape, seed);
     let mut params = quick_params(seed);
     if ann {
         params.graph_backend = rhchme::GraphBackend::RpForest(mtrl_ann::RpForestParams::default());

@@ -8,7 +8,8 @@
 //! and exposes plain `&[u8]`, so callers (`load_any`) are untouched by
 //! where the bytes live.
 //!
-//! This is the only `unsafe` in the workspace; it is confined to the
+//! This is the workspace's only `unsafe` outside one unchecked Gram read
+//! in the SPG support product (`mtrl-subspace`); it is confined to the
 //! two raw syscall wrappers below and the slice view over a mapping
 //! whose lifetime the RAII type owns.
 

@@ -29,7 +29,11 @@
 //! line (affine manifolds such as Fig. 1's lifted circles are the
 //! exception; see [`spg`]). An
 //! iteration then costs `O(n·K′²)` on the `K[S_i, S_i]` blocks instead of
-//! the unrestricted solver's `O(nnz(W)·n)` product, and the affinity comes
+//! the unrestricted solver's `O(nnz(W)·n)` product. That product makes one
+//! pass per object with its row in a local 65-lane accumulator and the
+//! Gram gather fused into the multiply-add; each entry sums its terms in
+//! the scalar loop's order, skipping only exact zeros, so it is
+//! bit-identical to that loop. The affinity comes
 //! back as a [`mtrl_sparse::Csr`] with at most `K′` entries per row. Up to
 //! `n = 65` objects every other object is a candidate, so the solver is
 //! the paper's Algorithm 1 unchanged; the module docs of [`spg`] give the
@@ -47,6 +51,7 @@
 mod dense_oracle;
 pub mod ista;
 pub mod spg;
+mod support;
 
 pub use ista::{ista_affinity, IstaConfig};
 pub use spg::{spg_affinity, SpgConfig, SpgResult, CANDIDATES};

@@ -39,8 +39,13 @@
 //! zero by the projection). The per-iteration product `D·K` restricted to
 //! the support reads the blocks `K[S_i, S_i]` straight from the Gram:
 //! `O(n·K′²)` per iteration instead of the unrestricted `O(nnz(W)·n)`.
-//! Every line-search trial reuses it (`(W + ℓD)K = WK + ℓ·DK`) and costs
-//! `O(n·K′)`. The Gram itself is built once, in `O(n²·D)` by a
+//! It makes one pass per row `i`, with the output row in a local
+//! `CANDIDATES + 1`-lane accumulator; each nonzero `D_i[b]` multiplies
+//! the gathered Gram entries `K[S_i[b], S_i[a]]` straight into it. Every
+//! entry still sums its terms over ascending `b` and skips only exact
+//! zeros of `D`, so the result is the scalar loop's, bit for bit, at any
+//! thread count. Every line-search trial reuses the product
+//! (`(W + ℓD)K = WK + ℓ·DK`) and costs `O(n·K′)`. The Gram itself is built once, in `O(n²·D)` by a
 //! vectorising kernel, and is the only `n x n` buffer.
 //!
 //! # Notes on the printed pseudo-code
@@ -62,23 +67,15 @@
 //! * The line search is the nonmonotone Grippo–Lampariello–Lucidi rule
 //!   over a sliding window of past objective values.
 
+pub use crate::support::CANDIDATES;
+use crate::support::{support_product, Support};
 use mtrl_linalg::ops::row_gram;
-use mtrl_linalg::par::{num_threads, par_row_chunks};
 use mtrl_linalg::{LinalgError, Mat};
 use mtrl_sparse::{Csr, CsrBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::time::Instant;
-
-/// Candidates per object: row `i` of `W` is supported on the
-/// `min(CANDIDATES, n − 1)` objects with the largest inner products with
-/// object `i` (see the module docs).
-pub const CANDIDATES: usize = 64;
-
-/// Work (`n·(K′+1)²` multiply-adds) above which the support product
-/// splits rows across threads.
-const PAR_WORK: usize = 1 << 20;
 
 /// Configuration for the SPG subspace learner.
 #[derive(Debug, Clone)]
@@ -168,48 +165,6 @@ pub fn spg_affinity(data: &Mat, cfg: &SpgConfig) -> Result<SpgResult, LinalgErro
         Support::top_inner_products(&k, CANDIDATES)
     };
     Ok(solve(&k, &support, cfg))
-}
-
-/// Row supports of the restricted iterate, `width` columns per row in
-/// ascending order: the candidates of object `i` plus `i` itself, whose
-/// slot the projection holds at zero.
-struct Support {
-    width: usize,
-    cols: Vec<usize>,
-    /// Position of column `i` within row `i`.
-    diag: Vec<usize>,
-}
-
-impl Support {
-    /// The `min(candidates, n − 1)` largest off-diagonal entries of each
-    /// row of the Gram `k`, ties broken by the lower index.
-    fn top_inner_products(k: &Mat, candidates: usize) -> Support {
-        let n = k.rows();
-        let kp = candidates.min(n - 1);
-        let mut cols = Vec::with_capacity(n * (kp + 1));
-        let mut diag = Vec::with_capacity(n);
-        let mut scratch: Vec<(f64, usize)> = Vec::with_capacity(n);
-        for i in 0..n {
-            scratch.clear();
-            scratch.extend(k.row(i).iter().copied().zip(0..n).filter(|&(_, j)| j != i));
-            scratch.select_nth_unstable_by(kp - 1, |a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-            let row_start = cols.len();
-            cols.extend(scratch[..kp].iter().map(|&(_, j)| j));
-            cols.push(i);
-            let row = &mut cols[row_start..];
-            row.sort_unstable();
-            diag.push(row.partition_point(|&j| j < i));
-        }
-        Support {
-            width: kp + 1,
-            cols,
-            diag,
-        }
-    }
-
-    fn row(&self, i: usize) -> &[usize] {
-        &self.cols[i * self.width..(i + 1) * self.width]
-    }
 }
 
 /// Algorithm 1 on the support. Every matrix is `n x width`, entry
@@ -415,38 +370,6 @@ fn initial_iterate(support: &Support, n: usize, seed: u64) -> Mat {
     w
 }
 
-/// `out = X·K` on the support: `out_i[a] = Σ_b x_i[b] · K[S_i[b], S_i[a]]`,
-/// skipping zero coefficients — row `i` of the dense product read at
-/// `S_i`, for `X` supported on `S`. `O(n·width²)`.
-fn support_product(k: &Mat, support: &Support, x: &Mat, out: &mut Mat) {
-    let (n, width) = (x.rows(), support.width);
-    let rows = |r0: usize, r1: usize, chunk: &mut [f64]| {
-        let mut gathered = vec![0.0; width];
-        for (local, i) in (r0..r1).enumerate() {
-            let cols = support.row(i);
-            let orow = &mut chunk[local * width..(local + 1) * width];
-            orow.fill(0.0);
-            for (&xv, &l) in x.row(i).iter().zip(cols) {
-                if xv == 0.0 {
-                    continue;
-                }
-                let krow = k.row(l);
-                for (g, &j) in gathered.iter_mut().zip(cols) {
-                    *g = krow[j];
-                }
-                for (o, &g) in orow.iter_mut().zip(&gathered) {
-                    *o += xv * g;
-                }
-            }
-        }
-    };
-    if n * width * width < PAR_WORK || num_threads() == 1 {
-        rows(0, n, out.as_mut_slice());
-    } else {
-        par_row_chunks(out.as_mut_slice(), n, width, rows);
-    }
-}
-
 /// `out = a + ℓ·b`, elementwise.
 fn axpy_into(out: &mut Mat, a: &Mat, ell: f64, b: &Mat) {
     for ((o, &av), &bv) in out
@@ -494,6 +417,8 @@ mod tests {
     use crate::dense_oracle::spg_dense;
     use mtrl_linalg::ops::matmul;
     use mtrl_linalg::random::{rand_normal, rand_uniform};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// `TOP_K` of `rhchme::intra`: the links per row the Laplacian keeps.
     const TOP_K: usize = 10;
@@ -677,6 +602,91 @@ mod tests {
         assert_eq!(full.row(3), [0, 1, 2, 3]);
     }
 
+    /// The product's previous body: gather each term's Gram entries into
+    /// scratch, then add the scratch into the output row in memory.
+    fn support_product_oracle(k: &Mat, support: &Support, x: &Mat) -> Mat {
+        let (n, width) = (x.rows(), support.width);
+        let mut out = Mat::zeros(n, width);
+        let mut gathered = vec![0.0; width];
+        for i in 0..n {
+            let cols = support.row(i);
+            let orow = out.row_mut(i);
+            for (&xv, &l) in x.row(i).iter().zip(cols) {
+                if xv == 0.0 {
+                    continue;
+                }
+                let krow = k.row(l);
+                for (g, &j) in gathered.iter_mut().zip(cols) {
+                    *g = krow[j];
+                }
+                for (o, &g) in orow.iter_mut().zip(&gathered) {
+                    *o += xv * g;
+                }
+            }
+        }
+        out
+    }
+
+    /// `n x d` features in `[-1, 1)` with about a quarter exact zeros and
+    /// object 1's row all zero, so the Gram has a zero row and column.
+    fn features(n: usize, d: usize, seed: u64) -> Mat {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut f = Mat::zeros(n, d);
+        for v in f.as_mut_slice() {
+            if rng.gen_range(0.0..1.0) < 0.75 {
+                *v = rng.gen_range(-1.0..1.0);
+            }
+        }
+        f.row_mut(1).fill(0.0);
+        f
+    }
+
+    /// An iterate on the support: about 62 % nonzero (the density a cold
+    /// fit's search directions run at), with exact zeros, `-0.0`s, signed
+    /// values and every third row all zero.
+    fn iterate(n: usize, width: usize, seed: u64) -> Mat {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut x = Mat::zeros(n, width);
+        for i in (0..n).filter(|i| i % 3 != 2) {
+            for v in x.row_mut(i) {
+                *v = match rng.gen_range(0..16) {
+                    0..=4 => 0.0,
+                    5 => -0.0,
+                    _ => rng.gen_range(-1.0..1.0),
+                };
+            }
+        }
+        x
+    }
+
+    #[test]
+    fn support_product_matches_the_scalar_oracle_bit_for_bit() {
+        let threads = mtrl_linalg::par::num_threads();
+        for (case, &n) in [3usize, 40, 65, 66, 150, 330].iter().enumerate() {
+            let k = row_gram(&features(n, 23, 40 + case as u64));
+            let support = Support::top_inner_products(&k, CANDIDATES);
+            assert_eq!(support.width, n.min(CANDIDATES + 1));
+            let x = iterate(n, support.width, 50 + case as u64);
+            let expect = support_product_oracle(&k, &support, &x);
+            for t in [1, 4] {
+                mtrl_linalg::par::set_num_threads(t);
+                let mut out = Mat::from_vec(n, support.width, vec![f64::NAN; n * support.width])
+                    .expect("shape");
+                support_product(&k, &support, &x, &mut out);
+                for (e, (a, b)) in out.as_slice().iter().zip(expect.as_slice()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "n = {n}, {t} threads, entry ({}, {})",
+                        e / support.width,
+                        e % support.width
+                    );
+                }
+            }
+        }
+        mtrl_linalg::par::set_num_threads(threads);
+    }
+
     #[test]
     fn rejects_degenerate_input() {
         let one = Mat::zeros(1, 3);
@@ -736,7 +746,7 @@ mod tests {
             max_iter: 5,
             ..SpgConfig::default()
         };
-        let threads = num_threads();
+        let threads = mtrl_linalg::par::num_threads();
         mtrl_linalg::par::set_num_threads(1);
         let serial = spg_affinity(&data, &cfg).unwrap();
         mtrl_linalg::par::set_num_threads(3);

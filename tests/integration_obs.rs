@@ -30,15 +30,39 @@ fn corpus() -> MultiTypeCorpus {
     })
 }
 
-fn fit(corpus: &MultiTypeCorpus) -> RhchmeResult {
-    let rhchme = Rhchme::new(RhchmeConfig {
+fn config() -> RhchmeConfig {
+    RhchmeConfig {
         lambda: 1.0,
         max_iter: 12,
         tol: 0.0,
         seed: 2026,
         ..RhchmeConfig::fast()
-    });
-    rhchme.fit_corpus(corpus).expect("fit")
+    }
+}
+
+fn fit(corpus: &MultiTypeCorpus) -> RhchmeResult {
+    Rhchme::new(config()).fit_corpus(corpus).expect("fit")
+}
+
+/// `(types, converged types, iterations)` of the fit's SPG solves, one
+/// per object type, rerun directly with the seeds the fit gives them.
+fn spg_health(corpus: &MultiTypeCorpus) -> (u64, u64, u64) {
+    let cfg = config();
+    let data = MultiTypeData::from_corpus(corpus, cfg.feature_cluster_divisor).expect("data");
+    let mut health = (0, 0, 0);
+    for (k, f) in data.all_features().iter().enumerate() {
+        let spg_cfg = rhchme_repro::subspace::SpgConfig {
+            gamma: cfg.gamma,
+            max_iter: cfg.spg_max_iter,
+            seed: cfg.seed + k as u64,
+            ..Default::default()
+        };
+        let res = rhchme_repro::subspace::spg_affinity(f, &spg_cfg).expect("spg");
+        health.0 += 1;
+        health.1 += u64::from(res.converged);
+        health.2 += res.iterations as u64;
+    }
+    health
 }
 
 fn bits(m: &mtrl_linalg::Mat) -> Vec<u64> {
@@ -53,6 +77,7 @@ fn obs_on_is_bit_identical_and_manifest_carries_the_fit() {
     // not set by the harness).
     mtrl_obs::force_disable();
     let off = fit(&corpus);
+    let (spg_types, spg_converged, spg_iterations) = spg_health(&corpus);
 
     // Same fit with obs on.
     mtrl_obs::force_enable();
@@ -81,6 +106,13 @@ fn obs_on_is_bit_identical_and_manifest_carries_the_fit() {
     for (it, obj) in fit_t.iters.iter().zip(&on.objective_trace) {
         assert_eq!(it.objective.to_bits(), obj.to_bits());
     }
+    // ...each type's SPG solve reported its health, capped or not...
+    let counters = reg.counters_snapshot();
+    let counter = |name: &str| counters.iter().find(|(n, _)| n == name).map(|c| c.1);
+    assert_eq!(spg_types, 3);
+    assert_eq!(counter("subspace.spg.types"), Some(spg_types));
+    assert_eq!(counter("subspace.spg.converged_types"), Some(spg_converged));
+    assert_eq!(counter("subspace.spg.iterations"), Some(spg_iterations));
     let spans = reg.spans_snapshot();
     for path in [
         "rhchme.fit",
