@@ -14,8 +14,8 @@
 
 use mtrl_bench::{print_table, section, write_json};
 use mtrl_datagen::manifold::{two_circles, union_of_subspaces, NOISE_LABEL};
-use mtrl_graph::{pnn_graph, WeightScheme};
-use mtrl_linalg::Mat;
+use mtrl_graph::{pnn_graph, GraphBackend, WeightScheme};
+use mtrl_linalg::{Mat, Precision};
 use mtrl_subspace::{spg_affinity, SpgConfig};
 
 fn main() {
@@ -27,7 +27,13 @@ fn main() {
         let (x, y) = (points[(i, 0)], points[(i, 1)]);
         [x, y, x * x, y * y, x * y][j]
     });
-    let w_pnn = pnn_graph(&points, 5, WeightScheme::HeatKernel { sigma: -1.0 });
+    let w_pnn = pnn_graph(
+        &points,
+        5,
+        WeightScheme::HeatKernel { sigma: -1.0 },
+        &GraphBackend::Exact,
+        Precision::F64,
+    );
     let spg = spg_affinity(
         &lifted,
         &SpgConfig {
@@ -94,7 +100,13 @@ fn main() {
 
     // ------ scene (b): union of linear subspaces -----------------------
     let (sub_pts, sub_labels) = union_of_subspaces(3, 2, 8, 40, 0.02, 7);
-    let w_pnn_s = pnn_graph(&sub_pts, 5, WeightScheme::HeatKernel { sigma: -1.0 });
+    let w_pnn_s = pnn_graph(
+        &sub_pts,
+        5,
+        WeightScheme::HeatKernel { sigma: -1.0 },
+        &GraphBackend::Exact,
+        Precision::F64,
+    );
     let spg_s = spg_affinity(
         &sub_pts,
         &SpgConfig {

@@ -1,10 +1,10 @@
 //! Criterion microbenches of the approximate-NN layer: p-NN graph
 //! construction through each [`GraphBackend`] across the size sweep the
-//! subsystem exists for. The exact blocked kernel is timed at the sizes
-//! where it is still tractable, so the committed summary documents the
-//! crossover — at `n = 2000` the exact kernel wins, by `n = 20 000` both
-//! approximate backends are comfortably ahead, and the `n = 50 000`
-//! full-mode entries only exist because of them.
+//! rp-forest index exists for. The exact blocked kernel is timed at the
+//! sizes where it is still tractable, so the committed summary documents
+//! the crossover — at `n = 2000` the two are close, by `n = 20 000` the
+//! forest is comfortably ahead, and the `n = 50 000` full-mode entries
+//! only exist because of it.
 //!
 //! With `MTRL_BENCH_JSON` set, the run emits the summary the CI
 //! `bench-smoke` job gates against the committed `BENCH_ann.json`.
@@ -14,16 +14,16 @@
 //! README come from a full-mode run of this bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mtrl_ann::{pnn_graph_backend, ClusterParams, GraphBackend, RpForestParams};
-use mtrl_graph::WeightScheme;
+use mtrl_graph::{pnn_graph, GraphBackend, RpForestParams, WeightScheme};
 use mtrl_linalg::random::rand_uniform;
+use mtrl_linalg::{Mat, Precision};
 use std::hint::black_box;
 
 fn quick_mode() -> bool {
     std::env::var("MTRL_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
-/// Exact vs both approximate backends on the same data, `p = 5,
+/// Exact vs the rp-forest backend on the same data, `p = 5,
 /// d = 32`. One group per size so the per-entry names stay stable when
 /// the size sweep changes.
 fn bench_ann_build(c: &mut Criterion) {
@@ -33,30 +33,22 @@ fn bench_ann_build(c: &mut Criterion) {
         &[2000, 20_000, 50_000]
     };
     let forest = GraphBackend::RpForest(RpForestParams::default());
-    let cluster = GraphBackend::ClusterPruned(ClusterParams::default());
+    let build = |data: &Mat, backend: &GraphBackend| {
+        pnn_graph(data, 5, WeightScheme::Cosine, backend, Precision::F64)
+    };
     let mut group = c.benchmark_group("ann_pnn_p5_d32");
     group.sample_size(10);
     for &n in sizes {
         let data = rand_uniform(n, 32, 0.0, 1.0, 31);
         // The exact kernel is O(n²·d); past 20k it is minutes per
-        // sample, which is exactly the regime the ANN backends replace.
+        // sample, which is exactly the regime the ANN backend replaces.
         if n <= 20_000 {
             group.bench_with_input(BenchmarkId::new("exact", n), &n, |bencher, _| {
-                bencher.iter(|| {
-                    pnn_graph_backend(
-                        black_box(&data),
-                        5,
-                        WeightScheme::Cosine,
-                        &GraphBackend::Exact,
-                    )
-                });
+                bencher.iter(|| build(black_box(&data), &GraphBackend::Exact));
             });
         }
         group.bench_with_input(BenchmarkId::new("rp_forest", n), &n, |bencher, _| {
-            bencher.iter(|| pnn_graph_backend(black_box(&data), 5, WeightScheme::Cosine, &forest));
-        });
-        group.bench_with_input(BenchmarkId::new("cluster", n), &n, |bencher, _| {
-            bencher.iter(|| pnn_graph_backend(black_box(&data), 5, WeightScheme::Cosine, &cluster));
+            bencher.iter(|| build(black_box(&data), &forest));
         });
     }
     group.finish();

@@ -9,19 +9,49 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mtrl_graph::knn::pnn_graph_brute_reference;
 use mtrl_graph::{
-    graph_from_neighbours, knn_indices, knn_indices_prec, knn_indices_with_threads, laplacian_csr,
-    laplacian_dense, pnn_graph, pnn_graph_with_threads, LaplacianKind, WeightScheme,
+    knn_indices, laplacian_csr, laplacian_dense, pnn_graph, GraphBackend, LaplacianKind,
+    WeightScheme,
 };
+use mtrl_linalg::par::{num_threads, set_num_threads};
 use mtrl_linalg::random::rand_uniform;
 use mtrl_linalg::{Mat, Precision};
 use mtrl_sparse::Csr;
 use std::hint::black_box;
 
-/// The exact pNN build (`p = 5`, cosine) in f32-storage mode: the
-/// f32 Gram search, then weighting on the raw `f64` rows.
-fn pnn_graph_f32(data: &Mat, threads: usize) -> Csr {
-    let neighbours = knn_indices_prec(data, 5, Precision::F32, threads);
-    graph_from_neighbours(data, &neighbours, WeightScheme::Cosine, threads)
+/// The exact pNN build (`p = 5`, cosine) at `precision` on the pool.
+fn exact_pnn(data: &Mat, precision: Precision) -> Csr {
+    pnn_graph(
+        data,
+        5,
+        WeightScheme::Cosine,
+        &GraphBackend::Exact,
+        precision,
+    )
+}
+
+/// The exact `p = 5` neighbour search at `precision` on the pool.
+fn exact_knn(data: &Mat, precision: Precision) -> Vec<Vec<usize>> {
+    knn_indices(data, 5, &GraphBackend::Exact, precision)
+}
+
+/// `f` with the kernel pool at `threads` workers. Every input here is
+/// above the search's work threshold, so the build runs on exactly
+/// that many threads.
+fn on_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    set_num_threads(threads);
+    f()
+}
+
+/// Fraction of f64 neighbour slots the f32 lists keep.
+fn f32_slot_agreement(data: &Mat) -> (usize, usize) {
+    let nn64 = exact_knn(data, Precision::F64);
+    let nn32 = on_threads(4, || exact_knn(data, Precision::F32));
+    let (mut shared, mut total) = (0usize, 0usize);
+    for (a, b) in nn64.iter().zip(&nn32) {
+        total += a.len();
+        shared += a.iter().filter(|j| b.contains(j)).count();
+    }
+    (shared, total)
 }
 
 fn bench_pnn(c: &mut Criterion) {
@@ -29,7 +59,7 @@ fn bench_pnn(c: &mut Criterion) {
     for &n in &[200usize, 500] {
         let data = rand_uniform(n, 64, 0.0, 1.0, 11);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, _| {
-            bencher.iter(|| pnn_graph(black_box(&data), 5, WeightScheme::Cosine));
+            bencher.iter(|| exact_pnn(black_box(&data), Precision::F64));
         });
     }
     group.finish();
@@ -38,13 +68,15 @@ fn bench_pnn(c: &mut Criterion) {
 /// The acceptance benchmark of the parallel sparse pipeline: the seed
 /// serial path vs the blocked kernel at 1/2/4 worker threads on
 /// `n = 2000, d = 64, p = 5`. Outputs are asserted bit-identical before
-/// anything is timed.
+/// anything is timed. Thread counts are set on the kernel pool; the
+/// pool's original count is restored afterwards for the groups below.
 fn bench_pnn_scaling(c: &mut Criterion) {
+    let pool = num_threads();
     let data = rand_uniform(2000, 64, 0.0, 1.0, 11);
     let reference = pnn_graph_brute_reference(&data, 5, WeightScheme::Cosine);
     for threads in [1usize, 2, 4] {
         assert_eq!(
-            pnn_graph_with_threads(&data, 5, WeightScheme::Cosine, threads),
+            on_threads(threads, || exact_pnn(&data, Precision::F64)),
             reference,
             "blocked kernel (t={threads}) diverged from the seed path"
         );
@@ -54,21 +86,15 @@ fn bench_pnn_scaling(c: &mut Criterion) {
     // bitwise determinism within f32 mode and check the f32 neighbour
     // lists against the f64 reference — quantisation may only reorder
     // near-ties, so the lists must agree on (effectively) every slot.
-    let f32_ref = pnn_graph_f32(&data, 1);
+    let f32_ref = on_threads(1, || exact_pnn(&data, Precision::F32));
     for threads in [2usize, 4] {
         assert_eq!(
-            pnn_graph_f32(&data, threads),
+            on_threads(threads, || exact_pnn(&data, Precision::F32)),
             f32_ref,
             "f32 kernel (t={threads}) is not thread-count deterministic"
         );
     }
-    let nn64 = knn_indices(&data, 5);
-    let nn32 = knn_indices_prec(&data, 5, Precision::F32, 4);
-    let (mut shared, mut total) = (0usize, 0usize);
-    for (a, b) in nn64.iter().zip(&nn32) {
-        total += a.len();
-        shared += a.iter().filter(|j| b.contains(j)).count();
-    }
+    let (shared, total) = f32_slot_agreement(&data);
     assert!(
         shared as f64 >= 0.999 * total as f64,
         "f32 neighbour lists diverged from f64: {shared}/{total} slots agree"
@@ -79,19 +105,16 @@ fn bench_pnn_scaling(c: &mut Criterion) {
     group.bench_function("seed_serial", |bencher| {
         bencher.iter(|| pnn_graph_brute_reference(black_box(&data), 5, WeightScheme::Cosine));
     });
-    for threads in [1usize, 2, 4] {
-        group.bench_function(format!("blocked_t{threads}"), |bencher| {
-            bencher.iter(|| {
-                pnn_graph_with_threads(black_box(&data), 5, WeightScheme::Cosine, threads)
+    for (prefix, precision) in [("blocked", Precision::F64), ("blocked_f32", Precision::F32)] {
+        for threads in [1usize, 2, 4] {
+            group.bench_function(format!("{prefix}_t{threads}"), |bencher| {
+                set_num_threads(threads);
+                bencher.iter(|| exact_pnn(black_box(&data), precision));
             });
-        });
-    }
-    for threads in [1usize, 2, 4] {
-        group.bench_function(format!("blocked_f32_t{threads}"), |bencher| {
-            bencher.iter(|| pnn_graph_f32(black_box(&data), threads));
-        });
+        }
     }
     group.finish();
+    set_num_threads(pool);
 }
 
 /// The acceptance benchmark of the mixed-precision backend: the Gram
@@ -107,24 +130,20 @@ fn bench_pnn_scaling(c: &mut Criterion) {
 /// above stays compute-bound — both transposes fit in L2 — which is
 /// exactly why this group exists.)
 fn bench_pnn_gram_bandwidth(c: &mut Criterion) {
+    let pool = num_threads();
     let data = rand_uniform(2000, 256, 0.0, 1.0, 11);
 
     // Same pre-timing contract as the scaling group, at this shape:
     // f32 mode is thread-count deterministic and its neighbour lists
     // agree with f64 on effectively every slot.
-    let f32_ref = pnn_graph_f32(&data, 1);
+    let f32_ref = on_threads(1, || exact_pnn(&data, Precision::F32));
     assert_eq!(
-        pnn_graph_f32(&data, 4),
+        on_threads(4, || exact_pnn(&data, Precision::F32)),
         f32_ref,
         "f32 kernel (t=4) is not thread-count deterministic at d=256"
     );
-    let nn64 = knn_indices(&data, 5);
-    let nn32 = knn_indices_prec(&data, 5, Precision::F32, 4);
-    let (mut shared, mut total) = (0usize, 0usize);
-    for (a, b) in nn64.iter().zip(&nn32) {
-        total += a.len();
-        shared += a.iter().filter(|j| b.contains(j)).count();
-    }
+    set_num_threads(pool);
+    let (shared, total) = f32_slot_agreement(&data);
     assert!(
         shared as f64 >= 0.999 * total as f64,
         "f32 neighbour lists diverged from f64 at d=256: {shared}/{total} slots agree"
@@ -134,13 +153,16 @@ fn bench_pnn_gram_bandwidth(c: &mut Criterion) {
     group.sample_size(10);
     for threads in [1usize, 4] {
         group.bench_function(format!("knn_t{threads}"), |bencher| {
-            bencher.iter(|| knn_indices_with_threads(black_box(&data), 5, threads));
+            set_num_threads(threads);
+            bencher.iter(|| exact_knn(black_box(&data), Precision::F64));
         });
         group.bench_function(format!("knn_f32_t{threads}"), |bencher| {
-            bencher.iter(|| knn_indices_prec(black_box(&data), 5, Precision::F32, threads));
+            set_num_threads(threads);
+            bencher.iter(|| exact_knn(black_box(&data), Precision::F32));
         });
     }
     group.finish();
+    set_num_threads(pool);
 }
 
 fn bench_weight_schemes(c: &mut Criterion) {
@@ -152,7 +174,15 @@ fn bench_weight_schemes(c: &mut Criterion) {
         ("cosine", WeightScheme::Cosine),
     ] {
         group.bench_function(name, |bencher| {
-            bencher.iter(|| pnn_graph(black_box(&data), 5, scheme));
+            bencher.iter(|| {
+                pnn_graph(
+                    black_box(&data),
+                    5,
+                    scheme,
+                    &GraphBackend::Exact,
+                    Precision::F64,
+                )
+            });
         });
     }
     group.finish();
@@ -160,7 +190,7 @@ fn bench_weight_schemes(c: &mut Criterion) {
 
 fn bench_laplacian(c: &mut Criterion) {
     let data = rand_uniform(400, 32, 0.0, 1.0, 13);
-    let w = pnn_graph(&data, 5, WeightScheme::Cosine);
+    let w = exact_pnn(&data, Precision::F64);
     c.bench_function("laplacian_csr_sym_normalized_400", |bencher| {
         bencher.iter(|| laplacian_csr(black_box(&w), LaplacianKind::SymNormalized));
     });
@@ -177,7 +207,7 @@ fn bench_laplacian(c: &mut Criterion) {
 /// dense block product they replaced.
 fn bench_spmm_quad(c: &mut Criterion) {
     let data = rand_uniform(2000, 32, 0.0, 1.0, 14);
-    let w = pnn_graph(&data, 5, WeightScheme::Cosine);
+    let w = exact_pnn(&data, Precision::F64);
     let l = laplacian_csr(&w, LaplacianKind::SymNormalized);
     let l_dense = l.to_dense();
     let g = rand_uniform(2000, 16, 0.0, 1.0, 15);

@@ -12,8 +12,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtrl_datagen::corpus::{generate, CorpusConfig};
-use mtrl_graph::{laplacian_csr, pnn_graph, LaplacianKind, WeightScheme};
+use mtrl_graph::{laplacian_csr, pnn_graph, GraphBackend, LaplacianKind, WeightScheme};
 use mtrl_linalg::random::rand_uniform;
+use mtrl_linalg::Precision;
 use mtrl_stream::{warm_membership, DynamicGraph, DynamicGraphConfig};
 use rhchme::rhchme::WarmStart;
 use rhchme::{MultiTypeData, Rhchme, RhchmeConfig};
@@ -44,7 +45,13 @@ fn bench_insert(c: &mut Criterion) {
         assert!(!report.rebuilt, "batch insert must stay incremental");
         assert_eq!(
             grown.graph(),
-            pnn_graph(&data, 5, WeightScheme::Cosine),
+            pnn_graph(
+                &data,
+                5,
+                WeightScheme::Cosine,
+                &GraphBackend::Exact,
+                Precision::F64
+            ),
             "incremental graph diverged from the batch build"
         );
     }
@@ -59,7 +66,15 @@ fn bench_insert(c: &mut Criterion) {
         });
     });
     group.bench_function("full_rebuild", |bencher| {
-        bencher.iter(|| pnn_graph(black_box(&data), 5, WeightScheme::Cosine));
+        bencher.iter(|| {
+            pnn_graph(
+                black_box(&data),
+                5,
+                WeightScheme::Cosine,
+                &GraphBackend::Exact,
+                Precision::F64,
+            )
+        });
     });
     group.finish();
 }
@@ -76,7 +91,13 @@ fn bench_laplacian_refresh(c: &mut Criterion) {
     });
     group.bench_function("cold_rebuild", |bencher| {
         bencher.iter(|| {
-            let w = pnn_graph(black_box(&data), 5, WeightScheme::Cosine);
+            let w = pnn_graph(
+                black_box(&data),
+                5,
+                WeightScheme::Cosine,
+                &GraphBackend::Exact,
+                Precision::F64,
+            );
             laplacian_csr(&w, LaplacianKind::SymNormalized)
         });
     });
@@ -109,11 +130,13 @@ fn bench_refit(c: &mut Criterion) {
     let assigner = mtrl_serve::Assigner::new(model).expect("assigner");
     let data = MultiTypeData::from_corpus(&corpus, 20).expect("data");
     let features = data.all_features();
-    let laplacian = rhchme::intra::pnn_laplacians(
+    let laplacian = rhchme::intra::pnn_laplacians_backend_prec(
         &features,
         5,
         WeightScheme::Cosine,
         LaplacianKind::SymNormalized,
+        &GraphBackend::Exact,
+        Precision::F64,
     )
     .expect("laplacian");
     let survivors: Vec<Vec<Option<usize>>> = data

@@ -8,11 +8,12 @@
 //! treatment, see DESIGN.md §3).
 
 use crate::engine::{run_engine, EngineConfig, GraphRegularizer};
-use crate::intra::pnn_laplacians;
+use crate::intra::pnn_laplacians_backend_prec;
 use crate::multitype::MultiTypeData;
 use crate::rhchme::{init_membership, package_result, RhchmeResult};
 use crate::Result;
-use mtrl_graph::{LaplacianKind, WeightScheme};
+use mtrl_graph::{GraphBackend, LaplacianKind, WeightScheme};
+use mtrl_linalg::Precision;
 
 /// SNMTF configuration.
 #[derive(Debug, Clone)]
@@ -56,7 +57,14 @@ impl Default for SnmtfConfig {
 /// Propagates engine failures ([`crate::RhchmeError`]).
 pub fn run_snmtf(data: &MultiTypeData, cfg: &SnmtfConfig) -> Result<RhchmeResult> {
     let features = data.all_features();
-    let l = pnn_laplacians(&features, cfg.p, cfg.weight_scheme, cfg.laplacian_kind)?;
+    let l = pnn_laplacians_backend_prec(
+        &features,
+        cfg.p,
+        cfg.weight_scheme,
+        cfg.laplacian_kind,
+        &GraphBackend::Exact,
+        Precision::F64,
+    )?;
     let g0 = init_membership(data, &features, cfg.seed);
     let r = data.assemble_r_csr();
     let engine_cfg = EngineConfig {

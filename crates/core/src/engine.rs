@@ -1215,7 +1215,7 @@ mod tests {
     use super::*;
     use crate::kmeans::{kmeans, labels_to_membership};
     use mtrl_datagen::corpus::{generate, CorpusConfig};
-    use mtrl_graph::{laplacian_csr, pnn_graph, LaplacianKind, WeightScheme};
+    use mtrl_graph::{laplacian_csr, pnn_graph, GraphBackend, LaplacianKind, WeightScheme};
     use mtrl_linalg::block::stack_membership;
 
     fn tiny_data() -> (MultiTypeData, mtrl_datagen::MultiTypeCorpus) {
@@ -1255,7 +1255,13 @@ mod tests {
             .all_features()
             .iter()
             .map(|f| {
-                let w = pnn_graph(f, 5, WeightScheme::Cosine);
+                let w = pnn_graph(
+                    f,
+                    5,
+                    WeightScheme::Cosine,
+                    &GraphBackend::Exact,
+                    Precision::F64,
+                );
                 laplacian_csr(&w, LaplacianKind::SymNormalized)
             })
             .collect();
@@ -1547,7 +1553,12 @@ mod tests {
             for scheme in [WeightScheme::Binary, WeightScheme::Cosine] {
                 let blocks = feats
                     .iter()
-                    .map(|f| laplacian_csr(&pnn_graph(f, p, scheme), LaplacianKind::SymNormalized))
+                    .map(|f| {
+                        laplacian_csr(
+                            &pnn_graph(f, p, scheme, &GraphBackend::Exact, Precision::F64),
+                            LaplacianKind::SymNormalized,
+                        )
+                    })
                     .collect();
                 candidates.push(SparseBlockDiag::new(blocks).unwrap());
             }

@@ -17,10 +17,9 @@
 //! all.
 
 use crate::Result;
-use mtrl_ann::{insert_capped, pnn_graph_backend_prec, GraphBackend};
 use mtrl_graph::{
-    center_columns, cross_sq_dist_map, graph_from_neighbours, laplacian_csr, LaplacianKind,
-    WeightScheme,
+    center_columns, cross_sq_dist_map, graph_from_neighbours, insert_capped, laplacian_csr,
+    pnn_graph, threads_for, GraphBackend, LaplacianKind, WeightScheme,
 };
 use mtrl_linalg::{Mat, Precision};
 use mtrl_sparse::{Csr, CsrBuilder, SparseBlockDiag};
@@ -46,38 +45,13 @@ const _: () = assert!(TOP_K <= CANDIDATES);
 /// operator (`O(p·n_k)` stored entries per block — the fit loop never
 /// sees an `n x n` dense matrix).
 ///
-/// `features[k]` holds the objects of type `k` as rows.
-pub fn pnn_laplacians(
-    features: &[Mat],
-    p: usize,
-    scheme: WeightScheme,
-    kind: LaplacianKind,
-) -> Result<SparseBlockDiag> {
-    pnn_laplacians_backend(features, p, scheme, kind, &GraphBackend::Exact)
-}
-
-/// [`pnn_laplacians`] with an explicit neighbour-search backend.
-///
-/// [`GraphBackend::Exact`] reproduces the blocked all-pairs kernel;
-/// the approximate backends route candidate generation through an
-/// ANN index (`mtrl_ann`) while distances and selection stay on the
-/// exact kernel's primitives, so exhaustive settings are bit-identical
-/// and every setting is thread-count invariant.
-pub fn pnn_laplacians_backend(
-    features: &[Mat],
-    p: usize,
-    scheme: WeightScheme,
-    kind: LaplacianKind,
-    backend: &GraphBackend,
-) -> Result<SparseBlockDiag> {
-    pnn_laplacians_backend_prec(features, p, scheme, kind, backend, Precision::F64)
-}
-
-/// [`pnn_laplacians_backend`] with an explicit kernel [`Precision`]:
-/// [`Precision::F32`] routes the neighbour search through the
-/// f32-storage Gram tile (`mtrl_graph::knn_indices_prec`) or the
-/// quantised ANN candidate path, while edge weighting and the Laplacian
-/// normalisation stay `f64`.
+/// `features[k]` holds the objects of type `k` as rows. Each block is
+/// [`mtrl_graph::pnn_graph`] under `backend` and `precision`:
+/// [`GraphBackend::Exact`] runs the blocked all-pairs kernel, the
+/// rp-forest backend draws candidates from its index while distances
+/// and selection stay on the exact kernel's primitives, and
+/// [`Precision::F32`] quantises the search operands while edge weighting
+/// and the Laplacian normalisation stay `f64`.
 pub fn pnn_laplacians_backend_prec(
     features: &[Mat],
     p: usize,
@@ -88,12 +62,7 @@ pub fn pnn_laplacians_backend_prec(
 ) -> Result<SparseBlockDiag> {
     let blocks = features
         .iter()
-        .map(|f| {
-            laplacian_csr(
-                &pnn_graph_backend_prec(f, p, scheme, backend, precision),
-                kind,
-            )
-        })
+        .map(|f| laplacian_csr(&pnn_graph(f, p, scheme, backend, precision), kind))
         .collect();
     Ok(SparseBlockDiag::new(blocks)?)
 }
@@ -178,10 +147,11 @@ pub fn hetero_laplacian(
 /// Each type takes one exact neighbour search for `p = 10` whose lists
 /// come back in [`mtrl_graph::dist_less`] order. That order is total, so
 /// each `p = 5` list is exactly the first five of its `p = 10` list, and
-/// all six graphs equal what six [`pnn_laplacians`] calls build. A
-/// caller that already holds the exact `p = 5` cosine Laplacian of the
-/// same features and `kind` (the shared `L_E`) passes it as
-/// `pnn5_cosine`, and it is reused as that candidate.
+/// all six graphs equal what six exact f64
+/// [`pnn_laplacians_backend_prec`] calls build. A caller that already
+/// holds the exact `p = 5` cosine Laplacian of the same features and
+/// `kind` (the shared `L_E`) passes it as `pnn5_cosine`, and it is
+/// reused as that candidate.
 pub fn rmc_candidates(
     features: &[Mat],
     kind: LaplacianKind,
@@ -194,7 +164,7 @@ pub fn rmc_candidates(
     ];
     let mut blocks: Vec<Vec<Csr>> = vec![Vec::new(); 6];
     for f in features {
-        let threads = auto_threads(f);
+        let threads = threads_for(f.rows() * f.rows() * f.cols());
         let (p5, p10) = nearest_5_and_10(f, threads);
         for (slot, neighbours) in [&p5, &p5, &p5, &p10, &p10, &p10].into_iter().enumerate() {
             if slot == 2 && pnn5_cosine.is_some() {
@@ -212,16 +182,6 @@ pub fn rmc_candidates(
         out[2] = l.clone();
     }
     Ok(out)
-}
-
-/// The exact kernel's work threshold: below ~1M multiply-adds
-/// (`n²·d`) a thread fan-out costs more than it saves.
-fn auto_threads(data: &Mat) -> usize {
-    if data.rows() * data.rows() * data.cols() < (1 << 20) {
-        1
-    } else {
-        mtrl_linalg::par::num_threads()
-    }
 }
 
 /// The exact 5- and 10-nearest neighbour lists of every row (index
@@ -268,6 +228,13 @@ mod tests {
     use super::*;
     use mtrl_linalg::random::rand_uniform;
 
+    /// Exact f64 pNN Laplacians of `f`.
+    fn exact_pnn(f: &[Mat], p: usize, scheme: WeightScheme) -> SparseBlockDiag {
+        let kind = LaplacianKind::SymNormalized;
+        pnn_laplacians_backend_prec(f, p, scheme, kind, &GraphBackend::Exact, Precision::F64)
+            .unwrap()
+    }
+
     fn toy_features() -> Vec<Mat> {
         vec![
             rand_uniform(15, 6, 0.0, 1.0, 90),
@@ -278,7 +245,7 @@ mod tests {
     #[test]
     fn pnn_block_layout() {
         let f = toy_features();
-        let l = pnn_laplacians(&f, 3, WeightScheme::Cosine, LaplacianKind::SymNormalized).unwrap();
+        let l = exact_pnn(&f, 3, WeightScheme::Cosine);
         assert_eq!(l.num_blocks(), 2);
         assert_eq!(l.n(), 27);
         // Normalised Laplacian diagonals are <= 1.
@@ -297,7 +264,7 @@ mod tests {
         // O(p·n) entries, far below n².
         let f = toy_features();
         let p = 3;
-        let l = pnn_laplacians(&f, p, WeightScheme::Cosine, LaplacianKind::SymNormalized).unwrap();
+        let l = exact_pnn(&f, p, WeightScheme::Cosine);
         for k in 0..l.num_blocks() {
             let n_k = l.block(k).rows();
             assert!(
@@ -345,8 +312,8 @@ mod tests {
     #[test]
     fn hetero_combination_matches_blocks() {
         let f = toy_features();
-        let le = pnn_laplacians(&f, 3, WeightScheme::Cosine, LaplacianKind::SymNormalized).unwrap();
-        let ls = pnn_laplacians(&f, 4, WeightScheme::Binary, LaplacianKind::SymNormalized).unwrap();
+        let le = exact_pnn(&f, 3, WeightScheme::Cosine);
+        let ls = exact_pnn(&f, 4, WeightScheme::Binary);
         let combo = hetero_laplacian(&ls, &le, 2.0).unwrap();
         for k in 0..2 {
             let expect = le

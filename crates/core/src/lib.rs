@@ -52,7 +52,7 @@ pub use mtrl_linalg::kmeans;
 
 pub use error::RhchmeError;
 pub use export::{FittedModel, SCHEMA_VERSION};
-pub use mtrl_ann::GraphBackend;
+pub use mtrl_graph::GraphBackend;
 pub use mtrl_linalg::Precision;
 pub use multitype::MultiTypeData;
 pub use pipeline::{

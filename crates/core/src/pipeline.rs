@@ -41,7 +41,7 @@ use crate::baselines::{
     SrcConfig,
 };
 use crate::engine::{run_engine, EngineConfig, GraphRegularizer};
-use crate::intra::{hetero_laplacian, pnn_laplacians_backend, subspace_laplacians};
+use crate::intra::{hetero_laplacian, pnn_laplacians_backend_prec, subspace_laplacians};
 use crate::multitype::MultiTypeData;
 use crate::rhchme::{init_membership, package_result, Rhchme, RhchmeConfig};
 use crate::Result;
@@ -301,9 +301,10 @@ pub struct PipelineParams {
     /// pNN neighbour count for SNMTF/RHCHME/DRCC graphs.
     pub p: usize,
     /// Neighbour-search backend for RHCHME's pNN graphs (exact blocked
-    /// kernel or an approximate `mtrl_ann` index; other methods keep the
-    /// exact kernel — their corpora are baseline-sized by construction).
-    pub graph_backend: mtrl_ann::GraphBackend,
+    /// kernel or the rp-forest index of `mtrl_graph::ann`; other methods
+    /// keep the exact kernel — their corpora are baseline-sized by
+    /// construction).
+    pub graph_backend: mtrl_graph::GraphBackend,
     /// Kernel storage precision for RHCHME's hot loops (pNN Gram chain,
     /// engine SpMM / low-rank / residual kernels); see
     /// [`RhchmeConfig::precision`]. Baseline methods always run `f64`.
@@ -339,7 +340,7 @@ impl Default for PipelineParams {
             alpha: 1.0,
             beta: 50.0,
             p: 5,
-            graph_backend: mtrl_ann::GraphBackend::Exact,
+            graph_backend: mtrl_graph::GraphBackend::Exact,
             precision: mtrl_linalg::Precision::F64,
             rmc_mu: 1.0,
             drcc_lambda: 0.1,
@@ -665,12 +666,13 @@ impl Artifacts {
         let features = data.all_features();
         let g0 = init_membership(&data, &features, params.seed);
         let r = data.assemble_r_csr();
-        let l_pnn = pnn_laplacians_backend(
+        let l_pnn = pnn_laplacians_backend_prec(
             &features,
             params.p,
             WeightScheme::Cosine,
             LaplacianKind::SymNormalized,
             &params.graph_backend,
+            mtrl_linalg::Precision::F64,
         )?;
         Ok(Artifacts {
             data,

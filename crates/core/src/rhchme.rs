@@ -51,10 +51,10 @@ pub struct RhchmeConfig {
     /// pNN weighting (paper uses cosine for `L_E`).
     pub weight_scheme: WeightScheme,
     /// Neighbour-search backend for the pNN graphs (`L_E`): the exact
-    /// blocked kernel, or an approximate index (`mtrl_ann`) for large
-    /// corpora. Approximate backends change candidate generation only;
+    /// blocked kernel, or the rp-forest index (`mtrl_graph::ann`) for
+    /// large corpora. The index changes candidate generation only;
     /// distances and selection stay bit-identical to the exact kernel.
-    pub graph_backend: mtrl_ann::GraphBackend,
+    pub graph_backend: mtrl_graph::GraphBackend,
     /// Kernel storage precision for the hot loops: the pNN Gram chain
     /// and the engine's SpMM / low-rank / residual kernels
     /// ([`Precision::F32`] quantises their operands through `f32`,
@@ -88,7 +88,7 @@ impl Default for RhchmeConfig {
             beta: 50.0,
             p: 5,
             weight_scheme: WeightScheme::Cosine,
-            graph_backend: mtrl_ann::GraphBackend::Exact,
+            graph_backend: mtrl_graph::GraphBackend::Exact,
             precision: Precision::F64,
             laplacian_kind: LaplacianKind::SymNormalized,
             spg_max_iter: 80,
@@ -434,11 +434,13 @@ mod tests {
         });
         let data = crate::multitype::MultiTypeData::from_corpus(&corpus, 20).unwrap();
         let features = data.all_features();
-        let l = crate::intra::pnn_laplacians(
+        let l = crate::intra::pnn_laplacians_backend_prec(
             &features,
             5,
             mtrl_graph::WeightScheme::Cosine,
             mtrl_graph::LaplacianKind::SymNormalized,
+            &mtrl_graph::GraphBackend::Exact,
+            Precision::F64,
         )
         .unwrap();
         let g0 = init_membership(&data, &features, 35);

@@ -115,9 +115,9 @@ impl CoAssocBuilder {
 }
 
 /// Per-row co-cluster counts over ids `< n` in dense arrays, reset in
-/// O(1) per row by an epoch stamp (the same scheme as `mtrl-ann`'s
-/// `QueryScratch`): a count is live only where its stamp is the current
-/// epoch.
+/// O(1) per row by an epoch stamp (the same scheme as the candidate
+/// dedup of `mtrl_graph::ann`): a count is live only where its stamp is
+/// the current epoch.
 struct CountScratch {
     count: Vec<u32>,
     stamp: Vec<u32>,

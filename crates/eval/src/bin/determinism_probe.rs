@@ -79,7 +79,8 @@ fn main() -> ExitCode {
     let corpus = CorruptionSpec::relation_corruption(0.1).corpus(&shape, seed);
     let mut params = quick_params(seed);
     if ann {
-        params.graph_backend = rhchme::GraphBackend::RpForest(mtrl_ann::RpForestParams::default());
+        params.graph_backend =
+            rhchme::GraphBackend::RpForest(mtrl_graph::RpForestParams::default());
     }
     if f32_mode {
         params.precision = rhchme::Precision::F32;

@@ -1,11 +1,11 @@
-//! CI recall gate for the approximate-NN backends.
+//! CI recall gate for the approximate-NN backend.
 //!
 //! ```text
 //! recall_gate <out.json> [--baseline <committed.json>]
 //! ```
 //!
-//! Measures sampled recall@p ([`mtrl_ann::sampled_recall`]) for every
-//! approximate backend on the fixed probe set below and writes a
+//! Measures sampled recall@p ([`mtrl_graph::ann::sampled_recall`]) of
+//! the rp-forest backend on the fixed probe set below and writes a
 //! provenance-stamped summary (same meta header as `QUALITY_quick.json`
 //! / the `BENCH_*.json` baselines). With `--baseline`, the fresh
 //! numbers are additionally gated against the committed file: entry
@@ -17,11 +17,11 @@
 //! kernels), so the gate is stable: a failure is a code change, not a
 //! noisy runner.
 
-use mtrl_ann::{sampled_recall, ClusterParams, GraphBackend, RecallProbe, RpForestParams};
 use mtrl_eval::report::{
     append_step_summary, check_entry_sets, check_meta, json_string, load_summary, markdown_table,
     ReportMeta,
 };
+use mtrl_graph::ann::{sampled_recall, GraphBackend, RecallProbe, RpForestParams};
 use mtrl_linalg::random::rand_uniform;
 use mtrl_linalg::Mat;
 use serde::Value;
@@ -42,20 +42,10 @@ const RECALL_FLOOR: f64 = 0.95;
 /// matrix's fixed scenario seeds).
 fn probe_set() -> Vec<(String, usize, usize, usize, GraphBackend)> {
     let forest = GraphBackend::RpForest(RpForestParams::default());
-    let cluster = GraphBackend::ClusterPruned(ClusterParams::default());
-    let mut set = Vec::new();
-    for (n, d, p) in [(2000usize, 32usize, 5usize), (20_000, 32, 5)] {
-        for backend in [&forest, &cluster] {
-            set.push((
-                format!("{}/n{n}_d{d}_p{p}", backend.key()),
-                n,
-                d,
-                p,
-                *backend,
-            ));
-        }
-    }
-    set
+    [(2000usize, 32usize, 5usize), (20_000, 32, 5)]
+        .into_iter()
+        .map(|(n, d, p)| (format!("{}/n{n}_d{d}_p{p}", forest.key()), n, d, p, forest))
+        .collect()
 }
 
 /// Deterministic clustered probe data: `k` centroids plus per-row

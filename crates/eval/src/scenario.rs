@@ -10,6 +10,7 @@
 //! named here.
 
 use mtrl_datagen::{CorpusConfig, CorruptionSpec};
+use mtrl_graph::RpForestParams;
 use rhchme::pipeline::{Method, MethodSpec};
 use rhchme::{GraphBackend, Precision};
 
@@ -259,7 +260,7 @@ pub fn quick_matrix() -> Vec<Scenario> {
     // with the pNN graphs built through the RP-forest index on the
     // quick-capped large shape — the approximate graph layer is quality-
     // gated end to end, not just recall-gated.
-    let ann = GraphBackend::RpForest(mtrl_ann::RpForestParams::default());
+    let ann = GraphBackend::RpForest(RpForestParams::default());
     matrix.push(
         Scenario::new(
             CorpusShape::Large3,

@@ -7,9 +7,9 @@
 //! exact-kernel reference on the same corpus, the acceptance bound the
 //! large-shape scenarios extrapolate from.
 
-use mtrl_ann::{GraphBackend, RpForestParams};
 use mtrl_datagen::{CorpusConfig, CorruptionSpec};
 use mtrl_eval::{quick_params, CorpusShape};
+use mtrl_graph::{GraphBackend, RpForestParams};
 use rhchme::pipeline::{run_method, Method};
 
 fn quality_delta(config: &CorpusConfig, seed: u64) -> (f64, f64) {

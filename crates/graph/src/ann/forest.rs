@@ -14,8 +14,7 @@
 //! would have chosen — the invariant `DynamicGraph`'s incremental
 //! maintenance relies on.
 
-use crate::config::RpForestParams;
-use crate::index::NeighbourIndex;
+use super::{GraphBackend, RpForestParams};
 use mtrl_linalg::vecops::dot;
 use mtrl_linalg::Mat;
 use rand::rngs::StdRng;
@@ -195,16 +194,27 @@ impl Tree {
 }
 
 /// A forest of random-projection trees over centred rows.
+///
+/// The index stores global row ids, never rows: callers keep the
+/// (centred) feature matrix and compute distances themselves through
+/// the exact kernel primitives, so the index can only *miss*
+/// neighbours, never change a distance. Every `row` argument must be
+/// centred by the same fixed translation as the rows the index was
+/// built from (batch callers use [`crate::center_columns`]; incremental
+/// callers such as `mtrl-stream`'s `DynamicGraph` use their fixed
+/// first-batch means).
 #[derive(Debug, Clone)]
 pub struct RpForestIndex {
     params: RpForestParams,
     trees: Vec<Tree>,
-    len: usize,
 }
 
 impl RpForestIndex {
     /// Build `params.trees` independently seeded trees over `rows`,
     /// where row `k` carries global id `ids[k]`.
+    ///
+    /// # Panics
+    /// Panics if `ids.len() != rows.rows()`.
     pub fn build(rows: &Mat, ids: &[usize], params: &RpForestParams) -> RpForestIndex {
         assert_eq!(ids.len(), rows.rows(), "one id per row");
         let trees = (0..params.trees.max(1))
@@ -218,40 +228,54 @@ impl RpForestIndex {
         RpForestIndex {
             params: *params,
             trees,
-            len: rows.rows(),
         }
     }
-}
 
-impl NeighbourIndex for RpForestIndex {
-    fn candidates_into(&self, row: &[f64], out: &mut Vec<usize>) {
+    /// The index `backend` describes over `rows` (timed as
+    /// `graph.index_build`), or `None` for [`GraphBackend::Exact`] —
+    /// the exact kernel needs no index.
+    ///
+    /// # Panics
+    /// Panics if `ids.len() != rows.rows()`.
+    pub fn for_backend(rows: &Mat, ids: &[usize], backend: &GraphBackend) -> Option<RpForestIndex> {
+        match backend {
+            GraphBackend::Exact => None,
+            GraphBackend::RpForest(params) => {
+                let _span = mtrl_obs::span!("graph.index_build");
+                Some(RpForestIndex::build(rows, ids, params))
+            }
+        }
+    }
+
+    /// Append candidate ids for a query row: the members of the
+    /// `probes` best leaves of every tree. May contain duplicates and
+    /// the query's own id; callers dedup and filter.
+    pub fn candidates_into(&self, row: &[f64], out: &mut Vec<usize>) {
         for tree in &self.trees {
             tree.probe(row, self.params.probes, out);
         }
     }
 
-    fn insert(&mut self, id: usize, row: &[f64]) {
+    /// Register a new row under `id`, routed to the leaf a batch build
+    /// would have put it in.
+    pub fn insert(&mut self, id: usize, row: &[f64]) {
         for tree in &mut self.trees {
             let members = tree.route_mut(row);
             // Keep leaves sorted so candidate order stays deterministic.
             let pos = members.partition_point(|&m| m < id);
             members.insert(pos, id);
         }
-        self.len += 1;
     }
 
-    fn remove(&mut self, id: usize, row: &[f64]) {
+    /// Drop `id`, located by routing `row` exactly as [`Self::insert`]
+    /// would — the row must therefore be the one inserted under `id`.
+    pub fn remove(&mut self, id: usize, row: &[f64]) {
         for tree in &mut self.trees {
             let members = tree.route_mut(row);
             if let Ok(pos) = members.binary_search(&id) {
                 members.remove(pos);
             }
         }
-        self.len = self.len.saturating_sub(1);
-    }
-
-    fn len(&self) -> usize {
-        self.len
     }
 }
 
@@ -316,12 +340,10 @@ mod tests {
         let mut forest = RpForestIndex::build(&data, &identity_ids(64), &params);
         let row: Vec<f64> = data.row(10).to_vec();
         forest.insert(64, &row);
-        assert_eq!(forest.len(), 65);
         let mut out = Vec::new();
         forest.candidates_into(&row, &mut out);
         assert!(out.contains(&64));
         forest.remove(64, &row);
-        assert_eq!(forest.len(), 64);
         out.clear();
         forest.candidates_into(&row, &mut out);
         assert!(!out.contains(&64));

@@ -15,11 +15,9 @@
 //! contract, and the approximate side is a pure per-row function of the
 //! built index.
 
-use crate::config::GraphBackend;
-use crate::index::{build_index, select_from_candidates, QueryScratch};
-use mtrl_graph::knn::{center_columns, cross_sq_dist_map, select_p_nearest};
-use mtrl_linalg::vecops::dot;
-use mtrl_linalg::Mat;
+use super::{centred_operands, select_from_candidates, GraphBackend, QueryScratch, RpForestIndex};
+use crate::knn::{cross_sq_dist_map, select_p_nearest};
+use mtrl_linalg::{Mat, Precision};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,10 +70,7 @@ pub fn sampled_recall(
             p,
         };
     }
-    let centered = center_columns(data);
-    let sq_norms: Vec<f64> = (0..n)
-        .map(|i| dot(centered.row(i), centered.row(i)))
-        .collect();
+    let (centered, sq_norms) = centred_operands(data, Precision::F64);
 
     // Exact reference lists for the sampled rows only: one blocked
     // strip per sample against the full corpus, O(samples · n · d).
@@ -106,9 +101,9 @@ pub fn sampled_recall(
     );
 
     let ids: Vec<usize> = (0..n).collect();
-    let index = build_index(&centered, &ids, backend).expect("non-exact backend");
+    let index = RpForestIndex::for_backend(&centered, &ids, backend).expect("non-exact backend");
     let mut cands = Vec::new();
-    let mut scratch = QueryScratch::new();
+    let mut scratch = QueryScratch::default();
     let mut total = 0.0;
     for (q, &i) in samples.iter().enumerate() {
         cands.clear();
@@ -163,7 +158,7 @@ fn sample_indices(n: usize, samples: usize, seed: u64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ClusterParams, RpForestParams};
+    use crate::ann::RpForestParams;
     use mtrl_linalg::random::rand_normal;
 
     /// Clustered data: the workload the subsystem is built for.
@@ -182,33 +177,21 @@ mod tests {
             samples: 32,
             seed: 5,
         };
-        for backend in [
-            GraphBackend::RpForest(RpForestParams {
-                probes: usize::MAX,
-                ..RpForestParams::default()
-            }),
-            GraphBackend::ClusterPruned(ClusterParams {
-                tiles: 1,
-                ..ClusterParams::default()
-            }),
-        ] {
-            let r = sampled_recall(&data, 5, &backend, &probe, 2);
-            assert_eq!(r.recall_at_p, 1.0, "{backend:?}");
-            assert_eq!(r.samples, 32);
-        }
+        let backend = GraphBackend::RpForest(RpForestParams {
+            probes: usize::MAX,
+            ..RpForestParams::default()
+        });
+        let r = sampled_recall(&data, 5, &backend, &probe, 2);
+        assert_eq!(r.recall_at_p, 1.0);
+        assert_eq!(r.samples, 32);
     }
 
     #[test]
-    fn default_backends_hit_high_recall_on_blobs() {
+    fn default_forest_hits_high_recall_on_blobs() {
         let data = blobs(100, 8, 22);
-        let probe = RecallProbe::default();
-        for backend in [
-            GraphBackend::RpForest(RpForestParams::default()),
-            GraphBackend::ClusterPruned(ClusterParams::default()),
-        ] {
-            let r = sampled_recall(&data, 5, &backend, &probe, 2);
-            assert!(r.recall_at_p >= 0.9, "{backend:?}: {}", r.recall_at_p);
-        }
+        let backend = GraphBackend::RpForest(RpForestParams::default());
+        let r = sampled_recall(&data, 5, &backend, &RecallProbe::default(), 2);
+        assert!(r.recall_at_p >= 0.9, "{}", r.recall_at_p);
     }
 
     #[test]

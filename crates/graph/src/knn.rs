@@ -22,11 +22,22 @@
 //! matter which tile or thread computes it, and ties are broken by
 //! neighbour index under `f64::total_cmp`, so neighbour sets are
 //! **bit-identical** for every thread count (see the cross-thread
-//! proptests in `tests/proptest_invariants.rs`).
+//! proptests below, which force thread counts on the private bodies,
+//! and in `tests/proptest_invariants.rs`, which go through the pool).
+//!
+//! ## Entry points
+//!
+//! [`knn_indices`] and [`pnn_graph`] are the crate's only neighbour
+//! searches. Both take a [`GraphBackend`] and a [`Precision`] and run on
+//! the [`mtrl_linalg::par`] pool, with one worker below the
+//! [`threads_for`] work threshold. [`GraphBackend::Exact`] runs the
+//! blocked kernel of this module; [`GraphBackend::RpForest`] draws
+//! candidates from the index in [`crate::ann`] and ranks them with this
+//! module's pair function and selection order.
 //!
 //! ## Precision
 //!
-//! [`knn_indices_prec`] with [`Precision::F32`] stores the centred
+//! With [`Precision::F32`] the exact search stores the centred
 //! features as [`MatF32`] and runs the *same* tile kernel on them: the
 //! kernel is generic over the stored element and widens each one to
 //! `f64` at its point of use, so every distance equals the `f64`
@@ -37,6 +48,7 @@
 //! rows, so precision only moves neighbour *sets* where quantisation
 //! reorders a near-tie.
 
+use crate::ann::{self, GraphBackend};
 use mtrl_linalg::par::{num_threads, par_chunks_map};
 use mtrl_linalg::vecops::{cosine, sq_dist};
 use mtrl_linalg::{Mat, MatF32, Precision};
@@ -64,13 +76,33 @@ pub enum WeightScheme {
 /// kernel long enough to vectorise.
 const TILE: usize = 32;
 
-/// Work threshold (`n² d` multiply-adds) below which the row fan-out is
-/// not worth a thread spawn.
+/// Work threshold (multiply-adds) below which a row fan-out is not
+/// worth a thread spawn.
 const PAR_THRESHOLD: usize = 1 << 20;
 
+/// Worker threads for a neighbour-search pass of `work` multiply-adds:
+/// one below the ~1M threshold, the [`mtrl_linalg::par`] pool's count
+/// above it. Every parallel graph pass in the workspace (batch search,
+/// incremental maintenance, RMC candidates) asks this one test, each
+/// with its own work expression.
+pub fn threads_for(work: usize) -> usize {
+    if work < PAR_THRESHOLD {
+        1
+    } else {
+        num_threads()
+    }
+}
+
+/// Threads for an all-pairs pass over `data`: `n² d` multiply-adds.
+fn all_pairs_threads(data: &Mat) -> usize {
+    let n = data.rows();
+    threads_for(n * n * data.cols())
+}
+
 /// Indices of the `p` nearest neighbours (Euclidean) of every row of
-/// `data`, excluding the object itself. Rows with fewer than `p` other
-/// objects return everything available.
+/// `data`, excluding the object itself, found by `backend` at
+/// `precision`. Rows with fewer than `p` other objects return
+/// everything available; lists are index-sorted.
 ///
 /// Ties (including the exact-zero distances of duplicate points) are
 /// broken by ascending neighbour index; NaN distances order *after*
@@ -78,31 +110,40 @@ const PAR_THRESHOLD: usize = 1 << 20;
 /// features is never selected while finite alternatives exist and the
 /// result is always well defined — no panic.
 ///
-/// Runs on the [`mtrl_linalg::par`] pool; see
-/// [`knn_indices_with_threads`] for an explicit thread count.
-pub fn knn_indices(data: &Mat, p: usize) -> Vec<Vec<usize>> {
-    knn_indices_with_threads(data, p, auto_threads(data))
-}
-
-/// [`knn_indices`] with an explicit worker-thread count.
-///
-/// The output is bit-identical for every `threads` value.
-pub fn knn_indices_with_threads(data: &Mat, p: usize, threads: usize) -> Vec<Vec<usize>> {
-    knn_indices_prec(data, p, Precision::F64, threads)
-}
-
-/// [`knn_indices_with_threads`] at an explicit [`Precision`] — the exact
-/// search entry of both modes. In [`Precision::F32`] mode the centred
-/// features are stored as `f32` and every accumulation is `f64`, so the
-/// lists equal the `f64` search on the quantised centred features
-/// ([`Precision::quantize_in_place`]). Bit-identical for every
-/// `threads` value within each mode.
-pub fn knn_indices_prec(
+/// In [`Precision::F32`] mode the centred features are quantised
+/// through `f32` and every accumulation is `f64`, so the lists equal
+/// the `f64` search on the quantised centred features
+/// ([`Precision::quantize_in_place`]). Output is bit-identical for every
+/// pool size within each mode.
+pub fn knn_indices(
     data: &Mat,
     p: usize,
+    backend: &GraphBackend,
+    precision: Precision,
+) -> Vec<Vec<usize>> {
+    knn_search(data, p, backend, precision, all_pairs_threads(data))
+}
+
+/// [`knn_indices`] on an explicit worker count, timed as
+/// `graph.knn_search` (plus `graph.index_build` when an index is built).
+fn knn_search(
+    data: &Mat,
+    p: usize,
+    backend: &GraphBackend,
     precision: Precision,
     threads: usize,
 ) -> Vec<Vec<usize>> {
+    match backend {
+        GraphBackend::Exact => {
+            let _span = mtrl_obs::span!("graph.knn_search");
+            knn_exact(data, p, precision, threads)
+        }
+        GraphBackend::RpForest(params) => ann::knn_rp_forest(data, p, params, precision, threads),
+    }
+}
+
+/// The exact search of both precisions on `threads` workers.
+fn knn_exact(data: &Mat, p: usize, precision: Precision, threads: usize) -> Vec<Vec<usize>> {
     // Centre the columns before the Gram expansion. Euclidean distances
     // are translation-invariant, but `gi + gj − 2·xiᵀxj` cancels
     // catastrophically when ‖x‖² dwarfs the pairwise separations (data
@@ -204,8 +245,9 @@ fn knn_stored<S: GramRows>(x: &S, p: usize, threads: usize) -> Vec<Vec<usize>> {
 /// NaN/∞ feature) is left untouched so one bad row poisons only its own
 /// distances, exactly like the uncentred kernel.
 ///
-/// Public because approximate indexes (`mtrl-ann`) must centre their
-/// data with *this exact* transformation to stay on the bit-identical
+/// Public because incremental consumers (`mtrl-stream`'s
+/// `DynamicGraph`) and the RMC candidate search must centre their data
+/// with *this exact* transformation to stay on the bit-identical
 /// distance contract of [`gram_sq_dist`].
 pub fn center_columns(data: &Mat) -> Mat {
     let (n, d) = data.shape();
@@ -231,12 +273,6 @@ pub fn center_columns(data: &Mat) -> Mat {
         }
     }
     out
-}
-
-/// Serial reference: identical kernel on a single chunk. The proptests
-/// assert the parallel paths reproduce this bit for bit.
-pub fn knn_indices_serial(data: &Mat, p: usize) -> Vec<Vec<usize>> {
-    knn_indices_with_threads(data, p, 1)
 }
 
 /// Neighbour lists for rows `[r0, r1)` via tiled Gram-trick distances.
@@ -269,7 +305,7 @@ fn knn_rows<S: GramRows>(
 
 /// Accumulate `tile_buf[local][j] = −2 · src[t0 + local] · Xᵀ[.., j]`
 /// for the row tile `[t0, t1)` of `src` — the one Gram micro-kernel
-/// behind both [`knn_indices_prec`] (`src` = the data itself, in either
+/// behind both the exact [`knn_indices`] (`src` = the data itself, in either
 /// storage) and [`cross_sq_dist_map`] (`src` = the query batch). Sharing
 /// the implementation is what makes their per-pair values bit-identical
 /// **by construction** — the exactness contract `mtrl-stream`'s
@@ -372,13 +408,13 @@ pub fn gram_sq_dist(a: &[f64], b: &[f64], g_a: f64, g_b: f64) -> f64 {
 ///
 /// The scalar chain is latency-bound (each `mul_add` waits on the
 /// previous one); four independent chains keep the FMA unit fed, which
-/// is worth ~3× on candidate re-ranking in `mtrl-ann`, where distances
-/// are evaluated per candidate instead of per blocked tile.
+/// is worth ~3× on candidate re-ranking in [`crate::ann`], where
+/// distances are evaluated per candidate instead of per blocked tile.
 ///
 /// # Panics
 /// Panics if any `b` row length differs from `a`'s.
 #[inline]
-pub fn gram_sq_dist_x4(a: &[f64], b: [&[f64]; 4], g_a: f64, g_b: [f64; 4]) -> [f64; 4] {
+pub(crate) fn gram_sq_dist_x4(a: &[f64], b: [&[f64]; 4], g_a: f64, g_b: [f64; 4]) -> [f64; 4] {
     let d = a.len();
     let [b0, b1, b2, b3] = b;
     assert_eq!(b0.len(), d, "row length mismatch");
@@ -502,7 +538,7 @@ fn axpy4_fma<E: Copy + Into<f64>>(o: &mut [f64], a: [f64; 4], x: [&[E]; 4]) {
 /// elements of the same order, so their neighbour *sets* always agree.
 ///
 /// Public so candidate-based selections elsewhere (`mtrl-stream`'s
-/// incremental maintenance, `mtrl-ann`'s probe unions) pick the same
+/// incremental maintenance, [`crate::ann`]'s probe unions) pick the same
 /// `p` elements as the exact scan whenever their candidate sets cover
 /// the true neighbours.
 #[inline]
@@ -557,7 +593,7 @@ fn top_p_scan(
 /// index tie-break, returned as index-sorted neighbour lists. The order
 /// is exactly [`dist_less`], so any candidate set that covers the true
 /// `p` nearest selects the exact neighbour list.
-pub fn select_p_nearest(scratch: &mut [(f64, usize)], p: usize) -> Vec<usize> {
+pub(crate) fn select_p_nearest(scratch: &mut [(f64, usize)], p: usize) -> Vec<usize> {
     let k = p.min(scratch.len());
     if k > 0 && k < scratch.len() {
         scratch.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -620,32 +656,37 @@ pub fn pnn_graph_brute_reference(data: &Mat, p: usize, scheme: WeightScheme) -> 
     coo.to_csr().max_symmetrize()
 }
 
-fn auto_threads(data: &Mat) -> usize {
-    let n = data.rows();
-    if n * n * data.cols() < PAR_THRESHOLD {
-        1
-    } else {
-        num_threads()
-    }
-}
-
-/// Build the symmetric pNN weight matrix `W_E` of Eq. (3).
+/// Build the symmetric pNN weight matrix `W_E` of Eq. (3): the
+/// neighbour lists of [`knn_indices`] under `backend` and `precision`,
+/// weighted by `scheme` on the raw `f64` rows and "or"-symmetrised
+/// ([`graph_from_neighbours`]).
 ///
 /// `data` holds one object per row. The output is a symmetric nonnegative
-/// sparse matrix with zero diagonal. Runs on the [`mtrl_linalg::par`]
-/// pool; see [`pnn_graph_with_threads`] for an explicit thread count.
-pub fn pnn_graph(data: &Mat, p: usize, scheme: WeightScheme) -> Csr {
-    pnn_graph_with_threads(data, p, scheme, auto_threads(data))
+/// sparse matrix with zero diagonal, bit-identical for every pool size.
+/// With obs on, every mode records `graph.pnn_build` over
+/// `graph.index_build` (approximate backends only), `graph.knn_search`
+/// and `graph.weights`.
+pub fn pnn_graph(
+    data: &Mat,
+    p: usize,
+    scheme: WeightScheme,
+    backend: &GraphBackend,
+    precision: Precision,
+) -> Csr {
+    pnn_graph_with_threads(data, p, scheme, backend, precision, all_pairs_threads(data))
 }
 
-/// [`pnn_graph`] with an explicit worker-thread count; bit-identical
-/// output for every `threads` value.
-pub fn pnn_graph_with_threads(data: &Mat, p: usize, scheme: WeightScheme, threads: usize) -> Csr {
+/// [`pnn_graph`] on an explicit worker count.
+fn pnn_graph_with_threads(
+    data: &Mat,
+    p: usize,
+    scheme: WeightScheme,
+    backend: &GraphBackend,
+    precision: Precision,
+    threads: usize,
+) -> Csr {
     let _span = mtrl_obs::span!("graph.pnn_build");
-    let neighbours = {
-        let _search_span = mtrl_obs::span!("graph.knn_search");
-        knn_indices_with_threads(data, p, threads)
-    };
+    let neighbours = knn_search(data, p, backend, precision, threads);
     let _weights_span = mtrl_obs::span!("graph.weights");
     graph_from_neighbours(data, &neighbours, scheme, threads)
 }
@@ -734,11 +775,55 @@ fn self_tuning_sigma(data: &Mat, neighbours: &[Vec<usize>]) -> f64 {
     }
 }
 
+/// Capped sorted insertion under [`dist_less`]: keep `list` the `p`
+/// smallest candidates seen, sorted ascending. Returns whether `cand`
+/// entered the list. Shared with incremental maintenance
+/// (`mtrl-stream`'s `DynamicGraph`) and the RMC candidate search so
+/// their selections match the batch path's.
+pub fn insert_capped(list: &mut Vec<(f64, usize)>, cand: (f64, usize), p: usize) -> bool {
+    if p == 0 {
+        return false;
+    }
+    if list.len() >= p {
+        let worst = *list.last().expect("p > 0");
+        if !dist_less(cand, worst) {
+            return false;
+        }
+        list.pop();
+    }
+    let pos = list.partition_point(|&e| dist_less(e, cand));
+    list.insert(pos, cand);
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mtrl_linalg::random::rand_uniform;
     use mtrl_linalg::vecops::dot;
+    use proptest::prelude::*;
+
+    const EXACT: GraphBackend = GraphBackend::Exact;
+
+    /// The exact f64 search through the public entry.
+    fn knn(data: &Mat, p: usize) -> Vec<Vec<usize>> {
+        knn_indices(data, p, &EXACT, Precision::F64)
+    }
+
+    /// The exact f64 search on an explicit worker count.
+    fn knn_t(data: &Mat, p: usize, threads: usize) -> Vec<Vec<usize>> {
+        knn_exact(data, p, Precision::F64, threads)
+    }
+
+    /// The exact f64 graph through the public entry.
+    fn pnn(data: &Mat, p: usize, scheme: WeightScheme) -> Csr {
+        pnn_graph(data, p, scheme, &EXACT, Precision::F64)
+    }
+
+    /// The exact f64 graph on an explicit worker count.
+    fn pnn_t(data: &Mat, p: usize, scheme: WeightScheme, threads: usize) -> Csr {
+        pnn_graph_with_threads(data, p, scheme, &EXACT, Precision::F64, threads)
+    }
 
     /// Three tight, well-separated clusters on a line.
     fn clustered_data() -> Mat {
@@ -754,7 +839,7 @@ mod tests {
     #[test]
     fn knn_finds_cluster_mates() {
         let data = clustered_data();
-        let nn = knn_indices(&data, 3);
+        let nn = knn(&data, 3);
         for (i, neigh) in nn.iter().enumerate() {
             assert_eq!(neigh.len(), 3);
             let my_cluster = i / 4;
@@ -768,7 +853,7 @@ mod tests {
     #[test]
     fn knn_handles_small_n() {
         let data = Mat::from_rows(&[vec![0.0], vec![1.0]]).unwrap();
-        let nn = knn_indices(&data, 5);
+        let nn = knn(&data, 5);
         assert_eq!(nn[0], vec![1]);
         assert_eq!(nn[1], vec![0]);
     }
@@ -776,7 +861,7 @@ mod tests {
     #[test]
     fn knn_single_row_has_no_neighbours() {
         let data = Mat::from_rows(&[vec![1.0, 2.0]]).unwrap();
-        let nn = knn_indices(&data, 4);
+        let nn = knn(&data, 4);
         assert_eq!(nn, vec![Vec::<usize>::new()]);
     }
 
@@ -785,7 +870,7 @@ mod tests {
         for (n, d, p, seed) in [(30, 5, 4, 70), (57, 17, 6, 71), (16, 1, 3, 72)] {
             let data = rand_uniform(n, d, -1.0, 1.0, seed);
             assert_eq!(
-                knn_indices_serial(&data, p),
+                knn_t(&data, p, 1),
                 knn_indices_brute_reference(&data, p),
                 "n={n} d={d} p={p}"
             );
@@ -795,17 +880,13 @@ mod tests {
     #[test]
     fn parallel_bit_identical_to_serial() {
         let data = rand_uniform(83, 9, -1.0, 1.0, 73);
-        let serial = knn_indices_serial(&data, 5);
+        let serial = knn_t(&data, 5, 1);
         for threads in 2..=8 {
-            assert_eq!(
-                knn_indices_with_threads(&data, 5, threads),
-                serial,
-                "threads={threads}"
-            );
+            assert_eq!(knn_t(&data, 5, threads), serial, "threads={threads}");
         }
-        let w_serial = pnn_graph_with_threads(&data, 5, WeightScheme::Cosine, 1);
+        let w_serial = pnn_t(&data, 5, WeightScheme::Cosine, 1);
         for threads in 2..=8 {
-            let w = pnn_graph_with_threads(&data, 5, WeightScheme::Cosine, threads);
+            let w = pnn_t(&data, 5, WeightScheme::Cosine, threads);
             assert_eq!(w, w_serial, "threads={threads}");
         }
     }
@@ -819,7 +900,7 @@ mod tests {
             WeightScheme::Cosine,
         ] {
             let seed_path = pnn_graph_brute_reference(&data, 5, scheme);
-            let blocked = pnn_graph(&data, 5, scheme);
+            let blocked = pnn(&data, 5, scheme);
             assert_eq!(blocked, seed_path, "{scheme:?}");
         }
     }
@@ -832,11 +913,11 @@ mod tests {
         // sq_dist brute path is the ground truth here.
         let base = rand_uniform(60, 4, -1e-3, 1e-3, 75);
         let shifted = Mat::from_fn(60, 4, |i, j| 1.0e8 + base[(i, j)]);
-        let nn = knn_indices(&shifted, 4);
+        let nn = knn(&shifted, 4);
         assert_eq!(nn, knn_indices_brute_reference(&shifted, 4));
         // And the parallel paths agree bit for bit as always.
         for threads in 2..=4 {
-            assert_eq!(knn_indices_with_threads(&shifted, 4, threads), nn);
+            assert_eq!(knn_t(&shifted, 4, threads), nn);
         }
     }
 
@@ -853,11 +934,11 @@ mod tests {
             vec![50.0, 50.0],
         ])
         .unwrap();
-        let nn = knn_indices(&data, 2);
+        let nn = knn(&data, 2);
         assert_eq!(nn[0], vec![1, 2]);
         assert_eq!(nn[1], vec![0, 2]);
         assert_eq!(nn[4], vec![0, 1]);
-        assert_eq!(knn_indices_serial(&data, 2), nn);
+        assert_eq!(knn_t(&data, 2, 1), nn);
         assert_eq!(knn_indices_brute_reference(&data, 2), nn);
     }
 
@@ -873,7 +954,7 @@ mod tests {
             vec![2.0, 0.0],
         ])
         .unwrap();
-        let nn = knn_indices(&data, 2);
+        let nn = knn(&data, 2);
         // Finite rows never pick the NaN row while finite rows remain.
         assert_eq!(nn[0], vec![1, 3]);
         assert_eq!(nn[1], vec![0, 3]);
@@ -884,7 +965,7 @@ mod tests {
         assert!(!nn[2].contains(&2));
         assert_eq!(knn_indices_brute_reference(&data, 2), nn);
         // And the graph construction stays finite-shaped too.
-        let w = pnn_graph(&data, 2, WeightScheme::Binary);
+        let w = pnn(&data, 2, WeightScheme::Binary);
         assert_eq!(w.rows(), 4);
     }
 
@@ -961,10 +1042,10 @@ mod tests {
             WeightScheme::HeatKernel { sigma: -1.0 },
             WeightScheme::Cosine,
         ] {
-            let neighbours = knn_indices(&data, 4);
+            let neighbours = knn(&data, 4);
             assert_eq!(
                 graph_from_neighbours(&data, &neighbours, scheme, 1),
-                pnn_graph(&data, 4, scheme),
+                pnn(&data, 4, scheme),
                 "{scheme:?}"
             );
         }
@@ -979,7 +1060,7 @@ mod tests {
             WeightScheme::HeatKernel { sigma: -1.0 },
             WeightScheme::Cosine,
         ] {
-            let w = pnn_graph(&data, 4, scheme);
+            let w = pnn(&data, 4, scheme);
             assert!(w.is_symmetric(1e-12), "{scheme:?} not symmetric");
             for (i, j, v) in w.iter() {
                 assert!(v >= 0.0, "{scheme:?} negative weight");
@@ -991,7 +1072,7 @@ mod tests {
     #[test]
     fn binary_weights_are_one() {
         let data = clustered_data();
-        let w = pnn_graph(&data, 2, WeightScheme::Binary);
+        let w = pnn(&data, 2, WeightScheme::Binary);
         for (_, _, v) in w.iter() {
             assert_eq!(v, 1.0);
         }
@@ -1000,7 +1081,7 @@ mod tests {
     #[test]
     fn heat_kernel_decays_with_distance() {
         let data = Mat::from_rows(&[vec![0.0], vec![1.0], vec![3.0]]).unwrap();
-        let w = pnn_graph(&data, 2, WeightScheme::HeatKernel { sigma: 1.0 });
+        let w = pnn(&data, 2, WeightScheme::HeatKernel { sigma: 1.0 });
         // d(0,1)=1 < d(0,2)=9 => w(0,1) > w(0,2).
         assert!(w.get(0, 1) > w.get(0, 2));
         assert!((w.get(0, 1) - (-1.0f64).exp()).abs() < 1e-12);
@@ -1009,7 +1090,7 @@ mod tests {
     #[test]
     fn cosine_weights_bounded() {
         let data = rand_uniform(20, 4, 0.0, 1.0, 61);
-        let w = pnn_graph(&data, 3, WeightScheme::Cosine);
+        let w = pnn(&data, 3, WeightScheme::Cosine);
         for (_, _, v) in w.iter() {
             assert!((0.0..=1.0 + 1e-12).contains(&v));
         }
@@ -1019,7 +1100,7 @@ mod tests {
     fn edge_count_bounded_by_2pn() {
         let data = rand_uniform(40, 3, -1.0, 1.0, 62);
         let p = 5;
-        let w = pnn_graph(&data, p, WeightScheme::Binary);
+        let w = pnn(&data, p, WeightScheme::Binary);
         assert!(w.nnz() <= 2 * p * 40);
         // And at least p*n (each object contributes p out-edges).
         assert!(w.nnz() >= p * 40);
@@ -1028,7 +1109,7 @@ mod tests {
     #[test]
     fn separated_clusters_have_no_cross_edges() {
         let data = clustered_data();
-        let w = pnn_graph(&data, 3, WeightScheme::Binary);
+        let w = pnn(&data, 3, WeightScheme::Binary);
         for (i, j, _) in w.iter() {
             assert_eq!(i / 4, j / 4, "cross-cluster edge {i}-{j}");
         }
@@ -1067,12 +1148,12 @@ mod tests {
     #[test]
     fn self_tuning_sigma_positive() {
         let data = rand_uniform(10, 2, -1.0, 1.0, 63);
-        let nn = knn_indices(&data, 3);
+        let nn = knn(&data, 3);
         let s = self_tuning_sigma(&data, &nn);
         assert!(s > 0.0);
         // Degenerate: all points identical -> fallback 1.0.
         let same = Mat::zeros(5, 2);
-        let nn2 = knn_indices(&same, 2);
+        let nn2 = knn(&same, 2);
         assert_eq!(self_tuning_sigma(&same, &nn2), 1.0);
     }
 
@@ -1121,16 +1202,16 @@ mod tests {
                 select_p_nearest(&mut scratch, p)
             })
             .collect();
-        assert_eq!(knn_indices_prec(&data, p, Precision::F32, 1), expected);
+        assert_eq!(knn_exact(&data, p, Precision::F32, 1), expected);
     }
 
     #[test]
     fn f32_knn_parallel_bit_identical_to_serial() {
         let data = rand_uniform(301, 17, -1.0, 4.0, 31);
-        let serial = knn_indices_prec(&data, 5, Precision::F32, 1);
+        let serial = knn_exact(&data, 5, Precision::F32, 1);
         for threads in [2, 3, 8] {
             assert_eq!(
-                knn_indices_prec(&data, 5, Precision::F32, threads),
+                knn_exact(&data, 5, Precision::F32, threads),
                 serial,
                 "threads = {threads}"
             );
@@ -1148,9 +1229,87 @@ mod tests {
                 *v += shift;
             }
         }
-        assert_eq!(
-            knn_indices_prec(&data, 7, Precision::F32, 2),
-            knn_indices_with_threads(&data, 7, 2),
-        );
+        assert_eq!(knn_exact(&data, 7, Precision::F32, 2), knn_t(&data, 7, 2),);
+    }
+
+    // The cross-thread properties on the private bodies that take a
+    // worker count: the public entries pick one from the pool, so only
+    // here can a small input be forced onto several threads.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn parallel_knn_bit_identical_to_serial(
+            n in 1usize..40,
+            d in 1usize..12,
+            p in 0usize..8,
+            threads in 1usize..9,
+            seed in any::<u64>()
+        ) {
+            let data = rand_uniform(n, d, -2.0, 2.0, seed);
+            prop_assert_eq!(knn_t(&data, p, threads), knn_t(&data, p, 1));
+        }
+
+        #[test]
+        fn parallel_pnn_graph_bit_identical_to_serial(
+            n in 2usize..30,
+            d in 1usize..8,
+            p in 1usize..7,
+            threads in 1usize..9,
+            seed in any::<u64>()
+        ) {
+            let data = rand_uniform(n, d, 0.0, 1.0, seed);
+            for scheme in [
+                WeightScheme::Binary,
+                WeightScheme::HeatKernel { sigma: -1.0 },
+                WeightScheme::Cosine,
+            ] {
+                prop_assert_eq!(pnn_t(&data, p, scheme, threads), pnn_t(&data, p, scheme, 1));
+            }
+        }
+
+        #[test]
+        fn parallel_knn_f32_bit_identical_to_serial(
+            n in 1usize..40,
+            d in 1usize..12,
+            p in 0usize..8,
+            threads in 2usize..9,
+            seed in any::<u64>()
+        ) {
+            // The f32-storage search makes the same promise as the f64
+            // one: neighbour lists are a pure function of the data,
+            // independent of the worker-thread count.
+            let data = rand_uniform(n, d, -2.0, 2.0, seed);
+            prop_assert_eq!(
+                knn_exact(&data, p, Precision::F32, threads),
+                knn_exact(&data, p, Precision::F32, 1)
+            );
+        }
+
+        #[test]
+        fn knn_duplicate_rows_stay_bit_identical(
+            unique in 1usize..8,
+            copies in 2usize..5,
+            d in 1usize..6,
+            threads in 1usize..9,
+            seed in any::<u64>()
+        ) {
+            // Duplicated points produce exact distance ties — the
+            // adversarial case for selection order. Every path must
+            // agree bit for bit.
+            let base = rand_uniform(unique, d, -1.0, 1.0, seed);
+            let rows: Vec<Vec<f64>> = (0..unique * copies)
+                .map(|i| base.row(i % unique).to_vec())
+                .collect();
+            let data = Mat::from_rows(&rows).unwrap();
+            let p = (unique * copies).min(4);
+            let serial = knn_t(&data, p, 1);
+            prop_assert_eq!(&knn_t(&data, p, threads), &serial);
+            // Sanity: a duplicate's nearest neighbours are its own copies.
+            for (i, neigh) in serial.iter().enumerate() {
+                let twin = neigh.iter().any(|&j| data.row(j) == data.row(i));
+                prop_assert!(twin, "row {i} missed its duplicates: {neigh:?}");
+            }
+        }
     }
 }

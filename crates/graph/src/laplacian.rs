@@ -249,15 +249,16 @@ mod tests {
 
     #[test]
     fn csr_matches_dense_construction_bitwise() {
-        use crate::knn::pnn_graph;
-        use crate::knn::WeightScheme;
+        use crate::knn::{pnn_graph, WeightScheme};
+        use crate::GraphBackend;
         use mtrl_linalg::random::rand_uniform;
+        use mtrl_linalg::Precision;
         let data = rand_uniform(40, 6, 0.0, 1.0, 77);
         for scheme in [
             WeightScheme::Cosine,
             WeightScheme::HeatKernel { sigma: -1.0 },
         ] {
-            let w = pnn_graph(&data, 4, scheme);
+            let w = pnn_graph(&data, 4, scheme, &GraphBackend::Exact, Precision::F64);
             for kind in [LaplacianKind::Unnormalized, LaplacianKind::SymNormalized] {
                 let sparse = laplacian_csr(&w, kind);
                 let reference = dense_reference(&w, kind);

@@ -13,27 +13,29 @@
 //!   mixing the subspace-learned Laplacian with the pNN one.
 //!
 //! Graphs are built over objects given as **rows** of a dense feature
-//! matrix with a parallel, blocked Gram-trick kernel (see [`knn`]) whose
-//! output is bit-identical for every thread count. The same kernel,
-//! generic over the stored element, serves
-//! [`mtrl_linalg::Precision::F32`] mode with `f32` storage and `f64`
-//! accumulation ([`knn_indices_prec`]). The weight matrices
+//! matrix by one search entry, [`knn_indices`], and one graph entry,
+//! [`pnn_graph`]. Each takes a [`GraphBackend`] — the exact parallel,
+//! blocked Gram-trick kernel (see [`knn`]) or the random-projection
+//! forest index (see [`ann`]) — and a [`mtrl_linalg::Precision`]
+//! (`F32` stores the centred operands as `f32`, accumulating in `f64`).
+//! Output is bit-identical for every thread count. The weight matrices
 //! are sparse ([`mtrl_sparse::Csr`]) and the Laplacians stay sparse too
 //! ([`laplacian_csr`], ≤ `2pn + n` entries) — the positive/negative
 //! splits and `L·G` products of the multiplicative update run on CSR
 //! blocks; [`laplacian_dense`] remains as a `.to_dense()` shim for
 //! spectral utilities and tests.
 
+pub mod ann;
 pub mod components;
 pub mod ensemble;
 pub mod knn;
 pub mod laplacian;
 mod serde_impl;
 
+pub use ann::{GraphBackend, RpForestIndex, RpForestParams};
 pub use ensemble::{hetero_ensemble, linear_combination};
 pub use knn::{
-    center_columns, cross_sq_dist_map, dist_less, gram_sq_dist, gram_sq_dist_x4,
-    graph_from_neighbours, knn_indices, knn_indices_prec, knn_indices_serial,
-    knn_indices_with_threads, pnn_graph, pnn_graph_with_threads, select_p_nearest, WeightScheme,
+    center_columns, cross_sq_dist_map, dist_less, gram_sq_dist, graph_from_neighbours,
+    insert_capped, knn_indices, pnn_graph, threads_for, WeightScheme,
 };
 pub use laplacian::{laplacian_csr, laplacian_dense, LaplacianKind};

@@ -40,21 +40,19 @@
 //! `tests/integration_stream.rs` fuzzes this over random batch splits
 //! and thread counts).
 //!
-//! With an approximate backend ([`DynamicGraphConfig::backend`]), the
+//! With the rp-forest backend ([`DynamicGraphConfig::backend`]), the
 //! same maintenance runs against an incrementally maintained
-//! `mtrl_ann` index: inserts and removals route rows through the index
+//! [`RpForestIndex`] (`mtrl_graph::ann`): inserts and removals route rows through the index
 //! (whose routing is a pure function of the row, so they land exactly
 //! where a batch build would place them) and neighbour candidates come
 //! from it instead of full scans. Distances, selection order and graph
 //! assembly are unchanged, so at exhaustive index settings the
 //! maintained graph is bit-identical to exact mode.
 
-use mtrl_ann::{build_any_index, insert_capped, AnyIndex, GraphBackend, NeighbourIndex};
 use mtrl_graph::{
-    cross_sq_dist_map, dist_less, gram_sq_dist, graph_from_neighbours, laplacian_csr,
-    LaplacianKind, WeightScheme,
+    cross_sq_dist_map, dist_less, gram_sq_dist, graph_from_neighbours, insert_capped,
+    laplacian_csr, threads_for, GraphBackend, LaplacianKind, RpForestIndex, WeightScheme,
 };
-use mtrl_linalg::par::num_threads;
 use mtrl_linalg::vecops::dot;
 use mtrl_linalg::{Mat, Precision, Quantize};
 use mtrl_sparse::Csr;
@@ -74,21 +72,21 @@ pub struct DynamicGraphConfig {
     pub rebuild_threshold: f64,
     /// Neighbour-search backend. [`GraphBackend::Exact`] (the default)
     /// keeps the blocked all-pairs kernel and the exact maintenance
-    /// contract. An approximate backend maintains an ANN index
-    /// incrementally — inserts and removals route through it, and
+    /// contract. [`GraphBackend::RpForest`] maintains an
+    /// [`RpForestIndex`] (`mtrl_graph::ann`) incrementally — inserts and removals route through it, and
     /// neighbour candidates come from it instead of full scans — so
     /// per-mutation cost drops from `O(n · d)` per row to the index's
     /// candidate volume. Distances and selection still go through the
     /// exact kernel primitives: at exhaustive index settings the
     /// maintained graph is bit-identical to exact mode, and at any
     /// setting it is deterministic for a given mutation sequence.
-    /// Threshold rebuilds re-batch-build the index, healing leaf/tile
+    /// Threshold rebuilds re-batch-build the index, healing leaf
     /// growth from long insert streams.
     pub backend: GraphBackend,
     /// Kernel storage precision. [`Precision::F32`] quantises every
     /// *centred* row through f32 on arrival (and on rebuild), so all
     /// stored distances are exactly what the batch search
-    /// (`mtrl_graph::knn_indices_prec`) computes: widening f32 → f64 is
+    /// (`mtrl_graph::knn_indices`) computes: widening f32 → f64 is
     /// exact, so running the unchanged f64 maintenance machinery on
     /// quantised rows is bit-identical to true f32 storage. Centring
     /// means stay f64 (quantise-after-centre, the same contract as the
@@ -126,7 +124,7 @@ pub struct InsertReport {
 /// contract.
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
-    cfg: DynamicGraphConfig,
+    pub(crate) cfg: DynamicGraphConfig,
     dim: usize,
     /// Raw feature rows, including tombstoned ones (indices are stable).
     features: Mat,
@@ -144,7 +142,7 @@ pub struct DynamicGraph {
     patched_rows: usize,
     /// The maintained ANN index over alive centred rows (`None` in
     /// exact mode). Refreshed by [`DynamicGraph::rebuild`].
-    index: Option<AnyIndex>,
+    index: Option<RpForestIndex>,
 }
 
 impl DynamicGraph {
@@ -285,7 +283,7 @@ impl DynamicGraph {
         }
         let p = self.cfg.p;
         let n_total = self.features.rows();
-        let threads = auto_threads(b, n_total, self.dim);
+        let threads = threads_for(b * n_total * self.dim);
         // Parallel phase: one Gram strip per new row against the whole
         // corpus (old rows and the new batch itself). Per strip: the new
         // row's own top-p selection, plus loosely filtered reverse
@@ -462,7 +460,7 @@ impl DynamicGraph {
         } else {
             Mat::from_rows(&rows).expect("rectangular alive rows")
         };
-        self.index = build_any_index(&mat, &ids, &self.cfg.backend);
+        self.index = RpForestIndex::for_backend(&mat, &ids, &self.cfg.backend);
     }
 
     fn maybe_rebuild(&mut self) -> bool {
@@ -510,7 +508,7 @@ impl DynamicGraph {
         } else {
             let p = self.cfg.p;
             let alive = &self.alive;
-            let threads = auto_threads(n_total, n_total, self.dim);
+            let threads = threads_for(n_total * n_total * self.dim);
             cross_sq_dist_map(
                 &self.centered,
                 &self.sq_norms,
@@ -544,7 +542,7 @@ impl DynamicGraph {
     /// distance recomputation.
     pub fn graph(&self) -> Csr {
         let lists: Vec<Vec<usize>> = (0..self.neigh.len()).map(|i| self.neighbours(i)).collect();
-        let threads = auto_threads(self.neigh.len(), self.cfg.p.max(1), self.dim);
+        let threads = threads_for(self.neigh.len() * self.cfg.p.max(1) * self.dim);
         graph_from_neighbours(&self.features, &lists, self.cfg.scheme, threads)
     }
 
@@ -586,20 +584,10 @@ fn alive_column_means(data: &Mat, alive: &[bool], n_alive: usize) -> Vec<f64> {
     means
 }
 
-/// Mirror of the batch kernel's threshold: below ~1M multiply-adds the
-/// row fan-out is not worth a thread spawn.
-fn auto_threads(work_rows: usize, n: usize, d: usize) -> usize {
-    if work_rows * n * d < (1 << 20) {
-        1
-    } else {
-        num_threads()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtrl_graph::{knn_indices, pnn_graph};
+    use mtrl_graph::{knn_indices, pnn_graph, RpForestParams};
     use mtrl_linalg::random::rand_uniform;
 
     fn graph_cfg(p: usize) -> DynamicGraphConfig {
@@ -625,8 +613,17 @@ mod tests {
         // kernel's, so the exported graph is identical.
         let data = rand_uniform(60, 7, -1.0, 1.0, 100);
         let g = DynamicGraph::new(&data, graph_cfg(4));
-        assert_eq!(g.graph(), pnn_graph(&data, 4, WeightScheme::Cosine));
-        let nn = knn_indices(&data, 4);
+        assert_eq!(
+            g.graph(),
+            pnn_graph(
+                &data,
+                4,
+                WeightScheme::Cosine,
+                &GraphBackend::Exact,
+                Precision::F64
+            )
+        );
+        let nn = knn_indices(&data, 4, &GraphBackend::Exact, Precision::F64);
         for (i, expect) in nn.iter().enumerate() {
             assert_eq!(&g.neighbours(i), expect, "row {i}");
         }
@@ -645,7 +642,16 @@ mod tests {
         }
         assert_eq!(at, 80);
         assert_eq!(g.num_rows(), 80);
-        assert_eq!(g.graph(), pnn_graph(&data, 5, WeightScheme::Cosine));
+        assert_eq!(
+            g.graph(),
+            pnn_graph(
+                &data,
+                5,
+                WeightScheme::Cosine,
+                &GraphBackend::Exact,
+                Precision::F64
+            )
+        );
     }
 
     #[test]
@@ -684,7 +690,7 @@ mod tests {
         let kept: Vec<usize> = (0..40).filter(|&i| i != 17).collect();
         let compact_rows: Vec<Vec<f64>> = kept.iter().map(|&i| data.row(i).to_vec()).collect();
         let compact = Mat::from_rows(&compact_rows).unwrap();
-        let nn = knn_indices(&compact, 4);
+        let nn = knn_indices(&compact, 4, &GraphBackend::Exact, Precision::F64);
         for (new_i, &old_i) in kept.iter().enumerate() {
             let expect: Vec<usize> = nn[new_i].iter().map(|&j| kept[j]).collect();
             let mut expect = expect;
@@ -717,7 +723,16 @@ mod tests {
         // After the rebuild the graph still matches the batch path on
         // the full 31-row corpus (fresh means = batch means).
         let full = data.vstack(&data.submatrix(0, 0, 1, 4)).unwrap();
-        assert_eq!(g.graph(), pnn_graph(&full, 3, WeightScheme::Cosine));
+        assert_eq!(
+            g.graph(),
+            pnn_graph(
+                &full,
+                3,
+                WeightScheme::Cosine,
+                &GraphBackend::Exact,
+                Precision::F64
+            )
+        );
     }
 
     #[test]
@@ -725,7 +740,13 @@ mod tests {
         let data = rand_uniform(50, 6, 0.0, 1.0, 104);
         let mut g = DynamicGraph::new(&data.submatrix(0, 0, 35, 6), graph_cfg(5));
         g.insert_batch(&data.submatrix(35, 0, 15, 6));
-        let w = pnn_graph(&data, 5, WeightScheme::Cosine);
+        let w = pnn_graph(
+            &data,
+            5,
+            WeightScheme::Cosine,
+            &GraphBackend::Exact,
+            Precision::F64,
+        );
         for kind in [LaplacianKind::Unnormalized, LaplacianKind::SymNormalized] {
             assert_eq!(g.laplacian(kind), laplacian_csr(&w, kind), "{kind:?}");
         }
@@ -739,11 +760,20 @@ mod tests {
         let shifted = Mat::from_fn(40, 4, |i, j| 1.0e8 + base[(i, j)]);
         let mut g = DynamicGraph::new(&shifted.submatrix(0, 0, 25, 4), graph_cfg(4));
         g.insert_batch(&shifted.submatrix(25, 0, 15, 4));
-        assert_eq!(g.graph(), pnn_graph(&shifted, 4, WeightScheme::Cosine));
+        assert_eq!(
+            g.graph(),
+            pnn_graph(
+                &shifted,
+                4,
+                WeightScheme::Cosine,
+                &GraphBackend::Exact,
+                Precision::F64
+            )
+        );
     }
 
     #[test]
-    fn ann_exhaustive_backends_match_exact_mode_bitwise() {
+    fn ann_exhaustive_forest_matches_exact_mode_bitwise() {
         // At exhaustive index settings the candidate sets cover every
         // alive row, so the whole insert/remove/rebuild lifecycle must
         // reproduce exact mode bit for bit.
@@ -766,23 +796,13 @@ mod tests {
             g.rebuild();
             (before_rebuild, g.graph())
         };
-        let exact = run(GraphBackend::Exact);
-        for backend in [
-            GraphBackend::ClusterPruned(mtrl_ann::ClusterParams {
-                tiles: 1,
-                probe_tiles: 1,
-                quantiser_sample: 24,
-                seed: 9,
-            }),
-            GraphBackend::RpForest(mtrl_ann::RpForestParams {
-                trees: 2,
-                leaf_size: 6,
-                probes: usize::MAX,
-                seed: 9,
-            }),
-        ] {
-            assert_eq!(run(backend), exact, "{}", backend.key());
-        }
+        let forest = run(GraphBackend::RpForest(RpForestParams {
+            trees: 2,
+            leaf_size: 6,
+            probes: usize::MAX,
+            seed: 9,
+        }));
+        assert_eq!(forest, run(GraphBackend::Exact));
     }
 
     #[test]
@@ -798,7 +818,7 @@ mod tests {
                     p: 5,
                     scheme: WeightScheme::Cosine,
                     rebuild_threshold: 1.0,
-                    backend: GraphBackend::RpForest(mtrl_ann::RpForestParams {
+                    backend: GraphBackend::RpForest(RpForestParams {
                         trees: 4,
                         leaf_size: 8,
                         probes: 2,
@@ -840,7 +860,7 @@ mod tests {
         let g = DynamicGraph::new(&data, graph_cfg_f32(4));
         assert_eq!(
             g.graph(),
-            mtrl_ann::pnn_graph_backend_prec(
+            pnn_graph(
                 &data,
                 4,
                 WeightScheme::Cosine,
@@ -848,7 +868,7 @@ mod tests {
                 Precision::F32
             )
         );
-        let nn = mtrl_graph::knn_indices_prec(&data, 4, Precision::F32, 1);
+        let nn = knn_indices(&data, 4, &GraphBackend::Exact, Precision::F32);
         for (i, expect) in nn.iter().enumerate() {
             assert_eq!(&g.neighbours(i), expect, "row {i}");
         }
@@ -906,7 +926,7 @@ mod tests {
             g.graph()
         };
         let exact = run(GraphBackend::Exact);
-        let forest = run(GraphBackend::RpForest(mtrl_ann::RpForestParams {
+        let forest = run(GraphBackend::RpForest(RpForestParams {
             trees: 2,
             leaf_size: 6,
             probes: usize::MAX,

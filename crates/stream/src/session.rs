@@ -241,6 +241,8 @@ impl StreamSession {
             DynamicGraphConfig {
                 p: rhchme.config().p,
                 scheme: rhchme.config().weight_scheme,
+                backend: rhchme.config().graph_backend,
+                precision: rhchme.config().precision,
                 ..DynamicGraphConfig::default()
             },
         );
@@ -503,22 +505,34 @@ impl StreamSession {
         })
     }
 
+    /// The refit's pNN member `L_E`: the document block comes from the
+    /// incrementally maintained graph; term/concept blocks (small types,
+    /// growing feature views) are rebuilt. Both follow the configured
+    /// backend and precision, like the cold fit's `L_E`.
+    fn pnn_member(&self, data: &MultiTypeData) -> Result<SparseBlockDiag, StreamError> {
+        let cfg = self.rhchme.config();
+        let mut blocks = vec![self.doc_graph.laplacian(cfg.laplacian_kind)];
+        for t in 1..data.num_types() {
+            let w = pnn_graph(
+                &data.features(t),
+                cfg.p,
+                cfg.weight_scheme,
+                &cfg.graph_backend,
+                cfg.precision,
+            );
+            blocks.push(laplacian_csr(&w, cfg.laplacian_kind));
+        }
+        SparseBlockDiag::new(blocks)
+            .map_err(|e| StreamError::Invalid(format!("laplacian block assembly failed: {e}")))
+    }
+
     /// The warm mini-batch refresh (step 4 of the module docs).
     fn refit(&mut self, trigger: RefitTrigger) -> Result<RefitReport, StreamError> {
         let _span = mtrl_obs::span!("stream.refit");
         let cfg = self.rhchme.config().clone();
         let data = MultiTypeData::from_corpus(&self.corpus, cfg.feature_cluster_divisor)?;
 
-        // pNN member: the document block comes from the incrementally
-        // maintained graph; term/concept blocks (small types, growing
-        // feature views) are rebuilt.
-        let mut blocks = vec![self.doc_graph.laplacian(cfg.laplacian_kind)];
-        for t in 1..data.num_types() {
-            let w = pnn_graph(&data.features(t), cfg.p, cfg.weight_scheme);
-            blocks.push(laplacian_csr(&w, cfg.laplacian_kind));
-        }
-        let l_e = SparseBlockDiag::new(blocks)
-            .map_err(|e| StreamError::Invalid(format!("laplacian block assembly failed: {e}")))?;
+        let l_e = self.pnn_member(&data)?;
         let l = if self.policy.refresh_subspace {
             let spg_cfg = SpgConfig {
                 gamma: cfg.gamma,
@@ -855,5 +869,75 @@ mod tests {
         assert_eq!(report.trigger, RefitTrigger::Manual);
         assert!(report.iterations <= 5 && report.iterations >= 1);
         assert!(report.final_objective.is_finite());
+    }
+
+    #[test]
+    fn session_graphs_follow_the_configured_backend_and_precision() {
+        use mtrl_graph::{GraphBackend, RpForestParams};
+        use mtrl_linalg::Precision;
+        use rhchme::intra::pnn_laplacians_backend_prec;
+
+        // A deliberately coarse forest (one tree, small leaves, one
+        // probe) whose lists differ from the exact ones, so a block built
+        // on the wrong backend cannot pass for a right one.
+        let backend = GraphBackend::RpForest(RpForestParams {
+            trees: 1,
+            leaf_size: 8,
+            probes: 1,
+            seed: 5,
+        });
+        let (initial, batches) = generate_stream(&stream_cfg());
+        let mut session = StreamSession::new(
+            initial,
+            Rhchme::new(RhchmeConfig {
+                lambda: 1.0,
+                graph_backend: backend,
+                precision: Precision::F32,
+                ..RhchmeConfig::fast()
+            }),
+            RefreshPolicy {
+                every_batches: None,
+                min_confidence: None,
+                ..RefreshPolicy::default()
+            },
+        )
+        .unwrap();
+        for batch in &batches {
+            session.push_batch(batch).unwrap();
+        }
+        let graph_cfg = &session.doc_graph.cfg;
+        assert_eq!(graph_cfg.backend, backend);
+        assert_eq!(graph_cfg.precision, Precision::F32);
+
+        let cfg = session.rhchme.config().clone();
+        let data =
+            MultiTypeData::from_corpus(session.corpus(), cfg.feature_cluster_divisor).unwrap();
+        let l_e = session.pnn_member(&data).unwrap();
+        let laplacians = |backend: &GraphBackend, precision| {
+            pnn_laplacians_backend_prec(
+                &data.all_features(),
+                cfg.p,
+                cfg.weight_scheme,
+                cfg.laplacian_kind,
+                backend,
+                precision,
+            )
+            .unwrap()
+        };
+        let expected = laplacians(&backend, Precision::F32);
+        let exact = laplacians(&GraphBackend::Exact, Precision::F64);
+        assert!(
+            (1..exact.num_blocks()).any(|t| exact.block(t) != expected.block(t)),
+            "the coarse forest must move some term/concept graph"
+        );
+        assert_eq!(l_e.num_blocks(), expected.num_blocks());
+        assert_eq!(
+            l_e.block(0),
+            &session.doc_graph().laplacian(cfg.laplacian_kind)
+        );
+        for t in 1..l_e.num_blocks() {
+            assert_eq!(l_e.block(t), expected.block(t), "type {t}");
+        }
+        assert!(session.refit_now().is_ok());
     }
 }

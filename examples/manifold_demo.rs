@@ -14,7 +14,8 @@
 //!   points (the paper's point `z`) receive any affinity at all.
 
 use mtrl_datagen::manifold::{two_circles, NOISE_LABEL};
-use mtrl_graph::{pnn_graph, WeightScheme};
+use mtrl_graph::{pnn_graph, GraphBackend, WeightScheme};
+use mtrl_linalg::Precision;
 use mtrl_subspace::{spg_affinity, SpgConfig};
 
 fn main() {
@@ -23,7 +24,13 @@ fn main() {
     println!("{} points: 2 circles x 60 + 8 noise\n", n);
 
     // (a) pNN graph, p = 5, as SNMTF/RMC would build it.
-    let w_pnn = pnn_graph(&points, 5, WeightScheme::HeatKernel { sigma: -1.0 });
+    let w_pnn = pnn_graph(
+        &points,
+        5,
+        WeightScheme::HeatKernel { sigma: -1.0 },
+        &GraphBackend::Exact,
+        Precision::F64,
+    );
 
     // (b) subspace-learned affinity (Algorithm 1). Circles are not linear
     // subspaces, so we lift to the quadratic kernel features

@@ -8,7 +8,8 @@
 //! 1–4: objective traces within 1e-9 relative, argmax labels identical
 //! for every object type.
 
-use mtrl_graph::{laplacian_csr, pnn_graph, LaplacianKind, WeightScheme};
+use mtrl_graph::{laplacian_csr, pnn_graph, GraphBackend, LaplacianKind, WeightScheme};
+use mtrl_linalg::Precision;
 use proptest::prelude::*;
 use rhchme::engine::{
     run_engine, run_engine_dense_reference, EngineConfig, EngineResult, GraphRegularizer,
@@ -53,7 +54,12 @@ fn method_setup(data: &MultiTypeData, method: usize) -> (GraphRegularizer, Engin
         let blocks = data
             .all_features()
             .iter()
-            .map(|f| laplacian_csr(&pnn_graph(f, p, scheme), LaplacianKind::SymNormalized))
+            .map(|f| {
+                laplacian_csr(
+                    &pnn_graph(f, p, scheme, &GraphBackend::Exact, Precision::F64),
+                    LaplacianKind::SymNormalized,
+                )
+            })
             .collect();
         mtrl_sparse::SparseBlockDiag::new(blocks).unwrap()
     };

@@ -43,7 +43,13 @@ fn sparse_engine_allocates_no_nxn_dense() {
             .iter()
             .map(|f| {
                 mtrl_graph::laplacian_csr(
-                    &mtrl_graph::pnn_graph(f, 5, mtrl_graph::WeightScheme::Cosine),
+                    &mtrl_graph::pnn_graph(
+                        f,
+                        5,
+                        mtrl_graph::WeightScheme::Cosine,
+                        &mtrl_graph::GraphBackend::Exact,
+                        mtrl_linalg::Precision::F64,
+                    ),
                     mtrl_graph::LaplacianKind::SymNormalized,
                 )
             })

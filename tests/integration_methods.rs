@@ -148,9 +148,9 @@ fn objective_traces_decrease_monotonically() {
 /// three times, so every object has zero-distance twins).
 #[test]
 fn rmc_candidates_equal_six_separate_searches() {
-    use rhchme::intra::{pnn_laplacians, rmc_candidates};
-    use rhchme_repro::graph::{LaplacianKind, WeightScheme};
-    use rhchme_repro::linalg::Mat;
+    use rhchme::intra::{pnn_laplacians_backend_prec, rmc_candidates};
+    use rhchme_repro::graph::{GraphBackend, LaplacianKind, WeightScheme};
+    use rhchme_repro::linalg::{Mat, Precision};
 
     let corpus = mtrl_datagen::corpus::generate(&CorpusConfig {
         docs_per_class: vec![30, 30, 30],
@@ -175,7 +175,17 @@ fn rmc_candidates_equal_six_separate_searches() {
                 WeightScheme::HeatKernel { sigma: -1.0 },
                 WeightScheme::Cosine,
             ] {
-                separate.push(pnn_laplacians(feats, p, scheme, kind).unwrap());
+                separate.push(
+                    pnn_laplacians_backend_prec(
+                        feats,
+                        p,
+                        scheme,
+                        kind,
+                        &GraphBackend::Exact,
+                        Precision::F64,
+                    )
+                    .unwrap(),
+                );
             }
         }
         let shared = rmc_candidates(feats, kind, None).unwrap();

@@ -4,11 +4,29 @@
 //! configurations and random matrices, checking the structural invariants
 //! the algorithms rely on.
 
+use mtrl_graph::{knn_indices, pnn_graph, GraphBackend, WeightScheme};
 use mtrl_linalg::ops::{matmul, matmul_nt, matmul_tn};
 use mtrl_linalg::random::rand_uniform;
 use mtrl_linalg::{Mat, Precision};
 use proptest::prelude::*;
 use rhchme_repro::prelude::{run_method, CorpusConfig, Method, MultiTypeCorpus, PipelineParams};
+
+/// `f` with the kernel pool at `threads` workers, restoring the previous
+/// count. Other tests in this binary may move the count concurrently;
+/// every kernel promises thread-count-invariant bytes, so they cannot
+/// observe it.
+fn on_pool<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    let before = mtrl_linalg::par::num_threads();
+    mtrl_linalg::par::set_num_threads(threads);
+    let out = f();
+    mtrl_linalg::par::set_num_threads(before);
+    out
+}
+
+/// The exact search through the public entry.
+fn exact_knn(data: &Mat, p: usize, precision: Precision) -> Vec<Vec<usize>> {
+    knn_indices(data, p, &GraphBackend::Exact, precision)
+}
 
 fn arb_mat(max_dim: usize) -> impl Strategy<Value = Mat> {
     (1..max_dim, 1..max_dim, any::<u64>())
@@ -75,7 +93,7 @@ proptest! {
     #[test]
     fn pnn_graph_always_symmetric(n in 4usize..25, p in 1usize..6, seed in any::<u64>()) {
         let data = rand_uniform(n, 3, -1.0, 1.0, seed);
-        let w = mtrl_graph::pnn_graph(&data, p, mtrl_graph::WeightScheme::Binary);
+        let w = pnn_graph(&data, p, WeightScheme::Binary, &GraphBackend::Exact, Precision::F64);
         prop_assert!(w.is_symmetric(1e-12));
         // Degree bound: each vertex has between p and 2p..n-1 neighbours.
         for i in 0..n {
@@ -84,44 +102,50 @@ proptest! {
         }
     }
 
+    // The cross-thread properties through the public entries: inputs
+    // sit above the search's work threshold (n² d ≥ 2²⁰), so the pool's
+    // thread count is the search's. The same properties on small inputs
+    // and forced thread counts run in `mtrl-graph` against the private
+    // bodies that take a worker count.
     #[test]
     fn parallel_knn_bit_identical_to_serial(
-        n in 1usize..40,
-        d in 1usize..12,
+        n in 256usize..300,
+        d in 16usize..20,
         p in 0usize..8,
-        threads in 1usize..9,
+        threads in 2usize..9,
         seed in any::<u64>()
     ) {
         let data = rand_uniform(n, d, -2.0, 2.0, seed);
-        let serial = mtrl_graph::knn_indices_serial(&data, p);
-        let par = mtrl_graph::knn_indices_with_threads(&data, p, threads);
+        let serial = on_pool(1, || exact_knn(&data, p, Precision::F64));
+        let par = on_pool(threads, || exact_knn(&data, p, Precision::F64));
         prop_assert_eq!(par, serial);
     }
 
     #[test]
     fn parallel_pnn_graph_bit_identical_to_serial(
-        n in 2usize..30,
-        d in 1usize..8,
+        n in 256usize..300,
+        d in 16usize..20,
         p in 1usize..7,
-        threads in 1usize..9,
+        threads in 2usize..9,
         seed in any::<u64>()
     ) {
         let data = rand_uniform(n, d, 0.0, 1.0, seed);
         for scheme in [
-            mtrl_graph::WeightScheme::Binary,
-            mtrl_graph::WeightScheme::HeatKernel { sigma: -1.0 },
-            mtrl_graph::WeightScheme::Cosine,
+            WeightScheme::Binary,
+            WeightScheme::HeatKernel { sigma: -1.0 },
+            WeightScheme::Cosine,
         ] {
-            let serial = mtrl_graph::pnn_graph_with_threads(&data, p, scheme, 1);
-            let par = mtrl_graph::pnn_graph_with_threads(&data, p, scheme, threads);
+            let graph = || pnn_graph(&data, p, scheme, &GraphBackend::Exact, Precision::F64);
+            let serial = on_pool(1, graph);
+            let par = on_pool(threads, graph);
             prop_assert_eq!(par, serial);
         }
     }
 
     #[test]
     fn parallel_knn_f32_bit_identical_to_serial(
-        n in 1usize..40,
-        d in 1usize..12,
+        n in 256usize..300,
+        d in 16usize..20,
         p in 0usize..8,
         threads in 2usize..9,
         seed in any::<u64>()
@@ -130,18 +154,17 @@ proptest! {
         // one: neighbour lists are a pure function of the data,
         // independent of the worker-thread count.
         let data = rand_uniform(n, d, -2.0, 2.0, seed);
-        let f32_mode = mtrl_linalg::Precision::F32;
-        let serial = mtrl_graph::knn_indices_prec(&data, p, f32_mode, 1);
-        let par = mtrl_graph::knn_indices_prec(&data, p, f32_mode, threads);
+        let serial = on_pool(1, || exact_knn(&data, p, Precision::F32));
+        let par = on_pool(threads, || exact_knn(&data, p, Precision::F32));
         prop_assert_eq!(par, serial);
     }
 
     #[test]
     fn knn_duplicate_rows_stay_bit_identical(
-        unique in 1usize..8,
+        unique in 128usize..160,
         copies in 2usize..5,
-        d in 1usize..6,
-        threads in 1usize..9,
+        d in 16usize..20,
+        threads in 2usize..9,
         seed in any::<u64>()
     ) {
         // Duplicated points produce exact distance ties — the adversarial
@@ -151,16 +174,14 @@ proptest! {
             .map(|i| base.row(i % unique).to_vec())
             .collect();
         let data = Mat::from_rows(&rows).unwrap();
-        let p = (unique * copies).min(4);
-        let serial = mtrl_graph::knn_indices_serial(&data, p);
-        let par = mtrl_graph::knn_indices_with_threads(&data, p, threads);
+        let p = 4;
+        let serial = on_pool(1, || exact_knn(&data, p, Precision::F64));
+        let par = on_pool(threads, || exact_knn(&data, p, Precision::F64));
         prop_assert_eq!(&par, &serial);
         // Sanity: a duplicate's nearest neighbours are its own copies.
-        if copies > 1 {
-            for (i, neigh) in serial.iter().enumerate() {
-                let twin = neigh.iter().any(|&j| data.row(j) == data.row(i));
-                prop_assert!(twin, "row {i} missed its duplicates: {neigh:?}");
-            }
+        for (i, neigh) in serial.iter().enumerate() {
+            let twin = neigh.iter().any(|&j| data.row(j) == data.row(i));
+            prop_assert!(twin, "row {i} missed its duplicates: {neigh:?}");
         }
     }
 
@@ -172,7 +193,7 @@ proptest! {
     ) {
         use mtrl_graph::LaplacianKind;
         let data = rand_uniform(n, 4, 0.0, 1.0, seed);
-        let w = mtrl_graph::pnn_graph(&data, p, mtrl_graph::WeightScheme::Cosine);
+        let w = pnn_graph(&data, p, WeightScheme::Cosine, &GraphBackend::Exact, Precision::F64);
         let degrees = w.row_sums();
         for kind in [LaplacianKind::Unnormalized, LaplacianKind::SymNormalized] {
             // Independent dense construction (the seed repository's).
