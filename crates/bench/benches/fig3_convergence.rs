@@ -8,7 +8,7 @@
 
 use mtrl_bench::{print_table, scale_from_env, scale_name, section, write_json};
 use mtrl_datagen::datasets::{load, DatasetId};
-use rhchme::pipeline::{run_method, Method, PipelineParams};
+use rhchme::pipeline::{run_spec, Method, PipelineParams};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -38,7 +38,7 @@ fn main() {
     for id in DatasetId::all() {
         let corpus = load(id, scale);
         eprintln!("tracing {}…", id.paper_name());
-        let out = run_method(&corpus, Method::Rhchme, &params).expect("rhchme");
+        let out = run_spec(&corpus, &Method::Rhchme.into(), &params).expect("rhchme");
         let mut rows = Vec::new();
         for &cp in &checkpoints {
             let idx = cp.min(out.label_trace.len()) - 1;

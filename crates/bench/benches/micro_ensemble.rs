@@ -101,9 +101,9 @@ fn bench_full_fit(c: &mut Criterion) {
     // well under 4x one fit, because artifacts are shared).
     group.bench_function("single_rhchme_60docs", |bencher| {
         bencher.iter(|| {
-            rhchme::pipeline::run_method(
+            rhchme::pipeline::run_spec(
                 black_box(&corpus),
-                rhchme::pipeline::Method::Rhchme,
+                &rhchme::pipeline::Method::Rhchme.into(),
                 &params,
             )
             .unwrap()

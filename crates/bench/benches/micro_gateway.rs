@@ -170,9 +170,8 @@ fn bench_model_load(c: &mut Criterion) {
     group.bench_function("from_disk_binary", |bencher| {
         bencher.iter(|| persist::load_binary(black_box(&binary_path)).unwrap());
     });
-    // The fleet-restart entry point: format sniff + (on unix) an mmap
-    // of the payload instead of a buffered read.
-    group.bench_function("load_any_mmap_binary", |bencher| {
+    // The fleet-restart entry point: one buffered read + format sniff.
+    group.bench_function("load_any_binary", |bencher| {
         bencher.iter(|| persist::load_any(black_box(&binary_path)).unwrap());
     });
     group.finish();

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtrl_datagen::datasets::{load, DatasetId, Scale};
-use rhchme::pipeline::{run_method, Method, PipelineParams};
+use rhchme::pipeline::{run_spec, Method, PipelineParams};
 use std::hint::black_box;
 
 fn bench_methods(c: &mut Criterion) {
@@ -17,7 +17,7 @@ fn bench_methods(c: &mut Criterion) {
     group.sample_size(10);
     for method in Method::all() {
         group.bench_function(method.paper_name(), |bencher| {
-            bencher.iter(|| run_method(black_box(&corpus), method, &params).unwrap());
+            bencher.iter(|| run_spec(black_box(&corpus), &method.into(), &params).unwrap());
         });
     }
     group.finish();

@@ -1,9 +1,5 @@
-//! Criterion microbenches of the subspace learners: SPG (Algorithm 1,
-//! the `‖WWᵀ‖₁`/SSQP regulariser) vs the ISTA l1 (SSC-style) ablation.
-//!
-//! The paper cites ref [10] for the claim that the `‖WWᵀ‖₁` regulariser
-//! reaches sparser solutions "with less time consumption" than l1 — this
-//! bench is the ablation backing that statement in the reproduction.
+//! Criterion microbenches of the subspace learner: SPG (Algorithm 1,
+//! the `‖WWᵀ‖₁`/SSQP regulariser).
 //!
 //! `spg_affinity/large3_330docs` times the SPG call a cold fit makes on
 //! the document type of a Large3-shaped corpus (330 documents, 190
@@ -22,7 +18,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mtrl_datagen::manifold::union_of_subspaces;
 use mtrl_linalg::Mat;
-use mtrl_subspace::{ista_affinity, spg_affinity, IstaConfig, SpgConfig};
+use mtrl_subspace::{spg_affinity, SpgConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -103,30 +99,5 @@ fn bench_spg(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_ista(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ista_affinity");
-    group.sample_size(10);
-    for &n_per in &[30usize, 60] {
-        let (data, _) = union_of_subspaces(3, 2, 12, n_per, 0.02, 22);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(3 * n_per),
-            &n_per,
-            |bencher, _| {
-                bencher.iter(|| {
-                    ista_affinity(
-                        black_box(&data),
-                        &IstaConfig {
-                            max_iter: 60,
-                            ..IstaConfig::default()
-                        },
-                    )
-                    .unwrap()
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_support_product, bench_spg, bench_ista);
+criterion_group!(benches, bench_support_product, bench_spg);
 criterion_main!(benches);

@@ -11,7 +11,7 @@ use mtrl_bench::{
     mean, paper, print_table, scale_from_env, scale_name, section, write_json, MethodRecord,
 };
 use mtrl_datagen::datasets::{load, DatasetId};
-use rhchme::pipeline::{run_method, Method, PipelineParams};
+use rhchme::pipeline::{run_spec, Method, PipelineParams};
 
 fn main() {
     let scale = scale_from_env();
@@ -34,7 +34,7 @@ fn main() {
             corpus.num_concepts()
         );
         for (m, method) in Method::all().into_iter().enumerate() {
-            let out = run_method(&corpus, method, &params).expect("method run");
+            let out = run_spec(&corpus, &method.into(), &params).expect("method run");
             let f = mtrl_metrics::fscore(&corpus.labels, &out.doc_labels);
             let n = mtrl_metrics::nmi(&corpus.labels, &out.doc_labels);
             measured[m][d] = (f, n);

@@ -10,7 +10,7 @@ use mtrl_bench::{
     paper, print_table, scale_from_env, scale_name, section, write_json, MethodRecord,
 };
 use mtrl_datagen::datasets::{load, DatasetId};
-use rhchme::pipeline::{run_method, Method, PipelineParams};
+use rhchme::pipeline::{run_spec, Method, PipelineParams};
 
 fn main() {
     let scale = scale_from_env();
@@ -26,7 +26,7 @@ fn main() {
         let corpus = load(id, scale);
         eprintln!("timing {}…", id.paper_name());
         for (m, method) in Method::all().into_iter().enumerate() {
-            let out = run_method(&corpus, method, &params).expect("method run");
+            let out = run_spec(&corpus, &method.into(), &params).expect("method run");
             seconds[m][d] = out.elapsed.as_secs_f64();
             records.push(MethodRecord {
                 method: method.paper_name().to_string(),

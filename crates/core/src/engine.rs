@@ -2,7 +2,8 @@
 //! **sparse-first**.
 //!
 //! One engine drives RHCHME and the NMTF-based baselines; they differ only
-//! in configuration:
+//! in configuration, and [`crate::pipeline::Method::engine_config`] writes
+//! each row's [`EngineConfig`]:
 //!
 //! | method  | graph regulariser            | `E_R` | row ℓ1 |
 //! |---------|------------------------------|-------|--------|

@@ -18,10 +18,12 @@
 //!   penalty — `O(nnz·c + n·c²)` per iteration on a CSR `R`, with the
 //!   retired dense loop kept as a test reference;
 //! * [`rhchme`] — the end-to-end RHCHME estimator;
-//! * [`baselines`] — SRC, SNMTF, RMC and DRCC (DR-T/DR-C/DR-TC), the
-//!   comparison suite of Sec. IV-B;
-//! * [`pipeline`] — one-call runners with artifact caching, used by the
-//!   table/figure benches;
+//! * [`baselines`] — the comparison suite of Sec. IV-B: the paper
+//!   references of the SRC, SNMTF and RMC engine rows, and the DRCC
+//!   solver (DR-T/DR-C/DR-TC);
+//! * [`pipeline`] — the method table (one engine row per method), and
+//!   one-call runners with artifact caching used by the table/figure
+//!   benches;
 //! * [`export`] — the serving-ready [`FittedModel`] bundle (per-type
 //!   membership blocks, association matrix `S`, feature centroids)
 //!   consumed by the `mtrl-serve` crate for out-of-sample fold-in.
@@ -55,9 +57,7 @@ pub use export::{FittedModel, SCHEMA_VERSION};
 pub use mtrl_graph::GraphBackend;
 pub use mtrl_linalg::Precision;
 pub use multitype::MultiTypeData;
-pub use pipeline::{
-    run_method, run_spec, EnsembleSpec, FitRequest, MergeStrategy, Method, MethodOutput, MethodSpec,
-};
+pub use pipeline::{run_spec, EnsembleSpec, MergeStrategy, Method, MethodOutput, MethodSpec};
 pub use rhchme::{Rhchme, RhchmeConfig, RhchmeResult, WarmStart};
 
 /// Result alias for this crate.

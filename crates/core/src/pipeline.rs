@@ -1,53 +1,51 @@
-//! One-call experiment runners behind the open method-dispatch API.
+//! One-call experiment runners and the method table.
 //!
-//! [`run_spec`] executes a [`MethodSpec`] — the open, non-`Copy` method
-//! specification — on a corpus with a single parameter bundle and returns
-//! labels, traces and wall time; [`FitRequest`] is its fluent builder
-//! front end. The heavyweight intermediates (assembled `R`, feature
-//! views, pNN Laplacians, subspace Laplacians) are also exposed through
+//! [`run_spec`] executes a [`MethodSpec`] on a corpus with a single
+//! parameter bundle and returns labels, traces and wall time. The
+//! heavyweight intermediates (assembled `R`, feature views, pNN
+//! Laplacians, subspace Laplacians) are also exposed through
 //! [`Artifacts`] so parameter sweeps recompute only what a swept
 //! parameter actually touches (Fig. 2).
 //!
-//! # Method-dispatch API contract (the `Method` → `MethodSpec` migration)
+//! # Method dispatch
 //!
-//! Through PR 9 the dispatch type was the closed `Copy` enum [`Method`]
-//! and the entry point was `run_method(corpus, method, params)`. A method
-//! that carries its *own* configuration — the consensus-ensemble layer's
-//! generator pool, ensemble size and merge strategy — cannot be a unit
-//! variant of a `Copy` enum, so the dispatch surface was redesigned:
+//! [`MethodSpec`] is the one specification type: `MethodSpec::Base(Method)`
+//! wraps the seven paper methods and [`MethodSpec::Ensemble`] carries an
+//! [`EnsembleSpec`] (the consensus-ensemble configuration). [`run_spec`]
+//! here runs the seven base methods. `mtrl_ensemble::run_spec` runs
+//! ensemble specs and delegates every base spec back here, so callers
+//! that may receive either kind (the eval runner, demos) dispatch
+//! through it. [`MethodOutput::method`] records the spec; use
+//! [`MethodSpec::key`] for stable report keys and [`MethodSpec::as_base`]
+//! to recover the [`Method`].
 //!
-//! * [`MethodSpec`] is the specification type: `MethodSpec::Base(Method)`
-//!   wraps the seven paper methods unchanged; [`MethodSpec::Ensemble`]
-//!   carries an [`EnsembleSpec`] (the consensus-ensemble configuration).
-//!   New method families add variants here, keeping one spec type across
-//!   the pipeline, the evaluation matrix and serving provenance.
-//! * [`run_spec`] is the dispatcher for everything *this* crate
-//!   implements (the seven base methods). Method families that live in
-//!   their own crates layer on top: `mtrl_ensemble::run_spec` executes
-//!   [`MethodSpec::Ensemble`] and delegates every base spec back here.
-//!   Callers that may receive an ensemble spec (the eval runner, demos)
-//!   dispatch through `mtrl_ensemble::run_spec`; callers that only ever
-//!   run base methods may use this function directly.
-//! * [`run_method`] is **kept, not deprecated**: it is a thin shim over
-//!   `run_spec(corpus, &MethodSpec::from(method), params)` via the
-//!   [`From<Method>`] impl, so the `Method::all()` table-order benches
-//!   and every existing call site compile unchanged.
-//! * [`MethodOutput::method`] is now a [`MethodSpec`] (it was a
-//!   [`Method`]); use [`MethodSpec::key`] for stable report keys and
-//!   [`MethodSpec::as_base`] to recover the old enum where one applies.
+//! # The method table
+//!
+//! SRC, SNMTF, RMC and RHCHME are one NMTF objective (Eqs. 1, 2, 15) on
+//! one engine; they differ in the intra-type regulariser and in whether
+//! the `E_R` and row-ℓ1 terms are on (the table in [`crate::engine`]).
+//! [`PipelineParams::rhchme_config`] is the one mapping from a parameter
+//! bundle to a [`RhchmeConfig`], [`Method::engine_config`] is the one
+//! place a method's [`EngineConfig`] row is written, and
+//! [`Method::baseline_regularizer`] builds the SRC, SNMTF and RMC graph
+//! regularisers. Every fit of these four methods builds its engine input
+//! there: [`run_spec`], [`Rhchme`],
+//! [`Artifacts::run_rhchme_engine`] and the `mtrl-ensemble` members. The
+//! graph backend and precision belong to RHCHME alone, so an ensemble
+//! member equals the solo fit of its method at the same seed and
+//! cluster counts.
 
-use crate::baselines::{
-    run_drcc, run_rmc, run_snmtf, run_src, DrccConfig, DrccVariant, RmcConfig, SnmtfConfig,
-    SrcConfig,
+use crate::baselines::{run_drcc, DrccConfig, DrccVariant};
+use crate::engine::{run_engine, EngineConfig, EngineResult, GraphRegularizer};
+use crate::intra::{
+    hetero_laplacian, pnn_laplacians_backend_prec, rmc_candidates, subspace_laplacians,
 };
-use crate::engine::{run_engine, EngineConfig, GraphRegularizer};
-use crate::intra::{hetero_laplacian, pnn_laplacians_backend_prec, subspace_laplacians};
 use crate::multitype::MultiTypeData;
 use crate::rhchme::{init_membership, package_result, Rhchme, RhchmeConfig};
-use crate::Result;
+use crate::{Result, RhchmeError};
 use mtrl_datagen::MultiTypeCorpus;
-use mtrl_graph::{LaplacianKind, WeightScheme};
-use mtrl_linalg::Mat;
+use mtrl_graph::{GraphBackend, LaplacianKind};
+use mtrl_linalg::{Mat, Precision};
 use mtrl_sparse::SparseBlockDiag;
 use mtrl_subspace::SpgConfig;
 use std::time::{Duration, Instant};
@@ -113,6 +111,97 @@ impl Method {
             Method::Snmtf => "snmtf",
             Method::Rmc => "rmc",
             Method::Rhchme => "rhchme",
+        }
+    }
+
+    /// This method's row of the engine table (see [`crate::baselines`]
+    /// for each row's paper reference): the [`EngineConfig`] every fit of
+    /// SRC, SNMTF, RMC or RHCHME runs with.
+    ///
+    /// The four rows share `cfg`'s iteration budget, tolerance and label
+    /// recording. SRC has no graph term (λ = 0); SNMTF and RMC weight
+    /// theirs by `cfg.lambda`. Only RHCHME turns on the error matrix
+    /// `E_R` (weight `cfg.beta`) and the row-ℓ1 normalisation, and only
+    /// RHCHME runs at `cfg.precision`: SRC, SNMTF and RMC run `f64`.
+    ///
+    /// # Errors
+    /// [`RhchmeError::InvalidConfig`] for the DRCC variants, which have
+    /// their own solver ([`crate::baselines::drcc`]).
+    pub fn engine_config(self, cfg: &RhchmeConfig) -> Result<EngineConfig> {
+        let (lambda, robust) = match self {
+            Method::Src => (0.0, false),
+            Method::Snmtf | Method::Rmc => (cfg.lambda, false),
+            Method::Rhchme => (cfg.lambda, true),
+            Method::DrT | Method::DrC | Method::DrTC => {
+                return Err(RhchmeError::InvalidConfig(format!(
+                    "{} is not an NMTF engine method",
+                    self.paper_name()
+                )))
+            }
+        };
+        Ok(EngineConfig {
+            lambda,
+            beta: if robust { cfg.beta } else { 0.0 },
+            use_error_matrix: robust,
+            l1_row_normalize: robust,
+            max_iter: cfg.max_iter,
+            tol: cfg.tol,
+            record_labels_for_type: cfg.record_doc_labels.then_some(0),
+            precision: if robust {
+                cfg.precision
+            } else {
+                Precision::F64
+            },
+            ..EngineConfig::default()
+        })
+    }
+
+    /// SRC's, SNMTF's or RMC's graph regulariser on `features`: none, the
+    /// pNN Laplacian of RHCHME's `L_E` recipe, or RMC's six candidates —
+    /// all built exact and `f64`, since the graph backend and precision
+    /// belong to RHCHME. A caller that holds RHCHME's `L_E` for the same
+    /// features and `params` passes it as `l_e`; it is reused where it
+    /// is the same graph (an exact `f64` `L_E`, and for RMC only at
+    /// `p = 5`).
+    ///
+    /// # Errors
+    /// [`RhchmeError::InvalidConfig`] for RHCHME (its regulariser is the
+    /// heterogeneous ensemble) and the DRCC variants; propagates graph
+    /// construction failures.
+    pub fn baseline_regularizer(
+        self,
+        features: &[Mat],
+        params: &PipelineParams,
+        l_e: Option<&SparseBlockDiag>,
+    ) -> Result<GraphRegularizer> {
+        let cfg = params.rhchme_config();
+        let exact_l_e =
+            l_e.filter(|_| cfg.graph_backend.is_exact() && cfg.precision == Precision::F64);
+        match self {
+            Method::Src => Ok(GraphRegularizer::None),
+            Method::Snmtf => Ok(GraphRegularizer::Fixed(match exact_l_e {
+                Some(l) => l.clone(),
+                None => pnn_laplacians_backend_prec(
+                    features,
+                    cfg.p,
+                    cfg.weight_scheme,
+                    cfg.laplacian_kind,
+                    &GraphBackend::Exact,
+                    Precision::F64,
+                )?,
+            })),
+            Method::Rmc => Ok(GraphRegularizer::Ensemble {
+                candidates: rmc_candidates(
+                    features,
+                    cfg.laplacian_kind,
+                    exact_l_e.filter(|_| cfg.p == 5),
+                )?,
+                mu: params.rmc_mu,
+            }),
+            _ => Err(RhchmeError::InvalidConfig(format!(
+                "{} has no baseline graph regulariser",
+                self.paper_name()
+            ))),
         }
     }
 }
@@ -300,15 +389,17 @@ pub struct PipelineParams {
     pub beta: f64,
     /// pNN neighbour count for SNMTF/RHCHME/DRCC graphs.
     pub p: usize,
-    /// Neighbour-search backend for RHCHME's pNN graphs (exact blocked
-    /// kernel or the rp-forest index of `mtrl_graph::ann`; other methods
-    /// keep the exact kernel — their corpora are baseline-sized by
-    /// construction).
-    pub graph_backend: mtrl_graph::GraphBackend,
+    /// Neighbour-search backend for RHCHME's pNN graph `L_E`: the exact
+    /// blocked kernel or the rp-forest index of `mtrl_graph::ann`. Like
+    /// [`Self::precision`] it belongs to RHCHME alone: SRC, SNMTF and RMC
+    /// always build exact graphs and run `f64` ([`Method::engine_config`]),
+    /// so their ensemble members equal their solo fits under any backend.
+    pub graph_backend: GraphBackend,
     /// Kernel storage precision for RHCHME's hot loops (pNN Gram chain,
     /// engine SpMM / low-rank / residual kernels); see
-    /// [`RhchmeConfig::precision`]. Baseline methods always run `f64`.
-    pub precision: mtrl_linalg::Precision,
+    /// [`RhchmeConfig::precision`]. RHCHME's alone, like
+    /// [`Self::graph_backend`]: SRC, SNMTF and RMC always run `f64`.
+    pub precision: Precision,
     /// RMC's quadratic penalty μ on ensemble weights.
     pub rmc_mu: f64,
     /// DRCC document-side graph weight.
@@ -340,8 +431,8 @@ impl Default for PipelineParams {
             alpha: 1.0,
             beta: 50.0,
             p: 5,
-            graph_backend: mtrl_graph::GraphBackend::Exact,
-            precision: mtrl_linalg::Precision::F64,
+            graph_backend: GraphBackend::Exact,
+            precision: Precision::F64,
             rmc_mu: 1.0,
             drcc_lambda: 0.1,
             drcc_mu: 0.1,
@@ -352,6 +443,31 @@ impl Default for PipelineParams {
             seed: 2015,
             record_doc_labels: false,
             export_model: false,
+        }
+    }
+}
+
+impl PipelineParams {
+    /// The estimator-side view of this bundle — the one mapping from
+    /// [`PipelineParams`] to [`RhchmeConfig`]. The weight scheme and
+    /// Laplacian kind keep their defaults; the DRCC, RMC and export
+    /// fields have no estimator counterpart.
+    pub fn rhchme_config(&self) -> RhchmeConfig {
+        RhchmeConfig {
+            lambda: self.lambda,
+            gamma: self.gamma,
+            alpha: self.alpha,
+            beta: self.beta,
+            p: self.p,
+            graph_backend: self.graph_backend,
+            precision: self.precision,
+            spg_max_iter: self.spg_max_iter,
+            max_iter: self.max_iter,
+            tol: self.tol,
+            seed: self.seed,
+            feature_cluster_divisor: self.feature_cluster_divisor,
+            record_doc_labels: self.record_doc_labels,
+            ..RhchmeConfig::default()
         }
     }
 }
@@ -389,20 +505,6 @@ impl MethodOutput {
     }
 }
 
-/// Run one method end to end on a corpus — the compatibility shim over
-/// [`run_spec`] kept for the `Method::all()` table-order benches (see the
-/// module-level API contract).
-///
-/// # Errors
-/// Propagates data-assembly and optimisation errors.
-pub fn run_method(
-    corpus: &MultiTypeCorpus,
-    method: Method,
-    params: &PipelineParams,
-) -> Result<MethodOutput> {
-    run_spec(corpus, &MethodSpec::from(method), params)
-}
-
 /// Run a [`MethodSpec`] end to end on a corpus.
 ///
 /// This crate executes the seven base methods. [`MethodSpec::Ensemble`]
@@ -421,7 +523,7 @@ pub fn run_spec(
     let method = match spec {
         MethodSpec::Base(m) => *m,
         MethodSpec::Ensemble(_) => {
-            return Err(crate::RhchmeError::InvalidConfig(
+            return Err(RhchmeError::InvalidConfig(
                 "MethodSpec::Ensemble is executed by mtrl_ensemble::run_spec; \
                  rhchme::pipeline::run_spec dispatches only the seven base methods"
                     .into(),
@@ -463,68 +565,13 @@ pub fn run_spec(
                 model: None,
             }
         }
-        Method::Src => {
+        Method::Src | Method::Snmtf | Method::Rmc => {
             let data = MultiTypeData::from_corpus(corpus, params.feature_cluster_divisor)?;
-            let res = run_src(
-                &data,
-                &SrcConfig {
-                    max_iter: params.max_iter,
-                    tol: params.tol,
-                    seed: params.seed,
-                    record_doc_labels: params.record_doc_labels,
-                },
-            )?;
-            to_output(method, res, start)
-        }
-        Method::Snmtf => {
-            let data = MultiTypeData::from_corpus(corpus, params.feature_cluster_divisor)?;
-            let res = run_snmtf(
-                &data,
-                &SnmtfConfig {
-                    lambda: params.lambda,
-                    p: params.p,
-                    max_iter: params.max_iter,
-                    tol: params.tol,
-                    seed: params.seed,
-                    record_doc_labels: params.record_doc_labels,
-                    ..SnmtfConfig::default()
-                },
-            )?;
-            to_output(method, res, start)
-        }
-        Method::Rmc => {
-            let data = MultiTypeData::from_corpus(corpus, params.feature_cluster_divisor)?;
-            let res = run_rmc(
-                &data,
-                &RmcConfig {
-                    lambda: params.lambda,
-                    mu: params.rmc_mu,
-                    max_iter: params.max_iter,
-                    tol: params.tol,
-                    seed: params.seed,
-                    record_doc_labels: params.record_doc_labels,
-                    ..RmcConfig::default()
-                },
-            )?;
-            to_output(method, res.clustering, start)
+            let out = fit_baseline(&data, method, params)?;
+            to_output(method, package_result(&data, out), start)
         }
         Method::Rhchme => {
-            let model = Rhchme::new(RhchmeConfig {
-                lambda: params.lambda,
-                gamma: params.gamma,
-                alpha: params.alpha,
-                beta: params.beta,
-                p: params.p,
-                graph_backend: params.graph_backend,
-                precision: params.precision,
-                spg_max_iter: params.spg_max_iter,
-                max_iter: params.max_iter,
-                tol: params.tol,
-                seed: params.seed,
-                feature_cluster_divisor: params.feature_cluster_divisor,
-                record_doc_labels: params.record_doc_labels,
-                ..RhchmeConfig::default()
-            });
+            let model = Rhchme::new(params.rhchme_config());
             // Assemble the multi-type data once and share it between the
             // fit and the export (export_model would rebuild it).
             let data = MultiTypeData::from_corpus(corpus, params.feature_cluster_divisor)?;
@@ -542,6 +589,20 @@ pub fn run_spec(
     Ok(out)
 }
 
+/// SRC, SNMTF or RMC on assembled data: the method's graph regulariser,
+/// a k-means start and its engine row.
+fn fit_baseline(
+    data: &MultiTypeData,
+    method: Method,
+    params: &PipelineParams,
+) -> Result<EngineResult> {
+    let features = data.all_features();
+    let reg = method.baseline_regularizer(&features, params, None)?;
+    let engine_cfg = method.engine_config(&params.rhchme_config())?;
+    let g0 = init_membership(data, &features, params.seed);
+    run_engine(&data.assemble_r_csr(), data, &reg, g0, &engine_cfg)
+}
+
 fn to_output(method: Method, res: crate::rhchme::RhchmeResult, start: Instant) -> MethodOutput {
     MethodOutput {
         method: MethodSpec::Base(method),
@@ -552,84 +613,6 @@ fn to_output(method: Method, res: crate::rhchme::RhchmeResult, start: Instant) -
         iterations: res.iterations,
         converged: res.converged,
         model: None,
-    }
-}
-
-/// Fluent builder front end for [`run_spec`], mirroring the serve layer's
-/// `AssignRequest` builder: start from a corpus, layer on a spec and
-/// parameter overrides, then [`FitRequest::run`].
-///
-/// ```no_run
-/// # use rhchme::pipeline::{FitRequest, Method};
-/// # fn demo(corpus: &mtrl_datagen::MultiTypeCorpus) -> rhchme::Result<()> {
-/// let out = FitRequest::new(corpus)
-///     .spec(Method::Snmtf)
-///     .seed(7)
-///     .export_model(true)
-///     .run()?;
-/// # let _ = out; Ok(()) }
-/// ```
-///
-/// Like [`run_spec`], `run` executes base methods only; build ensemble
-/// requests here too, but execute them with `mtrl_ensemble::run_spec`
-/// via [`FitRequest::into_parts`].
-pub struct FitRequest<'c> {
-    corpus: &'c MultiTypeCorpus,
-    spec: MethodSpec,
-    params: PipelineParams,
-}
-
-impl<'c> FitRequest<'c> {
-    /// Start a request with the paper's method and default parameters.
-    pub fn new(corpus: &'c MultiTypeCorpus) -> Self {
-        FitRequest {
-            corpus,
-            spec: MethodSpec::Base(Method::Rhchme),
-            params: PipelineParams::default(),
-        }
-    }
-
-    /// Set the method spec (accepts `Method`, `EnsembleSpec` or
-    /// `MethodSpec` via `Into`).
-    #[must_use]
-    pub fn spec(mut self, spec: impl Into<MethodSpec>) -> Self {
-        self.spec = spec.into();
-        self
-    }
-
-    /// Replace the whole parameter bundle.
-    #[must_use]
-    pub fn params(mut self, params: PipelineParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// Set the initialisation seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.params.seed = seed;
-        self
-    }
-
-    /// Request a serving-ready [`crate::FittedModel`] with the result.
-    #[must_use]
-    pub fn export_model(mut self, export: bool) -> Self {
-        self.params.export_model = export;
-        self
-    }
-
-    /// Execute the request (base methods; see [`run_spec`]).
-    ///
-    /// # Errors
-    /// Propagates [`run_spec`] errors.
-    pub fn run(self) -> Result<MethodOutput> {
-        run_spec(self.corpus, &self.spec, &self.params)
-    }
-
-    /// Decompose into `(corpus, spec, params)` for an external dispatcher
-    /// such as `mtrl_ensemble::run_spec`.
-    pub fn into_parts(self) -> (&'c MultiTypeCorpus, MethodSpec, PipelineParams) {
-        (self.corpus, self.spec, self.params)
     }
 }
 
@@ -652,8 +635,12 @@ pub struct Artifacts {
     pub features: Vec<Mat>,
     /// k-means initial membership.
     pub g0: Mat,
-    /// pNN Laplacian ensemble member `L_E` (sparse block diagonal).
+    /// RHCHME's pNN Laplacian ensemble member `L_E` (sparse block
+    /// diagonal), at the parameters' graph backend and precision.
     pub l_pnn: SparseBlockDiag,
+    /// RHCHME's engine precision, which [`Self::run_rhchme_engine`] runs
+    /// at like [`Self::l_pnn`] was built at.
+    precision: Precision,
 }
 
 impl Artifacts {
@@ -662,17 +649,18 @@ impl Artifacts {
     /// # Errors
     /// Propagates data-assembly errors.
     pub fn new(corpus: &MultiTypeCorpus, params: &PipelineParams) -> Result<Self> {
-        let data = MultiTypeData::from_corpus(corpus, params.feature_cluster_divisor)?;
+        let cfg = params.rhchme_config();
+        let data = MultiTypeData::from_corpus(corpus, cfg.feature_cluster_divisor)?;
         let features = data.all_features();
-        let g0 = init_membership(&data, &features, params.seed);
+        let g0 = init_membership(&data, &features, cfg.seed);
         let r = data.assemble_r_csr();
         let l_pnn = pnn_laplacians_backend_prec(
             &features,
-            params.p,
-            WeightScheme::Cosine,
-            LaplacianKind::SymNormalized,
-            &params.graph_backend,
-            mtrl_linalg::Precision::F64,
+            cfg.p,
+            cfg.weight_scheme,
+            cfg.laplacian_kind,
+            &cfg.graph_backend,
+            cfg.precision,
         )?;
         Ok(Artifacts {
             data,
@@ -680,6 +668,7 @@ impl Artifacts {
             features,
             g0,
             l_pnn,
+            precision: cfg.precision,
         })
     }
 
@@ -725,22 +714,21 @@ impl Artifacts {
         record_doc_labels: bool,
     ) -> Result<crate::rhchme::RhchmeResult> {
         let l = hetero_laplacian(l_sub, &self.l_pnn, alpha)?;
-        let cfg = EngineConfig {
+        let cfg = RhchmeConfig {
             lambda,
             beta,
-            use_error_matrix: true,
-            l1_row_normalize: true,
             max_iter,
             tol,
-            record_labels_for_type: record_doc_labels.then_some(0),
-            ..EngineConfig::default()
+            record_doc_labels,
+            precision: self.precision,
+            ..RhchmeConfig::default()
         };
         let out = run_engine(
             &self.r,
             &self.data,
             &GraphRegularizer::Fixed(l),
             self.g0.clone(),
-            &cfg,
+            &Method::Rhchme.engine_config(&cfg)?,
         )?;
         Ok(package_result(&self.data, out))
     }
@@ -782,7 +770,7 @@ mod tests {
         let c = corpus();
         let params = fast_params();
         for method in Method::all() {
-            let out = run_method(&c, method, &params).unwrap();
+            let out = run_spec(&c, &method.into(), &params).unwrap();
             assert_eq!(out.doc_labels.len(), 16, "{method:?}");
             assert!(!out.objective_trace.is_empty(), "{method:?}");
             assert!(out.elapsed.as_nanos() > 0);
@@ -804,14 +792,12 @@ mod tests {
     }
 
     #[test]
-    fn spec_shim_matches_run_method_and_rejects_ensemble() {
+    fn run_spec_records_the_spec_and_rejects_ensemble() {
         let c = corpus();
         let params = fast_params();
-        let via_method = run_method(&c, Method::Src, &params).unwrap();
-        let via_spec = run_spec(&c, &MethodSpec::from(Method::Src), &params).unwrap();
-        assert_eq!(via_method.doc_labels, via_spec.doc_labels);
-        assert_eq!(via_spec.method, MethodSpec::Base(Method::Src));
-        assert_eq!(via_spec.method.as_base(), Some(Method::Src));
+        let out = run_spec(&c, &MethodSpec::from(Method::Src), &params).unwrap();
+        assert_eq!(out.method, MethodSpec::Base(Method::Src));
+        assert_eq!(out.method.as_base(), Some(Method::Src));
 
         let err = run_spec(&c, &MethodSpec::ensemble(), &params).unwrap_err();
         assert!(
@@ -844,24 +830,101 @@ mod tests {
     }
 
     #[test]
-    fn fit_request_builder_runs() {
-        let c = corpus();
-        let out = FitRequest::new(&c)
-            .spec(Method::Snmtf)
-            .params(fast_params())
-            .seed(9)
-            .run()
-            .unwrap();
-        assert_eq!(out.doc_labels.len(), 16);
-        assert_eq!(out.method.key(), "snmtf");
+    fn engine_rows_follow_the_method_table() {
+        let cfg = RhchmeConfig {
+            lambda: 0.3,
+            beta: 7.0,
+            max_iter: 11,
+            tol: 1e-4,
+            record_doc_labels: true,
+            precision: Precision::F32,
+            ..RhchmeConfig::default()
+        };
+        let rows = [Method::Src, Method::Snmtf, Method::Rmc, Method::Rhchme]
+            .map(|m| m.engine_config(&cfg).unwrap());
+        let lambdas: Vec<f64> = rows.iter().map(|r| r.lambda).collect();
+        assert_eq!(lambdas, vec![0.0, 0.3, 0.3, 0.3]);
+        let betas: Vec<f64> = rows.iter().map(|r| r.beta).collect();
+        assert_eq!(betas, vec![0.0, 0.0, 0.0, 7.0]);
+        for (row, robust) in rows.iter().zip([false, false, false, true]) {
+            assert_eq!(row.use_error_matrix, robust);
+            assert_eq!(row.l1_row_normalize, robust);
+            let precision = if robust {
+                Precision::F32
+            } else {
+                Precision::F64
+            };
+            assert_eq!(row.precision, precision);
+            assert_eq!((row.max_iter, row.tol), (11, 1e-4));
+            assert_eq!(row.record_labels_for_type, Some(0));
+        }
+        for drcc in [Method::DrT, Method::DrC, Method::DrTC] {
+            assert!(drcc.engine_config(&cfg).is_err(), "{drcc:?}");
+        }
+        let params = PipelineParams::default();
+        for other in [Method::Rhchme, Method::DrT] {
+            assert!(other.baseline_regularizer(&[], &params, None).is_err());
+        }
+    }
 
-        let (corpus_ref, spec, params) = FitRequest::new(&c)
-            .spec(EnsembleSpec::default())
-            .export_model(true)
-            .into_parts();
-        assert_eq!(corpus_ref.labels.len(), 16);
-        assert_eq!(spec.key(), "ensemble");
-        assert!(params.export_model);
+    /// `method`'s table-row fit of a clean two-class corpus: the
+    /// document FScore and the engine result.
+    fn fit_clean(method: Method, seed: u64, params: &PipelineParams) -> (f64, EngineResult) {
+        let corpus = generate(&CorpusConfig {
+            docs_per_class: vec![10, 10],
+            vocab_size: 60,
+            concept_count: 15,
+            doc_len_range: (30, 45),
+            background_frac: 0.25,
+            topic_noise: 0.2,
+            concept_map_noise: 0.1,
+            corrupt_frac: 0.0,
+            subtopics_per_class: 1,
+            view_confusion: 0.0,
+            seed,
+        });
+        let data = MultiTypeData::from_corpus(&corpus, 10).unwrap();
+        let out = fit_baseline(&data, method, params).unwrap();
+        let doc_labels = data.labels_from_membership(&out.g, 0);
+        (mtrl_metrics::fscore(&corpus.labels, &doc_labels), out)
+    }
+
+    #[test]
+    fn src_clusters_clean_data() {
+        let params = PipelineParams {
+            max_iter: 40,
+            ..PipelineParams::default()
+        };
+        let (f, out) = fit_clean(Method::Src, 41, &params);
+        assert!(f > 0.7, "fscore {f}");
+        assert!(out.error_row_norms.is_empty());
+    }
+
+    #[test]
+    fn snmtf_clusters_clean_data() {
+        let params = PipelineParams {
+            lambda: 0.5,
+            max_iter: 40,
+            ..PipelineParams::default()
+        };
+        let (f, _) = fit_clean(Method::Snmtf, 42, &params);
+        assert!(f > 0.7, "fscore {f}");
+    }
+
+    #[test]
+    fn rmc_clusters_and_weights_on_simplex() {
+        let params = PipelineParams {
+            lambda: 0.5,
+            max_iter: 25,
+            ..PipelineParams::default()
+        };
+        let (f, out) = fit_clean(Method::Rmc, 43, &params);
+        assert!(f > 0.7, "fscore {f}");
+        let weights = out.ensemble_weights.expect("RMC learns ensemble weights");
+        assert_eq!(weights.len(), 6);
+        let sum: f64 = weights.iter().sum();
+        assert!((sum - 1.0).abs() < 1e-9, "weights sum {sum}");
+        assert!(weights.iter().all(|&b| b >= 0.0));
     }
 
     #[test]

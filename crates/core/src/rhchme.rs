@@ -17,6 +17,7 @@ use crate::export::FittedModel;
 use crate::intra::{hetero_laplacian, pnn_laplacians_backend_prec, subspace_laplacians};
 use crate::kmeans::{kmeans, labels_to_membership};
 use crate::multitype::MultiTypeData;
+use crate::pipeline::Method;
 use crate::Result;
 use mtrl_graph::{LaplacianKind, WeightScheme};
 use mtrl_linalg::block::stack_membership;
@@ -258,18 +259,10 @@ impl Rhchme {
         g0: Mat,
         max_iter: usize,
     ) -> Result<RhchmeResult> {
-        let cfg = &self.config;
         let r = data.assemble_r_csr();
         let engine_cfg = EngineConfig {
-            lambda: cfg.lambda,
-            beta: cfg.beta,
-            use_error_matrix: true,
-            l1_row_normalize: true,
             max_iter,
-            tol: cfg.tol,
-            record_labels_for_type: cfg.record_doc_labels.then_some(0),
-            precision: cfg.precision,
-            ..EngineConfig::default()
+            ..Method::Rhchme.engine_config(&self.config)?
         };
         let engine_out = run_engine(&r, data, &GraphRegularizer::Fixed(l), g0, &engine_cfg)?;
         Ok(package_result(data, engine_out))
@@ -321,8 +314,9 @@ pub fn init_membership(data: &MultiTypeData, features: &[Mat], seed: u64) -> Mat
 }
 
 /// Convert an engine result into the public result type. Public so
-/// method layers built on [`crate::engine::run_engine`] (the baselines
-/// here, the `mtrl-ensemble` generator) can package their fits uniformly.
+/// method layers built on [`crate::engine::run_engine`] (the pipeline's
+/// baseline arms, the `mtrl-ensemble` generator) can package their fits
+/// uniformly.
 pub fn package_result(data: &MultiTypeData, out: EngineResult) -> RhchmeResult {
     let labels_per_type: Vec<Vec<usize>> = (0..data.num_types())
         .map(|k| data.labels_from_membership(&out.g, k))

@@ -1,12 +1,14 @@
 //! Base-partition generator: diverse fits over the shared artifacts.
 //!
 //! All four HOCC methods in this workspace are the same sparse-first
-//! NMTF engine under different graph regularisers (see the baseline
-//! modules in `rhchme::baselines`), so the generator computes the
-//! heavyweight inputs once — assembled `R`, feature views, pNN and
-//! subspace Laplacians, RMC candidate pool, all via
-//! [`rhchme::pipeline::Artifacts`] — and then runs one cheap engine fit
-//! per member, perturbing three diversity axes:
+//! NMTF engine under different graph regularisers (the method table of
+//! `rhchme::pipeline`), so the generator computes the heavyweight inputs
+//! once — assembled `R`, feature views, pNN and subspace Laplacians, RMC
+//! candidate pool, all via [`rhchme::pipeline::Artifacts`] — and then
+//! runs one cheap engine fit per member on its method's
+//! [`Method::engine_config`] row. A member at the canonical seed and
+//! cluster counts therefore equals the solo fit of its method. Diversity
+//! comes from perturbing three axes:
 //!
 //! * **seed** — each member draws its k-means initialisation seed from a
 //!   splitmix64 stream keyed on the canonical seed;
@@ -23,8 +25,8 @@
 //! candidate; the merge then selects the best-scoring anchor among all
 //! same-k members (see `merge::consensus_over_references`).
 
-use rhchme::engine::{run_engine, EngineConfig, GraphRegularizer};
-use rhchme::intra::{hetero_laplacian, rmc_candidates};
+use rhchme::engine::{run_engine, GraphRegularizer};
+use rhchme::intra::hetero_laplacian;
 use rhchme::multitype::MultiTypeData;
 use rhchme::pipeline::{Artifacts, EnsembleSpec, Method, PipelineParams};
 use rhchme::rhchme::init_membership;
@@ -63,21 +65,12 @@ impl SharedRegularizers {
     pub fn new(arts: &Artifacts, params: &PipelineParams) -> Result<Self> {
         let l_sub = arts.subspace_laplacian(params.gamma, params.spg_max_iter, params.seed)?;
         let l_hetero = hetero_laplacian(&l_sub, &arts.l_pnn, params.alpha)?;
-        // `arts.l_pnn` is the exact p = 5 cosine candidate whenever the
-        // fit's own graph is.
-        let pnn5_cosine = (params.p == 5 && params.graph_backend.is_exact()).then_some(&arts.l_pnn);
-        let candidates = rmc_candidates(
-            &arts.features,
-            mtrl_graph::LaplacianKind::SymNormalized,
-            pnn5_cosine,
-        )?;
+        let baseline =
+            |m: Method| m.baseline_regularizer(&arts.features, params, Some(&arts.l_pnn));
         Ok(SharedRegularizers {
-            none: GraphRegularizer::None,
-            pnn: GraphRegularizer::Fixed(arts.l_pnn.clone()),
-            rmc: GraphRegularizer::Ensemble {
-                candidates,
-                mu: params.rmc_mu,
-            },
+            none: baseline(Method::Src)?,
+            pnn: baseline(Method::Snmtf)?,
+            rmc: baseline(Method::Rmc)?,
             hetero: GraphRegularizer::Fixed(l_hetero),
         })
     }
@@ -173,60 +166,15 @@ fn fit_member(
         respecced = arts.data.with_cluster_counts(counts)?;
         &respecced
     };
-    let g0 = init_membership(data, &arts.features, seed);
-    let (reg, cfg) = match method {
-        Method::Src => (
-            &regs.none,
-            EngineConfig {
-                lambda: 0.0,
-                use_error_matrix: false,
-                l1_row_normalize: false,
-                max_iter: params.max_iter,
-                tol: params.tol,
-                ..EngineConfig::default()
-            },
-        ),
-        Method::Snmtf => (
-            &regs.pnn,
-            EngineConfig {
-                lambda: params.lambda,
-                use_error_matrix: false,
-                l1_row_normalize: false,
-                max_iter: params.max_iter,
-                tol: params.tol,
-                ..EngineConfig::default()
-            },
-        ),
-        Method::Rmc => (
-            &regs.rmc,
-            EngineConfig {
-                lambda: params.lambda,
-                use_error_matrix: false,
-                l1_row_normalize: false,
-                max_iter: params.max_iter,
-                tol: params.tol,
-                ..EngineConfig::default()
-            },
-        ),
-        Method::Rhchme => (
-            &regs.hetero,
-            EngineConfig {
-                lambda: params.lambda,
-                beta: params.beta,
-                use_error_matrix: true,
-                l1_row_normalize: true,
-                max_iter: params.max_iter,
-                tol: params.tol,
-                precision: params.precision,
-                ..EngineConfig::default()
-            },
-        ),
-        other => {
-            return Err(RhchmeError::InvalidConfig(format!(
-                "ensemble pool member {other:?} is not a multi-type method"
-            )))
-        }
+    // Errors for the DRCC methods, which are not engine rows.
+    let cfg = method.engine_config(&params.rhchme_config())?;
+    let reg = match method {
+        Method::Src => &regs.none,
+        Method::Snmtf => &regs.pnn,
+        Method::Rmc => &regs.rmc,
+        _ => &regs.hetero,
     };
+    let g0 = init_membership(data, &arts.features, seed);
     let out = run_engine(&arts.r, data, reg, g0, &cfg)?;
     let labels_per_type = (0..data.num_types())
         .map(|k| data.labels_from_membership(&out.g, k))

@@ -32,7 +32,7 @@ use mtrl_linalg::kmeans::labels_to_membership;
 use mtrl_linalg::{ops, solve, Mat};
 use rhchme::multitype::MultiTypeData;
 use rhchme::pipeline::{Artifacts, EnsembleSpec, MethodOutput, MethodSpec, PipelineParams};
-use rhchme::rhchme::{RhchmeConfig, RhchmeResult};
+use rhchme::rhchme::RhchmeResult;
 use rhchme::{FittedModel, Result, RhchmeError};
 use std::time::Instant;
 
@@ -273,23 +273,10 @@ pub fn export_model_from_data(
         iterations: result.members.len(),
         converged: true,
     };
-    let config = RhchmeConfig {
-        lambda: params.lambda,
-        gamma: params.gamma,
-        alpha: params.alpha,
-        beta: params.beta,
-        p: params.p,
-        graph_backend: params.graph_backend,
-        precision: params.precision,
-        spg_max_iter: params.spg_max_iter,
-        max_iter: params.max_iter,
-        tol: params.tol,
-        seed: params.seed,
-        feature_cluster_divisor: params.feature_cluster_divisor,
-        record_doc_labels: false,
-        ..RhchmeConfig::default()
-    };
-    Ok(rhchme::export::build_model(config, &packaged, data)?.with_method("ensemble"))
+    Ok(
+        rhchme::export::build_model(params.rhchme_config(), &packaged, data)?
+            .with_method("ensemble"),
+    )
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //!   feature-noise / relation-corruption cold fits of all four HOCC
 //!   methods plus the serve fold-in and stream warm-refit paths;
 //! * [`runner`] — executes scenarios end to end through
-//!   `pipeline::run_method`, `mtrl-serve` and `mtrl-stream`, scoring
+//!   `mtrl_ensemble::run_spec`, `mtrl-serve` and `mtrl-stream`, scoring
 //!   FScore/NMI/ARI over a fixed seed matrix (bit-reproducible given
 //!   the build);
 //! * [`report`] — the versioned `QUALITY_*.json` format with the

@@ -24,6 +24,7 @@
 //! also pins: quality means over different seed sets are different
 //! experiments.
 
+use mtrl_obs::export::{git_sha, target_features};
 use serde_json::Value;
 
 /// Schema tag of quality reports.
@@ -100,36 +101,6 @@ impl ReportMeta {
         }
         out
     }
-}
-
-/// Best-effort short git sha of the working tree (`unknown` outside a
-/// repository or without a `git` binary).
-pub fn git_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// The compile-time CPU features the hot kernels depend on, as a stable
-/// comma-joined string. `avx2,fma` under both `target-cpu=native` (on
-/// any recent x86) and CI's pinned `x86-64-v3`; empty under the generic
-/// baseline — exactly the stale-flag build whose numbers must not be
-/// compared against an FMA baseline.
-pub fn target_features() -> String {
-    let mut feats: Vec<&str> = Vec::new();
-    if cfg!(target_feature = "avx2") {
-        feats.push("avx2");
-    }
-    if cfg!(target_feature = "fma") {
-        feats.push("fma");
-    }
-    feats.join(",")
 }
 
 /// A malformed `meta.seeds` array (present but with non-integer

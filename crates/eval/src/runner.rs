@@ -91,26 +91,12 @@ fn apply_degrade(params: &mut PipelineParams) {
     params.beta = 1e9;
 }
 
-/// The estimator-side view of a [`PipelineParams`] bundle — the single
-/// mapping every direct `Rhchme` construction in the evaluation layer
-/// (serve/stream scenario paths, `determinism_probe`) goes through, so
-/// a change to [`quick_params`] reaches all of them.
+/// The estimator-side view of a [`PipelineParams`] bundle, for every
+/// direct `Rhchme` construction in the evaluation layer (serve/stream
+/// scenario paths, `determinism_probe`); delegates to the one mapping,
+/// [`PipelineParams::rhchme_config`].
 pub fn rhchme_config(params: &PipelineParams) -> RhchmeConfig {
-    RhchmeConfig {
-        lambda: params.lambda,
-        gamma: params.gamma,
-        alpha: params.alpha,
-        beta: params.beta,
-        p: params.p,
-        graph_backend: params.graph_backend,
-        spg_max_iter: params.spg_max_iter,
-        max_iter: params.max_iter,
-        tol: params.tol,
-        seed: params.seed,
-        feature_cluster_divisor: params.feature_cluster_divisor,
-        precision: params.precision,
-        ..RhchmeConfig::default()
-    }
+    params.rhchme_config()
 }
 
 /// Run one scenario across a seed matrix.

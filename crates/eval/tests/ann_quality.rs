@@ -10,14 +10,14 @@
 use mtrl_datagen::{CorpusConfig, CorruptionSpec};
 use mtrl_eval::{quick_params, CorpusShape};
 use mtrl_graph::{GraphBackend, RpForestParams};
-use rhchme::pipeline::{run_method, Method};
+use rhchme::pipeline::{run_spec, Method};
 
 fn quality_delta(config: &CorpusConfig, seed: u64) -> (f64, f64) {
     let corpus = CorruptionSpec::clean().corpus(config, seed);
-    let exact = run_method(&corpus, Method::Rhchme, &quick_params(seed)).unwrap();
+    let exact = run_spec(&corpus, &Method::Rhchme.into(), &quick_params(seed)).unwrap();
     let mut ann_params = quick_params(seed);
     ann_params.graph_backend = GraphBackend::RpForest(RpForestParams::default());
-    let ann = run_method(&corpus, Method::Rhchme, &ann_params).unwrap();
+    let ann = run_spec(&corpus, &Method::Rhchme.into(), &ann_params).unwrap();
     let qe = exact.quality(&corpus.labels);
     let qa = ann.quality(&corpus.labels);
     ((qe.fscore - qa.fscore).abs(), (qe.nmi - qa.nmi).abs())

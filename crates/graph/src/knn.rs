@@ -383,7 +383,7 @@ fn gram_tile_neg2<S: GramRows>(src: &S, xt: &S, t0: usize, t1: usize, tile_buf: 
 /// Squared distance `‖a − b‖²` through the Gram identity
 /// `g_a + g_b − 2·aᵀb`, with the cross term accumulated in ascending-`k`
 /// FMA order — **the exact rounding sequence of the blocked kernel**
-/// ([`axpy1_fma`] / [`axpy4_fma`] chains), so the value equals what any
+/// (`axpy1_fma` / `axpy4_fma` chains), so the value equals what any
 /// tile/thread layout of [`cross_sq_dist_map`] produces for the same
 /// pair. `g_a` / `g_b` must be `dot(a, a)` / `dot(b, b)` of the rows as
 /// passed (callers that centre their data pass centred rows and norms).
@@ -534,7 +534,7 @@ fn axpy4_fma<E: Copy + Into<f64>>(o: &mut [f64], a: [f64; 4], x: [&[E]; 4]) {
 
 /// `(dist, index)` strict total order: `f64::total_cmp` on the distance
 /// (NaN greater than every real), ascending index on ties. Both selection
-/// paths — this scan and [`select_p_nearest`] — pick the `p` smallest
+/// paths — this scan and `select_p_nearest` — pick the `p` smallest
 /// elements of the same order, so their neighbour *sets* always agree.
 ///
 /// Public so candidate-based selections elsewhere (`mtrl-stream`'s

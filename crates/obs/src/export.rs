@@ -16,8 +16,10 @@ use crate::registry::Registry;
 /// Manifest schema identifier; bump on breaking layout changes.
 pub const MANIFEST_SCHEMA: &str = "mtrl-obs-manifest/v1";
 
-/// Short git SHA of HEAD, or `"unknown"` outside a work tree.
-fn git_sha() -> String {
+/// Short git SHA of HEAD, or `"unknown"` outside a work tree — the
+/// `git_sha` of every provenance header (run manifests here, the
+/// `mtrl-eval` quality and bench summaries).
+pub fn git_sha() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()
@@ -29,8 +31,13 @@ fn git_sha() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Compile-time SIMD features, comma-joined (matches the eval reports).
-fn target_features() -> String {
+/// The compile-time CPU features the hot kernels depend on, as a stable
+/// comma-joined string — the `target_features` of every provenance
+/// header. `avx2,fma` under both `target-cpu=native` (on any recent x86)
+/// and CI's pinned `x86-64-v3`; empty under the generic baseline —
+/// exactly the stale-flag build whose numbers must not be compared
+/// against an FMA baseline.
+pub fn target_features() -> String {
     let mut feats = Vec::new();
     if cfg!(target_feature = "avx2") {
         feats.push("avx2");

@@ -14,8 +14,8 @@
 //! # Layout
 //!
 //! All integers little-endian. The header is 32 bytes; every section
-//! payload starts at an 8-byte aligned offset (mmap-friendly: a reader
-//! may map the file and view `f64` sections in place on LE hardware).
+//! payload starts at an 8-byte aligned offset, so a reader may view
+//! `f64` sections in place on LE hardware.
 //!
 //! ```text
 //! offset  size  field

@@ -47,8 +47,6 @@ use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
 pub mod binary;
-#[cfg(unix)]
-pub mod mmap;
 
 pub use binary::{from_bytes, load_binary, save_binary, to_bytes, BINARY_MAGIC, CONTAINER_VERSION};
 
@@ -151,30 +149,14 @@ pub fn load(path: impl AsRef<Path>) -> Result<FittedModel, ServeError> {
 /// model directory can hold a mix of generations and every file still
 /// loads.
 ///
-/// On unix the file is memory-mapped ([`mmap::MappedFile`]) instead of
-/// read into a heap buffer, so the binary parser and its digest pass
-/// stream straight from the page cache; every verification step (word
-/// digest for v2, content digest for v1) runs unchanged on the mapped
-/// bytes. Unmappable files (empty, exotic filesystems, non-unix
-/// targets) fall back to `std::fs::read`.
-///
 /// # Errors
 /// Propagates I/O errors and the chosen format's verification failures.
 pub fn load_any(path: impl AsRef<Path>) -> Result<FittedModel, ServeError> {
-    #[cfg(unix)]
-    if let Ok(map) = mmap::MappedFile::open(path.as_ref()) {
-        return parse_any(map.bytes());
-    }
     let bytes = std::fs::read(path)?;
-    parse_any(&bytes)
-}
-
-/// Format-sniffing parse shared by the mapped and buffered paths.
-fn parse_any(bytes: &[u8]) -> Result<FittedModel, ServeError> {
     if bytes.starts_with(BINARY_MAGIC) {
-        from_bytes(bytes)
+        from_bytes(&bytes)
     } else {
-        let text = std::str::from_utf8(bytes)
+        let text = std::str::from_utf8(&bytes)
             .map_err(|e| ServeError::Corrupt(format!("bundle is neither binary nor UTF-8: {e}")))?;
         from_json(text)
     }

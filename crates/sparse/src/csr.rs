@@ -604,7 +604,7 @@ fn nonzero_span(row: &[f64]) -> (usize, usize) {
 }
 
 /// Row-ordered CSR assembly for transformation code that already visits
-/// rows in order with strictly increasing columns (cheaper than a [`Coo`]
+/// rows in order with strictly increasing columns (cheaper than a [`crate::Coo`]
 /// round-trip: no sort, no duplicate merge). Exact zeros are dropped on
 /// `push`, so built matrices keep the no-stored-zeros invariant — this
 /// is the one assembly path shared by `lin_comb`, `split_parts`,

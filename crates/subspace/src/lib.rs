@@ -39,9 +39,6 @@
 //! the paper's Algorithm 1 unchanged; the module docs of [`spg`] give the
 //! details of the deviation above that.
 //!
-//! [`ista`] provides an l1-regularised (SSC-style) alternative used as an
-//! ablation in the benchmark suite.
-//!
 //! Layout convention: this crate takes objects as **rows** (`n x D`),
 //! matching the rest of the workspace; the paper's column convention
 //! (`X ∈ R^{D x n}`) is the transpose, and the recovered affinity is
@@ -49,11 +46,9 @@
 
 #[cfg(test)]
 mod dense_oracle;
-pub mod ista;
 pub mod spg;
 mod support;
 
-pub use ista::{ista_affinity, IstaConfig};
 pub use spg::{spg_affinity, SpgConfig, SpgResult, CANDIDATES};
 
 use mtrl_sparse::{Csr, CsrBuilder};

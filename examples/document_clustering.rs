@@ -35,7 +35,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     for method in Method::all() {
-        let out = run_method(&corpus, method, &params).expect("method run");
+        let out = run_spec(&corpus, &method.into(), &params).expect("method run");
         let f = fscore(&corpus.labels, &out.doc_labels);
         let n = nmi(&corpus.labels, &out.doc_labels);
         let p = purity(&corpus.labels, &out.doc_labels);

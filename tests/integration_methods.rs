@@ -36,7 +36,7 @@ fn all_methods_produce_valid_labels() {
     let corpus = test_corpus(0.05, 301);
     let params = fast_params();
     for method in Method::all() {
-        let out = run_method(&corpus, method, &params).unwrap();
+        let out = run_spec(&corpus, &method.into(), &params).unwrap();
         assert_eq!(out.doc_labels.len(), corpus.num_docs(), "{method:?}");
         // Labels within the document cluster range.
         assert!(
@@ -60,8 +60,8 @@ fn rhchme_beats_src_under_corruption() {
     let seeds = [302u64, 312, 322];
     for &seed in &seeds {
         let corpus = test_corpus(0.15, seed);
-        let rhchme = run_method(&corpus, Method::Rhchme, &params).unwrap();
-        let src = run_method(&corpus, Method::Src, &params).unwrap();
+        let rhchme = run_spec(&corpus, &Method::Rhchme.into(), &params).unwrap();
+        let src = run_spec(&corpus, &Method::Src.into(), &params).unwrap();
         f_rhchme += fscore(&corpus.labels, &rhchme.doc_labels) / seeds.len() as f64;
         f_src += fscore(&corpus.labels, &src.doc_labels) / seeds.len() as f64;
     }
@@ -83,7 +83,7 @@ fn hocc_methods_beat_two_way_average() {
     for seed in [301u64, 303, 307] {
         let corpus = test_corpus(0.05, seed);
         for method in Method::all() {
-            let out = run_method(&corpus, method, &params).unwrap();
+            let out = run_spec(&corpus, &method.into(), &params).unwrap();
             let f = fscore(&corpus.labels, &out.doc_labels);
             if method.is_hocc() {
                 hocc.push(f);
@@ -106,8 +106,8 @@ fn method_runs_are_deterministic() {
     let corpus = test_corpus(0.05, 304);
     let params = fast_params();
     for method in [Method::Rhchme, Method::Rmc, Method::DrT] {
-        let a = run_method(&corpus, method, &params).unwrap();
-        let b = run_method(&corpus, method, &params).unwrap();
+        let a = run_spec(&corpus, &method.into(), &params).unwrap();
+        let b = run_spec(&corpus, &method.into(), &params).unwrap();
         assert_eq!(a.doc_labels, b.doc_labels, "{method:?} not deterministic");
         assert_eq!(
             a.objective_trace, b.objective_trace,
@@ -122,7 +122,7 @@ fn objective_traces_decrease_monotonically() {
     let corpus = test_corpus(0.1, 305);
     let params = fast_params();
     for method in [Method::Src, Method::Snmtf, Method::Rhchme] {
-        let out = run_method(&corpus, method, &params).unwrap();
+        let out = run_spec(&corpus, &method.into(), &params).unwrap();
         let t = &out.objective_trace;
         // SRC/SNMTF follow Theorem 1 exactly (strict bound). RHCHME
         // interleaves the row-ℓ1 normalisation of Eq. (22) and the IRLS
@@ -192,5 +192,106 @@ fn rmc_candidates_equal_six_separate_searches() {
         assert!(shared == separate, "one search differs from six");
         let reused = rmc_candidates(feats, kind, Some(&separate[2])).unwrap();
         assert!(reused == separate, "the reused p = 5 cosine candidate");
+    }
+}
+
+/// A 180-document corpus with near-duplicate documents: each document
+/// at index 1 mod 3 is replaced by a copy of its predecessor with one
+/// tf-idf weight lowered by one part in 10¹², far below `f32`
+/// resolution. In `f64` the copy is the nearer of the two to most
+/// queries; quantised to `f32` the two tie and the lower index ranks
+/// first, so neighbour lists that end between them differ by precision.
+fn twin_corpus(seed: u64) -> MultiTypeCorpus {
+    let mut corpus = mtrl_datagen::corpus::generate(&CorpusConfig {
+        docs_per_class: vec![60, 60, 60],
+        vocab_size: 90,
+        concept_count: 24,
+        doc_len_range: (30, 45),
+        background_frac: 0.3,
+        topic_noise: 0.3,
+        concept_map_noise: 0.15,
+        corrupt_frac: 0.05,
+        subtopics_per_class: 1,
+        view_confusion: 0.0,
+        seed: seed + mtrl_datagen::seed_from_env(0),
+    });
+    let mut terms = corpus.doc_term.to_dense();
+    let mut concepts = corpus.doc_concept.to_dense();
+    for i in (1..terms.rows()).step_by(3) {
+        let (t, c) = (terms.row(i - 1).to_vec(), concepts.row(i - 1).to_vec());
+        terms.row_mut(i).copy_from_slice(&t);
+        concepts.row_mut(i).copy_from_slice(&c);
+        let j = t
+            .iter()
+            .position(|&v| v > 0.0)
+            .expect("documents are nonempty");
+        terms[(i, j)] *= 1.0 - 1e-12;
+    }
+    corpus.doc_term = rhchme_repro::sparse::Csr::from_dense(&terms, 0.0);
+    corpus.doc_concept = rhchme_repro::sparse::Csr::from_dense(&concepts, 0.0);
+    corpus
+}
+
+/// An ensemble member of SRC, SNMTF, RMC or RHCHME at the canonical seed
+/// and cluster counts is the solo fit of its method: the same document
+/// labels and the same final objective, bit for bit — at default
+/// parameters, and under the rp-forest backend with `f32` kernels, which
+/// belong to RHCHME alone (SRC, SNMTF and RMC stay exact `f64` in both
+/// paths; RHCHME's `L_E` and engine take both settings in both paths).
+#[test]
+fn ensemble_members_equal_solo_fits() {
+    use mtrl_ensemble::generator::{generate_members, SharedRegularizers};
+    use rhchme::intra::pnn_laplacians_backend_prec;
+    use rhchme::pipeline::{Artifacts, EnsembleSpec};
+    use rhchme_repro::graph::{GraphBackend, LaplacianKind, RpForestParams, WeightScheme};
+    use rhchme_repro::linalg::Precision;
+
+    let corpus = twin_corpus(331);
+    let exact = PipelineParams {
+        max_iter: 15,
+        spg_max_iter: 10,
+        feature_cluster_divisor: 10,
+        ..PipelineParams::default()
+    };
+    let forest = GraphBackend::RpForest(RpForestParams::default());
+    let forest_f32 = PipelineParams {
+        graph_backend: forest,
+        precision: Precision::F32,
+        ..exact.clone()
+    };
+
+    // Test geometry: 180 documents are more than the default forest
+    // (40-row leaves, two probes) searches exhaustively, and the twins
+    // make the forest's f32 graph differ from its f64 graph.
+    let features = MultiTypeData::from_corpus(&corpus, exact.feature_cluster_divisor)
+        .unwrap()
+        .all_features();
+    let graph = |backend: &GraphBackend, precision: Precision| {
+        let (scheme, kind) = (WeightScheme::Cosine, LaplacianKind::SymNormalized);
+        pnn_laplacians_backend_prec(&features, exact.p, scheme, kind, backend, precision).unwrap()
+    };
+    let forest_f64 = graph(&forest, Precision::F64);
+    assert!(forest_f64 != graph(&GraphBackend::Exact, Precision::F64));
+    assert!(forest_f64 != graph(&forest, Precision::F32));
+
+    for (leg, params) in [("default", &exact), ("rp_forest+f32", &forest_f32)] {
+        let arts = Artifacts::new(&corpus, params).unwrap();
+        let regs = SharedRegularizers::new(&arts, params).unwrap();
+        for method in [Method::Src, Method::Snmtf, Method::Rmc, Method::Rhchme] {
+            let spec = EnsembleSpec::default()
+                .with_pool(vec![method])
+                .with_members(1);
+            let members = generate_members(&arts, &regs, &spec, params).unwrap();
+            let solo = run_spec(&corpus, &method.into(), params).unwrap();
+            assert_eq!(
+                members[0].labels_per_type[0], solo.doc_labels,
+                "{leg}: {method:?} member labels differ from the solo fit"
+            );
+            assert_eq!(
+                members[0].final_objective.to_bits(),
+                solo.objective_trace.last().unwrap().to_bits(),
+                "{leg}: {method:?} member objective differs from the solo fit"
+            );
+        }
     }
 }

@@ -35,7 +35,7 @@ fn artifacts_cache_equals_full_run() {
         feature_cluster_divisor: 10,
         ..PipelineParams::default()
     };
-    let direct = run_method(&c, Method::Rhchme, &params).unwrap();
+    let direct = run_spec(&c, &Method::Rhchme.into(), &params).unwrap();
 
     let arts = Artifacts::new(&c, &params).unwrap();
     let l_sub = arts
@@ -91,7 +91,7 @@ fn label_trace_has_iteration_granularity() {
         record_doc_labels: true,
         ..PipelineParams::default()
     };
-    let out = run_method(&c, Method::Rhchme, &params).unwrap();
+    let out = run_spec(&c, &Method::Rhchme.into(), &params).unwrap();
     assert_eq!(out.label_trace.len(), out.iterations);
     for labels in &out.label_trace {
         assert_eq!(labels.len(), c.num_docs());
@@ -154,7 +154,7 @@ fn dataset_presets_integrate_with_pipeline() {
     };
     for id in DatasetId::all() {
         let c = load(id, Scale::Tiny);
-        let out = run_method(&c, Method::Rhchme, &params).unwrap();
+        let out = run_spec(&c, &Method::Rhchme.into(), &params).unwrap();
         let f = fscore(&c.labels, &out.doc_labels);
         assert!(f > 0.2, "{id:?} fscore {f}");
     }

@@ -107,10 +107,10 @@ fn pipeline_export_flag_round_trips_through_engine() {
         export_model: true,
         ..PipelineParams::default()
     };
-    let out = run_method(&full, Method::Rhchme, &params).unwrap();
+    let out = run_spec(&full, &Method::Rhchme.into(), &params).unwrap();
     let model = out.model.expect("export_model was requested");
     // Other methods ignore the flag.
-    let src = run_method(&full, Method::Src, &params).unwrap();
+    let src = run_spec(&full, &Method::Src.into(), &params).unwrap();
     assert!(src.model.is_none());
 
     let engine = ServeEngine::new(1);

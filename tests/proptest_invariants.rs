@@ -9,7 +9,7 @@ use mtrl_linalg::ops::{matmul, matmul_nt, matmul_tn};
 use mtrl_linalg::random::rand_uniform;
 use mtrl_linalg::{Mat, Precision};
 use proptest::prelude::*;
-use rhchme_repro::prelude::{run_method, CorpusConfig, Method, MultiTypeCorpus, PipelineParams};
+use rhchme_repro::prelude::{run_spec, CorpusConfig, Method, MultiTypeCorpus, PipelineParams};
 
 /// `f` with the kernel pool at `threads` workers, restoring the previous
 /// count. Other tests in this binary may move the count concurrently;
@@ -331,8 +331,8 @@ proptest! {
         // Quantisation perturbs only near-tied neighbour pairs; on
         // corpora with real cluster structure the fits must agree.
         let c = precision_corpus(seed);
-        let f64_out = run_method(&c, Method::Rhchme, &precision_params(Precision::F64)).unwrap();
-        let f32_out = run_method(&c, Method::Rhchme, &precision_params(Precision::F32)).unwrap();
+        let f64_out = run_spec(&c, &Method::Rhchme.into(), &precision_params(Precision::F64)).unwrap();
+        let f32_out = run_spec(&c, &Method::Rhchme.into(), &precision_params(Precision::F32)).unwrap();
         prop_assert_eq!(f32_out.doc_labels, f64_out.doc_labels);
     }
 
@@ -342,7 +342,7 @@ proptest! {
         // f32 backend's trace obeys the same 5e-3 relative wiggle
         // tolerance the f64 path is held to (`integration_methods`).
         let c = precision_corpus(seed ^ 0x9e37);
-        let out = run_method(&c, Method::Rhchme, &precision_params(Precision::F32)).unwrap();
+        let out = run_spec(&c, &Method::Rhchme.into(), &precision_params(Precision::F32)).unwrap();
         let t = &out.objective_trace;
         prop_assert!(!t.is_empty());
         for w in t.windows(2) {
