@@ -15,9 +15,12 @@
 //!
 //! The `engine_narrow_large3_240` group times the shapes an ensemble
 //! member runs on: the 240-document Large3 corpus of the end-to-end
-//! `ensemble_fit` workload (`n = 430` objects, `c = 22` clusters,
-//! `nnz(R) ≈ 40k`) — the `R·G` SpMM, a `430x22 · 22x22` product, and
-//! one whole RMC engine fit (six-candidate ensemble regulariser).
+//! `ensemble_fit` workload (`n = 430` objects, `c = 22` clusters of
+//! 3 + 15 + 4, `nnz(R) ≈ 40k`) — the type-blocked kernels the engine
+//! loop calls: `R·G` as each column type's block of `R` times `G`'s
+//! packed own block (`Csr::spmm_into`), and a `G·B` product on each
+//! type's own rows and cluster columns (`matmul_block`) — and one whole
+//! RMC engine fit (six-candidate ensemble regulariser).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtrl_linalg::block::stack_membership;
@@ -196,12 +199,55 @@ fn bench_narrow_shapes(c: &mut Criterion) {
     let arts = Artifacts::new(&corpus, &params).expect("artifacts");
     let (n, k) = arts.g0.shape();
     assert_eq!((n, k), (430, 22), "the ensemble_fit member shape");
-    group.bench_function("spmm_rg", |bencher| {
-        bencher.iter(|| black_box(&arts.r).spmm_dense(&arts.g0));
+    let (types, clusters) = (arts.data.spec(), arts.data.cluster_spec());
+    let r_blocks = arts.r.split_blocks(types, types);
+    let packed: Vec<Mat> = (0..types.num_blocks())
+        .map(|t| {
+            let data = types
+                .range(t)
+                .flat_map(|i| arts.g0.row(i)[clusters.range(t)].to_vec())
+                .collect();
+            Mat::from_vec(types.size(t), clusters.size(t), data).expect("block")
+        })
+        .collect();
+    // Block (t, u) of R times G's packed block u, into type t's rows
+    // and type u's cluster columns; R has no type-self blocks.
+    let typed_rg = |r_blocks: &[Vec<mtrl_sparse::Csr>], packed: &[Mat], out: &mut Mat| {
+        for (t, row_blocks) in r_blocks.iter().enumerate() {
+            for (u, r_tu) in row_blocks.iter().enumerate() {
+                if r_tu.nnz() > 0 {
+                    r_tu.spmm_into(&packed[u], out, types.offset(t), clusters.offset(u));
+                }
+            }
+        }
+    };
+    let mut out = Mat::zeros(n, k);
+    assert_eq!(
+        {
+            typed_rg(&r_blocks, &packed, &mut out);
+            out.as_slice().to_vec()
+        },
+        arts.r.spmm_dense(&arts.g0).as_slice(),
+        "typed R·G equals the full-width SpMM"
+    );
+    group.bench_function("typed_spmm_rg", |bencher| {
+        bencher.iter(|| typed_rg(black_box(&r_blocks), &packed, &mut out));
     });
     let s = mtrl_linalg::random::rand_uniform(k, k, -1.0, 1.0, 65);
-    group.bench_function("matmul_430x22_22x22", |bencher| {
-        bencher.iter(|| mtrl_linalg::ops::matmul(black_box(&arts.g0), &s).expect("shapes"));
+    group.bench_function("matmul_block_own_430x22", |bencher| {
+        bencher.iter(|| {
+            for t in 0..types.num_blocks() {
+                let own = clusters.range(t);
+                mtrl_linalg::ops::matmul_block(
+                    black_box(&arts.g0),
+                    &s,
+                    types.range(t),
+                    own.clone(),
+                    own,
+                    &mut out,
+                );
+            }
+        });
     });
     let reg = GraphRegularizer::Ensemble {
         candidates: rmc_candidates(

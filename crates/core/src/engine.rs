@@ -26,15 +26,16 @@
 //!   `Q = R − G S Gᵀ`, so
 //!   `R − E_R = D_{1−f}·R + D_f·U·Hᵀ` where `U = G S` and `H = G` are
 //!   the previous iterate's factors — a diagonal scaling of sparse `R`
-//!   plus a rank-`c` correction. The engine stores only `f` and the two
-//!   `n x c` factors; [`mtrl_linalg::lowrank::diag_lowrank_combine`]
-//!   applies the correction directly to `R·G`.
+//!   plus a rank-`c` correction. `H` is the `G` the next iteration
+//!   starts from, so `HᵀG` there is that iteration's `GᵀG`; the engine
+//!   stores only `f` and rebuilds `U` from `G` and the previous `S`.
+//!   [`mtrl_linalg::lowrank::diag_lowrank_combine_block`] applies the
+//!   correction directly to `R·G`.
 //! * **`G S Gᵀ` is never materialised.** `A = (R − E_R)·G·Sᵀ` runs as
 //!   one sparse SpMM (`R·G`, reused across steps) plus the low-rank
 //!   correction; the Eq. 27 row residuals come from the trace identity
 //!   `‖q_i‖² = ‖r_i‖² − 2·(R G Sᵀ)_i·g_i + g_i (S GᵀG Sᵀ) g_iᵀ`
-//!   evaluated per row block
-//!   ([`mtrl_linalg::lowrank::row_dots`] / [`row_quad_forms`]).
+//!   evaluated per row.
 //! * **The objective is trace-form.** `J₄`'s fit term is
 //!   `Σ_i (1 − f_i)²‖q_i‖²` (equivalently
 //!   `tr((R−E)ᵀ(R−E)) − 2·tr(Gᵀ(R−E)G Sᵀ) + tr(SᵀGᵀG S GᵀG)` — the
@@ -45,26 +46,63 @@
 //! Per-iteration cost is `O(nnz·c + n·c²)` (was `O(n²·c)`) and resident
 //! memory is `O(nnz + n·c)` (was three `n x n` buffers).
 //!
-//! # Kernel shape
+//! # Kernel shape: the type-blocked layout
 //!
-//! With `c` a few dozen columns, every product in the loop is narrow:
-//! `R·G` and `L±·G` ([`Csr::spmm_dense`]), the `n x c · c x c` products
-//! ([`matmul`]), [`diag_lowrank_combine`], and the [`gram`] /
-//! [`matmul_tn`] / [`row_quad_forms`] / `tr(GᵀLG)` reductions. Each
-//! makes **one pass per output row** and keeps that row in a fixed-size
-//! register accumulator (up to 32 columns per pass, wider outputs in
-//! further passes) instead of reloading and re-storing it once per
-//! term. Each entry sums its terms in the scalar loop's order, and the
-//! only terms skipped are **exact zeros** (the zeros of the left
-//! operand, and in the quadratic forms the block-structured zeros of a
-//! finite `G`), so every output is bit-identical to the scalar loops,
-//! which survive as `#[cfg(test)]` oracles beside each kernel. RMC's
-//! ensemble regulariser runs on one union pattern fixed at fit start:
-//! each iteration computes every `g_i · g_j` once for the six candidate
-//! traces and the objective, and writes the `β`-combination and its
-//! `±` split into fixed value arrays. The original
-//! dense loop is kept verbatim as [`run_engine_dense_reference`] for
-//! tests and benches; a cross-implementation proptest
+//! `G` is block-diagonal (Sec. I-A): object type `k` owns rows
+//! `data.spec().range(k)` and cluster columns
+//! `data.cluster_spec().range(k)`, and its rows are zero elsewhere.
+//! [`run_engine`] derives this layout once per fit and runs every
+//! `n`-dimension product on each type's own columns, in `c_k` register
+//! lanes instead of `c` (3 + 15 + 4 of 22 on the `ensemble_fit` member
+//! shape, so 3,130 of `G`'s 9,460 entries):
+//!
+//! * `R·G` — `R` is cut into type blocks once per fit
+//!   ([`Csr::split_blocks`]); block `(k, l)` times `G`'s packed block `l`
+//!   ([`Csr::spmm_into`]) fills type `k`'s rows in type `l`'s columns,
+//!   and the empty type-self blocks are never touched;
+//! * `L±·G` — each Laplacian block (one per object type; any other
+//!   layout is rejected) times its type's packed block
+//!   ([`SparseBlockDiag::mul_typed`]), own columns only, as the update
+//!   reads no others;
+//! * `GᵀG`, `Gᵀ(R − E_R)G` — each cluster row sums over its own type's
+//!   rows ([`matmul_tn_block`]);
+//! * `U = G·S`, `A = (R − E_R)·G·Sᵀ`, `G·B±`, `(R G Sᵀ)_i`, `M·g_i` —
+//!   each over the type's rows, reading or writing its own columns
+//!   ([`matmul_block`]);
+//! * the low-rank correction — one column block per type against the
+//!   block-diagonal `GᵀG`
+//!   ([`mtrl_linalg::lowrank::diag_lowrank_combine_block`]);
+//! * the update, the row ℓ1 normalisation, the residual's cross term and
+//!   quadratic form, and `tr(GᵀLG)` — own columns only.
+//!
+//! The `n x c` operands live in buffers allocated once per fit; no
+//! `n x c` matrix is allocated per iteration, and the loop calls no
+//! full-width kernel. Every stored entry sums the same nonzero terms in
+//! the same order as the full-width kernels did, so every output is
+//! bit-identical to them. The terms dropped are `±0`: a structural zero
+//! of `G` (or an empty block of `R` or `L`) times a finite value, which
+//! leaves a `+0`-started sum unchanged. Two places need more:
+//!
+//! * a sum that starts at `-0` — the residual's cross term (summed like
+//!   `Iterator::sum`) and the low-rank correction (which starts from
+//!   `(1 − f_i)·(R·G)_ij`) — can come out `-0` where a dropped `+0` would
+//!   have made it `+0`; such an entry is summed again in full width;
+//! * a non-finite operand turns a dropped `0·x` into NaN. [`run_engine`]
+//!   therefore rejects a non-finite `G0` or `R` (at the fit's precision)
+//!   and a `G0` with a nonzero outside its type's columns, and returns
+//!   [`RhchmeError::Diverged`] as soon as `G` or `S` is non-finite.
+//!   (A product that overflows to `±∞` from finite operands is the one
+//!   case this does not cover.)
+//!
+//! Each kernel keeps its output rows in fixed-size register
+//! accumulators (up to 32 columns per pass), and the dense `matmul` /
+//! `matmul_tn` panels run four output rows side by side. RMC's ensemble
+//! regulariser runs on one union pattern fixed at fit start: each
+//! iteration computes every `g_i · g_j` once, over the type's columns,
+//! for the six candidate traces and the objective, and writes the
+//! `β`-combination and its `±` split into fixed value arrays. The
+//! original dense loop is kept verbatim as [`run_engine_dense_reference`]
+//! for tests and benches; a cross-implementation proptest
 //! (`tests/integration_engine.rs`) pins the two to the same objective
 //! trace (1e-9 relative) and identical argmax labels across method
 //! configurations and thread counts.
@@ -73,7 +111,8 @@
 //!
 //! 1. `S = (GᵀG)⁻¹ Gᵀ (R − E_R) G (GᵀG)⁻¹` (Eq. 18), ridge-stabilised;
 //! 2. multiplicative `G` update (Eq. 21) with positive/negative part
-//!    splits of `L`, `A = (R − E_R) G Sᵀ` and `B = Sᵀ GᵀG S`;
+//!    splits of `L`, `A = (R − E_R) G Sᵀ` and `B = Sᵀ GᵀG S`, on each
+//!    type's own block;
 //! 3. row-ℓ1 normalisation of `G` (Eq. 22) when enabled;
 //! 4. `E_R` update (Eq. 27) as the shrinkage factors `f` above;
 //! 5. objective `J₄` (Eq. 15) evaluation and convergence check.
@@ -96,11 +135,14 @@
 //! * span aggregates `engine.fit.spmm`, `engine.fit.lowrank`,
 //!   `engine.fit.update`, `engine.fit.residual` — cumulative per-phase
 //!   kernel time across the iteration loop (`count` = iterations):
-//!   `spmm` is the `R·G` / `GᵀG` refresh, `lowrank` the regulariser
-//!   resolve + implicit-`E_R` correction + Eq. 18 `S` solve, `update`
-//!   the Eq. 21 multiplicative `G` update + row normalisation,
-//!   `residual` the trace-identity `‖q_i‖` / `E_R` / objective
-//!   evaluation;
+//!   `spmm` is the packing of `G`'s type blocks and the typed `R·G` /
+//!   `GᵀG` refresh; `lowrank` the regulariser resolve, `U = G·S`, the
+//!   typed implicit-`E_R` correction, `Gᵀ(R − E_R)G` and the Eq. 18 `S`
+//!   solve; `update` the own-block `A`, `G·B±` and `L±·G` products, the
+//!   Eq. 21 multiplicative `G` update and the row normalisation;
+//!   `residual` the own-column `(R G Sᵀ)_i` / `M·g_i` products, the
+//!   trace-identity `‖q_i‖` / `E_R` update and the objective with
+//!   `tr(GᵀLG)`;
 //! * counters `engine.fits` (calls) and `engine.iterations` (total
 //!   iterations across calls);
 //! * a `FitTelemetry` record (label `engine.fit`) with the problem shape
@@ -119,15 +161,18 @@
 use crate::error::RhchmeError;
 use crate::multitype::MultiTypeData;
 use crate::Result;
-use mtrl_linalg::lowrank::{diag_lowrank_combine, row_dots, row_quad_forms};
+use mtrl_linalg::block::BlockSpec;
+use mtrl_linalg::lowrank::diag_lowrank_combine_block;
 use mtrl_linalg::norms::row_l2_norms;
-use mtrl_linalg::ops::{g_s_gt, gram, matmul, matmul_tn};
+use mtrl_linalg::ops::{g_s_gt, gram, matmul, matmul_block, matmul_tn, matmul_tn_block};
 use mtrl_linalg::simplex::project_simplex;
 use mtrl_linalg::solve::ridge_inverse;
+use mtrl_linalg::vecops;
 use mtrl_linalg::{Mat, Precision, Quantize, EPS};
 use mtrl_obs::{FitTelemetry, IterTelemetry};
 use mtrl_sparse::{Csr, RowSparse, SparseBlockDiag};
 use std::borrow::Cow;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Kernel-phase indices for [`PhaseClock`] (see the module docs'
@@ -360,7 +405,6 @@ enum RegState<'a> {
         l: Cow<'a, SparseBlockDiag>,
         lp: SparseBlockDiag,
         lm: SparseBlockDiag,
-        precision: Precision,
     },
     /// RMC's candidate ensemble, re-weighted every iteration on one
     /// union pattern (see [`UnionEnsemble`]).
@@ -368,7 +412,7 @@ enum RegState<'a> {
 }
 
 impl<'a> RegState<'a> {
-    fn new(reg: &'a GraphRegularizer, precision: Precision) -> Self {
+    fn new(reg: &'a GraphRegularizer, precision: Precision, clusters: &BlockSpec) -> Self {
         match reg {
             GraphRegularizer::None => RegState::None,
             GraphRegularizer::Fixed(l) => {
@@ -379,11 +423,10 @@ impl<'a> RegState<'a> {
                     l: precision.quantized(l),
                     lp,
                     lm,
-                    precision,
                 }
             }
             GraphRegularizer::Ensemble { candidates, mu } => {
-                RegState::Ensemble(UnionEnsemble::new(candidates, *mu))
+                RegState::Ensemble(UnionEnsemble::new(candidates, *mu, clusters))
             }
         }
     }
@@ -397,31 +440,39 @@ impl<'a> RegState<'a> {
         }
     }
 
-    /// `(L⁺·G, L⁻·G)` for the multiplicative update, `None` without a
-    /// regulariser. The fixed operator reads `G` quantised like itself;
-    /// the ensemble, whose combination is rebuilt from `G` in `f64`
-    /// every iteration, reads it unquantised.
-    fn part_products(&self, g: &Mat) -> Result<Option<(Mat, Mat)>> {
-        let (lp, lm, g_l) = match self {
-            RegState::None => return Ok(None),
-            RegState::Fixed {
-                lp, lm, precision, ..
-            } => (lp, lm, precision.quantized(g)),
+    /// The `(L⁺, L⁻)` this iteration's update multiplies `G` by, and
+    /// whether it reads `G` quantised: the fixed operator reads `G`
+    /// quantised like itself; the ensemble, whose combination is rebuilt
+    /// from `G` in `f64` every iteration, reads it unquantised. `None`
+    /// without a regulariser.
+    fn parts(&self) -> Option<(&SparseBlockDiag, &SparseBlockDiag, bool)> {
+        match self {
+            RegState::None => None,
+            RegState::Fixed { lp, lm, .. } => Some((lp, lm, true)),
             RegState::Ensemble(ens) => {
                 let (lp, lm) = ens.parts.as_ref().expect("resolved before use");
-                (lp, lm, Cow::Borrowed(g))
+                Some((lp, lm, false))
             }
+        }
+    }
+
+    /// `(L⁺·G, L⁻·G)` in full width for the dense reference's
+    /// multiplicative update (which runs in F64), `None` without a
+    /// regulariser.
+    fn part_products(&self, g: &Mat) -> Result<Option<(Mat, Mat)>> {
+        let Some((lp, lm, _)) = self.parts() else {
+            return Ok(None);
         };
-        Ok(Some((lp.mul_dense(&g_l)?, lm.mul_dense(&g_l)?)))
+        Ok(Some((lp.mul_dense(g)?, lm.mul_dense(g)?)))
     }
 
     /// The regulariser trace `tr(GᵀLG)` of the objective (0 without a
-    /// regulariser), at the same operand precision as
-    /// [`Self::part_products`].
-    fn trace(&mut self, g: &Mat) -> Result<f64> {
+    /// regulariser), at the operand precision of [`Self::parts`]: the
+    /// fixed operator reads `g_q`, `G` at the fit's precision.
+    fn trace(&mut self, g: &Mat, g_q: &Mat, clusters: &BlockSpec) -> Result<f64> {
         Ok(match self {
             RegState::None => 0.0,
-            RegState::Fixed { l, precision, .. } => l.trace_quad(&precision.quantized(g))?,
+            RegState::Fixed { l, .. } => l.trace_quad(g_q, clusters)?,
             RegState::Ensemble(ens) => ens.trace(g),
         })
     }
@@ -463,6 +514,8 @@ struct UnionEnsemble<'a> {
 /// One diagonal block's union pattern.
 struct UnionBlock {
     offset: usize,
+    /// The block's type's cluster columns of `G`.
+    cols: Range<usize>,
     indptr: Vec<usize>,
     indices: Vec<usize>,
     /// Per candidate, the union slot and the value of each of its stored
@@ -511,7 +564,7 @@ impl SlotPattern {
 }
 
 impl UnionBlock {
-    fn new(blocks: &[&Csr], offset: usize) -> Self {
+    fn new(blocks: &[&Csr], offset: usize, cols: Range<usize>) -> Self {
         let n = blocks[0].rows();
         let mut indptr = vec![0];
         let mut indices: Vec<usize> = Vec::new();
@@ -552,6 +605,7 @@ impl UnionBlock {
         let neg = SlotPattern::select(&indptr, &indices, |slot| any_neg[slot]);
         UnionBlock {
             offset,
+            cols,
             indptr,
             indices,
             slots,
@@ -563,12 +617,12 @@ impl UnionBlock {
 }
 
 impl<'a> UnionEnsemble<'a> {
-    fn new(candidates: &'a [SparseBlockDiag], mu: f64) -> Self {
+    fn new(candidates: &'a [SparseBlockDiag], mu: f64, clusters: &BlockSpec) -> Self {
         let spec = candidates[0].spec();
         let blocks: Vec<UnionBlock> = (0..candidates[0].num_blocks())
             .map(|k| {
                 let members: Vec<&Csr> = candidates.iter().map(|c| c.block(k)).collect();
-                UnionBlock::new(&members, spec.offset(k))
+                UnionBlock::new(&members, spec.offset(k), clusters.range(k))
             })
             .collect();
         UnionEnsemble {
@@ -586,7 +640,7 @@ impl<'a> UnionEnsemble<'a> {
     /// Fill `dots` with `g_i · g_j` on the union pattern of every block.
     fn refresh_dots(&mut self, g: &Mat) {
         for (block, dots) in self.blocks.iter().zip(&mut self.dots) {
-            pattern_dots(g, block.offset, &block.indptr, &block.indices, dots);
+            pattern_dots(g, block, dots);
         }
     }
 
@@ -675,48 +729,57 @@ impl<'a> UnionEnsemble<'a> {
     }
 }
 
-/// `dots[e] = g_i · g_j` for every entry `(i, j)` of one block's
-/// pattern, `G` rows taken from `offset` on — the products of
-/// [`Csr::quad_form_at`], which runs each over `g_i`'s nonzero span when
-/// the block's rows are finite (see there).
-fn pattern_dots(g: &Mat, offset: usize, indptr: &[usize], indices: &[usize], dots: &mut [f64]) {
-    let c = g.cols();
-    let rows = &g.as_slice()[offset * c..(offset + indptr.len() - 1) * c];
-    let finite = rows.iter().all(|v| v.is_finite());
-    for (i, w) in indptr.windows(2).enumerate() {
-        let gi = g.row(offset + i);
-        let (lo, hi) = match gi.iter().position(|&v| v != 0.0) {
-            Some(lo) if finite => (lo, gi.iter().rposition(|&v| v != 0.0).map_or(lo, |p| p + 1)),
-            None if finite => (0, 0),
-            _ => (0, c),
-        };
-        let gi = &gi[lo..hi];
-        for (dot, &j) in dots[w[0]..w[1]].iter_mut().zip(&indices[w[0]..w[1]]) {
-            let gj = &g.row(offset + j)[lo..hi];
-            *dot = gi.iter().zip(gj).map(|(a, b)| a * b).sum();
+/// `dots[e] = g_i · g_j` for every entry `(i, j)` of one block's union
+/// pattern, over the block's type's cluster columns — the products of
+/// [`Csr::quad_form_at`] on the rows of a finite, type-blocked `G`. The
+/// terms outside those columns are `±0` there, and dropping them can
+/// change a dot product only in the sign of a zero result, which no
+/// `acc += v · dot` can see (see there).
+fn pattern_dots(g: &Mat, block: &UnionBlock, dots: &mut [f64]) {
+    let row = |j: usize| &g.row(block.offset + j)[block.cols.clone()];
+    for (i, w) in block.indptr.windows(2).enumerate() {
+        let gi = row(i);
+        let out = &mut dots[w[0]..w[1]];
+        let idx = &block.indices[w[0]..w[1]];
+        let mut quads = out.chunks_exact_mut(4);
+        let mut js = idx.chunks_exact(4);
+        for (o, j) in (&mut quads).zip(&mut js) {
+            o.copy_from_slice(&vecops::dots(
+                gi,
+                [row(j[0]), row(j[1]), row(j[2]), row(j[3])],
+            ));
+        }
+        for (o, &j) in quads.into_remainder().iter_mut().zip(js.remainder()) {
+            *o = vecops::dots(gi, [row(j)])[0];
         }
     }
 }
 
-/// The multiplicative `G` update of Eq. 21, shared by both paths: each
-/// entry scales by `sqrt(num/den)`; structural zeros stay zero.
+/// The multiplicative `G` update of Eq. 21 on the block
+/// `G[rows, cols]`, shared by both paths: each entry scales by
+/// `sqrt(num/den)`; structural zeros stay zero. The typed path updates
+/// each type's own block; the dense reference, the whole matrix.
+/// Returns whether every updated entry is finite.
+#[allow(clippy::too_many_arguments)]
 fn multiplicative_update(
     g: &mut Mat,
     a: &Mat,
     gb_pos: &Mat,
     gb_neg: &Mat,
-    l_g: Option<&(Mat, Mat)>,
+    l_g: Option<(&Mat, &Mat)>,
     lambda: f64,
-) {
-    let (n, c) = g.shape();
-    for i in 0..n {
+    rows: Range<usize>,
+    cols: Range<usize>,
+) -> bool {
+    let mut finite = true;
+    for i in rows {
         let a_row = a.row(i);
         let gbp = gb_pos.row(i);
         let gbn = gb_neg.row(i);
         let lpg = l_g.map(|(lp, _)| lp.row(i));
         let lmg = l_g.map(|(_, lm)| lm.row(i));
         let grow = g.row_mut(i);
-        for j in 0..c {
+        for j in cols.clone() {
             let gv = grow[j];
             if gv == 0.0 {
                 continue; // structural zero (block layout) stays zero
@@ -730,8 +793,10 @@ fn multiplicative_update(
             let num = l_num + a_pos + gbn[j];
             let den = l_den + a_neg + gbp[j];
             grow[j] = gv * ((num + EPS) / (den + EPS)).sqrt();
+            finite &= grow[j].is_finite();
         }
     }
+    finite
 }
 
 /// Run the multiplicative-update engine — the **sparse-first** default
@@ -743,17 +808,23 @@ fn multiplicative_update(
 /// * `reg` — graph regulariser (see [`GraphRegularizer`]); a
 ///   [`GraphRegularizer::Fixed`] Laplacian is borrowed, not cloned;
 /// * `g0` — initial membership (from
-///   [`crate::kmeans::labels_to_membership`], block-structured).
+///   [`crate::kmeans::labels_to_membership`]), block-structured: each
+///   row nonzero only in its type's cluster columns.
 ///
 /// Per iteration `O(nnz·c + n·c²)` work, `O(nnz + n·c)` memory; see the
-/// module docs for the implicit `E_R` / trace-identity formulation. The
-/// row-parallel kernels run on the [`mtrl_linalg::par`] pool and are
-/// bit-identical for every thread count.
+/// module docs for the implicit `E_R` / trace-identity formulation and
+/// the type-blocked kernels. The SpMMs run on the [`mtrl_linalg::par`]
+/// pool above their work threshold, the other kernels serially; results
+/// are bit-identical for every thread count.
 ///
 /// # Errors
 /// * [`RhchmeError::InvalidData`] / [`RhchmeError::InvalidConfig`] on
-///   shape or parameter violations;
-/// * [`RhchmeError::Diverged`] if an iterate becomes non-finite.
+///   shape or parameter violations, a `G0` entry that is non-finite or
+///   nonzero outside its type's cluster columns, an `R` value that is
+///   non-finite at the fit's precision, or a Laplacian whose blocks are
+///   not the object types;
+/// * [`RhchmeError::Diverged`] if an iterate (`G` or `S`) becomes
+///   non-finite.
 pub fn run_engine(
     r: &Csr,
     data: &MultiTypeData,
@@ -770,6 +841,38 @@ pub fn run_engine(
         )));
     }
     validate_common(n, c, &g0, reg, cfg)?;
+    // The type layout of Sec. I-A: type k owns rows `types.range(k)` and
+    // cluster columns `clusters.range(k)`.
+    let types = data.spec();
+    let clusters = data.cluster_spec();
+    let blocks: Vec<(Range<usize>, Range<usize>)> = (0..types.num_blocks())
+        .map(|k| (types.range(k), clusters.range(k)))
+        .collect();
+    validate_typed_membership(&g0, &blocks)?;
+    let laplacians: &[SparseBlockDiag] = match reg {
+        GraphRegularizer::None => &[],
+        GraphRegularizer::Fixed(l) => std::slice::from_ref(l),
+        GraphRegularizer::Ensemble { candidates, .. } => candidates,
+    };
+    if laplacians.iter().any(|l| l.spec() != types) {
+        return Err(RhchmeError::InvalidData(format!(
+            "Laplacian blocks {:?} are not the object types {:?}",
+            laplacians[0].spec().sizes(),
+            types.sizes()
+        )));
+    }
+    // Operand precision (see [`EngineConfig::precision`]): `R` and a
+    // fixed regulariser are quantised once here; the `G`-derived
+    // operands are quantised where each product reads them. F64 mode
+    // borrows everything.
+    let prec = cfg.precision;
+    let r_q = prec.quantized(r);
+    if r_q.iter().any(|(_, _, v)| !v.is_finite()) {
+        return Err(RhchmeError::InvalidData(format!(
+            "R has a non-finite value at {} precision",
+            prec.key()
+        )));
+    }
 
     // Observability (reads-only; skipped entirely when MTRL_OBS is off —
     // the fit itself is byte-identical either way).
@@ -780,13 +883,7 @@ pub fn run_engine(
 
     let mut g = g0;
     let mut s = Mat::zeros(c, c);
-    // Operand precision (see [`EngineConfig::precision`]): `R` and a
-    // fixed regulariser are quantised once here; the `G`-derived
-    // snapshots are quantised where each product reads them. F64 mode
-    // borrows everything.
-    let prec = cfg.precision;
-    let r_q = prec.quantized(r);
-    let mut reg_state = RegState::new(reg, prec);
+    let mut reg_state = RegState::new(reg, prec, clusters);
     let mut ensemble_weights: Option<Vec<f64>> = None;
 
     // Row structure of R for the residual trace identity — of the
@@ -797,21 +894,61 @@ pub fn run_engine(
         .collect();
 
     // Implicit E_R: shrinkage factors f plus the previous iterate's
-    // low-rank factors (U = G·S, H = G), so that
-    // R − E_R = D_{1−f}·R + D_f·U·Hᵀ.
+    // low-rank factors U = G·S and H = G, so that
+    // R − E_R = D_{1−f}·R + D_f·U·Hᵀ. H is the G the next iteration
+    // starts from, so HᵀG is that iteration's GᵀG; U is rebuilt there
+    // from G and the previous S.
     let mut f_er: Vec<f64> = vec![0.0; n];
     let mut one_minus_f: Vec<f64> = vec![1.0; n];
-    // `U` is stored quantised, `H` not.
-    let mut prev_lowrank: Option<(Mat, Mat)> = None;
     let mut error_row_norms: Vec<f64> = Vec::new();
     let mut final_q_norms: Vec<f64> = Vec::new();
 
-    // R·G and GᵀG for the *current* G — computed before the loop,
-    // refreshed after every G update, and shared between the residual
-    // identity of iteration t and step 3 of iteration t+1 (one SpMM and
-    // one gram per iteration). The SpMM reads quantised `R` and `G`.
-    let mut rg = r_q.spmm_dense(&prec.quantized(&g));
-    let mut gram_cur = gram(&g);
+    // The loop's n x c operands, allocated once per fit. Every product
+    // below reads and writes each type's own rows and cluster columns
+    // only; entries outside them are never read.
+    //   `g_q`  — G at the fit's precision (F32 mode only);
+    //   `rg`   — R·G for the current G, refreshed after every update and
+    //            shared by the residual of iteration t and step 3 of t+1
+    //            (quantised in place in between when E_R is on);
+    //   `u`, `m1` — U = G·S and (R − E_R)·G (E_R only);
+    //   `prod`, `gb_pos`, `gb_neg` — the update's A = m1·Sᵀ and G·B±,
+    //            reused by the residual for R·G·Sᵀ and G·Mᵀ;
+    //   `lg`   — (L⁺·G, L⁻·G) with a regulariser;
+    //   `g_blocks` — each type's own block of G at the fit's precision,
+    //            packed (`n_k x c_k`), the right operand of R·G and of a
+    //            fixed L±·G; `raw_blocks` the same unquantised, for the
+    //            ensemble's L±·G in F32 mode.
+    let mut g_q = (!prec.is_f64()).then(|| {
+        let mut q = g.clone();
+        q.quantize(prec);
+        q
+    });
+    let mut g_blocks: Vec<Mat> = blocks
+        .iter()
+        .map(|(rows, cols)| Mat::zeros(rows.len(), cols.len()))
+        .collect();
+    let mut raw_blocks = (!prec.is_f64() && matches!(reg, GraphRegularizer::Ensemble { .. }))
+        .then(|| g_blocks.clone());
+    // R cut into type blocks once: block (k, l) of R·G is R_kl times
+    // G's packed block l, in type k's rows and type l's cluster columns.
+    // Empty blocks (R has no type-self blocks) are never written, so
+    // their entries of R·G stay +0.
+    let r_blocks = r_q.split_blocks(types, types);
+    pack_blocks(g_q.as_ref().unwrap_or(&g), &blocks, &mut g_blocks);
+    let mut rg = Mat::zeros(n, c);
+    typed_spmm(&r_blocks, &g_blocks, &blocks, &mut rg);
+    let mut lowrank = cfg
+        .use_error_matrix
+        .then(|| (Mat::zeros(n, c), Mat::zeros(n, c)));
+    let mut prod = Mat::zeros(n, c);
+    let mut gb_pos = Mat::zeros(n, c);
+    let mut gb_neg = Mat::zeros(n, c);
+    let mut lg =
+        (!matches!(reg, GraphRegularizer::None)).then(|| (Mat::zeros(n, c), Mat::zeros(n, c)));
+    // GᵀG for the current G: block-diagonal, refreshed with R·G.
+    let mut gram_cur = Mat::zeros(c, c);
+    typed_gram(&g, &blocks, &mut gram_cur);
+    let mut gtm = Mat::zeros(c, c);
 
     let mut objective_trace = Vec::with_capacity(cfg.max_iter);
     let mut label_trace = Vec::new();
@@ -827,62 +964,137 @@ pub fn run_engine(
         reg_state.resolve(&g, &mut ensemble_weights);
 
         // ---- Step 3: S update (Eq. 18) ------------------------------
-        // m1 = (R − E_R)·G = D_{1−f}·(R·G) + D_f·U·(Hᵀ·G); before the
-        // first shrinkage E_R = 0 and m1 is R·G itself.
-        let m1_corrected = match &prev_lowrank {
-            Some((u, h)) => {
-                let w = matmul_tn(h, &g)?; // Hᵀ·G, c x c
-                Some(diag_lowrank_combine(
-                    &one_minus_f,
-                    &prec.quantized(&rg),
-                    &f_er,
-                    u,
-                    &w,
-                )?)
+        // m1 = (R − E_R)·G = D_{1−f}·(R·G) + D_f·U·(GᵀG) with U = G·S of
+        // the previous S; before the first shrinkage E_R = 0 and m1 is
+        // R·G itself.
+        let m1: &Mat = match lowrank.as_mut() {
+            Some((u, m1)) if t > 0 => {
+                for (rows, cols) in &blocks {
+                    matmul_block(&g, &s, rows.clone(), cols.clone(), 0..c, u);
+                }
+                u.quantize(prec);
+                for (_, cols) in &blocks {
+                    diag_lowrank_combine_block(
+                        &one_minus_f,
+                        &rg,
+                        &f_er,
+                        u,
+                        &gram_cur,
+                        0..n,
+                        cols.clone(),
+                        m1,
+                    );
+                }
+                m1
             }
-            None => None,
+            _ => &rg,
         };
-        let m1: &Mat = m1_corrected.as_ref().unwrap_or(&rg);
-        let gram_g = &gram_cur; // GᵀG of the pre-update G, c x c
-        let ginv = ridge_inverse(gram_g, cfg.ridge)?;
-        let gtm = matmul_tn(&g, m1)?; // Gᵀ(R − E_R)G, c x c
+        // Gᵀ(R − E_R)G, c x c: cluster row a sums over its type's rows.
+        for (rows, cols) in &blocks {
+            matmul_tn_block(&g, m1, rows.clone(), cols.clone(), 0..c, &mut gtm);
+        }
+        let ginv = ridge_inverse(&gram_cur, cfg.ridge)?;
         s = matmul(&matmul(&ginv, &gtm)?, &ginv)?;
+        if s.has_non_finite() {
+            return Err(RhchmeError::Diverged { iteration: t });
+        }
+        let st = s.transpose();
         clock.lap(PHASE_LOWRANK);
 
         // ---- Step 4: multiplicative G update (Eq. 21) ---------------
-        let a = matmul(m1, &s.transpose())?; // (R − E_R) G Sᵀ, n x c
-        let b = matmul_tn(&s, &matmul(gram_g, &s)?)?; // Sᵀ GᵀG S, c x c
+        // Every operand of the update on the own blocks:
+        // A = m1·Sᵀ = (R − E_R)·G·Sᵀ, G·B± with B = Sᵀ GᵀG S, and L±·G.
+        let b = matmul_tn(&s, &matmul(&gram_cur, &s)?)?; // Sᵀ GᵀG S, c x c
         let (b_pos, b_neg) = mtrl_linalg::parts::split_parts(&b);
-        let gb_pos = matmul(&g, &b_pos)?;
-        let gb_neg = matmul(&g, &b_neg)?;
-        let l_g = reg_state.part_products(&g)?;
-        multiplicative_update(&mut g, &a, &gb_pos, &gb_neg, l_g.as_ref(), cfg.lambda);
-        if g.has_non_finite() {
+        for (rows, cols) in &blocks {
+            matmul_block(m1, &st, rows.clone(), 0..c, cols.clone(), &mut prod);
+            matmul_block(
+                &g,
+                &b_pos,
+                rows.clone(),
+                cols.clone(),
+                cols.clone(),
+                &mut gb_pos,
+            );
+            matmul_block(
+                &g,
+                &b_neg,
+                rows.clone(),
+                cols.clone(),
+                cols.clone(),
+                &mut gb_neg,
+            );
+        }
+        if let (Some((lp, lm, quantized)), Some((lpg, lmg))) = (reg_state.parts(), lg.as_mut()) {
+            let g_l = match raw_blocks.as_mut() {
+                Some(raw) if !quantized => {
+                    pack_blocks(&g, &blocks, raw);
+                    raw
+                }
+                _ => &g_blocks,
+            };
+            lp.mul_typed(g_l, clusters, lpg)?;
+            lm.mul_typed(g_l, clusters, lmg)?;
+        }
+        // G stays finite outside its own blocks (zeros never move), so
+        // the updated entries decide divergence.
+        let mut finite = true;
+        for (rows, cols) in &blocks {
+            let l_g = lg.as_ref().map(|(lp, lm)| (lp, lm));
+            finite &= multiplicative_update(
+                &mut g,
+                &prod,
+                &gb_pos,
+                &gb_neg,
+                l_g,
+                cfg.lambda,
+                rows.clone(),
+                cols.clone(),
+            );
+        }
+        if !finite {
             return Err(RhchmeError::Diverged { iteration: t });
         }
 
         // ---- Step 5: row-l1 normalisation (Eq. 22) ------------------
         if cfg.l1_row_normalize {
-            g.normalize_rows_l1(1e-300);
+            for (rows, cols) in &blocks {
+                for i in rows.clone() {
+                    normalize_l1(&mut g.row_mut(i)[cols.clone()], 1e-300);
+                }
+            }
         }
         clock.lap(PHASE_UPDATE);
 
         // ---- Steps 6-7: E_R update (Eqs. 25-27), trace form ----------
         // Refresh R·G and GᵀG for the updated G (also next iteration's
         // step 3 — neither is recomputed there).
-        let g_q = prec.quantized(&g);
-        rg = r_q.spmm_dense(&g_q);
-        gram_cur = gram(&g);
+        if let Some(q) = g_q.as_mut() {
+            q.as_mut_slice().copy_from_slice(g.as_slice());
+            q.quantize(prec);
+        }
+        let g_cur_q = g_q.as_ref().unwrap_or(&g);
+        pack_blocks(g_cur_q, &blocks, &mut g_blocks);
+        typed_spmm(&r_blocks, &g_blocks, &blocks, &mut rg);
+        typed_gram(&g, &blocks, &mut gram_cur);
         clock.lap(PHASE_SPMM);
         // ‖q_i‖² = ‖r_i‖² − 2·(R G Sᵀ)_i·g_i + g_i (S GᵀG Sᵀ) g_iᵀ —
-        // per row block, no Q matrix. Cancellation is clamped at zero.
-        let m_q = matmul(&matmul(&s, &gram_cur)?, &s.transpose())?; // S K Sᵀ
-        let rgst = matmul(&rg, &s.transpose())?;
-        let cross = row_dots(&prec.quantized(&rgst), &g_q)?;
-        let quad = row_quad_forms(&g_q, &m_q)?;
-        let q_norms: Vec<f64> = (0..n)
-            .map(|i| (r_row_sq[i] - 2.0 * cross[i] + quad[i]).max(0.0).sqrt())
-            .collect();
+        // per row, no Q matrix, own columns only (g_i is zero outside
+        // them). Cancellation is clamped at zero.
+        let m_q = matmul(&matmul(&s, &gram_cur)?, &st)?; // S K Sᵀ
+        let mut q_norms = vec![0.0; n];
+        residual_terms(
+            &rg,
+            &st,
+            g_cur_q,
+            &m_q,
+            &blocks,
+            prec,
+            (&mut prod, &mut gb_pos),
+            |i, cross, quad| {
+                q_norms[i] = (r_row_sq[i] - 2.0 * cross + quad).max(0.0).sqrt();
+            },
+        );
         let mut fit = 0.0;
         let mut l21 = 0.0;
         if cfg.use_error_matrix {
@@ -896,17 +1108,16 @@ pub fn run_engine(
                 l21 += f_er[i] * q_norms[i];
             }
             error_row_norms = f_er.iter().zip(&q_norms).map(|(f, qn)| f * qn).collect();
-            // Next iteration's low-rank factors of R − E_R.
-            let mut u = matmul(&g, &s)?;
-            u.quantize(prec);
-            prev_lowrank = Some((u, g.clone()));
+            // Step 3 of the next iteration reads R·G at the fit's
+            // precision.
+            rg.quantize(prec);
             final_q_norms = q_norms;
         } else {
             fit = q_norms.iter().map(|x| x * x).sum();
         }
 
         // ---- Objective J₄ (Eq. 15) ----------------------------------
-        let reg_term = reg_state.trace(&g)?;
+        let reg_term = reg_state.trace(&g, g_q.as_ref().unwrap_or(&g), clusters)?;
         let l21_term = if cfg.use_error_matrix {
             cfg.beta * l21
         } else {
@@ -1005,6 +1216,157 @@ pub fn run_engine(
     })
 }
 
+/// The preconditions of the typed loop on `G0`: every entry finite, and
+/// every entry outside its row's type's cluster columns zero. (A `-0.0`
+/// counts as zero.)
+fn validate_typed_membership(g0: &Mat, blocks: &[(Range<usize>, Range<usize>)]) -> Result<()> {
+    if g0.has_non_finite() {
+        return Err(RhchmeError::InvalidData("G0 has a non-finite entry".into()));
+    }
+    for (rows, cols) in blocks {
+        for i in rows.clone() {
+            let row = g0.row(i);
+            let outside = row[..cols.start].iter().chain(&row[cols.end..]);
+            if outside.into_iter().any(|&v| v != 0.0) {
+                return Err(RhchmeError::InvalidData(format!(
+                    "G0 row {i} has a nonzero outside its type's cluster columns {cols:?}"
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Copy each type's own block of `g` into its packed `n_k x c_k` matrix.
+fn pack_blocks(g: &Mat, blocks: &[(Range<usize>, Range<usize>)], packed: &mut [Mat]) {
+    for ((rows, cols), p) in blocks.iter().zip(packed.iter_mut()) {
+        for (local, i) in rows.clone().enumerate() {
+            p.row_mut(local).copy_from_slice(&g.row(i)[cols.clone()]);
+        }
+    }
+}
+
+/// `R·G` for a block-diagonal `G` given as its packed blocks, into
+/// `out`, whose entries outside the nonempty blocks of `R` must be `+0`
+/// (a zeroed matrix, written only here): block `(k, l)` of `R` times
+/// `G`'s block `l`, into type `k`'s rows and type `l`'s cluster columns.
+/// Each entry sums `R_ij·g_j` over row `i`'s entries of one type only,
+/// which are all the nonzero terms of the full-width
+/// [`Csr::spmm_dense`] entry (the others are a finite value times a zero
+/// of `G`), in the same order — so `out` equals `spmm_dense` bit for
+/// bit, and an entry with no terms is the `+0` it would sum to.
+fn typed_spmm(
+    r_blocks: &[Vec<Csr>],
+    g_blocks: &[Mat],
+    blocks: &[(Range<usize>, Range<usize>)],
+    out: &mut Mat,
+) {
+    for (row_blocks, (rows, _)) in r_blocks.iter().zip(blocks) {
+        for ((r_kl, g_l), (_, cols)) in row_blocks.iter().zip(g_blocks).zip(blocks) {
+            if r_kl.nnz() > 0 {
+                r_kl.spmm_into(g_l, out, rows.start, cols.start);
+            }
+        }
+    }
+}
+
+/// `GᵀG` of a type-blocked `G` into `out`: each type's diagonal block
+/// from its own rows, `+0` elsewhere — the entries [`gram`] computes for
+/// a finite `G`, whose off-block products are all `±0`.
+fn typed_gram(g: &Mat, blocks: &[(Range<usize>, Range<usize>)], out: &mut Mat) {
+    out.as_mut_slice().fill(0.0);
+    for (rows, cols) in blocks {
+        matmul_tn_block(g, g, rows.clone(), cols.clone(), cols.clone(), out);
+    }
+}
+
+/// Eq. 22 on one row's own columns: scale them to unit ℓ1 norm unless
+/// the norm is at most `floor` — [`Mat::normalize_rows_l1`] on a row
+/// whose other entries are zeros.
+fn normalize_l1(row: &mut [f64], floor: f64) {
+    let s: f64 = row.iter().map(|x| x.abs()).sum();
+    if s > floor {
+        let inv = 1.0 / s;
+        for x in row.iter_mut() {
+            *x *= inv;
+        }
+    }
+}
+
+/// The two `G`-dependent terms of the Eq. 27 row residual
+/// `‖q_i‖² = ‖r_i‖² − 2·(R G Sᵀ)_i·g_i + g_i M g_iᵀ` (`M = S GᵀG Sᵀ`),
+/// handed to `row(i, cross, quad)` for every row, each on its type's own
+/// columns — `g_i` (at the fit's precision, `g_q`) is zero elsewhere.
+///
+/// `(R G Sᵀ)_i` and `M·g_i` are computed in those columns only, into the
+/// two work matrices. The cross term sums from `-0` like
+/// `Iterator::sum` over the whole row would; its dropped terms are
+/// `±0`, so it can differ from the full-width sum only by coming out
+/// `-0`, and such a row is summed again in full width
+/// ([`full_cross`]). The quadratic form skips the zeros of `g_i` in both
+/// sums, so it sums exactly the full-width kernel's terms when `M` is
+/// finite.
+#[allow(clippy::too_many_arguments)]
+fn residual_terms(
+    rg: &Mat,
+    st: &Mat,
+    g_q: &Mat,
+    m: &Mat,
+    blocks: &[(Range<usize>, Range<usize>)],
+    prec: Precision,
+    (rgst, gmt): (&mut Mat, &mut Mat),
+    mut row: impl FnMut(usize, f64, f64),
+) {
+    let c = st.cols();
+    let mt = m.transpose();
+    for (rows, cols) in blocks {
+        matmul_block(rg, st, rows.clone(), 0..c, cols.clone(), rgst);
+        matmul_block(g_q, &mt, rows.clone(), cols.clone(), cols.clone(), gmt);
+    }
+    rgst.quantize(prec);
+    for (rows, cols) in blocks {
+        for i in rows.clone() {
+            let gi = &g_q.row(i)[cols.clone()];
+            let mut cross: f64 = rgst.row(i)[cols.clone()]
+                .iter()
+                .zip(gi)
+                .map(|(x, y)| x * y)
+                .sum();
+            if cross.to_bits() == (-0.0f64).to_bits() {
+                cross = full_cross(rg.row(i), st, g_q.row(i), prec);
+            }
+            let mut quad = 0.0;
+            for (&gj, &tj) in gi.iter().zip(&gmt.row(i)[cols.clone()]) {
+                if gj != 0.0 {
+                    quad += gj * tj;
+                }
+            }
+            row(i, cross, quad);
+        }
+    }
+}
+
+/// The residual's cross term `(R G Sᵀ)_i · g_i` summed over every
+/// column, as the full-width product computes it: `(R G Sᵀ)_i` from
+/// `rg_i` and `Sᵀ` (zeros of `rg_i` skipped), quantised at `prec`, then
+/// the dot product from `-0`. The own-column sum equals it unless it
+/// comes out `-0`, where a dropped `+0` term would have made it `+0`.
+fn full_cross(rg_i: &[f64], st: &Mat, g_i: &[f64], prec: Precision) -> f64 {
+    let mut rgst: Vec<f64> = (0..st.cols())
+        .map(|j| {
+            let mut acc = 0.0;
+            for (b, &v) in rg_i.iter().enumerate() {
+                if v != 0.0 {
+                    acc += v * st[(b, j)];
+                }
+            }
+            acc
+        })
+        .collect();
+    prec.quantize_in_place(&mut rgst);
+    rgst.iter().zip(g_i).map(|(x, y)| x * y).sum()
+}
+
 /// Materialise the shrunk-active rows of `E_R = D_f·(R − G S Gᵀ)`: rows
 /// whose final norm clears `rel` of the maximum. `O(active · n · c)` —
 /// each active row reconstructs `q_i = r_i − (G S)_i Gᵀ` on the fly.
@@ -1074,7 +1436,7 @@ pub fn run_engine_dense_reference(
 
     let mut g = g0;
     let mut s = Mat::zeros(c, c);
-    let mut reg_state = RegState::new(reg, Precision::F64);
+    let mut reg_state = RegState::new(reg, Precision::F64, data.cluster_spec());
     let mut ensemble_weights: Option<Vec<f64>> = None;
 
     // Workhorse n x n buffers.
@@ -1110,7 +1472,8 @@ pub fn run_engine_dense_reference(
         let gb_pos = matmul(&g, &b_pos)?;
         let gb_neg = matmul(&g, &b_neg)?;
         let l_g = reg_state.part_products(&g)?;
-        multiplicative_update(&mut g, &a, &gb_pos, &gb_neg, l_g.as_ref(), cfg.lambda);
+        let l_g = l_g.as_ref().map(|(lp, lm)| (lp, lm));
+        multiplicative_update(&mut g, &a, &gb_pos, &gb_neg, l_g, cfg.lambda, 0..n, 0..c);
         if g.has_non_finite() {
             return Err(RhchmeError::Diverged { iteration: t });
         }
@@ -1155,7 +1518,7 @@ pub fn run_engine_dense_reference(
         }
 
         // ---- Objective J₄ (Eq. 15) ----------------------------------
-        let reg_term = reg_state.trace(&g)?;
+        let reg_term = reg_state.trace(&g, &g, data.cluster_spec())?;
         let l21_term = if cfg.use_error_matrix {
             cfg.beta * l21
         } else {
@@ -1486,10 +1849,11 @@ mod tests {
         candidates: &[SparseBlockDiag],
         mu: f64,
         g: &Mat,
+        clusters: &BlockSpec,
     ) -> (Vec<f64>, SparseBlockDiag, SparseBlockDiag, SparseBlockDiag) {
         let traces: Vec<f64> = candidates
             .iter()
-            .map(|c| c.trace_quad(g).unwrap())
+            .map(|c| c.trace_quad(g, clusters).unwrap())
             .collect();
         let target: Vec<f64> = traces.iter().map(|&t| -t / (2.0 * mu)).collect();
         let beta = project_simplex(&target, 1.0);
@@ -1516,14 +1880,14 @@ mod tests {
         candidates.push(candidates[1].scaled(-0.5));
         for n_cands in [1usize, 2, candidates.len()] {
             let cands = &candidates[..n_cands];
-            let mut ens = UnionEnsemble::new(cands, 0.7);
+            let mut ens = UnionEnsemble::new(cands, 0.7, data.cluster_spec());
             for seed in 0..4 {
                 let mut g = init_g(&data, seed);
                 if seed == 3 {
                     g.as_mut_slice()[5] = -0.0;
                 }
                 let beta = ens.resolve(&g);
-                let (beta_o, l_o, lp_o, lm_o) = resolve_oracle(cands, 0.7, &g);
+                let (beta_o, l_o, lp_o, lm_o) = resolve_oracle(cands, 0.7, &g, data.cluster_spec());
                 assert!(same_bits(&beta, &beta_o), "β, {n_cands} candidates");
                 let (lp, lm) = ens.parts.as_ref().unwrap();
                 assert!(same_bits(
@@ -1537,7 +1901,8 @@ mod tests {
                 // The objective's trace, then a resolve that reuses its
                 // products for the same G.
                 let t = ens.trace(&g);
-                assert!(same_bits(&[t], &[l_o.trace_quad(&g).unwrap()]), "trace");
+                let t_o = l_o.trace_quad(&g, data.cluster_spec()).unwrap();
+                assert!(same_bits(&[t], &[t_o]), "trace");
                 assert!(same_bits(&ens.resolve(&g), &beta_o));
             }
         }
@@ -1713,6 +2078,312 @@ mod tests {
         let res = run_engine(&r, &data, &GraphRegularizer::None, g0, &cfg).unwrap();
         assert_eq!(res.label_trace.len(), res.iterations);
         assert_eq!(res.label_trace[0].len(), data.sizes()[0]);
+    }
+
+    #[test]
+    fn rejects_g0_with_a_nonzero_outside_its_types_clusters() {
+        let (data, _) = tiny_data();
+        let r = data.assemble_r_csr();
+        let mut g0 = init_g(&data, 8);
+        // Row 0 is a document; the last cluster column belongs to concepts.
+        let last = data.total_clusters() - 1;
+        assert!(!data.cluster_spec().range(0).contains(&last));
+        g0[(0, last)] = 0.25;
+        let res = run_engine(
+            &r,
+            &data,
+            &GraphRegularizer::None,
+            g0.clone(),
+            &EngineConfig::default(),
+        );
+        assert!(matches!(res, Err(RhchmeError::InvalidData(_))), "{res:?}");
+        // A -0.0 there is a zero.
+        g0[(0, last)] = -0.0;
+        assert!(run_engine(
+            &r,
+            &data,
+            &GraphRegularizer::None,
+            g0,
+            &EngineConfig::default()
+        )
+        .is_ok());
+    }
+
+    #[test]
+    fn rejects_a_laplacian_whose_blocks_are_not_the_types() {
+        // One block over all objects: each row's L·G would mix types.
+        let (data, _) = tiny_data();
+        let r = data.assemble_r_csr();
+        let n = data.total_objects();
+        let one_block = SparseBlockDiag::new(vec![Csr::identity(n)]).unwrap();
+        for reg in [
+            GraphRegularizer::Fixed(one_block.clone()),
+            GraphRegularizer::Ensemble {
+                candidates: vec![one_block],
+                mu: 1.0,
+            },
+        ] {
+            let res = run_engine(&r, &data, &reg, init_g(&data, 8), &EngineConfig::default());
+            assert!(matches!(res, Err(RhchmeError::InvalidData(_))), "{res:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_g0() {
+        let (data, _) = tiny_data();
+        let r = data.assemble_r_csr();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut g0 = init_g(&data, 8);
+            g0[(3, 0)] = bad;
+            let res = run_engine(
+                &r,
+                &data,
+                &GraphRegularizer::None,
+                g0,
+                &EngineConfig::default(),
+            );
+            assert!(
+                matches!(res, Err(RhchmeError::InvalidData(_))),
+                "{bad}: {res:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_r() {
+        let (data, _) = tiny_data();
+        let g0 = init_g(&data, 8);
+        let base = data.assemble_r_csr();
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            let mut rows: Vec<(Vec<usize>, Vec<f64>)> = (0..base.rows())
+                .map(|i| (base.row(i).0.to_vec(), base.row(i).1.to_vec()))
+                .collect();
+            rows[3].1[0] = bad;
+            let r = Csr::from_sparse_rows(&rows, base.cols());
+            let res = run_engine(
+                &r,
+                &data,
+                &GraphRegularizer::None,
+                g0.clone(),
+                &EngineConfig::default(),
+            );
+            assert!(
+                matches!(res, Err(RhchmeError::InvalidData(_))),
+                "{bad}: {res:?}"
+            );
+        }
+        // A finite R beyond the f32 range is non-finite in F32 mode.
+        let mut dense = base.to_dense();
+        let (i, j, _) = base.iter().next().unwrap();
+        dense[(i, j)] = 1e300;
+        let r = Csr::from_dense(&dense, 0.0);
+        let f32_cfg = EngineConfig {
+            precision: Precision::F32,
+            ..EngineConfig::default()
+        };
+        let res = run_engine(&r, &data, &GraphRegularizer::None, g0, &f32_cfg);
+        assert!(matches!(res, Err(RhchmeError::InvalidData(_))), "{res:?}");
+    }
+
+    #[test]
+    fn an_r_with_type_self_entries_runs_the_same_model() {
+        // `MultiTypeData` never assembles a type-self block, but
+        // `run_engine` takes `R` on its own: the typed R·G splits R by
+        // column type, own type included, so such an R is fitted as the
+        // dense reference fits it.
+        let (data, _) = tiny_data();
+        let mut dense = data.assemble_r();
+        let docs = data.spec().range(0);
+        for i in docs.clone().take(6) {
+            let j = docs.start + (i + 3) % docs.len();
+            dense[(i, j)] = 0.5;
+            dense[(j, i)] = 0.5;
+        }
+        let r = Csr::from_dense(&dense, 0.0);
+        let cfg = EngineConfig {
+            lambda: 0.5,
+            beta: 10.0,
+            max_iter: 12,
+            tol: 0.0,
+            ..EngineConfig::default()
+        };
+        let reg = GraphRegularizer::Fixed(pnn_block_laplacian(&data));
+        let g0 = init_g(&data, 9);
+        let sparse = run_engine(&r, &data, &reg, g0.clone(), &cfg).unwrap();
+        let reference = run_engine_dense_reference(&dense, &data, &reg, g0, &cfg).unwrap();
+        for (a, b) in sparse
+            .objective_trace
+            .iter()
+            .zip(&reference.objective_trace)
+        {
+            assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{a} vs {b}");
+        }
+    }
+
+    /// The layout of [`tiny_data`] as the engine derives it.
+    fn layout(data: &MultiTypeData) -> Vec<(Range<usize>, Range<usize>)> {
+        (0..data.num_types())
+            .map(|k| (data.spec().range(k), data.cluster_spec().range(k)))
+            .collect()
+    }
+
+    /// `row_dots` and `row_quad_forms` as the loop called them before the
+    /// typed layout: full-width dot products from `-0`, and per row
+    /// `Σ_j g_ij·(M·g_i)_j` over nonzero `g_ij` with `M·g_i` summed from
+    /// `-0` over nonzero `g_ik`.
+    fn residual_oracle(rg: &Mat, st: &Mat, g_q: &Mat, m: &Mat, prec: Precision) -> Vec<(f64, f64)> {
+        let mut rgst = matmul(rg, st).unwrap();
+        rgst.quantize(prec);
+        (0..g_q.rows())
+            .map(|i| {
+                let gi = g_q.row(i);
+                let cross: f64 = rgst.row(i).iter().zip(gi).map(|(x, y)| x * y).sum();
+                let mut quad = 0.0;
+                for (j, &gj) in gi.iter().enumerate() {
+                    if gj == 0.0 {
+                        continue;
+                    }
+                    let mut t = -0.0;
+                    for (k, &gk) in gi.iter().enumerate() {
+                        if gk != 0.0 {
+                            t += gk * m[(j, k)];
+                        }
+                    }
+                    quad += gj * t;
+                }
+                (cross, quad)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn typed_loop_kernels_match_the_full_width_ones() {
+        // Every typed step of one iteration against the full-width kernel
+        // it replaced, bit for bit: R·G (spmm_dense), GᵀG (gram), L±·G
+        // (mul_dense), the residual's cross term (row_dots) and quadratic
+        // form (row_quad_forms). G carries -0.0 and an all-zero row, R·G
+        // negative values (a sign-flipped S), so some cross terms come out
+        // -0 own-column-wise; F32-quantised operands; 1 and 4 threads.
+        let (data, _) = tiny_data();
+        let blocks = layout(&data);
+        let (n, c) = (data.total_objects(), data.total_clusters());
+        let lap = pnn_block_laplacian(&data);
+        let (lp, lm) = lap.split_parts();
+        let before = mtrl_linalg::par::num_threads();
+        for prec in [Precision::F64, Precision::F32] {
+            let r_q = prec.quantized(&data.assemble_r_csr()).into_owned();
+            let mut g = init_g(&data, 5);
+            for i in (7..n).step_by(9) {
+                g.row_mut(i).iter_mut().for_each(|v| *v = 0.0);
+            }
+            for &(i, j) in &[(2usize, 0usize), (30, 3), (40, 5)] {
+                if blocks
+                    .iter()
+                    .any(|(r, cl)| r.contains(&i) && cl.contains(&j))
+                {
+                    g[(i, j)] = -0.0;
+                }
+            }
+            g.quantize(prec);
+            let rg_full = r_q.spmm_dense(&g);
+            // An S under which some all-zero row's own-column cross terms
+            // are all -0 while a term outside its columns is +0: there
+            // the own-column sum is -0 and the full-width one +0.
+            let flips = |s: &Mat| {
+                let mut rgst = matmul(&rg_full, &s.transpose()).unwrap();
+                rgst.quantize(prec);
+                blocks.iter().any(|(rows, cols)| {
+                    rows.clone().any(|i| {
+                        let own: f64 = rgst.row(i)[cols.clone()]
+                            .iter()
+                            .zip(&g.row(i)[cols.clone()])
+                            .map(|(x, y)| x * y)
+                            .sum();
+                        let full: f64 = rgst.row(i).iter().zip(g.row(i)).map(|(x, y)| x * y).sum();
+                        own.to_bits() == (-0.0f64).to_bits() && full.to_bits() == 0
+                    })
+                })
+            };
+            let s = (0..64)
+                .map(|seed| mtrl_linalg::random::rand_uniform(c, c, -1.0, 1.0, seed))
+                .find(|s| flips(s))
+                .expect("an S that exercises the -0 cross term");
+            let st = s.transpose();
+            for threads in [1usize, 4] {
+                mtrl_linalg::par::set_num_threads(threads);
+                let mut packed: Vec<Mat> = blocks
+                    .iter()
+                    .map(|(r, cl)| Mat::zeros(r.len(), cl.len()))
+                    .collect();
+                pack_blocks(&g, &blocks, &mut packed);
+                let mut rg = Mat::zeros(n, c);
+                typed_spmm(
+                    &r_q.split_blocks(data.spec(), data.spec()),
+                    &packed,
+                    &blocks,
+                    &mut rg,
+                );
+                assert!(
+                    same_bits(rg.as_slice(), r_q.spmm_dense(&g).as_slice()),
+                    "R·G"
+                );
+                let mut k = Mat::filled(c, c, 9.0);
+                typed_gram(&g, &blocks, &mut k);
+                assert!(same_bits(k.as_slice(), gram(&g).as_slice()), "GᵀG");
+                for part in [&lp, &lm] {
+                    let mut lg = Mat::zeros(n, c);
+                    part.mul_typed(&packed, data.cluster_spec(), &mut lg)
+                        .unwrap();
+                    let full = part.mul_dense(&g).unwrap();
+                    for (rows, cols) in &blocks {
+                        for i in rows.clone() {
+                            assert!(same_bits(
+                                &lg.row(i)[cols.clone()],
+                                &full.row(i)[cols.clone()]
+                            ));
+                        }
+                    }
+                }
+                let m = matmul(&matmul(&s, &k).unwrap(), &st).unwrap();
+                let expect = residual_oracle(&rg, &st, &g, &m, prec);
+                let mut got = vec![(f64::NAN, f64::NAN); n];
+                let (mut a, mut b) = (Mat::zeros(n, c), Mat::zeros(n, c));
+                residual_terms(
+                    &rg,
+                    &st,
+                    &g,
+                    &m,
+                    &blocks,
+                    prec,
+                    (&mut a, &mut b),
+                    |i, x, q| got[i] = (x, q),
+                );
+                for (i, (&(x, q), &(ex, eq))) in got.iter().zip(&expect).enumerate() {
+                    assert!(
+                        same_bits(&[x, q], &[ex, eq]),
+                        "row {i}: ({x}, {q}) vs ({ex}, {eq})"
+                    );
+                }
+            }
+        }
+        mtrl_linalg::par::set_num_threads(before);
+    }
+
+    #[test]
+    fn typed_normalisation_matches_the_full_rows() {
+        let (data, _) = tiny_data();
+        let blocks = layout(&data);
+        let mut g = init_g(&data, 3);
+        g.row_mut(4).iter_mut().for_each(|v| *v = 0.0);
+        g[(5, 0)] = -0.0;
+        let mut full = g.clone();
+        full.normalize_rows_l1(1e-300);
+        for (rows, cols) in &blocks {
+            for i in rows.clone() {
+                normalize_l1(&mut g.row_mut(i)[cols.clone()], 1e-300);
+            }
+        }
+        assert!(same_bits(g.as_slice(), full.as_slice()));
     }
 
     #[test]

@@ -200,7 +200,7 @@ pub fn merge_members(
 fn closed_form_s(r: &mtrl_sparse::Csr, g: &Mat) -> Result<Mat> {
     let gtg = ops::matmul_tn(g, g)?;
     let inv = solve::ridge_inverse(&gtg, 1e-10)?;
-    let rg = r.mul_dense(g);
+    let rg = r.spmm_dense(g);
     let gtrg = ops::matmul_tn(g, &rg)?;
     Ok(ops::matmul(&ops::matmul(&inv, &gtrg)?, &inv)?)
 }

@@ -160,6 +160,37 @@ pub(crate) mod oracle {
         out
     }
 
+    /// A type-blocked membership-like matrix: types of `sizes[k]` rows
+    /// each own `clusters[k]` contiguous columns, and row `i` of type `k`
+    /// is nonzero only there (positive values, with exact zeros and
+    /// `-0.0`s mixed in); every fifth row is all zero. Returns the
+    /// row-major values and the column count.
+    pub(crate) fn typed_rows(sizes: &[usize], clusters: &[usize], seed: u64) -> (Vec<f64>, usize) {
+        let n: usize = sizes.iter().sum();
+        let c: usize = clusters.iter().sum();
+        let vals = awkward(n * c, seed, false);
+        let mut out = vec![0.0; n * c];
+        let (mut r0, mut c0) = (0, 0);
+        for (&nk, &ck) in sizes.iter().zip(clusters) {
+            for i in r0..r0 + nk {
+                if i % 5 == 4 {
+                    continue;
+                }
+                for j in c0..c0 + ck {
+                    let v = vals[i * c + j];
+                    out[i * c + j] = if v.to_bits() == (-0.0f64).to_bits() {
+                        v
+                    } else {
+                        v.abs()
+                    };
+                }
+            }
+            r0 += nk;
+            c0 += ck;
+        }
+        (out, c)
+    }
+
     /// Equal bits, or NaN on both sides (a NaN's payload may depend on
     /// operand order, which neither kernel promises).
     pub(crate) fn same_bits(a: &[f64], b: &[f64]) -> bool {

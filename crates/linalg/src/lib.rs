@@ -17,8 +17,9 @@
 //! * blocked and multi-threaded matrix products ([`ops`]);
 //! * the scoped-thread worker pool shared by every parallel kernel in
 //!   the workspace ([`par`]; `MTRL_NUM_THREADS` overrides the count);
-//! * diagonal-plus-low-rank row kernels backing the sparse-first NMTF
-//!   engine's implicit `R − E_R` representation ([`lowrank`]);
+//! * the diagonal-plus-low-rank correction behind the sparse-first NMTF
+//!   engine's implicit `R − E_R` representation, one type's column block
+//!   at a time ([`lowrank`]);
 //! * norms used by the paper: Frobenius, `l1`, `l2,1` ([`norms`]);
 //! * Gauss–Jordan inversion, Cholesky, LU solve ([`solve`]);
 //! * a Jacobi symmetric eigensolver ([`eigen`]) for spectral utilities;
@@ -32,12 +33,14 @@
 //!
 //! The crate is deliberately free of `unsafe` code; hot loops are written
 //! so that bounds checks vanish after slicing rows. The narrow kernels
-//! behind the NMTF engine (`matmul` into `c` columns, `matmul_tn`,
-//! `gram`, `diag_lowrank_combine`, `row_quad_forms`) make one pass per
-//! output row with the row held in a fixed-size register accumulator
-//! (up to 32 columns per pass), and skip only exact zeros, so their
-//! results are bit-identical to the scalar loops they replaced (kept as
-//! `#[cfg(test)]` oracles).
+//! behind the NMTF engine (`matmul` and `matmul_tn` and their sub-block
+//! forms `matmul_block` / `matmul_tn_block`, `gram`,
+//! `diag_lowrank_combine_block`) make one pass per output row with the
+//! row held in a fixed-size register accumulator (up to 32 columns per
+//! pass), and skip only exact zeros, so their results are bit-identical
+//! to the scalar loops they replaced (kept as `#[cfg(test)]` oracles).
+//! The engine runs the sub-block forms on each object type's own rows
+//! and cluster columns.
 
 pub mod block;
 pub mod eigen;

@@ -14,12 +14,18 @@
 //! entry sums its terms in the scalar i-k-j loop's order, so results are
 //! bit-identical to it. Products above a work threshold are split
 //! row-wise across threads with `std::thread::scope`.
+//!
+//! [`matmul_block`] and [`matmul_tn_block`] run the same accumulators
+//! on one sub-block of each operand. The sparse-first NMTF engine uses
+//! them to restrict every `n x c` product to each object type's own
+//! rows and cluster columns (`c_k` lanes instead of `c`).
 
 use crate::error::LinalgError;
 use crate::lanes::{panels, store_lanes, with_lanes, Panel};
 use crate::mat::Mat;
 use crate::par::par_row_chunks;
 use crate::Result;
+use std::ops::Range;
 
 // Thread-count control lives in [`crate::par`]; re-exported here because
 // this module was its historical home.
@@ -28,6 +34,9 @@ pub use crate::par::{num_threads, set_num_threads};
 /// Work threshold (`m * k * n` multiply-adds) above which products go
 /// multi-threaded. Below it, thread spawn overhead dominates.
 const PAR_THRESHOLD: usize = 1 << 22;
+
+/// Output rows a narrow kernel accumulates side by side.
+const GROUP: usize = 4;
 
 /// Dense product `A * B`.
 ///
@@ -45,13 +54,50 @@ pub fn matmul(a: &Mat, b: &Mat) -> Result<Mat> {
     let mut out = Mat::zeros(m, n);
     let work = m * a.cols() * n;
     if work < PAR_THRESHOLD || num_threads() == 1 || m < 2 {
-        mul_rows_into(a, b, out.as_mut_slice(), 0, m);
+        mul_rows_into(a, b, 0..a.cols(), 0..n, out.as_mut_slice(), 0..m);
     } else {
         par_row_chunks(out.as_mut_slice(), m, n, |r0, r1, chunk| {
-            mul_rows_into(a, b, chunk, r0, r1)
+            mul_rows_into(a, b, 0..a.cols(), 0..n, chunk, r0..r1)
         });
     }
     Ok(out)
+}
+
+/// One block of a product: `out[rows, cols] = A[rows, inner] · B[inner, cols]`,
+/// with `out` shaped like `A * B` (`a.rows() x b.cols()`) and every
+/// entry outside the block left as it is. Serial.
+///
+/// Each entry sums `a_ik · b_kj` over ascending `k` in `inner` from
+/// `+0`, skipping the zeros of `A`, in the register accumulator of
+/// [`matmul`]. Where `A` is zero outside `inner` in `rows`, the block
+/// is therefore bit-identical to the same block of [`matmul`] — the
+/// case of a block-diagonal membership matrix `G`, whose row `i` is
+/// nonzero only in its type's cluster columns.
+///
+/// # Panics
+/// Panics if `out` is not `a.rows() x b.cols()`, `a.cols() != b.rows()`,
+/// or a range runs past its matrix.
+pub fn matmul_block(
+    a: &Mat,
+    b: &Mat,
+    rows: Range<usize>,
+    inner: Range<usize>,
+    cols: Range<usize>,
+    out: &mut Mat,
+) {
+    assert_eq!(a.cols(), b.rows(), "matmul_block: inner dimension mismatch");
+    assert_eq!(
+        out.shape(),
+        (a.rows(), b.cols()),
+        "matmul_block: out is not A*B-shaped"
+    );
+    assert!(
+        rows.end <= a.rows() && inner.end <= a.cols() && cols.end <= b.cols(),
+        "matmul_block: range past the matrix"
+    );
+    let n = b.cols();
+    let chunk = &mut out.as_mut_slice()[rows.start * n..rows.end * n];
+    mul_rows_into(a, b, inner, cols, chunk, rows);
 }
 
 /// Product `Aᵀ * B` where `A` is `k x m` and `B` is `k x n`.
@@ -77,10 +123,58 @@ pub fn matmul_tn(a: &Mat, b: &Mat) -> Result<Mat> {
         return matmul(&a.transpose(), b);
     }
     let mut out = Mat::zeros(m, n);
-    for (p0, w) in panels(n) {
-        with_lanes!(w, tn_panel(a, b, out.as_mut_slice(), p0, w));
-    }
+    matmul_tn_block(a, b, 0..a.rows(), 0..m, 0..n, &mut out);
     Ok(out)
+}
+
+/// One block of a transposed product:
+/// `out[a_cols, b_cols] = A[rows, a_cols]ᵀ · B[rows, b_cols]`, with
+/// `out` shaped like `Aᵀ * B` (`a.cols() x b.cols()`) and every entry
+/// outside the block left as it is. Serial.
+///
+/// Output row `i` sums `a_ri · b_r` over ascending `r` in `rows` from
+/// `+0`, skipping the zeros of `A`, as [`matmul_tn`] does. Where column
+/// `i` of `A` is zero outside `rows`, row `i` of the block is therefore
+/// bit-identical to the same entries of [`matmul_tn`] — the case of a
+/// block-diagonal `G`, whose type-`k` cluster columns are nonzero only
+/// in type `k`'s rows.
+///
+/// # Panics
+/// Panics if `out` is not `a.cols() x b.cols()`, `a.rows() != b.rows()`,
+/// or a range runs past its matrix.
+pub fn matmul_tn_block(
+    a: &Mat,
+    b: &Mat,
+    rows: Range<usize>,
+    a_cols: Range<usize>,
+    b_cols: Range<usize>,
+    out: &mut Mat,
+) {
+    assert_eq!(a.rows(), b.rows(), "matmul_tn_block: row count mismatch");
+    assert_eq!(
+        out.shape(),
+        (a.cols(), b.cols()),
+        "matmul_tn_block: out is not AᵀB-shaped"
+    );
+    assert!(
+        rows.end <= a.rows() && a_cols.end <= a.cols() && b_cols.end <= b.cols(),
+        "matmul_tn_block: range past the matrix"
+    );
+    for (q0, w) in panels(b_cols.len()) {
+        let p0 = b_cols.start + q0;
+        with_lanes!(
+            w,
+            tn_panel(
+                a,
+                b,
+                rows.clone(),
+                a_cols.clone(),
+                out.as_mut_slice(),
+                p0,
+                w
+            )
+        );
+    }
 }
 
 /// Product `A * Bᵀ` where `A` is `m x k` and `B` is `n x k`.
@@ -269,59 +363,108 @@ pub fn g_s_gt(g: &Mat, s: &Mat) -> Result<Mat> {
 // internal kernels
 // ---------------------------------------------------------------------------
 
-/// Compute rows `[r0, r1)` of `A*B` into `chunk` (row-major, `r1-r0` rows).
-fn mul_rows_into(a: &Mat, b: &Mat, chunk: &mut [f64], r0: usize, r1: usize) {
-    for (p0, w) in panels(b.cols()) {
-        with_lanes!(w, mul_panel(a, b, chunk, p0, w, r0, r1));
+/// Columns `cols` of rows `rows` of `A[:, inner] · B[inner, :]` into
+/// `chunk`, which holds those rows of the output (row stride
+/// `b.cols()`).
+fn mul_rows_into(
+    a: &Mat,
+    b: &Mat,
+    inner: Range<usize>,
+    cols: Range<usize>,
+    chunk: &mut [f64],
+    rows: Range<usize>,
+) {
+    for (q0, w) in panels(cols.len()) {
+        let p0 = cols.start + q0;
+        with_lanes!(
+            w,
+            mul_panel(a, b, inner.clone(), chunk, p0, w, rows.clone())
+        );
     }
 }
 
-/// Columns `[p0, p0 + w)` of rows `[r0, r1)` of `A*B`: one pass per
-/// output row, the row held in a `W`-lane accumulator, terms added in
-/// ascending `k` with the zeros of `A` skipped.
+/// Columns `[p0, p0 + w)` of rows `rows` of `A[:, inner] · B[inner, :]`:
+/// one pass per output row, the row held in a `W`-lane accumulator,
+/// terms added in ascending `k` with the zeros of `A` skipped. Rows go
+/// [`GROUP`] at a time, sharing each row of `B`: every accumulator
+/// still sums its own terms in order, while the group's chains of
+/// dependent adds overlap.
 fn mul_panel<const W: usize>(
     a: &Mat,
     b: &Mat,
+    inner: Range<usize>,
     chunk: &mut [f64],
     p0: usize,
     w: usize,
-    r0: usize,
-    r1: usize,
+    rows: Range<usize>,
 ) {
     let n = b.cols();
     let bp = Panel::<W>::new(b.as_slice(), b.rows(), b.cols(), p0, w);
-    for (local, gi) in (r0..r1).enumerate() {
-        let mut acc = [0.0; W];
-        for (k, &av) in a.row(gi).iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in acc.iter_mut().zip(bp.row(k)) {
-                *o += av * bv;
+    let r0 = rows.start;
+    let mut i = r0;
+    while i < rows.end {
+        // A short last group repeats its last row; only `group` rows are
+        // stored.
+        let group = (rows.end - i).min(GROUP);
+        let arows: [&[f64]; GROUP] =
+            std::array::from_fn(|q| &a.row(i + q.min(group - 1))[inner.clone()]);
+        let mut acc = [[0.0; W]; GROUP];
+        for (e, k) in inner.clone().enumerate() {
+            let brow = bp.row(k);
+            for (acc, arow) in acc.iter_mut().zip(&arows) {
+                let av = arow[e];
+                if av != 0.0 {
+                    for (o, &bv) in acc.iter_mut().zip(brow) {
+                        *o += av * bv;
+                    }
+                }
             }
         }
-        store_lanes(acc, &mut chunk[local * n + p0..][..w]);
+        for (q, acc) in acc.into_iter().enumerate().take(group) {
+            store_lanes(acc, &mut chunk[(i + q - r0) * n + p0..][..w]);
+        }
+        i += group;
     }
 }
 
-/// Columns `[p0, p0 + w)` of `AᵀB` into `out` (`a.cols() x b.cols()`):
-/// output row `i` sums `a[r][i] · b[r]` over ascending `r`, skipping
-/// the zeros of `A`.
-fn tn_panel<const W: usize>(a: &Mat, b: &Mat, out: &mut [f64], p0: usize, w: usize) {
+/// Columns `[p0, p0 + w)` of rows `a_cols` of `A[rows, :]ᵀ · B[rows, :]`
+/// into `out` (`a.cols() x b.cols()`): output row `i` sums
+/// `a[r][i] · b[r]` over ascending `r` in `rows`, skipping the zeros of
+/// `A`. Output rows go [`GROUP`] at a time, sharing each row of `B`.
+fn tn_panel<const W: usize>(
+    a: &Mat,
+    b: &Mat,
+    rows: Range<usize>,
+    a_cols: Range<usize>,
+    out: &mut [f64],
+    p0: usize,
+    w: usize,
+) {
     let n = b.cols();
     let bp = Panel::<W>::new(b.as_slice(), b.rows(), b.cols(), p0, w);
-    for i in 0..a.cols() {
-        let mut acc = [0.0; W];
-        for r in 0..a.rows() {
-            let av = a.row(r)[i];
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in acc.iter_mut().zip(bp.row(r)) {
-                *o += av * bv;
+    let mut i = a_cols.start;
+    while i < a_cols.end {
+        // A short last group repeats its last column; only `group`
+        // output rows are stored.
+        let group = (a_cols.end - i).min(GROUP);
+        let cols: [usize; GROUP] = std::array::from_fn(|q| i + q.min(group - 1));
+        let mut acc = [[0.0; W]; GROUP];
+        for r in rows.clone() {
+            let arow = a.row(r);
+            let brow = bp.row(r);
+            for (acc, &col) in acc.iter_mut().zip(&cols) {
+                let av = arow[col];
+                if av != 0.0 {
+                    for (o, &bv) in acc.iter_mut().zip(brow) {
+                        *o += av * bv;
+                    }
+                }
             }
         }
-        store_lanes(acc, &mut out[i * n + p0..][..w]);
+        for (q, acc) in acc.into_iter().enumerate().take(group) {
+            store_lanes(acc, &mut out[(i + q) * n + p0..][..w]);
+        }
+        i += group;
     }
 }
 
@@ -366,8 +509,10 @@ fn nt_rows_into(a: &Mat, b: &Mat, chunk: &mut [f64], r0: usize, r1: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lanes::oracle::{awkward, block_rows, same_bits};
+    use crate::block::BlockSpec;
+    use crate::lanes::oracle::{awkward, block_rows, same_bits, typed_rows};
     use crate::random::rand_uniform;
+    use crate::Quantize;
 
     /// The scalar loop [`mul_rows_into`] replaced: i-k-j, the output row
     /// updated in memory, zeros of `A` skipped.
@@ -497,6 +642,90 @@ mod tests {
                 same_bits(fast.as_slice(), expect.as_slice()),
                 "threads={threads}"
             );
+        }
+        set_num_threads(before);
+    }
+
+    /// Layouts crossing the accumulator widths, a type with one cluster
+    /// and a type with one object.
+    const LAYOUTS: [(&[usize], &[usize]); 3] = [
+        (&[13, 1, 9], &[3, 15, 4]),
+        (&[7, 11, 6, 5], &[1, 9, 33, 2]),
+        (&[1, 21], &[17, 8]),
+    ];
+
+    #[test]
+    fn block_kernels_match_the_full_width_products_on_typed_operands() {
+        // Each type's block of every product against the same entries of
+        // the full-width kernel, bit for bit; entries outside the blocks
+        // stay untouched. `B` carries NaN/±∞: against a zero of `A` neither
+        // kernel forms 0·∞. F32-quantised operands and 1 and 4 threads.
+        let before = num_threads();
+        for (li, (sizes, clusters)) in LAYOUTS.iter().enumerate() {
+            let (types, cl) = (
+                BlockSpec::from_sizes(sizes),
+                BlockSpec::from_sizes(clusters),
+            );
+            let (vals, c) = typed_rows(sizes, clusters, 40 + li as u64);
+            let n = types.total();
+            for quantized in [false, true] {
+                let mut g = mat(n, c, vals.clone());
+                let mut b = mat(c, c, awkward(c * c, 50 + li as u64, true));
+                let mut x = mat(n, c, awkward(n * c, 60 + li as u64, true));
+                if quantized {
+                    for m in [&mut g, &mut b, &mut x] {
+                        m.quantize(crate::Precision::F32);
+                    }
+                }
+                for threads in [1usize, 4] {
+                    set_num_threads(threads);
+                    let full = matmul(&g, &b).unwrap();
+                    let full_x = matmul(&x, &b).unwrap();
+                    let tn_gx = matmul_tn(&g, &x).unwrap();
+                    let tn_gg = matmul_tn(&g, &g).unwrap();
+                    let (mut own, mut wide, mut xb) = (
+                        Mat::filled(n, c, 9.0),
+                        Mat::filled(n, c, 9.0),
+                        Mat::filled(n, c, 9.0),
+                    );
+                    let (mut tn, mut tg) = (Mat::filled(c, c, 9.0), Mat::filled(c, c, 9.0));
+                    for k in 0..types.num_blocks() {
+                        let (rows, cols) = (types.range(k), cl.range(k));
+                        matmul_block(&g, &b, rows.clone(), cols.clone(), cols.clone(), &mut own);
+                        matmul_block(&g, &b, rows.clone(), cols.clone(), 0..c, &mut wide);
+                        matmul_block(&x, &b, rows.clone(), 0..c, cols.clone(), &mut xb);
+                        matmul_tn_block(&g, &x, rows.clone(), cols.clone(), 0..c, &mut tn);
+                        matmul_tn_block(&g, &g, rows.clone(), cols.clone(), cols.clone(), &mut tg);
+                    }
+                    for k in 0..types.num_blocks() {
+                        let cols = cl.range(k);
+                        for i in types.range(k) {
+                            let at = |m: &Mat| m.row(i)[cols.clone()].to_vec();
+                            assert!(same_bits(&at(&own), &at(&full)), "own {li} row {i}");
+                            assert!(same_bits(&at(&xb), &at(&full_x)), "x·B {li} row {i}");
+                            assert!(same_bits(wide.row(i), full.row(i)), "wide {li} row {i}");
+                            let outside = own
+                                .row(i)
+                                .iter()
+                                .enumerate()
+                                .filter(|(j, _)| !cols.contains(j));
+                            assert!(outside.clone().all(|(_, &v)| v == 9.0), "own leaked {li}");
+                        }
+                        for a in cols.clone() {
+                            assert!(same_bits(tn.row(a), tn_gx.row(a)), "GᵀX {li} row {a}");
+                            let own_tg = &tg.row(a)[cols.clone()];
+                            assert!(same_bits(own_tg, &tn_gg.row(a)[cols.clone()]), "GᵀG {li}");
+                            // Off-block GᵀG is +0 for a finite G.
+                            let off = tn_gg
+                                .row(a)
+                                .iter()
+                                .enumerate()
+                                .filter(|(j, _)| !cols.contains(j));
+                            assert!(off.clone().all(|(_, v)| v.to_bits() == 0), "GᵀG off-block");
+                        }
+                    }
+                }
+            }
         }
         set_num_threads(before);
     }

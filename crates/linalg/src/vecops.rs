@@ -10,6 +10,25 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// The dot products `a · b_q` of one row with `N` others, each summed
+/// from `-0` in index order exactly as `Iterator::sum` sums
+/// `a[x] * b_q[x]`, with the `N` chains of dependent adds interleaved so
+/// they overlap instead of running one after another.
+///
+/// # Panics
+/// Panics if some `b_q` is shorter than `a`.
+#[inline]
+pub fn dots<const N: usize>(a: &[f64], bs: [&[f64]; N]) -> [f64; N] {
+    let bs = bs.map(|b| &b[..a.len()]);
+    let mut out = [-0.0; N];
+    for (x, &ax) in a.iter().enumerate() {
+        for (o, b) in out.iter_mut().zip(&bs) {
+            *o += ax * b[x];
+        }
+    }
+    out
+}
+
 /// Euclidean (l2) norm.
 #[inline]
 pub fn norm2(a: &[f64]) -> f64 {

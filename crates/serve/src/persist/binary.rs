@@ -401,7 +401,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<FittedModel, ServeError> {
 /// Propagates validation failures and I/O errors.
 pub fn save_binary(model: &FittedModel, path: impl AsRef<Path>) -> Result<(), ServeError> {
     let bytes = to_bytes(model)?;
-    std::fs::write(path, bytes)?;
+    super::write_durably(path.as_ref(), &bytes)?;
     Ok(())
 }
 

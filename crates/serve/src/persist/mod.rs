@@ -130,7 +130,50 @@ pub fn from_json(text: &str) -> Result<FittedModel, ServeError> {
 /// Propagates validation failures and I/O errors.
 pub fn save(model: &FittedModel, path: impl AsRef<Path>) -> Result<(), ServeError> {
     let json = to_json(model)?;
-    std::fs::write(path, json)?;
+    write_durably(path.as_ref(), json.as_bytes())?;
+    Ok(())
+}
+
+/// Replace the file at `path` with `bytes` so that no reader ever sees a
+/// partial file and a crash leaves either the old file or the new one:
+/// write a sibling temporary file, `sync_all` it, `rename` it over
+/// `path` (atomic within one file system), then sync the parent
+/// directory so the rename itself is durable. The temporary file is
+/// removed if any step before the rename fails.
+pub(crate) fn write_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
+    })?;
+    let tmp = dir.join(format!(
+        ".{}.tmp-{}-{}",
+        name.to_string_lossy(),
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written = std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    // A directory opens as a file on Unix only; elsewhere the rename
+    // stands without the directory sync.
+    #[cfg(unix)]
+    std::fs::File::open(dir)?.sync_all()?;
     Ok(())
 }
 
@@ -197,6 +240,58 @@ mod tests {
         let back = load(&path).unwrap();
         assert_eq!(back.content_digest(), model.content_digest());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn readers_never_see_a_partial_model_while_it_is_rewritten() {
+        // A reader loads the file in a loop while a writer saves over it
+        // 100 times, in each format; every load must parse and verify as
+        // one of the two models being written.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{Arc, Barrier};
+        let models = [tiny_fitted_model(35), tiny_fitted_model(36)];
+        let digests = [models[0].content_digest(), models[1].content_digest()];
+        assert_ne!(digests[0], digests[1]);
+        let dir = std::env::temp_dir().join(format!("mtrl_serve_durable_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        type SaveFn = fn(&FittedModel, &Path) -> Result<(), ServeError>;
+        let formats: [(&str, SaveFn); 2] = [
+            ("model.json", |m, p| save(m, p)),
+            ("model.bin", |m, p| save_binary(m, p)),
+        ];
+        for (file, save_fn) in formats {
+            let path = dir.join(file);
+            save_fn(&models[0], &path).unwrap();
+            let start = Arc::new(Barrier::new(2));
+            let done = Arc::new(AtomicBool::new(false));
+            let reader = {
+                let (path, start, done) = (path.clone(), Arc::clone(&start), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut loads = 0usize;
+                    while !done.load(Ordering::Acquire) || loads == 0 {
+                        let model = load_any(&path).expect("a whole model on every load");
+                        assert!(digests.contains(&model.content_digest()));
+                        loads += 1;
+                    }
+                    loads
+                })
+            };
+            start.wait();
+            for i in 0..100 {
+                save_fn(&models[i % 2], &path).unwrap();
+            }
+            done.store(true, Ordering::Release);
+            assert!(reader.join().expect("reader saw a partial model") > 0);
+            // No temporary file is left behind.
+            let leftovers: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
+                .collect();
+            assert!(leftovers.is_empty(), "{leftovers:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

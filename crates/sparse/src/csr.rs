@@ -1,7 +1,10 @@
 //! Compressed sparse row matrix.
 
 use crate::lanes::{panels, store_lanes, with_lanes, Panel};
+use mtrl_linalg::block::BlockSpec;
+use mtrl_linalg::vecops::dots;
 use mtrl_linalg::{Mat, Precision, Quantize};
+use std::ops::Range;
 
 /// Compressed sparse row (CSR) matrix of `f64`.
 ///
@@ -181,57 +184,74 @@ impl Csr {
     pub fn spmm_dense(&self, b: &Mat) -> Mat {
         assert_eq!(self.cols, b.rows(), "spmm_dense: dimension mismatch");
         let mut out = Mat::zeros(self.rows, b.cols());
-        self.spmm_dense_at(b, 0, &mut out);
+        self.spmm_into(b, &mut out, 0, 0);
         out
     }
 
-    /// [`Self::spmm_dense`] as one diagonal block of a stacked operator:
-    /// multiplies against rows `[offset, offset + cols)` of `b` and
-    /// writes rows `[offset, offset + rows)` of `out` — the per-block
-    /// step of [`crate::SparseBlockDiag::mul_dense`], with no submatrix
-    /// copies. Rows of `out` outside the block are left as they are.
+    /// `self * B` written into a window of a larger matrix: rows
+    /// `[row0, row0 + self.rows())` and columns
+    /// `[col0, col0 + b.cols())` of `out`; every other entry of `out` is
+    /// left as it is. With `B` one object type's packed block of a
+    /// block-diagonal `G`, this is that type's share of `R·G` or `L·G`,
+    /// in `c_k` lanes instead of `out.cols()`.
     ///
     /// Each output row takes one pass over its stored entries per panel
     /// of at most 32 columns, with the row held in a register
     /// accumulator; every entry sums `v · b[j]` over the row's entries
     /// in column order starting from `+0`, so the result is
-    /// bit-identical to a scalar loop, NaN positions included.
+    /// bit-identical to a scalar loop, NaN positions included. Rows split
+    /// across the [`mtrl_linalg::par`] pool above a work threshold; each
+    /// row is independent, so the result is bit-identical for every
+    /// thread count.
     ///
     /// # Panics
-    /// Panics if either matrix ends before the block does or the column
-    /// counts differ.
-    pub fn spmm_dense_at(&self, b: &Mat, offset: usize, out: &mut Mat) {
+    /// Panics if `self.cols != b.rows()` or the window runs past `out`.
+    pub fn spmm_into(&self, b: &Mat, out: &mut Mat, row0: usize, col0: usize) {
+        assert_eq!(self.cols, b.rows(), "spmm_into: dimension mismatch");
+        self.spmm_window(b.as_slice(), b.cols(), out, row0, col0);
+    }
+
+    /// The window product behind [`Self::spmm_into`] and
+    /// [`crate::SparseBlockDiag::mul_dense`]: `rhs` holds `self.cols()`
+    /// rows of stride `width` (a block's rows of a taller `B`, with no
+    /// copy), and the product goes to `out[row0.., col0..col0 + width]`.
+    pub(crate) fn spmm_window(
+        &self,
+        rhs: &[f64],
+        width: usize,
+        out: &mut Mat,
+        row0: usize,
+        col0: usize,
+    ) {
         assert!(
-            b.rows() >= offset + self.cols,
-            "spmm_dense_at: B ends before the block does"
+            out.rows() >= row0 + self.rows && out.cols() >= col0 + width,
+            "spmm: window past out"
         );
-        assert!(
-            out.rows() >= offset + self.rows,
-            "spmm_dense_at: out ends before the block does"
-        );
-        assert_eq!(b.cols(), out.cols(), "spmm_dense_at: column mismatch");
-        let n = b.cols();
-        let span = &mut out.as_mut_slice()[offset * n..(offset + self.rows) * n];
-        let rhs = &b.as_slice()[offset * n..];
-        for (p0, w) in panels(n) {
-            with_lanes!(w, Self::spmm_panel(self, rhs, span, n, p0, w));
+        let stride = out.cols();
+        let span = &mut out.as_mut_slice()[row0 * stride..(row0 + self.rows) * stride];
+        for (p0, w) in panels(width) {
+            with_lanes!(
+                w,
+                Self::spmm_panel(self, rhs, width, span, stride, col0, p0, w)
+            );
         }
     }
 
-    /// Columns `[p0, p0 + w)` of `self * B` into the block rows `span`,
-    /// where `rhs` holds `B`'s rows from the block's first on, both with
-    /// row stride `n`. Rows split across the [`mtrl_linalg::par`] pool
-    /// above a work threshold; each row is independent, so the result is
-    /// bit-identical for every thread count.
+    /// Columns `[p0, p0 + w)` of `self * B` (`B` in `rhs`, row stride
+    /// `width`) into columns `col0 + p0..` of the output rows `span`
+    /// (row stride `stride`).
+    #[allow(clippy::too_many_arguments)]
     fn spmm_panel<const W: usize>(
         &self,
         rhs: &[f64],
+        width: usize,
         span: &mut [f64],
-        n: usize,
+        stride: usize,
+        col0: usize,
         p0: usize,
         w: usize,
     ) {
-        let bp = Panel::<W>::new(rhs, self.cols, n, p0, w);
+        let bp = Panel::<W>::new(rhs, self.cols, width, p0, w);
         let rows_into = |r0: usize, r1: usize, chunk: &mut [f64]| {
             for (local, i) in (r0..r1).enumerate() {
                 let (cols, vals) = self.row(i);
@@ -241,7 +261,7 @@ impl Csr {
                         *o += v * bv;
                     }
                 }
-                store_lanes(acc, &mut chunk[local * n + p0..][..w]);
+                store_lanes(acc, &mut chunk[local * stride + col0 + p0..][..w]);
             }
         };
         // nnz * w multiply-adds; below ~1M the row fan-out costs more
@@ -249,13 +269,49 @@ impl Csr {
         if self.nnz() * w < (1 << 20) {
             rows_into(0, self.rows, span);
         } else {
-            mtrl_linalg::par::par_row_chunks(span, self.rows, n, rows_into);
+            mtrl_linalg::par::par_row_chunks(span, self.rows, stride, rows_into);
         }
     }
 
-    /// Alias of [`Self::spmm_dense`] kept for the original API name.
-    pub fn mul_dense(&self, b: &Mat) -> Mat {
-        self.spmm_dense(b)
+    /// `self` cut into blocks by a row layout and a column layout:
+    /// block `[k][l]` holds the stored entries in rows `rows.range(k)`
+    /// and columns `cols.range(l)`, both renumbered from 0, in the same
+    /// order. For `R` cut by object type, `R·G` with a block-diagonal `G`
+    /// is, per block, `R_kl` times `G`'s packed block `l`, written into
+    /// type `k`'s rows and type `l`'s cluster columns
+    /// ([`Self::spmm_into`]); an empty block contributes nothing.
+    ///
+    /// # Panics
+    /// Panics if the layouts do not cover `self`'s shape.
+    pub fn split_blocks(&self, rows: &BlockSpec, cols: &BlockSpec) -> Vec<Vec<Csr>> {
+        assert_eq!(rows.total(), self.rows, "split_blocks: row layout mismatch");
+        assert_eq!(
+            cols.total(),
+            self.cols,
+            "split_blocks: column layout mismatch"
+        );
+        (0..rows.num_blocks())
+            .map(|k| {
+                (0..cols.num_blocks())
+                    .map(|l| {
+                        let range = cols.range(l);
+                        let (mut indptr, mut indices, mut values) =
+                            (vec![0], Vec::new(), Vec::new());
+                        for i in rows.range(k) {
+                            let (idx, vals) = self.row(i);
+                            for (&j, &v) in idx.iter().zip(vals) {
+                                if range.contains(&j) {
+                                    indices.push(j - range.start);
+                                    values.push(v);
+                                }
+                            }
+                            indptr.push(indices.len());
+                        }
+                        Csr::from_raw_parts(rows.size(k), range.len(), indptr, indices, values)
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Quadratic form `tr(Gᵀ A G) = Σ_{(i,j) ∈ nnz(A)} A_ij · (g_i · g_j)`
@@ -268,45 +324,53 @@ impl Csr {
     /// Panics if `self` is not square or `g.rows() != self.rows`.
     pub fn quad_form(&self, g: &Mat) -> f64 {
         assert_eq!(g.rows(), self.rows, "quad_form: dimension mismatch");
-        self.quad_form_at(g, 0)
+        self.quad_form_at(g, 0, 0..g.cols())
     }
 
     /// [`Self::quad_form`] against the rows `[offset, offset + n)` of a
-    /// taller stacked `G` — the per-block step of
-    /// [`crate::SparseBlockDiag::trace_quad`], shared here so both
-    /// `tr(GᵀLG)` paths use one accumulation.
+    /// taller stacked `G`, whose entries in those rows are zero outside
+    /// the columns `cols` — the per-block step of
+    /// [`crate::SparseBlockDiag::trace_quad`], where `cols` is the
+    /// block's type's cluster columns.
+    ///
+    /// When `G` is finite in the window, each `g_i · g_j` runs over
+    /// `cols` only: the terms outside have an exact-zero factor and a
+    /// finite one, so they are `±0`, and dropping them can change the
+    /// dot product only in the sign of a zero result, which
+    /// `acc += v · dot` cannot see (a `+0`-started sum never becomes
+    /// `-0`, and a non-finite `v` gives NaN either way). Otherwise every
+    /// column is used. The dot products of a row's entries are computed
+    /// four at a time ([`mtrl_linalg::vecops::dots`]), each still summed
+    /// in column order, and added to `acc` in entry order.
     ///
     /// # Panics
-    /// Panics if `self` is not square or `g` has fewer than
-    /// `offset + rows` rows.
-    pub fn quad_form_at(&self, g: &Mat, offset: usize) -> f64 {
+    /// Panics if `self` is not square, `g` has fewer than
+    /// `offset + rows` rows, or `cols` runs past `g`.
+    pub fn quad_form_at(&self, g: &Mat, offset: usize, cols: Range<usize>) -> f64 {
         assert_eq!(self.rows, self.cols, "quad_form requires square");
         assert!(
             g.rows() >= offset + self.rows,
             "quad_form_at: G ends before the block does"
         );
-        // Over a finite G, the terms of g_i · g_j outside g_i's nonzero
-        // span have an exact-zero factor and a finite one: they are ±0,
-        // and dropping them can change the dot product only in the sign
-        // of a zero result, which `acc += v · dot` cannot see (a
-        // +0-started sum never becomes -0, and a non-finite v gives NaN
-        // either way).
-        let rows = &g.as_slice()[offset * g.cols()..(offset + self.rows) * g.cols()];
-        let finite = rows.iter().all(|v| v.is_finite());
+        assert!(cols.end <= g.cols(), "quad_form_at: window past G");
+        let finite = (offset..offset + self.rows)
+            .all(|i| g.row(i)[cols.clone()].iter().all(|v| v.is_finite()));
+        let window = if finite { cols } else { 0..g.cols() };
+        let row = |j: usize| &g.row(offset + j)[window.clone()];
         let mut acc = 0.0;
         for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            let gi = g.row(offset + i);
-            let (lo, hi) = if finite {
-                nonzero_span(gi)
-            } else {
-                (0, gi.len())
-            };
-            let gi = &gi[lo..hi];
-            for (&j, &v) in cols.iter().zip(vals) {
-                let gj = &g.row(offset + j)[lo..hi];
-                let dot: f64 = gi.iter().zip(gj).map(|(a, b)| a * b).sum();
-                acc += v * dot;
+            let (idx, vals) = self.row(i);
+            let gi = row(i);
+            let mut quads = idx.chunks_exact(4);
+            let mut vq = vals.chunks_exact(4);
+            for (js, vs) in (&mut quads).zip(&mut vq) {
+                let d = dots(gi, [row(js[0]), row(js[1]), row(js[2]), row(js[3])]);
+                for (&v, &dot) in vs.iter().zip(&d) {
+                    acc += v * dot;
+                }
+            }
+            for (&j, &v) in quads.remainder().iter().zip(vq.remainder()) {
+                acc += v * dots(gi, [row(j)])[0];
             }
         }
         acc
@@ -591,18 +655,6 @@ impl Quantize for Csr {
     }
 }
 
-/// The columns `[lo, hi)` from the first to the last nonzero of `row`
-/// (empty for an all-zero row).
-fn nonzero_span(row: &[f64]) -> (usize, usize) {
-    match row.iter().position(|&v| v != 0.0) {
-        Some(lo) => (
-            lo,
-            row.iter().rposition(|&v| v != 0.0).map_or(lo, |p| p + 1),
-        ),
-        None => (0, 0),
-    }
-}
-
 /// Row-ordered CSR assembly for transformation code that already visits
 /// rows in order with strictly increasing columns (cheaper than a [`crate::Coo`]
 /// round-trip: no sort, no duplicate merge). Exact zeros are dropped on
@@ -664,8 +716,9 @@ impl CsrBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lanes::oracle::{awkward, block_rows, same_bits};
+    use crate::lanes::oracle::{awkward, block_rows, same_bits, typed_rows};
     use crate::Coo;
+    use mtrl_linalg::block::BlockSpec;
     use mtrl_linalg::ops::matmul;
     use mtrl_linalg::random::rand_uniform;
     use std::borrow::Cow;
@@ -762,21 +815,111 @@ mod tests {
             );
         }
         mtrl_linalg::par::set_num_threads(before);
-        // The block step writes only its own rows, against its own rows
-        // of a taller G.
+        // A block writes only its own rows, against its own rows of a
+        // taller G (the block step of `SparseBlockDiag::mul_dense`), and
+        // `spmm_into` only its window.
         let blocks = [
             awkward_csr(11, 0.4, 79, true),
             awkward_csr(7, 0.5, 80, true),
         ];
         let tall = Mat::from_vec(18, 23, block_rows(18, 23, 81)).unwrap();
         let mut out = Mat::filled(18, 23, 9.0);
-        blocks[1].spmm_dense_at(&tall, 11, &mut out);
+        blocks[1].spmm_window(&tall.as_slice()[11 * 23..], 23, &mut out, 11, 0);
         let sub = Mat::from_vec(7, 23, tall.as_slice()[11 * 23..].to_vec()).unwrap();
-        assert!(same_bits(
-            &out.as_slice()[11 * 23..],
-            spmm_oracle(&blocks[1], &sub).as_slice()
-        ));
+        let expect = spmm_oracle(&blocks[1], &sub);
+        assert!(same_bits(&out.as_slice()[11 * 23..], expect.as_slice()));
         assert!(out.as_slice()[..11 * 23].iter().all(|&v| v == 9.0));
+        let narrow = Mat::from_vec(7, 5, awkward(35, 82, true)).unwrap();
+        let mut out = Mat::filled(18, 23, 9.0);
+        blocks[1].spmm_into(&narrow, &mut out, 11, 4);
+        let expect = spmm_oracle(&blocks[1], &narrow);
+        for i in 0..18 {
+            for j in 0..23 {
+                let v = out[(i, j)];
+                if (11..18).contains(&i) && (4..9).contains(&j) {
+                    assert!(same_bits(&[v], &[expect[(i - 11, j - 4)]]), "({i},{j})");
+                } else {
+                    assert_eq!(v, 9.0, "({i},{j}) written");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn typed_spmm_matches_spmm_dense() {
+        // R·G for a type-blocked G as the engine runs it: R cut into
+        // type blocks, each nonempty block times G's packed own block of
+        // its column type, written into its rows and that type's cluster
+        // columns; the rest of the output stays +0. Layouts with a one-cluster
+        // type, a one-object type and a type whose R rows are empty (every
+        // sixth row of `awkward_csr`, and in the last layout a whole
+        // type); R carries -0.0 and exact zeros, and type-self entries
+        // (nothing restricts R's pattern here). F32-quantised operands;
+        // 1 and 4 threads with R above the parallel threshold.
+        let before = mtrl_linalg::par::num_threads();
+        for (li, (sizes, clusters)) in [
+            (&[13usize, 1, 9][..], &[3usize, 15, 4][..]),
+            (&[230, 1, 300][..], &[1, 33, 7][..]),
+            (&[6, 5][..], &[2, 3][..]),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (types, cl) = (
+                BlockSpec::from_sizes(sizes),
+                BlockSpec::from_sizes(clusters),
+            );
+            let n = types.total();
+            let (gv, c) = typed_rows(sizes, clusters, 90 + li as u64);
+            let mut r = awkward_csr(n, if n > 100 { 0.5 } else { 0.3 }, 91 + li as u64, false);
+            if li == 2 {
+                // The second type has no relations at all.
+                let dense = r.to_dense();
+                let mut cut = Mat::zeros(n, n);
+                for i in 0..6 {
+                    for j in 0..6 {
+                        cut[(i, j)] = dense[(i, j)];
+                    }
+                }
+                r = Csr::from_dense(&cut, 0.0);
+            }
+            for prec in [Precision::F64, Precision::F32] {
+                let mut g = Mat::from_vec(n, c, gv.clone()).unwrap();
+                g.quantize(prec);
+                let r_q = prec.quantized(&r);
+                let split = r_q.split_blocks(&types, &types);
+                let packed: Vec<Mat> = (0..types.num_blocks())
+                    .map(|k| {
+                        let (rows, cols) = (types.range(k), cl.range(k));
+                        let data = rows.flat_map(|i| g.row(i)[cols.clone()].to_vec()).collect();
+                        Mat::from_vec(sizes[k], clusters[k], data).unwrap()
+                    })
+                    .collect();
+                for threads in [1usize, 4] {
+                    mtrl_linalg::par::set_num_threads(threads);
+                    let mut out = Mat::zeros(n, c);
+                    for (k, row_blocks) in split.iter().enumerate() {
+                        for (l, r_kl) in row_blocks.iter().enumerate() {
+                            if r_kl.nnz() > 0 {
+                                r_kl.spmm_into(&packed[l], &mut out, types.offset(k), cl.offset(l));
+                            }
+                        }
+                    }
+                    let expect = r_q.spmm_dense(&g);
+                    assert!(
+                        same_bits(out.as_slice(), expect.as_slice()),
+                        "layout {li} {prec:?} t={threads}"
+                    );
+                }
+            }
+            if li == 1 {
+                assert!(
+                    r.nnz() * c >= 1 << 20,
+                    "the parallel branch is not exercised"
+                );
+            }
+        }
+        mtrl_linalg::par::set_num_threads(before);
     }
 
     fn random_sparse(rows: usize, cols: usize, density: f64, seed: u64) -> Csr {
@@ -829,10 +972,10 @@ mod tests {
     }
 
     #[test]
-    fn mul_dense_matches_dense() {
+    fn spmm_dense_matches_dense() {
         let s = random_sparse(12, 10, 0.4, 52);
         let b = rand_uniform(10, 6, -1.0, 1.0, 53);
-        let fast = s.mul_dense(&b);
+        let fast = s.spmm_dense(&b);
         let slow = matmul(&s.to_dense(), &b).unwrap();
         assert!(fast.approx_eq(&slow, 1e-12));
     }

@@ -20,12 +20,16 @@
 //!   only the shrunk-active rows are stored.
 //!
 //! The engine's products with these types are narrow (`c` a few dozen
-//! columns). [`Csr::spmm_dense`] and [`Csr::quad_form`] make one pass
-//! per output row, keep the row in a register accumulator (up to 32
-//! columns per pass), and skip only exact zeros — the quadratic form
-//! runs each `g_i · g_j` over `g_i`'s nonzero span when `G` is finite —
-//! so results are bit-identical to the scalar loops they replaced
-//! (kept as `#[cfg(test)]` oracles).
+//! columns). [`Csr::spmm_dense`] / [`Csr::spmm_into`] and
+//! [`Csr::quad_form`] make one pass per output row, keep the row in a
+//! register accumulator (up to 32 columns per pass), and skip only exact
+//! zeros, so results are bit-identical to the scalar loops they replaced
+//! (kept as `#[cfg(test)]` oracles). For the engine's block-diagonal
+//! `G`, [`Csr::split_blocks`] cuts `R` into object-type blocks so each
+//! block multiplies one type's packed block of `G` in that type's
+//! cluster columns, [`SparseBlockDiag::mul_typed`] does the same for
+//! `L·G`, and [`SparseBlockDiag::trace_quad`] runs each `g_i · g_j`
+//! over its type's cluster columns only.
 //!
 //! [`Csr`] and [`SparseBlockDiag`] implement [`mtrl_linalg::Quantize`],
 //! so [`mtrl_linalg::Precision::F32`] mode rounds their values through
