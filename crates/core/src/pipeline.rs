@@ -781,6 +781,28 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_spg_gamma_is_a_typed_error() {
+        let c = corpus();
+        for gamma in [f64::NAN, f64::INFINITY] {
+            let params = PipelineParams {
+                gamma,
+                ..fast_params()
+            };
+            let out = run_spec(&c, &Method::Rhchme.into(), &params);
+            assert!(
+                matches!(
+                    out,
+                    Err(RhchmeError::Linalg(
+                        mtrl_linalg::LinalgError::InvalidArgument(_)
+                    ))
+                ),
+                "gamma {gamma} gave {:?}",
+                out.map(|o| o.doc_labels)
+            );
+        }
+    }
+
+    #[test]
     fn method_names_and_order() {
         let names: Vec<_> = Method::all().iter().map(|m| m.paper_name()).collect();
         assert_eq!(

@@ -95,7 +95,10 @@ pub struct GatewayConfig {
     pub queue_capacity: usize,
     /// Connections beyond this are answered `503` at accept.
     pub max_connections: usize,
-    /// Socket read timeout for idle keep-alive connections.
+    /// Socket I/O timeout, for reads and writes alike: it closes an
+    /// idle keep-alive connection, and one whose client stops reading
+    /// its responses, so neither holds a connection thread and a
+    /// `max_connections` slot for longer.
     pub read_timeout: Duration,
     /// Responder threads: each blocks on one in-flight engine batch,
     /// so this bounds dispatch concurrency. The dispatcher itself is a
@@ -167,6 +170,9 @@ struct Counters {
 struct Inner {
     engine: Arc<ServeEngine>,
     config: GatewayConfig,
+    /// Recovered when poisoned rather than propagated: every critical
+    /// section moves whole jobs in or out, so the queue is valid at
+    /// every step, whoever panics while holding it.
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     connections: AtomicUsize,
@@ -203,7 +209,7 @@ impl Inner {
         }
         let (tx, rx) = channel();
         {
-            let mut queue = self.queue.lock().expect("gateway queue poisoned");
+            let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
             if queue.len() >= self.config.queue_capacity {
                 drop(queue);
                 self.record_shed();
@@ -252,7 +258,7 @@ fn dispatcher_loop(inner: Arc<Inner>, batch_tx: SyncSender<InFlight>) {
     loop {
         let mut batch: Vec<Job> = Vec::new();
         {
-            let mut queue = inner.queue.lock().expect("gateway queue poisoned");
+            let mut queue = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
             // Wait for a leader. Pending jobs are drained even during
             // shutdown (the pop precedes the shutdown check), so every
             // accepted request gets an answer.
@@ -264,7 +270,10 @@ fn dispatcher_loop(inner: Arc<Inner>, batch_tx: SyncSender<InFlight>) {
                 if inner.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                queue = inner.queue_cv.wait(queue).expect("gateway queue poisoned");
+                queue = inner
+                    .queue_cv
+                    .wait(queue)
+                    .unwrap_or_else(|e| e.into_inner());
             }
             let model = batch[0].request.model.clone();
             let type_index = batch[0].request.type_index;
@@ -316,7 +325,7 @@ fn dispatcher_loop(inner: Arc<Inner>, batch_tx: SyncSender<InFlight>) {
                 let (guard, _) = inner
                     .queue_cv
                     .wait_timeout(queue, window_end - now)
-                    .expect("gateway queue poisoned");
+                    .unwrap_or_else(|e| e.into_inner());
                 queue = guard;
             }
         }
@@ -390,8 +399,10 @@ fn responder_loop(batch_rx: Arc<Mutex<Receiver<InFlight>>>) {
     loop {
         // Take the lock only to receive; waiting on the engine happens
         // outside it so responders resolve batches in parallel.
+        // The receiver is only ever used to `recv`, so a poisoned lock
+        // still guards a whole channel.
         let message = {
-            let rx = batch_rx.lock().expect("gateway responder rx poisoned");
+            let rx = batch_rx.lock().unwrap_or_else(|e| e.into_inner());
             rx.recv()
         };
         let Ok(InFlight {
@@ -507,7 +518,7 @@ fn health_json(inner: &Inner) -> String {
         ),
         (
             "queue_depth".into(),
-            Value::Number(inner.queue.lock().expect("gateway queue poisoned").len() as f64),
+            Value::Number(inner.queue.lock().unwrap_or_else(|e| e.into_inner()).len() as f64),
         ),
         (
             "requests".into(),
@@ -586,6 +597,7 @@ const MAX_PIPELINE: usize = 32;
 
 fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(inner.config.read_timeout));
+    let _ = stream.set_write_timeout(Some(inner.config.read_timeout));
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -818,5 +830,143 @@ impl Gateway {
 impl Drop for Gateway {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    /// A small fitted RHCHME model.
+    fn tiny_model() -> rhchme::export::FittedModel {
+        let corpus = mtrl_datagen::corpus::generate(&mtrl_datagen::CorpusConfig {
+            docs_per_class: vec![8, 8, 8],
+            vocab_size: 60,
+            concept_count: 15,
+            doc_len_range: (30, 45),
+            background_frac: 0.25,
+            topic_noise: 0.25,
+            concept_map_noise: 0.1,
+            corrupt_frac: 0.0,
+            subtopics_per_class: 1,
+            view_confusion: 0.0,
+            seed: 23,
+        });
+        let rhchme = rhchme::rhchme::Rhchme::new(rhchme::rhchme::RhchmeConfig {
+            lambda: 1.0,
+            ..rhchme::rhchme::RhchmeConfig::fast()
+        });
+        let result = rhchme.fit_corpus(&corpus).expect("fit");
+        rhchme.export_model(&result, &corpus).expect("export")
+    }
+
+    /// Send one request on a fresh connection and read the whole answer:
+    /// its status code and body. `None` when the server hangs up without
+    /// a status line.
+    fn exchange(addr: SocketAddr, head: &str, body: &str) -> Option<(u16, String)> {
+        let mut stream = TcpStream::connect(addr).ok()?;
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("client read timeout");
+        let request = format!(
+            "{head} HTTP/1.1\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        stream.write_all(request.as_bytes()).ok()?;
+        let mut answer = String::new();
+        stream.read_to_string(&mut answer).ok()?;
+        let status = answer.split_whitespace().nth(1)?.parse().ok()?;
+        let (_, body) = answer.split_once("\r\n\r\n")?;
+        Some((status, body.to_string()))
+    }
+
+    const ASSIGN_BODY: &str =
+        r#"{"docs":[{"indices":[0,3],"values":[1.0,0.5]},{"indices":[5],"values":[2.0]}]}"#;
+
+    #[test]
+    fn a_poisoned_queue_is_recovered() {
+        let model = tiny_model();
+        let engine = Arc::new(ServeEngine::new(2));
+        engine.register("m", model.clone()).expect("register");
+        let gateway = Gateway::bind(engine, GatewayConfig::default()).expect("bind");
+        let addr = gateway.addr();
+        assert_eq!(
+            exchange(addr, "POST /v1/models/m/assign", ASSIGN_BODY).map(|a| a.0),
+            Some(200)
+        );
+
+        let inner = Arc::clone(&gateway.inner);
+        let panicked = thread::spawn(move || {
+            let _queue = inner.queue.lock().unwrap();
+            panic!("a thread dies holding the gateway queue");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(gateway.inner.queue.is_poisoned());
+
+        let (status, body) = exchange(addr, "GET /healthz", "").expect("healthz answers");
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"queue_depth\""), "{body}");
+        // Admission, the dispatcher's wait and the responders still run.
+        gateway
+            .engine()
+            .register("m2", model)
+            .expect("register after the poisoning");
+        for model in ["m", "m2"] {
+            let (status, body) = exchange(
+                addr,
+                &format!("POST /v1/models/{model}/assign"),
+                ASSIGN_BODY,
+            )
+            .expect("assign answers");
+            assert_eq!(status, 200, "{model}: {body}");
+            assert!(body.contains("\"labels\""), "{model}: {body}");
+        }
+    }
+
+    #[test]
+    fn clients_that_stop_reading_release_their_connection_slots() {
+        let gateway = Gateway::bind(
+            Arc::new(ServeEngine::new(1)),
+            GatewayConfig {
+                max_connections: 2,
+                read_timeout: Duration::from_millis(300),
+                ..GatewayConfig::default()
+            },
+        )
+        .expect("bind");
+        let addr = gateway.addr();
+        // Each flooder pipelines health checks and never reads an answer,
+        // until its own writes stall: the loopback buffers are full both
+        // ways, so the server's connection thread is stuck writing.
+        let burst = "GET /healthz HTTP/1.1\r\n\r\n".repeat(1024);
+        let flooders: Vec<TcpStream> = (0..2)
+            .map(|_| {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                stream
+                    .set_write_timeout(Some(Duration::from_millis(500)))
+                    .expect("client write timeout");
+                let mut sent = 0usize;
+                while stream.write_all(burst.as_bytes()).is_ok() {
+                    sent += burst.len();
+                    assert!(sent < 1 << 30, "the server never stopped reading");
+                }
+                stream
+            })
+            .collect();
+
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            match exchange(addr, "GET /healthz", "") {
+                Some((200, _)) => break,
+                other => assert!(
+                    Instant::now() < deadline,
+                    "a third client is still refused: {other:?}"
+                ),
+            }
+            thread::sleep(Duration::from_millis(50));
+        }
+        drop(flooders);
     }
 }

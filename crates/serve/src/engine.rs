@@ -246,6 +246,9 @@ struct Job {
     reply: Sender<Result<AssignResponse, ServeError>>,
 }
 
+/// Both locks are recovered when poisoned rather than propagated: every
+/// critical section is one `insert`, `remove`, lookup or `recv`, so a
+/// thread that panics while holding a lock leaves the data whole.
 struct Inner {
     models: RwLock<HashMap<String, Arc<Assigner>>>,
     queue: Mutex<Receiver<Job>>,
@@ -344,7 +347,7 @@ impl ServeEngine {
         self.inner
             .models
             .write()
-            .expect("model registry poisoned")
+            .unwrap_or_else(|e| e.into_inner())
             .insert(name.into(), assigner);
     }
 
@@ -354,7 +357,7 @@ impl ServeEngine {
         self.inner
             .models
             .write()
-            .expect("model registry poisoned")
+            .unwrap_or_else(|e| e.into_inner())
             .remove(name)
             .is_some()
     }
@@ -365,7 +368,7 @@ impl ServeEngine {
             .inner
             .models
             .read()
-            .expect("model registry poisoned")
+            .unwrap_or_else(|e| e.into_inner())
             .keys()
             .cloned()
             .collect();
@@ -381,7 +384,7 @@ impl ServeEngine {
             .inner
             .models
             .read()
-            .expect("model registry poisoned")
+            .unwrap_or_else(|e| e.into_inner())
             .iter()
             .map(|(name, assigner)| (name.clone(), assigner.model().method.clone()))
             .collect();
@@ -497,7 +500,7 @@ fn worker_loop(inner: &Inner) {
     loop {
         // Pop under the lock, process outside it.
         let job = {
-            let queue = inner.queue.lock().expect("job queue poisoned");
+            let queue = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
             queue.recv()
         };
         let Ok(job) = job else { break };
@@ -556,7 +559,7 @@ fn process(
     submitted: Instant,
 ) -> Result<AssignResponse, ServeError> {
     let assigner = {
-        let models = inner.models.read().expect("model registry poisoned");
+        let models = inner.models.read().unwrap_or_else(|e| e.into_inner());
         models
             .get(&request.model)
             .cloned()
@@ -837,5 +840,30 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(engine.stats().documents, 64);
+    }
+
+    #[test]
+    fn registry_survives_a_poisoned_lock() {
+        let model = tiny_fitted_model(60);
+        let engine = ServeEngine::new(1);
+        engine.register("m", model.clone()).unwrap();
+        let inner = Arc::clone(&engine.inner);
+        let panicked = std::thread::spawn(move || {
+            let _registry = inner.models.write().unwrap();
+            panic!("a thread dies holding the model registry");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(engine.inner.models.is_poisoned());
+
+        engine.register("m2", model).unwrap();
+        assert_eq!(engine.model_names(), ["m", "m2"]);
+        assert_eq!(engine.model_methods().len(), 2);
+        for name in ["m", "m2"] {
+            let response = engine.assign(name, 0, some_docs(4)).unwrap();
+            assert_eq!(response.labels.len(), 4);
+        }
+        assert!(engine.unregister("m2"));
+        assert_eq!(engine.model_names(), ["m"]);
     }
 }

@@ -30,10 +30,13 @@
 //! exception; see [`spg`]). An
 //! iteration then costs `O(n·K′²)` on the `K[S_i, S_i]` blocks instead of
 //! the unrestricted solver's `O(nnz(W)·n)` product. That product makes one
-//! pass per object with its row in a local 65-lane accumulator and the
-//! Gram gather fused into the multiply-add; each entry sums its terms in
-//! the scalar loop's order, skipping only exact zeros, so it is
-//! bit-identical to that loop. The affinity comes
+//! pass per object: the row's nonzero coefficients are compacted into a
+//! term list, and each term's Gram gather feeds a fixed 65-lane
+//! accumulator. Each entry sums its terms in the scalar loop's order,
+//! skipping only exact zeros, so it is bit-identical to that loop. The
+//! rest of an iteration is one pass over the `n x 65` arrays per solver
+//! phase (direction, line-search trial, accepted step), with every sum
+//! in its old order. The affinity comes
 //! back as a [`mtrl_sparse::Csr`] with at most `K′` entries per row. Up to
 //! `n = 65` objects every other object is a candidate, so the solver is
 //! the paper's Algorithm 1 unchanged; the module docs of [`spg`] give the
@@ -48,6 +51,8 @@
 mod dense_oracle;
 pub mod spg;
 mod support;
+#[cfg(test)]
+mod unfused_oracle;
 
 pub use spg::{spg_affinity, SpgConfig, SpgResult, CANDIDATES};
 

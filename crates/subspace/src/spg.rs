@@ -39,14 +39,22 @@
 //! zero by the projection). The per-iteration product `D·K` restricted to
 //! the support reads the blocks `K[S_i, S_i]` straight from the Gram:
 //! `O(n·K′²)` per iteration instead of the unrestricted `O(nnz(W)·n)`.
-//! It makes one pass per row `i`, with the output row in a local
-//! `CANDIDATES + 1`-lane accumulator; each nonzero `D_i[b]` multiplies
-//! the gathered Gram entries `K[S_i[b], S_i[a]]` straight into it. Every
-//! entry still sums its terms over ascending `b` and skips only exact
-//! zeros of `D`, so the result is the scalar loop's, bit for bit, at any
-//! thread count. Every line-search trial reuses the product
-//! (`(W + ℓD)K = WK + ℓ·DK`) and costs `O(n·K′)`. The Gram itself is built once, in `O(n²·D)` by a
-//! vectorising kernel, and is the only `n x n` buffer.
+//! It makes one pass per row `i`: the nonzero `D_i[b]` are compacted
+//! into a term list first, and each term multiplies the gathered Gram
+//! entries `K[S_i[b], S_i[a]]` into a local `CANDIDATES + 1`-lane
+//! accumulator, fixed at that width whenever `n > CANDIDATES + 1`.
+//! Every entry still sums its terms over ascending `b` and skips only
+//! exact zeros of `D`, so the result is the scalar loop's, bit for bit,
+//! at any thread count. Every line-search trial reuses the product
+//! (`(W + ℓD)K = WK + ℓ·DK`). Around the product an iteration makes one
+//! `O(n·K′)` pass over the arrays per phase: the direction with `‖D‖²`
+//! and `⟨∇, D⟩`; each trial's `W + ℓD`, `M + ℓ·DK` and objective; and
+//! the accepted step's gradient with the BB products. Each of those
+//! sums keeps the row-major order and starting value of a separate
+//! pass, so the fused passes change no bit either. On the 330-document
+//! Large3 doc type the product takes ≈ 70 % of an iteration and runs
+//! near the gather bound. The Gram itself is built once, in `O(n²·D)`
+//! by a vectorising kernel, and is the only `n x n` buffer.
 //!
 //! # Notes on the printed pseudo-code
 //!
@@ -73,7 +81,7 @@ use mtrl_linalg::ops::row_gram;
 use mtrl_linalg::{LinalgError, Mat};
 use mtrl_sparse::{Csr, CsrBuilder};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -132,8 +140,9 @@ pub struct SpgResult {
 ///
 /// # Errors
 /// Returns [`LinalgError::InvalidArgument`] for degenerate inputs
-/// (fewer than 2 objects, non-positive γ, non-finite features or a Gram
-/// matrix that overflows).
+/// (fewer than 2 objects, a γ that is not positive and finite, a `tol`
+/// that is negative or not finite, an `armijo` outside `(0, 1)`,
+/// non-finite features or a Gram matrix that overflows).
 pub fn spg_affinity(data: &Mat, cfg: &SpgConfig) -> Result<SpgResult, LinalgError> {
     let n = data.rows();
     if n < 2 {
@@ -141,10 +150,23 @@ pub fn spg_affinity(data: &Mat, cfg: &SpgConfig) -> Result<SpgResult, LinalgErro
             "spg_affinity: need at least 2 objects".into(),
         ));
     }
-    if cfg.gamma <= 0.0 {
-        return Err(LinalgError::InvalidArgument(
-            "spg_affinity: gamma must be positive".into(),
-        ));
+    if !(cfg.gamma > 0.0 && cfg.gamma.is_finite()) {
+        return Err(LinalgError::InvalidArgument(format!(
+            "spg_affinity: gamma must be positive and finite, got {}",
+            cfg.gamma
+        )));
+    }
+    if !(cfg.tol >= 0.0 && cfg.tol.is_finite()) {
+        return Err(LinalgError::InvalidArgument(format!(
+            "spg_affinity: tol must be non-negative and finite, got {}",
+            cfg.tol
+        )));
+    }
+    if !(cfg.armijo > 0.0 && cfg.armijo < 1.0) {
+        return Err(LinalgError::InvalidArgument(format!(
+            "spg_affinity: armijo must lie in (0, 1), got {}",
+            cfg.armijo
+        )));
     }
     if data.has_non_finite() {
         return Err(LinalgError::InvalidArgument(
@@ -170,7 +192,10 @@ pub fn spg_affinity(data: &Mat, cfg: &SpgConfig) -> Result<SpgResult, LinalgErro
 /// Algorithm 1 on the support. Every matrix is `n x width`, entry
 /// `(i, a)` standing for column `S_i[a]` of the `n x n` quantity; the
 /// arithmetic, and its order, is the dense solver's restricted to the
-/// support. Each iteration is timed into the `subspace.spg` aggregate.
+/// support. An iteration is one support product and one pass over the
+/// arrays per phase: the direction ([`direction`]), each line-search
+/// trial ([`trial`]) and the accepted step ([`accept`]). Each iteration
+/// is timed into the `subspace.spg` aggregate.
 fn solve(k: &Mat, support: &Support, cfg: &SpgConfig) -> SpgResult {
     let n = k.rows();
     let width = support.width;
@@ -182,15 +207,21 @@ fn solve(k: &Mat, support: &Support, cfg: &SpgConfig) -> SpgResult {
             *v = krow[j];
         }
     }
+    let at = Terms {
+        k_sup: &k_sup,
+        support,
+        tr_k,
+        gamma: cfg.gamma,
+    };
 
     let mut w = initial_iterate(support, n, cfg.seed);
     // M = W K on the support, maintained incrementally across iterations.
     let mut m = Mat::zeros(n, width);
     support_product(k, support, &w, &mut m);
     let mut col_sums = vec![0.0; n];
-    let mut obj = objective(&w, &m, &k_sup, support, tr_k, cfg.gamma, &mut col_sums);
+    let mut obj = at.objective(&mut w, &mut m, &mut col_sums, |_, _, _| {});
     let mut grad = Mat::zeros(n, width);
-    gradient(&m, &k_sup, support, &col_sums, cfg.gamma, &mut grad);
+    at.gradient(&m, &col_sums, &mut grad, |_, _| {});
     let [mut d, mut dk, mut w_try, mut m_try, mut grad_try] =
         std::array::from_fn(|_| Mat::zeros(n, width));
 
@@ -208,27 +239,12 @@ fn solve(k: &Mat, support: &Support, cfg: &SpgConfig) -> SpgResult {
         iterations = it + 1;
         let start = timed.then(Instant::now);
         let accepted = 'step: {
-            // Step 2: search direction D = P(W − σ∇) − W.
-            for ((dv, &wv), &gv) in d
-                .as_mut_slice()
-                .iter_mut()
-                .zip(w.as_slice())
-                .zip(grad.as_slice())
-            {
-                let trial = wv + (-sigma) * gv;
-                *dv = if trial < 0.0 { 0.0 } else { trial } - wv;
-            }
-            for (i, &a) in support.diag.iter().enumerate() {
-                d[(i, a)] = 0.0;
-            }
-            if mtrl_linalg::norms::frobenius(&d) <= scale_tol {
-                break 'step false;
-            }
-            // ⟨∇, D⟩ for the Armijo condition (must be negative by
-            // convexity of the feasible set; if not, the direction is
-            // numerically dead).
-            let gd = dot(&grad, &d);
-            if gd >= 0.0 {
+            // Step 2: search direction D = P(W − σ∇) − W, with ‖D‖² and
+            // ⟨∇, D⟩ for the Armijo condition. ⟨∇, D⟩ must be negative
+            // by convexity of the feasible set; if not, the direction is
+            // numerically dead.
+            let (d_sq, gd) = direction(&w, &grad, sigma, support, &mut d);
+            if d_sq.sqrt() <= scale_tol || gd >= 0.0 {
                 break 'step false;
             }
 
@@ -240,21 +256,18 @@ fn solve(k: &Mat, support: &Support, cfg: &SpgConfig) -> SpgResult {
             let mut ell = 1.0f64;
             let mut accepted = false;
             for _ in 0..30 {
-                axpy_into(&mut w_try, &w, ell, &d);
-                axpy_into(&mut m_try, &m, ell, &dk);
-                let obj_try = objective(
-                    &w_try,
-                    &m_try,
-                    &k_sup,
-                    support,
-                    tr_k,
-                    cfg.gamma,
+                let obj_try = trial(
+                    &at,
+                    (&w, &m),
+                    ell,
+                    (&d, &dk),
+                    (&mut w_try, &mut m_try),
                     &mut col_sums,
                 );
                 if obj_try <= f_max + cfg.armijo * ell * gd {
                     // Steps 4-7: accept, update BB quantities.
-                    gradient(&m_try, &k_sup, support, &col_sums, cfg.gamma, &mut grad_try);
-                    let (sty, yty) = bb_products(&w, &w_try, &grad, &grad_try);
+                    let (sty, yty) =
+                        accept(&at, (&w, &grad), (&w_try, &m_try), &col_sums, &mut grad_try);
                     sigma = if sty > 0.0 && yty > 0.0 {
                         (sty / yty).clamp(1e-10, 1e10)
                     } else {
@@ -307,114 +320,183 @@ fn solve(k: &Mat, support: &Support, cfg: &SpgConfig) -> SpgResult {
     }
 }
 
-/// `J₂ = γ(tr K − 2 Σ W∘K + Σ (WK)∘W) + Σ_k colsum_k(W)²`, with
-/// `M = WK` and `k_sup = K[i, S_i]` on the support; leaves the column
-/// sums of `W` in `col_sums`.
+/// Phase A: the search direction `D = P(W − σ∇) − W` into `d`, its
+/// diagonal slot zeroed, with `(‖D‖², ⟨∇, D⟩)`, in one pass.
 ///
-/// The fidelity expansion uses `‖X − WX‖² = tr((I−W)K(I−W)ᵀ)` with
-/// `K = XXᵀ`; for nonnegative `W`, `‖WWᵀ‖₁ = Σ_k (Σ_i W_ik)²`.
-fn objective(
-    w: &Mat,
-    m: &Mat,
-    k_sup: &Mat,
-    support: &Support,
-    tr_k: f64,
-    gamma: f64,
-    col_sums: &mut [f64],
-) -> f64 {
-    let fidelity = tr_k - 2.0 * dot(w, k_sup) + dot(m, w);
-    col_sums.fill(0.0);
-    for i in 0..w.rows() {
-        for (&v, &j) in w.row(i).iter().zip(support.row(i)) {
-            col_sums[j] += v;
+/// Both sums run in row-major order from `-0`, as `Iterator::sum` does,
+/// over the row after its diagonal is zeroed.
+fn direction(w: &Mat, grad: &Mat, sigma: f64, support: &Support, d: &mut Mat) -> (f64, f64) {
+    let (mut d_sq, mut gd) = (-0.0, -0.0);
+    for (i, &diag) in support.diag.iter().enumerate() {
+        let drow = d.row_mut(i);
+        for ((dv, &wv), &gv) in drow.iter_mut().zip(w.row(i)).zip(grad.row(i)) {
+            let trial = wv + (-sigma) * gv;
+            *dv = if trial < 0.0 { 0.0 } else { trial } - wv;
+        }
+        drow[diag] = 0.0;
+        for (&dv, &gv) in drow.iter().zip(grad.row(i)) {
+            d_sq += dv * dv;
+            gd += gv * dv;
         }
     }
-    let sparsity: f64 = col_sums.iter().map(|c| c * c).sum();
-    gamma * fidelity + sparsity
+    (d_sq, gd)
 }
 
-/// `∇J₂ = 2γ(M − K) + 2·1·colsum(W)ᵀ` on the support, into `g`.
-fn gradient(m: &Mat, k_sup: &Mat, support: &Support, col_sums: &[f64], gamma: f64, g: &mut Mat) {
-    for i in 0..m.rows() {
-        for (((gv, &mv), &kv), &j) in g
-            .row_mut(i)
-            .iter_mut()
-            .zip(m.row(i))
-            .zip(k_sup.row(i))
-            .zip(support.row(i))
+/// Phase B: the trial point `W + ℓD`, `M + ℓ·DK` into `w_try`, `m_try`,
+/// and `J₂` there, in one pass. Leaves the trial's column sums in
+/// `col_sums`.
+fn trial(
+    at: &Terms,
+    (w, m): (&Mat, &Mat),
+    ell: f64,
+    (d, dk): (&Mat, &Mat),
+    (w_try, m_try): (&mut Mat, &mut Mat),
+    col_sums: &mut [f64],
+) -> f64 {
+    at.objective(w_try, m_try, col_sums, |i, wrow, mrow| {
+        for ((o, &wv), &dv) in wrow.iter_mut().zip(w.row(i)).zip(d.row(i)) {
+            *o = wv + ell * dv;
+        }
+        for ((o, &mv), &dv) in mrow.iter_mut().zip(m.row(i)).zip(dk.row(i)) {
+            *o = mv + ell * dv;
+        }
+    })
+}
+
+/// Phase C: the gradient at the accepted `W⁺` (with `M⁺ = W⁺K` and its
+/// column sums) into `grad_new`, with the BB products `(sᵀy, yᵀy)` for
+/// `s = W⁺ − W`, `y = ∇(W⁺) − ∇(W)`, in one pass. Both products run in
+/// row-major order from `+0`.
+fn accept(
+    at: &Terms,
+    (w, grad): (&Mat, &Mat),
+    (w_new, m_new): (&Mat, &Mat),
+    col_sums: &[f64],
+    grad_new: &mut Mat,
+) -> (f64, f64) {
+    let (mut sty, mut yty) = (0.0, 0.0);
+    at.gradient(m_new, col_sums, grad_new, |i, grow| {
+        for (((&wo, &wn), &go), &gn) in w.row(i).iter().zip(w_new.row(i)).zip(grad.row(i)).zip(grow)
         {
-            *gv = 2.0 * gamma * (mv - kv) + 2.0 * col_sums[j];
+            let s = wn - wo;
+            let y = gn - go;
+            sty += s * y;
+            yty += y * y;
+        }
+    });
+    (sty, yty)
+}
+
+/// What `J₂` and its gradient read besides the iterate: `k_sup =
+/// K[i, S_i]` on the support, `tr K` and γ.
+struct Terms<'a> {
+    k_sup: &'a Mat,
+    support: &'a Support,
+    tr_k: f64,
+    gamma: f64,
+}
+
+impl Terms<'_> {
+    /// `J₂ = γ(tr K − 2 Σ W∘K + Σ (WK)∘W) + Σ_k colsum_k(W)²` for the `W`,
+    /// `M = WK` that `fill(i, w_row, m_row)` writes row by row into `w`,
+    /// `m` (rows it leaves alone are read as they are); leaves the column
+    /// sums of `W` in `col_sums`.
+    ///
+    /// The fidelity expansion uses `‖X − WX‖² = tr((I−W)K(I−W)ᵀ)` with
+    /// `K = XXᵀ`; for nonnegative `W`, `‖WWᵀ‖₁ = Σ_k (Σ_i W_ik)²`. Each
+    /// row enters the sums as soon as it is written; both inner sums run
+    /// in row-major order from `-0`, as `Iterator::sum` does, and each
+    /// column sum over ascending rows from `+0`.
+    fn objective(
+        &self,
+        w: &mut Mat,
+        m: &mut Mat,
+        col_sums: &mut [f64],
+        mut fill: impl FnMut(usize, &mut [f64], &mut [f64]),
+    ) -> f64 {
+        let (mut wk, mut mw) = (-0.0, -0.0);
+        assert_eq!(col_sums.len(), self.support.objects(), "one sum per column");
+        col_sums.fill(0.0);
+        for i in 0..w.rows() {
+            let (wrow, mrow) = (w.row_mut(i), m.row_mut(i));
+            fill(i, wrow, mrow);
+            for (((&wv, &mv), &kv), &j) in wrow
+                .iter()
+                .zip(mrow.iter())
+                .zip(self.k_sup.row(i))
+                .zip(self.support.row(i))
+            {
+                wk += wv * kv;
+                mw += mv * wv;
+                // SAFETY: support columns are objects, so `j < n`, the
+                // length of `col_sums` (asserted above).
+                unsafe { *col_sums.get_unchecked_mut(j) += wv };
+            }
+        }
+        let fidelity = self.tr_k - 2.0 * wk + mw;
+        let sparsity: f64 = col_sums.iter().map(|c| c * c).sum();
+        self.gamma * fidelity + sparsity
+    }
+
+    /// `∇J₂ = 2γ(M − K) + 2·1·colsum(W)ᵀ` on the support, into `g`, with
+    /// `visit(i, g_row)` called on each row once it is written.
+    fn gradient(
+        &self,
+        m: &Mat,
+        col_sums: &[f64],
+        g: &mut Mat,
+        mut visit: impl FnMut(usize, &[f64]),
+    ) {
+        assert_eq!(col_sums.len(), self.support.objects(), "one sum per column");
+        for i in 0..m.rows() {
+            let grow = g.row_mut(i);
+            for (((gv, &mv), &kv), &j) in grow
+                .iter_mut()
+                .zip(m.row(i))
+                .zip(self.k_sup.row(i))
+                .zip(self.support.row(i))
+            {
+                // SAFETY: `j < n`, the length of `col_sums` (asserted
+                // above), as in `objective`.
+                let col_sum = unsafe { *col_sums.get_unchecked(j) };
+                *gv = 2.0 * self.gamma * (mv - kv) + 2.0 * col_sum;
+            }
+            visit(i, grow);
         }
     }
 }
 
 /// `W₀`: the uniform `[0, 1/n)` draws of a dense `n x n` start read at
 /// the support (the stream is drawn in full, so the start does not
-/// depend on the support), with the diagonal projected to zero.
+/// depend on the support), with the diagonal projected to zero. A draw
+/// off the support is only stepped over: a float draw takes exactly one
+/// word of the stream.
 fn initial_iterate(support: &Support, n: usize, seed: u64) -> Mat {
     let mut rng = StdRng::seed_from_u64(seed);
     let hi = 1.0 / n as f64;
     let mut w = Mat::zeros(n, support.width);
     for i in 0..n {
-        let cols = support.row(i);
-        let row = w.row_mut(i);
-        let mut next = 0;
-        for j in 0..n {
-            let v: f64 = rng.gen_range(0.0..hi);
-            if cols.get(next) == Some(&j) {
-                row[next] = if j == i { 0.0 } else { v };
-                next += 1;
+        let mut drawn = 0;
+        for (v, &j) in w.row_mut(i).iter_mut().zip(support.row(i)) {
+            for _ in drawn..j {
+                rng.next_u64();
             }
+            let draw: f64 = rng.gen_range(0.0..hi);
+            *v = if j == i { 0.0 } else { draw };
+            drawn = j + 1;
+        }
+        for _ in drawn..n {
+            rng.next_u64();
         }
     }
     w
-}
-
-/// `out = a + ℓ·b`, elementwise.
-fn axpy_into(out: &mut Mat, a: &Mat, ell: f64, b: &Mat) {
-    for ((o, &av), &bv) in out
-        .as_mut_slice()
-        .iter_mut()
-        .zip(a.as_slice())
-        .zip(b.as_slice())
-    {
-        *o = av + ell * bv;
-    }
-}
-
-/// `Σ_ij A_ij B_ij` in row-major order.
-fn dot(a: &Mat, b: &Mat) -> f64 {
-    a.as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(x, y)| x * y)
-        .sum()
-}
-
-/// Returns `(sᵀy, yᵀy)` for the BB step, with `s = W⁺ − W`,
-/// `y = ∇(W⁺) − ∇(W)`.
-fn bb_products(w_old: &Mat, w_new: &Mat, g_old: &Mat, g_new: &Mat) -> (f64, f64) {
-    let mut sty = 0.0;
-    let mut yty = 0.0;
-    for (((wo, wn), go), gn) in w_old
-        .as_slice()
-        .iter()
-        .zip(w_new.as_slice())
-        .zip(g_old.as_slice())
-        .zip(g_new.as_slice())
-    {
-        let s = wn - wo;
-        let y = gn - go;
-        sty += s * y;
-        yty += y * y;
-    }
-    (sty, yty)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dense_oracle::spg_dense;
+    use crate::unfused_oracle::{solve_unfused, support_product_zero_tested};
     use mtrl_linalg::ops::matmul;
     use mtrl_linalg::random::{rand_normal, rand_uniform};
     use rand::rngs::StdRng;
@@ -641,18 +723,21 @@ mod tests {
         f
     }
 
-    /// An iterate on the support: about 62 % nonzero (the density a cold
-    /// fit's search directions run at), with exact zeros, `-0.0`s, signed
-    /// values and every third row all zero.
+    /// An iterate on the support: rows `i % 3 == 0` about 62 % nonzero
+    /// (the density a cold fit's search directions run at), with exact
+    /// zeros, `-0.0`s and signed values; rows `i % 3 == 1` fully nonzero;
+    /// rows `i % 3 == 2` all zero.
     fn iterate(n: usize, width: usize, seed: u64) -> Mat {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut x = Mat::zeros(n, width);
         for i in (0..n).filter(|i| i % 3 != 2) {
             for v in x.row_mut(i) {
                 *v = match rng.gen_range(0..16) {
-                    0..=4 => 0.0,
-                    5 => -0.0,
-                    _ => rng.gen_range(-1.0..1.0),
+                    0..=4 if i % 3 == 0 => 0.0,
+                    5 if i % 3 == 0 => -0.0,
+                    _ => {
+                        rng.gen_range(0.25..1.0) * if rng.gen_range(0..2) == 0 { -1.0 } else { 1.0 }
+                    }
                 };
             }
         }
@@ -668,16 +753,23 @@ mod tests {
             assert_eq!(support.width, n.min(CANDIDATES + 1));
             let x = iterate(n, support.width, 50 + case as u64);
             let expect = support_product_oracle(&k, &support, &x);
+            let mut zero_tested = Mat::zeros(n, support.width);
+            support_product_zero_tested(&k, &support, &x, &mut zero_tested);
             for t in [1, 4] {
                 mtrl_linalg::par::set_num_threads(t);
                 let mut out = Mat::from_vec(n, support.width, vec![f64::NAN; n * support.width])
                     .expect("shape");
                 support_product(&k, &support, &x, &mut out);
-                for (e, (a, b)) in out.as_slice().iter().zip(expect.as_slice()).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "n = {n}, {t} threads, entry ({}, {})",
+                for (e, ((a, b), c)) in out
+                    .as_slice()
+                    .iter()
+                    .zip(expect.as_slice())
+                    .zip(zero_tested.as_slice())
+                    .enumerate()
+                {
+                    assert!(
+                        a.to_bits() == b.to_bits() && a.to_bits() == c.to_bits(),
+                        "n = {n}, {t} threads, entry ({}, {}): {a} vs {b} vs {c}",
                         e / support.width,
                         e % support.width
                     );
@@ -685,6 +777,101 @@ mod tests {
             }
         }
         mtrl_linalg::par::set_num_threads(threads);
+    }
+
+    #[test]
+    fn full_width_kernel_paths_agree_bit_for_bit() {
+        // On an AVX-512 CPU `accumulate_full` gathers 8-wide; elsewhere
+        // it is the portable loop, and this checks nothing new.
+        use crate::support::{accumulate_full, accumulate_full_portable, LANES};
+        let n = 150;
+        let k = row_gram(&features(n, 23, 61));
+        let support = Support::top_inner_products(&k, CANDIDATES);
+        let x = iterate(n, support.width, 62);
+        for i in 0..n {
+            let cols: &[usize; LANES] = support.row(i).try_into().expect("full-width row");
+            let terms: Vec<(f64, &[f64])> = x
+                .row(i)
+                .iter()
+                .zip(cols)
+                .filter(|&(&v, _)| v != 0.0)
+                .map(|(&v, &l)| (v, k.row(l)))
+                .collect();
+            let (mut wide, mut portable) = ([0.5; LANES], [0.5; LANES]);
+            // SAFETY: support columns are objects, `< n = k.cols()`, the
+            // length of every term's Gram row.
+            unsafe {
+                accumulate_full(&terms, cols, &mut wide);
+                accumulate_full_portable(&terms, cols, &mut portable);
+            }
+            let bits = |a: &[f64; LANES]| a.map(f64::to_bits);
+            assert_eq!(bits(&wide), bits(&portable), "row {i}");
+        }
+    }
+
+    /// Runs the fused solver and the unfused loop on `data`'s Gram and
+    /// support and asserts they agree bit for bit; returns the fused run.
+    fn fused_equals_unfused(data: &Mat, cfg: &SpgConfig) -> SpgResult {
+        let k = row_gram(data);
+        let support = Support::top_inner_products(&k, CANDIDATES);
+        let fused = solve(&k, &support, cfg);
+        let unfused = solve_unfused(&k, &support, cfg);
+        assert_eq!(
+            (fused.iterations, fused.converged),
+            (unfused.iterations, unfused.converged)
+        );
+        let bits = |r: &SpgResult| -> Vec<(usize, usize, u64)> {
+            r.w.iter().map(|(i, j, v)| (i, j, v.to_bits())).collect()
+        };
+        assert_eq!(bits(&fused), bits(&unfused), "W differs");
+        let trace_bits =
+            |r: &SpgResult| -> Vec<u64> { r.objective_trace.iter().map(|o| o.to_bits()).collect() };
+        assert_eq!(
+            trace_bits(&fused),
+            trace_bits(&unfused),
+            "objective trace differs"
+        );
+        fused
+    }
+
+    #[test]
+    fn fused_loop_matches_the_unfused_loop_bit_for_bit() {
+        fused_equals_unfused(&two_lines(8, 0.01, 1).0, &SpgConfig::default());
+        fused_equals_unfused(
+            &two_lines(12, 0.01, 3).0,
+            &SpgConfig {
+                gamma: 50.0,
+                ..SpgConfig::default()
+            },
+        );
+        // Restricted (n = 80 > CANDIDATES + 1) with an all-zero object.
+        let (mut data, _) = two_lines(40, 0.05, 9);
+        data.row_mut(5).fill(0.0);
+        fused_equals_unfused(&data, &SpgConfig::default());
+    }
+
+    #[test]
+    fn fused_loop_matches_the_unfused_loop_at_its_early_exits() {
+        // A loose tolerance stops on ‖D‖ ≤ tol·n; a long run on clean
+        // lines stops on a dead direction or an exhausted line search.
+        let (data, _) = two_lines(10, 0.0, 6);
+        for cfg in [
+            SpgConfig {
+                tol: 1e-2,
+                ..SpgConfig::default()
+            },
+            SpgConfig {
+                max_iter: 3000,
+                ..SpgConfig::default()
+            },
+        ] {
+            let res = fused_equals_unfused(&data, &cfg);
+            assert!(
+                res.converged && res.iterations < cfg.max_iter,
+                "{cfg:?}: {} iterations",
+                res.iterations
+            );
+        }
     }
 
     #[test]
@@ -697,6 +884,63 @@ mod tests {
             ..SpgConfig::default()
         };
         assert!(spg_affinity(&data, &bad_gamma).is_err());
+    }
+
+    #[test]
+    fn out_of_range_settings_are_typed_errors() {
+        let (data, _) = two_lines(6, 0.05, 8);
+        let bad = [
+            SpgConfig {
+                gamma: f64::NAN,
+                ..SpgConfig::default()
+            },
+            SpgConfig {
+                gamma: f64::INFINITY,
+                ..SpgConfig::default()
+            },
+            SpgConfig {
+                gamma: -1.0,
+                ..SpgConfig::default()
+            },
+            SpgConfig {
+                tol: f64::NAN,
+                ..SpgConfig::default()
+            },
+            SpgConfig {
+                tol: f64::INFINITY,
+                ..SpgConfig::default()
+            },
+            SpgConfig {
+                tol: -1e-5,
+                ..SpgConfig::default()
+            },
+            SpgConfig {
+                armijo: 0.0,
+                ..SpgConfig::default()
+            },
+            SpgConfig {
+                armijo: 1.0,
+                ..SpgConfig::default()
+            },
+            SpgConfig {
+                armijo: f64::NAN,
+                ..SpgConfig::default()
+            },
+        ];
+        for cfg in &bad {
+            assert!(
+                matches!(
+                    spg_affinity(&data, cfg),
+                    Err(LinalgError::InvalidArgument(_))
+                ),
+                "{cfg:?} accepted"
+            );
+        }
+        let edge = SpgConfig {
+            tol: 0.0,
+            ..SpgConfig::default()
+        };
+        assert!(spg_affinity(&data, &edge).is_ok());
     }
 
     #[test]
