@@ -90,7 +90,10 @@ fn bench_full_fit(c: &mut Criterion) {
         bencher.iter(|| {
             mtrl_ensemble::fit_corpus(
                 black_box(&corpus),
-                &EnsembleSpec::default().with_members(4),
+                &EnsembleSpec {
+                    members: 4,
+                    ..EnsembleSpec::default()
+                },
                 &params,
             )
             .unwrap()

@@ -1,7 +1,7 @@
 //! Criterion microbenches of the graph substrate: pNN construction
 //! (the `O(n_k² p K)` term of Sec. III-F), the parallel-scaling curve of
-//! the blocked Gram kernel against the seed brute-force path, and both
-//! Laplacian assemblies.
+//! the blocked Gram kernel against the seed brute-force path, and the
+//! sparse Laplacian assembly.
 //!
 //! With `MTRL_BENCH_JSON` set, the run emits the summary that the CI
 //! `bench-smoke` job gates against the committed `BENCH_graph.json`.
@@ -9,8 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mtrl_graph::knn::pnn_graph_brute_reference;
 use mtrl_graph::{
-    knn_indices, laplacian_csr, laplacian_dense, pnn_graph, GraphBackend, LaplacianKind,
-    WeightScheme,
+    knn_indices, laplacian_csr, pnn_graph, GraphBackend, LaplacianKind, WeightScheme,
 };
 use mtrl_linalg::par::{num_threads, set_num_threads};
 use mtrl_linalg::random::rand_uniform;
@@ -193,12 +192,6 @@ fn bench_laplacian(c: &mut Criterion) {
     let w = exact_pnn(&data, Precision::F64);
     c.bench_function("laplacian_csr_sym_normalized_400", |bencher| {
         bencher.iter(|| laplacian_csr(black_box(&w), LaplacianKind::SymNormalized));
-    });
-    c.bench_function("laplacian_sym_normalized_400", |bencher| {
-        bencher.iter(|| laplacian_dense(black_box(&w), LaplacianKind::SymNormalized));
-    });
-    c.bench_function("laplacian_unnormalized_400", |bencher| {
-        bencher.iter(|| laplacian_dense(black_box(&w), LaplacianKind::Unnormalized));
     });
 }
 

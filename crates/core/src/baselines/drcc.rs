@@ -26,7 +26,7 @@ use mtrl_sparse::Csr;
 
 /// Which feature space DRCC clusters against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrccVariant {
+pub(crate) enum DrccVariant {
     /// Document–term matrix (DR-T).
     Terms,
     /// Document–concept matrix (DR-C).
@@ -35,20 +35,9 @@ pub enum DrccVariant {
     TermsAndConcepts,
 }
 
-impl DrccVariant {
-    /// Paper row label for the variant.
-    pub fn paper_name(self) -> &'static str {
-        match self {
-            DrccVariant::Terms => "DR-T",
-            DrccVariant::Concepts => "DR-C",
-            DrccVariant::TermsAndConcepts => "DR-TC",
-        }
-    }
-}
-
 /// DRCC configuration.
 #[derive(Debug, Clone)]
-pub struct DrccConfig {
+pub(crate) struct DrccConfig {
     /// Sample-side (document) graph weight λ.
     pub lambda: f64,
     /// Feature-side graph weight μ.
@@ -87,11 +76,9 @@ impl Default for DrccConfig {
 
 /// DRCC output.
 #[derive(Debug, Clone)]
-pub struct DrccResult {
+pub(crate) struct DrccResult {
     /// Document cluster labels.
     pub doc_labels: Vec<usize>,
-    /// Feature cluster labels.
-    pub feature_labels: Vec<usize>,
     /// Objective per iteration.
     pub objective_trace: Vec<f64>,
     /// Per-iteration document labels (empty unless requested).
@@ -103,7 +90,7 @@ pub struct DrccResult {
 }
 
 /// Build the DRCC input matrix for a variant from a corpus.
-pub fn variant_matrix(corpus: &mtrl_datagen::MultiTypeCorpus, variant: DrccVariant) -> Mat {
+pub(crate) fn variant_matrix(corpus: &mtrl_datagen::MultiTypeCorpus, variant: DrccVariant) -> Mat {
     match variant {
         DrccVariant::Terms => corpus.doc_term.to_dense(),
         DrccVariant::Concepts => corpus.doc_concept.to_dense(),
@@ -120,7 +107,7 @@ pub fn variant_matrix(corpus: &mtrl_datagen::MultiTypeCorpus, variant: DrccVaria
 /// # Errors
 /// Returns [`RhchmeError::InvalidData`] for degenerate inputs and
 /// [`RhchmeError::Diverged`] if the iterates become non-finite.
-pub fn run_drcc(r: &Mat, cfg: &DrccConfig) -> Result<DrccResult> {
+pub(crate) fn run_drcc(r: &Mat, cfg: &DrccConfig) -> Result<DrccResult> {
     let (n, m) = r.shape();
     if n < 2 || m < 2 {
         return Err(RhchmeError::InvalidData(format!(
@@ -222,7 +209,6 @@ pub fn run_drcc(r: &Mat, cfg: &DrccConfig) -> Result<DrccResult> {
 
     Ok(DrccResult {
         doc_labels: argmax_labels(&g),
-        feature_labels: argmax_labels(&f),
         objective_trace,
         label_trace,
         iterations,
@@ -311,7 +297,6 @@ mod tests {
         .unwrap();
         let f = mtrl_metrics::fscore(&c.labels, &res.doc_labels);
         assert!(f > 0.7, "fscore {f}");
-        assert_eq!(res.feature_labels.len(), 60);
     }
 
     #[test]
@@ -338,7 +323,6 @@ mod tests {
         assert_eq!(variant_matrix(&c, DrccVariant::Terms).cols(), 60);
         assert_eq!(variant_matrix(&c, DrccVariant::Concepts).cols(), 15);
         assert_eq!(variant_matrix(&c, DrccVariant::TermsAndConcepts).cols(), 75);
-        assert_eq!(DrccVariant::TermsAndConcepts.paper_name(), "DR-TC");
     }
 
     #[test]

@@ -1998,8 +1998,8 @@ mod tests {
         // stay a strict subset of all rows (the ℓ2,1 point).
         let n = data.total_objects();
         assert_eq!(res.error_rows.shape(), (n, n));
-        assert!(res.error_rows.num_active() > 0);
-        assert!(res.error_rows.num_active() < n);
+        assert!(res.error_rows.active_iter().count() > 0);
+        assert!(res.error_rows.active_iter().count() < n);
         let max = norms.iter().cloned().fold(0.0, f64::max);
         for (i, row) in res.error_rows.active_iter() {
             assert!(norms[i] >= 0.5 * max, "inactive row {i} exported");

@@ -19,8 +19,9 @@
 use crate::Result;
 use mtrl_graph::{
     center_columns, cross_sq_dist_map, graph_from_neighbours, insert_capped, laplacian_csr,
-    pnn_graph, threads_for, GraphBackend, LaplacianKind, WeightScheme,
+    pnn_graph, GraphBackend, LaplacianKind, WeightScheme,
 };
+use mtrl_linalg::par::threads_for;
 use mtrl_linalg::{Mat, Precision};
 use mtrl_sparse::{Csr, CsrBuilder, SparseBlockDiag};
 use mtrl_subspace::{affinity_to_weights, spg_affinity, SpgConfig, CANDIDATES};

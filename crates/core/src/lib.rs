@@ -18,12 +18,11 @@
 //!   penalty — `O(nnz·c + n·c²)` per iteration on a CSR `R`, with the
 //!   retired dense loop kept as a test reference;
 //! * [`rhchme`] — the end-to-end RHCHME estimator;
-//! * [`baselines`] — the comparison suite of Sec. IV-B: the paper
-//!   references of the SRC, SNMTF and RMC engine rows, and the DRCC
-//!   solver (DR-T/DR-C/DR-TC);
-//! * [`pipeline`] — the method table (one engine row per method), and
-//!   one-call runners with artifact caching used by the table/figure
-//!   benches;
+//! * [`pipeline`] — the method table of Sec. IV-B's comparison suite
+//!   (one engine row per method for SRC, SNMTF, RMC and RHCHME, with
+//!   their paper references; DRCC's DR-T/DR-C/DR-TC run their own
+//!   solver), and one-call runners with artifact caching used by the
+//!   table/figure benches;
 //! * [`export`] — the serving-ready [`FittedModel`] bundle (per-type
 //!   membership blocks, association matrix `S`, feature centroids)
 //!   consumed by the `mtrl-serve` crate for out-of-sample fold-in.
@@ -41,9 +40,9 @@
 //! assert!(f > 0.3);
 //! ```
 
-pub mod baselines;
+mod baselines;
 pub mod engine;
-pub mod error;
+mod error;
 pub mod export;
 pub mod intra;
 pub mod multitype;

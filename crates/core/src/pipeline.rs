@@ -16,8 +16,7 @@
 //! ensemble specs and delegates every base spec back here, so callers
 //! that may receive either kind (the eval runner, demos) dispatch
 //! through it. [`MethodOutput::method`] records the spec; use
-//! [`MethodSpec::key`] for stable report keys and [`MethodSpec::as_base`]
-//! to recover the [`Method`].
+//! [`MethodSpec::key`] for stable report keys.
 //!
 //! # The method table
 //!
@@ -33,9 +32,24 @@
 //! [`Artifacts::run_rhchme_engine`] and the `mtrl-ensemble` members. The
 //! graph backend and precision belong to RHCHME alone, so an ensemble
 //! member equals the solo fit of its method at the same seed and
-//! cluster counts.
+//! cluster counts. The rows and their paper references:
+//!
+//! | method | reference | graph regulariser | `E_R`, row ℓ1 |
+//! |--------|-----------|-------------------|---------------|
+//! | SRC    | ref \[2\] (Long et al.): collective NMTF on inter-type relationships only | none (λ = 0) | off |
+//! | SNMTF  | refs \[5, 6\] (Wang et al.): Eq. (1), NMTF + a single pNN Laplacian (`p = 5`, cosine) | fixed pNN | off |
+//! | RMC    | ref \[15\] (Li et al.): Eq. (2), NMTF + a learned linear ensemble `Σ βᵢ L̂ᵢ` of six pNN candidates (`p ∈ {5, 10}` × binary / heat-kernel / cosine), β re-optimised on the simplex each iteration | ensemble | off |
+//! | RHCHME | the paper, Eq. (15) | heterogeneous ensemble (Eq. 12) | on |
+//!
+//! SNMTF's original orthogonality constraint is replaced by the engine's
+//! multiplicative form, matching RMC's treatment. The baselines build
+//! their graphs exact and run `f64`; the graph backend and precision
+//! belong to RHCHME.
+//!
+//! DRCC (ref \[1\]) has its own two-type solver (`baselines::drcc`) and
+//! runs as DR-T (terms), DR-C (concepts) and DR-TC (concatenated).
 
-use crate::baselines::{run_drcc, DrccConfig, DrccVariant};
+use crate::baselines::{run_drcc, variant_matrix, DrccConfig, DrccVariant};
 use crate::engine::{run_engine, EngineConfig, EngineResult, GraphRegularizer};
 use crate::intra::{
     hetero_laplacian, pnn_laplacians_backend_prec, rmc_candidates, subspace_laplacians,
@@ -114,8 +128,8 @@ impl Method {
         }
     }
 
-    /// This method's row of the engine table (see [`crate::baselines`]
-    /// for each row's paper reference): the [`EngineConfig`] every fit of
+    /// This method's row of the engine table (see the module docs for
+    /// each row's paper reference): the [`EngineConfig`] every fit of
     /// SRC, SNMTF, RMC or RHCHME runs with.
     ///
     /// The four rows share `cfg`'s iteration budget, tolerance and label
@@ -126,7 +140,7 @@ impl Method {
     ///
     /// # Errors
     /// [`RhchmeError::InvalidConfig`] for the DRCC variants, which have
-    /// their own solver ([`crate::baselines::drcc`]).
+    /// their own solver.
     pub fn engine_config(self, cfg: &RhchmeConfig) -> Result<EngineConfig> {
         let (lambda, robust) = match self {
             Method::Src => (0.0, false),
@@ -268,51 +282,6 @@ impl Default for EnsembleSpec {
     }
 }
 
-impl EnsembleSpec {
-    /// Set the number of base partitions.
-    #[must_use]
-    pub fn with_members(mut self, members: usize) -> Self {
-        self.members = members;
-        self
-    }
-
-    /// Set the base-method pool (cycled round-robin; `pool[0]` anchors).
-    #[must_use]
-    pub fn with_pool(mut self, pool: Vec<Method>) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// Enable or disable random-k perturbation of members `1..`.
-    #[must_use]
-    pub fn with_random_k(mut self, random_k: bool) -> Self {
-        self.random_k = random_k;
-        self
-    }
-
-    /// Set the co-association neighbour budget per object.
-    #[must_use]
-    pub fn with_coassoc_p(mut self, p: usize) -> Self {
-        self.coassoc_p = p;
-        self
-    }
-
-    /// Set the probability-trajectory walk length and decay.
-    #[must_use]
-    pub fn with_walk(mut self, steps: usize, decay: f64) -> Self {
-        self.walk_steps = steps;
-        self.walk_decay = decay;
-        self
-    }
-
-    /// Set the merge strategy.
-    #[must_use]
-    pub fn with_merge(mut self, merge: MergeStrategy) -> Self {
-        self.merge = merge;
-        self
-    }
-}
-
 /// Open method specification — see the module docs for the
 /// `Method` → `MethodSpec` migration contract.
 #[derive(Debug, Clone, PartialEq)]
@@ -347,30 +316,6 @@ impl MethodSpec {
         match self {
             MethodSpec::Base(m) => m.key(),
             MethodSpec::Ensemble(_) => "ensemble",
-        }
-    }
-
-    /// Human-readable table label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            MethodSpec::Base(m) => m.paper_name(),
-            MethodSpec::Ensemble(_) => "ENSEMBLE",
-        }
-    }
-
-    /// Whether this spec is a high-order (multi-type) method.
-    pub fn is_hocc(&self) -> bool {
-        match self {
-            MethodSpec::Base(m) => m.is_hocc(),
-            MethodSpec::Ensemble(_) => true,
-        }
-    }
-
-    /// The wrapped base [`Method`], when this spec is one.
-    pub fn as_base(&self) -> Option<Method> {
-        match self {
-            MethodSpec::Base(m) => Some(*m),
-            MethodSpec::Ensemble(_) => None,
         }
     }
 }
@@ -538,7 +483,7 @@ pub fn run_spec(
                 Method::DrC => DrccVariant::Concepts,
                 _ => DrccVariant::TermsAndConcepts,
             };
-            let r = crate::baselines::drcc::variant_matrix(corpus, variant);
+            let r = variant_matrix(corpus, variant);
             let div = params.feature_cluster_divisor.max(1);
             let res = run_drcc(
                 &r,
@@ -819,7 +764,6 @@ mod tests {
         let params = fast_params();
         let out = run_spec(&c, &MethodSpec::from(Method::Src), &params).unwrap();
         assert_eq!(out.method, MethodSpec::Base(Method::Src));
-        assert_eq!(out.method.as_base(), Some(Method::Src));
 
         let err = run_spec(&c, &MethodSpec::ensemble(), &params).unwrap_err();
         assert!(
@@ -829,26 +773,9 @@ mod tests {
     }
 
     #[test]
-    fn spec_keys_and_builder() {
+    fn spec_keys() {
         assert_eq!(MethodSpec::from(Method::Rhchme).key(), "rhchme");
         assert_eq!(MethodSpec::ensemble().key(), "ensemble");
-        assert_eq!(MethodSpec::ensemble().label(), "ENSEMBLE");
-        assert!(MethodSpec::ensemble().is_hocc());
-        assert!(MethodSpec::ensemble().as_base().is_none());
-
-        let spec = EnsembleSpec::default()
-            .with_members(5)
-            .with_pool(vec![Method::Snmtf, Method::Src])
-            .with_random_k(false)
-            .with_coassoc_p(7)
-            .with_walk(4, 0.5)
-            .with_merge(MergeStrategy::HyperedgeMedoid);
-        assert_eq!(spec.members, 5);
-        assert_eq!(spec.pool, vec![Method::Snmtf, Method::Src]);
-        assert!(!spec.random_k);
-        assert_eq!(spec.coassoc_p, 7);
-        assert_eq!((spec.walk_steps, spec.walk_decay), (4, 0.5));
-        assert_eq!(spec.merge, MergeStrategy::HyperedgeMedoid);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use mtrl_subspace::SpgConfig;
 /// Likewise γ trades reconstruction against the `‖WWᵀ‖₁` sparsity on
 /// unit-norm rows, shifting its sweet spot from ~25 to ~5. The Fig. 2
 /// bench sweeps both grids and EXPERIMENTS.md records the mapping.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RhchmeConfig {
     /// Laplacian regularisation weight λ.
     pub lambda: f64,

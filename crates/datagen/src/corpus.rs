@@ -115,11 +115,6 @@ impl MultiTypeCorpus {
     pub fn num_concepts(&self) -> usize {
         self.doc_concept.cols()
     }
-
-    /// Total object count `n = docs + terms + concepts`.
-    pub fn total_objects(&self) -> usize {
-        self.num_docs() + self.num_terms() + self.num_concepts()
-    }
 }
 
 /// The fitted generative machinery behind [`generate`]: vocabulary
@@ -500,7 +495,6 @@ mod tests {
         assert_eq!(c.num_concepts(), 30);
         assert_eq!(c.labels.len(), 30);
         assert_eq!(c.num_classes, 3);
-        assert_eq!(c.total_objects(), 150);
         assert_eq!(c.labels[0], 0);
         assert_eq!(c.labels[29], 2);
     }

@@ -123,7 +123,7 @@ pub fn load(id: DatasetId, scale: Scale) -> MultiTypeCorpus {
 }
 
 /// The fixed seed for each dataset (documented in EXPERIMENTS.md).
-pub fn dataset_seed(id: DatasetId) -> u64 {
+pub(crate) fn dataset_seed(id: DatasetId) -> u64 {
     match id {
         DatasetId::D1 => 101,
         DatasetId::D2 => 102,

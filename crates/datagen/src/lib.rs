@@ -17,11 +17,10 @@
 //!   raw counts;
 //! * [`manifold`] — the Fig. 1 toy geometries (two intersecting circles,
 //!   unions of linear subspaces);
-//! * [`noise`] — corruption injectors used by the robustness experiments;
-//! * [`corruption`] — typed [`CorruptionSpec`] naming a corruption axis
+//! * `corruption` — typed [`CorruptionSpec`] naming a corruption axis
 //!   (feature noise / relation corruption / drift) and its level, the
 //!   knob the `mtrl-eval` scenario matrix and the examples share;
-//! * [`split`] — train / held-out document splitting for out-of-sample
+//! * `split` — train / held-out document splitting for out-of-sample
 //!   serving experiments;
 //! * [`stream`] — timestamped document batches from the same latent
 //!   model as the initial corpus, with optional concept drift
@@ -32,17 +31,14 @@
 //! can exercise more than one RNG stream per push.
 
 pub mod corpus;
-pub mod corruption;
+mod corruption;
 pub mod datasets;
 pub mod manifold;
-pub mod noise;
-pub mod split;
+mod split;
 pub mod stream;
 
 pub use corpus::{CorpusConfig, MultiTypeCorpus};
 pub use corruption::{CorruptionKind, CorruptionSpec};
-pub use datasets::{DatasetId, Scale};
-pub use manifold::{two_circles, union_of_subspaces};
 pub use split::{split_corpus, HeldOutDoc};
 pub use stream::{append_batch, generate_stream, StreamBatch, StreamConfig};
 

@@ -7,10 +7,10 @@
 //! 1. [`generator`] — diverse base partitions by perturbing seeds,
 //!    random-k and method flavour over the shared
 //!    [`rhchme::pipeline::Artifacts`];
-//! 2. [`coassoc`] — a sparse per-type co-association structure keyed on
-//!    each object's p-nearest co-cluster neighbours (never n×n);
-//! 3. [`merge`] — probability-trajectory random-walk consensus with a
-//!    k-hyperedge-medoid fallback.
+//! 2. [`CoAssocBuilder`] — a sparse per-type co-association structure
+//!    keyed on each object's p-nearest co-cluster neighbours (never n×n);
+//! 3. [`consensus_over_references`] — probability-trajectory random-walk
+//!    consensus with a k-hyperedge-medoid fallback.
 //!
 //! The merged per-type memberships export through the existing
 //! [`rhchme::FittedModel`] path (association `S` re-estimated in closed
@@ -22,9 +22,9 @@
 //! `rhchme::pipeline::run_spec` — callers that may receive either kind
 //! (the eval runner, demos) route through this function.
 
-pub mod coassoc;
+mod coassoc;
 pub mod generator;
-pub mod merge;
+mod merge;
 
 use generator::{BasePartition, SharedRegularizers};
 use mtrl_linalg::block::stack_membership;
@@ -37,7 +37,7 @@ use rhchme::{FittedModel, Result, RhchmeError};
 use std::time::Instant;
 
 pub use coassoc::CoAssocBuilder;
-pub use merge::{consensus_labels, consensus_over_references, MergeOutcome};
+pub use merge::{consensus_over_references, MergeOutcome};
 
 /// One member's plan and outcome, for diagnostics and reports.
 #[derive(Debug, Clone)]
@@ -243,7 +243,7 @@ pub fn run_spec(
 ///
 /// # Errors
 /// Propagates export validation failures.
-pub fn export_model(
+pub(crate) fn export_model(
     corpus: &mtrl_datagen::MultiTypeCorpus,
     result: &EnsembleResult,
     params: &PipelineParams,
@@ -256,7 +256,7 @@ pub fn export_model(
 ///
 /// # Errors
 /// Propagates export validation failures.
-pub fn export_model_from_data(
+pub(crate) fn export_model_from_data(
     data: &MultiTypeData,
     result: &EnsembleResult,
     params: &PipelineParams,
@@ -312,7 +312,10 @@ mod tests {
     }
 
     fn fast_spec() -> EnsembleSpec {
-        EnsembleSpec::default().with_members(4)
+        EnsembleSpec {
+            members: 4,
+            ..EnsembleSpec::default()
+        }
     }
 
     #[test]
@@ -364,11 +367,27 @@ mod tests {
         let c = corpus();
         let params = fast_params();
         for bad in [
-            EnsembleSpec::default().with_members(0),
-            EnsembleSpec::default().with_pool(vec![]),
-            EnsembleSpec::default().with_pool(vec![Method::DrT]),
-            EnsembleSpec::default().with_coassoc_p(0),
-            EnsembleSpec::default().with_walk(3, 0.0),
+            EnsembleSpec {
+                members: 0,
+                ..EnsembleSpec::default()
+            },
+            EnsembleSpec {
+                pool: vec![],
+                ..EnsembleSpec::default()
+            },
+            EnsembleSpec {
+                pool: vec![Method::DrT],
+                ..EnsembleSpec::default()
+            },
+            EnsembleSpec {
+                coassoc_p: 0,
+                ..EnsembleSpec::default()
+            },
+            EnsembleSpec {
+                walk_steps: 3,
+                walk_decay: 0.0,
+                ..EnsembleSpec::default()
+            },
         ] {
             assert!(fit_corpus(&c, &bad, &params).is_err(), "{bad:?}");
         }
@@ -377,8 +396,11 @@ mod tests {
     #[test]
     fn random_k_perturbs_member_plans() {
         let c = corpus();
-        let result =
-            fit_corpus(&c, &EnsembleSpec::default().with_members(6), &fast_params()).unwrap();
+        let spec = EnsembleSpec {
+            members: 6,
+            ..EnsembleSpec::default()
+        };
+        let result = fit_corpus(&c, &spec, &fast_params()).unwrap();
         // With random-k on, members 1.. draw k ∈ [c, 2c]; at least the
         // plan fields are recorded and within range.
         for m in &result.members[1..] {

@@ -127,49 +127,6 @@ fn ratio_association(coassoc: &Csr, labels: &[usize], k: usize) -> f64 {
         .sum()
 }
 
-/// Merge one type's co-associations into `k` consensus clusters.
-///
-/// `reference` is the anchor partition (labels `< k`); `hyperedges` are
-/// every base cluster's member list (used by the fallback).
-///
-/// # Panics
-/// Panics if `reference.len()` differs from the co-association dimension
-/// or a reference label is `>= k`.
-pub fn consensus_labels(
-    coassoc: &Csr,
-    reference: &[usize],
-    k: usize,
-    walk_steps: usize,
-    walk_decay: f64,
-    force_fallback: bool,
-    hyperedges: &[Vec<usize>],
-) -> MergeOutcome {
-    let n = coassoc.rows();
-    assert_eq!(reference.len(), n, "reference length mismatch");
-    assert!(
-        reference.iter().all(|&c| c < k),
-        "reference label out of range"
-    );
-    if !force_fallback {
-        let labels = trajectory_labels(coassoc, reference, k, walk_steps, walk_decay);
-        let distinct = {
-            let mut seen = vec![false; k];
-            labels.iter().for_each(|&c| seen[c] = true);
-            seen.iter().filter(|&&s| s).count()
-        };
-        if distinct >= 2.min(k) {
-            return MergeOutcome {
-                labels,
-                used_fallback: false,
-            };
-        }
-    }
-    MergeOutcome {
-        labels: hyperedge_medoid_labels(coassoc, k, hyperedges, reference),
-        used_fallback: true,
-    }
-}
-
 /// The probability-trajectory walk, discretised: starting from the
 /// reference partition, each step re-votes every object by its
 /// co-association mass toward each current cluster (the row-stochastic
@@ -281,6 +238,39 @@ fn hyperedge_medoid_labels(
 mod tests {
     use super::*;
     use crate::coassoc::CoAssocBuilder;
+
+    /// The single-reference merge: the walk from `reference` (labels
+    /// `< k`), or the hyperedge-medoid fallback over `hyperedges` when it
+    /// degenerates.
+    fn consensus_labels(
+        coassoc: &Csr,
+        reference: &[usize],
+        k: usize,
+        walk_steps: usize,
+        walk_decay: f64,
+        force_fallback: bool,
+        hyperedges: &[Vec<usize>],
+    ) -> MergeOutcome {
+        let n = coassoc.rows();
+        assert_eq!(reference.len(), n, "reference length mismatch");
+        assert!(
+            reference.iter().all(|&c| c < k),
+            "reference label out of range"
+        );
+        if !force_fallback {
+            let labels = trajectory_labels(coassoc, reference, k, walk_steps, walk_decay);
+            if distinct_clusters(&labels, k) >= 2.min(k) {
+                return MergeOutcome {
+                    labels,
+                    used_fallback: false,
+                };
+            }
+        }
+        MergeOutcome {
+            labels: hyperedge_medoid_labels(coassoc, k, hyperedges, reference),
+            used_fallback: true,
+        }
+    }
 
     fn coassoc_of(partitions: &[Vec<usize>], n: usize, p: usize) -> Csr {
         let mut b = CoAssocBuilder::new(n);

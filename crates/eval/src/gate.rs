@@ -27,7 +27,7 @@ pub const BENCH_TOLERANCE: f64 = 0.25;
 
 /// How far an ensemble cell may sit below the best single-method cell of
 /// the same corruption scenario: 0.5 points of mean FScore.
-pub const ENSEMBLE_MARGIN: f64 = 0.005;
+pub(crate) const ENSEMBLE_MARGIN: f64 = 0.005;
 
 /// The single-method cells an `…/ensemble` cell is compared against.
 const SINGLE_METHOD_CELLS: [&str; 4] = ["src", "snmtf", "rmc", "rhchme"];

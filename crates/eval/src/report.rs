@@ -28,10 +28,10 @@ use mtrl_obs::export::{git_sha, target_features};
 use serde_json::Value;
 
 /// Schema tag of quality reports.
-pub const QUALITY_SCHEMA: &str = "mtrl-quality-report/v1";
+pub(crate) const QUALITY_SCHEMA: &str = "mtrl-quality-report/v1";
 
 /// Schema tag of bench summaries (written by the criterion shim).
-pub const BENCH_SCHEMA: &str = "mtrl-bench-summary/v1";
+pub(crate) const BENCH_SCHEMA: &str = "mtrl-bench-summary/v1";
 
 /// The metadata header shared by bench and quality summaries.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,7 +60,7 @@ impl ReportMeta {
     }
 
     /// Parse the `meta` object of a summary, if present.
-    pub fn from_value(root: &Value) -> Option<Self> {
+    pub(crate) fn from_value(root: &Value) -> Option<Self> {
         let meta = root.get("meta")?;
         Some(ReportMeta {
             git_sha: meta
@@ -289,7 +289,7 @@ impl Stat {
     ///
     /// # Panics
     /// Panics on an empty slice (a scenario always has ≥ 1 seed).
-    pub fn from_values(values: &[f64]) -> Self {
+    pub(crate) fn from_values(values: &[f64]) -> Self {
         assert!(!values.is_empty(), "no values to aggregate");
         let n = values.len() as f64;
         let mean = values.iter().sum::<f64>() / n;
@@ -371,7 +371,7 @@ impl QualityReport {
     ///
     /// # Errors
     /// Returns a message on a wrong schema tag or a missing field.
-    pub fn from_value(value: &Value) -> Result<Self, String> {
+    pub(crate) fn from_value(value: &Value) -> Result<Self, String> {
         let schema = value
             .get("schema")
             .and_then(Value::as_str)

@@ -23,7 +23,7 @@ use rhchme::pipeline::PipelineParams;
 use rhchme::rhchme::{Rhchme, RhchmeConfig};
 
 /// Eval-layer result: failures carry a human-readable context string.
-pub type Result<T> = std::result::Result<T, String>;
+pub(crate) type Result<T> = std::result::Result<T, String>;
 
 /// Knobs of one matrix run.
 #[derive(Debug, Clone, Copy, Default)]

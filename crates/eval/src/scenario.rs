@@ -45,7 +45,7 @@ impl EvalPath {
     }
 
     /// Stable scenario-key fragment.
-    pub fn key(&self) -> String {
+    pub(crate) fn key(&self) -> String {
         match self {
             EvalPath::ColdFit(spec) => spec.key().to_string(),
             EvalPath::ServeFoldIn => "serve_foldin".to_string(),
@@ -176,7 +176,7 @@ impl Scenario {
     /// Route the scenario's pNN graphs through `backend`. Non-exact
     /// backends get their key appended (`…/rhchme+rp_forest`) so exact
     /// and approximate cells coexist in one report.
-    pub fn with_backend(mut self, backend: GraphBackend) -> Self {
+    pub(crate) fn with_backend(mut self, backend: GraphBackend) -> Self {
         if !backend.is_exact() {
             self.name = format!("{}+{}", self.name, backend.key());
         }
@@ -187,7 +187,7 @@ impl Scenario {
     /// Run the scenario's hot kernels at `precision`. [`Precision::F32`]
     /// gets its key appended (`…/rhchme+f32`) so both precision modes
     /// coexist — and gate each other — in one report.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
+    pub(crate) fn with_precision(mut self, precision: Precision) -> Self {
         if !precision.is_f64() {
             self.name = format!("{}+{}", self.name, precision.key());
         }
@@ -203,7 +203,8 @@ impl Scenario {
 pub const QUICK_SEEDS: [u64; 3] = [11, 23, 37];
 
 /// The four multi-type methods the quality matrix covers.
-pub const HOCC_METHODS: [Method; 4] = [Method::Src, Method::Snmtf, Method::Rmc, Method::Rhchme];
+pub(crate) const HOCC_METHODS: [Method; 4] =
+    [Method::Src, Method::Snmtf, Method::Rmc, Method::Rhchme];
 
 /// The paper-faithful quick matrix: clean vs feature-noise vs
 /// relation-corruption cold fits for all four HOCC methods *and* the

@@ -17,15 +17,15 @@
 use std::io::{self, BufRead, Read, Write};
 
 /// Cap on request-line + headers, bytes. Over → `431`.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Cap on a request body, bytes. Over → `413`.
-pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 /// Cap on header count (each costs an allocation).
-pub const MAX_HEADERS: usize = 64;
+pub(crate) const MAX_HEADERS: usize = 64;
 
 /// One parsed request. Header names are lower-cased at parse time.
 #[derive(Debug, Clone)]
-pub struct Request {
+pub(crate) struct Request {
     pub method: String,
     pub path: String,
     pub headers: Vec<(String, String)>,
@@ -34,7 +34,7 @@ pub struct Request {
 
 impl Request {
     /// First header with the given (lower-case) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(k, _)| k == name)
@@ -43,7 +43,7 @@ impl Request {
 
     /// Whether the client asked to drop the connection after this
     /// exchange (`Connection: close`).
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
@@ -52,7 +52,7 @@ impl Request {
 /// Why a request could not be read. Everything except `Closed` / `Io`
 /// is answerable on the wire.
 #[derive(Debug)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// Peer closed the connection cleanly between requests.
     Closed,
     /// Not an HTTP/1.x request we can parse → `400 Bad Request`.
@@ -62,12 +62,12 @@ pub enum HttpError {
     /// Body exceeded [`MAX_BODY_BYTES`] → `413`.
     BodyTooLarge,
     /// Transport error (timeout, reset); the connection is unusable.
-    Io(io::Error),
+    Io,
 }
 
 impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
+    fn from(_: io::Error) -> Self {
+        HttpError::Io
     }
 }
 
@@ -108,7 +108,7 @@ fn read_line(
 }
 
 /// Read and parse one request off the stream.
-pub fn read_request(r: &mut impl BufRead) -> Result<Request, HttpError> {
+pub(crate) fn read_request(r: &mut impl BufRead) -> Result<Request, HttpError> {
     let mut head_bytes = 0usize;
     // RFC 9112 §2.2: tolerate CRLFs before the request-line.
     let mut request_line = read_line(r, &mut head_bytes, true)?;
@@ -175,7 +175,7 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Request, HttpError> {
 }
 
 /// Reason phrase for the status codes the gateway emits.
-pub fn status_reason(status: u16) -> &'static str {
+pub(crate) fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -193,7 +193,7 @@ pub fn status_reason(status: u16) -> &'static str {
 
 /// One response, always `Content-Length`-framed.
 #[derive(Debug, Clone)]
-pub struct Response {
+pub(crate) struct Response {
     pub status: u16,
     pub content_type: &'static str,
     pub extra_headers: Vec<(String, String)>,
@@ -201,7 +201,7 @@ pub struct Response {
 }
 
 impl Response {
-    pub fn json(status: u16, body: String) -> Self {
+    pub(crate) fn json(status: u16, body: String) -> Self {
         Response {
             status,
             content_type: "application/json",
@@ -210,7 +210,7 @@ impl Response {
         }
     }
 
-    pub fn text(status: u16, body: impl Into<String>) -> Self {
+    pub(crate) fn text(status: u16, body: impl Into<String>) -> Self {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
@@ -219,14 +219,14 @@ impl Response {
         }
     }
 
-    pub fn header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub(crate) fn header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
         self.extra_headers.push((name.into(), value.into()));
         self
     }
 
     /// Serialise onto the wire. Returns total bytes written (for the
     /// `gateway.bytes` counter).
-    pub fn write_to(&self, w: &mut impl Write, keep_alive: bool) -> io::Result<usize> {
+    pub(crate) fn write_to(&self, w: &mut impl Write, keep_alive: bool) -> io::Result<usize> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
             self.status,
@@ -309,7 +309,7 @@ mod tests {
     fn truncated_body_is_io_error() {
         assert!(matches!(
             parse(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"),
-            Err(HttpError::Io(_))
+            Err(HttpError::Io)
         ));
     }
 

@@ -9,11 +9,11 @@
 //!
 //! What the gateway adds over calling the engine directly:
 //!
-//! - **Cross-client coalescing** ([`server`]): concurrent assign
+//! - **Cross-client coalescing**: concurrent assign
 //!   requests against the same `(model, type_index)` are merged into
 //!   one engine batch within a wait window, recovering the batched
 //!   fold-in kernel's throughput for single-document network callers.
-//! - **Admission control** ([`server`]): a bounded job queue (full →
+//! - **Admission control**: a bounded job queue (full →
 //!   `429` + `Retry-After`), a connection cap (over → `503`), hard
 //!   HTTP input limits, and per-request deadlines (lapsed in queue →
 //!   `504`). Overload degrades into fast rejections, never unbounded
@@ -33,7 +33,7 @@
 //! | `GET /metrics`                 | Prometheus text format                       |
 //!
 //! The assign body is a transliteration of
-//! [`mtrl_serve::AssignRequest`] (see [`wire`]), and error responses
+//! [`mtrl_serve::AssignRequest`], and error responses
 //! carry [`mtrl_serve::ServeError`]'s taxonomy — HTTP status codes come
 //! from [`mtrl_serve::ServeError::http_status`], so in-process and
 //! network callers share one error contract.
@@ -50,40 +50,8 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-pub mod http;
-pub mod server;
-pub mod wire;
+mod http;
+mod server;
+mod wire;
 
 pub use server::{Gateway, GatewayConfig, GatewayStats};
-
-use mtrl_serve::{persist, ServeEngine, ServeError};
-use std::path::Path;
-
-/// Register every model file in `dir` (any format [`persist::load_any`]
-/// understands — v1 JSON or v2 binary) under its file stem. Returns the
-/// registered names, sorted.
-///
-/// # Errors
-/// Propagates directory-read and model-load failures; a directory with
-/// an unloadable model file is a configuration error, not something to
-/// skip silently.
-pub fn register_models_from_dir(
-    engine: &ServeEngine,
-    dir: impl AsRef<Path>,
-) -> Result<Vec<String>, ServeError> {
-    let mut names = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if !path.is_file() {
-            continue;
-        }
-        let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-            continue;
-        };
-        let model = persist::load_any(&path)?;
-        engine.register(stem, model)?;
-        names.push(stem.to_string());
-    }
-    names.sort();
-    Ok(names)
-}

@@ -618,7 +618,7 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
                 batch.push((route(inner, &request), keep, request.body.len()));
                 keep
             }
-            Err(HttpError::Closed) | Err(HttpError::Io(_)) => return,
+            Err(HttpError::Closed) | Err(HttpError::Io) => return,
             Err(HttpError::Malformed(msg)) => {
                 let response = error_response(&ServeError::BadRequest(msg));
                 batch.push((PendingResponse::Ready(response), false, 0));

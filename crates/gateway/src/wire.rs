@@ -61,7 +61,7 @@ fn f64_array(v: &Value, field: &str) -> Result<Vec<f64>, ServeError> {
 
 /// Decode a `POST .../assign` body into an [`AssignRequest`] for
 /// `model` (taken from the URL path, not the body).
-pub fn parse_assign(model: &str, body: &[u8]) -> Result<AssignRequest, ServeError> {
+pub(crate) fn parse_assign(model: &str, body: &[u8]) -> Result<AssignRequest, ServeError> {
     let text = std::str::from_utf8(body).map_err(|_| bad("body is not UTF-8"))?;
     let value: Value = serde_json::from_str(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
     if !matches!(value, Value::Object(_)) {
@@ -110,7 +110,7 @@ fn num(n: f64) -> Value {
 }
 
 /// Encode a successful assignment for the wire.
-pub fn assign_response_json(model: &str, response: &AssignResponse) -> String {
+pub(crate) fn assign_response_json(model: &str, response: &AssignResponse) -> String {
     let labels = Value::Array(response.labels.iter().map(|&l| num(l as f64)).collect());
     let posteriors = Value::Array(
         response
@@ -147,7 +147,7 @@ fn error_kind(err: &ServeError) -> &'static str {
 
 /// Encode a [`ServeError`] as the gateway's error body. The HTTP
 /// status is `err.http_status()`; this is the JSON payload beside it.
-pub fn error_json(err: &ServeError) -> String {
+pub(crate) fn error_json(err: &ServeError) -> String {
     let mut fields = vec![
         ("error".into(), Value::String(error_kind(err).to_string())),
         ("status".into(), num(err.http_status() as f64)),

@@ -30,10 +30,11 @@
 //! [`knn_indices`] and [`pnn_graph`] are the crate's only neighbour
 //! searches. Both take a [`GraphBackend`] and a [`Precision`] and run on
 //! the [`mtrl_linalg::par`] pool, with one worker below the
-//! [`threads_for`] work threshold. [`GraphBackend::Exact`] runs the
-//! blocked kernel of this module; [`GraphBackend::RpForest`] draws
-//! candidates from the index in [`crate::ann`] and ranks them with this
-//! module's pair function and selection order.
+//! [`mtrl_linalg::par::threads_for`] work threshold.
+//! [`GraphBackend::Exact`] runs the blocked kernel of this module;
+//! [`GraphBackend::RpForest`] draws candidates from the index in
+//! [`crate::ann`] and ranks them with this module's pair function and
+//! selection order.
 //!
 //! ## Precision
 //!
@@ -49,7 +50,7 @@
 //! reorders a near-tie.
 
 use crate::ann::{self, GraphBackend};
-use mtrl_linalg::par::{num_threads, par_chunks_map};
+use mtrl_linalg::par::{par_chunks_map, threads_for};
 use mtrl_linalg::vecops::{cosine, sq_dist};
 use mtrl_linalg::{Mat, MatF32, Precision};
 use mtrl_sparse::Csr;
@@ -75,23 +76,6 @@ pub enum WeightScheme {
 /// `TILE * n` doubles (512 KB at `n = 2000`) while keeping the axpy
 /// kernel long enough to vectorise.
 const TILE: usize = 32;
-
-/// Work threshold (multiply-adds) below which a row fan-out is not
-/// worth a thread spawn.
-const PAR_THRESHOLD: usize = 1 << 20;
-
-/// Worker threads for a neighbour-search pass of `work` multiply-adds:
-/// one below the ~1M threshold, the [`mtrl_linalg::par`] pool's count
-/// above it. Every parallel graph pass in the workspace (batch search,
-/// incremental maintenance, RMC candidates) asks this one test, each
-/// with its own work expression.
-pub fn threads_for(work: usize) -> usize {
-    if work < PAR_THRESHOLD {
-        1
-    } else {
-        num_threads()
-    }
-}
 
 /// Threads for an all-pairs pass over `data`: `n² d` multiply-adds.
 fn all_pairs_threads(data: &Mat) -> usize {
@@ -604,11 +588,9 @@ pub(crate) fn select_p_nearest(scratch: &mut [(f64, usize)], p: usize) -> Vec<us
 }
 
 /// The seed repository's brute-force construction (serial `sq_dist`
-/// per pair), kept as the correctness and performance reference for the
-/// blocked kernel. Exposed for the tests and the `micro_graph` bench —
-/// not part of the supported API.
-#[doc(hidden)]
-pub fn knn_indices_brute_reference(data: &Mat, p: usize) -> Vec<Vec<usize>> {
+/// per pair), kept as the correctness reference for the blocked kernel
+/// and the neighbour lists of [`pnn_graph_brute_reference`].
+fn knn_indices_brute_reference(data: &Mat, p: usize) -> Vec<Vec<usize>> {
     let n = data.rows();
     let mut out = Vec::with_capacity(n);
     let mut scratch: Vec<(f64, usize)> = Vec::with_capacity(n.saturating_sub(1));

@@ -8,7 +8,6 @@
 //! pNN Laplacian `L_E` live on comparable scales inside the ensemble of
 //! Eq. (12). DESIGN.md §3 records this choice.
 
-use mtrl_linalg::Mat;
 use mtrl_sparse::Csr;
 
 /// Which Laplacian construction to apply to a weight matrix.
@@ -93,30 +92,70 @@ pub fn laplacian_csr(w: &Csr, kind: LaplacianKind) -> Csr {
     out.build()
 }
 
-/// Build a dense Laplacian block from a symmetric nonnegative weight
-/// matrix.
-///
-/// This is a thin `.to_dense()` shim over [`laplacian_csr`], kept for
-/// tests and for consumers that genuinely need the dense form (e.g. the
-/// Jacobi eigensolver); the fit loop uses the sparse construction.
-///
-/// # Panics
-/// Panics if `w` is not square.
-pub fn laplacian_dense(w: &Csr, kind: LaplacianKind) -> Mat {
-    laplacian_csr(w, kind).to_dense()
-}
-
-/// Degree vector `D_ii = Σ_j W_ij`.
-pub fn degrees(w: &Csr) -> Vec<f64> {
-    w.row_sums()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtrl_linalg::eigen::sym_eigen;
-    use mtrl_linalg::ops::matvec;
+    use mtrl_linalg::ops::matmul;
+    use mtrl_linalg::Mat;
     use mtrl_sparse::Coo;
+
+    /// Eigenvalues of a symmetric matrix in ascending order by cyclic
+    /// Jacobi rotations (Golub & Van Loan, Alg. 8.4.1): the spectrum
+    /// oracle for the PSD and `λ ≤ 2` checks below.
+    fn sym_eigenvalues(a: &Mat) -> Vec<f64> {
+        let n = a.rows();
+        let mut m = a.clone();
+        for _sweep in 0..200 {
+            let mut off = 0.0;
+            for p in 0..n {
+                for q in p + 1..n {
+                    off += m[(p, q)] * m[(p, q)];
+                }
+            }
+            if off <= 1e-20 {
+                let mut values: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
+                values.sort_by(f64::total_cmp);
+                return values;
+            }
+            for p in 0..n {
+                for q in p + 1..n {
+                    let apq = m[(p, q)];
+                    if apq.abs() < 1e-300 {
+                        continue;
+                    }
+                    let theta = (m[(q, q)] - m[(p, p)]) / (2.0 * apq);
+                    let t = theta.signum() / (theta.abs() + (1.0 + theta * theta).sqrt());
+                    let c = 1.0 / (1.0 + t * t).sqrt();
+                    let s = t * c;
+                    // M ← Jᵀ M J on the (p, q) plane: rotate columns, then rows.
+                    for k in 0..n {
+                        let (kp, kq) = (m[(k, p)], m[(k, q)]);
+                        m[(k, p)] = c * kp - s * kq;
+                        m[(k, q)] = s * kp + c * kq;
+                    }
+                    for k in 0..n {
+                        let (pk, qk) = (m[(p, k)], m[(q, k)]);
+                        m[(p, k)] = c * pk - s * qk;
+                        m[(q, k)] = s * pk + c * qk;
+                    }
+                }
+            }
+        }
+        panic!("Jacobi did not converge in 200 sweeps");
+    }
+
+    #[test]
+    fn jacobi_oracle_recovers_known_spectra() {
+        // [[2,1],[1,2]] has eigenvalues 1 and 3; a diagonal matrix its diagonal.
+        let a = Mat::from_vec(2, 2, vec![2.0, 1.0, 1.0, 2.0]).unwrap();
+        let e = sym_eigenvalues(&a);
+        assert!(
+            (e[0] - 1.0).abs() < 1e-10 && (e[1] - 3.0).abs() < 1e-10,
+            "{e:?}"
+        );
+        let d = Mat::from_vec(3, 3, vec![3.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 2.0]).unwrap();
+        assert_eq!(sym_eigenvalues(&d), vec![1.0, 2.0, 3.0]);
+    }
 
     /// Path graph 0-1-2 with unit weights.
     fn path3() -> Csr {
@@ -129,7 +168,7 @@ mod tests {
 
     #[test]
     fn unnormalized_rows_sum_to_zero() {
-        let l = laplacian_dense(&path3(), LaplacianKind::Unnormalized);
+        let l = laplacian_csr(&path3(), LaplacianKind::Unnormalized).to_dense();
         for s in l.row_sums() {
             assert!(s.abs() < 1e-12);
         }
@@ -139,9 +178,10 @@ mod tests {
 
     #[test]
     fn unnormalized_kills_constant_vector() {
-        let l = laplacian_dense(&path3(), LaplacianKind::Unnormalized);
-        let y = matvec(&l, &[1.0, 1.0, 1.0]).unwrap();
-        assert!(y.iter().all(|v| v.abs() < 1e-12));
+        let l = laplacian_csr(&path3(), LaplacianKind::Unnormalized).to_dense();
+        let ones = Mat::from_vec(3, 1, vec![1.0; 3]).unwrap();
+        let y = matmul(&l, &ones).unwrap();
+        assert!(y.as_slice().iter().all(|v| v.abs() < 1e-12));
     }
 
     #[test]
@@ -161,19 +201,15 @@ mod tests {
         }
         let w = c.to_csr();
         for kind in [LaplacianKind::Unnormalized, LaplacianKind::SymNormalized] {
-            let l = laplacian_dense(&w, kind);
-            let e = sym_eigen(&l, 1e-10, 200).unwrap();
-            assert!(
-                e.values.iter().all(|&v| v > -1e-9),
-                "{kind:?} spectrum {:?}",
-                e.values
-            );
+            let l = laplacian_csr(&w, kind).to_dense();
+            let e = sym_eigenvalues(&l);
+            assert!(e.iter().all(|&v| v > -1e-9), "{kind:?} spectrum {e:?}");
         }
     }
 
     #[test]
     fn normalized_diag_is_one_for_connected_vertices() {
-        let l = laplacian_dense(&path3(), LaplacianKind::SymNormalized);
+        let l = laplacian_csr(&path3(), LaplacianKind::SymNormalized).to_dense();
         for i in 0..3 {
             assert!((l[(i, i)] - 1.0).abs() < 1e-12);
         }
@@ -183,9 +219,9 @@ mod tests {
 
     #[test]
     fn normalized_spectrum_bounded_by_two() {
-        let l = laplacian_dense(&path3(), LaplacianKind::SymNormalized);
-        let e = sym_eigen(&l, 1e-10, 200).unwrap();
-        assert!(e.values.iter().all(|&v| v <= 2.0 + 1e-9));
+        let l = laplacian_csr(&path3(), LaplacianKind::SymNormalized).to_dense();
+        let e = sym_eigenvalues(&l);
+        assert!(e.iter().all(|&v| v <= 2.0 + 1e-9));
     }
 
     #[test]
@@ -194,7 +230,7 @@ mod tests {
         c.push(0, 1, 1.0);
         c.push(1, 0, 1.0);
         let w = c.to_csr();
-        let l = laplacian_dense(&w, LaplacianKind::SymNormalized);
+        let l = laplacian_csr(&w, LaplacianKind::SymNormalized).to_dense();
         assert_eq!(l[(2, 2)], 0.0);
         assert_eq!(l.row(2), &[0.0, 0.0, 0.0]);
     }
@@ -202,16 +238,10 @@ mod tests {
     #[test]
     fn zero_graph_gives_zero_laplacian() {
         let w = Csr::zeros(4, 4);
-        let lu = laplacian_dense(&w, LaplacianKind::Unnormalized);
+        let lu = laplacian_csr(&w, LaplacianKind::Unnormalized).to_dense();
         assert_eq!(lu.sum(), 0.0);
-        let ln = laplacian_dense(&w, LaplacianKind::SymNormalized);
+        let ln = laplacian_csr(&w, LaplacianKind::SymNormalized).to_dense();
         assert_eq!(ln.sum(), 0.0);
-    }
-
-    #[test]
-    fn degrees_match_row_sums() {
-        let w = path3();
-        assert_eq!(degrees(&w), vec![1.0, 2.0, 1.0]);
     }
 
     /// The seed repository's dense construction, kept verbatim as the

@@ -8,9 +8,10 @@
 //! the Laplacian constructions used by every HOCC method:
 //!
 //! * SNMTF uses a single pNN Laplacian (Eq. 1);
-//! * RMC uses a linear ensemble of pre-given candidates (Eq. 2);
-//! * RHCHME uses the *heterogeneous* ensemble `L = α·L_S + L_E` (Eq. 12)
-//!   mixing the subspace-learned Laplacian with the pNN one.
+//! * RMC combines pre-given pNN candidates (Eq. 2);
+//! * RHCHME mixes the subspace-learned Laplacian with the pNN one in the
+//!   *heterogeneous* ensemble `L = α·L_S + L_E` (Eq. 12), built by
+//!   `rhchme::intra::hetero_laplacian`.
 //!
 //! Graphs are built over objects given as **rows** of a dense feature
 //! matrix by one search entry, [`knn_indices`], and one graph entry,
@@ -22,20 +23,16 @@
 //! are sparse ([`mtrl_sparse::Csr`]) and the Laplacians stay sparse too
 //! ([`laplacian_csr`], ≤ `2pn + n` entries) — the positive/negative
 //! splits and `L·G` products of the multiplicative update run on CSR
-//! blocks; [`laplacian_dense`] remains as a `.to_dense()` shim for
-//! spectral utilities and tests.
+//! blocks.
 
 pub mod ann;
-pub mod components;
-pub mod ensemble;
 pub mod knn;
-pub mod laplacian;
+mod laplacian;
 mod serde_impl;
 
 pub use ann::{GraphBackend, RpForestIndex, RpForestParams};
-pub use ensemble::{hetero_ensemble, linear_combination};
 pub use knn::{
     center_columns, cross_sq_dist_map, dist_less, gram_sq_dist, graph_from_neighbours,
-    insert_capped, knn_indices, pnn_graph, threads_for, WeightScheme,
+    insert_capped, knn_indices, pnn_graph, WeightScheme,
 };
-pub use laplacian::{laplacian_csr, laplacian_dense, LaplacianKind};
+pub use laplacian::{laplacian_csr, LaplacianKind};

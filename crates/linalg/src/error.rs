@@ -28,20 +28,6 @@ pub enum LinalgError {
         /// Index of the pivot at which singularity was detected.
         pivot: usize,
     },
-    /// Cholesky factorisation found a non-positive diagonal entry.
-    NotPositiveDefinite {
-        /// Index of the failing diagonal entry.
-        index: usize,
-        /// The offending value.
-        value: f64,
-    },
-    /// An iterative routine failed to converge within its iteration budget.
-    NoConvergence {
-        /// Human-readable name of the routine.
-        op: &'static str,
-        /// Number of iterations performed.
-        iterations: usize,
-    },
     /// Invalid argument (e.g. empty input where non-empty is required).
     InvalidArgument(String),
 }
@@ -63,13 +49,6 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::Singular { op, pivot } => {
                 write!(f, "{op}: singular matrix (pivot {pivot})")
-            }
-            LinalgError::NotPositiveDefinite { index, value } => write!(
-                f,
-                "cholesky: matrix not positive definite (diagonal {index} = {value})"
-            ),
-            LinalgError::NoConvergence { op, iterations } => {
-                write!(f, "{op}: no convergence after {iterations} iterations")
             }
             LinalgError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }

@@ -11,9 +11,9 @@
 //! * [`Mat`] — a row-major dense `f64` matrix with cache-friendly row access;
 //! * [`Precision`] — the storage-precision knob; F32 mode is one
 //!   quantisation of operands ([`Precision::quantize_in_place`]) in
-//!   front of the ordinary `f64` kernels ([`precision`]);
+//!   front of the ordinary `f64` kernels;
 //! * [`MatF32`] — `f32` storage for the one kernel that keeps it, the
-//!   Gram kNN tile in `mtrl-graph` ([`matf32`]);
+//!   Gram kNN tile in `mtrl-graph`;
 //! * blocked and multi-threaded matrix products ([`ops`]);
 //! * the scoped-thread worker pool shared by every parallel kernel in
 //!   the workspace ([`par`]; `MTRL_NUM_THREADS` overrides the count);
@@ -21,11 +21,10 @@
 //!   engine's implicit `R − E_R` representation, one type's column block
 //!   at a time ([`lowrank`]);
 //! * norms used by the paper: Frobenius, `l1`, `l2,1` ([`norms`]);
-//! * Gauss–Jordan inversion, Cholesky, LU solve ([`solve`]);
-//! * a Jacobi symmetric eigensolver ([`eigen`]) for spectral utilities;
+//! * the ridge-stabilised inverse behind Eq. (18)'s `(GᵀG)⁻¹` ([`solve`]);
 //! * positive/negative part splits used by Eq. (21) ([`parts`]);
-//! * block-diagonal / block-structured assembly for the `R`, `W`, `G`
-//!   matrices of Section I-A ([`block`]);
+//! * the per-type block layout and stacked membership assembly for the
+//!   `R`, `W`, `G` matrices of Section I-A ([`block`]);
 //! * Euclidean projection onto the probability simplex ([`simplex`]),
 //!   needed by the RMC baseline's ensemble weights;
 //! * seeded random matrices ([`random`]) so every experiment is
@@ -43,25 +42,24 @@
 //! and cluster columns.
 
 pub mod block;
-pub mod eigen;
 pub mod error;
 pub mod kmeans;
 mod lanes;
 pub mod lowrank;
 pub mod mat;
-pub mod matf32;
+mod matf32;
 pub mod norms;
 pub mod ops;
 pub mod par;
 pub mod parts;
-pub mod precision;
+mod precision;
 pub mod random;
 mod serde_impl;
 pub mod simplex;
 pub mod solve;
 pub mod vecops;
 
-pub use block::{BlockDiag, BlockSpec};
+pub use block::BlockSpec;
 pub use error::LinalgError;
 pub use mat::Mat;
 pub use matf32::MatF32;
@@ -74,4 +72,4 @@ pub use precision::{Precision, Quantize};
 pub const EPS: f64 = 1e-12;
 
 /// Result alias for fallible linear-algebra operations.
-pub type Result<T> = std::result::Result<T, LinalgError>;
+pub(crate) type Result<T> = std::result::Result<T, LinalgError>;

@@ -76,7 +76,7 @@ impl Mat {
     }
 
     /// Create the `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Mat::zeros(n, n);
         for i in 0..n {
             m.data[i * n + i] = 1.0;
@@ -142,16 +142,6 @@ impl Mat {
         })
     }
 
-    /// Construct a diagonal matrix from a slice of diagonal entries.
-    pub fn from_diag(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Mat::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m.data[i * n + i] = d;
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -172,7 +162,7 @@ impl Mat {
 
     /// `true` if the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -200,11 +190,6 @@ impl Mat {
         &mut self.data
     }
 
-    /// Consume the matrix and return its row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow row `i` as a slice.
     ///
     /// # Panics
@@ -223,31 +208,6 @@ impl Mat {
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         debug_assert!(i < self.rows);
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Copy column `j` into a new vector.
-    ///
-    /// # Panics
-    /// Panics if `j >= cols`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "column index out of bounds");
-        (0..self.rows)
-            .map(|i| self.data[i * self.cols + j])
-            .collect()
-    }
-
-    /// Entry accessor with bounds checking in debug builds only.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.cols + j]
-    }
-
-    /// Entry setter with bounds checking in debug builds only.
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.cols + j] = v;
     }
 
     /// Iterate over rows as slices.
@@ -276,26 +236,12 @@ impl Mat {
     }
 
     /// Apply `f` to every entry, returning a new matrix.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Mat {
+    pub(crate) fn map(&self, f: impl Fn(f64) -> f64) -> Mat {
         alloc_peak::record(self.data.len());
         Mat {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Apply `f` to every entry in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
-    /// Multiply every entry by `s` in place.
-    pub fn scale_inplace(&mut self, s: f64) {
-        for x in &mut self.data {
-            *x *= s;
         }
     }
 
@@ -356,26 +302,6 @@ impl Mat {
         Ok(())
     }
 
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] when shapes differ.
-    pub fn hadamard(&self, other: &Mat) -> Result<Mat> {
-        self.check_same_shape("hadamard", other)?;
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        alloc_peak::record(self.data.len());
-        Ok(Mat {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
     /// Sum of every entry.
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
@@ -416,13 +342,6 @@ impl Mat {
         (0..self.rows).map(|i| self.data[i * self.cols + i]).sum()
     }
 
-    /// Extract the diagonal as a vector (works for rectangular matrices,
-    /// length `min(rows, cols)`).
-    pub fn diag(&self) -> Vec<f64> {
-        let n = self.rows.min(self.cols);
-        (0..n).map(|i| self.data[i * self.cols + i]).collect()
-    }
-
     /// Normalise every row to unit l1 mass (used by Eq. 22 of the paper).
     ///
     /// Rows whose absolute sum is below `floor` are left untouched to avoid
@@ -456,16 +375,6 @@ impl Mat {
         }
     }
 
-    /// Clamp every entry to be at least `lo` (used to keep NMF iterates
-    /// strictly positive).
-    pub fn clamp_min_inplace(&mut self, lo: f64) {
-        for x in &mut self.data {
-            if *x < lo {
-                *x = lo;
-            }
-        }
-    }
-
     /// Copy a rectangular sub-matrix `[r0..r0+h) x [c0..c0+w)`.
     ///
     /// # Panics
@@ -487,7 +396,7 @@ impl Mat {
     ///
     /// # Panics
     /// Panics if the block exceeds the matrix bounds.
-    pub fn set_submatrix(&mut self, r0: usize, c0: usize, block: &Mat) {
+    pub(crate) fn set_submatrix(&mut self, r0: usize, c0: usize, block: &Mat) {
         assert!(
             r0 + block.rows <= self.rows && c0 + block.cols <= self.cols,
             "set_submatrix out of bounds"
@@ -639,7 +548,6 @@ mod tests {
         let m = Mat::from_fn(2, 3, |i, j| (i * 10 + j) as f64);
         assert_eq!(m[(1, 2)], 12.0);
         assert_eq!(m.row(0), &[0.0, 1.0, 2.0]);
-        assert_eq!(m.col(1), vec![1.0, 11.0]);
     }
 
     #[test]
@@ -680,12 +588,11 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_hadamard() {
+    fn add_sub() {
         let a = Mat::from_fn(2, 2, |i, j| (i + j) as f64);
         let b = Mat::filled(2, 2, 2.0);
         assert_eq!(a.add(&b).unwrap()[(1, 1)], 4.0);
         assert_eq!(a.sub(&b).unwrap()[(0, 0)], -2.0);
-        assert_eq!(a.hadamard(&b).unwrap()[(1, 1)], 4.0);
         assert!(a.add(&Mat::zeros(3, 3)).is_err());
     }
 
@@ -717,7 +624,7 @@ mod tests {
     #[test]
     fn l1_normalisation_skips_dead_rows() {
         let mut g = Mat::zeros(2, 3);
-        g.set(0, 0, 5.0);
+        g[(0, 0)] = 5.0;
         g.normalize_rows_l1(1e-15);
         assert_eq!(g.row(1), &[0.0, 0.0, 0.0]);
         assert_eq!(g[(0, 0)], 1.0);
@@ -763,24 +670,10 @@ mod tests {
     }
 
     #[test]
-    fn diag_and_from_diag() {
-        let d = Mat::from_diag(&[1.0, 2.0, 3.0]);
-        assert_eq!(d.diag(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(d[(0, 1)], 0.0);
-    }
-
-    #[test]
-    fn clamp_min() {
-        let mut m = Mat::from_vec(1, 3, vec![-1.0, 0.0, 2.0]).unwrap();
-        m.clamp_min_inplace(0.5);
-        assert_eq!(m.row(0), &[0.5, 0.5, 2.0]);
-    }
-
-    #[test]
     fn non_finite_detection() {
         let mut m = Mat::zeros(2, 2);
         assert!(!m.has_non_finite());
-        m.set(0, 1, f64::NAN);
+        m[(0, 1)] = f64::NAN;
         assert!(m.has_non_finite());
     }
 
@@ -788,7 +681,7 @@ mod tests {
     fn approx_eq_tolerance() {
         let a = Mat::filled(2, 2, 1.0);
         let mut b = a.clone();
-        b.set(0, 0, 1.0 + 1e-9);
+        b[(0, 0)] = 1.0 + 1e-9;
         assert!(a.approx_eq(&b, 1e-8));
         assert!(!a.approx_eq(&b, 1e-10));
     }

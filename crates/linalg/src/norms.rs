@@ -1,15 +1,9 @@
 //! Matrix and vector norms used throughout the paper.
 //!
 //! * `‖·‖_F` — Frobenius norm of the factorisation residual (Eqs. 1, 9, 15);
-//! * `‖·‖₁` — entrywise l1 norm of the sparsity regulariser `‖WWᵀ‖₁`;
 //! * `‖·‖₂,₁` — the row-wise L2,1 norm of the sparse error matrix (Eq. 14).
 
 use crate::mat::Mat;
-
-/// Entrywise l1 norm `Σ|M_ij|`.
-pub fn l1(m: &Mat) -> f64 {
-    m.as_slice().iter().map(|x| x.abs()).sum()
-}
 
 /// Frobenius norm `sqrt(Σ M_ij²)`.
 pub fn frobenius(m: &Mat) -> f64 {
@@ -17,7 +11,7 @@ pub fn frobenius(m: &Mat) -> f64 {
 }
 
 /// Squared Frobenius norm `Σ M_ij²` (what the objectives actually use).
-pub fn frobenius_sq(m: &Mat) -> f64 {
+pub(crate) fn frobenius_sq(m: &Mat) -> f64 {
     m.as_slice().iter().map(|x| x * x).sum()
 }
 
@@ -56,22 +50,12 @@ pub fn frobenius_sq_diff(a: &Mat, b: &Mat) -> f64 {
         .sum()
 }
 
-/// Maximum absolute entry `max|M_ij|` (the l∞ vectorised norm).
-pub fn max_abs(m: &Mat) -> f64 {
-    m.as_slice().iter().map(|x| x.abs()).fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sample() -> Mat {
         Mat::from_vec(2, 2, vec![3.0, -4.0, 0.0, 12.0]).unwrap()
-    }
-
-    #[test]
-    fn l1_norm() {
-        assert_eq!(l1(&sample()), 19.0);
     }
 
     #[test]
@@ -103,10 +87,5 @@ mod tests {
         let b = Mat::filled(2, 2, 1.0);
         let explicit = frobenius_sq(&a.sub(&b).unwrap());
         assert!((frobenius_sq_diff(&a, &b) - explicit).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_abs_entry() {
-        assert_eq!(max_abs(&sample()), 12.0);
     }
 }

@@ -23,13 +23,9 @@
 use crate::error::LinalgError;
 use crate::lanes::{panels, store_lanes, with_lanes, Panel};
 use crate::mat::Mat;
-use crate::par::par_row_chunks;
+use crate::par::{num_threads, par_row_chunks};
 use crate::Result;
 use std::ops::Range;
-
-// Thread-count control lives in [`crate::par`]; re-exported here because
-// this module was its historical home.
-pub use crate::par::{num_threads, set_num_threads};
 
 /// Work threshold (`m * k * n` multiply-adds) above which products go
 /// multi-threaded. Below it, thread spawn overhead dominates.
@@ -262,73 +258,6 @@ pub fn row_gram(a: &Mat) -> Mat {
     out
 }
 
-/// Matrix-vector product `A * x`.
-///
-/// # Errors
-/// Returns [`LinalgError::ShapeMismatch`] when `A.cols != x.len()`.
-pub fn matvec(a: &Mat, x: &[f64]) -> Result<Vec<f64>> {
-    if a.cols() != x.len() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "matvec",
-            lhs: a.shape(),
-            rhs: (x.len(), 1),
-        });
-    }
-    Ok(a.rows_iter()
-        .map(|row| row.iter().zip(x).map(|(a, b)| a * b).sum())
-        .collect())
-}
-
-/// Vector-matrix product `xᵀ * A` returned as a plain vector.
-///
-/// # Errors
-/// Returns [`LinalgError::ShapeMismatch`] when `x.len() != A.rows`.
-pub fn vecmat(x: &[f64], a: &Mat) -> Result<Vec<f64>> {
-    if a.rows() != x.len() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "vecmat",
-            lhs: (1, x.len()),
-            rhs: a.shape(),
-        });
-    }
-    let mut out = vec![0.0; a.cols()];
-    for (r, &xv) in x.iter().enumerate() {
-        if xv == 0.0 {
-            continue;
-        }
-        for (o, &av) in out.iter_mut().zip(a.row(r)) {
-            *o += xv * av;
-        }
-    }
-    Ok(out)
-}
-
-/// Scale row `i` of `m` by `d[i]` (i.e. `diag(d) * M`), in place.
-///
-/// # Panics
-/// Panics if `d.len() != m.rows()`.
-pub fn scale_rows_inplace(m: &mut Mat, d: &[f64]) {
-    assert_eq!(d.len(), m.rows(), "scale_rows: diagonal length mismatch");
-    for (i, &s) in d.iter().enumerate() {
-        for v in m.row_mut(i) {
-            *v *= s;
-        }
-    }
-}
-
-/// Scale column `j` of `m` by `d[j]` (i.e. `M * diag(d)`), in place.
-///
-/// # Panics
-/// Panics if `d.len() != m.cols()`.
-pub fn scale_cols_inplace(m: &mut Mat, d: &[f64]) {
-    assert_eq!(d.len(), m.cols(), "scale_cols: diagonal length mismatch");
-    for i in 0..m.rows() {
-        for (v, &s) in m.row_mut(i).iter_mut().zip(d) {
-            *v *= s;
-        }
-    }
-}
-
 /// `tr(Aᵀ B) = Σ_ij A_ij B_ij` — the trace form used by the regulariser
 /// `tr(Gᵀ L G) = tr(Gᵀ (L G))` without materialising any extra matrix.
 ///
@@ -511,6 +440,7 @@ mod tests {
     use super::*;
     use crate::block::BlockSpec;
     use crate::lanes::oracle::{awkward, block_rows, same_bits, typed_rows};
+    use crate::par::set_num_threads;
     use crate::random::rand_uniform;
     use crate::Quantize;
 
@@ -849,25 +779,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_vecmat() {
-        let a = Mat::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        assert_eq!(matvec(&a, &[1.0, 0.0, -1.0]).unwrap(), vec![-2.0, -2.0]);
-        assert_eq!(vecmat(&[1.0, -1.0], &a).unwrap(), vec![-3.0, -3.0, -3.0]);
-        assert!(matvec(&a, &[1.0]).is_err());
-        assert!(vecmat(&[1.0], &a).is_err());
-    }
-
-    #[test]
-    fn diag_scaling() {
-        let mut m = Mat::filled(2, 3, 1.0);
-        scale_rows_inplace(&mut m, &[2.0, 3.0]);
-        assert_eq!(m.row(0), &[2.0, 2.0, 2.0]);
-        assert_eq!(m.row(1), &[3.0, 3.0, 3.0]);
-        scale_cols_inplace(&mut m, &[1.0, 0.0, -1.0]);
-        assert_eq!(m.row(1), &[3.0, 0.0, -3.0]);
-    }
-
-    #[test]
     fn trace_product_equals_trace_of_product() {
         let a = rand_uniform(8, 8, -1.0, 1.0, 12);
         let b = rand_uniform(8, 8, -1.0, 1.0, 13);
@@ -886,18 +797,5 @@ mod tests {
         let r = g_s_gt(&g, &s).unwrap();
         let rt = r.transpose();
         assert!(r.approx_eq(&rt, 1e-10));
-    }
-
-    #[test]
-    fn matvec_zero_skip_correct() {
-        // vecmat's skip-zero fast path must not change results.
-        let a = rand_uniform(6, 4, -1.0, 1.0, 16);
-        let x = vec![0.0, 1.5, 0.0, -2.0, 0.0, 3.0];
-        let fast = vecmat(&x, &a).unwrap();
-        let xm = Mat::from_vec(1, 6, x).unwrap();
-        let slow = naive_matmul(&xm, &a);
-        for j in 0..4 {
-            assert!((fast[j] - slow[(0, j)]).abs() < 1e-12);
-        }
     }
 }

@@ -42,6 +42,24 @@ pub fn set_num_threads(n: usize) {
     NUM_THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
+/// Work (multiply-adds) below which a row fan-out costs more than it
+/// saves.
+const PAR_WORK: usize = 1 << 20;
+
+/// Worker threads for a pass of `work` multiply-adds: one below the ~1M
+/// threshold, [`num_threads`] above it. The sparse product, the SPG
+/// support product and every parallel graph pass (batch search,
+/// incremental maintenance, RMC candidates) ask this one test, each with
+/// its own work expression; the dense products in [`crate::ops`] keep
+/// their own, larger threshold.
+pub fn threads_for(work: usize) -> usize {
+    if work < PAR_WORK {
+        1
+    } else {
+        num_threads()
+    }
+}
+
 fn default_num_threads() -> usize {
     if let Ok(v) = std::env::var("MTRL_NUM_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {

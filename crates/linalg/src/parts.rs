@@ -8,16 +8,6 @@
 
 use crate::mat::Mat;
 
-/// Positive part `(|M| + M) / 2`.
-pub fn positive_part(m: &Mat) -> Mat {
-    m.map(|x| if x > 0.0 { x } else { 0.0 })
-}
-
-/// Negative part `(|M| − M) / 2` (returned as a nonnegative matrix).
-pub fn negative_part(m: &Mat) -> Mat {
-    m.map(|x| if x < 0.0 { -x } else { 0.0 })
-}
-
 /// Both parts in one pass over the data.
 pub fn split_parts(m: &Mat) -> (Mat, Mat) {
     let (rows, cols) = m.shape();
@@ -63,8 +53,10 @@ mod tests {
     fn parts_match_single_pass() {
         let m = rand_uniform(5, 5, -1.0, 1.0, 79);
         let (p, n) = split_parts(&m);
-        assert!(p.approx_eq(&positive_part(&m), 0.0));
-        assert!(n.approx_eq(&negative_part(&m), 0.0));
+        let positive = Mat::from_fn(5, 5, |i, j| if m[(i, j)] > 0.0 { m[(i, j)] } else { 0.0 });
+        let negative = Mat::from_fn(5, 5, |i, j| if m[(i, j)] < 0.0 { -m[(i, j)] } else { 0.0 });
+        assert!(p.approx_eq(&positive, 0.0));
+        assert!(n.approx_eq(&negative, 0.0));
     }
 
     #[test]

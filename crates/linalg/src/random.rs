@@ -66,18 +66,6 @@ impl Default for NormalGen {
     }
 }
 
-/// A random permutation of `0..n`.
-pub fn permutation(n: usize, seed: u64) -> Vec<usize> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut idx: Vec<usize> = (0..n).collect();
-    // Fisher–Yates.
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..=i);
-        idx.swap(i, j);
-    }
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,20 +93,6 @@ mod tests {
             / n;
         assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
         assert!((var - 4.0).abs() < 0.3, "var {var}");
-    }
-
-    #[test]
-    fn permutation_is_a_permutation() {
-        let p = permutation(100, 5);
-        let mut seen = [false; 100];
-        for &i in &p {
-            assert!(!seen[i]);
-            seen[i] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-        // Deterministic.
-        assert_eq!(p, permutation(100, 5));
-        assert_ne!(p, permutation(100, 6));
     }
 
     #[test]

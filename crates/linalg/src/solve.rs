@@ -1,10 +1,10 @@
-//! Dense factorisations and inversion.
+//! Ridge-stabilised inversion.
 //!
 //! Algorithm 2 needs `(GᵀG)⁻¹` (Eq. 18) — a small `c x c` symmetric
-//! positive-(semi)definite inverse. We provide Gauss–Jordan inversion with
-//! partial pivoting, an LU linear solve, Cholesky, and a ridge-stabilised
-//! SPD inverse used by the NMTF engine (empty clusters make `GᵀG` rank
-//! deficient; the ridge keeps the update well defined, cf. DESIGN.md §8).
+//! positive-(semi)definite inverse. We provide a ridge-stabilised SPD
+//! inverse on top of Gauss–Jordan inversion with partial pivoting (empty
+//! clusters make `GᵀG` rank deficient; the ridge keeps the update well
+//! defined, cf. DESIGN.md §8).
 
 use crate::error::LinalgError;
 use crate::mat::Mat;
@@ -15,7 +15,7 @@ use crate::Result;
 /// # Errors
 /// * [`LinalgError::NotSquare`] if the matrix is not square.
 /// * [`LinalgError::Singular`] if a pivot underflows `1e-300`.
-pub fn inverse(a: &Mat) -> Result<Mat> {
+fn inverse(a: &Mat) -> Result<Mat> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare {
             op: "inverse",
@@ -84,8 +84,8 @@ pub fn inverse(a: &Mat) -> Result<Mat> {
 /// `S` update.
 ///
 /// # Errors
-/// Propagates [`LinalgError`] from [`inverse`] (after the ridge, failure
-/// indicates a caller bug such as NaN input).
+/// Propagates [`LinalgError`] from the Gauss–Jordan inverse (after the
+/// ridge, failure indicates a caller bug such as NaN input).
 pub fn ridge_inverse(a: &Mat, ridge: f64) -> Result<Mat> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare {
@@ -98,113 +98,6 @@ pub fn ridge_inverse(a: &Mat, ridge: f64) -> Result<Mat> {
         b[(i, i)] += ridge;
     }
     inverse(&b)
-}
-
-/// Solve `A x = b` by LU decomposition with partial pivoting.
-///
-/// # Errors
-/// * [`LinalgError::NotSquare`] / [`LinalgError::ShapeMismatch`] for bad shapes.
-/// * [`LinalgError::Singular`] on zero pivots.
-pub fn solve(a: &Mat, b: &[f64]) -> Result<Vec<f64>> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare {
-            op: "solve",
-            shape: a.shape(),
-        });
-    }
-    let n = a.rows();
-    if b.len() != n {
-        return Err(LinalgError::ShapeMismatch {
-            op: "solve",
-            lhs: a.shape(),
-            rhs: (b.len(), 1),
-        });
-    }
-    let mut lu = a.clone();
-    let mut perm: Vec<usize> = (0..n).collect();
-    for col in 0..n {
-        let mut pivot_row = col;
-        let mut pivot_val = lu[(col, col)].abs();
-        for r in col + 1..n {
-            let v = lu[(r, col)].abs();
-            if v > pivot_val {
-                pivot_val = v;
-                pivot_row = r;
-            }
-        }
-        if pivot_val < 1e-300 {
-            return Err(LinalgError::Singular {
-                op: "solve",
-                pivot: col,
-            });
-        }
-        if pivot_row != col {
-            swap_rows(&mut lu, col, pivot_row);
-            perm.swap(col, pivot_row);
-        }
-        let pivot = lu[(col, col)];
-        for r in col + 1..n {
-            let factor = lu[(r, col)] / pivot;
-            lu[(r, col)] = factor;
-            let (prow, crow) = two_rows(&mut lu, col, r);
-            for j in col + 1..n {
-                crow[j] -= factor * prow[j];
-            }
-        }
-    }
-    // Forward substitution with permuted rhs.
-    let mut y = vec![0.0; n];
-    for i in 0..n {
-        let mut s = b[perm[i]];
-        for j in 0..i {
-            s -= lu[(i, j)] * y[j];
-        }
-        y[i] = s;
-    }
-    // Back substitution.
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut s = y[i];
-        for j in i + 1..n {
-            s -= lu[(i, j)] * x[j];
-        }
-        x[i] = s / lu[(i, i)];
-    }
-    Ok(x)
-}
-
-/// Cholesky factorisation `A = L Lᵀ` (lower triangular `L`).
-///
-/// # Errors
-/// * [`LinalgError::NotSquare`] for non-square input.
-/// * [`LinalgError::NotPositiveDefinite`] if a diagonal entry of the factor
-///   would be non-positive.
-pub fn cholesky(a: &Mat) -> Result<Mat> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare {
-            op: "cholesky",
-            shape: a.shape(),
-        });
-    }
-    let n = a.rows();
-    let mut l = Mat::zeros(n, n);
-    for i in 0..n {
-        for j in 0..=i {
-            let mut s = a[(i, j)];
-            for k in 0..j {
-                s -= l[(i, k)] * l[(j, k)];
-            }
-            if i == j {
-                if s <= 0.0 {
-                    return Err(LinalgError::NotPositiveDefinite { index: i, value: s });
-                }
-                l[(i, j)] = s.sqrt();
-            } else {
-                l[(i, j)] = s / l[(j, j)];
-            }
-        }
-    }
-    Ok(l)
 }
 
 fn swap_rows(m: &mut Mat, a: usize, b: usize) {
@@ -263,8 +156,8 @@ mod tests {
     #[test]
     fn inverse_detects_singular() {
         let mut a = Mat::zeros(3, 3);
-        a.set(0, 0, 1.0);
-        a.set(1, 1, 1.0);
+        a[(0, 0)] = 1.0;
+        a[(1, 1)] = 1.0;
         // Third row is zero -> singular.
         assert!(matches!(inverse(&a), Err(LinalgError::Singular { .. })));
     }
@@ -285,62 +178,5 @@ mod tests {
         assert!(inverse(&gram).is_err());
         let ri = ridge_inverse(&gram, 1e-8).unwrap();
         assert!(!ri.has_non_finite());
-    }
-
-    #[test]
-    fn solve_matches_inverse() {
-        let a = rand_uniform(5, 5, 0.5, 2.0, 22);
-        let b = vec![1.0, -2.0, 0.5, 3.0, 0.0];
-        let x = solve(&a, &b).unwrap();
-        let ai = inverse(&a).unwrap();
-        let x2 = crate::ops::matvec(&ai, &b).unwrap();
-        for (u, v) in x.iter().zip(&x2) {
-            assert!((u - v).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn solve_reconstructs_rhs() {
-        let a = rand_uniform(8, 8, 0.1, 1.0, 23);
-        let b: Vec<f64> = (0..8).map(|i| i as f64 - 3.0).collect();
-        let x = solve(&a, &b).unwrap();
-        let ax = crate::ops::matvec(&a, &x).unwrap();
-        for (u, v) in ax.iter().zip(&b) {
-            assert!((u - v).abs() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn solve_rejects_bad_shapes() {
-        assert!(solve(&Mat::zeros(2, 3), &[1.0, 2.0]).is_err());
-        assert!(solve(&Mat::identity(3), &[1.0]).is_err());
-    }
-
-    #[test]
-    fn cholesky_of_spd() {
-        // A = Mᵀ M + I is SPD.
-        let m = rand_uniform(5, 5, -1.0, 1.0, 24);
-        let mut a = matmul(&m.transpose(), &m).unwrap();
-        for i in 0..5 {
-            a[(i, i)] += 1.0;
-        }
-        let l = cholesky(&a).unwrap();
-        let llt = matmul(&l, &l.transpose()).unwrap();
-        assert!(llt.approx_eq(&a, 1e-9));
-        // Upper triangle of L must be zero.
-        for i in 0..5 {
-            for j in i + 1..5 {
-                assert_eq!(l[(i, j)], 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = Mat::from_vec(2, 2, vec![1.0, 2.0, 2.0, 1.0]).unwrap(); // eigenvalues 3, -1
-        assert!(matches!(
-            cholesky(&a),
-            Err(LinalgError::NotPositiveDefinite { .. })
-        ));
     }
 }

@@ -35,12 +35,6 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// l1 norm `Σ|aᵢ|`.
-#[inline]
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).sum()
-}
-
 /// Squared Euclidean distance between two points.
 ///
 /// # Panics
@@ -94,21 +88,6 @@ pub fn argmax(a: &[f64]) -> Option<usize> {
     Some(best)
 }
 
-/// Index of the minimum element; ties resolve to the first occurrence.
-/// Returns `None` for empty input.
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    if a.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for (i, &v) in a.iter().enumerate().skip(1) {
-        if v < a[best] {
-            best = i;
-        }
-    }
-    Some(best)
-}
-
 /// Arithmetic mean; 0.0 for empty input.
 pub fn mean(a: &[f64]) -> f64 {
     if a.is_empty() {
@@ -120,7 +99,7 @@ pub fn mean(a: &[f64]) -> f64 {
 
 /// Scale `a` in place so it sums to 1 (no-op for near-zero total mass).
 pub fn normalize_l1(a: &mut [f64]) {
-    let s = norm1(a);
+    let s: f64 = a.iter().map(|x| x.abs()).sum();
     if s > 1e-300 {
         for x in a.iter_mut() {
             *x /= s;
@@ -149,7 +128,6 @@ mod tests {
     fn dot_and_norms() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm1(&[-3.0, 4.0]), 7.0);
     }
 
     #[test]
@@ -175,11 +153,9 @@ mod tests {
     }
 
     #[test]
-    fn argmax_argmin_ties_first() {
+    fn argmax_ties_first() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0]), Some(1));
-        assert_eq!(argmin(&[2.0, 0.5, 0.5]), Some(1));
         assert_eq!(argmax(&[]), None);
-        assert_eq!(argmin(&[]), None);
     }
 
     #[test]

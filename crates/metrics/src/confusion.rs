@@ -6,7 +6,7 @@ use std::collections::HashMap;
 /// clusters `l`, with marginals — the shared substrate of every metric in
 /// this crate.
 #[derive(Debug, Clone)]
-pub struct Confusion {
+pub(crate) struct Confusion {
     counts: Vec<Vec<usize>>,
     class_sizes: Vec<usize>,
     cluster_sizes: Vec<usize>,
@@ -19,7 +19,7 @@ impl Confusion {
     ///
     /// # Panics
     /// Panics if the slices have different lengths.
-    pub fn new(truth: &[usize], pred: &[usize]) -> Self {
+    pub(crate) fn new(truth: &[usize], pred: &[usize]) -> Self {
         assert_eq!(truth.len(), pred.len(), "label length mismatch");
         let t_map = densify(truth);
         let p_map = densify(pred);
@@ -43,22 +43,22 @@ impl Confusion {
     }
 
     /// `n_jl`: objects in (dense) class `j` and (dense) cluster `l`.
-    pub fn count(&self, j: usize, l: usize) -> usize {
+    pub(crate) fn count(&self, j: usize, l: usize) -> usize {
         self.counts[j][l]
     }
 
     /// Per-class totals `n_j`.
-    pub fn class_sizes(&self) -> &[usize] {
+    pub(crate) fn class_sizes(&self) -> &[usize] {
         &self.class_sizes
     }
 
     /// Per-cluster totals `n_l`.
-    pub fn cluster_sizes(&self) -> &[usize] {
+    pub(crate) fn cluster_sizes(&self) -> &[usize] {
         &self.cluster_sizes
     }
 
     /// Total object count `n`.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.total
     }
 }

@@ -11,13 +11,12 @@
 //!   (the paper's printed denominator omits the square root, which would
 //!   not be bounded by 1; ref \[26\] uses the sqrt form).
 //!
-//! [`purity`], [`adjusted_rand_index`] and the pairwise P/R/F of
-//! [`pairwise_scores`] are provided for the extended analyses in
-//! EXPERIMENTS.md.
+//! [`purity`] and [`adjusted_rand_index`] are provided for the extended
+//! analyses in EXPERIMENTS.md.
 
-pub mod confusion;
+mod confusion;
 
-pub use confusion::Confusion;
+use confusion::Confusion;
 
 /// The three external criteria the evaluation layer reports per
 /// scenario, computed in one call by [`quality_scores`].
@@ -167,44 +166,6 @@ pub fn adjusted_rand_index(truth: &[usize], pred: &[usize]) -> f64 {
     (sum_cells - expected) / (max_index - expected)
 }
 
-/// Pairwise precision / recall / F1 over same-cluster object pairs.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn pairwise_scores(truth: &[usize], pred: &[usize]) -> (f64, f64, f64) {
-    assert_eq!(truth.len(), pred.len(), "label length mismatch");
-    let n = truth.len();
-    let (mut tp, mut fp, mut fn_) = (0usize, 0usize, 0usize);
-    for i in 0..n {
-        for j in i + 1..n {
-            let same_t = truth[i] == truth[j];
-            let same_p = pred[i] == pred[j];
-            match (same_t, same_p) {
-                (true, true) => tp += 1,
-                (false, true) => fp += 1,
-                (true, false) => fn_ += 1,
-                (false, false) => {}
-            }
-        }
-    }
-    let precision = if tp + fp == 0 {
-        0.0
-    } else {
-        tp as f64 / (tp + fp) as f64
-    };
-    let recall = if tp + fn_ == 0 {
-        0.0
-    } else {
-        tp as f64 / (tp + fn_) as f64
-    };
-    let f1 = if precision + recall <= 0.0 {
-        0.0
-    } else {
-        2.0 * precision * recall / (precision + recall)
-    };
-    (precision, recall, f1)
-}
-
 fn entropy(sizes: &[usize], n: f64) -> f64 {
     let mut h = 0.0;
     for &s in sizes {
@@ -229,8 +190,6 @@ mod tests {
         assert!((nmi(&truth, &pred) - 1.0).abs() < 1e-12);
         assert!((purity(&truth, &pred) - 1.0).abs() < 1e-12);
         assert!((adjusted_rand_index(&truth, &pred) - 1.0).abs() < 1e-12);
-        let (p, r, f) = pairwise_scores(&truth, &pred);
-        assert_eq!((p, r, f), (1.0, 1.0, 1.0));
     }
 
     #[test]
@@ -329,14 +288,10 @@ mod tests {
     }
 
     #[test]
-    fn refinement_keeps_high_purity_lower_recall() {
-        // Splitting every class into two clusters: purity stays 1,
-        // pairwise recall drops below 1.
+    fn refinement_keeps_high_purity() {
+        // Splitting every class into two clusters: purity stays 1.
         let truth = vec![0, 0, 0, 0, 1, 1, 1, 1];
         let pred = vec![0, 0, 1, 1, 2, 2, 3, 3];
         assert_eq!(purity(&truth, &pred), 1.0);
-        let (p, r, _) = pairwise_scores(&truth, &pred);
-        assert_eq!(p, 1.0);
-        assert!(r < 1.0);
     }
 }

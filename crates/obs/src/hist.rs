@@ -1,5 +1,4 @@
-//! Log-bucketed latency histograms (HDR-style), thread-safe and
-//! mergeable.
+//! Log-bucketed latency histograms (HDR-style), thread-safe.
 //!
 //! Values (nanoseconds, or any nonnegative `u64`) land in buckets laid
 //! out log-linearly: [`SUB_BUCKETS`] linear sub-buckets per octave, so
@@ -12,9 +11,7 @@
 //! `AtomicU64`, so `record` is wait-free (one indexed `fetch_add` plus
 //! count/sum/min/max updates) and any number of threads can share one
 //! histogram without locks. [`HistogramSnapshot`] is the frozen read
-//! side: quantile extraction, mean, and an associative commutative
-//! [`HistogramSnapshot::merge`] for combining per-thread (or per-shard)
-//! histograms — bucket counts add, so merging never loses resolution.
+//! side: quantile extraction and mean.
 //!
 //! The quantile contract, pinned by the proptests in this module's test
 //! suite: for any recorded multiset, `quantile(q)` falls in **the same
@@ -25,20 +22,20 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// log2 of the sub-buckets per octave.
-pub const SUB_BITS: u32 = 5;
+pub(crate) const SUB_BITS: u32 = 5;
 
 /// Linear sub-buckets per octave (32): the resolution knob.
-pub const SUB_BUCKETS: usize = 1 << SUB_BITS;
+pub(crate) const SUB_BUCKETS: usize = 1 << SUB_BITS;
 
 /// Total buckets covering `0..=u64::MAX`.
-pub const NUM_BUCKETS: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
+pub(crate) const NUM_BUCKETS: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
 
 /// Bucket index of a value: identity below [`SUB_BUCKETS`], then
 /// log-linear — the octave of the value's most significant bit selects
 /// a group of [`SUB_BUCKETS`] buckets and the next `SUB_BITS` bits
 /// select within the group.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v < SUB_BUCKETS as u64 {
         v as usize
     } else {
@@ -50,7 +47,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// Smallest value mapping to bucket `i` (inverse of [`bucket_index`]).
 #[inline]
-pub fn bucket_lower(i: usize) -> u64 {
+pub(crate) fn bucket_lower(i: usize) -> u64 {
     if i < SUB_BUCKETS {
         i as u64
     } else {
@@ -61,7 +58,7 @@ pub fn bucket_lower(i: usize) -> u64 {
 
 /// Largest value mapping to bucket `i`.
 #[inline]
-pub fn bucket_upper(i: usize) -> u64 {
+pub(crate) fn bucket_upper(i: usize) -> u64 {
     if i + 1 < NUM_BUCKETS {
         bucket_lower(i + 1) - 1
     } else {
@@ -88,7 +85,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram (all [`NUM_BUCKETS`] counters at zero).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram {
             buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
@@ -99,7 +96,7 @@ impl Histogram {
     }
 
     /// Record one value (relaxed atomics — counters, not synchronisation).
-    pub fn record(&self, v: u64) {
+    pub(crate) fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -133,7 +130,7 @@ impl Histogram {
     }
 }
 
-/// Frozen histogram state: quantiles, mean, merge.
+/// Frozen histogram state: quantiles and mean.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     buckets: Vec<u64>,
@@ -151,7 +148,7 @@ impl Default for HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// A snapshot with nothing recorded.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         HistogramSnapshot {
             buckets: vec![0; NUM_BUCKETS],
             count: 0,
@@ -167,12 +164,12 @@ impl HistogramSnapshot {
     }
 
     /// Sum of recorded values.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
     /// Smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -186,7 +183,7 @@ impl HistogramSnapshot {
     }
 
     /// Mean of recorded values (0.0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -212,29 +209,6 @@ impl HistogramSnapshot {
             }
         }
         self.max
-    }
-
-    /// Merge another snapshot in (bucket-wise addition): associative and
-    /// commutative, so per-thread shards combine in any order to the
-    /// same result.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Non-empty buckets as `(lower_bound, upper_bound, count)`, for
-    /// exporters.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_lower(i), bucket_upper(i), c))
     }
 }
 
@@ -376,42 +350,6 @@ mod tests {
                     q, est, bi, exact, be
                 );
             }
-        }
-
-        #[test]
-        fn merge_is_associative_and_commutative_across_shards(
-            shard_a in collection::vec(0u64..1_000_000_000, 0..120),
-            shard_b in collection::vec(0u64..1_000_000_000, 0..120),
-            shard_c in collection::vec(0u64..1_000_000_000, 0..120),
-        ) {
-            let snap = |vals: &[u64]| {
-                let h = Histogram::new();
-                for &v in vals {
-                    h.record(v);
-                }
-                h.snapshot()
-            };
-            let (a, b, c) = (snap(&shard_a), snap(&shard_b), snap(&shard_c));
-            // (a ∪ b) ∪ c
-            let mut left = a.clone();
-            left.merge(&b);
-            left.merge(&c);
-            // a ∪ (b ∪ c)
-            let mut right_inner = b.clone();
-            right_inner.merge(&c);
-            let mut right = a.clone();
-            right.merge(&right_inner);
-            // c ∪ b ∪ a (commuted)
-            let mut commuted = c.clone();
-            commuted.merge(&b);
-            commuted.merge(&a);
-            prop_assert_eq!(&left, &right);
-            prop_assert_eq!(&left, &commuted);
-            // Merged shards equal one histogram over the union.
-            let mut union: Vec<u64> = shard_a.clone();
-            union.extend(&shard_b);
-            union.extend(&shard_c);
-            prop_assert_eq!(&left, &snap(&union));
         }
     }
 }

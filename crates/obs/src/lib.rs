@@ -29,9 +29,9 @@
 //! the uninstrumented baseline.
 
 pub mod export;
-pub mod fit;
-pub mod hist;
-pub mod registry;
+mod fit;
+mod hist;
+mod registry;
 pub mod span;
 
 pub use fit::{FitTelemetry, IterTelemetry, StreamEvent};

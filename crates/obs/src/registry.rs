@@ -55,12 +55,12 @@ pub struct Registry {
 
 impl Registry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Registry::default()
     }
 
     /// Handle to the named counter, creating it at zero.
-    pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
+    pub(crate) fn counter(&self, name: &str) -> Arc<AtomicU64> {
         if let Some(c) = read_lock(&self.counters).get(name) {
             return Arc::clone(c);
         }
@@ -110,7 +110,7 @@ impl Registry {
     }
 
     /// Record one span close (count 1, `elapsed_ns` wall time).
-    pub fn record_span(&self, path: &str, elapsed_ns: u64) {
+    pub(crate) fn record_span(&self, path: &str, elapsed_ns: u64) {
         self.record_span_agg(path, 1, elapsed_ns, elapsed_ns);
     }
 
@@ -152,7 +152,7 @@ impl Registry {
     }
 
     /// Sorted `(name, value)` view of all gauges.
-    pub fn gauges_snapshot(&self) -> Vec<(String, f64)> {
+    pub(crate) fn gauges_snapshot(&self) -> Vec<(String, f64)> {
         read_lock(&self.gauges)
             .iter()
             .map(|(k, v)| (k.clone(), f64::from_bits(v.load(Ordering::Relaxed))))
@@ -160,7 +160,7 @@ impl Registry {
     }
 
     /// Sorted `(name, snapshot)` view of all histograms.
-    pub fn histograms_snapshot(&self) -> Vec<(String, HistogramSnapshot)> {
+    pub(crate) fn histograms_snapshot(&self) -> Vec<(String, HistogramSnapshot)> {
         read_lock(&self.histograms)
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
@@ -186,7 +186,7 @@ impl Registry {
     }
 
     /// Drop every metric, span, fit, and event. Handles returned by
-    /// [`Registry::counter`]/[`Registry::histogram`] before the reset
+    /// `Registry::counter`/[`Registry::histogram`] before the reset
     /// keep working but are detached from the registry.
     pub fn reset(&self) {
         write_lock(&self.counters).clear();

@@ -60,13 +60,8 @@ impl SparseVec {
         SparseVec { indices, values }
     }
 
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.indices.len()
-    }
-
     /// ℓ2 norm of the stored values.
-    pub fn norm2(&self) -> f64 {
+    pub(crate) fn norm2(&self) -> f64 {
         self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 }
@@ -109,15 +104,6 @@ impl Assigner {
     /// Borrow the underlying model.
     pub fn model(&self) -> &FittedModel {
         &self.model
-    }
-
-    /// Cluster count of type `type_index`.
-    ///
-    /// # Panics
-    /// Panics if `type_index` is out of range (callers validate via
-    /// [`Self::assign`]).
-    pub fn num_clusters(&self, type_index: usize) -> usize {
-        self.model.cluster_counts[type_index]
     }
 
     /// Fold one unseen object of type `type_index` into the clustering.
@@ -216,7 +202,7 @@ mod tests {
         let assigner = Assigner::new(model).unwrap();
         let x = SparseVec::new(vec![0, 3, 10], vec![0.5, 1.0, 0.25]).unwrap();
         let p = assigner.assign(0, &x).unwrap();
-        assert_eq!(p.len(), assigner.num_clusters(0));
+        assert_eq!(p.len(), assigner.model().cluster_counts[0]);
         assert!(p.iter().all(|&v| v.is_finite() && v >= 0.0));
         let sum: f64 = p.iter().sum();
         assert!((sum - 1.0).abs() < 1e-12, "sum {sum}");

@@ -24,8 +24,8 @@
 //! queue: a submit that would exceed the bound is *shed* — the handle
 //! resolves immediately to [`ServeError::Overloaded`] with a retry
 //! hint, and nothing is enqueued (memory stays bounded under overload).
-//! A request whose [`AssignRequest::deadline_at`] has passed by the
-//! time a worker picks it up resolves to [`ServeError::Deadline`]
+//! A request whose deadline ([`AssignRequest::deadline_in`]) has passed
+//! by the time a worker picks it up resolves to [`ServeError::Deadline`]
 //! without being processed. Both count into the `shed` statistic.
 //!
 //! Counters: every processed batch bumps request/document/latency
@@ -114,24 +114,10 @@ impl AssignRequest {
         self
     }
 
-    /// Append one document to the batch.
-    #[must_use]
-    pub fn doc(mut self, doc: SparseVec) -> Self {
-        self.docs.push(doc);
-        self
-    }
-
     /// Hint the preferred fold-in batch size to coalescing layers.
     #[must_use]
     pub fn batch_hint(mut self, hint: usize) -> Self {
         self.batch_hint = Some(hint.max(1));
-        self
-    }
-
-    /// Set an absolute deadline.
-    #[must_use]
-    pub fn deadline_at(mut self, at: Instant) -> Self {
-        self.deadline = Some(at);
         self
     }
 
@@ -351,17 +337,6 @@ impl ServeEngine {
             .insert(name.into(), assigner);
     }
 
-    /// Remove a model; returns whether it was present. In-flight requests
-    /// referencing it keep their already-resolved `Arc` and finish.
-    pub fn unregister(&self, name: &str) -> bool {
-        self.inner
-            .models
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(name)
-            .is_some()
-    }
-
     /// Names of all registered models (sorted).
     pub fn model_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self
@@ -442,16 +417,6 @@ impl ServeEngine {
     ) -> Result<AssignResponse, ServeError> {
         self.submit(AssignRequest::new(model).type_index(type_index).docs(docs))
             .wait()
-    }
-
-    /// Requests accepted but not yet picked up by a worker.
-    pub fn queue_depth(&self) -> usize {
-        self.inner.queue_depth.load(Ordering::Acquire)
-    }
-
-    /// Queue bound, if this engine was built with one.
-    pub fn queue_capacity(&self) -> Option<usize> {
-        (self.inner.queue_capacity != usize::MAX).then_some(self.inner.queue_capacity)
     }
 
     /// Current counter values.
@@ -595,18 +560,17 @@ mod tests {
 
     #[test]
     fn builder_sets_every_knob() {
-        let at = Instant::now() + Duration::from_millis(5);
+        let before = Instant::now();
         let r = AssignRequest::new("m")
             .type_index(2)
-            .docs(some_docs(3))
-            .doc(some_docs(1).pop().unwrap())
+            .docs(some_docs(4))
             .batch_hint(64)
-            .deadline_at(at);
+            .deadline_in(Duration::from_millis(5));
         assert_eq!(r.model, "m");
         assert_eq!(r.type_index, 2);
         assert_eq!(r.num_docs(), 4);
         assert_eq!(r.batch_hint, Some(64));
-        assert_eq!(r.deadline, Some(at));
+        assert!(r.deadline.unwrap() >= before + Duration::from_millis(5));
         assert_eq!(r.into_docs().len(), 4);
         let r = AssignRequest::new("m").batch_hint(0);
         assert_eq!(r.batch_hint, Some(1), "hint is clamped to at least 1");
@@ -688,9 +652,8 @@ mod tests {
         let engine = engine_with_model("m", 64);
         // A deadline in the past: whenever a worker picks this up, the
         // deadline check fires before any fold-in work happens.
-        let request = AssignRequest::new("m")
-            .docs(some_docs(2))
-            .deadline_at(Instant::now() - Duration::from_millis(5));
+        let mut request = AssignRequest::new("m").docs(some_docs(2));
+        request.deadline = Some(Instant::now() - Duration::from_millis(5));
         match engine.submit(request).wait() {
             Err(ServeError::Deadline { exceeded_by }) => {
                 assert!(exceeded_by >= Duration::from_millis(5));
@@ -721,7 +684,7 @@ mod tests {
         // depth stays bounded.
         let engine = ServeEngine::with_queue_capacity(1, 1);
         engine.register("m", tiny_fitted_model(65)).unwrap();
-        assert_eq!(engine.queue_capacity(), Some(1));
+        assert_eq!(engine.inner.queue_capacity, 1);
         let big = engine.submit(AssignRequest::new("m").docs(some_docs(20_000)));
         let flood: Vec<SparseVec> = some_docs(4);
         let pending: Vec<PendingAssign> = (0..64)
@@ -744,9 +707,10 @@ mod tests {
         assert!(shed > 0, "flooding a capacity-1 queue must shed");
         assert!(served <= 2, "a full queue admitted {served} requests");
         assert_eq!(engine.stats().shed, shed);
-        assert!(engine.queue_depth() <= 2, "depth must drain back down");
+        let depth = engine.inner.queue_depth.load(Ordering::Acquire);
+        assert!(depth <= 2, "depth must drain back down");
         // The unbounded default never sheds.
-        assert_eq!(engine_with_model("u", 66).queue_capacity(), None);
+        assert_eq!(engine_with_model("u", 66).inner.queue_capacity, usize::MAX);
     }
 
     #[test]
@@ -754,9 +718,6 @@ mod tests {
         let engine = engine_with_model("a", 54);
         engine.register("b", tiny_fitted_model(55)).unwrap();
         assert_eq!(engine.model_names(), vec!["a".to_string(), "b".to_string()]);
-        assert!(engine.unregister("a"));
-        assert!(!engine.unregister("a"));
-        assert_eq!(engine.model_names(), vec!["b".to_string()]);
     }
 
     #[test]
@@ -863,7 +824,5 @@ mod tests {
             let response = engine.assign(name, 0, some_docs(4)).unwrap();
             assert_eq!(response.labels.len(), 4);
         }
-        assert!(engine.unregister("m2"));
-        assert_eq!(engine.model_names(), ["m"]);
     }
 }

@@ -12,11 +12,11 @@
 //!   format ([`persist::save_binary`] / [`persist::load_binary`],
 //!   length-prefixed LE sections + FNV digest, ≥10× faster loads for
 //!   fleet restarts), with [`persist::load_any`] sniffing either;
-//! * [`assign`] — the fold-in predictor: [`Assigner`] maps a sparse
+//! * `assign` — the fold-in predictor: [`Assigner`] maps a sparse
 //!   feature vector of any object type to a posterior over that type's
 //!   clusters via cosine similarity against the learned centroids
 //!   (soft co-association scores, not just a hard label), batched;
-//! * [`engine`] — [`ServeEngine`]: a named-model registry plus an
+//! * `engine` — [`ServeEngine`]: a named-model registry plus an
 //!   std-only worker pool draining [`AssignRequest`] batches from an
 //!   mpsc queue, with latency histograms, optional bounded-queue
 //!   admission control, and per-request deadlines.
@@ -24,7 +24,7 @@
 //! The [`AssignRequest`] builder and the [`ServeError`] taxonomy are
 //! shared verbatim with the network front end (`mtrl-gateway`): one
 //! request shape and one failure taxonomy whether a caller is
-//! in-process or on the wire (see the [`error`] module docs for the
+//! in-process or on the wire (see [`ServeError::http_status`] for the
 //! 1:1 HTTP status mapping).
 //!
 //! ```
@@ -62,19 +62,15 @@
 //! assert_eq!(response.labels.len(), heldout.len());
 //! ```
 
-pub mod assign;
-pub mod engine;
-pub mod error;
+mod assign;
+mod engine;
+mod error;
 pub mod persist;
 
 pub use assign::{Assigner, SparseVec};
 pub use engine::{AssignRequest, AssignResponse, PendingAssign, ServeEngine, StatsSnapshot};
 pub use error::ServeError;
-pub use persist::{load, load_any, load_binary, save, save_binary, BINARY_MAGIC, FORMAT_MARKER};
 pub use rhchme::export::{FittedModel, SCHEMA_VERSION};
-
-/// Result alias for this crate.
-pub type Result<T> = std::result::Result<T, ServeError>;
 
 #[cfg(test)]
 pub(crate) mod test_support {

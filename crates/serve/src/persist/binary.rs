@@ -66,10 +66,10 @@ use std::path::Path;
 use mtrl_linalg::Mat;
 
 /// Leading magic of a v2 binary bundle (deliberately not valid JSON).
-pub const BINARY_MAGIC: &[u8; 8] = b"MTRLFMv2";
+pub(crate) const BINARY_MAGIC: &[u8; 8] = b"MTRLFMv2";
 
 /// Version of the binary container layout itself.
-pub const CONTAINER_VERSION: u32 = 2;
+const CONTAINER_VERSION: u32 = 2;
 
 const TAG_CONFIG: u32 = 1;
 const TAG_SHAPES: u32 = 2;

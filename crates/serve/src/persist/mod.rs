@@ -5,7 +5,7 @@
 //! * **v1 (JSON)** — the human-readable envelope below, written by
 //!   [`save`] and read by [`load`]. Kept as the migration path and for
 //!   debugging; parsing costs ~2 ms per model.
-//! * **v2 (binary)** — [`binary`]: a length-prefixed little-endian
+//! * **v2 (binary)** — [`save_binary`] / [`load_binary`]: a length-prefixed little-endian
 //!   section layout with an FNV integrity digest, built for fleet
 //!   restarts where hundreds of models must load in milliseconds
 //!   (≥10× faster than the JSON path on the same model, gated in
@@ -46,12 +46,13 @@ use rhchme::export::{FittedModel, SCHEMA_VERSION};
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
-pub mod binary;
+mod binary;
 
-pub use binary::{from_bytes, load_binary, save_binary, to_bytes, BINARY_MAGIC, CONTAINER_VERSION};
+pub(crate) use binary::BINARY_MAGIC;
+pub use binary::{from_bytes, load_binary, save_binary, to_bytes};
 
 /// Fixed format marker of a fitted-model bundle.
-pub const FORMAT_MARKER: &str = "mtrl-serve/fitted-model";
+const FORMAT_MARKER: &str = "mtrl-serve/fitted-model";
 
 /// Serialize a model into its JSON envelope.
 ///

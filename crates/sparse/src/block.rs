@@ -7,12 +7,10 @@
 //! `O(nnz · c)` work and its `tr(GᵀLG)` regulariser into `O(nnz · c)`
 //! reductions — no `n x n` matrix is ever materialised while fitting.
 //!
-//! This is the sparse sibling of [`mtrl_linalg::BlockDiag`] and shares
-//! its [`BlockSpec`] layout type; [`SparseBlockDiag::to_block_diag`]
-//! densifies for the tests and the spectral utilities.
+//! The block layout is an [`mtrl_linalg::BlockSpec`].
 
 use crate::Csr;
-use mtrl_linalg::block::{BlockDiag, BlockSpec};
+use mtrl_linalg::block::BlockSpec;
 use mtrl_linalg::error::LinalgError;
 use mtrl_linalg::{Mat, Precision, Quantize};
 
@@ -140,7 +138,7 @@ impl SparseBlockDiag {
     /// `O(nnz · c)` without materialising `L G` or copying `G` blocks, for
     /// a block-diagonal `G`: block `k`'s rows are zero outside the
     /// cluster columns `clusters.range(k)`, and each block's products run
-    /// over those columns ([`Csr::quad_form_at`]).
+    /// over those columns (`Csr::quad_form_at`).
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] if `g.rows() != n` or
@@ -213,13 +211,6 @@ impl SparseBlockDiag {
             },
         )
     }
-
-    /// Densify into the dense block-diagonal sibling (tests, spectral
-    /// utilities, small problems only).
-    pub fn to_block_diag(&self) -> BlockDiag {
-        BlockDiag::new(self.blocks.iter().map(Csr::to_dense).collect())
-            .expect("blocks are square by construction")
-    }
 }
 
 impl Quantize for SparseBlockDiag {
@@ -256,6 +247,25 @@ mod tests {
         SparseBlockDiag::new(vec![random_block(6, 80), random_block(9, 82)]).unwrap()
     }
 
+    /// The dense `n x n` matrix, as the oracle the sparse operators must match.
+    fn densify(s: &SparseBlockDiag) -> Mat {
+        let mut out = Mat::zeros(s.n(), s.n());
+        for k in 0..s.num_blocks() {
+            let o = s.spec().offset(k);
+            for (i, j, v) in s.block(k).iter() {
+                out[(o + i, o + j)] = v;
+            }
+        }
+        out
+    }
+
+    /// The block holding stacked index `i`.
+    fn block_of(spec: &BlockSpec, i: usize) -> usize {
+        (0..spec.num_blocks())
+            .find(|&k| spec.range(k).contains(&i))
+            .unwrap()
+    }
+
     #[test]
     fn rejects_non_square_blocks() {
         let mut c = Coo::new(2, 3);
@@ -264,11 +274,11 @@ mod tests {
     }
 
     #[test]
-    fn mul_dense_matches_dense_sibling() {
+    fn mul_dense_matches_dense_oracle() {
         let s = sample();
         let g = rand_uniform(15, 3, -1.0, 1.0, 84);
         let fast = s.mul_dense(&g).unwrap();
-        let slow = s.to_block_diag().mul_dense(&g).unwrap();
+        let slow = ops::matmul(&densify(&s), &g).unwrap();
         assert!(fast.approx_eq(&slow, 1e-12));
         assert!(s.mul_dense(&Mat::zeros(4, 2)).is_err());
     }
@@ -281,7 +291,7 @@ mod tests {
         let clusters = BlockSpec::from_sizes(&[2, 3]);
         let mut g = Mat::zeros(15, 5);
         for i in 0..15 {
-            for j in clusters.range(s.spec().block_of(i)) {
+            for j in clusters.range(block_of(s.spec(), i)) {
                 g[(i, j)] = match (i + j) % 5 {
                     0 => 0.0,
                     1 => -0.0,
@@ -302,7 +312,7 @@ mod tests {
         s.mul_typed(&packed, &clusters, &mut out).unwrap();
         let full = s.mul_dense(&g).unwrap();
         for i in 0..15 {
-            let own = clusters.range(s.spec().block_of(i));
+            let own = clusters.range(block_of(s.spec(), i));
             for j in 0..5 {
                 if own.contains(&j) {
                     assert_eq!(out[(i, j)].to_bits(), full[(i, j)].to_bits(), "({i},{j})");
@@ -318,7 +328,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_quad_matches_dense_sibling() {
+    fn trace_quad_matches_dense_oracle() {
         // A block-diagonal G (block 0 in columns [0, 1), block 1 in
         // [1, 4)), with -0.0 and zeros inside its blocks.
         let s = sample();
@@ -326,7 +336,7 @@ mod tests {
         let dense = rand_uniform(15, 4, 0.0, 1.0, 85);
         let mut g = Mat::zeros(15, 4);
         for i in 0..15 {
-            for j in clusters.range(s.spec().block_of(i)) {
+            for j in clusters.range(block_of(s.spec(), i)) {
                 g[(i, j)] = match (i * 4 + j) % 7 {
                     0 => 0.0,
                     1 => -0.0,
@@ -340,7 +350,7 @@ mod tests {
             .map(|k| s.block(k).quad_form_at(&g, s.spec().offset(k), 0..4))
             .sum();
         assert_eq!(fast.to_bits(), full.to_bits());
-        let lg = ops::matmul(&s.to_block_diag().to_dense(), &g).unwrap();
+        let lg = ops::matmul(&densify(&s), &g).unwrap();
         let slow = ops::trace_product_tn(&lg, &g).unwrap();
         assert!((fast - slow).abs() < 1e-10);
         assert!(s
@@ -353,14 +363,9 @@ mod tests {
         let a = sample();
         let b = sample().scaled(0.5);
         let c = a.lin_comb(2.0, &b, -1.0).unwrap();
-        let expect = a
-            .to_block_diag()
-            .lin_comb(2.0, &b.to_block_diag(), -1.0)
-            .unwrap();
-        assert!(c
-            .to_block_diag()
-            .to_dense()
-            .approx_eq(&expect.to_dense(), 1e-12));
+        let mut expect = densify(&a).scaled(2.0);
+        expect.axpy_inplace(-1.0, &densify(&b)).unwrap();
+        assert!(densify(&c).approx_eq(&expect, 1e-12));
         // Layout mismatch rejected.
         let d = SparseBlockDiag::new(vec![random_block(15, 86)]).unwrap();
         assert!(a.lin_comb(1.0, &d, 1.0).is_err());
@@ -375,10 +380,7 @@ mod tests {
             assert!(n.block(k).iter().all(|(_, _, v)| v > 0.0));
         }
         let rec = p.lin_comb(1.0, &n, -1.0).unwrap();
-        assert!(rec
-            .to_block_diag()
-            .to_dense()
-            .approx_eq(&s.to_block_diag().to_dense(), 0.0));
+        assert!(densify(&rec).approx_eq(&densify(&s), 0.0));
     }
 
     #[test]

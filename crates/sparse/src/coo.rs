@@ -34,16 +34,6 @@ impl Coo {
         }
     }
 
-    /// Number of pushed triplets (before duplicate merging).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no triplets have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Matrix shape `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
@@ -119,7 +109,6 @@ mod tests {
     fn zeros_skipped() {
         let mut c = Coo::new(1, 1);
         c.push(0, 0, 0.0);
-        assert!(c.is_empty());
         let m = c.to_csr();
         assert_eq!(m.nnz(), 0);
     }

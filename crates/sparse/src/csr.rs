@@ -158,20 +158,6 @@ impl Csr {
         }
     }
 
-    /// Sparse matrix × dense vector.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != cols`.
-    pub fn spmv(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "spmv: dimension mismatch");
-        let mut y = vec![0.0; self.rows];
-        for (i, yi) in y.iter_mut().enumerate() {
-            let (cols, vals) = self.row(i);
-            *yi = cols.iter().zip(vals).map(|(&j, &v)| v * x[j]).sum();
-        }
-        y
-    }
-
     /// Sparse × dense product `self * B` — the workhorse for `R * G` and
     /// the engine's `L · G` when the Laplacian is kept sparse.
     ///
@@ -264,9 +250,8 @@ impl Csr {
                 store_lanes(acc, &mut chunk[local * stride + col0 + p0..][..w]);
             }
         };
-        // nnz * w multiply-adds; below ~1M the row fan-out costs more
-        // than it saves.
-        if self.nnz() * w < (1 << 20) {
+        // nnz * w multiply-adds.
+        if mtrl_linalg::par::threads_for(self.nnz() * w) == 1 {
             rows_into(0, self.rows, span);
         } else {
             mtrl_linalg::par::par_row_chunks(span, self.rows, stride, rows_into);
@@ -346,7 +331,7 @@ impl Csr {
     /// # Panics
     /// Panics if `self` is not square, `g` has fewer than
     /// `offset + rows` rows, or `cols` runs past `g`.
-    pub fn quad_form_at(&self, g: &Mat, offset: usize, cols: Range<usize>) -> f64 {
+    pub(crate) fn quad_form_at(&self, g: &Mat, offset: usize, cols: Range<usize>) -> f64 {
         assert_eq!(self.rows, self.cols, "quad_form requires square");
         assert!(
             g.rows() >= offset + self.rows,
@@ -476,55 +461,6 @@ impl Csr {
     /// Row sums.
     pub fn row_sums(&self) -> Vec<f64> {
         (0..self.rows).map(|i| self.row(i).1.iter().sum()).collect()
-    }
-
-    /// Column sums.
-    pub fn col_sums(&self) -> Vec<f64> {
-        let mut s = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                s[j] += v;
-            }
-        }
-        s
-    }
-
-    /// Sum of all entries.
-    pub fn sum(&self) -> f64 {
-        self.values.iter().sum()
-    }
-
-    /// Scale every stored value in place.
-    pub fn scale_inplace(&mut self, s: f64) {
-        for v in &mut self.values {
-            *v *= s;
-        }
-    }
-
-    /// Drop stored entries with `|v| <= tol`, compacting storage.
-    pub fn prune(&self, tol: f64) -> Csr {
-        let mut indptr = Vec::with_capacity(self.rows + 1);
-        indptr.push(0);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                if v.abs() > tol {
-                    indices.push(j);
-                    values.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        Csr {
-            rows: self.rows,
-            cols: self.cols,
-            indptr,
-            indices,
-            values,
-        }
     }
 
     /// Stack `other` below `self` — the streaming-ingest primitive: an
@@ -953,25 +889,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_spmv() {
-        let i = Csr::identity(4);
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(i.spmv(&x), x);
-    }
-
-    #[test]
-    fn spmv_matches_dense() {
-        let s = random_sparse(20, 15, 0.3, 51);
-        let d = s.to_dense();
-        let x: Vec<f64> = (0..15).map(|i| (i as f64) * 0.5 - 3.0).collect();
-        let ys = s.spmv(&x);
-        let yd = mtrl_linalg::ops::matvec(&d, &x).unwrap();
-        for (a, b) in ys.iter().zip(&yd) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn spmm_dense_matches_dense() {
         let s = random_sparse(12, 10, 0.4, 52);
         let b = rand_uniform(10, 6, -1.0, 1.0, 53);
@@ -999,24 +916,11 @@ mod tests {
         c.push(1, 1, 4.0);
         let s = c.to_csr();
         assert_eq!(s.row_sums(), vec![3.0, 4.0]);
-        assert_eq!(s.col_sums(), vec![1.0, 4.0, 2.0]);
-        assert_eq!(s.sum(), 7.0);
-    }
-
-    #[test]
-    fn prune_drops_small() {
-        let mut c = Coo::new(1, 3);
-        c.push(0, 0, 1e-12);
-        c.push(0, 1, 0.5);
-        c.push(0, 2, -1e-12);
-        let s = c.to_csr().prune(1e-9);
-        assert_eq!(s.nnz(), 1);
-        assert_eq!(s.get(0, 1), 0.5);
     }
 
     #[test]
     fn max_symmetrize_properties() {
-        let s = random_sparse(10, 10, 0.2, 55).prune(0.0);
+        let s = random_sparse(10, 10, 0.2, 55);
         // Make values nonnegative (graph weights).
         let mut c = Coo::new(10, 10);
         for (i, j, v) in s.iter() {
@@ -1041,13 +945,6 @@ mod tests {
         c2.push(0, 1, 1.0);
         c2.push(1, 0, 1.0);
         assert!(c2.to_csr().is_symmetric(1e-12));
-    }
-
-    #[test]
-    fn scale_inplace_works() {
-        let mut s = Csr::identity(3);
-        s.scale_inplace(2.5);
-        assert_eq!(s.get(1, 1), 2.5);
     }
 
     #[test]

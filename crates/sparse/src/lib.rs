@@ -36,13 +36,13 @@
 //! `f32` once and runs the ordinary kernels on the result.
 
 pub mod block;
-pub mod coo;
-pub mod csr;
+mod coo;
+mod csr;
 // The register-accumulator helpers of `mtrl-linalg`'s narrow kernels,
 // compiled here for the SpMM without widening either public API.
 #[path = "../../linalg/src/lanes.rs"]
 mod lanes;
-pub mod rowsparse;
+mod rowsparse;
 
 pub use block::SparseBlockDiag;
 pub use coo::Coo;

@@ -53,11 +53,6 @@ impl RowSparse {
         (self.rows, self.cols)
     }
 
-    /// Number of stored (active) rows.
-    pub fn num_active(&self) -> usize {
-        self.entries.len()
-    }
-
     /// `true` when no row is stored (the matrix is exactly zero).
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -75,24 +70,6 @@ impl RowSparse {
     /// Iterate over `(row index, row)` pairs in increasing row order.
     pub fn active_iter(&self) -> impl Iterator<Item = (usize, &[f64])> {
         self.entries.iter().map(|(i, v)| (*i, v.as_slice()))
-    }
-
-    /// ℓ2 norm of every row (zero for implicit rows) — the paper's
-    /// corruption indicator `‖(E_R)_i‖₂`.
-    pub fn row_norms(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.rows];
-        for (i, row) in self.active_iter() {
-            out[i] = row.iter().map(|v| v * v).sum::<f64>().sqrt();
-        }
-        out
-    }
-
-    /// Squared Frobenius norm — only active rows contribute.
-    pub fn frobenius_sq(&self) -> f64 {
-        self.entries
-            .iter()
-            .map(|(_, row)| row.iter().map(|v| v * v).sum::<f64>())
-            .sum()
     }
 
     /// Product with a dense matrix, `O(active · cols · b.cols())`: only
@@ -144,21 +121,11 @@ mod tests {
     fn shape_and_lookup() {
         let e = sample();
         assert_eq!(e.shape(), (6, 4));
-        assert_eq!(e.num_active(), 2);
+        assert_eq!(e.active_iter().count(), 2);
         assert!(!e.is_empty());
         assert_eq!(e.row(1).unwrap()[1], -2.0);
         assert!(e.row(0).is_none());
         assert!(e.row(5).is_none());
-    }
-
-    #[test]
-    fn norms_and_frobenius() {
-        let e = sample();
-        let norms = e.row_norms();
-        assert_eq!(norms.len(), 6);
-        assert_eq!(norms[0], 0.0);
-        assert!((norms[1] - (1.0f64 + 4.0 + 0.25).sqrt()).abs() < 1e-12);
-        assert!((e.frobenius_sq() - (5.25 + 10.0)).abs() < 1e-12);
     }
 
     #[test]

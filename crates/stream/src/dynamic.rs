@@ -51,8 +51,9 @@
 
 use mtrl_graph::{
     cross_sq_dist_map, dist_less, gram_sq_dist, graph_from_neighbours, insert_capped,
-    laplacian_csr, threads_for, GraphBackend, LaplacianKind, RpForestIndex, WeightScheme,
+    laplacian_csr, GraphBackend, LaplacianKind, RpForestIndex, WeightScheme,
 };
+use mtrl_linalg::par::threads_for;
 use mtrl_linalg::vecops::dot;
 use mtrl_linalg::{Mat, Precision, Quantize};
 use mtrl_sparse::Csr;
@@ -182,30 +183,9 @@ impl DynamicGraph {
         g
     }
 
-    /// Neighbour count `p`.
-    pub fn p(&self) -> usize {
-        self.cfg.p
-    }
-
     /// Feature dimension.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Rows ever inserted (tombstones included) — the graph's index
-    /// space.
-    pub fn num_rows(&self) -> usize {
-        self.features.rows()
-    }
-
-    /// Rows currently alive.
-    pub fn num_alive(&self) -> usize {
-        self.n_alive
-    }
-
-    /// Whether row `i` is alive (not tombstoned).
-    pub fn is_alive(&self, i: usize) -> bool {
-        self.alive[i]
     }
 
     /// Fraction of rows (tombstones included, so the value is always in
@@ -222,14 +202,14 @@ impl DynamicGraph {
     }
 
     /// Index-sorted neighbour list of row `i` (empty for tombstones).
-    pub fn neighbours(&self, i: usize) -> Vec<usize> {
+    pub(crate) fn neighbours(&self, i: usize) -> Vec<usize> {
         let mut out: Vec<usize> = self.neigh[i].iter().map(|&(_, j)| j).collect();
         out.sort_unstable();
         out
     }
 
     /// Insert a batch of new rows; returns their global indices via the
-    /// report (they occupy `num_rows() - batch..num_rows()`).
+    /// report (they occupy the last `batch` row indices).
     ///
     /// Cost: `O(b · n · d)` blocked-Gram distance work plus `O(n)`
     /// reverse-edge checks per new row — no `O(n² d)` rebuild. If the
@@ -641,7 +621,7 @@ mod tests {
             at += step;
         }
         assert_eq!(at, 80);
-        assert_eq!(g.num_rows(), 80);
+        assert_eq!(g.features.rows(), 80);
         assert_eq!(
             g.graph(),
             pnn_graph(
@@ -683,7 +663,7 @@ mod tests {
         let mut g = DynamicGraph::new(&data, graph_cfg(4));
         assert!(g.remove(17));
         assert!(!g.remove(17), "double removal");
-        assert_eq!(g.num_alive(), 39);
+        assert_eq!(g.n_alive, 39);
         assert!(g.neighbours(17).is_empty());
         // Against the batch graph on the compacted corpus: neighbour
         // lists (translated through the index map) must agree.
@@ -834,18 +814,18 @@ mod tests {
             g
         };
         let g = run();
-        assert_eq!(g.num_rows(), 120);
-        assert_eq!(g.num_alive(), 118);
+        assert_eq!(g.features.rows(), 120);
+        assert_eq!(g.n_alive, 118);
         for i in 0..120 {
             let nb = g.neighbours(i);
-            if !g.is_alive(i) {
+            if !g.alive[i] {
                 assert!(nb.is_empty());
                 continue;
             }
             assert!(nb.len() <= 5);
             assert!(nb.windows(2).all(|w| w[0] < w[1]));
             assert!(!nb.contains(&i));
-            assert!(nb.iter().all(|&j| g.is_alive(j)));
+            assert!(nb.iter().all(|&j| g.alive[j]));
         }
         assert_eq!(g.graph(), run().graph(), "deterministic lifecycle");
     }

@@ -7,16 +7,16 @@
 //!
 //! Three layers, bottom up:
 //!
-//! * [`dynamic`] — [`DynamicGraph`]: incremental pNN maintenance.
+//! * `dynamic` — [`DynamicGraph`]: incremental pNN maintenance.
 //!   Inserting a batch costs `O(b · n · d)` blocked-Gram work (the new
 //!   rows against the corpus) plus reverse-edge patches, instead of the
 //!   `O(n² d)` batch rebuild; tombstone deletion with exact repair; a
 //!   rebuild-threshold policy guards heavily rewritten graphs.
-//! * [`warm`] — [`warm_membership`]: seed the next fit's `G₀` from the
+//! * `warm` — [`warm_membership`]: seed the next fit's `G₀` from the
 //!   previous [`mtrl_serve::FittedModel`] (survivor rows copied, new
 //!   rows from fold-in posteriors), consumed by
 //!   [`rhchme::Rhchme::fit_warm`]'s capped-iteration refresh.
-//! * [`session`] — [`StreamSession`]: per-batch fold-in, corpus
+//! * `session` — [`StreamSession`]: per-batch fold-in, corpus
 //!   accumulation, a refresh policy (cadence and/or drift-triggered via
 //!   fold-in confidence), and atomic hot-swap of each refreshed model
 //!   into a live [`mtrl_serve::ServeEngine`].
@@ -62,10 +62,10 @@
 //! assert!(second.refit.is_some()); // cadence refresh, warm-started
 //! ```
 
-pub mod dynamic;
-pub mod error;
-pub mod session;
-pub mod warm;
+mod dynamic;
+mod error;
+mod session;
+mod warm;
 
 pub use dynamic::{DynamicGraph, DynamicGraphConfig, InsertReport};
 pub use error::StreamError;
@@ -73,7 +73,4 @@ pub use session::{
     BatchTelemetry, PushReport, RefitReport, RefitTrigger, RefreshDecision, RefreshPolicy,
     SessionTelemetry, StreamSession,
 };
-pub use warm::{grown_survivors, warm_membership, warm_membership_opts, SurvivorMap, WarmOptions};
-
-/// Result alias for this crate.
-pub type Result<T> = std::result::Result<T, StreamError>;
+pub use warm::warm_membership;

@@ -75,9 +75,9 @@ pub struct RefreshPolicy {
     /// Partial-reseed floor for warm refits: rows whose fold-in
     /// max-posterior falls below this value are reseeded from
     /// drift-tracking k-means (Lloyd from the model's own centroids)
-    /// instead of inheriting the stale basin — see
-    /// [`crate::warm::WarmOptions::reseed_confidence`]. `None` (the
-    /// default) keeps the plain warm path.
+    /// instead of inheriting the stale basin (the warm path's
+    /// `reseed_confidence` option). `None` (the default) keeps the plain
+    /// warm path.
     pub reseed_confidence: Option<f64>,
 }
 
@@ -300,11 +300,6 @@ impl StreamSession {
         &self.doc_graph
     }
 
-    /// Batches pushed since the last refresh.
-    pub fn batches_since_refit(&self) -> usize {
-        self.batches_since_refit
-    }
-
     /// Accumulated session telemetry: per-batch fold-in confidence and
     /// refresh decisions, refit counts by trigger, warm-vs-reseed
     /// split, warm-iteration totals and hot-swap count.
@@ -442,13 +437,18 @@ impl StreamSession {
     /// an ensemble refresh.
     ///
     /// # Errors
+    /// [`StreamError::Invalid`] when the session's
+    /// [`rhchme::RhchmeConfig`] holds a setting that
+    /// [`rhchme::pipeline::PipelineParams`] cannot carry (a non-default
+    /// `weight_scheme` or `laplacian_kind`): the ensemble would otherwise
+    /// refit on other graphs than the session's warm refits.
     /// Propagates ensemble fit, export and validation errors.
     pub fn refit_ensemble(
         &mut self,
         spec: &rhchme::pipeline::EnsembleSpec,
     ) -> Result<RefitReport, StreamError> {
         let _span = mtrl_obs::span!("stream.refit_ensemble");
-        let cfg = self.rhchme.config().clone();
+        let cfg = self.rhchme.config();
         let params = rhchme::pipeline::PipelineParams {
             lambda: cfg.lambda,
             gamma: cfg.gamma,
@@ -462,9 +462,17 @@ impl StreamSession {
             tol: cfg.tol,
             seed: cfg.seed,
             feature_cluster_divisor: cfg.feature_cluster_divisor,
+            record_doc_labels: cfg.record_doc_labels,
             export_model: true,
             ..rhchme::pipeline::PipelineParams::default()
         };
+        if params.rhchme_config() != *cfg {
+            return Err(StreamError::Invalid(format!(
+                "an ensemble refit runs on PipelineParams, which cannot carry this session's \
+                 weight scheme {:?} and Laplacian {:?}",
+                cfg.weight_scheme, cfg.laplacian_kind
+            )));
+        }
         let out = mtrl_ensemble::run_spec(
             &self.corpus,
             &rhchme::pipeline::MethodSpec::Ensemble(spec.clone()),
@@ -684,8 +692,8 @@ mod tests {
             assert!(report.refit.is_none());
         }
         assert_eq!(session.corpus().num_docs(), docs0 + 18);
-        assert_eq!(session.doc_graph().num_rows(), docs0 + 18);
-        assert_eq!(session.batches_since_refit(), 3);
+        assert_eq!(session.doc_graph().graph().rows(), docs0 + 18);
+        assert_eq!(session.batches_since_refit, 3);
         // Stationary, clean batches fold in with decent accuracy.
         let mut agree = 0;
         let mut total = 0;
@@ -741,7 +749,7 @@ mod tests {
         assert_eq!(refit.trigger, RefitTrigger::Cadence);
         assert!(refit.iterations <= 8);
         assert_eq!(refit.corpus_docs, 30 + 12);
-        assert_eq!(session.batches_since_refit(), 0);
+        assert_eq!(session.batches_since_refit, 0);
         // The refreshed model covers the grown corpus and is live in
         // the engine.
         assert_eq!(session.model().sizes[0], 42);
@@ -824,12 +832,15 @@ mod tests {
         assert_eq!(session.model().method.as_deref(), Some("rhchme"));
         session.push_batch(&batches[0]).unwrap();
 
-        let spec = rhchme::pipeline::EnsembleSpec::default().with_members(3);
+        let spec = rhchme::pipeline::EnsembleSpec {
+            members: 3,
+            ..Default::default()
+        };
         let report = session.refit_ensemble(&spec).unwrap();
         assert_eq!(report.iterations, 3, "one iteration per member");
         assert!(report.final_objective.is_finite());
         assert_eq!(report.corpus_docs, session.corpus().num_docs());
-        assert_eq!(session.batches_since_refit(), 0);
+        assert_eq!(session.batches_since_refit, 0);
         // The swapped model covers the grown corpus, carries ensemble
         // provenance, and is live in the engine.
         assert_eq!(session.model().sizes[0], session.corpus().num_docs());
@@ -846,6 +857,38 @@ mod tests {
         assert!(engine
             .assign("live", 0, vec![SparseVec::from_dense(&[0.5; 120])])
             .is_ok());
+    }
+
+    #[test]
+    fn ensemble_refresh_rejects_settings_the_pipeline_cannot_carry() {
+        use mtrl_graph::{LaplacianKind, WeightScheme};
+        let spec = rhchme::pipeline::EnsembleSpec {
+            members: 3,
+            ..Default::default()
+        };
+        for cfg in [
+            RhchmeConfig {
+                weight_scheme: WeightScheme::Binary,
+                ..RhchmeConfig::fast()
+            },
+            RhchmeConfig {
+                laplacian_kind: LaplacianKind::Unnormalized,
+                ..RhchmeConfig::fast()
+            },
+        ] {
+            let (initial, batches) = generate_stream(&stream_cfg());
+            let mut session =
+                StreamSession::new(initial, Rhchme::new(cfg), RefreshPolicy::default()).unwrap();
+            session.push_batch(&batches[0]).unwrap();
+            let before = session.model().method.clone();
+            match session.refit_ensemble(&spec) {
+                Err(StreamError::Invalid(msg)) => assert!(msg.contains("PipelineParams"), "{msg}"),
+                other => panic!("expected Invalid, got {other:?}"),
+            }
+            // Nothing was swapped.
+            assert_eq!(session.model().method, before);
+            assert_eq!(session.telemetry().ensemble_refits, 0);
+        }
     }
 
     #[test]

@@ -27,12 +27,12 @@ use std::borrow::Cow;
 /// Per-type survivor maps: `survivors[t][i]` is `Some(old_row)` when row
 /// `i` of type `t` in the new layout is the same object as row
 /// `old_row` in the model's layout, `None` for a newly arrived object.
-pub type SurvivorMap = Vec<Vec<Option<usize>>>;
+pub(crate) type SurvivorMap = Vec<Vec<Option<usize>>>;
 
 /// Identity survivor map for the common streaming case: every type
 /// keeps its first `model_sizes[t]` objects and appends new ones at the
 /// end (`new_sizes[t] >= model_sizes[t]`).
-pub fn grown_survivors(model_sizes: &[usize], new_sizes: &[usize]) -> SurvivorMap {
+pub(crate) fn grown_survivors(model_sizes: &[usize], new_sizes: &[usize]) -> SurvivorMap {
     model_sizes
         .iter()
         .zip(new_sizes)
@@ -46,7 +46,7 @@ pub fn grown_survivors(model_sizes: &[usize], new_sizes: &[usize]) -> SurvivorMa
 
 /// Knobs for [`warm_membership_opts`].
 #[derive(Debug, Clone)]
-pub struct WarmOptions {
+pub(crate) struct WarmOptions {
     /// Uniform mixing weight in `[0, 1)` applied to every row (`0.1` is
     /// a good default; `labels_to_membership` uses a comparable 0.2 for
     /// cold k-means seeds).
@@ -77,7 +77,8 @@ impl Default for WarmOptions {
 /// model's live [`Assigner`] (borrowed, not rebuilt — the streaming
 /// session passes the same assigner it serves fold-ins with).
 ///
-/// Equivalent to [`warm_membership_opts`] with reseeding disabled.
+/// The stream session's warm path (`warm_membership_opts`) with reseeding
+/// disabled.
 ///
 /// # Errors
 /// Returns [`StreamError::Invalid`] when the model and data disagree on
@@ -117,7 +118,7 @@ pub fn warm_membership(
 ///
 /// # Errors
 /// Same contract as [`warm_membership`].
-pub fn warm_membership_opts(
+pub(crate) fn warm_membership_opts(
     data: &MultiTypeData,
     assigner: &Assigner,
     survivors: &SurvivorMap,

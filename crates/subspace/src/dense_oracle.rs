@@ -17,7 +17,7 @@ use mtrl_linalg::random::rand_uniform;
 use mtrl_linalg::{LinalgError, Mat};
 
 /// Output of the dense solver.
-pub struct DenseSpg {
+pub(crate) struct DenseSpg {
     /// The learned affinity (`n x n`, nonnegative, zero diagonal).
     pub w: Mat,
     /// Objective value `J₂` after every iteration.
@@ -30,7 +30,7 @@ pub struct DenseSpg {
 ///
 /// # Errors
 /// Returns [`LinalgError::InvalidArgument`] for fewer than 2 objects.
-pub fn spg_dense(data: &Mat, cfg: &SpgConfig) -> Result<DenseSpg, LinalgError> {
+pub(crate) fn spg_dense(data: &Mat, cfg: &SpgConfig) -> Result<DenseSpg, LinalgError> {
     let n = data.rows();
     if n < 2 {
         return Err(LinalgError::InvalidArgument(

@@ -12,7 +12,7 @@
 //! to time the product alone, so the kernel is benched without becoming
 //! public API.
 
-use mtrl_linalg::par::{num_threads, par_row_chunks};
+use mtrl_linalg::par::{par_row_chunks, threads_for};
 use mtrl_linalg::Mat;
 
 /// Candidates per object: row `i` of `W` is supported on the
@@ -23,10 +23,6 @@ pub const CANDIDATES: usize = 64;
 /// Accumulator lanes of the support product: the widest support row,
 /// the candidates plus the diagonal slot.
 pub(crate) const LANES: usize = CANDIDATES + 1;
-
-/// Work (`n·(K′+1)²` multiply-adds) above which the support product
-/// splits rows across threads.
-const PAR_WORK: usize = 1 << 20;
 
 /// Row supports of the restricted iterate, `width` columns per row in
 /// ascending order: the candidates of object `i` plus `i` itself, whose
@@ -131,7 +127,8 @@ pub(crate) fn support_product(k: &Mat, support: &Support, x: &Mat, out: &mut Mat
             orow.copy_from_slice(&acc[..width]);
         }
     };
-    if n * width * width < PAR_WORK || num_threads() == 1 {
+    // n·(K′+1)² multiply-adds.
+    if threads_for(n * width * width) == 1 {
         rows(0, n, out.as_mut_slice());
     } else {
         par_row_chunks(out.as_mut_slice(), n, width, rows);

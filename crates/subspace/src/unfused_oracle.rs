@@ -8,14 +8,12 @@
 
 use crate::spg::{SpgConfig, SpgResult};
 use crate::support::{Support, LANES};
-use mtrl_linalg::par::{num_threads, par_row_chunks};
+use mtrl_linalg::par::{par_row_chunks, threads_for};
 use mtrl_linalg::Mat;
 use mtrl_sparse::CsrBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-
-const PAR_WORK: usize = 1 << 20;
 
 /// The solver loop before its passes were fused: one pass over the
 /// `n x width` arrays per quantity, with the product below.
@@ -278,7 +276,7 @@ pub(crate) fn support_product_zero_tested(k: &Mat, support: &Support, x: &Mat, o
             orow.copy_from_slice(&acc[..width]);
         }
     };
-    if n * width * width < PAR_WORK || num_threads() == 1 {
+    if threads_for(n * width * width) == 1 {
         rows(0, n, out.as_mut_slice());
     } else {
         par_row_chunks(out.as_mut_slice(), n, width, rows);

@@ -48,7 +48,10 @@ fn ensemble_path_allocates_no_nxn_dense() {
     // contract under test is the ensemble layer itself — member engine
     // fits, the sparse co-association build, and the trajectory merge.
     let regs = SharedRegularizers::new(&arts, &params).unwrap();
-    let spec = EnsembleSpec::default().with_members(6);
+    let spec = EnsembleSpec {
+        members: 6,
+        ..EnsembleSpec::default()
+    };
 
     mtrl_linalg::mat::alloc_peak::reset();
     let members = generate_members(&arts, &regs, &spec, &params).unwrap();

@@ -278,9 +278,11 @@ fn ensemble_members_equal_solo_fits() {
         let arts = Artifacts::new(&corpus, params).unwrap();
         let regs = SharedRegularizers::new(&arts, params).unwrap();
         for method in [Method::Src, Method::Snmtf, Method::Rmc, Method::Rhchme] {
-            let spec = EnsembleSpec::default()
-                .with_pool(vec![method])
-                .with_members(1);
+            let spec = EnsembleSpec {
+                pool: vec![method],
+                members: 1,
+                ..EnsembleSpec::default()
+            };
             let members = generate_members(&arts, &regs, &spec, params).unwrap();
             let solo = run_spec(&corpus, &method.into(), params).unwrap();
             assert_eq!(
