@@ -25,7 +25,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtrl_linalg::block::stack_membership;
 use mtrl_linalg::Mat;
-use mtrl_sparse::Coo;
+use mtrl_sparse::CsrBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rhchme::engine::{run_engine, run_engine_dense_reference, EngineConfig, GraphRegularizer};
@@ -45,15 +45,16 @@ fn synthetic_data(density: f64, seed: u64) -> MultiTypeData {
     let mut relations = Vec::new();
     for (k, l) in [(0usize, 1usize), (0, 2), (1, 2)] {
         let (rows, cols) = (SIZES[k], SIZES[l]);
-        let mut coo = Coo::new(rows, cols);
-        for i in 0..rows {
+        let mut csr = CsrBuilder::new(rows, cols);
+        for _ in 0..rows {
             for j in 0..cols {
                 if rng.gen_range(0.0..1.0) < density {
-                    coo.push(i, j, rng.gen_range(0.1..1.0));
+                    csr.push(j, rng.gen_range(0.1..1.0));
                 }
             }
+            csr.finish_row();
         }
-        relations.push((k, l, coo.to_csr()));
+        relations.push((k, l, csr.build()));
     }
     MultiTypeData::new(SIZES.to_vec(), CLUSTERS.to_vec(), relations).expect("valid layout")
 }

@@ -25,7 +25,7 @@ use mtrl_graph::{pnn_graph, GraphBackend, WeightScheme};
 use mtrl_linalg::block::stack_membership;
 use mtrl_linalg::random::rand_uniform;
 use mtrl_linalg::Precision;
-use mtrl_sparse::Coo;
+use mtrl_sparse::CsrBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rhchme::engine::{run_engine, EngineConfig, GraphRegularizer};
@@ -50,15 +50,16 @@ fn engine_workload() -> (
     let mut relations = Vec::new();
     for (k, l) in [(0usize, 1usize), (0, 2), (1, 2)] {
         let (rows, cols) = (SIZES[k], SIZES[l]);
-        let mut coo = Coo::new(rows, cols);
-        for i in 0..rows {
+        let mut csr = CsrBuilder::new(rows, cols);
+        for _ in 0..rows {
             for j in 0..cols {
                 if rng.gen_range(0.0..1.0) < 0.02 {
-                    coo.push(i, j, rng.gen_range(0.1..1.0));
+                    csr.push(j, rng.gen_range(0.1..1.0));
                 }
             }
+            csr.finish_row();
         }
-        relations.push((k, l, coo.to_csr()));
+        relations.push((k, l, csr.build()));
     }
     let data =
         MultiTypeData::new(SIZES.to_vec(), CLUSTERS.to_vec(), relations).expect("valid layout");

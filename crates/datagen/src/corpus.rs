@@ -19,7 +19,7 @@
 //! by uniform random tokens: those rows carry no class signal and exercise
 //! the sample-wise sparse error matrix `E_R` (Eq. 13).
 
-use mtrl_sparse::{Coo, Csr};
+use mtrl_sparse::{Csr, CsrBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -315,36 +315,72 @@ impl TopicSampler {
     }
 
     /// Sample one document's two token streams: term counts and (mapped)
-    /// concept counts. The *term stream* fills the document-term view
-    /// (term-view confusion pairing); the *concept stream* is routed
-    /// through the term→concept mapping to fill the document-concept
-    /// view (concept-view pairing). Both streams share the document's
-    /// class and sub-topic, so the term-concept co-occurrence matrix
-    /// ties the two views together — the signal HOCC methods exploit and
-    /// two-way methods cannot.
+    /// concept counts, added to `terms` and `concepts`. The *term stream*
+    /// fills the document-term view (term-view confusion pairing); the
+    /// *concept stream* is routed through the term→concept mapping to
+    /// fill the document-concept view (concept-view pairing). Both
+    /// streams share the document's class and sub-topic, so the
+    /// term-concept co-occurrence matrix ties the two views together —
+    /// the signal HOCC methods exploit and two-way methods cannot.
     pub(crate) fn sample_doc(
         &self,
         rng: &mut StdRng,
         class: usize,
         corrupted: bool,
         shift: usize,
-    ) -> (
-        std::collections::HashMap<usize, usize>,
-        std::collections::HashMap<usize, usize>,
+        terms: &mut TokenCounts,
+        concepts: &mut TokenCounts,
     ) {
         let len = rng.gen_range(self.cfg.doc_len_range.0..=self.cfg.doc_len_range.1);
         let own_sub = rng.gen_range(0..self.subtopics);
         let t_partner = self.term_partner(class);
         let c_partner = self.concept_partner(class);
-        let mut term_counts = std::collections::HashMap::new();
-        let mut concept_counts = std::collections::HashMap::new();
         for _ in 0..len {
             let t = self.sample_token(rng, class, own_sub, t_partner, corrupted, shift);
-            *term_counts.entry(t).or_insert(0) += 1;
+            terms.add(t);
             let ct = self.sample_token(rng, class, own_sub, c_partner, corrupted, shift);
-            *concept_counts.entry(self.eff_concept[ct]).or_insert(0) += 1;
+            concepts.add(self.eff_concept[ct]);
         }
-        (term_counts, concept_counts)
+    }
+}
+
+/// Reusable per-document token histogram over `0..width`: a dense count
+/// per index plus the list of indices seen, so one document costs
+/// `O(tokens + distinct · log distinct)` and nothing is allocated per
+/// document.
+pub(crate) struct TokenCounts {
+    counts: Vec<usize>,
+    seen: Vec<usize>,
+}
+
+impl TokenCounts {
+    pub(crate) fn new(width: usize) -> Self {
+        TokenCounts {
+            counts: vec![0; width],
+            seen: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, j: usize) {
+        if self.counts[j] == 0 {
+            self.seen.push(j);
+        }
+        self.counts[j] += 1;
+    }
+
+    /// Number of distinct indices counted.
+    pub(crate) fn distinct(&self) -> usize {
+        self.seen.len()
+    }
+
+    /// Hand every counted index to `f` in ascending order with its
+    /// count, and reset the histogram for the next document.
+    pub(crate) fn drain_sorted(&mut self, mut f: impl FnMut(usize, usize)) {
+        self.seen.sort_unstable();
+        for &j in &self.seen {
+            f(j, std::mem::take(&mut self.counts[j]));
+        }
+        self.seen.clear();
     }
 }
 
@@ -395,52 +431,33 @@ pub(crate) fn generate_with_sampler(
         })
         .collect();
 
-    let mut term_counts: Vec<std::collections::HashMap<usize, usize>> = Vec::with_capacity(n_docs);
-    let mut concept_counts: Vec<std::collections::HashMap<usize, usize>> =
-        Vec::with_capacity(n_docs);
+    // Raw token counts, one document row at a time.
+    let mut raw_dt = CsrBuilder::new(n_docs, v);
+    let mut raw_dc = CsrBuilder::new(n_docs, cfg.concept_count);
+    let mut terms = TokenCounts::new(v);
+    let mut concepts = TokenCounts::new(cfg.concept_count);
     for d in 0..n_docs {
-        let (tc, cc) = sampler.sample_doc(rng, labels[d], corrupted[d], 0);
-        term_counts.push(tc);
-        concept_counts.push(cc);
+        sampler.sample_doc(rng, labels[d], corrupted[d], 0, &mut terms, &mut concepts);
+        terms.drain_sorted(|t, c| raw_dt.push(t, c as f64));
+        raw_dt.finish_row();
+        concepts.drain_sorted(|cc, ch| raw_dc.push(cc, ch as f64));
+        raw_dc.finish_row();
     }
+    let (raw_dt, raw_dc) = (raw_dt.build(), raw_dc.build());
 
-    // Document frequencies for idf (term view).
-    let mut df = vec![0usize; v];
-    for c in &term_counts {
-        for &t in c.keys() {
-            df[t] += 1;
-        }
-    }
+    // Document frequencies for idf (term view): the lengths of the
+    // term rows of the transposed counts.
+    let term_docs = raw_dt.transpose();
+    let df: Vec<usize> = (0..v).map(|t| term_docs.row(t).0.len()).collect();
     let idf = idf_from_df(&df, n_docs);
+    let doc_term = unit_rows(&raw_dt, |t, c| c * idf[t]);
+    drop(raw_dt);
+    let term_concept = term_concept_counts(&term_docs, &raw_dc);
+    drop(term_docs);
+    // Doc-concept weighting: tf-idf-style mass of the mapped tokens,
+    // scaled by the concept's semantic relatedness.
     let relatedness = sampler.relatedness();
-
-    // Assemble the three relation matrices.
-    let mut dt = Coo::new(n_docs, v);
-    let mut dc = Coo::new(n_docs, cfg.concept_count);
-    let mut tc = Coo::new(v, cfg.concept_count);
-    for d in 0..n_docs {
-        let concept_hist = &concept_counts[d];
-        for (&t, &c) in &term_counts[d] {
-            dt.push(d, t, c as f64 * idf[t]);
-            // term-concept: the pair (t, concept) co-occurs in this
-            // document `count_t * count_concept_tokens` times.
-            for (&cc, &ch) in concept_hist {
-                tc.push(t, cc, (c * ch) as f64);
-            }
-        }
-        for (&cc, &ch) in concept_hist {
-            // Doc-concept weighting: tf-idf-style mass of the mapped
-            // tokens, scaled by the concept's semantic relatedness.
-            dc.push(d, cc, ch as f64 * relatedness[cc]);
-        }
-    }
-
-    let mut doc_term = dt.to_csr();
-    let mut doc_concept = dc.to_csr();
-    let mut term_concept = tc.to_csr();
-    normalize_rows(&mut doc_term);
-    normalize_rows(&mut doc_concept);
-    normalize_rows(&mut term_concept);
+    let doc_concept = unit_rows(&raw_dc, |cc, ch| ch * relatedness[cc]);
 
     MultiTypeCorpus {
         doc_term,
@@ -453,23 +470,71 @@ pub(crate) fn generate_with_sampler(
     }
 }
 
-/// Scale each row to unit l2 norm (in CSR form), leaving empty rows alone.
-fn normalize_rows(m: &mut Csr) {
-    let norms: Vec<f64> = (0..m.rows())
-        .map(|i| m.row(i).1.iter().map(|v| v * v).sum::<f64>().sqrt())
-        .collect();
-    let mut coo = Coo::with_capacity(m.rows(), m.cols(), m.nnz());
-    for (i, j, v) in m.iter() {
-        if norms[i] > 1e-300 {
-            coo.push(i, j, v / norms[i]);
+/// The term–concept co-occurrence matrix, row-normalised: entry `(t, c)`
+/// counts, over all documents, the pairs of a term-`t` token and a
+/// concept-`c` token in the same document — `(raw doc–term counts)ᵀ ·
+/// (raw doc–concept counts)`, built one term row at a time in a
+/// length-`concepts` accumulator. The counts are integers, so every
+/// summation order gives the same sums.
+fn term_concept_counts(term_docs: &Csr, raw_dc: &Csr) -> Csr {
+    let mut acc = vec![0.0; raw_dc.cols()];
+    let (mut seen, mut vals) = (Vec::new(), Vec::new());
+    let mut out = CsrBuilder::new(term_docs.rows(), raw_dc.cols());
+    for t in 0..term_docs.rows() {
+        let (docs, counts) = term_docs.row(t);
+        for (&d, &c) in docs.iter().zip(counts) {
+            let (cols, chs) = raw_dc.row(d);
+            for (&cc, &ch) in cols.iter().zip(chs) {
+                if acc[cc] == 0.0 {
+                    seen.push(cc);
+                }
+                acc[cc] += c * ch;
+            }
+        }
+        seen.sort_unstable();
+        vals.clear();
+        vals.extend(seen.iter().map(|&cc| std::mem::take(&mut acc[cc])));
+        push_unit_row(&mut out, &seen, &vals);
+        seen.clear();
+    }
+    out.build()
+}
+
+/// `m` with every stored value `x` at column `j` replaced by
+/// `weight(j, x)` and each row scaled to unit l2 norm.
+fn unit_rows(m: &Csr, weight: impl Fn(usize, f64) -> f64) -> Csr {
+    let mut out = CsrBuilder::with_capacity(m.rows(), m.cols(), m.nnz());
+    let mut vals = Vec::new();
+    for i in 0..m.rows() {
+        let (cols, raw) = m.row(i);
+        vals.clear();
+        vals.extend(cols.iter().zip(raw).map(|(&j, &x)| weight(j, x)));
+        push_unit_row(&mut out, cols, &vals);
+    }
+    out.build()
+}
+
+/// Append one row (ascending `cols`) scaled to unit l2 norm: the norm
+/// sums `v²` in column order and each value is divided by it. A row
+/// whose norm is at most `1e-300` is left empty.
+fn push_unit_row(out: &mut CsrBuilder, cols: &[usize], vals: &[f64]) {
+    let norm = vals.iter().map(|v| v * v).sum::<f64>().sqrt();
+    if norm > 1e-300 {
+        for (&j, &v) in cols.iter().zip(vals) {
+            out.push(j, v / norm);
         }
     }
-    *m = coo.to_csr();
+    out.finish_row();
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod coo_oracle;
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::RngCore;
 
     fn small_cfg() -> CorpusConfig {
         CorpusConfig {
@@ -628,6 +693,107 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.docs_per_class = vec![10];
         generate(&cfg);
+    }
+
+    /// A random valid configuration: 2–5 classes of 1–24 documents,
+    /// vocabulary and concept counts from the smallest the sampler
+    /// accepts upwards, any noise levels, and `corrupt_frac` at 0, 1 or
+    /// in between.
+    pub(crate) fn random_config(seed: u64) -> CorpusConfig {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let k: usize = rng.gen_range(2..=5);
+        let subtopics: usize = rng.gen_range(1..=3);
+        let background_frac: f64 = rng.gen_range(0.0..0.5);
+        // At least `2 · subtopics` anchor terms per class.
+        let min_vocab =
+            (((2 * subtopics + 1) * k) as f64 / (1.0 - background_frac)).ceil() as usize + 1;
+        let lo: usize = rng.gen_range(1..80);
+        CorpusConfig {
+            docs_per_class: (0..k).map(|_| rng.gen_range(1..25)).collect(),
+            vocab_size: rng.gen_range(min_vocab..min_vocab + 200),
+            concept_count: rng.gen_range(k..k + 80),
+            doc_len_range: (lo, lo + rng.gen_range(0..60usize)),
+            background_frac,
+            topic_noise: rng.gen_range(0.0..1.0),
+            concept_map_noise: rng.gen_range(0.0..1.0),
+            corrupt_frac: [0.0, 1.0, rng.gen_range(0.0..1.0)][rng.gen_range(0..3usize)],
+            subtopics_per_class: subtopics,
+            view_confusion: rng.gen_range(0.0..1.0),
+            seed: rng.next_u64(),
+        }
+    }
+
+    /// The `Tiny3`, `Balanced3`, `Skewed5` and `Large3` corpus shapes of
+    /// `mtrl-eval`'s scenario registry (a dependent crate, so restated
+    /// here), with corruption switched on for the last two.
+    pub(crate) fn eval_shapes(seed: u64) -> [CorpusConfig; 4] {
+        let tiny3 = CorpusConfig {
+            docs_per_class: vec![8; 3],
+            vocab_size: 60,
+            concept_count: 15,
+            doc_len_range: (25, 40),
+            background_frac: 0.25,
+            topic_noise: 0.2,
+            concept_map_noise: 0.1,
+            corrupt_frac: 0.0,
+            subtopics_per_class: 1,
+            view_confusion: 0.0,
+            seed,
+        };
+        let balanced3 = CorpusConfig {
+            docs_per_class: vec![20; 3],
+            vocab_size: 90,
+            concept_count: 24,
+            doc_len_range: (40, 70),
+            topic_noise: 0.25,
+            subtopics_per_class: 2,
+            view_confusion: 0.25,
+            ..tiny3.clone()
+        };
+        let skewed5 = CorpusConfig {
+            docs_per_class: vec![6, 9, 12, 15, 18],
+            vocab_size: 120,
+            concept_count: 36,
+            doc_len_range: (40, 80),
+            background_frac: 0.3,
+            topic_noise: 0.3,
+            concept_map_noise: 0.15,
+            corrupt_frac: 0.1,
+            ..tiny3.clone()
+        };
+        let large3 = CorpusConfig {
+            docs_per_class: vec![220; 3],
+            vocab_size: 150,
+            concept_count: 40,
+            corrupt_frac: 0.1,
+            ..balanced3.clone()
+        };
+        [tiny3, balanced3, skewed5, large3]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn row_builders_match_coo_assembly(seed in any::<u64>()) {
+            let cfg = random_config(seed);
+            prop_assert!(
+                coo_oracle::same_corpus(&generate(&cfg), &coo_oracle::generate(&cfg)),
+                "{cfg:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn eval_shapes_match_coo_assembly() {
+        for seed in [0, 1, 42] {
+            for cfg in eval_shapes(seed) {
+                assert!(
+                    coo_oracle::same_corpus(&generate(&cfg), &coo_oracle::generate(&cfg)),
+                    "{cfg:?}"
+                );
+            }
+        }
     }
 
     #[test]

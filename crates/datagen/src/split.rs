@@ -10,7 +10,7 @@
 //! `mtrl_serve::Assigner` folds in against.
 
 use crate::corpus::MultiTypeCorpus;
-use mtrl_sparse::Coo;
+use mtrl_sparse::{Csr, CsrBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -89,33 +89,16 @@ pub fn split_corpus(
 
     // Rebuild the train corpus from the kept rows (original order).
     let kept: Vec<usize> = (0..n_docs).filter(|&d| !heldout_mask[d]).collect();
-    let mut dt = Coo::new(kept.len(), n_terms);
-    let mut dc = Coo::new(kept.len(), corpus.num_concepts());
-    for (new_row, &d) in kept.iter().enumerate() {
-        let (cols, vals) = corpus.doc_term.row(d);
-        for (&j, &v) in cols.iter().zip(vals) {
-            dt.push(new_row, j, v);
-        }
-        let (cols, vals) = corpus.doc_concept.row(d);
-        for (&j, &v) in cols.iter().zip(vals) {
-            dc.push(new_row, j, v);
-        }
-    }
-    let old_to_new: std::collections::HashMap<usize, usize> = kept
-        .iter()
-        .enumerate()
-        .map(|(new, &old)| (old, new))
-        .collect();
     let train = MultiTypeCorpus {
-        doc_term: dt.to_csr(),
-        doc_concept: dc.to_csr(),
+        doc_term: select_rows(&corpus.doc_term, &kept),
+        doc_concept: select_rows(&corpus.doc_concept, &kept),
         term_concept: corpus.term_concept.clone(),
         labels: kept.iter().map(|&d| corpus.labels[d]).collect(),
         num_classes: corpus.num_classes,
         corrupted_docs: corpus
             .corrupted_docs
             .iter()
-            .filter_map(|d| old_to_new.get(d).copied())
+            .filter_map(|d| kept.binary_search(d).ok())
             .collect(),
         config: corpus.config.clone(),
     };
@@ -146,6 +129,20 @@ pub fn split_corpus(
         .collect();
 
     (train, heldout)
+}
+
+/// The rows `kept` of `m`, in that order.
+fn select_rows(m: &Csr, kept: &[usize]) -> Csr {
+    let nnz = kept.iter().map(|&d| m.row(d).0.len()).sum();
+    let mut out = CsrBuilder::with_capacity(kept.len(), m.cols(), nnz);
+    for &d in kept {
+        let (cols, vals) = m.row(d);
+        for (&j, &v) in cols.iter().zip(vals) {
+            out.push(j, v);
+        }
+        out.finish_row();
+    }
+    out.build()
 }
 
 #[cfg(test)]
@@ -232,6 +229,47 @@ mod tests {
         let (train, _) = split_corpus(&c, 0.25, 5);
         for &d in &train.corrupted_docs {
             assert!(d < train.num_docs());
+        }
+    }
+
+    /// The triplet rebuild of the kept rows that `select_rows` replaced.
+    fn coo_rows(m: &Csr, kept: &[usize]) -> Csr {
+        let mut coo = mtrl_sparse::Coo::new(kept.len(), m.cols());
+        for (new_row, &d) in kept.iter().enumerate() {
+            let (cols, vals) = m.row(d);
+            for (&j, &v) in cols.iter().zip(vals) {
+                coo.push(new_row, j, v);
+            }
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn train_rows_match_coo_rebuild() {
+        use crate::corpus::coo_oracle::same_bits;
+        use crate::corpus::tests::{eval_shapes, random_config};
+        let configs = (0..32).map(random_config).chain(eval_shapes(5));
+        for (i, cfg) in configs.enumerate() {
+            if cfg.docs_per_class.iter().any(|&n| n < 3) {
+                continue;
+            }
+            let c = generate(&cfg);
+            let frac = [0.0, 0.2, 0.35, 0.9][i % 4];
+            let (train, heldout) = split_corpus(&c, frac, i as u64);
+            let held: Vec<usize> = heldout.iter().map(|d| d.original_index).collect();
+            let kept: Vec<usize> = (0..c.num_docs()).filter(|d| !held.contains(d)).collect();
+            assert!(same_bits(&train.doc_term, &coo_rows(&c.doc_term, &kept)));
+            assert!(same_bits(
+                &train.doc_concept,
+                &coo_rows(&c.doc_concept, &kept)
+            ));
+            let remapped: Vec<usize> = kept
+                .iter()
+                .enumerate()
+                .filter(|(_, d)| c.corrupted_docs.contains(d))
+                .map(|(new, _)| new)
+                .collect();
+            assert_eq!(train.corrupted_docs, remapped);
         }
     }
 

@@ -24,7 +24,7 @@
 //! re-weight the corpus).
 
 use crate::corpus::{
-    generate_with_sampler, idf_from_df, CorpusConfig, MultiTypeCorpus, TopicSampler,
+    generate_with_sampler, idf_from_df, CorpusConfig, MultiTypeCorpus, TokenCounts, TopicSampler,
 };
 use mtrl_sparse::Csr;
 use rand::rngs::StdRng;
@@ -129,6 +129,8 @@ pub fn generate_stream(cfg: &StreamConfig) -> (MultiTypeCorpus, Vec<StreamBatch>
     let shift_terms = sampler.drift_shift_terms(cfg.drift_shift);
     let relatedness = sampler.relatedness();
 
+    let mut terms = TokenCounts::new(v);
+    let mut concepts = TokenCounts::new(corpus.num_concepts());
     let mut batches = Vec::with_capacity(cfg.batches);
     for b in 0..cfg.batches {
         let drifted = cfg.drift_after.is_some_and(|at| b >= at);
@@ -139,13 +141,11 @@ pub fn generate_stream(cfg: &StreamConfig) -> (MultiTypeCorpus, Vec<StreamBatch>
         for _ in 0..cfg.docs_per_batch {
             let class = rng.gen_range(0..k);
             let corrupted = rng.gen_range(0.0..1.0) < cfg.base.corrupt_frac;
-            let (tc, cc) = sampler.sample_doc(&mut rng, class, corrupted, shift);
-            doc_term.push(sorted_normalized(
-                tc.into_iter().map(|(t, c)| (t, c as f64 * idf[t])),
-            ));
-            doc_concept.push(sorted_normalized(
-                cc.into_iter().map(|(c, n)| (c, n as f64 * relatedness[c])),
-            ));
+            sampler.sample_doc(&mut rng, class, corrupted, shift, &mut terms, &mut concepts);
+            doc_term.push(sorted_normalized(&mut terms, |t, c| c as f64 * idf[t]));
+            doc_concept.push(sorted_normalized(&mut concepts, |c, n| {
+                n as f64 * relatedness[c]
+            }));
             labels.push(class);
         }
         batches.push(StreamBatch {
@@ -173,18 +173,29 @@ pub fn append_batch(corpus: &mut MultiTypeCorpus, batch: &StreamBatch) {
     corpus.labels.extend_from_slice(&batch.labels);
 }
 
-/// Collect `(index, value)` pairs into a sorted, ℓ2-normalised sparse
-/// row, dropping zeros (empty rows stay empty).
-fn sorted_normalized(entries: impl Iterator<Item = (usize, f64)>) -> (Vec<usize>, Vec<f64>) {
-    let mut pairs: Vec<(usize, f64)> = entries.filter(|&(_, v)| v != 0.0).collect();
-    pairs.sort_unstable_by_key(|&(j, _)| j);
-    let norm = pairs.iter().map(|(_, v)| v * v).sum::<f64>().sqrt();
+/// Drain a document histogram into a sorted, ℓ2-normalised sparse row
+/// of `weight(index, count)` values, dropping zeros (a row whose norm is
+/// at most `1e-300` keeps its raw weights).
+fn sorted_normalized(
+    counts: &mut TokenCounts,
+    weight: impl Fn(usize, usize) -> f64,
+) -> (Vec<usize>, Vec<f64>) {
+    let mut indices = Vec::with_capacity(counts.distinct());
+    let mut values = Vec::with_capacity(counts.distinct());
+    counts.drain_sorted(|j, n| {
+        let v = weight(j, n);
+        if v != 0.0 {
+            indices.push(j);
+            values.push(v);
+        }
+    });
+    let norm = values.iter().map(|v| v * v).sum::<f64>().sqrt();
     if norm > 1e-300 {
-        for (_, v) in &mut pairs {
+        for v in &mut values {
             *v /= norm;
         }
     }
-    pairs.into_iter().unzip()
+    (indices, values)
 }
 
 #[cfg(test)]
@@ -318,6 +329,104 @@ mod tests {
         assert_eq!(&vals[..tv.len()], tv.as_slice());
         assert_eq!(idx[tc.len()], corpus.num_terms() + cc[0]);
         assert_eq!(&vals[tc.len()..], cv.as_slice());
+    }
+
+    /// `generate_stream` as it was assembled before the row builders:
+    /// the triplet corpus assembly and `HashMap` histograms sorted per
+    /// document. Returns the initial corpus and each batch's rows.
+    fn coo_stream(cfg: &StreamConfig) -> (MultiTypeCorpus, Vec<StreamBatch>) {
+        use crate::corpus::coo_oracle;
+        let sorted_normalized = |entries: Vec<(usize, f64)>| {
+            let mut pairs: Vec<(usize, f64)> =
+                entries.into_iter().filter(|&(_, v)| v != 0.0).collect();
+            pairs.sort_unstable_by_key(|&(j, _)| j);
+            let norm = pairs.iter().map(|(_, v)| v * v).sum::<f64>().sqrt();
+            if norm > 1e-300 {
+                for (_, v) in &mut pairs {
+                    *v /= norm;
+                }
+            }
+            pairs.into_iter().unzip()
+        };
+        let mut rng = StdRng::seed_from_u64(cfg.base.seed);
+        let sampler = TopicSampler::new(&cfg.base, &mut rng);
+        let corpus = coo_oracle::generate_with_sampler(&cfg.base, &sampler, &mut rng);
+        let mut df = vec![0usize; corpus.num_terms()];
+        for i in 0..corpus.num_docs() {
+            for &t in corpus.doc_term.row(i).0 {
+                df[t] += 1;
+            }
+        }
+        let idf = idf_from_df(&df, corpus.num_docs());
+        let shift_terms = sampler.drift_shift_terms(cfg.drift_shift);
+        let batches = (0..cfg.batches)
+            .map(|b| {
+                let drifted = cfg.drift_after.is_some_and(|at| b >= at);
+                let shift = if drifted { shift_terms } else { 0 };
+                let mut batch = StreamBatch {
+                    timestamp: b as u64,
+                    doc_term: Vec::new(),
+                    doc_concept: Vec::new(),
+                    labels: Vec::new(),
+                    drifted: drifted && shift_terms > 0,
+                };
+                for _ in 0..cfg.docs_per_batch {
+                    let class = rng.gen_range(0..sampler.num_classes());
+                    let corrupted = rng.gen_range(0.0..1.0) < cfg.base.corrupt_frac;
+                    let (tc, cc) =
+                        coo_oracle::sample_doc(&sampler, &mut rng, class, corrupted, shift);
+                    batch.doc_term.push(sorted_normalized(
+                        tc.into_iter()
+                            .map(|(t, c)| (t, c as f64 * idf[t]))
+                            .collect(),
+                    ));
+                    batch.doc_concept.push(sorted_normalized(
+                        cc.into_iter()
+                            .map(|(c, n)| (c, n as f64 * sampler.relatedness()[c]))
+                            .collect(),
+                    ));
+                    batch.labels.push(class);
+                }
+                batch
+            })
+            .collect();
+        (corpus, batches)
+    }
+
+    fn same_rows(a: &[(Vec<usize>, Vec<f64>)], b: &[(Vec<usize>, Vec<f64>)]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|((ai, av), (bi, bv))| {
+                ai == bi && av.iter().zip(bv).all(|(x, y)| x.to_bits() == y.to_bits())
+            })
+    }
+
+    #[test]
+    fn stream_matches_coo_assembly() {
+        use crate::corpus::coo_oracle::same_corpus;
+        use crate::corpus::tests::{eval_shapes, random_config};
+        let configs = (0..24).map(random_config).chain(eval_shapes(3));
+        for (i, base) in configs.enumerate() {
+            let stream = StreamConfig {
+                base,
+                batches: 3,
+                docs_per_batch: 1 + i % 7,
+                drift_after: Some(i % 3),
+                drift_shift: (i % 5) as f64 / 4.0,
+            };
+            let (corpus, batches) = generate_stream(&stream);
+            let (oracle, oracle_batches) = coo_stream(&stream);
+            assert!(same_corpus(&corpus, &oracle), "{:?}", stream.base);
+            for (b, o) in batches.iter().zip(&oracle_batches) {
+                assert!(same_rows(&b.doc_term, &o.doc_term), "{:?}", stream.base);
+                assert!(
+                    same_rows(&b.doc_concept, &o.doc_concept),
+                    "{:?}",
+                    stream.base
+                );
+                assert_eq!(b.labels, o.labels);
+                assert_eq!(b.drifted, o.drifted);
+            }
+        }
     }
 
     #[test]

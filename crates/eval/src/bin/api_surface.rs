@@ -4,11 +4,13 @@
 //! api_surface [<workspace root>]
 //! ```
 //!
-//! Prints two numbers and a list:
-//! * the public-declaration count: lines matching
-//!   `pub (fn|struct|enum|trait|type|const|static|mod|use) ` in
-//!   `crates/*/src` and `src`, each file read up to its first
-//!   column-0 `#[cfg(test)]`;
+//! Prints three numbers and a list:
+//! * the non-test line count of `crates/*/src` and `src`: every line
+//!   except the items gated by a column-0 `#[cfg(test)]` (a one-line
+//!   `mod name;`, or a braced item up to its column-0 `}`) and the files
+//!   of modules declared that way;
+//! * the public-declaration count: non-test lines matching
+//!   `pub (fn|struct|enum|trait|type|const|static|mod|use) ` there;
 //! * every `pub` item (re-exports aside) whose name appears in no
 //!   caller outside its crate's library. A caller is non-test code in
 //!   another crate's `src/` or `benches/`, the crate's own `src/bin/`
@@ -46,13 +48,63 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The lines of `path` before its first column-0 `#[cfg(test)]`.
-fn non_test_lines(path: &Path) -> Vec<String> {
+/// A source file's non-test lines, and the files of the modules it
+/// declares test-only (`#[cfg(test)] mod name;`).
+fn split_test_items(path: &Path) -> (Vec<String>, Vec<PathBuf>) {
+    const GATE: &str = "#[cfg(test)]";
     let text = fs::read_to_string(path).expect("source files are readable UTF-8");
-    text.lines()
-        .take_while(|l| !l.starts_with("#[cfg(test)]"))
-        .map(str::to_string)
-        .collect()
+    let (mut lines, mut test_files) = (Vec::new(), Vec::new());
+    // `Some(opened)` while inside a gated item; `opened` once its block
+    // has begun, after which a column-0 `}` closes it (rustfmt layout).
+    let mut gated: Option<bool> = None;
+    for line in text.lines() {
+        let item = match gated {
+            None if line.starts_with(GATE) => line[GATE.len()..].trim(),
+            None => {
+                lines.push(line.to_string());
+                continue;
+            }
+            Some(true) => {
+                if line == "}" {
+                    gated = None;
+                }
+                continue;
+            }
+            Some(false) => line.trim(),
+        };
+        gated = Some(false);
+        if item.ends_with('{') {
+            gated = Some(true);
+        } else if item.ends_with(';') || item.ends_with('}') {
+            if let Some(name) = declared_module(item) {
+                test_files.push(module_file(path, &name));
+            }
+            gated = None;
+        }
+    }
+    (lines, test_files)
+}
+
+/// `name` of a `mod name;` declaration (any visibility).
+fn declared_module(item: &str) -> Option<String> {
+    let rest = item.split_once("mod ")?.1.trim_start();
+    let name = rest.strip_suffix(';')?.trim();
+    name.chars()
+        .all(|c| c.is_alphanumeric() || c == '_')
+        .then(|| name.to_string())
+}
+
+/// The file of module `name` declared in `parent` (`name.rs` beside a
+/// `lib.rs`/`main.rs`/`mod.rs`, else in the directory named after `parent`).
+fn module_file(parent: &Path, name: &str) -> PathBuf {
+    let dir = parent.parent().expect("source files live in a directory");
+    let stem = parent.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+    let base = if matches!(stem, "lib" | "main" | "mod") {
+        dir.to_path_buf()
+    } else {
+        dir.join(stem)
+    };
+    base.join(format!("{name}.rs"))
 }
 
 /// `(kind, name)` of a public declaration line.
@@ -107,13 +159,20 @@ fn main() -> ExitCode {
     let mut shared = Vec::new();
     rs_files(&root.join("examples"), &mut shared);
     rs_files(&root.join("perfbench/src"), &mut shared);
-    let lines: Vec<Vec<String>> = files
-        .iter()
-        .map(|(p, _)| non_test_lines(p))
-        .chain(shared.iter().map(|p| non_test_lines(p)))
-        .collect();
+    let (mut lines, mut test_only) = (Vec::new(), HashSet::new());
+    for path in files.iter().map(|(p, _)| p).chain(&shared) {
+        let (text, tests) = split_test_items(path);
+        lines.push(text);
+        test_only.extend(tests);
+    }
+    // Files of test-only modules are test code: drop their lines.
+    for (i, (path, _)) in files.iter().enumerate() {
+        if test_only.contains(path) {
+            lines[i].clear();
+        }
+    }
 
-    let mut count = 0;
+    let (mut count, mut non_test) = (0, 0);
     let mut unused: BTreeMap<String, Vec<String>> = BTreeMap::new();
     for (c, dir) in crate_dirs.iter().enumerate() {
         let mut callers = HashSet::new();
@@ -126,6 +185,7 @@ fn main() -> ExitCode {
             if !path.starts_with(dir.join("src")) {
                 continue;
             }
+            non_test += lines[i].len();
             for (kind, name) in lines[i].iter().filter_map(|l| declaration(l)) {
                 count += 1;
                 if *owner == Some(c) && kind != "use" && !callers.contains(&name) {
@@ -138,6 +198,7 @@ fn main() -> ExitCode {
     }
 
     let total: usize = unused.values().map(Vec::len).sum();
+    println!("non-test lines: {non_test}");
     println!("public declarations: {count}");
     println!("public items without an outside caller: {total} (ceiling {CEILING})");
     for (file, items) in &unused {

@@ -243,6 +243,7 @@ fn replicate_error(err: &ServeError) -> ServeError {
             exceeded_by: *exceeded_by,
         },
         ServeError::Shutdown => ServeError::Shutdown,
+        ServeError::Internal(m) => ServeError::Internal(m.clone()),
     }
 }
 

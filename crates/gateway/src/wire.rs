@@ -142,6 +142,7 @@ fn error_kind(err: &ServeError) -> &'static str {
         ServeError::Overloaded { .. } => "overloaded",
         ServeError::Deadline { .. } => "deadline",
         ServeError::Shutdown => "shutdown",
+        ServeError::Internal(_) => "internal",
     }
 }
 

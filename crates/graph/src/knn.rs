@@ -51,7 +51,7 @@
 
 use crate::ann::{self, GraphBackend};
 use mtrl_linalg::par::{par_chunks_map, threads_for};
-use mtrl_linalg::vecops::{cosine, sq_dist};
+use mtrl_linalg::vecops::{cosine, dots, norm2, sq_dist};
 use mtrl_linalg::{Mat, MatF32, Precision};
 use mtrl_sparse::Csr;
 
@@ -705,21 +705,23 @@ pub fn graph_from_neighbours(
     };
     // Edge weights per row, computed with the same pairwise formulas as
     // the seed path (weights depend only on the neighbour pair, never on
-    // the chunking).
+    // the chunking). Cosine weights take each row's norm from one table.
+    let norms: Vec<f64> = match scheme {
+        WeightScheme::Cosine => (0..n).map(|i| norm2(data.row(i))).collect(),
+        _ => Vec::new(),
+    };
     let weights: Vec<Vec<f64>> = par_chunks_map(n, threads, |range| {
         range
             .map(|i| {
                 let xi = data.row(i);
-                neighbours[i]
-                    .iter()
-                    .map(|&j| match scheme {
-                        WeightScheme::Binary => 1.0,
-                        WeightScheme::HeatKernel { .. } => {
-                            (-sq_dist(xi, data.row(j)) / sigma).exp()
-                        }
-                        WeightScheme::Cosine => cosine(xi, data.row(j)).max(0.0),
-                    })
-                    .collect()
+                match scheme {
+                    WeightScheme::Binary => vec![1.0; neighbours[i].len()],
+                    WeightScheme::HeatKernel { .. } => neighbours[i]
+                        .iter()
+                        .map(|&j| (-sq_dist(xi, data.row(j)) / sigma).exp())
+                        .collect(),
+                    WeightScheme::Cosine => cosine_weights(data, &norms, i, &neighbours[i]),
+                }
             })
             .collect()
     });
@@ -737,6 +739,33 @@ pub fn graph_from_neighbours(
     // "or" symmetrisation: keep an edge if either endpoint chose it. Using
     // max avoids double-counting mutual neighbours.
     out.build().max_symmetrize()
+}
+
+/// `cosine(x_i, x_j).max(0.0)` for every neighbour `j` of row `i`, bit
+/// for bit: the row norms come from `norms`, and the dots run as four
+/// interleaved chains at a time, each summed in index order as `dot` does.
+fn cosine_weights(data: &Mat, norms: &[f64], i: usize, neigh: &[usize]) -> Vec<f64> {
+    // `vecops::cosine`'s rule on precomputed parts.
+    let weight = |dot: f64, j: usize| {
+        let (na, nb) = (norms[i], norms[j]);
+        if na < 1e-300 || nb < 1e-300 {
+            0.0
+        } else {
+            (dot / (na * nb)).clamp(-1.0, 1.0).max(0.0)
+        }
+    };
+    let xi = data.row(i);
+    let mut out = Vec::with_capacity(neigh.len());
+    let mut quads = neigh.chunks_exact(4);
+    for q in &mut quads {
+        let ds = dots(xi, [q[0], q[1], q[2], q[3]].map(|j| data.row(j)));
+        out.extend(q.iter().zip(ds).map(|(&j, d)| weight(d, j)));
+    }
+    for &j in quads.remainder() {
+        let [d] = dots(xi, [data.row(j)]);
+        out.push(weight(d, j));
+    }
+    out
 }
 
 /// Self-tuning bandwidth: mean squared neighbour distance across the graph.
@@ -1030,6 +1059,27 @@ mod tests {
                 pnn(&data, 4, scheme),
                 "{scheme:?}"
             );
+        }
+    }
+
+    #[test]
+    fn cosine_weights_match_vecops_cosine_bits() {
+        // Mixed-sign rows, some all-zero rows, and lists of every length
+        // mod 4 (p up to 9 on 23 rows).
+        let mut data = rand_uniform(23, 6, -1.0, 1.0, 94);
+        for i in [3, 17] {
+            data.row_mut(i).fill(0.0);
+        }
+        let norms: Vec<f64> = (0..data.rows()).map(|i| norm2(data.row(i))).collect();
+        for p in 0..10 {
+            let neighbours = knn(&data, p);
+            for (i, neigh) in neighbours.iter().enumerate() {
+                let fast = cosine_weights(&data, &norms, i, neigh);
+                for (&j, w) in neigh.iter().zip(fast) {
+                    let slow = cosine(data.row(i), data.row(j)).max(0.0);
+                    assert_eq!(w.to_bits(), slow.to_bits(), "p {p} edge ({i}, {j})");
+                }
+            }
         }
     }
 

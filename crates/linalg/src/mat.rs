@@ -290,18 +290,6 @@ impl Mat {
         })
     }
 
-    /// In-place `self += alpha * other`.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] when shapes differ.
-    pub fn axpy_inplace(&mut self, alpha: f64, other: &Mat) -> Result<()> {
-        self.check_same_shape("axpy", other)?;
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
     /// Sum of every entry.
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
@@ -594,14 +582,6 @@ mod tests {
         assert_eq!(a.add(&b).unwrap()[(1, 1)], 4.0);
         assert_eq!(a.sub(&b).unwrap()[(0, 0)], -2.0);
         assert!(a.add(&Mat::zeros(3, 3)).is_err());
-    }
-
-    #[test]
-    fn axpy() {
-        let mut a = Mat::filled(2, 2, 1.0);
-        let b = Mat::filled(2, 2, 3.0);
-        a.axpy_inplace(2.0, &b).unwrap();
-        assert_eq!(a[(0, 0)], 7.0);
     }
 
     #[test]

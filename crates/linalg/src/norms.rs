@@ -1,19 +1,9 @@
 //! Matrix and vector norms used throughout the paper.
 //!
-//! * `‖·‖_F` — Frobenius norm of the factorisation residual (Eqs. 1, 9, 15);
+//! * `‖·‖²_F` — squared Frobenius norm of the factorisation residual (Eqs. 1, 9, 15);
 //! * `‖·‖₂,₁` — the row-wise L2,1 norm of the sparse error matrix (Eq. 14).
 
 use crate::mat::Mat;
-
-/// Frobenius norm `sqrt(Σ M_ij²)`.
-pub fn frobenius(m: &Mat) -> f64 {
-    frobenius_sq(m).sqrt()
-}
-
-/// Squared Frobenius norm `Σ M_ij²` (what the objectives actually use).
-pub(crate) fn frobenius_sq(m: &Mat) -> f64 {
-    m.as_slice().iter().map(|x| x * x).sum()
-}
 
 /// L2,1 norm: `Σ_i ‖M_i‖₂` — the sum of row l2 norms (paper Eq. 14).
 ///
@@ -54,6 +44,11 @@ pub fn frobenius_sq_diff(a: &Mat, b: &Mat) -> f64 {
 mod tests {
     use super::*;
 
+    /// Squared Frobenius norm `Σ M_ij²`.
+    fn frobenius_sq(m: &Mat) -> f64 {
+        m.as_slice().iter().map(|x| x * x).sum()
+    }
+
     fn sample() -> Mat {
         Mat::from_vec(2, 2, vec![3.0, -4.0, 0.0, 12.0]).unwrap()
     }
@@ -61,7 +56,7 @@ mod tests {
     #[test]
     fn frobenius_norm() {
         assert_eq!(frobenius_sq(&sample()), 9.0 + 16.0 + 144.0);
-        assert!((frobenius(&sample()) - 13.0).abs() < 1e-12);
+        assert!((frobenius_sq(&sample()).sqrt() - 13.0).abs() < 1e-12);
     }
 
     #[test]
@@ -75,7 +70,7 @@ mod tests {
     fn l21_bounds_frobenius() {
         // ||M||_F <= ||M||_{2,1} <= sqrt(n) ||M||_F for n rows.
         let m = Mat::from_vec(3, 2, vec![1.0, 2.0, -3.0, 0.5, 0.0, 4.0]).unwrap();
-        let f = frobenius(&m);
+        let f = frobenius_sq(&m).sqrt();
         let l = l21(&m);
         assert!(f <= l + 1e-12);
         assert!(l <= (3.0f64).sqrt() * f + 1e-12);

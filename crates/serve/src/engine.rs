@@ -34,8 +34,13 @@
 //! exposed as a [`StatsSnapshot`] with p50/p99/max extraction. When
 //! `MTRL_OBS` is on, the same observations are mirrored into the
 //! global `mtrl-obs` registry under `serve.requests`,
-//! `serve.documents`, `serve.errors`, `serve.shed` (counters) and
-//! `serve.latency_ns`, `serve.busy_ns` (histograms).
+//! `serve.documents`, `serve.errors`, `serve.shed`, `serve.panics`
+//! (counters) and `serve.latency_ns`, `serve.busy_ns` (histograms).
+//!
+//! A job that panics inside a worker resolves to
+//! [`ServeError::Internal`] and counts as an error (and in
+//! `serve.panics`); the worker catches the panic and keeps serving, so
+//! the pool never shrinks.
 //!
 //! Shutdown: dropping the engine closes the queue, lets the workers
 //! drain what they already accepted, and joins them.
@@ -44,7 +49,9 @@ use crate::assign::{Assigner, SparseVec};
 use crate::error::ServeError;
 use mtrl_obs::{Histogram, HistogramSnapshot};
 use rhchme::export::FittedModel;
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
@@ -483,7 +490,15 @@ fn worker_loop(inner: &Inner) {
             }
         }
         let started = Instant::now();
-        let result = process(inner, &job.request, job.submitted);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            process(inner, &job.request, job.submitted)
+        }))
+        .unwrap_or_else(|payload| {
+            if mtrl_obs::enabled() {
+                mtrl_obs::global().add("serve.panics", 1);
+            }
+            Err(ServeError::Internal(panic_message(payload.as_ref())))
+        });
         let busy = started.elapsed();
         let latency = job.submitted.elapsed();
         let c = &inner.counters;
@@ -518,11 +533,24 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
+/// The text of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "worker panicked".to_string())
+}
+
 fn process(
     inner: &Inner,
     request: &AssignRequest,
     submitted: Instant,
 ) -> Result<AssignResponse, ServeError> {
+    #[cfg(test)]
+    if request.model == tests::PANICKING_MODEL {
+        panic!("injected panic for {}", tests::PANICKING_MODEL);
+    }
     let assigner = {
         let models = inner.models.read().unwrap_or_else(|e| e.into_inner());
         models
@@ -545,6 +573,9 @@ fn process(
 mod tests {
     use super::*;
     use crate::test_support::tiny_fitted_model;
+
+    /// Requests for this model name panic inside `process`.
+    pub(super) const PANICKING_MODEL: &str = "panics-in-worker";
 
     fn engine_with_model(name: &str, seed: u64) -> ServeEngine {
         let engine = ServeEngine::new(3);
@@ -824,5 +855,28 @@ mod tests {
             let response = engine.assign(name, 0, some_docs(4)).unwrap();
             assert_eq!(response.labels.len(), 4);
         }
+    }
+
+    #[test]
+    fn worker_survives_a_panicking_job() {
+        mtrl_obs::force_enable();
+        let engine = ServeEngine::new(1);
+        engine.register("m", tiny_fitted_model(61)).unwrap();
+        let err = engine
+            .assign(PANICKING_MODEL, 0, some_docs(2))
+            .expect_err("the job panics");
+        assert!(matches!(&err, ServeError::Internal(m) if m.contains("injected panic")));
+        assert_eq!(err.http_status(), 500);
+        // The one worker is still there and answers the next request.
+        let response = engine.assign("m", 0, some_docs(3)).unwrap();
+        assert_eq!(response.labels.len(), 3);
+        let stats = engine.stats();
+        assert_eq!((stats.errors, stats.requests), (1, 1));
+        assert_eq!(engine.num_workers(), 1);
+        let panics = mtrl_obs::global()
+            .counters_snapshot()
+            .into_iter()
+            .find(|(name, _)| name == "serve.panics");
+        assert_eq!(panics, Some(("serve.panics".to_string(), 1)));
     }
 }

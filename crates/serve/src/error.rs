@@ -18,6 +18,7 @@
 //! | [`ServeError::Io`]           | 500    | persistence I/O failure (not a request)    |
 //! | [`ServeError::Corrupt`]      | 500    | model bundle failed verification           |
 //! | [`ServeError::SchemaVersion`]| 500    | model bundle from an incompatible schema   |
+//! | [`ServeError::Internal`]     | 500    | the job panicked inside a serve worker     |
 //!
 //! The `Overloaded` variant carries a retry hint that the gateway
 //! surfaces as a `Retry-After` header; in-process callers can use it to
@@ -60,6 +61,9 @@ pub enum ServeError {
     },
     /// The engine is shutting down and can no longer accept work.
     Shutdown,
+    /// Serving the request panicked inside a worker (the message is the
+    /// panic's). The worker survives and serves the next request.
+    Internal(String),
 }
 
 impl ServeError {
@@ -72,7 +76,10 @@ impl ServeError {
             ServeError::Overloaded { .. } => 429,
             ServeError::Shutdown => 503,
             ServeError::Deadline { .. } => 504,
-            ServeError::Io(_) | ServeError::Corrupt(_) | ServeError::SchemaVersion { .. } => 500,
+            ServeError::Io(_)
+            | ServeError::Corrupt(_)
+            | ServeError::SchemaVersion { .. }
+            | ServeError::Internal(_) => 500,
         }
     }
 
@@ -106,6 +113,7 @@ impl fmt::Display for ServeError {
                 "deadline expired {exceeded_by:?} before the request was served"
             ),
             ServeError::Shutdown => write!(f, "serve engine is shut down"),
+            ServeError::Internal(msg) => write!(f, "internal error while serving: {msg}"),
         }
     }
 }
@@ -180,6 +188,7 @@ mod tests {
             ServeError::from(std::io::Error::other("x")).http_status(),
             500
         );
+        assert_eq!(ServeError::Internal("x".into()).http_status(), 500);
     }
 
     #[test]

@@ -364,7 +364,7 @@ mod tests {
         let b = sample().scaled(0.5);
         let c = a.lin_comb(2.0, &b, -1.0).unwrap();
         let mut expect = densify(&a).scaled(2.0);
-        expect.axpy_inplace(-1.0, &densify(&b)).unwrap();
+        mtrl_linalg::vecops::axpy(-1.0, densify(&b).as_slice(), expect.as_mut_slice());
         assert!(densify(&c).approx_eq(&expect, 1e-12));
         // Layout mismatch rejected.
         let d = SparseBlockDiag::new(vec![random_block(15, 86)]).unwrap();

@@ -519,7 +519,7 @@ impl Csr {
     pub fn max_symmetrize(&self) -> Csr {
         assert_eq!(self.rows, self.cols, "max_symmetrize requires square");
         let t = self.transpose();
-        let mut builder = crate::Coo::with_capacity(self.rows, self.cols, self.nnz() * 2);
+        let mut builder = CsrBuilder::with_capacity(self.rows, self.cols, self.nnz() * 2);
         for i in 0..self.rows {
             let (ca, va) = self.row(i);
             let (cb, vb) = t.row(i);
@@ -527,19 +527,20 @@ impl Csr {
             let (mut p, mut q) = (0, 0);
             while p < ca.len() || q < cb.len() {
                 if q >= cb.len() || (p < ca.len() && ca[p] < cb[q]) {
-                    builder.push(i, ca[p], va[p]);
+                    builder.push(ca[p], va[p]);
                     p += 1;
                 } else if p >= ca.len() || cb[q] < ca[p] {
-                    builder.push(i, cb[q], vb[q]);
+                    builder.push(cb[q], vb[q]);
                     q += 1;
                 } else {
-                    builder.push(i, ca[p], va[p].max(vb[q]));
+                    builder.push(ca[p], va[p].max(vb[q]));
                     p += 1;
                     q += 1;
                 }
             }
+            builder.finish_row();
         }
-        builder.to_csr()
+        builder.build()
     }
 
     /// `true` if `self` equals its transpose up to `tol`.
@@ -591,12 +592,13 @@ impl Quantize for Csr {
     }
 }
 
-/// Row-ordered CSR assembly for transformation code that already visits
-/// rows in order with strictly increasing columns (cheaper than a [`crate::Coo`]
-/// round-trip: no sort, no duplicate merge). Exact zeros are dropped on
-/// `push`, so built matrices keep the no-stored-zeros invariant — this
-/// is the one assembly path shared by `lin_comb`, `split_parts`,
-/// `mtrl-graph`'s Laplacian and pNN construction.
+/// Row-ordered CSR assembly for code that visits rows in order with
+/// strictly increasing columns (cheaper than a [`crate::Coo`] round-trip:
+/// no sort, no duplicate merge). Exact zeros are dropped on `push`, so
+/// built matrices keep the no-stored-zeros invariant — this is the one
+/// assembly path shared by `lin_comb`, `split_parts`, `max_symmetrize`,
+/// `mtrl-graph`'s Laplacian and pNN construction and `mtrl-datagen`'s
+/// corpus generator.
 pub struct CsrBuilder {
     rows: usize,
     cols: usize,
@@ -639,12 +641,15 @@ impl CsrBuilder {
         self.indptr.push(self.indices.len());
     }
 
-    /// Finalise, checking every CSR invariant.
+    /// Finalise, checking every CSR invariant. Storage reserved beyond
+    /// the pushed entries is released.
     ///
     /// # Panics
     /// Panics if fewer/more than `rows` rows were finished or columns
     /// were not strictly increasing within a row.
-    pub fn build(self) -> Csr {
+    pub fn build(mut self) -> Csr {
+        self.indices.shrink_to_fit();
+        self.values.shrink_to_fit();
         Csr::from_raw_parts(self.rows, self.cols, self.indptr, self.indices, self.values)
     }
 }
@@ -657,6 +662,7 @@ mod tests {
     use mtrl_linalg::block::BlockSpec;
     use mtrl_linalg::ops::matmul;
     use mtrl_linalg::random::rand_uniform;
+    use proptest::prelude::*;
     use std::borrow::Cow;
 
     /// The scalar loop the register SpMM replaced: rows of `out`
@@ -933,6 +939,52 @@ mod tests {
         for (i, j, v) in g.iter() {
             assert!(sym.get(i, j) >= v - 1e-15);
             assert!(sym.get(j, i) >= v - 1e-15);
+        }
+    }
+
+    /// The triplet assembly `max_symmetrize` replaced: the same merge,
+    /// pushed into a `Coo` and sorted on finish.
+    fn max_symmetrize_coo(a: &Csr) -> Csr {
+        let t = a.transpose();
+        let mut coo = Coo::with_capacity(a.rows(), a.cols(), a.nnz() * 2);
+        for i in 0..a.rows() {
+            let (ca, va) = a.row(i);
+            let (cb, vb) = t.row(i);
+            let (mut p, mut q) = (0, 0);
+            while p < ca.len() || q < cb.len() {
+                if q >= cb.len() || (p < ca.len() && ca[p] < cb[q]) {
+                    coo.push(i, ca[p], va[p]);
+                    p += 1;
+                } else if p >= ca.len() || cb[q] < ca[p] {
+                    coo.push(i, cb[q], vb[q]);
+                    q += 1;
+                } else {
+                    coo.push(i, ca[p], va[p].max(vb[q]));
+                    p += 1;
+                    q += 1;
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn max_symmetrize_matches_coo_assembly(
+            n in 0usize..40,
+            density in 0.0f64..1.0,
+            seed in any::<u64>()
+        ) {
+            let mut a = random_sparse(n, n, density, seed);
+            // A symmetric input makes every entry tie with its mirror.
+            if seed.is_multiple_of(2) {
+                a = a.lin_comb(1.0, &a.transpose(), 1.0);
+            }
+            let (fast, slow) = (a.max_symmetrize(), max_symmetrize_coo(&a));
+            prop_assert_eq!(&fast, &slow);
+            prop_assert!(fast.values.iter().zip(&slow.values).all(|(x, y)| x.to_bits() == y.to_bits()));
         }
     }
 

@@ -9,7 +9,9 @@
 //! a real sparse representation to honour it.
 //!
 //! Four types:
-//! * [`Coo`] — a triplet builder (push `(i, j, v)` in any order);
+//! * [`Coo`] — a triplet builder (push `(i, j, v)` in any order; sorts
+//!   on finish, so only tests and reference paths use it — program
+//!   paths assemble row by row through [`CsrBuilder`]);
 //! * [`Csr`] — compressed sparse row storage with the products the engine
 //!   needs (parallel CSR×dense, quadratic forms, linear combinations,
 //!   positive/negative splits, `spmv`, transpose, row reductions);

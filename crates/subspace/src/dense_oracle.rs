@@ -14,6 +14,7 @@
 use super::SpgConfig;
 use mtrl_linalg::ops::{matmul, row_gram};
 use mtrl_linalg::random::rand_uniform;
+use mtrl_linalg::vecops::{axpy, norm2};
 use mtrl_linalg::{LinalgError, Mat};
 
 /// Output of the dense solver.
@@ -56,11 +57,11 @@ pub(crate) fn spg_dense(data: &Mat, cfg: &SpgConfig) -> Result<DenseSpg, LinalgE
     for it in 0..cfg.max_iter {
         iterations = it + 1;
         let mut trial = w.clone();
-        trial.axpy_inplace(-sigma, &grad)?;
+        axpy(-sigma, grad.as_slice(), trial.as_mut_slice());
         project_inplace(&mut trial);
         let d = trial.sub(&w)?;
 
-        if mtrl_linalg::norms::frobenius(&d) <= scale_tol {
+        if norm2(d.as_slice()) <= scale_tol {
             trace.push(obj);
             break;
         }
@@ -81,9 +82,9 @@ pub(crate) fn spg_dense(data: &Mat, cfg: &SpgConfig) -> Result<DenseSpg, LinalgE
         let mut accepted = false;
         for _ in 0..30 {
             let mut w_try = w.clone();
-            w_try.axpy_inplace(ell, &d)?;
+            axpy(ell, d.as_slice(), w_try.as_mut_slice());
             let mut m_try = m.clone();
-            m_try.axpy_inplace(ell, &dk)?;
+            axpy(ell, dk.as_slice(), m_try.as_mut_slice());
             let obj_try = objective(&w_try, &m_try, &k, tr_k, cfg.gamma);
             if obj_try <= f_max + cfg.armijo * ell * gd {
                 let grad_new = gradient(&w_try, &m_try, &k, cfg.gamma);

@@ -64,7 +64,7 @@ pub(crate) fn solve_unfused(k: &Mat, support: &Support, cfg: &SpgConfig) -> SpgR
             for (i, &a) in support.diag.iter().enumerate() {
                 d[(i, a)] = 0.0;
             }
-            if mtrl_linalg::norms::frobenius(&d) <= scale_tol {
+            if mtrl_linalg::vecops::norm2(d.as_slice()) <= scale_tol {
                 break 'step false;
             }
             // ⟨∇, D⟩ for the Armijo condition (must be negative by
