@@ -15,7 +15,7 @@
 use mtrl_bench::{print_table, section, write_json};
 use mtrl_datagen::manifold::{two_circles, union_of_subspaces, NOISE_LABEL};
 use mtrl_graph::{pnn_graph, GraphBackend, WeightScheme};
-use mtrl_linalg::{Mat, Precision};
+use mtrl_linalg::Mat;
 use mtrl_subspace::{spg_affinity, SpgConfig};
 
 fn main() {
@@ -32,7 +32,6 @@ fn main() {
         5,
         WeightScheme::HeatKernel { sigma: -1.0 },
         &GraphBackend::Exact,
-        Precision::F64,
     );
     let spg = spg_affinity(
         &lifted,
@@ -105,7 +104,6 @@ fn main() {
         5,
         WeightScheme::HeatKernel { sigma: -1.0 },
         &GraphBackend::Exact,
-        Precision::F64,
     );
     let spg_s = spg_affinity(
         &sub_pts,

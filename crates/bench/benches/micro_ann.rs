@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mtrl_graph::{pnn_graph, GraphBackend, RpForestParams, WeightScheme};
 use mtrl_linalg::random::rand_uniform;
-use mtrl_linalg::{Mat, Precision};
+use mtrl_linalg::Mat;
 use std::hint::black_box;
 
 fn quick_mode() -> bool {
@@ -33,9 +33,8 @@ fn bench_ann_build(c: &mut Criterion) {
         &[2000, 20_000, 50_000]
     };
     let forest = GraphBackend::RpForest(RpForestParams::default());
-    let build = |data: &Mat, backend: &GraphBackend| {
-        pnn_graph(data, 5, WeightScheme::Cosine, backend, Precision::F64)
-    };
+    let build =
+        |data: &Mat, backend: &GraphBackend| pnn_graph(data, 5, WeightScheme::Cosine, backend);
     let mut group = c.benchmark_group("ann_pnn_p5_d32");
     group.sample_size(10);
     for &n in sizes {

@@ -13,24 +13,18 @@ use mtrl_graph::{
 };
 use mtrl_linalg::par::{num_threads, set_num_threads};
 use mtrl_linalg::random::rand_uniform;
-use mtrl_linalg::{Mat, Precision};
+use mtrl_linalg::Mat;
 use mtrl_sparse::Csr;
 use std::hint::black_box;
 
-/// The exact pNN build (`p = 5`, cosine) at `precision` on the pool.
-fn exact_pnn(data: &Mat, precision: Precision) -> Csr {
-    pnn_graph(
-        data,
-        5,
-        WeightScheme::Cosine,
-        &GraphBackend::Exact,
-        precision,
-    )
+/// The exact pNN build (`p = 5`, cosine) on the pool.
+fn exact_pnn(data: &Mat) -> Csr {
+    pnn_graph(data, 5, WeightScheme::Cosine, &GraphBackend::Exact)
 }
 
-/// The exact `p = 5` neighbour search at `precision` on the pool.
-fn exact_knn(data: &Mat, precision: Precision) -> Vec<Vec<usize>> {
-    knn_indices(data, 5, &GraphBackend::Exact, precision)
+/// The exact `p = 5` neighbour search on the pool.
+fn exact_knn(data: &Mat) -> Vec<Vec<usize>> {
+    knn_indices(data, 5, &GraphBackend::Exact)
 }
 
 /// `f` with the kernel pool at `threads` workers. Every input here is
@@ -41,24 +35,12 @@ fn on_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Fraction of f64 neighbour slots the f32 lists keep.
-fn f32_slot_agreement(data: &Mat) -> (usize, usize) {
-    let nn64 = exact_knn(data, Precision::F64);
-    let nn32 = on_threads(4, || exact_knn(data, Precision::F32));
-    let (mut shared, mut total) = (0usize, 0usize);
-    for (a, b) in nn64.iter().zip(&nn32) {
-        total += a.len();
-        shared += a.iter().filter(|j| b.contains(j)).count();
-    }
-    (shared, total)
-}
-
 fn bench_pnn(c: &mut Criterion) {
     let mut group = c.benchmark_group("pnn_graph_p5");
     for &n in &[200usize, 500] {
         let data = rand_uniform(n, 64, 0.0, 1.0, 11);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, _| {
-            bencher.iter(|| exact_pnn(black_box(&data), Precision::F64));
+            bencher.iter(|| exact_pnn(black_box(&data)));
         });
     }
     group.finish();
@@ -75,89 +57,41 @@ fn bench_pnn_scaling(c: &mut Criterion) {
     let reference = pnn_graph_brute_reference(&data, 5, WeightScheme::Cosine);
     for threads in [1usize, 2, 4] {
         assert_eq!(
-            on_threads(threads, || exact_pnn(&data, Precision::F64)),
+            on_threads(threads, || exact_pnn(&data)),
             reference,
             "blocked kernel (t={threads}) diverged from the seed path"
         );
     }
-
-    // The f32-storage kernel legs: before timing, pin cross-thread
-    // bitwise determinism within f32 mode and check the f32 neighbour
-    // lists against the f64 reference — quantisation may only reorder
-    // near-ties, so the lists must agree on (effectively) every slot.
-    let f32_ref = on_threads(1, || exact_pnn(&data, Precision::F32));
-    for threads in [2usize, 4] {
-        assert_eq!(
-            on_threads(threads, || exact_pnn(&data, Precision::F32)),
-            f32_ref,
-            "f32 kernel (t={threads}) is not thread-count deterministic"
-        );
-    }
-    let (shared, total) = f32_slot_agreement(&data);
-    assert!(
-        shared as f64 >= 0.999 * total as f64,
-        "f32 neighbour lists diverged from f64: {shared}/{total} slots agree"
-    );
 
     let mut group = c.benchmark_group("pnn_scaling_n2000_d64_p5");
     group.sample_size(10);
     group.bench_function("seed_serial", |bencher| {
         bencher.iter(|| pnn_graph_brute_reference(black_box(&data), 5, WeightScheme::Cosine));
     });
-    for (prefix, precision) in [("blocked", Precision::F64), ("blocked_f32", Precision::F32)] {
-        for threads in [1usize, 2, 4] {
-            group.bench_function(format!("{prefix}_t{threads}"), |bencher| {
-                set_num_threads(threads);
-                bencher.iter(|| exact_pnn(black_box(&data), precision));
-            });
-        }
+    for threads in [1usize, 2, 4] {
+        group.bench_function(format!("blocked_t{threads}"), |bencher| {
+            set_num_threads(threads);
+            bencher.iter(|| exact_pnn(black_box(&data)));
+        });
     }
     group.finish();
     set_num_threads(pool);
 }
 
-/// The acceptance benchmark of the mixed-precision backend: the Gram
-/// distance chain (`knn_indices`, the kernel the pNN construction spends
-/// its time in) at `n = 2000, d = 256`, where `Xᵀ` is 4 MiB in `f64`
-/// (spills the 2 MiB L2) but 2 MiB in `f32`. Here the halved element
-/// width plus the f32 kernel's wider row-grouping make the
-/// storage-bandwidth win visible: the committed baseline must show
-/// `knn_f32_t1` ≥ 1.3× faster than `knn_t1`. The group times the kernel
-/// itself rather than `pnn_graph` because edge weighting runs on raw
-/// `f64` rows in *both* modes (identical cost, no precision knob) and
-/// would only dilute the measured contrast. (The `d = 64` scaling group
-/// above stays compute-bound — both transposes fit in L2 — which is
-/// exactly why this group exists.)
+/// The Gram distance chain (`knn_indices`, the kernel the pNN
+/// construction spends its time in) at `n = 2000, d = 256`, where `Xᵀ`
+/// is 4 MiB and spills the 2 MiB L2 — the bandwidth-bound shape the
+/// compute-bound `d = 64` scaling group above never reaches. The group
+/// times the search alone: edge weighting would only dilute it.
 fn bench_pnn_gram_bandwidth(c: &mut Criterion) {
     let pool = num_threads();
     let data = rand_uniform(2000, 256, 0.0, 1.0, 11);
-
-    // Same pre-timing contract as the scaling group, at this shape:
-    // f32 mode is thread-count deterministic and its neighbour lists
-    // agree with f64 on effectively every slot.
-    let f32_ref = on_threads(1, || exact_pnn(&data, Precision::F32));
-    assert_eq!(
-        on_threads(4, || exact_pnn(&data, Precision::F32)),
-        f32_ref,
-        "f32 kernel (t=4) is not thread-count deterministic at d=256"
-    );
-    set_num_threads(pool);
-    let (shared, total) = f32_slot_agreement(&data);
-    assert!(
-        shared as f64 >= 0.999 * total as f64,
-        "f32 neighbour lists diverged from f64 at d=256: {shared}/{total} slots agree"
-    );
-
     let mut group = c.benchmark_group("pnn_gram_n2000_d256_p5");
     group.sample_size(10);
     for threads in [1usize, 4] {
         group.bench_function(format!("knn_t{threads}"), |bencher| {
             set_num_threads(threads);
-            bencher.iter(|| exact_knn(black_box(&data), Precision::F64));
-        });
-        group.bench_function(format!("knn_f32_t{threads}"), |bencher| {
-            set_num_threads(threads);
-            bencher.iter(|| exact_knn(black_box(&data), Precision::F32));
+            bencher.iter(|| exact_knn(black_box(&data)));
         });
     }
     group.finish();
@@ -173,15 +107,7 @@ fn bench_weight_schemes(c: &mut Criterion) {
         ("cosine", WeightScheme::Cosine),
     ] {
         group.bench_function(name, |bencher| {
-            bencher.iter(|| {
-                pnn_graph(
-                    black_box(&data),
-                    5,
-                    scheme,
-                    &GraphBackend::Exact,
-                    Precision::F64,
-                )
-            });
+            bencher.iter(|| pnn_graph(black_box(&data), 5, scheme, &GraphBackend::Exact));
         });
     }
     group.finish();
@@ -189,7 +115,7 @@ fn bench_weight_schemes(c: &mut Criterion) {
 
 fn bench_laplacian(c: &mut Criterion) {
     let data = rand_uniform(400, 32, 0.0, 1.0, 13);
-    let w = exact_pnn(&data, Precision::F64);
+    let w = exact_pnn(&data);
     c.bench_function("laplacian_csr_sym_normalized_400", |bencher| {
         bencher.iter(|| laplacian_csr(black_box(&w), LaplacianKind::SymNormalized));
     });
@@ -200,7 +126,7 @@ fn bench_laplacian(c: &mut Criterion) {
 /// dense block product they replaced.
 fn bench_spmm_quad(c: &mut Criterion) {
     let data = rand_uniform(2000, 32, 0.0, 1.0, 14);
-    let w = exact_pnn(&data, Precision::F64);
+    let w = exact_pnn(&data);
     let l = laplacian_csr(&w, LaplacianKind::SymNormalized);
     let l_dense = l.to_dense();
     let g = rand_uniform(2000, 16, 0.0, 1.0, 15);

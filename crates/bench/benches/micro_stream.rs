@@ -14,7 +14,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mtrl_datagen::corpus::{generate, CorpusConfig};
 use mtrl_graph::{laplacian_csr, pnn_graph, GraphBackend, LaplacianKind, WeightScheme};
 use mtrl_linalg::random::rand_uniform;
-use mtrl_linalg::Precision;
 use mtrl_stream::{warm_membership, DynamicGraph, DynamicGraphConfig};
 use rhchme::rhchme::WarmStart;
 use rhchme::{MultiTypeData, Rhchme, RhchmeConfig};
@@ -45,13 +44,7 @@ fn bench_insert(c: &mut Criterion) {
         assert!(!report.rebuilt, "batch insert must stay incremental");
         assert_eq!(
             grown.graph(),
-            pnn_graph(
-                &data,
-                5,
-                WeightScheme::Cosine,
-                &GraphBackend::Exact,
-                Precision::F64
-            ),
+            pnn_graph(&data, 5, WeightScheme::Cosine, &GraphBackend::Exact),
             "incremental graph diverged from the batch build"
         );
     }
@@ -72,7 +65,6 @@ fn bench_insert(c: &mut Criterion) {
                 5,
                 WeightScheme::Cosine,
                 &GraphBackend::Exact,
-                Precision::F64,
             )
         });
     });
@@ -96,7 +88,6 @@ fn bench_laplacian_refresh(c: &mut Criterion) {
                 5,
                 WeightScheme::Cosine,
                 &GraphBackend::Exact,
-                Precision::F64,
             );
             laplacian_csr(&w, LaplacianKind::SymNormalized)
         });
@@ -136,7 +127,7 @@ fn bench_refit(c: &mut Criterion) {
         WeightScheme::Cosine,
         LaplacianKind::SymNormalized,
         &GraphBackend::Exact,
-        Precision::F64,
+        Default::default(),
     )
     .expect("laplacian");
     let survivors: Vec<Vec<Option<usize>>> = data

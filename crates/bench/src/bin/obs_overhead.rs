@@ -24,7 +24,6 @@
 use mtrl_graph::{pnn_graph, GraphBackend, WeightScheme};
 use mtrl_linalg::block::stack_membership;
 use mtrl_linalg::random::rand_uniform;
-use mtrl_linalg::Precision;
 use mtrl_sparse::CsrBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -193,7 +192,6 @@ fn main() -> ExitCode {
             5,
             WeightScheme::Cosine,
             &GraphBackend::Exact,
-            Precision::F64,
         ));
     });
     let legs: Vec<(&str, Paired)> = vec![

@@ -21,7 +21,7 @@ use mtrl_linalg::norms::frobenius_sq_diff;
 use mtrl_linalg::ops::{gram, matmul, matmul_tn};
 use mtrl_linalg::parts::split_parts;
 use mtrl_linalg::solve::ridge_inverse;
-use mtrl_linalg::{Mat, Precision, EPS};
+use mtrl_linalg::{Mat, EPS};
 use mtrl_sparse::Csr;
 
 /// Which feature space DRCC clusters against.
@@ -125,24 +125,12 @@ pub(crate) fn run_drcc(r: &Mat, cfg: &DrccConfig) -> Result<DrccResult> {
     // Graph Laplacians: documents over rows, features over columns —
     // sparse end to end, like the HOCC engine.
     let l_g = laplacian_csr(
-        &pnn_graph(
-            r,
-            cfg.p,
-            WeightScheme::Cosine,
-            &GraphBackend::Exact,
-            Precision::F64,
-        ),
+        &pnn_graph(r, cfg.p, WeightScheme::Cosine, &GraphBackend::Exact),
         LaplacianKind::SymNormalized,
     );
     let rt = r.transpose();
     let l_f = laplacian_csr(
-        &pnn_graph(
-            &rt,
-            cfg.p,
-            WeightScheme::Cosine,
-            &GraphBackend::Exact,
-            Precision::F64,
-        ),
+        &pnn_graph(&rt, cfg.p, WeightScheme::Cosine, &GraphBackend::Exact),
         LaplacianKind::SymNormalized,
     );
     let (lg_pos, lg_neg) = l_g.split_parts();

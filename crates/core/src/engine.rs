@@ -88,8 +88,8 @@
 //!   `(1 − f_i)·(R·G)_ij`) — can come out `-0` where a dropped `+0` would
 //!   have made it `+0`; such an entry is summed again in full width;
 //! * a non-finite operand turns a dropped `0·x` into NaN. [`run_engine`]
-//!   therefore rejects a non-finite `G0` or `R` (at the fit's precision)
-//!   and a `G0` with a nonzero outside its type's columns, and returns
+//!   therefore rejects a non-finite `G0` or `R` and a `G0` with a
+//!   nonzero outside its type's columns, and returns
 //!   [`RhchmeError::Diverged`] as soon as `G` or `S` is non-finite.
 //!   (A product that overflows to `±∞` from finite operands is the one
 //!   case this does not cover.)
@@ -168,10 +168,9 @@ use mtrl_linalg::ops::{g_s_gt, gram, matmul, matmul_block, matmul_tn, matmul_tn_
 use mtrl_linalg::simplex::project_simplex;
 use mtrl_linalg::solve::ridge_inverse;
 use mtrl_linalg::vecops;
-use mtrl_linalg::{Mat, Precision, Quantize, EPS};
+use mtrl_linalg::{Mat, Precision, EPS};
 use mtrl_obs::{FitTelemetry, IterTelemetry};
 use mtrl_sparse::{Csr, RowSparse, SparseBlockDiag};
-use std::borrow::Cow;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -275,18 +274,8 @@ pub struct EngineConfig {
     /// stored. Keeps the export at `O(active · n)` — under the ℓ2,1
     /// model only outlier (corrupted) rows clear half the maximum.
     pub error_export_rel: f64,
-    /// Operand precision of the iteration hot loops. [`Precision::F32`]
-    /// quantises the SpMM / low-rank / residual / regulariser operands
-    /// through `f32` — `R` and a fixed `(L, L⁺, L⁻)` once per fit, the
-    /// `G`, `R·G`, `R·G·Sᵀ` and low-rank factor snapshots at their
-    /// point of use — and runs the ordinary `f64` kernels on them, so
-    /// it keeps a quantised `f64` copy of `R` beside the caller's.
-    /// Iterates (`G`, `S`) and the small dense algebra stay
-    /// unquantised. The RMC ensemble regulariser re-optimises its
-    /// combination every iteration and reads unquantised `G` in both
-    /// modes. Runs remain bit-identical across thread counts *within*
-    /// each mode; the two modes produce different (both valid) descent
-    /// paths.
+    /// Operand precision; [`Precision`] has the one value `F64`, which
+    /// every kernel of the loop runs in.
     pub precision: Precision,
 }
 
@@ -395,14 +384,12 @@ fn validate_common(
 /// The per-iteration regulariser state shared by both engine paths.
 enum RegState<'a> {
     None,
-    /// A fixed Laplacian and its part split, computed once and quantised
-    /// at `precision`. In F64 mode the Laplacian is **borrowed** from the
-    /// caller's [`GraphRegularizer`] — a fit never deep-copies the
-    /// `O(p·n)` triplets (the split parts are new matrices by
-    /// necessity). The parts are split from the unquantised Laplacian,
-    /// then quantised.
+    /// A fixed Laplacian and its part split, computed once. The
+    /// Laplacian is **borrowed** from the caller's [`GraphRegularizer`]
+    /// — a fit never deep-copies the `O(p·n)` triplets (the split parts
+    /// are new matrices by necessity).
     Fixed {
-        l: Cow<'a, SparseBlockDiag>,
+        l: &'a SparseBlockDiag,
         lp: SparseBlockDiag,
         lm: SparseBlockDiag,
     },
@@ -412,18 +399,12 @@ enum RegState<'a> {
 }
 
 impl<'a> RegState<'a> {
-    fn new(reg: &'a GraphRegularizer, precision: Precision, clusters: &BlockSpec) -> Self {
+    fn new(reg: &'a GraphRegularizer, clusters: &BlockSpec) -> Self {
         match reg {
             GraphRegularizer::None => RegState::None,
             GraphRegularizer::Fixed(l) => {
-                let (mut lp, mut lm) = l.split_parts();
-                lp.quantize(precision);
-                lm.quantize(precision);
-                RegState::Fixed {
-                    l: precision.quantized(l),
-                    lp,
-                    lm,
-                }
+                let (lp, lm) = l.split_parts();
+                RegState::Fixed { l, lp, lm }
             }
             GraphRegularizer::Ensemble { candidates, mu } => {
                 RegState::Ensemble(UnionEnsemble::new(candidates, *mu, clusters))
@@ -440,39 +421,34 @@ impl<'a> RegState<'a> {
         }
     }
 
-    /// The `(L⁺, L⁻)` this iteration's update multiplies `G` by, and
-    /// whether it reads `G` quantised: the fixed operator reads `G`
-    /// quantised like itself; the ensemble, whose combination is rebuilt
-    /// from `G` in `f64` every iteration, reads it unquantised. `None`
+    /// The `(L⁺, L⁻)` this iteration's update multiplies `G` by, `None`
     /// without a regulariser.
-    fn parts(&self) -> Option<(&SparseBlockDiag, &SparseBlockDiag, bool)> {
+    fn parts(&self) -> Option<(&SparseBlockDiag, &SparseBlockDiag)> {
         match self {
             RegState::None => None,
-            RegState::Fixed { lp, lm, .. } => Some((lp, lm, true)),
+            RegState::Fixed { lp, lm, .. } => Some((lp, lm)),
             RegState::Ensemble(ens) => {
                 let (lp, lm) = ens.parts.as_ref().expect("resolved before use");
-                Some((lp, lm, false))
+                Some((lp, lm))
             }
         }
     }
 
     /// `(L⁺·G, L⁻·G)` in full width for the dense reference's
-    /// multiplicative update (which runs in F64), `None` without a
-    /// regulariser.
+    /// multiplicative update, `None` without a regulariser.
     fn part_products(&self, g: &Mat) -> Result<Option<(Mat, Mat)>> {
-        let Some((lp, lm, _)) = self.parts() else {
+        let Some((lp, lm)) = self.parts() else {
             return Ok(None);
         };
         Ok(Some((lp.mul_dense(g)?, lm.mul_dense(g)?)))
     }
 
     /// The regulariser trace `tr(GᵀLG)` of the objective (0 without a
-    /// regulariser), at the operand precision of [`Self::parts`]: the
-    /// fixed operator reads `g_q`, `G` at the fit's precision.
-    fn trace(&mut self, g: &Mat, g_q: &Mat, clusters: &BlockSpec) -> Result<f64> {
+    /// regulariser).
+    fn trace(&mut self, g: &Mat, clusters: &BlockSpec) -> Result<f64> {
         Ok(match self {
             RegState::None => 0.0,
-            RegState::Fixed { l, .. } => l.trace_quad(g_q, clusters)?,
+            RegState::Fixed { l, .. } => l.trace_quad(g, clusters)?,
             RegState::Ensemble(ens) => ens.trace(g),
         })
     }
@@ -820,9 +796,8 @@ fn multiplicative_update(
 /// # Errors
 /// * [`RhchmeError::InvalidData`] / [`RhchmeError::InvalidConfig`] on
 ///   shape or parameter violations, a `G0` entry that is non-finite or
-///   nonzero outside its type's cluster columns, an `R` value that is
-///   non-finite at the fit's precision, or a Laplacian whose blocks are
-///   not the object types;
+///   nonzero outside its type's cluster columns, a non-finite `R`
+///   value, or a Laplacian whose blocks are not the object types;
 /// * [`RhchmeError::Diverged`] if an iterate (`G` or `S`) becomes
 ///   non-finite.
 pub fn run_engine(
@@ -861,17 +836,8 @@ pub fn run_engine(
             types.sizes()
         )));
     }
-    // Operand precision (see [`EngineConfig::precision`]): `R` and a
-    // fixed regulariser are quantised once here; the `G`-derived
-    // operands are quantised where each product reads them. F64 mode
-    // borrows everything.
-    let prec = cfg.precision;
-    let r_q = prec.quantized(r);
-    if r_q.iter().any(|(_, _, v)| !v.is_finite()) {
-        return Err(RhchmeError::InvalidData(format!(
-            "R has a non-finite value at {} precision",
-            prec.key()
-        )));
+    if r.iter().any(|(_, _, v)| !v.is_finite()) {
+        return Err(RhchmeError::InvalidData("R has a non-finite value".into()));
     }
 
     // Observability (reads-only; skipped entirely when MTRL_OBS is off —
@@ -883,14 +849,12 @@ pub fn run_engine(
 
     let mut g = g0;
     let mut s = Mat::zeros(c, c);
-    let mut reg_state = RegState::new(reg, prec, clusters);
+    let mut reg_state = RegState::new(reg, clusters);
     let mut ensemble_weights: Option<Vec<f64>> = None;
 
-    // Row structure of R for the residual trace identity — of the
-    // quantised R, so the identity's three terms see one consistent
-    // operand.
+    // Row structure of R for the residual trace identity.
     let r_row_sq: Vec<f64> = (0..n)
-        .map(|i| r_q.row(i).1.iter().map(|v| v * v).sum())
+        .map(|i| r.row(i).1.iter().map(|v| v * v).sum())
         .collect();
 
     // Implicit E_R: shrinkage factors f plus the previous iterate's
@@ -906,35 +870,24 @@ pub fn run_engine(
     // The loop's n x c operands, allocated once per fit. Every product
     // below reads and writes each type's own rows and cluster columns
     // only; entries outside them are never read.
-    //   `g_q`  — G at the fit's precision (F32 mode only);
     //   `rg`   — R·G for the current G, refreshed after every update and
-    //            shared by the residual of iteration t and step 3 of t+1
-    //            (quantised in place in between when E_R is on);
+    //            shared by the residual of iteration t and step 3 of t+1;
     //   `u`, `m1` — U = G·S and (R − E_R)·G (E_R only);
     //   `prod`, `gb_pos`, `gb_neg` — the update's A = m1·Sᵀ and G·B±,
     //            reused by the residual for R·G·Sᵀ and G·Mᵀ;
     //   `lg`   — (L⁺·G, L⁻·G) with a regulariser;
-    //   `g_blocks` — each type's own block of G at the fit's precision,
-    //            packed (`n_k x c_k`), the right operand of R·G and of a
-    //            fixed L±·G; `raw_blocks` the same unquantised, for the
-    //            ensemble's L±·G in F32 mode.
-    let mut g_q = (!prec.is_f64()).then(|| {
-        let mut q = g.clone();
-        q.quantize(prec);
-        q
-    });
+    //   `g_blocks` — each type's own block of G, packed (`n_k x c_k`),
+    //            the right operand of R·G and of L±·G.
     let mut g_blocks: Vec<Mat> = blocks
         .iter()
         .map(|(rows, cols)| Mat::zeros(rows.len(), cols.len()))
         .collect();
-    let mut raw_blocks = (!prec.is_f64() && matches!(reg, GraphRegularizer::Ensemble { .. }))
-        .then(|| g_blocks.clone());
     // R cut into type blocks once: block (k, l) of R·G is R_kl times
     // G's packed block l, in type k's rows and type l's cluster columns.
     // Empty blocks (R has no type-self blocks) are never written, so
     // their entries of R·G stay +0.
-    let r_blocks = r_q.split_blocks(types, types);
-    pack_blocks(g_q.as_ref().unwrap_or(&g), &blocks, &mut g_blocks);
+    let r_blocks = r.split_blocks(types, types);
+    pack_blocks(&g, &blocks, &mut g_blocks);
     let mut rg = Mat::zeros(n, c);
     typed_spmm(&r_blocks, &g_blocks, &blocks, &mut rg);
     let mut lowrank = cfg
@@ -972,7 +925,6 @@ pub fn run_engine(
                 for (rows, cols) in &blocks {
                     matmul_block(&g, &s, rows.clone(), cols.clone(), 0..c, u);
                 }
-                u.quantize(prec);
                 for (_, cols) in &blocks {
                     diag_lowrank_combine_block(
                         &one_minus_f,
@@ -1025,16 +977,9 @@ pub fn run_engine(
                 &mut gb_neg,
             );
         }
-        if let (Some((lp, lm, quantized)), Some((lpg, lmg))) = (reg_state.parts(), lg.as_mut()) {
-            let g_l = match raw_blocks.as_mut() {
-                Some(raw) if !quantized => {
-                    pack_blocks(&g, &blocks, raw);
-                    raw
-                }
-                _ => &g_blocks,
-            };
-            lp.mul_typed(g_l, clusters, lpg)?;
-            lm.mul_typed(g_l, clusters, lmg)?;
+        if let (Some((lp, lm)), Some((lpg, lmg))) = (reg_state.parts(), lg.as_mut()) {
+            lp.mul_typed(&g_blocks, clusters, lpg)?;
+            lm.mul_typed(&g_blocks, clusters, lmg)?;
         }
         // G stays finite outside its own blocks (zeros never move), so
         // the updated entries decide divergence.
@@ -1069,12 +1014,7 @@ pub fn run_engine(
         // ---- Steps 6-7: E_R update (Eqs. 25-27), trace form ----------
         // Refresh R·G and GᵀG for the updated G (also next iteration's
         // step 3 — neither is recomputed there).
-        if let Some(q) = g_q.as_mut() {
-            q.as_mut_slice().copy_from_slice(g.as_slice());
-            q.quantize(prec);
-        }
-        let g_cur_q = g_q.as_ref().unwrap_or(&g);
-        pack_blocks(g_cur_q, &blocks, &mut g_blocks);
+        pack_blocks(&g, &blocks, &mut g_blocks);
         typed_spmm(&r_blocks, &g_blocks, &blocks, &mut rg);
         typed_gram(&g, &blocks, &mut gram_cur);
         clock.lap(PHASE_SPMM);
@@ -1086,10 +1026,9 @@ pub fn run_engine(
         residual_terms(
             &rg,
             &st,
-            g_cur_q,
+            &g,
             &m_q,
             &blocks,
-            prec,
             (&mut prod, &mut gb_pos),
             |i, cross, quad| {
                 q_norms[i] = (r_row_sq[i] - 2.0 * cross + quad).max(0.0).sqrt();
@@ -1108,16 +1047,13 @@ pub fn run_engine(
                 l21 += f_er[i] * q_norms[i];
             }
             error_row_norms = f_er.iter().zip(&q_norms).map(|(f, qn)| f * qn).collect();
-            // Step 3 of the next iteration reads R·G at the fit's
-            // precision.
-            rg.quantize(prec);
             final_q_norms = q_norms;
         } else {
             fit = q_norms.iter().map(|x| x * x).sum();
         }
 
         // ---- Objective J₄ (Eq. 15) ----------------------------------
-        let reg_term = reg_state.trace(&g, g_q.as_ref().unwrap_or(&g), clusters)?;
+        let reg_term = reg_state.trace(&g, clusters)?;
         let l21_term = if cfg.use_error_matrix {
             cfg.beta * l21
         } else {
@@ -1296,7 +1232,7 @@ fn normalize_l1(row: &mut [f64], floor: f64) {
 /// The two `G`-dependent terms of the Eq. 27 row residual
 /// `‖q_i‖² = ‖r_i‖² − 2·(R G Sᵀ)_i·g_i + g_i M g_iᵀ` (`M = S GᵀG Sᵀ`),
 /// handed to `row(i, cross, quad)` for every row, each on its type's own
-/// columns — `g_i` (at the fit's precision, `g_q`) is zero elsewhere.
+/// columns — `g_i` is zero elsewhere.
 ///
 /// `(R G Sᵀ)_i` and `M·g_i` are computed in those columns only, into the
 /// two work matrices. The cross term sums from `-0` like
@@ -1306,14 +1242,12 @@ fn normalize_l1(row: &mut [f64], floor: f64) {
 /// ([`full_cross`]). The quadratic form skips the zeros of `g_i` in both
 /// sums, so it sums exactly the full-width kernel's terms when `M` is
 /// finite.
-#[allow(clippy::too_many_arguments)]
 fn residual_terms(
     rg: &Mat,
     st: &Mat,
-    g_q: &Mat,
+    g: &Mat,
     m: &Mat,
     blocks: &[(Range<usize>, Range<usize>)],
-    prec: Precision,
     (rgst, gmt): (&mut Mat, &mut Mat),
     mut row: impl FnMut(usize, f64, f64),
 ) {
@@ -1321,19 +1255,18 @@ fn residual_terms(
     let mt = m.transpose();
     for (rows, cols) in blocks {
         matmul_block(rg, st, rows.clone(), 0..c, cols.clone(), rgst);
-        matmul_block(g_q, &mt, rows.clone(), cols.clone(), cols.clone(), gmt);
+        matmul_block(g, &mt, rows.clone(), cols.clone(), cols.clone(), gmt);
     }
-    rgst.quantize(prec);
     for (rows, cols) in blocks {
         for i in rows.clone() {
-            let gi = &g_q.row(i)[cols.clone()];
+            let gi = &g.row(i)[cols.clone()];
             let mut cross: f64 = rgst.row(i)[cols.clone()]
                 .iter()
                 .zip(gi)
                 .map(|(x, y)| x * y)
                 .sum();
             if cross.to_bits() == (-0.0f64).to_bits() {
-                cross = full_cross(rg.row(i), st, g_q.row(i), prec);
+                cross = full_cross(rg.row(i), st, g.row(i));
             }
             let mut quad = 0.0;
             for (&gj, &tj) in gi.iter().zip(&gmt.row(i)[cols.clone()]) {
@@ -1348,11 +1281,11 @@ fn residual_terms(
 
 /// The residual's cross term `(R G Sᵀ)_i · g_i` summed over every
 /// column, as the full-width product computes it: `(R G Sᵀ)_i` from
-/// `rg_i` and `Sᵀ` (zeros of `rg_i` skipped), quantised at `prec`, then
-/// the dot product from `-0`. The own-column sum equals it unless it
-/// comes out `-0`, where a dropped `+0` term would have made it `+0`.
-fn full_cross(rg_i: &[f64], st: &Mat, g_i: &[f64], prec: Precision) -> f64 {
-    let mut rgst: Vec<f64> = (0..st.cols())
+/// `rg_i` and `Sᵀ` (zeros of `rg_i` skipped), then the dot product from
+/// `-0`. The own-column sum equals it unless it comes out `-0`, where a
+/// dropped `+0` term would have made it `+0`.
+fn full_cross(rg_i: &[f64], st: &Mat, g_i: &[f64]) -> f64 {
+    let rgst: Vec<f64> = (0..st.cols())
         .map(|j| {
             let mut acc = 0.0;
             for (b, &v) in rg_i.iter().enumerate() {
@@ -1363,7 +1296,6 @@ fn full_cross(rg_i: &[f64], st: &Mat, g_i: &[f64], prec: Precision) -> f64 {
             acc
         })
         .collect();
-    prec.quantize_in_place(&mut rgst);
     rgst.iter().zip(g_i).map(|(x, y)| x * y).sum()
 }
 
@@ -1436,7 +1368,7 @@ pub fn run_engine_dense_reference(
 
     let mut g = g0;
     let mut s = Mat::zeros(c, c);
-    let mut reg_state = RegState::new(reg, Precision::F64, data.cluster_spec());
+    let mut reg_state = RegState::new(reg, data.cluster_spec());
     let mut ensemble_weights: Option<Vec<f64>> = None;
 
     // Workhorse n x n buffers.
@@ -1518,7 +1450,7 @@ pub fn run_engine_dense_reference(
         }
 
         // ---- Objective J₄ (Eq. 15) ----------------------------------
-        let reg_term = reg_state.trace(&g, &g, data.cluster_spec())?;
+        let reg_term = reg_state.trace(&g, data.cluster_spec())?;
         let l21_term = if cfg.use_error_matrix {
             cfg.beta * l21
         } else {
@@ -1619,13 +1551,7 @@ mod tests {
             .all_features()
             .iter()
             .map(|f| {
-                let w = pnn_graph(
-                    f,
-                    5,
-                    WeightScheme::Cosine,
-                    &GraphBackend::Exact,
-                    Precision::F64,
-                );
+                let w = pnn_graph(f, 5, WeightScheme::Cosine, &GraphBackend::Exact);
                 laplacian_csr(&w, LaplacianKind::SymNormalized)
             })
             .collect();
@@ -1728,73 +1654,6 @@ mod tests {
         for (a, b) in sparse.error_row_norms.iter().zip(&dense.error_row_norms) {
             assert!((a - b).abs() < 1e-8, "error norms diverged: {a} vs {b}");
         }
-    }
-
-    #[test]
-    fn f32_mode_descends_and_agrees_with_f64() {
-        let (data, corpus) = tiny_data();
-        let r = data.assemble_r_csr();
-        let lap = pnn_block_laplacian(&data);
-        let g0 = init_g(&data, 2);
-        let cfg64 = EngineConfig {
-            lambda: 1.0,
-            beta: 10.0,
-            max_iter: 40,
-            ..EngineConfig::default()
-        };
-        let cfg32 = EngineConfig {
-            precision: Precision::F32,
-            ..cfg64.clone()
-        };
-        let reg = GraphRegularizer::Fixed(lap);
-        let r64 = run_engine(&r, &data, &reg, g0.clone(), &cfg64).unwrap();
-        let r32 = run_engine(&r, &data, &reg, g0, &cfg32).unwrap();
-        // Monotone descent within the same numerical slack as f64 mode.
-        for w in r32.objective_trace.windows(2) {
-            assert!(
-                w[1] <= w[0] * (1.0 + 1e-5) + 1e-9,
-                "f32 objective rose: {} -> {}",
-                w[0],
-                w[1]
-            );
-        }
-        // Quantisation perturbs the descent path, not the clustering:
-        // both modes recover the two-class structure.
-        let labels64 = data.labels_from_membership(&r64.g, 0);
-        let labels32 = data.labels_from_membership(&r32.g, 0);
-        let f64_score = mtrl_metrics::fscore(&corpus.labels, &labels64);
-        let f32_score = mtrl_metrics::fscore(&corpus.labels, &labels32);
-        assert!(
-            (f64_score - f32_score).abs() < 0.02,
-            "quality drifted: f64 {f64_score} vs f32 {f32_score}"
-        );
-        // Rows of G still sum to 1 and stay nonnegative in f32 mode.
-        for i in 0..r32.g.rows() {
-            let s: f64 = r32.g.row(i).iter().sum();
-            assert!((s - 1.0).abs() < 1e-9, "row {i} sums to {s}");
-        }
-        assert!(r32.g.min() >= 0.0);
-    }
-
-    #[test]
-    fn f32_mode_is_reproducible() {
-        let (data, _) = tiny_data();
-        let r = data.assemble_r_csr();
-        let lap = pnn_block_laplacian(&data);
-        let g0 = init_g(&data, 3);
-        let cfg = EngineConfig {
-            lambda: 0.5,
-            beta: 10.0,
-            max_iter: 15,
-            tol: 0.0,
-            precision: Precision::F32,
-            ..EngineConfig::default()
-        };
-        let reg = GraphRegularizer::Fixed(lap);
-        let a = run_engine(&r, &data, &reg, g0.clone(), &cfg).unwrap();
-        let b = run_engine(&r, &data, &reg, g0, &cfg).unwrap();
-        assert_eq!(a.g.as_slice(), b.g.as_slice());
-        assert_eq!(a.objective_trace, b.objective_trace);
     }
 
     #[test]
@@ -1921,7 +1780,7 @@ mod tests {
                     .iter()
                     .map(|f| {
                         laplacian_csr(
-                            &pnn_graph(f, p, scheme, &GraphBackend::Exact, Precision::F64),
+                            &pnn_graph(f, p, scheme, &GraphBackend::Exact),
                             LaplacianKind::SymNormalized,
                         )
                     })
@@ -2172,17 +2031,6 @@ mod tests {
                 "{bad}: {res:?}"
             );
         }
-        // A finite R beyond the f32 range is non-finite in F32 mode.
-        let mut dense = base.to_dense();
-        let (i, j, _) = base.iter().next().unwrap();
-        dense[(i, j)] = 1e300;
-        let r = Csr::from_dense(&dense, 0.0);
-        let f32_cfg = EngineConfig {
-            precision: Precision::F32,
-            ..EngineConfig::default()
-        };
-        let res = run_engine(&r, &data, &GraphRegularizer::None, g0, &f32_cfg);
-        assert!(matches!(res, Err(RhchmeError::InvalidData(_))), "{res:?}");
     }
 
     #[test]
@@ -2231,12 +2079,11 @@ mod tests {
     /// typed layout: full-width dot products from `-0`, and per row
     /// `Σ_j g_ij·(M·g_i)_j` over nonzero `g_ij` with `M·g_i` summed from
     /// `-0` over nonzero `g_ik`.
-    fn residual_oracle(rg: &Mat, st: &Mat, g_q: &Mat, m: &Mat, prec: Precision) -> Vec<(f64, f64)> {
-        let mut rgst = matmul(rg, st).unwrap();
-        rgst.quantize(prec);
-        (0..g_q.rows())
+    fn residual_oracle(rg: &Mat, st: &Mat, g: &Mat, m: &Mat) -> Vec<(f64, f64)> {
+        let rgst = matmul(rg, st).unwrap();
+        (0..g.rows())
             .map(|i| {
-                let gi = g_q.row(i);
+                let gi = g.row(i);
                 let cross: f64 = rgst.row(i).iter().zip(gi).map(|(x, y)| x * y).sum();
                 let mut quad = 0.0;
                 for (j, &gj) in gi.iter().enumerate() {
@@ -2263,107 +2110,93 @@ mod tests {
         // (mul_dense), the residual's cross term (row_dots) and quadratic
         // form (row_quad_forms). G carries -0.0 and an all-zero row, R·G
         // negative values (a sign-flipped S), so some cross terms come out
-        // -0 own-column-wise; F32-quantised operands; 1 and 4 threads.
+        // -0 own-column-wise; 1 and 4 threads.
         let (data, _) = tiny_data();
         let blocks = layout(&data);
         let (n, c) = (data.total_objects(), data.total_clusters());
         let lap = pnn_block_laplacian(&data);
         let (lp, lm) = lap.split_parts();
         let before = mtrl_linalg::par::num_threads();
-        for prec in [Precision::F64, Precision::F32] {
-            let r_q = prec.quantized(&data.assemble_r_csr()).into_owned();
-            let mut g = init_g(&data, 5);
-            for i in (7..n).step_by(9) {
-                g.row_mut(i).iter_mut().for_each(|v| *v = 0.0);
+        let r = data.assemble_r_csr();
+        let mut g = init_g(&data, 5);
+        for i in (7..n).step_by(9) {
+            g.row_mut(i).iter_mut().for_each(|v| *v = 0.0);
+        }
+        for &(i, j) in &[(2usize, 0usize), (30, 3), (40, 5)] {
+            if blocks
+                .iter()
+                .any(|(r, cl)| r.contains(&i) && cl.contains(&j))
+            {
+                g[(i, j)] = -0.0;
             }
-            for &(i, j) in &[(2usize, 0usize), (30, 3), (40, 5)] {
-                if blocks
-                    .iter()
-                    .any(|(r, cl)| r.contains(&i) && cl.contains(&j))
-                {
-                    g[(i, j)] = -0.0;
-                }
-            }
-            g.quantize(prec);
-            let rg_full = r_q.spmm_dense(&g);
-            // An S under which some all-zero row's own-column cross terms
-            // are all -0 while a term outside its columns is +0: there
-            // the own-column sum is -0 and the full-width one +0.
-            let flips = |s: &Mat| {
-                let mut rgst = matmul(&rg_full, &s.transpose()).unwrap();
-                rgst.quantize(prec);
-                blocks.iter().any(|(rows, cols)| {
-                    rows.clone().any(|i| {
-                        let own: f64 = rgst.row(i)[cols.clone()]
-                            .iter()
-                            .zip(&g.row(i)[cols.clone()])
-                            .map(|(x, y)| x * y)
-                            .sum();
-                        let full: f64 = rgst.row(i).iter().zip(g.row(i)).map(|(x, y)| x * y).sum();
-                        own.to_bits() == (-0.0f64).to_bits() && full.to_bits() == 0
-                    })
+        }
+        let rg_full = r.spmm_dense(&g);
+        // An S under which some all-zero row's own-column cross terms
+        // are all -0 while a term outside its columns is +0: there
+        // the own-column sum is -0 and the full-width one +0.
+        let flips = |s: &Mat| {
+            let rgst = matmul(&rg_full, &s.transpose()).unwrap();
+            blocks.iter().any(|(rows, cols)| {
+                rows.clone().any(|i| {
+                    let own: f64 = rgst.row(i)[cols.clone()]
+                        .iter()
+                        .zip(&g.row(i)[cols.clone()])
+                        .map(|(x, y)| x * y)
+                        .sum();
+                    let full: f64 = rgst.row(i).iter().zip(g.row(i)).map(|(x, y)| x * y).sum();
+                    own.to_bits() == (-0.0f64).to_bits() && full.to_bits() == 0
                 })
-            };
-            let s = (0..64)
-                .map(|seed| mtrl_linalg::random::rand_uniform(c, c, -1.0, 1.0, seed))
-                .find(|s| flips(s))
-                .expect("an S that exercises the -0 cross term");
-            let st = s.transpose();
-            for threads in [1usize, 4] {
-                mtrl_linalg::par::set_num_threads(threads);
-                let mut packed: Vec<Mat> = blocks
-                    .iter()
-                    .map(|(r, cl)| Mat::zeros(r.len(), cl.len()))
-                    .collect();
-                pack_blocks(&g, &blocks, &mut packed);
-                let mut rg = Mat::zeros(n, c);
-                typed_spmm(
-                    &r_q.split_blocks(data.spec(), data.spec()),
-                    &packed,
-                    &blocks,
-                    &mut rg,
-                );
-                assert!(
-                    same_bits(rg.as_slice(), r_q.spmm_dense(&g).as_slice()),
-                    "R·G"
-                );
-                let mut k = Mat::filled(c, c, 9.0);
-                typed_gram(&g, &blocks, &mut k);
-                assert!(same_bits(k.as_slice(), gram(&g).as_slice()), "GᵀG");
-                for part in [&lp, &lm] {
-                    let mut lg = Mat::zeros(n, c);
-                    part.mul_typed(&packed, data.cluster_spec(), &mut lg)
-                        .unwrap();
-                    let full = part.mul_dense(&g).unwrap();
-                    for (rows, cols) in &blocks {
-                        for i in rows.clone() {
-                            assert!(same_bits(
-                                &lg.row(i)[cols.clone()],
-                                &full.row(i)[cols.clone()]
-                            ));
-                        }
+            })
+        };
+        let s = (0..64)
+            .map(|seed| mtrl_linalg::random::rand_uniform(c, c, -1.0, 1.0, seed))
+            .find(|s| flips(s))
+            .expect("an S that exercises the -0 cross term");
+        let st = s.transpose();
+        for threads in [1usize, 4] {
+            mtrl_linalg::par::set_num_threads(threads);
+            let mut packed: Vec<Mat> = blocks
+                .iter()
+                .map(|(r, cl)| Mat::zeros(r.len(), cl.len()))
+                .collect();
+            pack_blocks(&g, &blocks, &mut packed);
+            let mut rg = Mat::zeros(n, c);
+            typed_spmm(
+                &r.split_blocks(data.spec(), data.spec()),
+                &packed,
+                &blocks,
+                &mut rg,
+            );
+            assert!(same_bits(rg.as_slice(), r.spmm_dense(&g).as_slice()), "R·G");
+            let mut k = Mat::filled(c, c, 9.0);
+            typed_gram(&g, &blocks, &mut k);
+            assert!(same_bits(k.as_slice(), gram(&g).as_slice()), "GᵀG");
+            for part in [&lp, &lm] {
+                let mut lg = Mat::zeros(n, c);
+                part.mul_typed(&packed, data.cluster_spec(), &mut lg)
+                    .unwrap();
+                let full = part.mul_dense(&g).unwrap();
+                for (rows, cols) in &blocks {
+                    for i in rows.clone() {
+                        assert!(same_bits(
+                            &lg.row(i)[cols.clone()],
+                            &full.row(i)[cols.clone()]
+                        ));
                     }
                 }
-                let m = matmul(&matmul(&s, &k).unwrap(), &st).unwrap();
-                let expect = residual_oracle(&rg, &st, &g, &m, prec);
-                let mut got = vec![(f64::NAN, f64::NAN); n];
-                let (mut a, mut b) = (Mat::zeros(n, c), Mat::zeros(n, c));
-                residual_terms(
-                    &rg,
-                    &st,
-                    &g,
-                    &m,
-                    &blocks,
-                    prec,
-                    (&mut a, &mut b),
-                    |i, x, q| got[i] = (x, q),
+            }
+            let m = matmul(&matmul(&s, &k).unwrap(), &st).unwrap();
+            let expect = residual_oracle(&rg, &st, &g, &m);
+            let mut got = vec![(f64::NAN, f64::NAN); n];
+            let (mut a, mut b) = (Mat::zeros(n, c), Mat::zeros(n, c));
+            residual_terms(&rg, &st, &g, &m, &blocks, (&mut a, &mut b), |i, x, q| {
+                got[i] = (x, q)
+            });
+            for (i, (&(x, q), &(ex, eq))) in got.iter().zip(&expect).enumerate() {
+                assert!(
+                    same_bits(&[x, q], &[ex, eq]),
+                    "row {i}: ({x}, {q}) vs ({ex}, {eq})"
                 );
-                for (i, (&(x, q), &(ex, eq))) in got.iter().zip(&expect).enumerate() {
-                    assert!(
-                        same_bits(&[x, q], &[ex, eq]),
-                        "row {i}: ({x}, {q}) vs ({ex}, {eq})"
-                    );
-                }
             }
         }
         mtrl_linalg::par::set_num_threads(before);

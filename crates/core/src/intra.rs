@@ -47,23 +47,22 @@ const _: () = assert!(TOP_K <= CANDIDATES);
 /// sees an `n x n` dense matrix).
 ///
 /// `features[k]` holds the objects of type `k` as rows. Each block is
-/// [`mtrl_graph::pnn_graph`] under `backend` and `precision`:
-/// [`GraphBackend::Exact`] runs the blocked all-pairs kernel, the
-/// rp-forest backend draws candidates from its index while distances
-/// and selection stay on the exact kernel's primitives, and
-/// [`Precision::F32`] quantises the search operands while edge weighting
-/// and the Laplacian normalisation stay `f64`.
+/// [`mtrl_graph::pnn_graph`] under `backend`: [`GraphBackend::Exact`]
+/// runs the blocked all-pairs kernel, the rp-forest backend draws
+/// candidates from its index while distances and selection stay on the
+/// exact kernel's primitives. The [`Precision`] argument has the one
+/// value `F64`.
 pub fn pnn_laplacians_backend_prec(
     features: &[Mat],
     p: usize,
     scheme: WeightScheme,
     kind: LaplacianKind,
     backend: &GraphBackend,
-    precision: Precision,
+    _precision: Precision,
 ) -> Result<SparseBlockDiag> {
     let blocks = features
         .iter()
-        .map(|f| laplacian_csr(&pnn_graph(f, p, scheme, backend, precision), kind))
+        .map(|f| laplacian_csr(&pnn_graph(f, p, scheme, backend), kind))
         .collect();
     Ok(SparseBlockDiag::new(blocks)?)
 }
@@ -229,10 +228,10 @@ mod tests {
     use super::*;
     use mtrl_linalg::random::rand_uniform;
 
-    /// Exact f64 pNN Laplacians of `f`.
+    /// Exact pNN Laplacians of `f`.
     fn exact_pnn(f: &[Mat], p: usize, scheme: WeightScheme) -> SparseBlockDiag {
         let kind = LaplacianKind::SymNormalized;
-        pnn_laplacians_backend_prec(f, p, scheme, kind, &GraphBackend::Exact, Precision::F64)
+        pnn_laplacians_backend_prec(f, p, scheme, kind, &GraphBackend::Exact, Default::default())
             .unwrap()
     }
 

@@ -54,7 +54,6 @@ pub use mtrl_linalg::kmeans;
 pub use error::RhchmeError;
 pub use export::{FittedModel, SCHEMA_VERSION};
 pub use mtrl_graph::GraphBackend;
-pub use mtrl_linalg::Precision;
 pub use multitype::MultiTypeData;
 pub use pipeline::{run_spec, EnsembleSpec, MergeStrategy, Method, MethodOutput, MethodSpec};
 pub use rhchme::{Rhchme, RhchmeConfig, RhchmeResult, WarmStart};

@@ -30,7 +30,7 @@
 //! regularisers. Every fit of these four methods builds its engine input
 //! there: [`run_spec`], [`Rhchme`],
 //! [`Artifacts::run_rhchme_engine`] and the `mtrl-ensemble` members. The
-//! graph backend and precision belong to RHCHME alone, so an ensemble
+//! graph backend belongs to RHCHME alone, so an ensemble
 //! member equals the solo fit of its method at the same seed and
 //! cluster counts. The rows and their paper references:
 //!
@@ -43,8 +43,7 @@
 //!
 //! SNMTF's original orthogonality constraint is replaced by the engine's
 //! multiplicative form, matching RMC's treatment. The baselines build
-//! their graphs exact and run `f64`; the graph backend and precision
-//! belong to RHCHME.
+//! their graphs exact; the graph backend belongs to RHCHME.
 //!
 //! DRCC (ref \[1\]) has its own two-type solver (`baselines::drcc`) and
 //! runs as DR-T (terms), DR-C (concepts) and DR-TC (concatenated).
@@ -59,7 +58,7 @@ use crate::rhchme::{init_membership, package_result, Rhchme, RhchmeConfig};
 use crate::{Result, RhchmeError};
 use mtrl_datagen::MultiTypeCorpus;
 use mtrl_graph::{GraphBackend, LaplacianKind};
-use mtrl_linalg::{Mat, Precision};
+use mtrl_linalg::Mat;
 use mtrl_sparse::SparseBlockDiag;
 use mtrl_subspace::SpgConfig;
 use std::time::{Duration, Instant};
@@ -135,8 +134,7 @@ impl Method {
     /// The four rows share `cfg`'s iteration budget, tolerance and label
     /// recording. SRC has no graph term (λ = 0); SNMTF and RMC weight
     /// theirs by `cfg.lambda`. Only RHCHME turns on the error matrix
-    /// `E_R` (weight `cfg.beta`) and the row-ℓ1 normalisation, and only
-    /// RHCHME runs at `cfg.precision`: SRC, SNMTF and RMC run `f64`.
+    /// `E_R` (weight `cfg.beta`) and the row-ℓ1 normalisation.
     ///
     /// # Errors
     /// [`RhchmeError::InvalidConfig`] for the DRCC variants, which have
@@ -161,22 +159,16 @@ impl Method {
             max_iter: cfg.max_iter,
             tol: cfg.tol,
             record_labels_for_type: cfg.record_doc_labels.then_some(0),
-            precision: if robust {
-                cfg.precision
-            } else {
-                Precision::F64
-            },
             ..EngineConfig::default()
         })
     }
 
     /// SRC's, SNMTF's or RMC's graph regulariser on `features`: none, the
     /// pNN Laplacian of RHCHME's `L_E` recipe, or RMC's six candidates —
-    /// all built exact and `f64`, since the graph backend and precision
-    /// belong to RHCHME. A caller that holds RHCHME's `L_E` for the same
-    /// features and `params` passes it as `l_e`; it is reused where it
-    /// is the same graph (an exact `f64` `L_E`, and for RMC only at
-    /// `p = 5`).
+    /// all built exact, since the graph backend belongs to RHCHME. A
+    /// caller that holds RHCHME's `L_E` for the same features and
+    /// `params` passes it as `l_e`; it is reused where it is the same
+    /// graph (an exact `L_E`, and for RMC only at `p = 5`).
     ///
     /// # Errors
     /// [`RhchmeError::InvalidConfig`] for RHCHME (its regulariser is the
@@ -189,8 +181,7 @@ impl Method {
         l_e: Option<&SparseBlockDiag>,
     ) -> Result<GraphRegularizer> {
         let cfg = params.rhchme_config();
-        let exact_l_e =
-            l_e.filter(|_| cfg.graph_backend.is_exact() && cfg.precision == Precision::F64);
+        let exact_l_e = l_e.filter(|_| cfg.graph_backend.is_exact());
         match self {
             Method::Src => Ok(GraphRegularizer::None),
             Method::Snmtf => Ok(GraphRegularizer::Fixed(match exact_l_e {
@@ -201,7 +192,7 @@ impl Method {
                     cfg.weight_scheme,
                     cfg.laplacian_kind,
                     &GraphBackend::Exact,
-                    Precision::F64,
+                    Default::default(),
                 )?,
             })),
             Method::Rmc => Ok(GraphRegularizer::Ensemble {
@@ -335,16 +326,11 @@ pub struct PipelineParams {
     /// pNN neighbour count for SNMTF/RHCHME/DRCC graphs.
     pub p: usize,
     /// Neighbour-search backend for RHCHME's pNN graph `L_E`: the exact
-    /// blocked kernel or the rp-forest index of `mtrl_graph::ann`. Like
-    /// [`Self::precision`] it belongs to RHCHME alone: SRC, SNMTF and RMC
-    /// always build exact graphs and run `f64` ([`Method::engine_config`]),
-    /// so their ensemble members equal their solo fits under any backend.
+    /// blocked kernel or the rp-forest index of `mtrl_graph::ann`. It
+    /// belongs to RHCHME alone: SRC, SNMTF and RMC always build exact
+    /// graphs ([`Method::baseline_regularizer`]), so their ensemble
+    /// members equal their solo fits under any backend.
     pub graph_backend: GraphBackend,
-    /// Kernel storage precision for RHCHME's hot loops (pNN Gram chain,
-    /// engine SpMM / low-rank / residual kernels); see
-    /// [`RhchmeConfig::precision`]. RHCHME's alone, like
-    /// [`Self::graph_backend`]: SRC, SNMTF and RMC always run `f64`.
-    pub precision: Precision,
     /// RMC's quadratic penalty μ on ensemble weights.
     pub rmc_mu: f64,
     /// DRCC document-side graph weight.
@@ -377,7 +363,6 @@ impl Default for PipelineParams {
             beta: 50.0,
             p: 5,
             graph_backend: GraphBackend::Exact,
-            precision: Precision::F64,
             rmc_mu: 1.0,
             drcc_lambda: 0.1,
             drcc_mu: 0.1,
@@ -405,7 +390,6 @@ impl PipelineParams {
             beta: self.beta,
             p: self.p,
             graph_backend: self.graph_backend,
-            precision: self.precision,
             spg_max_iter: self.spg_max_iter,
             max_iter: self.max_iter,
             tol: self.tol,
@@ -581,11 +565,8 @@ pub struct Artifacts {
     /// k-means initial membership.
     pub g0: Mat,
     /// RHCHME's pNN Laplacian ensemble member `L_E` (sparse block
-    /// diagonal), at the parameters' graph backend and precision.
+    /// diagonal), at the parameters' graph backend.
     pub l_pnn: SparseBlockDiag,
-    /// RHCHME's engine precision, which [`Self::run_rhchme_engine`] runs
-    /// at like [`Self::l_pnn`] was built at.
-    precision: Precision,
 }
 
 impl Artifacts {
@@ -613,7 +594,6 @@ impl Artifacts {
             features,
             g0,
             l_pnn,
-            precision: cfg.precision,
         })
     }
 
@@ -665,7 +645,6 @@ impl Artifacts {
             max_iter,
             tol,
             record_doc_labels,
-            precision: self.precision,
             ..RhchmeConfig::default()
         };
         let out = run_engine(
@@ -786,7 +765,6 @@ mod tests {
             max_iter: 11,
             tol: 1e-4,
             record_doc_labels: true,
-            precision: Precision::F32,
             ..RhchmeConfig::default()
         };
         let rows = [Method::Src, Method::Snmtf, Method::Rmc, Method::Rhchme]
@@ -798,12 +776,6 @@ mod tests {
         for (row, robust) in rows.iter().zip([false, false, false, true]) {
             assert_eq!(row.use_error_matrix, robust);
             assert_eq!(row.l1_row_normalize, robust);
-            let precision = if robust {
-                Precision::F32
-            } else {
-                Precision::F64
-            };
-            assert_eq!(row.precision, precision);
             assert_eq!((row.max_iter, row.tol), (11, 1e-4));
             assert_eq!(row.record_labels_for_type, Some(0));
         }

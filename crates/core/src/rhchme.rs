@@ -56,12 +56,8 @@ pub struct RhchmeConfig {
     /// large corpora. The index changes candidate generation only;
     /// distances and selection stay bit-identical to the exact kernel.
     pub graph_backend: mtrl_graph::GraphBackend,
-    /// Kernel storage precision for the hot loops: the pNN Gram chain
-    /// and the engine's SpMM / low-rank / residual kernels
-    /// ([`Precision::F32`] quantises their operands through `f32`,
-    /// accumulates in `f64`). SPG subspace learning and all small dense algebra stay
-    /// `f64` in both modes. Composes with `graph_backend` exactly like
-    /// that knob: per-thread-count determinism holds within each mode.
+    /// Operand precision; [`Precision`] has the one value `F64`, which
+    /// every stage of the fit runs in.
     pub precision: Precision,
     /// Laplacian normalisation (see `mtrl_graph::laplacian`).
     pub laplacian_kind: LaplacianKind,
@@ -434,7 +430,7 @@ mod tests {
             mtrl_graph::WeightScheme::Cosine,
             mtrl_graph::LaplacianKind::SymNormalized,
             &mtrl_graph::GraphBackend::Exact,
-            Precision::F64,
+            Default::default(),
         )
         .unwrap();
         let g0 = init_membership(&data, &features, 35);

@@ -1,7 +1,7 @@
 //! Byte-exact fit dump for the CI determinism leg.
 //!
 //! ```text
-//! determinism_probe <out_file> [--ann] [--f32] [--ensemble] [--large]
+//! determinism_probe <out_file> [--ann] [--ensemble] [--large]
 //! ```
 //!
 //! Runs one full RHCHME fit (corpus seeded from `MTRL_SEED`, quick
@@ -16,11 +16,6 @@
 //! (default parameters), extending the same contract to the ANN layer:
 //! index build, descent, and candidate re-ranking must also be
 //! thread-count invariant end to end.
-//!
-//! `--f32` runs the fit in F32 mode (operands quantised through f32,
-//! f64 accumulation). The contract is per-mode: f32 results need not
-//! match f64 results, but within f32 mode every thread count must
-//! produce the same bytes.
 //!
 //! `--ensemble` runs a full consensus-ensemble fit instead (default
 //! `EnsembleSpec`: member generation, sparse co-association build,
@@ -40,19 +35,17 @@ use rhchme::pipeline::EnsembleSpec;
 use rhchme::rhchme::Rhchme;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: determinism_probe <out_file> [--ann] [--f32] [--ensemble] [--large]";
+const USAGE: &str = "usage: determinism_probe <out_file> [--ann] [--ensemble] [--large]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = None;
     let mut ann = false;
-    let mut f32_mode = false;
     let mut ensemble = false;
     let mut large = false;
     for a in &args {
         match a.as_str() {
             "--ann" => ann = true,
-            "--f32" => f32_mode = true,
             "--ensemble" => ensemble = true,
             "--large" => large = true,
             _ if out_path.is_none() => out_path = Some(a.clone()),
@@ -81,9 +74,6 @@ fn main() -> ExitCode {
     if ann {
         params.graph_backend =
             rhchme::GraphBackend::RpForest(mtrl_graph::RpForestParams::default());
-    }
-    if f32_mode {
-        params.precision = rhchme::Precision::F32;
     }
     // Every probe mode dumps the same shape: labels, G, S, a trace.
     let (doc_labels, labels_per_type, g, s, trace, iterations) = if ensemble {

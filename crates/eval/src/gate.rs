@@ -114,32 +114,6 @@ pub fn quality_gate(base: &Value, current: &Value, tolerance: f64) -> Result<Gat
             verdict.to_string(),
         ]);
     }
-    // Precision-sibling gate: every `…+f32` cell must stay within the
-    // tolerance of its f64 sibling *in the current run*. The baseline
-    // diff above catches drift over time; this catches a mixed-precision
-    // regression directly — an f32 kernel that quietly loses accuracy
-    // opens a cross-cell gap even if both cells move together.
-    for c in &current.scenarios {
-        let Some(sibling_name) = c.name.strip_suffix("+f32") else {
-            continue;
-        };
-        let Some(sib) = current.scenarios.iter().find(|s| s.name == sibling_name) else {
-            continue;
-        };
-        let floor = -(tolerance + 1e-9);
-        for (metric, f32_mean, f64_mean) in [
-            ("FScore", c.fscore.mean, sib.fscore.mean),
-            ("NMI", c.nmi.mean, sib.nmi.mean),
-        ] {
-            if f32_mean - f64_mean < floor {
-                failures.push(format!(
-                    "'{}': mean {metric} {:.3} is more than {:.3} below its f64 sibling \
-                     '{}' ({:.3}) — mixed-precision quality regression",
-                    c.name, f32_mean, tolerance, sibling_name, f64_mean
-                ));
-            }
-        }
-    }
     // Ensemble cross-cell gate: on every corruption scenario, the
     // consensus ensemble must stay within [`ENSEMBLE_MARGIN`] of the best
     // single-method cell *in the current run* — the ensemble's whole
@@ -367,30 +341,6 @@ mod tests {
         let r = quality_gate(&base, &cur, QUALITY_TOLERANCE).unwrap();
         assert!(r.passed());
         assert!(r.text.contains("improved"));
-    }
-
-    #[test]
-    fn quality_gate_pins_f32_cells_to_their_f64_siblings() {
-        // Both cells identical to their baselines, but the f32 cell sits
-        // more than the tolerance below its f64 sibling → fail.
-        let gapped = quality_value(&[
-            ("clean/rhchme", 0.90, 0.85),
-            ("clean/rhchme+f32", 0.85, 0.85),
-        ]);
-        let r = quality_gate(&gapped, &gapped, QUALITY_TOLERANCE).unwrap();
-        assert_eq!(r.failures.len(), 1);
-        assert!(
-            r.failures[0].contains("f64 sibling") && r.failures[0].contains("clean/rhchme+f32"),
-            "{}",
-            r.failures[0]
-        );
-        // Within tolerance (and f32 above f64) passes.
-        let close = quality_value(&[
-            ("clean/rhchme", 0.90, 0.85),
-            ("clean/rhchme+f32", 0.89, 0.86),
-        ]);
-        let r = quality_gate(&close, &close, QUALITY_TOLERANCE).unwrap();
-        assert!(r.passed(), "{:?}", r.failures);
     }
 
     #[test]

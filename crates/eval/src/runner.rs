@@ -143,7 +143,6 @@ pub fn run_matrix(
 fn run_seed(scenario: &Scenario, seed: u64, opts: &RunOptions) -> Result<QualityScores> {
     let mut params = quick_params(seed);
     params.graph_backend = scenario.backend;
-    params.precision = scenario.precision;
     if opts.degrade {
         apply_degrade(&mut params);
     }

@@ -12,7 +12,7 @@
 use mtrl_datagen::{CorpusConfig, CorruptionSpec};
 use mtrl_graph::RpForestParams;
 use rhchme::pipeline::{Method, MethodSpec};
-use rhchme::{GraphBackend, Precision};
+use rhchme::GraphBackend;
 
 /// How a scenario drives the system.
 ///
@@ -154,9 +154,6 @@ pub struct Scenario {
     /// Neighbour-search backend for the path's pNN graphs (exact by
     /// default; approximate backends append their key to the name).
     pub backend: GraphBackend,
-    /// Kernel storage precision for the path's hot loops (f64 by
-    /// default; f32 appends `+f32` to the name).
-    pub precision: Precision,
 }
 
 impl Scenario {
@@ -169,7 +166,6 @@ impl Scenario {
             corruption,
             path,
             backend: GraphBackend::Exact,
-            precision: Precision::F64,
         }
     }
 
@@ -181,17 +177,6 @@ impl Scenario {
             self.name = format!("{}+{}", self.name, backend.key());
         }
         self.backend = backend;
-        self
-    }
-
-    /// Run the scenario's hot kernels at `precision`. [`Precision::F32`]
-    /// gets its key appended (`…/rhchme+f32`) so both precision modes
-    /// coexist — and gate each other — in one report.
-    pub(crate) fn with_precision(mut self, precision: Precision) -> Self {
-        if !precision.is_f64() {
-            self.name = format!("{}+{}", self.name, precision.key());
-        }
-        self.precision = precision;
         self
     }
 }
@@ -278,28 +263,6 @@ pub fn quick_matrix() -> Vec<Scenario> {
         )
         .with_backend(ann),
     );
-    // The f32 cells: the two heaviest RHCHME cold fits re-run in F32
-    // mode (operands quantised through f32). The quality gate pins them within the
-    // shared tolerance of their f64 siblings, so a precision regression
-    // (accumulator narrowed to f32, centring dropped, …) trips CI as a
-    // quality loss rather than hiding behind "approximate anyway".
-    matrix.push(
-        Scenario::new(
-            CorpusShape::Balanced3,
-            CorruptionSpec::clean(),
-            EvalPath::cold_fit(Method::Rhchme),
-        )
-        .with_precision(Precision::F32),
-    );
-    matrix.push(
-        Scenario::new(
-            CorpusShape::Large3,
-            CorruptionSpec::clean(),
-            EvalPath::cold_fit(Method::Rhchme),
-        )
-        .with_backend(ann)
-        .with_precision(Precision::F32),
-    );
     matrix
 }
 
@@ -310,7 +273,7 @@ mod tests {
     #[test]
     fn quick_matrix_covers_methods_and_paths() {
         let m = quick_matrix();
-        assert_eq!(m.len(), 21);
+        assert_eq!(m.len(), 19);
         for method in HOCC_METHODS {
             assert!(
                 m.iter()
@@ -332,15 +295,10 @@ mod tests {
         assert!(m.iter().any(|s| s.path == EvalPath::StreamWarmRefit));
         // The large-shape ANN cells gate the approximate graph path.
         let ann: Vec<_> = m.iter().filter(|s| !s.backend.is_exact()).collect();
-        assert_eq!(ann.len(), 3);
+        assert_eq!(ann.len(), 2);
         assert!(ann.iter().all(|s| s.shape == CorpusShape::Large3));
         assert!(ann.iter().any(|s| s.name == "clean/rhchme+rp_forest"));
         assert!(ann.iter().any(|s| s.name == "clean/serve_foldin+rp_forest"));
-        // The f32 cells gate F32 mode against their f64 siblings.
-        let f32s: Vec<_> = m.iter().filter(|s| !s.precision.is_f64()).collect();
-        assert_eq!(f32s.len(), 2);
-        assert!(f32s.iter().any(|s| s.name == "clean/rhchme+f32"));
-        assert!(f32s.iter().any(|s| s.name == "clean/rhchme+rp_forest+f32"));
     }
 
     #[test]

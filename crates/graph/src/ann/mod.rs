@@ -43,7 +43,7 @@ pub use recall::{sampled_recall, RecallProbe, RecallResult};
 use crate::knn::{center_columns, gram_sq_dist, gram_sq_dist_x4, select_p_nearest};
 use mtrl_linalg::par::par_chunks_map;
 use mtrl_linalg::vecops::dot;
-use mtrl_linalg::{Mat, Precision, Quantize};
+use mtrl_linalg::Mat;
 
 /// Random-projection tree forest parameters.
 ///
@@ -184,11 +184,10 @@ fn select_from_candidates(
     select_p_nearest(dists, p)
 }
 
-/// Centred (then quantised) rows and their squared norms: the operands
-/// every approximate query ranks candidates on.
-fn centred_operands(data: &Mat, precision: Precision) -> (Mat, Vec<f64>) {
-    let mut centered = center_columns(data);
-    centered.quantize(precision);
+/// Centred rows and their squared norms: the operands every approximate
+/// query ranks candidates on.
+fn centred_operands(data: &Mat) -> (Mat, Vec<f64>) {
+    let centered = center_columns(data);
     let sq_norms = (0..centered.rows())
         .map(|i| dot(centered.row(i), centered.row(i)))
         .collect();
@@ -200,23 +199,16 @@ fn centred_operands(data: &Mat, precision: Precision) -> (Mat, Vec<f64>) {
 /// `graph.knn_search`. Output is bit-identical for every `threads`
 /// value (candidate generation and selection are pure per-row
 /// functions).
-///
-/// In [`Precision::F32`] mode the centred rows are quantised through
-/// `f32` before the index is built or any distance is computed —
-/// widening `f32 → f64` is exact, so every distance equals the
-/// f32-storage kernel's value bit for bit while the index stays
-/// precision-agnostic.
 pub(crate) fn knn_rp_forest(
     data: &Mat,
     p: usize,
     params: &RpForestParams,
-    precision: Precision,
     threads: usize,
 ) -> Vec<Vec<usize>> {
     let n = data.rows();
     let (centered, sq_norms, index) = {
         let _span = mtrl_obs::span!("graph.index_build");
-        let (centered, sq_norms) = centred_operands(data, precision);
+        let (centered, sq_norms) = centred_operands(data);
         let ids: Vec<usize> = (0..n).collect();
         let index = RpForestIndex::build(&centered, &ids, params);
         (centered, sq_norms, index)
@@ -241,7 +233,7 @@ mod tests {
     //! candidate set covers the whole corpus, and because distances and
     //! selection go through the exact kernel's primitives the neighbour
     //! lists (and the assembled graph) must reproduce the exact search
-    //! **bit for bit**, in both precisions, for every thread count 1–4.
+    //! **bit for bit**, for every thread count 1–4.
 
     use super::*;
     use crate::{knn_indices, pnn_graph, WeightScheme};
@@ -257,8 +249,6 @@ mod tests {
             seed,
         }
     }
-
-    const PRECISIONS: [Precision; 2] = [Precision::F64, Precision::F32];
 
     #[test]
     fn default_is_exact() {
@@ -282,15 +272,10 @@ mod tests {
         ) {
             let data = rand_uniform(n, d, -1.0, 1.0, seed);
             let params = exhaustive_forest(seed);
-            for precision in PRECISIONS {
-                let exact = knn_indices(&data, p, &GraphBackend::Exact, precision);
-                for threads in 1..=4 {
-                    let approx = knn_rp_forest(&data, p, &params, precision, threads);
-                    prop_assert_eq!(
-                        &approx, &exact,
-                        "{:?} threads {}", precision, threads
-                    );
-                }
+            let exact = knn_indices(&data, p, &GraphBackend::Exact);
+            for threads in 1..=4 {
+                let approx = knn_rp_forest(&data, p, &params, threads);
+                prop_assert_eq!(&approx, &exact, "threads {}", threads);
             }
         }
 
@@ -309,16 +294,14 @@ mod tests {
                 base.row_mut(n / 2).copy_from_slice(&dup);
             }
             let forest = GraphBackend::RpForest(exhaustive_forest(seed ^ 0xABCD));
-            for precision in PRECISIONS {
-                for scheme in [
-                    WeightScheme::Binary,
-                    WeightScheme::HeatKernel { sigma: -1.0 },
-                    WeightScheme::Cosine,
-                ] {
-                    let exact = pnn_graph(&base, p, scheme, &GraphBackend::Exact, precision);
-                    let approx = pnn_graph(&base, p, scheme, &forest, precision);
-                    prop_assert_eq!(&approx, &exact, "{:?}/{:?}", precision, scheme);
-                }
+            for scheme in [
+                WeightScheme::Binary,
+                WeightScheme::HeatKernel { sigma: -1.0 },
+                WeightScheme::Cosine,
+            ] {
+                let exact = pnn_graph(&base, p, scheme, &GraphBackend::Exact);
+                let approx = pnn_graph(&base, p, scheme, &forest);
+                prop_assert_eq!(&approx, &exact, "{:?}", scheme);
             }
         }
 
@@ -330,7 +313,7 @@ mod tests {
         ) {
             let data = rand_uniform(n, 5, -1.0, 1.0, seed);
             let params = RpForestParams { trees: 2, leaf_size: 4, probes: 1, seed };
-            let lists = knn_rp_forest(&data, p, &params, Precision::F64, 1);
+            let lists = knn_rp_forest(&data, p, &params, 1);
             prop_assert_eq!(lists.len(), n);
             for (i, list) in lists.iter().enumerate() {
                 prop_assert!(list.len() <= p);
@@ -340,7 +323,7 @@ mod tests {
             }
             for threads in 2..=4 {
                 prop_assert_eq!(
-                    &knn_rp_forest(&data, p, &params, Precision::F64, threads), &lists,
+                    &knn_rp_forest(&data, p, &params, threads), &lists,
                     "threads {}", threads
                 );
             }
@@ -352,34 +335,8 @@ mod tests {
         let mut data = rand_uniform(12, 3, -1.0, 1.0, 99);
         let dup: Vec<f64> = data.row(1).to_vec();
         data.row_mut(7).copy_from_slice(&dup);
-        let exact = knn_indices(&data, 3, &GraphBackend::Exact, Precision::F64);
+        let exact = knn_indices(&data, 3, &GraphBackend::Exact);
         let params = exhaustive_forest(99);
-        assert_eq!(knn_rp_forest(&data, 3, &params, Precision::F64, 2), exact);
-    }
-
-    #[test]
-    fn exact_f32_graph_weights_come_from_raw_rows() {
-        // Same neighbour lists on well-separated data ⇒ the F32-mode graph
-        // is byte-identical to the F64 one, because weighting runs on the
-        // raw f64 rows in both modes.
-        let mut data = rand_uniform(60, 5, 0.0, 1.0, 41);
-        for i in 0..data.rows() {
-            let shift = (i % 2) as f64 * 40.0;
-            for v in data.row_mut(i) {
-                *v += shift;
-            }
-        }
-        let graph = |precision| {
-            pnn_graph(
-                &data,
-                3,
-                WeightScheme::Cosine,
-                &GraphBackend::Exact,
-                precision,
-            )
-        };
-        let f32_graph = graph(Precision::F32);
-        assert!(f32_graph.is_symmetric(0.0));
-        assert_eq!(f32_graph, graph(Precision::F64));
+        assert_eq!(knn_rp_forest(&data, 3, &params, 2), exact);
     }
 }

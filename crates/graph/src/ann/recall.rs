@@ -17,7 +17,7 @@
 
 use super::{centred_operands, select_from_candidates, GraphBackend, QueryScratch, RpForestIndex};
 use crate::knn::{cross_sq_dist_map, select_p_nearest};
-use mtrl_linalg::{Mat, Precision};
+use mtrl_linalg::Mat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -70,7 +70,7 @@ pub fn sampled_recall(
             p,
         };
     }
-    let (centered, sq_norms) = centred_operands(data, Precision::F64);
+    let (centered, sq_norms) = centred_operands(data);
 
     // Exact reference lists for the sampled rows only: one blocked
     // strip per sample against the full corpus, O(samples · n · d).

@@ -28,7 +28,7 @@
 //! ## Entry points
 //!
 //! [`knn_indices`] and [`pnn_graph`] are the crate's only neighbour
-//! searches. Both take a [`GraphBackend`] and a [`Precision`] and run on
+//! searches. Both take a [`GraphBackend`] and run on
 //! the [`mtrl_linalg::par`] pool, with one worker below the
 //! [`mtrl_linalg::par::threads_for`] work threshold.
 //! [`GraphBackend::Exact`] runs the blocked kernel of this module;
@@ -36,23 +36,14 @@
 //! [`crate::ann`] and ranks them with this module's pair function and
 //! selection order.
 //!
-//! ## Precision
-//!
-//! With [`Precision::F32`] the exact search stores the centred
-//! features as [`MatF32`] and runs the *same* tile kernel on them: the
-//! kernel is generic over the stored element and widens each one to
-//! `f64` at its point of use, so every distance equals the `f64`
-//! kernel's on the quantised operands bit for bit. This is the one place
-//! f32 storage pays (the tile is bandwidth-bound once `Xᵀ` spills L2).
-//! Centring stays in `f64` and quantisation happens after it; edge
-//! weighting ([`graph_from_neighbours`]) always runs on the raw `f64`
-//! rows, so precision only moves neighbour *sets* where quantisation
-//! reorders a near-tie.
+//! Every operand and accumulation is `f64`. Distances are ranked on the
+//! centred features; edge weighting ([`graph_from_neighbours`]) runs on
+//! the raw rows.
 
 use crate::ann::{self, GraphBackend};
 use mtrl_linalg::par::{par_chunks_map, threads_for};
 use mtrl_linalg::vecops::{cosine, dots, norm2, sq_dist};
-use mtrl_linalg::{Mat, MatF32, Precision};
+use mtrl_linalg::Mat;
 use mtrl_sparse::Csr;
 
 /// Edge weighting schemes of Eq. (3).
@@ -84,140 +75,57 @@ fn all_pairs_threads(data: &Mat) -> usize {
 }
 
 /// Indices of the `p` nearest neighbours (Euclidean) of every row of
-/// `data`, excluding the object itself, found by `backend` at
-/// `precision`. Rows with fewer than `p` other objects return
-/// everything available; lists are index-sorted.
+/// `data`, excluding the object itself, found by `backend`. Rows with
+/// fewer than `p` other objects return everything available; lists are
+/// index-sorted.
 ///
 /// Ties (including the exact-zero distances of duplicate points) are
 /// broken by ascending neighbour index; NaN distances order *after*
 /// every real distance (`f64::total_cmp`), so a row containing NaN
 /// features is never selected while finite alternatives exist and the
-/// result is always well defined — no panic.
-///
-/// In [`Precision::F32`] mode the centred features are quantised
-/// through `f32` and every accumulation is `f64`, so the lists equal
-/// the `f64` search on the quantised centred features
-/// ([`Precision::quantize_in_place`]). Output is bit-identical for every
-/// pool size within each mode.
-pub fn knn_indices(
-    data: &Mat,
-    p: usize,
-    backend: &GraphBackend,
-    precision: Precision,
-) -> Vec<Vec<usize>> {
-    knn_search(data, p, backend, precision, all_pairs_threads(data))
+/// result is always well defined — no panic. Output is bit-identical
+/// for every pool size.
+pub fn knn_indices(data: &Mat, p: usize, backend: &GraphBackend) -> Vec<Vec<usize>> {
+    knn_search(data, p, backend, all_pairs_threads(data))
 }
 
 /// [`knn_indices`] on an explicit worker count, timed as
 /// `graph.knn_search` (plus `graph.index_build` when an index is built).
-fn knn_search(
-    data: &Mat,
-    p: usize,
-    backend: &GraphBackend,
-    precision: Precision,
-    threads: usize,
-) -> Vec<Vec<usize>> {
+fn knn_search(data: &Mat, p: usize, backend: &GraphBackend, threads: usize) -> Vec<Vec<usize>> {
     match backend {
         GraphBackend::Exact => {
             let _span = mtrl_obs::span!("graph.knn_search");
-            knn_exact(data, p, precision, threads)
+            knn_exact(data, p, threads)
         }
-        GraphBackend::RpForest(params) => ann::knn_rp_forest(data, p, params, precision, threads),
+        GraphBackend::RpForest(params) => ann::knn_rp_forest(data, p, params, threads),
     }
 }
 
-/// The exact search of both precisions on `threads` workers.
-fn knn_exact(data: &Mat, p: usize, precision: Precision, threads: usize) -> Vec<Vec<usize>> {
+/// The exact search on `threads` workers.
+fn knn_exact(data: &Mat, p: usize, threads: usize) -> Vec<Vec<usize>> {
     // Centre the columns before the Gram expansion. Euclidean distances
     // are translation-invariant, but `gi + gj − 2·xiᵀxj` cancels
     // catastrophically when ‖x‖² dwarfs the pairwise separations (data
     // clustered far from the origin — the classic euclidean_distances
     // pitfall); centring puts the origin inside the cloud where the
     // expansion is stable. Means are computed once, globally, so every
-    // chunking sees the same centred values. Quantising *after*
-    // centring spends the f32 mantissa on the pairwise separations, not
-    // on a common offset.
-    let centered = center_columns(data);
-    match precision {
-        Precision::F64 => knn_stored(&centered, p, threads),
-        Precision::F32 => knn_stored(&MatF32::from_mat(&centered), p, threads),
-    }
+    // chunking sees the same centred values.
+    knn_stored(&center_columns(data), p, threads)
 }
 
-/// Row storage the Gram tile reads: `f64` ([`Mat`]) or `f32`
-/// ([`MatF32`]) elements, each widened to `f64` at its point of use.
-/// Widening is exact and row grouping never changes the per-output
-/// rounding sequence, so both instantiations compute the same bits on
-/// the same (quantised) values; only the blocking constants differ.
-trait GramRows: Sync {
-    type Elem: Copy + Into<f64>;
-    /// Query rows that share each streamed strip of `Xᵀ`.
-    const GROUP: usize;
-    /// Column-strip width of the micro-kernel.
-    const JT: usize;
-    fn rows(&self) -> usize;
-    fn cols(&self) -> usize;
-    fn row(&self, i: usize) -> &[Self::Elem];
-    fn transpose(&self) -> Self;
-}
+/// Query rows that share each streamed strip of `Xᵀ` in the Gram tile.
+const GROUP: usize = 4;
+/// Column-strip width of the Gram micro-kernel: four 4 KB output strips
+/// plus one 4 KB strip of `Xᵀ` stay L1-resident across the `k` loop.
+const JT: usize = 512;
 
-impl GramRows for Mat {
-    type Elem = f64;
-    const GROUP: usize = 4;
-    /// Four 4 KB output strips plus one 4 KB strip of `Xᵀ` stay
-    /// L1-resident across the `k` loop.
-    const JT: usize = 512;
-    fn rows(&self) -> usize {
-        Mat::rows(self)
-    }
-    fn cols(&self) -> usize {
-        Mat::cols(self)
-    }
-    fn row(&self, i: usize) -> &[f64] {
-        Mat::row(self, i)
-    }
-    fn transpose(&self) -> Self {
-        Mat::transpose(self)
-    }
-}
-
-impl GramRows for MatF32 {
-    type Elem = f32;
-    /// Eight query rows per `Xᵀ` pass halve the `Xᵀ` traffic on top of
-    /// the halved element width.
-    const GROUP: usize = 8;
-    /// Eight strip accumulators × 256 × 8 B = 16 KiB of `f64` tile plus
-    /// 4 KiB of `f32` strips sit comfortably in L1d.
-    const JT: usize = 256;
-    fn rows(&self) -> usize {
-        MatF32::rows(self)
-    }
-    fn cols(&self) -> usize {
-        MatF32::cols(self)
-    }
-    fn row(&self, i: usize) -> &[f32] {
-        MatF32::row(self, i)
-    }
-    fn transpose(&self) -> Self {
-        MatF32::transpose(self)
-    }
-}
-
-/// The exact search on already-centred rows in `S`'s storage.
-fn knn_stored<S: GramRows>(x: &S, p: usize, threads: usize) -> Vec<Vec<usize>> {
+/// The exact search on already-centred rows.
+fn knn_stored(x: &Mat, p: usize, threads: usize) -> Vec<Vec<usize>> {
     let n = x.rows();
-    // Squared norms of the rows as stored, widened, summed in the same
-    // ascending order as `vecops::dot`.
+    // Squared norms of the rows, summed in the same ascending order as
+    // `vecops::dot`.
     let sq_norms: Vec<f64> = (0..n)
-        .map(|i| {
-            x.row(i)
-                .iter()
-                .map(|&v| {
-                    let w: f64 = v.into();
-                    w * w
-                })
-                .sum()
-        })
+        .map(|i| x.row(i).iter().map(|&w| w * w).sum())
         .collect();
     let xt = x.transpose();
     par_chunks_map(n, threads, |range| {
@@ -260,9 +168,9 @@ pub fn center_columns(data: &Mat) -> Mat {
 }
 
 /// Neighbour lists for rows `[r0, r1)` via tiled Gram-trick distances.
-fn knn_rows<S: GramRows>(
-    data: &S,
-    xt: &S,
+fn knn_rows(
+    data: &Mat,
+    xt: &Mat,
     sq_norms: &[f64],
     p: usize,
     r0: usize,
@@ -289,24 +197,24 @@ fn knn_rows<S: GramRows>(
 
 /// Accumulate `tile_buf[local][j] = −2 · src[t0 + local] · Xᵀ[.., j]`
 /// for the row tile `[t0, t1)` of `src` — the one Gram micro-kernel
-/// behind both the exact [`knn_indices`] (`src` = the data itself, in either
-/// storage) and [`cross_sq_dist_map`] (`src` = the query batch). Sharing
+/// behind both the exact [`knn_indices`] (`src` = the data itself) and
+/// [`cross_sq_dist_map`] (`src` = the query batch). Sharing
 /// the implementation is what makes their per-pair values bit-identical
 /// **by construction** — the exactness contract `mtrl-stream`'s
 /// incremental maintenance rests on.
 ///
 /// Every output row is accumulated over `k` in ascending order with no
 /// skip, so the value of each `(i, j)` cross term is independent of
-/// tiles, register blocking, threads and storage width.
-fn gram_tile_neg2<S: GramRows>(src: &S, xt: &S, t0: usize, t1: usize, tile_buf: &mut [f64]) {
+/// tiles, register blocking and threads.
+fn gram_tile_neg2(src: &Mat, xt: &Mat, t0: usize, t1: usize, tile_buf: &mut [f64]) {
     let n = xt.cols();
     let d = src.cols();
     let rows = t1 - t0;
     tile_buf[..rows * n].fill(0.0);
     let mut brows: Vec<&mut [f64]> = tile_buf[..rows * n].chunks_mut(n.max(1)).collect();
-    for (g, group) in brows.chunks_mut(S::GROUP).enumerate() {
-        let i0 = t0 + g * S::GROUP;
-        if group.len() == S::GROUP {
+    for (g, group) in brows.chunks_mut(GROUP).enumerate() {
+        let i0 = t0 + g * GROUP;
+        if group.len() == GROUP {
             // Register-blocked micro-kernel: a group of output rows
             // shares each streamed strip of Xᵀ and the k dimension is
             // unrolled by four so each output load/store amortises over
@@ -316,12 +224,10 @@ fn gram_tile_neg2<S: GramRows>(src: &S, xt: &S, t0: usize, t1: usize, tile_buf: 
             // a slow libm call but stays exact. A nested `mul_add` chain
             // performs the exact same rounding sequence as the
             // sequential k loop of the remainder kernel below, keeping
-            // every path bit-identical. Each f32 element is widened at
-            // its point of use (the convert fuses with the load);
-            // widening into an f64 scratch first was measured slower.
+            // every path bit-identical.
             let mut jt = 0;
             while jt < n {
-                let je = (jt + S::JT).min(n);
+                let je = (jt + JT).min(n);
                 let mut k = 0;
                 while k + 4 <= d {
                     let xk = [
@@ -332,12 +238,7 @@ fn gram_tile_neg2<S: GramRows>(src: &S, xt: &S, t0: usize, t1: usize, tile_buf: 
                     ];
                     for (local, b) in group.iter_mut().enumerate() {
                         let x = &src.row(i0 + local)[k..k + 4];
-                        let a = [
-                            -2.0 * x[0].into(),
-                            -2.0 * x[1].into(),
-                            -2.0 * x[2].into(),
-                            -2.0 * x[3].into(),
-                        ];
+                        let a = [-2.0 * x[0], -2.0 * x[1], -2.0 * x[2], -2.0 * x[3]];
                         axpy4_fma(&mut b[jt..je], a, xk);
                     }
                     k += 4;
@@ -345,7 +246,7 @@ fn gram_tile_neg2<S: GramRows>(src: &S, xt: &S, t0: usize, t1: usize, tile_buf: 
                 while k < d {
                     let xk = &xt.row(k)[jt..je];
                     for (local, b) in group.iter_mut().enumerate() {
-                        axpy1_fma(&mut b[jt..je], -2.0 * src.row(i0 + local)[k].into(), xk);
+                        axpy1_fma(&mut b[jt..je], -2.0 * src.row(i0 + local)[k], xk);
                     }
                     k += 1;
                 }
@@ -357,7 +258,7 @@ fn gram_tile_neg2<S: GramRows>(src: &S, xt: &S, t0: usize, t1: usize, tile_buf: 
             for (local, brow) in group.iter_mut().enumerate() {
                 let xrow = src.row(i0 + local);
                 for (k, &xv) in xrow.iter().enumerate() {
-                    axpy1_fma(brow, -2.0 * xv.into(), xt.row(k));
+                    axpy1_fma(brow, -2.0 * xv, xt.row(k));
                 }
             }
         }
@@ -490,11 +391,11 @@ where
     })
 }
 
-/// `o[j] += a · x[j]` as one widening + one FMA per element.
+/// `o[j] += a · x[j]` as one FMA per element.
 #[inline]
-fn axpy1_fma<E: Copy + Into<f64>>(o: &mut [f64], a: f64, x: &[E]) {
+fn axpy1_fma(o: &mut [f64], a: f64, x: &[f64]) {
     for (ov, &xv) in o.iter_mut().zip(x) {
-        *ov = a.mul_add(xv.into(), *ov);
+        *ov = a.mul_add(xv, *ov);
     }
 }
 
@@ -503,15 +404,12 @@ fn axpy1_fma<E: Copy + Into<f64>>(o: &mut [f64], a: f64, x: &[E]) {
 /// same rounding sequence as four [`axpy1_fma`] calls, with the output
 /// load/store amortised over all four.
 #[inline]
-fn axpy4_fma<E: Copy + Into<f64>>(o: &mut [f64], a: [f64; 4], x: [&[E]; 4]) {
+fn axpy4_fma(o: &mut [f64], a: [f64; 4], x: [&[f64]; 4]) {
     let [x0, x1, x2, x3] = x;
     for ((((ov, &v0), &v1), &v2), &v3) in o.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
         *ov = a[3].mul_add(
-            v3.into(),
-            a[2].mul_add(
-                v2.into(),
-                a[1].mul_add(v1.into(), a[0].mul_add(v0.into(), *ov)),
-            ),
+            v3,
+            a[2].mul_add(v2, a[1].mul_add(v1, a[0].mul_add(v0, *ov))),
         );
     }
 }
@@ -639,23 +537,17 @@ pub fn pnn_graph_brute_reference(data: &Mat, p: usize, scheme: WeightScheme) -> 
 }
 
 /// Build the symmetric pNN weight matrix `W_E` of Eq. (3): the
-/// neighbour lists of [`knn_indices`] under `backend` and `precision`,
+/// neighbour lists of [`knn_indices`] under `backend`,
 /// weighted by `scheme` on the raw `f64` rows and "or"-symmetrised
 /// ([`graph_from_neighbours`]).
 ///
 /// `data` holds one object per row. The output is a symmetric nonnegative
 /// sparse matrix with zero diagonal, bit-identical for every pool size.
-/// With obs on, every mode records `graph.pnn_build` over
+/// With obs on, every backend records `graph.pnn_build` over
 /// `graph.index_build` (approximate backends only), `graph.knn_search`
 /// and `graph.weights`.
-pub fn pnn_graph(
-    data: &Mat,
-    p: usize,
-    scheme: WeightScheme,
-    backend: &GraphBackend,
-    precision: Precision,
-) -> Csr {
-    pnn_graph_with_threads(data, p, scheme, backend, precision, all_pairs_threads(data))
+pub fn pnn_graph(data: &Mat, p: usize, scheme: WeightScheme, backend: &GraphBackend) -> Csr {
+    pnn_graph_with_threads(data, p, scheme, backend, all_pairs_threads(data))
 }
 
 /// [`pnn_graph`] on an explicit worker count.
@@ -664,11 +556,10 @@ fn pnn_graph_with_threads(
     p: usize,
     scheme: WeightScheme,
     backend: &GraphBackend,
-    precision: Precision,
     threads: usize,
 ) -> Csr {
     let _span = mtrl_obs::span!("graph.pnn_build");
-    let neighbours = knn_search(data, p, backend, precision, threads);
+    let neighbours = knn_search(data, p, backend, threads);
     let _weights_span = mtrl_obs::span!("graph.weights");
     graph_from_neighbours(data, &neighbours, scheme, threads)
 }
@@ -818,22 +709,22 @@ mod tests {
 
     /// The exact f64 search through the public entry.
     fn knn(data: &Mat, p: usize) -> Vec<Vec<usize>> {
-        knn_indices(data, p, &EXACT, Precision::F64)
+        knn_indices(data, p, &EXACT)
     }
 
     /// The exact f64 search on an explicit worker count.
     fn knn_t(data: &Mat, p: usize, threads: usize) -> Vec<Vec<usize>> {
-        knn_exact(data, p, Precision::F64, threads)
+        knn_exact(data, p, threads)
     }
 
     /// The exact f64 graph through the public entry.
     fn pnn(data: &Mat, p: usize, scheme: WeightScheme) -> Csr {
-        pnn_graph(data, p, scheme, &EXACT, Precision::F64)
+        pnn_graph(data, p, scheme, &EXACT)
     }
 
     /// The exact f64 graph on an explicit worker count.
     fn pnn_t(data: &Mat, p: usize, scheme: WeightScheme, threads: usize) -> Csr {
-        pnn_graph_with_threads(data, p, scheme, &EXACT, Precision::F64, threads)
+        pnn_graph_with_threads(data, p, scheme, &EXACT, threads)
     }
 
     /// Three tight, well-separated clusters on a line.
@@ -1190,32 +1081,10 @@ mod tests {
     }
 
     #[test]
-    fn f32_tile_bit_equal_f64_tile_on_quantised_operands() {
-        // The mixed-precision pin: the f32-storage instantiation of the
-        // one tile kernel equals the f64 instantiation on the quantised
-        // operands, bit for bit — across a full group and a remainder
-        // group (19 rows = 2·8 + 3), a k remainder (d = 13) and several
-        // column strips (n = 600 > both JTs).
-        let x = rand_uniform(600, 13, -2.0, 2.0, 95);
-        let x32 = MatF32::from_mat(&x);
-        let xq = Precision::F32.quantized(&x);
-        let (xt32, xtq) = (x32.transpose(), xq.transpose());
-        let mut tile32 = vec![0.0; 19 * 600];
-        let mut tile64 = vec![0.0; 19 * 600];
-        for (t0, t1) in [(0, 19), (581, 600)] {
-            gram_tile_neg2(&x32, &xt32, t0, t1, &mut tile32);
-            gram_tile_neg2(xq.as_ref(), &xtq, t0, t1, &mut tile64);
-            let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&tile32), bits(&tile64), "tile [{t0}, {t1})");
-        }
-    }
-
-    #[test]
-    fn f32_knn_equals_pair_function_on_quantised_centred_rows() {
+    fn knn_equals_pair_function_on_centred_rows() {
         let data = rand_uniform(83, 13, -3.0, 3.0, 23);
         let p = 6;
-        let mut centered = center_columns(&data);
-        Precision::F32.quantize_in_place(centered.as_mut_slice());
+        let centered = center_columns(&data);
         let n = data.rows();
         let g: Vec<f64> = (0..n)
             .map(|i| dot(centered.row(i), centered.row(i)))
@@ -1234,34 +1103,7 @@ mod tests {
                 select_p_nearest(&mut scratch, p)
             })
             .collect();
-        assert_eq!(knn_exact(&data, p, Precision::F32, 1), expected);
-    }
-
-    #[test]
-    fn f32_knn_parallel_bit_identical_to_serial() {
-        let data = rand_uniform(301, 17, -1.0, 4.0, 31);
-        let serial = knn_exact(&data, 5, Precision::F32, 1);
-        for threads in [2, 3, 8] {
-            assert_eq!(
-                knn_exact(&data, 5, Precision::F32, threads),
-                serial,
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn f32_lists_match_f64_on_well_separated_data() {
-        // Quantisation can only flip near-ties; on clustered data with
-        // clear margins the f32 neighbour lists equal the f64 ones.
-        let mut data = rand_uniform(120, 8, 0.0, 1.0, 43);
-        for i in 0..data.rows() {
-            let shift = (i % 3) as f64 * 50.0;
-            for v in data.row_mut(i) {
-                *v += shift;
-            }
-        }
-        assert_eq!(knn_exact(&data, 7, Precision::F32, 2), knn_t(&data, 7, 2),);
+        assert_eq!(knn_t(&data, p, 1), expected);
     }
 
     // The cross-thread properties on the private bodies that take a
@@ -1298,24 +1140,6 @@ mod tests {
             ] {
                 prop_assert_eq!(pnn_t(&data, p, scheme, threads), pnn_t(&data, p, scheme, 1));
             }
-        }
-
-        #[test]
-        fn parallel_knn_f32_bit_identical_to_serial(
-            n in 1usize..40,
-            d in 1usize..12,
-            p in 0usize..8,
-            threads in 2usize..9,
-            seed in any::<u64>()
-        ) {
-            // The f32-storage search makes the same promise as the f64
-            // one: neighbour lists are a pure function of the data,
-            // independent of the worker-thread count.
-            let data = rand_uniform(n, d, -2.0, 2.0, seed);
-            prop_assert_eq!(
-                knn_exact(&data, p, Precision::F32, threads),
-                knn_exact(&data, p, Precision::F32, 1)
-            );
         }
 
         #[test]

@@ -282,13 +282,12 @@ mod tests {
         use crate::knn::{pnn_graph, WeightScheme};
         use crate::GraphBackend;
         use mtrl_linalg::random::rand_uniform;
-        use mtrl_linalg::Precision;
         let data = rand_uniform(40, 6, 0.0, 1.0, 77);
         for scheme in [
             WeightScheme::Cosine,
             WeightScheme::HeatKernel { sigma: -1.0 },
         ] {
-            let w = pnn_graph(&data, 4, scheme, &GraphBackend::Exact, Precision::F64);
+            let w = pnn_graph(&data, 4, scheme, &GraphBackend::Exact);
             for kind in [LaplacianKind::Unnormalized, LaplacianKind::SymNormalized] {
                 let sparse = laplacian_csr(&w, kind);
                 let reference = dense_reference(&w, kind);

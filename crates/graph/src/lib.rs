@@ -17,8 +17,7 @@
 //! matrix by one search entry, [`knn_indices`], and one graph entry,
 //! [`pnn_graph`]. Each takes a [`GraphBackend`] — the exact parallel,
 //! blocked Gram-trick kernel (see [`knn`]) or the random-projection
-//! forest index (see [`ann`]) — and a [`mtrl_linalg::Precision`]
-//! (`F32` stores the centred operands as `f32`, accumulating in `f64`).
+//! forest index (see [`ann`]); every operand and accumulation is `f64`.
 //! Output is bit-identical for every thread count. The weight matrices
 //! are sparse ([`mtrl_sparse::Csr`]) and the Laplacians stay sparse too
 //! ([`laplacian_csr`], ≤ `2pn + n` entries) — the positive/negative

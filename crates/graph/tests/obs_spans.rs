@@ -1,5 +1,5 @@
-//! One span tree for every graph build: with obs on, every backend and
-//! precision records `graph.pnn_build` over `graph.knn_search` and
+//! One span tree for every graph build: with obs on, every backend
+//! records `graph.pnn_build` over `graph.knn_search` and
 //! `graph.weights`, plus `graph.index_build` when an index is built.
 //!
 //! A test binary of its own: it flips the process-global obs state and
@@ -8,14 +8,13 @@
 
 use mtrl_graph::{pnn_graph, GraphBackend, RpForestParams, WeightScheme};
 use mtrl_linalg::random::rand_uniform;
-use mtrl_linalg::Precision;
 
 /// The span paths one `pnn_graph` call records.
-fn span_paths(backend: &GraphBackend, precision: Precision) -> Vec<String> {
+fn span_paths(backend: &GraphBackend) -> Vec<String> {
     let data = rand_uniform(120, 6, -1.0, 1.0, 7);
     let reg = mtrl_obs::global();
     reg.reset();
-    pnn_graph(&data, 5, WeightScheme::Cosine, backend, precision);
+    pnn_graph(&data, 5, WeightScheme::Cosine, backend);
     reg.spans_snapshot()
         .into_iter()
         .map(|(path, _)| path)
@@ -25,11 +24,8 @@ fn span_paths(backend: &GraphBackend, precision: Precision) -> Vec<String> {
 #[test]
 fn every_mode_records_the_same_stage_names() {
     mtrl_obs::force_enable();
-    let exact = span_paths(&GraphBackend::Exact, Precision::F64);
-    let exact_f32 = span_paths(&GraphBackend::Exact, Precision::F32);
-    let forest = GraphBackend::RpForest(RpForestParams::default());
-    let forest_f64 = span_paths(&forest, Precision::F64);
-    let forest_f32 = span_paths(&forest, Precision::F32);
+    let exact = span_paths(&GraphBackend::Exact);
+    let forest = span_paths(&GraphBackend::RpForest(RpForestParams::default()));
     mtrl_obs::force_disable();
 
     let mut expected = vec![
@@ -43,9 +39,7 @@ fn every_mode_records_the_same_stage_names() {
         v
     };
     assert_eq!(sorted(exact), expected);
-    assert_eq!(sorted(exact_f32), expected);
     expected.push("graph.pnn_build/graph.index_build".to_string());
     expected.sort();
-    assert_eq!(sorted(forest_f64), expected);
-    assert_eq!(sorted(forest_f32), expected);
+    assert_eq!(sorted(forest), expected);
 }

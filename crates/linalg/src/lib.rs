@@ -8,12 +8,8 @@
 //! matrix products, norms and small inversions. This crate provides those
 //! primitives without any external BLAS:
 //!
-//! * [`Mat`] — a row-major dense `f64` matrix with cache-friendly row access;
-//! * [`Precision`] — the storage-precision knob; F32 mode is one
-//!   quantisation of operands ([`Precision::quantize_in_place`]) in
-//!   front of the ordinary `f64` kernels;
-//! * [`MatF32`] — `f32` storage for the one kernel that keeps it, the
-//!   Gram kNN tile in `mtrl-graph`;
+//! * [`Mat`] — a row-major dense `f64` matrix with cache-friendly row access
+//!   (every kernel stores and accumulates `f64`);
 //! * blocked and multi-threaded matrix products ([`ops`]);
 //! * the scoped-thread worker pool shared by every parallel kernel in
 //!   the workspace ([`par`]; `MTRL_NUM_THREADS` overrides the count);
@@ -47,7 +43,6 @@ pub mod kmeans;
 mod lanes;
 pub mod lowrank;
 pub mod mat;
-mod matf32;
 pub mod norms;
 pub mod ops;
 pub mod par;
@@ -62,8 +57,7 @@ pub mod vecops;
 pub use block::BlockSpec;
 pub use error::LinalgError;
 pub use mat::Mat;
-pub use matf32::MatF32;
-pub use precision::{Precision, Quantize};
+pub use precision::Precision;
 
 /// Numerical floor used to guard divisions in multiplicative updates.
 ///

@@ -152,7 +152,6 @@ mod tests {
     use crate::lanes::oracle::{awkward, same_bits, typed_rows};
     use crate::ops::{gram, matmul};
     use crate::par::{num_threads, set_num_threads};
-    use crate::{Precision, Quantize};
 
     /// The full-width combination the typed blocks replace (the scalar
     /// loop of the former `diag_lowrank_combine`): every `k`, zero
@@ -193,7 +192,7 @@ mod tests {
         // have a zero `A` coefficient, so `0 · (negative) = -0` starts
         // lanes that only a dropped `+0` term would flip: the `-0`
         // re-sum must reproduce that. A type with one cluster and one
-        // with one object; F32-quantised operands; 1 and 4 threads.
+        // with one object; 1 and 4 threads.
         let before = num_threads();
         for (li, (sizes, clusters)) in [
             (&[13usize, 1, 9][..], &[3usize, 15, 4][..]),
@@ -211,57 +210,53 @@ mod tests {
             // positive outside it: every kept term is `-0`, a dropped one
             // `+0`, and the full-width entry is `+0`.
             let j = spec.offset(1);
-            for prec in [Precision::F64, Precision::F32] {
-                let g = mat(n, c, gv.clone());
-                let mut w = gram(&g);
+            let g = mat(n, c, gv.clone());
+            let mut w = gram(&g);
+            for k in 0..c {
+                w[(k, j)] = 0.0;
+            }
+            let s = mat(c, c, awkward(c * c, 71 + li as u64, false));
+            let mut u = matmul(&g, &s).unwrap();
+            let mut a = mat(n, c, awkward(n * c, 72 + li as u64, false));
+            for i in (0..n).step_by(3) {
+                a[(i, j)] = -0.5;
                 for k in 0..c {
-                    w[(k, j)] = 0.0;
+                    let v = u[(i, k)].abs() + 0.125;
+                    u[(i, k)] = if spec.range(1).contains(&k) { -v } else { v };
                 }
-                let s = mat(c, c, awkward(c * c, 71 + li as u64, false));
-                let mut u = matmul(&g, &s).unwrap();
-                let mut a = mat(n, c, awkward(n * c, 72 + li as u64, false));
-                for i in (0..n).step_by(3) {
-                    a[(i, j)] = -0.5;
-                    for k in 0..c {
-                        let v = u[(i, k)].abs() + 0.125;
-                        u[(i, k)] = if spec.range(1).contains(&k) { -v } else { v };
-                    }
-                }
-                u.quantize(prec);
-                a.quantize(prec);
-                let a_coeff: Vec<f64> = (0..n)
-                    .map(|i| if i % 3 == 0 { 0.0 } else { 0.75 })
-                    .collect();
-                let u_coeff: Vec<f64> = (0..n)
-                    .map(|i| if i % 7 == 6 { 0.0 } else { 0.25 })
-                    .collect();
-                let expect = combine_oracle(&a_coeff, &a, &u_coeff, &u, &w);
-                assert!(
-                    (0..n)
-                        .step_by(3)
-                        .any(|i| u_coeff[i] != 0.0 && expect[(i, j)].to_bits() == 0),
-                    "the -0 trap is not exercised"
-                );
-                for threads in [1usize, 4] {
-                    set_num_threads(threads);
-                    let mut out = Mat::filled(n, c, 9.0);
-                    for l in 0..spec.num_blocks() {
-                        diag_lowrank_combine_block(
-                            &a_coeff,
-                            &a,
-                            &u_coeff,
-                            &u,
-                            &w,
-                            0..n,
-                            spec.range(l),
-                            &mut out,
-                        );
-                    }
-                    assert!(
-                        same_bits(out.as_slice(), expect.as_slice()),
-                        "layout {li} {prec:?} t={threads}"
+            }
+            let a_coeff: Vec<f64> = (0..n)
+                .map(|i| if i % 3 == 0 { 0.0 } else { 0.75 })
+                .collect();
+            let u_coeff: Vec<f64> = (0..n)
+                .map(|i| if i % 7 == 6 { 0.0 } else { 0.25 })
+                .collect();
+            let expect = combine_oracle(&a_coeff, &a, &u_coeff, &u, &w);
+            assert!(
+                (0..n)
+                    .step_by(3)
+                    .any(|i| u_coeff[i] != 0.0 && expect[(i, j)].to_bits() == 0),
+                "the -0 trap is not exercised"
+            );
+            for threads in [1usize, 4] {
+                set_num_threads(threads);
+                let mut out = Mat::filled(n, c, 9.0);
+                for l in 0..spec.num_blocks() {
+                    diag_lowrank_combine_block(
+                        &a_coeff,
+                        &a,
+                        &u_coeff,
+                        &u,
+                        &w,
+                        0..n,
+                        spec.range(l),
+                        &mut out,
                     );
                 }
+                assert!(
+                    same_bits(out.as_slice(), expect.as_slice()),
+                    "layout {li} t={threads}"
+                );
             }
         }
         set_num_threads(before);

@@ -258,26 +258,6 @@ pub fn row_gram(a: &Mat) -> Mat {
     out
 }
 
-/// `tr(Aᵀ B) = Σ_ij A_ij B_ij` — the trace form used by the regulariser
-/// `tr(Gᵀ L G) = tr(Gᵀ (L G))` without materialising any extra matrix.
-///
-/// # Errors
-/// Returns [`LinalgError::ShapeMismatch`] when shapes differ.
-pub fn trace_product_tn(a: &Mat, b: &Mat) -> Result<f64> {
-    if a.shape() != b.shape() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "trace_product_tn",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    Ok(a.as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(x, y)| x * y)
-        .sum())
-}
-
 /// Triple product `G * S * Gᵀ` computed as `(G S)` followed by the
 /// dot-product kernel — `O(n²c)` with row-major friendly access.
 ///
@@ -442,7 +422,6 @@ mod tests {
     use crate::lanes::oracle::{awkward, block_rows, same_bits, typed_rows};
     use crate::par::set_num_threads;
     use crate::random::rand_uniform;
-    use crate::Quantize;
 
     /// The scalar loop [`mul_rows_into`] replaced: i-k-j, the output row
     /// updated in memory, zeros of `A` skipped.
@@ -589,7 +568,7 @@ mod tests {
         // Each type's block of every product against the same entries of
         // the full-width kernel, bit for bit; entries outside the blocks
         // stay untouched. `B` carries NaN/±∞: against a zero of `A` neither
-        // kernel forms 0·∞. F32-quantised operands and 1 and 4 threads.
+        // kernel forms 0·∞. 1 and 4 threads.
         let before = num_threads();
         for (li, (sizes, clusters)) in LAYOUTS.iter().enumerate() {
             let (types, cl) = (
@@ -598,61 +577,54 @@ mod tests {
             );
             let (vals, c) = typed_rows(sizes, clusters, 40 + li as u64);
             let n = types.total();
-            for quantized in [false, true] {
-                let mut g = mat(n, c, vals.clone());
-                let mut b = mat(c, c, awkward(c * c, 50 + li as u64, true));
-                let mut x = mat(n, c, awkward(n * c, 60 + li as u64, true));
-                if quantized {
-                    for m in [&mut g, &mut b, &mut x] {
-                        m.quantize(crate::Precision::F32);
-                    }
+            let g = mat(n, c, vals);
+            let b = mat(c, c, awkward(c * c, 50 + li as u64, true));
+            let x = mat(n, c, awkward(n * c, 60 + li as u64, true));
+            for threads in [1usize, 4] {
+                set_num_threads(threads);
+                let full = matmul(&g, &b).unwrap();
+                let full_x = matmul(&x, &b).unwrap();
+                let tn_gx = matmul_tn(&g, &x).unwrap();
+                let tn_gg = matmul_tn(&g, &g).unwrap();
+                let (mut own, mut wide, mut xb) = (
+                    Mat::filled(n, c, 9.0),
+                    Mat::filled(n, c, 9.0),
+                    Mat::filled(n, c, 9.0),
+                );
+                let (mut tn, mut tg) = (Mat::filled(c, c, 9.0), Mat::filled(c, c, 9.0));
+                for k in 0..types.num_blocks() {
+                    let (rows, cols) = (types.range(k), cl.range(k));
+                    matmul_block(&g, &b, rows.clone(), cols.clone(), cols.clone(), &mut own);
+                    matmul_block(&g, &b, rows.clone(), cols.clone(), 0..c, &mut wide);
+                    matmul_block(&x, &b, rows.clone(), 0..c, cols.clone(), &mut xb);
+                    matmul_tn_block(&g, &x, rows.clone(), cols.clone(), 0..c, &mut tn);
+                    matmul_tn_block(&g, &g, rows.clone(), cols.clone(), cols.clone(), &mut tg);
                 }
-                for threads in [1usize, 4] {
-                    set_num_threads(threads);
-                    let full = matmul(&g, &b).unwrap();
-                    let full_x = matmul(&x, &b).unwrap();
-                    let tn_gx = matmul_tn(&g, &x).unwrap();
-                    let tn_gg = matmul_tn(&g, &g).unwrap();
-                    let (mut own, mut wide, mut xb) = (
-                        Mat::filled(n, c, 9.0),
-                        Mat::filled(n, c, 9.0),
-                        Mat::filled(n, c, 9.0),
-                    );
-                    let (mut tn, mut tg) = (Mat::filled(c, c, 9.0), Mat::filled(c, c, 9.0));
-                    for k in 0..types.num_blocks() {
-                        let (rows, cols) = (types.range(k), cl.range(k));
-                        matmul_block(&g, &b, rows.clone(), cols.clone(), cols.clone(), &mut own);
-                        matmul_block(&g, &b, rows.clone(), cols.clone(), 0..c, &mut wide);
-                        matmul_block(&x, &b, rows.clone(), 0..c, cols.clone(), &mut xb);
-                        matmul_tn_block(&g, &x, rows.clone(), cols.clone(), 0..c, &mut tn);
-                        matmul_tn_block(&g, &g, rows.clone(), cols.clone(), cols.clone(), &mut tg);
+                for k in 0..types.num_blocks() {
+                    let cols = cl.range(k);
+                    for i in types.range(k) {
+                        let at = |m: &Mat| m.row(i)[cols.clone()].to_vec();
+                        assert!(same_bits(&at(&own), &at(&full)), "own {li} row {i}");
+                        assert!(same_bits(&at(&xb), &at(&full_x)), "x·B {li} row {i}");
+                        assert!(same_bits(wide.row(i), full.row(i)), "wide {li} row {i}");
+                        let outside = own
+                            .row(i)
+                            .iter()
+                            .enumerate()
+                            .filter(|(j, _)| !cols.contains(j));
+                        assert!(outside.clone().all(|(_, &v)| v == 9.0), "own leaked {li}");
                     }
-                    for k in 0..types.num_blocks() {
-                        let cols = cl.range(k);
-                        for i in types.range(k) {
-                            let at = |m: &Mat| m.row(i)[cols.clone()].to_vec();
-                            assert!(same_bits(&at(&own), &at(&full)), "own {li} row {i}");
-                            assert!(same_bits(&at(&xb), &at(&full_x)), "x·B {li} row {i}");
-                            assert!(same_bits(wide.row(i), full.row(i)), "wide {li} row {i}");
-                            let outside = own
-                                .row(i)
-                                .iter()
-                                .enumerate()
-                                .filter(|(j, _)| !cols.contains(j));
-                            assert!(outside.clone().all(|(_, &v)| v == 9.0), "own leaked {li}");
-                        }
-                        for a in cols.clone() {
-                            assert!(same_bits(tn.row(a), tn_gx.row(a)), "GᵀX {li} row {a}");
-                            let own_tg = &tg.row(a)[cols.clone()];
-                            assert!(same_bits(own_tg, &tn_gg.row(a)[cols.clone()]), "GᵀG {li}");
-                            // Off-block GᵀG is +0 for a finite G.
-                            let off = tn_gg
-                                .row(a)
-                                .iter()
-                                .enumerate()
-                                .filter(|(j, _)| !cols.contains(j));
-                            assert!(off.clone().all(|(_, v)| v.to_bits() == 0), "GᵀG off-block");
-                        }
+                    for a in cols.clone() {
+                        assert!(same_bits(tn.row(a), tn_gx.row(a)), "GᵀX {li} row {a}");
+                        let own_tg = &tg.row(a)[cols.clone()];
+                        assert!(same_bits(own_tg, &tn_gg.row(a)[cols.clone()]), "GᵀG {li}");
+                        // Off-block GᵀG is +0 for a finite G.
+                        let off = tn_gg
+                            .row(a)
+                            .iter()
+                            .enumerate()
+                            .filter(|(j, _)| !cols.contains(j));
+                        assert!(off.clone().all(|(_, v)| v.to_bits() == 0), "GᵀG off-block");
                     }
                 }
             }
@@ -776,15 +748,6 @@ mod tests {
                 assert_eq!(g[(i, j)], g[(j, i)]);
             }
         }
-    }
-
-    #[test]
-    fn trace_product_equals_trace_of_product() {
-        let a = rand_uniform(8, 8, -1.0, 1.0, 12);
-        let b = rand_uniform(8, 8, -1.0, 1.0, 13);
-        let t1 = trace_product_tn(&a, &b).unwrap();
-        let t2 = naive_matmul(&a.transpose(), &b).trace();
-        assert!((t1 - t2).abs() < 1e-10);
     }
 
     #[test]

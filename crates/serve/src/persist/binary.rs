@@ -510,6 +510,26 @@ mod tests {
     }
 
     #[test]
+    fn f32_precision_config_is_a_typed_error() {
+        // A resealed bundle whose config section asks for the removed
+        // F32 mode passes the digest and fails on the config, typed.
+        let mut bytes = to_bytes(&tiny_fitted_model(78)).unwrap();
+        let field = b"\"precision\":\"F64\"";
+        let at = bytes
+            .windows(field.len())
+            .position(|w| w == field)
+            .expect("the config records its precision");
+        bytes[at + field.len() - 3..at + field.len() - 1].copy_from_slice(b"32");
+        let digest_at = bytes.len() - 8;
+        let reseal = word_fnv(&bytes[..digest_at]);
+        bytes[digest_at..].copy_from_slice(&reseal.to_le_bytes());
+        match from_bytes(&bytes) {
+            Err(ServeError::Corrupt(msg)) => assert!(!msg.contains("digest"), "{msg}"),
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn method_provenance_round_trips_and_stays_optional() {
         // Without provenance the bundle keeps the pre-provenance layout:
         // six sections, no tag 7 — an old reader's contract.

@@ -332,6 +332,51 @@ mod tests {
         assert!(from_json(&tampered).is_err());
     }
 
+    /// Fold-in posteriors of a few fixed documents of every type.
+    fn posteriors(model: &FittedModel) -> Vec<Vec<u64>> {
+        let assigner = crate::assign::Assigner::new(model.clone()).unwrap();
+        let mut out = Vec::new();
+        for (t, &d) in model.feature_dims.iter().enumerate() {
+            for i in 0..3 {
+                let dense: Vec<f64> = (0..d).map(|j| ((i * 7 + j) % 5) as f64).collect();
+                let x = crate::assign::SparseVec::from_dense(&dense);
+                let post = assigner.assign(t, &x).unwrap();
+                out.push(post.iter().map(|v| v.to_bits()).collect());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn f64_precision_config_loads_and_assigns_bit_identically() {
+        // Every bundle written with the default config records
+        // `"precision": "F64"`; both formats load it and serve the same
+        // posteriors, bit for bit, as the in-memory model.
+        let model = tiny_fitted_model(37);
+        let expected = posteriors(&model);
+        let json = to_json(&model).unwrap();
+        assert_eq!(json.matches("\"precision\": \"F64\"").count(), 1);
+        let bytes = to_bytes(&model).unwrap();
+        assert!(bytes.windows(17).any(|w| w == b"\"precision\":\"F64\""));
+        for back in [from_json(&json).unwrap(), from_bytes(&bytes).unwrap()] {
+            assert_eq!(back.content_digest(), model.content_digest());
+            assert_eq!(posteriors(&back), expected);
+        }
+    }
+
+    #[test]
+    fn f32_precision_config_is_a_typed_error() {
+        // F32 mode no longer exists: a bundle whose config asks for it
+        // is refused with a typed error, never a panic.
+        let json = to_json(&tiny_fitted_model(38)).unwrap();
+        let f32_json = json.replacen("\"precision\": \"F64\"", "\"precision\": \"F32\"", 1);
+        assert_ne!(f32_json, json);
+        match from_json(&f32_json) {
+            Err(ServeError::Corrupt(msg)) => assert!(!msg.contains("digest"), "{msg}"),
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn missing_fields_rejected() {
         assert!(from_json(&format!(

@@ -3,7 +3,7 @@
 use crate::lanes::{panels, store_lanes, with_lanes, Panel};
 use mtrl_linalg::block::BlockSpec;
 use mtrl_linalg::vecops::dots;
-use mtrl_linalg::{Mat, Precision, Quantize};
+use mtrl_linalg::Mat;
 use std::ops::Range;
 
 /// Compressed sparse row (CSR) matrix of `f64`.
@@ -13,7 +13,7 @@ use std::ops::Range;
 /// * `indices` / `values` have length `indptr[rows]`;
 /// * within each row, column indices are strictly increasing;
 /// * stored values may be zero only transiently (constructors drop
-///   them) or after [`Quantize::quantize`], which keeps the pattern.
+///   them).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     rows: usize,
@@ -584,14 +584,6 @@ impl Csr {
     }
 }
 
-impl Quantize for Csr {
-    /// Round the stored values in place. The sparsity pattern is kept:
-    /// an entry that underflows to zero stays stored.
-    fn quantize(&mut self, precision: Precision) {
-        precision.quantize_in_place(&mut self.values);
-    }
-}
-
 /// Row-ordered CSR assembly for code that visits rows in order with
 /// strictly increasing columns (cheaper than a [`crate::Coo`] round-trip:
 /// no sort, no duplicate merge). Exact zeros are dropped on `push`, so
@@ -663,7 +655,6 @@ mod tests {
     use mtrl_linalg::ops::matmul;
     use mtrl_linalg::random::rand_uniform;
     use proptest::prelude::*;
-    use std::borrow::Cow;
 
     /// The scalar loop the register SpMM replaced: rows of `out`
     /// starting at zero, updated in memory once per stored entry.
@@ -796,8 +787,8 @@ mod tests {
         // type, a one-object type and a type whose R rows are empty (every
         // sixth row of `awkward_csr`, and in the last layout a whole
         // type); R carries -0.0 and exact zeros, and type-self entries
-        // (nothing restricts R's pattern here). F32-quantised operands;
-        // 1 and 4 threads with R above the parallel threshold.
+        // (nothing restricts R's pattern here). 1 and 4 threads with R
+        // above the parallel threshold.
         let before = mtrl_linalg::par::num_threads();
         for (li, (sizes, clusters)) in [
             (&[13usize, 1, 9][..], &[3usize, 15, 4][..]),
@@ -825,34 +816,30 @@ mod tests {
                 }
                 r = Csr::from_dense(&cut, 0.0);
             }
-            for prec in [Precision::F64, Precision::F32] {
-                let mut g = Mat::from_vec(n, c, gv.clone()).unwrap();
-                g.quantize(prec);
-                let r_q = prec.quantized(&r);
-                let split = r_q.split_blocks(&types, &types);
-                let packed: Vec<Mat> = (0..types.num_blocks())
-                    .map(|k| {
-                        let (rows, cols) = (types.range(k), cl.range(k));
-                        let data = rows.flat_map(|i| g.row(i)[cols.clone()].to_vec()).collect();
-                        Mat::from_vec(sizes[k], clusters[k], data).unwrap()
-                    })
-                    .collect();
-                for threads in [1usize, 4] {
-                    mtrl_linalg::par::set_num_threads(threads);
-                    let mut out = Mat::zeros(n, c);
-                    for (k, row_blocks) in split.iter().enumerate() {
-                        for (l, r_kl) in row_blocks.iter().enumerate() {
-                            if r_kl.nnz() > 0 {
-                                r_kl.spmm_into(&packed[l], &mut out, types.offset(k), cl.offset(l));
-                            }
+            let g = Mat::from_vec(n, c, gv).unwrap();
+            let split = r.split_blocks(&types, &types);
+            let packed: Vec<Mat> = (0..types.num_blocks())
+                .map(|k| {
+                    let (rows, cols) = (types.range(k), cl.range(k));
+                    let data = rows.flat_map(|i| g.row(i)[cols.clone()].to_vec()).collect();
+                    Mat::from_vec(sizes[k], clusters[k], data).unwrap()
+                })
+                .collect();
+            for threads in [1usize, 4] {
+                mtrl_linalg::par::set_num_threads(threads);
+                let mut out = Mat::zeros(n, c);
+                for (k, row_blocks) in split.iter().enumerate() {
+                    for (l, r_kl) in row_blocks.iter().enumerate() {
+                        if r_kl.nnz() > 0 {
+                            r_kl.spmm_into(&packed[l], &mut out, types.offset(k), cl.offset(l));
                         }
                     }
-                    let expect = r_q.spmm_dense(&g);
-                    assert!(
-                        same_bits(out.as_slice(), expect.as_slice()),
-                        "layout {li} {prec:?} t={threads}"
-                    );
                 }
+                let expect = r.spmm_dense(&g);
+                assert!(
+                    same_bits(out.as_slice(), expect.as_slice()),
+                    "layout {li} t={threads}"
+                );
             }
             if li == 1 {
                 assert!(
@@ -1118,26 +1105,5 @@ mod tests {
         let twice = s.scaled(2.0);
         assert!(twice.to_dense().approx_eq(&s.to_dense().scaled(2.0), 0.0));
         assert_eq!(s.scaled(0.0).nnz(), 0);
-    }
-
-    #[test]
-    fn quantize_keeps_the_pattern_and_an_underflowing_entry() {
-        let s = Csr::from_raw_parts(
-            2,
-            3,
-            vec![0, 2, 3],
-            vec![0, 2, 1],
-            vec![1.0 / 3.0, 1e-300, -0.1],
-        );
-        assert!(matches!(Precision::F64.quantized(&s), Cow::Borrowed(_)));
-        let q = Precision::F32.quantized(&s);
-        assert_eq!(q.shape(), s.shape());
-        assert_eq!(q.nnz(), 3, "the underflowing entry stays stored");
-        assert_eq!(q.row(0).0, &[0, 2]);
-        assert_eq!(q.row(0).1[1].to_bits(), 0.0f64.to_bits());
-        for ((i, j, a), (i2, j2, b)) in q.iter().zip(s.iter()) {
-            assert_eq!((i, j), (i2, j2));
-            assert_eq!(a.to_bits(), (b as f32 as f64).to_bits());
-        }
     }
 }

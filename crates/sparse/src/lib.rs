@@ -32,10 +32,6 @@
 //! cluster columns, [`SparseBlockDiag::mul_typed`] does the same for
 //! `L·G`, and [`SparseBlockDiag::trace_quad`] runs each `g_i · g_j`
 //! over its type's cluster columns only.
-//!
-//! [`Csr`] and [`SparseBlockDiag`] implement [`mtrl_linalg::Quantize`],
-//! so [`mtrl_linalg::Precision::F32`] mode rounds their values through
-//! `f32` once and runs the ordinary kernels on the result.
 
 pub mod block;
 mod coo;

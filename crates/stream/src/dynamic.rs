@@ -55,7 +55,7 @@ use mtrl_graph::{
 };
 use mtrl_linalg::par::threads_for;
 use mtrl_linalg::vecops::dot;
-use mtrl_linalg::{Mat, Precision, Quantize};
+use mtrl_linalg::Mat;
 use mtrl_sparse::Csr;
 
 /// Tuning knobs of a [`DynamicGraph`].
@@ -84,17 +84,6 @@ pub struct DynamicGraphConfig {
     /// Threshold rebuilds re-batch-build the index, healing leaf
     /// growth from long insert streams.
     pub backend: GraphBackend,
-    /// Kernel storage precision. [`Precision::F32`] quantises every
-    /// *centred* row through f32 on arrival (and on rebuild), so all
-    /// stored distances are exactly what the batch search
-    /// (`mtrl_graph::knn_indices`) computes: widening f32 → f64 is
-    /// exact, so running the unchanged f64 maintenance machinery on
-    /// quantised rows is bit-identical to true f32 storage. Centring
-    /// means stay f64 (quantise-after-centre, the same contract as the
-    /// batch path), raw rows are kept at full precision, and the exported
-    /// graph weights come from the raw rows — so precision only moves
-    /// neighbour selection where quantisation reorders near-ties.
-    pub precision: Precision,
 }
 
 impl Default for DynamicGraphConfig {
@@ -104,7 +93,6 @@ impl Default for DynamicGraphConfig {
             scheme: WeightScheme::Cosine,
             rebuild_threshold: 0.5,
             backend: GraphBackend::Exact,
-            precision: Precision::F64,
         }
     }
 }
@@ -246,7 +234,6 @@ impl DynamicGraph {
                 *v -= m;
             }
         }
-        centred_new.quantize(self.cfg.precision);
         self.centered = self.centered.vstack(&centred_new).expect("same width");
         for i in 0..b {
             let r = centred_new.row(i);
@@ -465,7 +452,6 @@ impl DynamicGraph {
                 *v -= m;
             }
         }
-        self.centered.quantize(self.cfg.precision);
         self.sq_norms = (0..n_total)
             .map(|i| {
                 let r = self.centered.row(i);
@@ -576,14 +562,6 @@ mod tests {
             scheme: WeightScheme::Cosine,
             rebuild_threshold: 1.0, // manual control in tests
             backend: GraphBackend::Exact,
-            precision: Precision::F64,
-        }
-    }
-
-    fn graph_cfg_f32(p: usize) -> DynamicGraphConfig {
-        DynamicGraphConfig {
-            precision: Precision::F32,
-            ..graph_cfg(p)
         }
     }
 
@@ -595,15 +573,9 @@ mod tests {
         let g = DynamicGraph::new(&data, graph_cfg(4));
         assert_eq!(
             g.graph(),
-            pnn_graph(
-                &data,
-                4,
-                WeightScheme::Cosine,
-                &GraphBackend::Exact,
-                Precision::F64
-            )
+            pnn_graph(&data, 4, WeightScheme::Cosine, &GraphBackend::Exact)
         );
-        let nn = knn_indices(&data, 4, &GraphBackend::Exact, Precision::F64);
+        let nn = knn_indices(&data, 4, &GraphBackend::Exact);
         for (i, expect) in nn.iter().enumerate() {
             assert_eq!(&g.neighbours(i), expect, "row {i}");
         }
@@ -624,13 +596,7 @@ mod tests {
         assert_eq!(g.features.rows(), 80);
         assert_eq!(
             g.graph(),
-            pnn_graph(
-                &data,
-                5,
-                WeightScheme::Cosine,
-                &GraphBackend::Exact,
-                Precision::F64
-            )
+            pnn_graph(&data, 5, WeightScheme::Cosine, &GraphBackend::Exact)
         );
     }
 
@@ -670,7 +636,7 @@ mod tests {
         let kept: Vec<usize> = (0..40).filter(|&i| i != 17).collect();
         let compact_rows: Vec<Vec<f64>> = kept.iter().map(|&i| data.row(i).to_vec()).collect();
         let compact = Mat::from_rows(&compact_rows).unwrap();
-        let nn = knn_indices(&compact, 4, &GraphBackend::Exact, Precision::F64);
+        let nn = knn_indices(&compact, 4, &GraphBackend::Exact);
         for (new_i, &old_i) in kept.iter().enumerate() {
             let expect: Vec<usize> = nn[new_i].iter().map(|&j| kept[j]).collect();
             let mut expect = expect;
@@ -693,7 +659,6 @@ mod tests {
                 scheme: WeightScheme::Cosine,
                 rebuild_threshold: 0.0, // any patch trips it
                 backend: GraphBackend::Exact,
-                precision: Precision::F64,
             },
         );
         // A duplicate of row 0 patches its nearest neighbours → rebuild.
@@ -705,13 +670,7 @@ mod tests {
         let full = data.vstack(&data.submatrix(0, 0, 1, 4)).unwrap();
         assert_eq!(
             g.graph(),
-            pnn_graph(
-                &full,
-                3,
-                WeightScheme::Cosine,
-                &GraphBackend::Exact,
-                Precision::F64
-            )
+            pnn_graph(&full, 3, WeightScheme::Cosine, &GraphBackend::Exact)
         );
     }
 
@@ -720,13 +679,7 @@ mod tests {
         let data = rand_uniform(50, 6, 0.0, 1.0, 104);
         let mut g = DynamicGraph::new(&data.submatrix(0, 0, 35, 6), graph_cfg(5));
         g.insert_batch(&data.submatrix(35, 0, 15, 6));
-        let w = pnn_graph(
-            &data,
-            5,
-            WeightScheme::Cosine,
-            &GraphBackend::Exact,
-            Precision::F64,
-        );
+        let w = pnn_graph(&data, 5, WeightScheme::Cosine, &GraphBackend::Exact);
         for kind in [LaplacianKind::Unnormalized, LaplacianKind::SymNormalized] {
             assert_eq!(g.laplacian(kind), laplacian_csr(&w, kind), "{kind:?}");
         }
@@ -742,13 +695,7 @@ mod tests {
         g.insert_batch(&shifted.submatrix(25, 0, 15, 4));
         assert_eq!(
             g.graph(),
-            pnn_graph(
-                &shifted,
-                4,
-                WeightScheme::Cosine,
-                &GraphBackend::Exact,
-                Precision::F64
-            )
+            pnn_graph(&shifted, 4, WeightScheme::Cosine, &GraphBackend::Exact)
         );
     }
 
@@ -766,7 +713,6 @@ mod tests {
                     scheme: WeightScheme::Cosine,
                     rebuild_threshold: 1.0,
                     backend,
-                    precision: Precision::F64,
                 },
             );
             g.insert_batch(&data.submatrix(30, 0, 25, 5));
@@ -804,7 +750,6 @@ mod tests {
                         probes: 2,
                         seed: 3,
                     }),
-                    precision: Precision::F64,
                 },
             );
             g.insert_batch(&data.submatrix(60, 0, 40, 6));
@@ -828,91 +773,6 @@ mod tests {
             assert!(nb.iter().all(|&j| g.alive[j]));
         }
         assert_eq!(g.graph(), run().graph(), "deterministic lifecycle");
-    }
-
-    #[test]
-    fn f32_single_batch_matches_batch_pnn_f32() {
-        // Built in one batch, the F32-mode graph equals the f32-storage
-        // batch kernel's bit for bit: same f64 means, same
-        // quantise-after-centre rows, same pair function by the
-        // widening argument, and shared weighting from raw rows.
-        let data = rand_uniform(60, 7, -1.0, 1.0, 100);
-        let g = DynamicGraph::new(&data, graph_cfg_f32(4));
-        assert_eq!(
-            g.graph(),
-            pnn_graph(
-                &data,
-                4,
-                WeightScheme::Cosine,
-                &GraphBackend::Exact,
-                Precision::F32
-            )
-        );
-        let nn = knn_indices(&data, 4, &GraphBackend::Exact, Precision::F32);
-        for (i, expect) in nn.iter().enumerate() {
-            assert_eq!(&g.neighbours(i), expect, "row {i}");
-        }
-    }
-
-    #[test]
-    fn f32_lifecycle_is_batch_split_invariant() {
-        // Same first batch → same means → identical quantised rows, so
-        // the pairwise maintenance contract holds verbatim in F32 mode.
-        let data = rand_uniform(55, 5, -1.0, 1.0, 106);
-        let build = |splits: &[usize]| {
-            let mut g = DynamicGraph::new(&data.submatrix(0, 0, splits[0], 5), graph_cfg_f32(4));
-            let mut at = splits[0];
-            for &s in &splits[1..] {
-                g.insert_batch(&data.submatrix(at, 0, s, 5));
-                at += s;
-            }
-            assert_eq!(at, 55);
-            g
-        };
-        let a = build(&[20, 35]);
-        let b = build(&[20, 1, 1, 33]);
-        assert_eq!(a.graph(), b.graph());
-        // Removal repair (gram_sq_dist scan over quantised rows) stays
-        // consistent with insertion distances.
-        let mut a = a;
-        let mut b = b;
-        assert!(a.remove(11));
-        assert!(b.remove(11));
-        assert_eq!(a.graph(), b.graph());
-        // A forced rebuild re-centres and re-quantises; both orders
-        // land on the same state.
-        a.rebuild();
-        b.rebuild();
-        assert_eq!(a.graph(), b.graph());
-    }
-
-    #[test]
-    fn f32_ann_exhaustive_matches_exact_f32_mode() {
-        // The ANN index is built over the quantised centred rows and
-        // distances go through the same pair function, so exhaustive
-        // settings reproduce exact F32 mode bit for bit.
-        let data = rand_uniform(70, 5, -1.0, 1.0, 107);
-        let run = |backend: GraphBackend| {
-            let mut g = DynamicGraph::new(
-                &data.submatrix(0, 0, 30, 5),
-                DynamicGraphConfig {
-                    backend,
-                    ..graph_cfg_f32(4)
-                },
-            );
-            g.insert_batch(&data.submatrix(30, 0, 25, 5));
-            g.remove(12);
-            g.insert_batch(&data.submatrix(55, 0, 15, 5));
-            g.graph()
-        };
-        let exact = run(GraphBackend::Exact);
-        let forest = run(GraphBackend::RpForest(RpForestParams {
-            trees: 2,
-            leaf_size: 6,
-            probes: usize::MAX,
-            seed: 9,
-        }));
-        assert_eq!(forest, exact);
     }
 
     #[test]

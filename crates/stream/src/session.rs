@@ -242,7 +242,6 @@ impl StreamSession {
                 p: rhchme.config().p,
                 scheme: rhchme.config().weight_scheme,
                 backend: rhchme.config().graph_backend,
-                precision: rhchme.config().precision,
                 ..DynamicGraphConfig::default()
             },
         );
@@ -456,7 +455,6 @@ impl StreamSession {
             beta: cfg.beta,
             p: cfg.p,
             graph_backend: cfg.graph_backend,
-            precision: cfg.precision,
             spg_max_iter: cfg.spg_max_iter,
             max_iter: cfg.max_iter,
             tol: cfg.tol,
@@ -516,7 +514,7 @@ impl StreamSession {
     /// The refit's pNN member `L_E`: the document block comes from the
     /// incrementally maintained graph; term/concept blocks (small types,
     /// growing feature views) are rebuilt. Both follow the configured
-    /// backend and precision, like the cold fit's `L_E`.
+    /// backend, like the cold fit's `L_E`.
     fn pnn_member(&self, data: &MultiTypeData) -> Result<SparseBlockDiag, StreamError> {
         let cfg = self.rhchme.config();
         let mut blocks = vec![self.doc_graph.laplacian(cfg.laplacian_kind)];
@@ -526,7 +524,6 @@ impl StreamSession {
                 cfg.p,
                 cfg.weight_scheme,
                 &cfg.graph_backend,
-                cfg.precision,
             );
             blocks.push(laplacian_csr(&w, cfg.laplacian_kind));
         }
@@ -915,9 +912,8 @@ mod tests {
     }
 
     #[test]
-    fn session_graphs_follow_the_configured_backend_and_precision() {
+    fn session_graphs_follow_the_configured_backend() {
         use mtrl_graph::{GraphBackend, RpForestParams};
-        use mtrl_linalg::Precision;
         use rhchme::intra::pnn_laplacians_backend_prec;
 
         // A deliberately coarse forest (one tree, small leaves, one
@@ -935,7 +931,6 @@ mod tests {
             Rhchme::new(RhchmeConfig {
                 lambda: 1.0,
                 graph_backend: backend,
-                precision: Precision::F32,
                 ..RhchmeConfig::fast()
             }),
             RefreshPolicy {
@@ -950,25 +945,24 @@ mod tests {
         }
         let graph_cfg = &session.doc_graph.cfg;
         assert_eq!(graph_cfg.backend, backend);
-        assert_eq!(graph_cfg.precision, Precision::F32);
 
         let cfg = session.rhchme.config().clone();
         let data =
             MultiTypeData::from_corpus(session.corpus(), cfg.feature_cluster_divisor).unwrap();
         let l_e = session.pnn_member(&data).unwrap();
-        let laplacians = |backend: &GraphBackend, precision| {
+        let laplacians = |backend: &GraphBackend| {
             pnn_laplacians_backend_prec(
                 &data.all_features(),
                 cfg.p,
                 cfg.weight_scheme,
                 cfg.laplacian_kind,
                 backend,
-                precision,
+                cfg.precision,
             )
             .unwrap()
         };
-        let expected = laplacians(&backend, Precision::F32);
-        let exact = laplacians(&GraphBackend::Exact, Precision::F64);
+        let expected = laplacians(&backend);
+        let exact = laplacians(&GraphBackend::Exact);
         assert!(
             (1..exact.num_blocks()).any(|t| exact.block(t) != expected.block(t)),
             "the coarse forest must move some term/concept graph"

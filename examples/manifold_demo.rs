@@ -15,7 +15,6 @@
 
 use mtrl_datagen::manifold::{two_circles, NOISE_LABEL};
 use mtrl_graph::{pnn_graph, GraphBackend, WeightScheme};
-use mtrl_linalg::Precision;
 use mtrl_subspace::{spg_affinity, SpgConfig};
 
 fn main() {
@@ -29,7 +28,6 @@ fn main() {
         5,
         WeightScheme::HeatKernel { sigma: -1.0 },
         &GraphBackend::Exact,
-        Precision::F64,
     );
 
     // (b) subspace-learned affinity (Algorithm 1). Circles are not linear

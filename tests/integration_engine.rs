@@ -9,7 +9,6 @@
 //! for every object type.
 
 use mtrl_graph::{laplacian_csr, pnn_graph, GraphBackend, LaplacianKind, WeightScheme};
-use mtrl_linalg::Precision;
 use proptest::prelude::*;
 use rhchme::engine::{
     run_engine, run_engine_dense_reference, EngineConfig, EngineResult, GraphRegularizer,
@@ -56,7 +55,7 @@ fn method_setup(data: &MultiTypeData, method: usize) -> (GraphRegularizer, Engin
             .iter()
             .map(|f| {
                 laplacian_csr(
-                    &pnn_graph(f, p, scheme, &GraphBackend::Exact, Precision::F64),
+                    &pnn_graph(f, p, scheme, &GraphBackend::Exact),
                     LaplacianKind::SymNormalized,
                 )
             })

@@ -48,7 +48,6 @@ fn sparse_engine_allocates_no_nxn_dense() {
                         5,
                         mtrl_graph::WeightScheme::Cosine,
                         &mtrl_graph::GraphBackend::Exact,
-                        mtrl_linalg::Precision::F64,
                     ),
                     mtrl_graph::LaplacianKind::SymNormalized,
                 )
@@ -94,31 +93,6 @@ fn sparse_engine_allocates_no_nxn_dense() {
         peak * 8 < n * n,
         "sparse engine peak {peak} is within 8x of n² = {} — an n x n \
          buffer leaked back into the fit path",
-        n * n
-    );
-
-    // --- F32 mode: the quantised operand copies (R and the fixed
-    // Laplacian parts, O(nnz); the G, RG, RGSᵀ and low-rank factor
-    // snapshots, O(n·c) dense `Mat`s recorded by the same oracle) keep
-    // the no-`n x n` guarantee in both precision modes.
-    let cfg32 = EngineConfig {
-        precision: mtrl_linalg::Precision::F32,
-        ..cfg.clone()
-    };
-    mtrl_linalg::mat::alloc_peak::reset();
-    let res32 = run_engine(&r, &data, &reg, g0.clone(), &cfg32).unwrap();
-    let peak32 = mtrl_linalg::mat::alloc_peak::peak_elems();
-    assert_eq!(res32.iterations, 15);
-    assert!(
-        peak32 <= 2 * n * c,
-        "f32-mode engine allocated a {peak32}-element dense matrix; \
-         the largest engine temporary must be O(n·c) = {}",
-        n * c
-    );
-    assert!(
-        peak32 * 8 < n * n,
-        "f32-mode engine peak {peak32} is within 8x of n² = {} — an n x n \
-         buffer leaked into the mixed-precision fit path",
         n * n
     );
 

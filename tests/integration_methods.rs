@@ -150,7 +150,7 @@ fn objective_traces_decrease_monotonically() {
 fn rmc_candidates_equal_six_separate_searches() {
     use rhchme::intra::{pnn_laplacians_backend_prec, rmc_candidates};
     use rhchme_repro::graph::{GraphBackend, LaplacianKind, WeightScheme};
-    use rhchme_repro::linalg::{Mat, Precision};
+    use rhchme_repro::linalg::Mat;
 
     let corpus = mtrl_datagen::corpus::generate(&CorpusConfig {
         docs_per_class: vec![30, 30, 30],
@@ -182,7 +182,7 @@ fn rmc_candidates_equal_six_separate_searches() {
                         scheme,
                         kind,
                         &GraphBackend::Exact,
-                        Precision::F64,
+                        Default::default(),
                     )
                     .unwrap(),
                 );
@@ -195,14 +195,10 @@ fn rmc_candidates_equal_six_separate_searches() {
     }
 }
 
-/// A 180-document corpus with near-duplicate documents: each document
-/// at index 1 mod 3 is replaced by a copy of its predecessor with one
-/// tf-idf weight lowered by one part in 10¹², far below `f32`
-/// resolution. In `f64` the copy is the nearer of the two to most
-/// queries; quantised to `f32` the two tie and the lower index ranks
-/// first, so neighbour lists that end between them differ by precision.
-fn twin_corpus(seed: u64) -> MultiTypeCorpus {
-    let mut corpus = mtrl_datagen::corpus::generate(&CorpusConfig {
+/// A 180-document corpus: more documents than the default rp-forest
+/// (40-row leaves, two probes) searches exhaustively.
+fn forest_corpus(seed: u64) -> MultiTypeCorpus {
+    mtrl_datagen::corpus::generate(&CorpusConfig {
         docs_per_class: vec![60, 60, 60],
         vocab_size: 90,
         concept_count: 24,
@@ -214,39 +210,23 @@ fn twin_corpus(seed: u64) -> MultiTypeCorpus {
         subtopics_per_class: 1,
         view_confusion: 0.0,
         seed: seed + mtrl_datagen::seed_from_env(0),
-    });
-    let mut terms = corpus.doc_term.to_dense();
-    let mut concepts = corpus.doc_concept.to_dense();
-    for i in (1..terms.rows()).step_by(3) {
-        let (t, c) = (terms.row(i - 1).to_vec(), concepts.row(i - 1).to_vec());
-        terms.row_mut(i).copy_from_slice(&t);
-        concepts.row_mut(i).copy_from_slice(&c);
-        let j = t
-            .iter()
-            .position(|&v| v > 0.0)
-            .expect("documents are nonempty");
-        terms[(i, j)] *= 1.0 - 1e-12;
-    }
-    corpus.doc_term = rhchme_repro::sparse::Csr::from_dense(&terms, 0.0);
-    corpus.doc_concept = rhchme_repro::sparse::Csr::from_dense(&concepts, 0.0);
-    corpus
+    })
 }
 
 /// An ensemble member of SRC, SNMTF, RMC or RHCHME at the canonical seed
 /// and cluster counts is the solo fit of its method: the same document
 /// labels and the same final objective, bit for bit — at default
-/// parameters, and under the rp-forest backend with `f32` kernels, which
-/// belong to RHCHME alone (SRC, SNMTF and RMC stay exact `f64` in both
-/// paths; RHCHME's `L_E` and engine take both settings in both paths).
+/// parameters, and under the rp-forest backend, which belongs to RHCHME
+/// alone (SRC, SNMTF and RMC stay exact in both paths; RHCHME's `L_E`
+/// takes the backend in both paths).
 #[test]
 fn ensemble_members_equal_solo_fits() {
     use mtrl_ensemble::generator::{generate_members, SharedRegularizers};
     use rhchme::intra::pnn_laplacians_backend_prec;
     use rhchme::pipeline::{Artifacts, EnsembleSpec};
     use rhchme_repro::graph::{GraphBackend, LaplacianKind, RpForestParams, WeightScheme};
-    use rhchme_repro::linalg::Precision;
 
-    let corpus = twin_corpus(331);
+    let corpus = forest_corpus(331);
     let exact = PipelineParams {
         max_iter: 15,
         spg_max_iter: 10,
@@ -254,27 +234,32 @@ fn ensemble_members_equal_solo_fits() {
         ..PipelineParams::default()
     };
     let forest = GraphBackend::RpForest(RpForestParams::default());
-    let forest_f32 = PipelineParams {
+    let forest_params = PipelineParams {
         graph_backend: forest,
-        precision: Precision::F32,
         ..exact.clone()
     };
 
-    // Test geometry: 180 documents are more than the default forest
-    // (40-row leaves, two probes) searches exhaustively, and the twins
-    // make the forest's f32 graph differ from its f64 graph.
+    // Test geometry: the forest's graph must differ from the exact one,
+    // or the rp-forest leg would not tell the backends apart.
     let features = MultiTypeData::from_corpus(&corpus, exact.feature_cluster_divisor)
         .unwrap()
         .all_features();
-    let graph = |backend: &GraphBackend, precision: Precision| {
+    let graph = |backend: &GraphBackend| {
         let (scheme, kind) = (WeightScheme::Cosine, LaplacianKind::SymNormalized);
-        pnn_laplacians_backend_prec(&features, exact.p, scheme, kind, backend, precision).unwrap()
+        pnn_laplacians_backend_prec(
+            &features,
+            exact.p,
+            scheme,
+            kind,
+            backend,
+            Default::default(),
+        )
+        .unwrap()
     };
-    let forest_f64 = graph(&forest, Precision::F64);
-    assert!(forest_f64 != graph(&GraphBackend::Exact, Precision::F64));
-    assert!(forest_f64 != graph(&forest, Precision::F32));
+    let forest_graph = graph(&forest);
+    assert!(forest_graph != graph(&GraphBackend::Exact));
 
-    for (leg, params) in [("default", &exact), ("rp_forest+f32", &forest_f32)] {
+    for (leg, params) in [("default", &exact), ("rp_forest", &forest_params)] {
         let arts = Artifacts::new(&corpus, params).unwrap();
         let regs = SharedRegularizers::new(&arts, params).unwrap();
         for method in [Method::Src, Method::Snmtf, Method::Rmc, Method::Rhchme] {

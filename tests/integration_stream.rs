@@ -10,7 +10,6 @@ use mtrl_linalg::random::rand_uniform;
 use mtrl_stream::{DynamicGraph, DynamicGraphConfig, RefreshPolicy, StreamSession};
 use proptest::prelude::*;
 use rhchme_repro::graph::{pnn_graph, GraphBackend, WeightScheme};
-use rhchme_repro::linalg::Precision;
 use rhchme_repro::prelude::*;
 
 fn dyn_cfg(p: usize) -> DynamicGraphConfig {
@@ -67,7 +66,7 @@ proptest! {
             at += s;
         }
         prop_assert_eq!(at, n);
-        let reference = pnn_graph(&data, p, WeightScheme::Cosine, &GraphBackend::Exact, Precision::F64);
+        let reference = pnn_graph(&data, p, WeightScheme::Cosine, &GraphBackend::Exact);
         // Incremental path: same edges and weights as the batch build.
         let incremental = g.graph();
         // After a forced rebuild the centring equals the batch kernel's
@@ -127,13 +126,7 @@ fn dynamic_graph_parallel_kernel_bit_identical() {
     mtrl_linalg::par::set_num_threads(before);
     assert_eq!(
         serial,
-        pnn_graph(
-            &data,
-            5,
-            WeightScheme::Cosine,
-            &GraphBackend::Exact,
-            Precision::F64
-        )
+        pnn_graph(&data, 5, WeightScheme::Cosine, &GraphBackend::Exact)
     );
 }
 

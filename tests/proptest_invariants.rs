@@ -7,9 +7,8 @@
 use mtrl_graph::{knn_indices, pnn_graph, GraphBackend, WeightScheme};
 use mtrl_linalg::ops::{matmul, matmul_nt, matmul_tn};
 use mtrl_linalg::random::rand_uniform;
-use mtrl_linalg::{Mat, Precision};
+use mtrl_linalg::Mat;
 use proptest::prelude::*;
-use rhchme_repro::prelude::{run_spec, CorpusConfig, Method, MultiTypeCorpus, PipelineParams};
 
 /// `f` with the kernel pool at `threads` workers, restoring the previous
 /// count. Other tests in this binary may move the count concurrently;
@@ -24,8 +23,8 @@ fn on_pool<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 }
 
 /// The exact search through the public entry.
-fn exact_knn(data: &Mat, p: usize, precision: Precision) -> Vec<Vec<usize>> {
-    knn_indices(data, p, &GraphBackend::Exact, precision)
+fn exact_knn(data: &Mat, p: usize) -> Vec<Vec<usize>> {
+    knn_indices(data, p, &GraphBackend::Exact)
 }
 
 fn arb_mat(max_dim: usize) -> impl Strategy<Value = Mat> {
@@ -93,7 +92,7 @@ proptest! {
     #[test]
     fn pnn_graph_always_symmetric(n in 4usize..25, p in 1usize..6, seed in any::<u64>()) {
         let data = rand_uniform(n, 3, -1.0, 1.0, seed);
-        let w = pnn_graph(&data, p, WeightScheme::Binary, &GraphBackend::Exact, Precision::F64);
+        let w = pnn_graph(&data, p, WeightScheme::Binary, &GraphBackend::Exact);
         prop_assert!(w.is_symmetric(1e-12));
         // Degree bound: each vertex has between p and 2p..n-1 neighbours.
         for i in 0..n {
@@ -116,8 +115,8 @@ proptest! {
         seed in any::<u64>()
     ) {
         let data = rand_uniform(n, d, -2.0, 2.0, seed);
-        let serial = on_pool(1, || exact_knn(&data, p, Precision::F64));
-        let par = on_pool(threads, || exact_knn(&data, p, Precision::F64));
+        let serial = on_pool(1, || exact_knn(&data, p));
+        let par = on_pool(threads, || exact_knn(&data, p));
         prop_assert_eq!(par, serial);
     }
 
@@ -135,28 +134,11 @@ proptest! {
             WeightScheme::HeatKernel { sigma: -1.0 },
             WeightScheme::Cosine,
         ] {
-            let graph = || pnn_graph(&data, p, scheme, &GraphBackend::Exact, Precision::F64);
+            let graph = || pnn_graph(&data, p, scheme, &GraphBackend::Exact);
             let serial = on_pool(1, graph);
             let par = on_pool(threads, graph);
             prop_assert_eq!(par, serial);
         }
-    }
-
-    #[test]
-    fn parallel_knn_f32_bit_identical_to_serial(
-        n in 256usize..300,
-        d in 16usize..20,
-        p in 0usize..8,
-        threads in 2usize..9,
-        seed in any::<u64>()
-    ) {
-        // The f32-storage search makes the same promise as the f64
-        // one: neighbour lists are a pure function of the data,
-        // independent of the worker-thread count.
-        let data = rand_uniform(n, d, -2.0, 2.0, seed);
-        let serial = on_pool(1, || exact_knn(&data, p, Precision::F32));
-        let par = on_pool(threads, || exact_knn(&data, p, Precision::F32));
-        prop_assert_eq!(par, serial);
     }
 
     #[test]
@@ -175,8 +157,8 @@ proptest! {
             .collect();
         let data = Mat::from_rows(&rows).unwrap();
         let p = 4;
-        let serial = on_pool(1, || exact_knn(&data, p, Precision::F64));
-        let par = on_pool(threads, || exact_knn(&data, p, Precision::F64));
+        let serial = on_pool(1, || exact_knn(&data, p));
+        let par = on_pool(threads, || exact_knn(&data, p));
         prop_assert_eq!(&par, &serial);
         // Sanity: a duplicate's nearest neighbours are its own copies.
         for (i, neigh) in serial.iter().enumerate() {
@@ -193,7 +175,7 @@ proptest! {
     ) {
         use mtrl_graph::LaplacianKind;
         let data = rand_uniform(n, 4, 0.0, 1.0, seed);
-        let w = pnn_graph(&data, p, WeightScheme::Cosine, &GraphBackend::Exact, Precision::F64);
+        let w = pnn_graph(&data, p, WeightScheme::Cosine, &GraphBackend::Exact);
         let degrees = w.row_sums();
         for kind in [LaplacianKind::Unnormalized, LaplacianKind::SymNormalized] {
             // Independent dense construction (the seed repository's).
@@ -284,70 +266,6 @@ proptest! {
         }
         // Corrupted docs are a subset of documents.
         prop_assert!(c.corrupted_docs.iter().all(|&d| d < c.num_docs()));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Mixed-precision invariants: F32 mode (operands quantised through
-// f32) must be a drop-in for f64 at the *fit* level — same labels, same
-// convergence contract — not merely kernel-for-kernel bit-stable. Full
-// RHCHME fits are orders of magnitude costlier than the kernel
-// properties above, so this block runs far fewer cases.
-
-fn precision_corpus(seed: u64) -> MultiTypeCorpus {
-    mtrl_datagen::corpus::generate(&CorpusConfig {
-        docs_per_class: vec![10, 10, 10],
-        vocab_size: 80,
-        concept_count: 20,
-        doc_len_range: (35, 60),
-        background_frac: 0.3,
-        topic_noise: 0.25,
-        concept_map_noise: 0.1,
-        corrupt_frac: 0.1,
-        subtopics_per_class: 1,
-        view_confusion: 0.0,
-        seed,
-    })
-}
-
-fn precision_params(precision: Precision) -> PipelineParams {
-    PipelineParams {
-        max_iter: 25,
-        spg_max_iter: 20,
-        feature_cluster_divisor: 10,
-        precision,
-        ..PipelineParams::default()
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    #[test]
-    fn rhchme_f32_fit_labels_match_f64(seed in 0u64..1024) {
-        // Quantisation perturbs only near-tied neighbour pairs; on
-        // corpora with real cluster structure the fits must agree.
-        let c = precision_corpus(seed);
-        let f64_out = run_spec(&c, &Method::Rhchme.into(), &precision_params(Precision::F64)).unwrap();
-        let f32_out = run_spec(&c, &Method::Rhchme.into(), &precision_params(Precision::F32)).unwrap();
-        prop_assert_eq!(f32_out.doc_labels, f64_out.doc_labels);
-    }
-
-    #[test]
-    fn rhchme_f32_objective_trace_monotone_within_wiggle(seed in 0u64..1024) {
-        // Theorem 1's descent property must survive quantisation: the
-        // f32 backend's trace obeys the same 5e-3 relative wiggle
-        // tolerance the f64 path is held to (`integration_methods`).
-        let c = precision_corpus(seed ^ 0x9e37);
-        let out = run_spec(&c, &Method::Rhchme.into(), &precision_params(Precision::F32)).unwrap();
-        let t = &out.objective_trace;
-        prop_assert!(!t.is_empty());
-        for w in t.windows(2) {
-            prop_assert!(
-                w[1] <= w[0] * (1.0 + 5e-3) + 1e-9,
-                "f32 objective rose {} -> {}", w[0], w[1]
-            );
-        }
     }
 }
 
