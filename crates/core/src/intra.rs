@@ -18,8 +18,8 @@
 
 use crate::Result;
 use mtrl_graph::{
-    center_columns, cross_sq_dist_map, graph_from_neighbours, insert_capped, laplacian_csr,
-    pnn_graph, GraphBackend, LaplacianKind, WeightScheme,
+    graph_from_neighbours, laplacian_csr, pnn_graph, CentredRows, GraphBackend, LaplacianKind,
+    WeightScheme,
 };
 use mtrl_linalg::par::threads_for;
 use mtrl_linalg::{Mat, Precision};
@@ -144,14 +144,14 @@ pub fn hetero_laplacian(
 /// with binary / heat-kernel (self-tuned σ) / cosine weighting, each as a
 /// block diagonal over all types.
 ///
-/// Each type takes one exact neighbour search for `p = 10` whose lists
-/// come back in [`mtrl_graph::dist_less`] order. That order is total, so
-/// each `p = 5` list is exactly the first five of its `p = 10` list, and
-/// all six graphs equal what six exact f64
-/// [`pnn_laplacians_backend_prec`] calls build. A caller that already
-/// holds the exact `p = 5` cosine Laplacian of the same features and
-/// `kind` (the shared `L_E`) passes it as `pnn5_cosine`, and it is
-/// reused as that candidate.
+/// Each type takes one exact neighbour search for `p = 10`
+/// ([`CentredRows::p_nearest`]) whose lists come back in
+/// [`mtrl_graph::dist_less`] order. That order is total, so each `p = 5`
+/// list is exactly the first five of its `p = 10` list, and all six
+/// graphs equal what six exact [`pnn_laplacians_backend_prec`] calls
+/// build. A caller that already holds the exact `p = 5` cosine
+/// Laplacian of the same features and `kind` (the shared `L_E`) passes
+/// it as `pnn5_cosine`, and it is reused as that candidate.
 pub fn rmc_candidates(
     features: &[Mat],
     kind: LaplacianKind,
@@ -165,7 +165,18 @@ pub fn rmc_candidates(
     let mut blocks: Vec<Vec<Csr>> = vec![Vec::new(); 6];
     for f in features {
         let threads = threads_for(f.rows() * f.rows() * f.cols());
-        let (p5, p10) = nearest_5_and_10(f, threads);
+        let ranked = CentredRows::new(f).p_nearest(10);
+        let sorted = |take: usize| -> Vec<Vec<usize>> {
+            ranked
+                .iter()
+                .map(|best| {
+                    let mut list: Vec<usize> = best.iter().take(take).map(|&(_, j)| j).collect();
+                    list.sort_unstable();
+                    list
+                })
+                .collect()
+        };
+        let (p5, p10) = (sorted(5), sorted(10));
         for (slot, neighbours) in [&p5, &p5, &p5, &p10, &p10, &p10].into_iter().enumerate() {
             if slot == 2 && pnn5_cosine.is_some() {
                 continue;
@@ -182,45 +193,6 @@ pub fn rmc_candidates(
         out[2] = l.clone();
     }
     Ok(out)
-}
-
-/// The exact 5- and 10-nearest neighbour lists of every row (index
-/// sorted, self excluded), from one search: the blocked Gram-tile
-/// distances of [`mtrl_graph::knn_indices`] on the same centred rows,
-/// each row's ten best kept in [`mtrl_graph::dist_less`] order, the five
-/// best taken as their prefix.
-fn nearest_5_and_10(data: &Mat, threads: usize) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
-    let centered = center_columns(data);
-    let sq_norms: Vec<f64> = (0..centered.rows())
-        .map(|i| centered.row(i).iter().map(|&v| v * v).sum())
-        .collect();
-    let ranked = cross_sq_dist_map(
-        &centered,
-        &sq_norms,
-        &centered,
-        &sq_norms,
-        threads,
-        |i, strip| {
-            let mut best: Vec<(f64, usize)> = Vec::with_capacity(11);
-            for (j, &d) in strip.iter().enumerate() {
-                if j != i {
-                    insert_capped(&mut best, (d, j), 10);
-                }
-            }
-            best
-        },
-    );
-    let sorted = |take: usize| -> Vec<Vec<usize>> {
-        ranked
-            .iter()
-            .map(|best| {
-                let mut list: Vec<usize> = best.iter().take(take).map(|&(_, j)| j).collect();
-                list.sort_unstable();
-                list
-            })
-            .collect()
-    };
-    (sorted(5), sorted(10))
 }
 
 #[cfg(test)]

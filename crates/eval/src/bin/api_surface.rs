@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Largest accepted number of public items without an outside caller.
-const CEILING: usize = 28;
+const CEILING: usize = 27;
 
 const KINDS: [&str; 9] = [
     "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "use",

@@ -1,7 +1,7 @@
 //! Byte-exact fit dump for the CI determinism leg.
 //!
 //! ```text
-//! determinism_probe <out_file> [--ann] [--ensemble] [--large]
+//! determinism_probe <out_file> [--ann] [--ensemble] [--large] [--stream]
 //! ```
 //!
 //! Runs one full RHCHME fit (corpus seeded from `MTRL_SEED`, quick
@@ -28,14 +28,75 @@
 //! small Balanced3 one. Its document type is large enough
 //! (`n·(K′+1)² ≥ 2²⁰` multiply-adds) for the SPG support product to
 //! split rows across threads, which the small corpus never does.
+//!
+//! `--stream` runs a `StreamSession` instead: a cold fit on a 330-doc
+//! Large3 corpus, then eight 30-doc batches with drift from the fifth
+//! on, a warm refit every four batches and the document graph's
+//! rebuild-threshold policy at its default. It dumps every batch's
+//! fold-in labels, then the last refit's labels, `G`, `S` and objective
+//! trace, and fails unless some push ran a threshold rebuild (the push
+//! after which the graph's patched fraction reads 0), so the dump
+//! covers incremental inserts, full rebuilds and warm refits.
 
+use mtrl_datagen::stream::{generate_stream, StreamConfig};
 use mtrl_datagen::{seed_from_env, CorpusConfig, CorruptionSpec};
 use mtrl_eval::{quick_params, rhchme_config, CorpusShape};
-use rhchme::pipeline::EnsembleSpec;
+use mtrl_linalg::Mat;
+use mtrl_stream::{RefreshPolicy, StreamSession};
+use rhchme::pipeline::{EnsembleSpec, PipelineParams};
 use rhchme::rhchme::Rhchme;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: determinism_probe <out_file> [--ann] [--ensemble] [--large]";
+const USAGE: &str = "usage: determinism_probe <out_file> [--ann] [--ensemble] [--large] [--stream]";
+
+/// What every probe mode dumps: label vectors, `G`, `S`, a trace, and
+/// an iteration count for the log line.
+type Dump = (Vec<Vec<usize>>, Mat, Mat, Vec<f64>, usize);
+
+/// The `--stream` leg: per-batch fold-in labels, then the last refit's
+/// labels, factors and trace.
+fn stream_dump(seed: u64, params: &PipelineParams) -> Result<Dump, String> {
+    let (initial, batches) = generate_stream(&StreamConfig {
+        base: CorpusConfig {
+            docs_per_class: vec![110; 3],
+            seed,
+            ..CorpusShape::Large3.config()
+        },
+        batches: 8,
+        docs_per_batch: 30,
+        drift_after: Some(4),
+        drift_shift: 0.4,
+    });
+    let policy = RefreshPolicy {
+        every_batches: Some(4),
+        min_confidence: None,
+        ..RefreshPolicy::default()
+    };
+    let rhchme = Rhchme::new(rhchme_config(params));
+    let mut session = StreamSession::new(initial, rhchme, policy).map_err(|e| e.to_string())?;
+    let mut labels = Vec::new();
+    let mut rebuilds = 0;
+    for batch in &batches {
+        let report = session.push_batch(batch).map_err(|e| e.to_string())?;
+        labels.push(report.labels);
+        rebuilds += usize::from(session.doc_graph().patched_fraction() == 0.0);
+    }
+    let refits = session.telemetry().total_refits();
+    println!("stream: {refits} refits, {rebuilds} threshold rebuilds");
+    if rebuilds == 0 {
+        return Err("no push ran a threshold rebuild".into());
+    }
+    let r = session.last_result();
+    labels.push(r.doc_labels.clone());
+    labels.extend(r.labels_per_type.iter().cloned());
+    Ok((
+        labels,
+        r.g.clone(),
+        r.s.clone(),
+        r.objective_trace.clone(),
+        r.iterations,
+    ))
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -43,11 +104,13 @@ fn main() -> ExitCode {
     let mut ann = false;
     let mut ensemble = false;
     let mut large = false;
+    let mut stream = false;
     for a in &args {
         match a.as_str() {
             "--ann" => ann = true,
             "--ensemble" => ensemble = true,
             "--large" => large = true,
+            "--stream" => stream = true,
             _ if out_path.is_none() => out_path = Some(a.clone()),
             _ => {
                 eprintln!("{USAGE}");
@@ -69,47 +132,46 @@ fn main() -> ExitCode {
     } else {
         CorpusShape::Balanced3.config()
     };
-    let corpus = CorruptionSpec::relation_corruption(0.1).corpus(&shape, seed);
+    let corpus = || CorruptionSpec::relation_corruption(0.1).corpus(&shape, seed);
     let mut params = quick_params(seed);
     if ann {
         params.graph_backend =
             rhchme::GraphBackend::RpForest(mtrl_graph::RpForestParams::default());
     }
     // Every probe mode dumps the same shape: labels, G, S, a trace.
-    let (doc_labels, labels_per_type, g, s, trace, iterations) = if ensemble {
-        match mtrl_ensemble::fit_corpus(&corpus, &EnsembleSpec::default(), &params) {
-            Ok(r) => {
+    let dump: Result<Dump, String> = if stream {
+        stream_dump(seed, &params).map_err(|e| format!("stream run failed: {e}"))
+    } else if ensemble {
+        mtrl_ensemble::fit_corpus(&corpus(), &EnsembleSpec::default(), &params)
+            .map(|r| {
                 let trace: Vec<f64> = r.members.iter().map(|m| m.final_objective).collect();
                 let n = r.members.len();
-                (r.doc_labels, r.labels_per_type, r.g, r.s, trace, n)
-            }
-            Err(e) => {
-                eprintln!("ensemble fit failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+                let labels = std::iter::once(r.doc_labels).chain(r.labels_per_type);
+                (labels.collect(), r.g, r.s, trace, n)
+            })
+            .map_err(|e| format!("ensemble fit failed: {e}"))
     } else {
         let rhchme = Rhchme::new(rhchme_config(&params));
-        match rhchme.fit_corpus(&corpus) {
-            Ok(r) => (
-                r.doc_labels,
-                r.labels_per_type,
-                r.g,
-                r.s,
-                r.objective_trace,
-                r.iterations,
-            ),
-            Err(e) => {
-                eprintln!("fit failed: {e}");
-                return ExitCode::FAILURE;
-            }
+        rhchme
+            .fit_corpus(&corpus())
+            .map(|r| {
+                let labels = std::iter::once(r.doc_labels).chain(r.labels_per_type);
+                (labels.collect(), r.g, r.s, r.objective_trace, r.iterations)
+            })
+            .map_err(|e| format!("fit failed: {e}"))
+    };
+    let (all_labels, g, s, trace, iterations) = match dump {
+        Ok(dump) => dump,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
     };
 
     let mut bytes: Vec<u8> = Vec::new();
     bytes.extend_from_slice(b"mtrl-determinism-probe/v1\n");
     bytes.extend_from_slice(&(seed).to_le_bytes());
-    for labels in std::iter::once(&doc_labels).chain(labels_per_type.iter()) {
+    for labels in &all_labels {
         bytes.extend_from_slice(&(labels.len() as u64).to_le_bytes());
         for &l in labels {
             bytes.extend_from_slice(&(l as u64).to_le_bytes());

@@ -9,10 +9,10 @@
 //! corpus.
 //!
 //! Membership is decided by the *routing predicate* (`proj < threshold`)
-//! at build time, never by sorted-half assignment, so inserting or
-//! removing a row later routes to exactly the leaf batch construction
-//! would have chosen — the invariant `DynamicGraph`'s incremental
-//! maintenance relies on.
+//! at build time, never by sorted-half assignment, so inserting a row
+//! later routes to exactly the leaf batch construction would have
+//! chosen — the invariant `DynamicGraph`'s incremental maintenance
+//! relies on.
 
 use super::{GraphBackend, RpForestParams};
 use mtrl_linalg::vecops::dot;
@@ -166,7 +166,7 @@ impl Tree {
     }
 
     /// Route to the single leaf the row belongs to (the `probes = 1`
-    /// descent, shared by insert and remove).
+    /// descent of an insert).
     fn route_mut(&mut self, row: &[f64]) -> &mut Vec<usize> {
         let mut node = Self::ROOT;
         loop {
@@ -200,9 +200,9 @@ impl Tree {
 /// the exact kernel primitives, so the index can only *miss*
 /// neighbours, never change a distance. Every `row` argument must be
 /// centred by the same fixed translation as the rows the index was
-/// built from (batch callers use [`crate::center_columns`]; incremental
-/// callers such as `mtrl-stream`'s `DynamicGraph` use their fixed
-/// first-batch means).
+/// built from ([`crate::CentredRows`]; incremental callers such as
+/// `mtrl-stream`'s `DynamicGraph` keep its means fixed between
+/// rebuilds).
 #[derive(Debug, Clone)]
 pub struct RpForestIndex {
     params: RpForestParams,
@@ -215,7 +215,7 @@ impl RpForestIndex {
     ///
     /// # Panics
     /// Panics if `ids.len() != rows.rows()`.
-    pub fn build(rows: &Mat, ids: &[usize], params: &RpForestParams) -> RpForestIndex {
+    pub(crate) fn build(rows: &Mat, ids: &[usize], params: &RpForestParams) -> RpForestIndex {
         assert_eq!(ids.len(), rows.rows(), "one id per row");
         let trees = (0..params.trees.max(1))
             .map(|t| {
@@ -264,17 +264,6 @@ impl RpForestIndex {
             // Keep leaves sorted so candidate order stays deterministic.
             let pos = members.partition_point(|&m| m < id);
             members.insert(pos, id);
-        }
-    }
-
-    /// Drop `id`, located by routing `row` exactly as [`Self::insert`]
-    /// would — the row must therefore be the one inserted under `id`.
-    pub fn remove(&mut self, id: usize, row: &[f64]) {
-        for tree in &mut self.trees {
-            let members = tree.route_mut(row);
-            if let Ok(pos) = members.binary_search(&id) {
-                members.remove(pos);
-            }
         }
     }
 }
@@ -329,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_then_remove_restores_leaves() {
+    fn inserted_row_joins_its_leaves() {
         let data = rand_uniform(64, 5, -1.0, 1.0, 7);
         let params = RpForestParams {
             trees: 2,
@@ -343,10 +332,6 @@ mod tests {
         let mut out = Vec::new();
         forest.candidates_into(&row, &mut out);
         assert!(out.contains(&64));
-        forest.remove(64, &row);
-        out.clear();
-        forest.candidates_into(&row, &mut out);
-        assert!(!out.contains(&64));
     }
 
     #[test]

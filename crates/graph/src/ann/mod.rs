@@ -14,7 +14,7 @@
 //! The index only *generates candidates*; distances and selection
 //! always go through the exact kernel's primitives:
 //!
-//! * rows are centred with [`crate::center_columns`] — the same
+//! * rows are centred with [`crate::CentredRows`] — the same
 //!   transformation the exact search applies;
 //! * candidate distances come from [`crate::gram_sq_dist`], whose
 //!   ascending-k FMA chain is bit-identical to the blocked tile kernel;
@@ -40,9 +40,8 @@ mod recall;
 pub use forest::RpForestIndex;
 pub use recall::{sampled_recall, RecallProbe, RecallResult};
 
-use crate::knn::{center_columns, gram_sq_dist, gram_sq_dist_x4, select_p_nearest};
+use crate::knn::{gram_sq_dist, gram_sq_dist_x4, select_p_nearest, CentredRows};
 use mtrl_linalg::par::par_chunks_map;
-use mtrl_linalg::vecops::dot;
 use mtrl_linalg::Mat;
 
 /// Random-projection tree forest parameters.
@@ -142,13 +141,13 @@ impl QueryScratch {
 /// scalar [`gram_sq_dist`] chain. Returns the index-sorted neighbour
 /// list, at most `p` long.
 fn select_from_candidates(
-    centered: &Mat,
-    sq_norms: &[f64],
+    centred: &CentredRows,
     i: usize,
     cands: &mut Vec<usize>,
     p: usize,
     scratch: &mut QueryScratch,
 ) -> Vec<usize> {
+    let (centered, sq_norms) = (&centred.rows, &centred.sq_norms);
     scratch.begin(centered.rows());
     let (seen, epoch) = (&mut scratch.seen, scratch.epoch);
     cands.retain(|&j| {
@@ -184,16 +183,6 @@ fn select_from_candidates(
     select_p_nearest(dists, p)
 }
 
-/// Centred rows and their squared norms: the operands every approximate
-/// query ranks candidates on.
-fn centred_operands(data: &Mat) -> (Mat, Vec<f64>) {
-    let centered = center_columns(data);
-    let sq_norms = (0..centered.rows())
-        .map(|i| dot(centered.row(i), centered.row(i)))
-        .collect();
-    (centered, sq_norms)
-}
-
 /// Neighbour lists of every row of `data` from a freshly built forest,
 /// on `threads` workers, timed as `graph.index_build` then
 /// `graph.knn_search`. Output is bit-identical for every `threads`
@@ -206,12 +195,12 @@ pub(crate) fn knn_rp_forest(
     threads: usize,
 ) -> Vec<Vec<usize>> {
     let n = data.rows();
-    let (centered, sq_norms, index) = {
+    let (centred, index) = {
         let _span = mtrl_obs::span!("graph.index_build");
-        let (centered, sq_norms) = centred_operands(data);
+        let centred = CentredRows::new(data);
         let ids: Vec<usize> = (0..n).collect();
-        let index = RpForestIndex::build(&centered, &ids, params);
-        (centered, sq_norms, index)
+        let index = RpForestIndex::build(&centred.rows, &ids, params);
+        (centred, index)
     };
     let _span = mtrl_obs::span!("graph.knn_search");
     par_chunks_map(n, threads, |range| {
@@ -220,8 +209,8 @@ pub(crate) fn knn_rp_forest(
         range
             .map(|i| {
                 cands.clear();
-                index.candidates_into(centered.row(i), &mut cands);
-                select_from_candidates(&centered, &sq_norms, i, &mut cands, p, &mut scratch)
+                index.candidates_into(centred.rows.row(i), &mut cands);
+                select_from_candidates(&centred, i, &mut cands, p, &mut scratch)
             })
             .collect()
     })

@@ -15,8 +15,8 @@
 //! contract, and the approximate side is a pure per-row function of the
 //! built index.
 
-use super::{centred_operands, select_from_candidates, GraphBackend, QueryScratch, RpForestIndex};
-use crate::knn::{cross_sq_dist_map, select_p_nearest};
+use super::{select_from_candidates, GraphBackend, QueryScratch, RpForestIndex};
+use crate::knn::{cross_sq_dist_map, select_p_nearest, CentredRows};
 use mtrl_linalg::Mat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,7 +70,8 @@ pub fn sampled_recall(
             p,
         };
     }
-    let (centered, sq_norms) = centred_operands(data);
+    let centred = CentredRows::new(data);
+    let (centered, sq_norms) = (&centred.rows, &centred.sq_norms);
 
     // Exact reference lists for the sampled rows only: one blocked
     // strip per sample against the full corpus, O(samples · n · d).
@@ -85,8 +86,8 @@ pub fn sampled_recall(
     let exact: Vec<Vec<usize>> = cross_sq_dist_map(
         &queries,
         &q_norms,
-        &centered,
-        &sq_norms,
+        centered,
+        sq_norms,
         threads,
         |q, strip| {
             let own = samples[q];
@@ -101,14 +102,14 @@ pub fn sampled_recall(
     );
 
     let ids: Vec<usize> = (0..n).collect();
-    let index = RpForestIndex::for_backend(&centered, &ids, backend).expect("non-exact backend");
+    let index = RpForestIndex::for_backend(centered, &ids, backend).expect("non-exact backend");
     let mut cands = Vec::new();
     let mut scratch = QueryScratch::default();
     let mut total = 0.0;
     for (q, &i) in samples.iter().enumerate() {
         cands.clear();
         index.candidates_into(centered.row(i), &mut cands);
-        let approx = select_from_candidates(&centered, &sq_norms, i, &mut cands, p, &mut scratch);
+        let approx = select_from_candidates(&centred, i, &mut cands, p, &mut scratch);
         let truth = &exact[q];
         if truth.is_empty() {
             total += 1.0;

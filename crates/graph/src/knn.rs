@@ -11,11 +11,14 @@
 //! (Sec. III-F bounds it at `O(n_k² p K)`), so it is both **blocked** and
 //! **parallel**:
 //!
-//! * distances come from the Gram identity
-//!   `‖x_i − x_j‖² = g_i + g_j − 2·x_iᵀx_j`, with the `−2 X_tile Xᵀ`
-//!   term computed one row tile at a time through a vectorisable
-//!   axpy kernel over the pre-transposed data — memory stays
-//!   `O(tile · n)` per worker instead of `O(n²)`;
+//! * rows are centred once ([`CentredRows`]) and distances come from
+//!   the Gram identity `‖x_i − x_j‖² = g_i + g_j − 2·x_iᵀx_j`, with the
+//!   `−2 X_tile Xᵀ` term computed one row tile at a time through a
+//!   vectorisable axpy kernel over the pre-transposed data
+//!   ([`cross_sq_dist_map`]) — memory stays `O(tile · n)` per worker
+//!   instead of `O(n²)`;
+//! * each row's strip is scanned once by [`insert_capped`], which keeps
+//!   the `p` best under [`dist_less`];
 //! * row tiles are distributed over [`mtrl_linalg::par`] worker threads.
 //!
 //! Each row's distance vector is accumulated in the same `k` order no
@@ -27,11 +30,13 @@
 //!
 //! ## Entry points
 //!
-//! [`knn_indices`] and [`pnn_graph`] are the crate's only neighbour
-//! searches. Both take a [`GraphBackend`] and run on
+//! [`CentredRows::p_nearest`] is the one exact all-pairs search. The
+//! batch graph, RMC's candidate graphs (`rhchme::intra`) and
+//! `mtrl-stream`'s `DynamicGraph` builds all call it.
+//! [`knn_indices`] and [`pnn_graph`] take a [`GraphBackend`] and run on
 //! the [`mtrl_linalg::par`] pool, with one worker below the
 //! [`mtrl_linalg::par::threads_for`] work threshold.
-//! [`GraphBackend::Exact`] runs the blocked kernel of this module;
+//! [`GraphBackend::Exact`] runs that search;
 //! [`GraphBackend::RpForest`] draws candidates from the index in
 //! [`crate::ann`] and ranks them with this module's pair function and
 //! selection order.
@@ -42,7 +47,7 @@
 
 use crate::ann::{self, GraphBackend};
 use mtrl_linalg::par::{par_chunks_map, threads_for};
-use mtrl_linalg::vecops::{cosine, dots, norm2, sq_dist};
+use mtrl_linalg::vecops::{cosine, dot, dots, norm2, sq_dist};
 use mtrl_linalg::Mat;
 use mtrl_sparse::Csr;
 
@@ -101,16 +106,18 @@ fn knn_search(data: &Mat, p: usize, backend: &GraphBackend, threads: usize) -> V
     }
 }
 
-/// The exact search on `threads` workers.
+/// The exact search on `threads` workers: each row's [`CentredRows::p_nearest`]
+/// list, index-sorted.
 fn knn_exact(data: &Mat, p: usize, threads: usize) -> Vec<Vec<usize>> {
-    // Centre the columns before the Gram expansion. Euclidean distances
-    // are translation-invariant, but `gi + gj − 2·xiᵀxj` cancels
-    // catastrophically when ‖x‖² dwarfs the pairwise separations (data
-    // clustered far from the origin — the classic euclidean_distances
-    // pitfall); centring puts the origin inside the cloud where the
-    // expansion is stable. Means are computed once, globally, so every
-    // chunking sees the same centred values.
-    knn_stored(&center_columns(data), p, threads)
+    let lists = CentredRows::new(data).p_nearest_on(p, threads);
+    lists.iter().map(|list| sorted_indices(list)).collect()
+}
+
+/// The neighbour ids of a `(distance, index)` list, ascending.
+fn sorted_indices(list: &[(f64, usize)]) -> Vec<usize> {
+    let mut ids: Vec<usize> = list.iter().map(|&(_, j)| j).collect();
+    ids.sort_unstable();
+    ids
 }
 
 /// Query rows that share each streamed strip of `Xᵀ` in the Gram tile.
@@ -119,89 +126,100 @@ const GROUP: usize = 4;
 /// plus one 4 KB strip of `Xᵀ` stay L1-resident across the `k` loop.
 const JT: usize = 512;
 
-/// The exact search on already-centred rows.
-fn knn_stored(x: &Mat, p: usize, threads: usize) -> Vec<Vec<usize>> {
-    let n = x.rows();
-    // Squared norms of the rows, summed in the same ascending order as
-    // `vecops::dot`.
-    let sq_norms: Vec<f64> = (0..n)
-        .map(|i| x.row(i).iter().map(|&w| w * w).sum())
-        .collect();
-    let xt = x.transpose();
-    par_chunks_map(n, threads, |range| {
-        knn_rows(x, &xt, &sq_norms, p, range.start, range.end)
-    })
-}
-
-/// Subtract each column's mean. A column whose mean is non-finite (any
-/// NaN/∞ feature) is left untouched so one bad row poisons only its own
-/// distances, exactly like the uncentred kernel.
+/// Rows translated by fixed column means, with their squared norms: the
+/// operands every exact and approximate search ranks on.
 ///
-/// Public because incremental consumers (`mtrl-stream`'s
-/// `DynamicGraph`) and the RMC candidate search must centre their data
-/// with *this exact* transformation to stay on the bit-identical
-/// distance contract of [`gram_sq_dist`].
-pub fn center_columns(data: &Mat) -> Mat {
-    let (n, d) = data.shape();
-    if n == 0 {
-        return data.clone();
-    }
-    let mut means = vec![0.0; d];
-    for i in 0..n {
-        for (m, &v) in means.iter_mut().zip(data.row(i)) {
-            *m += v;
-        }
-    }
-    for m in &mut means {
-        *m /= n as f64;
-        if !m.is_finite() {
-            *m = 0.0;
-        }
-    }
-    let mut out = data.clone();
-    for i in 0..n {
-        for (v, &m) in out.row_mut(i).iter_mut().zip(&means) {
-            *v -= m;
-        }
-    }
-    out
+/// Centring comes before the Gram expansion. Euclidean distances are
+/// translation-invariant, but `g_i + g_j − 2·x_iᵀx_j` cancels
+/// catastrophically when ‖x‖² dwarfs the pairwise separations (data
+/// clustered far from the origin — the classic euclidean_distances
+/// pitfall); centring puts the origin inside the cloud where the
+/// expansion is stable. The means are computed once, globally, so every
+/// chunking sees the same centred values, and an incremental consumer
+/// (`mtrl-stream`'s `DynamicGraph`) keeps them fixed
+/// ([`CentredRows::with_means`]) so distances compare across batches.
+#[derive(Debug, Clone)]
+pub struct CentredRows {
+    /// The translation: column means of the rows it was taken from. A
+    /// non-finite mean (any NaN/∞ feature) is 0, so one bad row poisons
+    /// only its own distances, exactly like uncentred data.
+    pub means: Vec<f64>,
+    /// The translated rows.
+    pub rows: Mat,
+    /// `dot(r, r)` of every translated row `r`.
+    pub sq_norms: Vec<f64>,
 }
 
-/// Neighbour lists for rows `[r0, r1)` via tiled Gram-trick distances.
-fn knn_rows(
-    data: &Mat,
-    xt: &Mat,
-    sq_norms: &[f64],
-    p: usize,
-    r0: usize,
-    r1: usize,
-) -> Vec<Vec<usize>> {
-    let n = data.rows();
-    let mut out = Vec::with_capacity(r1 - r0);
-    let mut tile_buf = vec![0.0; TILE.min(r1 - r0).max(1) * n];
-    let mut scratch: Vec<(f64, usize)> = Vec::with_capacity(p + 1);
-    let mut t0 = r0;
-    while t0 < r1 {
-        let t1 = (t0 + TILE).min(r1);
-        let rows = t1 - t0;
-        gram_tile_neg2(data, xt, t0, t1, &mut tile_buf);
-        for local in 0..rows {
-            let i = t0 + local;
-            let brow = &tile_buf[local * n..(local + 1) * n];
-            out.push(top_p_scan(brow, sq_norms, i, p, &mut scratch));
+impl CentredRows {
+    /// `data` centred on its own column means.
+    pub fn new(data: &Mat) -> Self {
+        let (n, d) = data.shape();
+        let mut means = vec![0.0; d];
+        for i in 0..n {
+            for (m, &v) in means.iter_mut().zip(data.row(i)) {
+                *m += v;
+            }
         }
-        t0 = t1;
+        for m in &mut means {
+            *m /= n as f64;
+            if !m.is_finite() {
+                *m = 0.0;
+            }
+        }
+        Self::with_means(data, means)
     }
-    out
+
+    /// `data` translated by the given `means`.
+    ///
+    /// # Panics
+    /// Panics if `means.len() != data.cols()`.
+    pub fn with_means(data: &Mat, means: Vec<f64>) -> Self {
+        assert_eq!(means.len(), data.cols(), "one mean per column");
+        let mut rows = data.clone();
+        for i in 0..rows.rows() {
+            for (v, &m) in rows.row_mut(i).iter_mut().zip(&means) {
+                *v -= m;
+            }
+        }
+        let sq_norms = (0..rows.rows())
+            .map(|i| dot(rows.row(i), rows.row(i)))
+            .collect();
+        CentredRows {
+            means,
+            rows,
+            sq_norms,
+        }
+    }
+
+    /// The crate's one exact all-pairs search: each row's `p` nearest
+    /// other rows as `(distance, index)` pairs, ascending under
+    /// [`dist_less`] (fewer when there are fewer other rows). Distances
+    /// are [`cross_sq_dist_map`] strips of the rows against themselves,
+    /// selected by [`insert_capped`]; the order is total, so a prefix of
+    /// a row's list is its list for a smaller `p`. Output is
+    /// bit-identical for every pool size.
+    pub fn p_nearest(&self, p: usize) -> Vec<Vec<(f64, usize)>> {
+        self.p_nearest_on(p, all_pairs_threads(&self.rows))
+    }
+
+    /// [`Self::p_nearest`] on `threads` workers.
+    fn p_nearest_on(&self, p: usize, threads: usize) -> Vec<Vec<(f64, usize)>> {
+        let (x, g) = (&self.rows, &self.sq_norms);
+        cross_sq_dist_map(x, g, x, g, threads, |i, strip| {
+            let mut best = Vec::with_capacity(p + 1);
+            for (j, &d) in strip.iter().enumerate() {
+                if j != i {
+                    insert_capped(&mut best, (d, j), p);
+                }
+            }
+            best
+        })
+    }
 }
 
 /// Accumulate `tile_buf[local][j] = −2 · src[t0 + local] · Xᵀ[.., j]`
-/// for the row tile `[t0, t1)` of `src` — the one Gram micro-kernel
-/// behind both the exact [`knn_indices`] (`src` = the data itself) and
-/// [`cross_sq_dist_map`] (`src` = the query batch). Sharing
-/// the implementation is what makes their per-pair values bit-identical
-/// **by construction** — the exactness contract `mtrl-stream`'s
-/// incremental maintenance rests on.
+/// for the row tile `[t0, t1)` of `src` — the Gram micro-kernel of
+/// [`cross_sq_dist_map`].
 ///
 /// Every output row is accumulated over `k` in ascending order with no
 /// skip, so the value of each `(i, j)` cross term is independent of
@@ -273,8 +291,9 @@ fn gram_tile_neg2(src: &Mat, xt: &Mat, t0: usize, t1: usize, tile_buf: &mut [f64
 /// pair. `g_a` / `g_b` must be `dot(a, a)` / `dot(b, b)` of the rows as
 /// passed (callers that centre their data pass centred rows and norms).
 ///
-/// `mtrl-stream`'s `DynamicGraph` uses this for single-pair repairs so
-/// repaired neighbour lists stay consistent with batch-inserted ones.
+/// Candidate-based searches ([`crate::ann`], and `mtrl-stream`'s
+/// `DynamicGraph` on the rp-forest backend) rank with it, so their lists
+/// agree with the exact search's wherever the candidates cover it.
 #[inline]
 pub fn gram_sq_dist(a: &[f64], b: &[f64], g_a: f64, g_b: f64) -> f64 {
     let mut acc = 0.0;
@@ -327,16 +346,16 @@ pub(crate) fn gram_sq_dist_x4(a: &[f64], b: [&[f64]; 4], g_a: f64, g_b: [f64; 4]
 ///
 /// For each query row `q` (in order), `f(q, strip)` receives the strip
 /// `strip[j] = g_q + g_j − 2·x_qᵀx_j` over every corpus row `j`,
-/// computed with the same register-blocked ascending-`k` FMA kernel as
-/// [`knn_indices`] — each `(q, j)` value is a pure function of the two
-/// rows, independent of tiling, threading and of how queries are
-/// batched across calls. Queries are distributed over `threads` workers
-/// in contiguous chunks; results come back in query order.
+/// computed with a register-blocked ascending-`k` FMA kernel — each
+/// `(q, j)` value is a pure function of the two rows, independent of
+/// tiling, threading and of how queries are batched across calls. This
+/// is what makes an incrementally maintained graph equal the batch one
+/// bit for bit. Queries are distributed over `threads` workers in
+/// contiguous chunks; results come back in query order.
 ///
-/// Callers own the centring policy: the full-graph path centres by the
-/// data's column means; an incremental consumer must pass rows (and
-/// matching `q_norms` / `c_norms` of squared row norms) translated by
-/// one *fixed* vector so distances compare consistently across batches.
+/// Callers own the centring policy: pass rows (and matching `q_norms` /
+/// `c_norms` of squared row norms) translated by one [`CentredRows`]
+/// translation so distances compare consistently across calls.
 ///
 /// # Panics
 /// Panics if the column counts differ or a norm slice has the wrong
@@ -372,9 +391,6 @@ where
         let mut t0 = range.start;
         while t0 < range.end {
             let t1 = (t0 + TILE).min(range.end);
-            // The shared micro-kernel of `knn_rows` — per-pair cross
-            // terms are bit-identical between the two entry points by
-            // construction.
             gram_tile_neg2(queries, &ct, t0, t1, &mut tile_buf);
             for local in 0..(t1 - t0) {
                 let q = t0 + local;
@@ -416,59 +432,17 @@ fn axpy4_fma(o: &mut [f64], a: [f64; 4], x: [&[f64]; 4]) {
 
 /// `(dist, index)` strict total order: `f64::total_cmp` on the distance
 /// (NaN greater than every real), ascending index on ties. Both selection
-/// paths — this scan and `select_p_nearest` — pick the `p` smallest
-/// elements of the same order, so their neighbour *sets* always agree.
+/// paths — [`insert_capped`] and `select_p_nearest` — pick the `p`
+/// smallest elements of the same order, so their neighbour *sets* always
+/// agree.
 ///
 /// Public so candidate-based selections elsewhere (`mtrl-stream`'s
 /// incremental maintenance, [`crate::ann`]'s probe unions) pick the same
-/// `p` elements as the exact scan whenever their candidate sets cover
+/// `p` elements as the exact search whenever their candidate sets cover
 /// the true neighbours.
 #[inline]
 pub fn dist_less(a: (f64, usize), b: (f64, usize)) -> bool {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)) == std::cmp::Ordering::Less
-}
-
-/// Single fused pass over one row's distance strip: `dist(i, j) =
-/// g_i + g_j + buf_j` and a `p`-element insertion set, no scratch tuple
-/// vector. Expected insertions are `O(p log n)`, so the scan is one
-/// compare per candidate almost everywhere.
-fn top_p_scan(
-    brow: &[f64],
-    sq_norms: &[f64],
-    i: usize,
-    p: usize,
-    best: &mut Vec<(f64, usize)>,
-) -> Vec<usize> {
-    best.clear();
-    if p == 0 {
-        return Vec::new();
-    }
-    let gi = sq_norms[i];
-    for (j, (&b, &gj)) in brow.iter().zip(sq_norms).enumerate() {
-        if j == i {
-            continue;
-        }
-        let cand = (gi + gj + b, j);
-        if best.len() < p {
-            let pos = best.partition_point(|&e| dist_less(e, cand));
-            best.insert(pos, cand);
-        } else {
-            let worst = *best.last().expect("p > 0");
-            // Fast path: strictly worse than the current cut (false for
-            // NaN, which then loses in dist_less below).
-            if cand.0 > worst.0 {
-                continue;
-            }
-            if dist_less(cand, worst) {
-                let pos = best.partition_point(|&e| dist_less(e, cand));
-                best.insert(pos, cand);
-                best.pop();
-            }
-        }
-    }
-    let mut neigh: Vec<usize> = best.iter().map(|&(_, j)| j).collect();
-    neigh.sort_unstable();
-    neigh
 }
 
 /// Take the `p` smallest `(distance, index)` pairs, total-ordered with
@@ -679,16 +653,19 @@ fn self_tuning_sigma(data: &Mat, neighbours: &[Vec<usize>]) -> f64 {
 
 /// Capped sorted insertion under [`dist_less`]: keep `list` the `p`
 /// smallest candidates seen, sorted ascending. Returns whether `cand`
-/// entered the list. Shared with incremental maintenance
-/// (`mtrl-stream`'s `DynamicGraph`) and the RMC candidate search so
-/// their selections match the batch path's.
+/// entered the list. The one selection of [`CentredRows::p_nearest`] and
+/// of incremental maintenance (`mtrl-stream`'s `DynamicGraph`), so their
+/// lists match. Expected insertions over a scan are `O(p log n)`, so
+/// almost every candidate costs the one compare of the fast path.
 pub fn insert_capped(list: &mut Vec<(f64, usize)>, cand: (f64, usize), p: usize) -> bool {
     if p == 0 {
         return false;
     }
     if list.len() >= p {
         let worst = *list.last().expect("p > 0");
-        if !dist_less(cand, worst) {
+        // Fast path: strictly worse than the current cut (false for
+        // NaN, which then loses in dist_less below).
+        if cand.0 > worst.0 || !dist_less(cand, worst) {
             return false;
         }
         list.pop();
@@ -702,7 +679,6 @@ pub fn insert_capped(list: &mut Vec<(f64, usize)>, cand: (f64, usize), p: usize)
 mod tests {
     use super::*;
     use mtrl_linalg::random::rand_uniform;
-    use mtrl_linalg::vecops::dot;
     use proptest::prelude::*;
 
     const EXACT: GraphBackend = GraphBackend::Exact;
@@ -1084,11 +1060,12 @@ mod tests {
     fn knn_equals_pair_function_on_centred_rows() {
         let data = rand_uniform(83, 13, -3.0, 3.0, 23);
         let p = 6;
-        let centered = center_columns(&data);
+        let CentredRows {
+            rows: centered,
+            sq_norms: g,
+            ..
+        } = CentredRows::new(&data);
         let n = data.rows();
-        let g: Vec<f64> = (0..n)
-            .map(|i| dot(centered.row(i), centered.row(i)))
-            .collect();
         let expected: Vec<Vec<usize>> = (0..n)
             .map(|i| {
                 let mut scratch: Vec<(f64, usize)> = (0..n)

@@ -16,8 +16,9 @@
 //! Graphs are built over objects given as **rows** of a dense feature
 //! matrix by one search entry, [`knn_indices`], and one graph entry,
 //! [`pnn_graph`]. Each takes a [`GraphBackend`] — the exact parallel,
-//! blocked Gram-trick kernel (see [`knn`]) or the random-projection
-//! forest index (see [`ann`]); every operand and accumulation is `f64`.
+//! blocked Gram-trick search ([`CentredRows::p_nearest`], see [`knn`])
+//! or the random-projection forest index (see [`ann`]); every operand
+//! and accumulation is `f64`.
 //! Output is bit-identical for every thread count. The weight matrices
 //! are sparse ([`mtrl_sparse::Csr`]) and the Laplacians stay sparse too
 //! ([`laplacian_csr`], ≤ `2pn + n` entries) — the positive/negative
@@ -31,7 +32,7 @@ mod serde_impl;
 
 pub use ann::{GraphBackend, RpForestIndex, RpForestParams};
 pub use knn::{
-    center_columns, cross_sq_dist_map, dist_less, gram_sq_dist, graph_from_neighbours,
-    insert_capped, knn_indices, pnn_graph, WeightScheme,
+    cross_sq_dist_map, dist_less, gram_sq_dist, graph_from_neighbours, insert_capped, knn_indices,
+    pnn_graph, CentredRows, WeightScheme,
 };
 pub use laplacian::{laplacian_csr, LaplacianKind};

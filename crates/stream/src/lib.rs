@@ -10,8 +10,8 @@
 //! * `dynamic` — [`DynamicGraph`]: incremental pNN maintenance.
 //!   Inserting a batch costs `O(b · n · d)` blocked-Gram work (the new
 //!   rows against the corpus) plus reverse-edge patches, instead of the
-//!   `O(n² d)` batch rebuild; tombstone deletion with exact repair; a
-//!   rebuild-threshold policy guards heavily rewritten graphs.
+//!   `O(n² d)` batch rebuild; a rebuild-threshold policy guards
+//!   heavily rewritten graphs.
 //! * `warm` — [`warm_membership`]: seed the next fit's `G₀` from the
 //!   previous [`mtrl_serve::FittedModel`] (survivor rows copied, new
 //!   rows from fold-in posteriors), consumed by

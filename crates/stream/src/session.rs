@@ -173,9 +173,6 @@ pub struct SessionTelemetry {
     pub reseed_refits: usize,
     /// Warm refits on the plain (no-reseed) path.
     pub plain_warm_refits: usize,
-    /// Full consensus-ensemble refreshes
-    /// ([`StreamSession::refit_ensemble`]).
-    pub ensemble_refits: usize,
     /// Multiplicative-update iterations summed over all warm refits
     /// (each capped at [`RefreshPolicy::warm_iters`]).
     pub total_warm_iterations: usize,
@@ -184,9 +181,9 @@ pub struct SessionTelemetry {
 }
 
 impl SessionTelemetry {
-    /// Total refits, over all triggers (ensemble refreshes included).
+    /// Total refits, over all triggers.
     pub fn total_refits(&self) -> usize {
-        self.drift_refits + self.cadence_refits + self.manual_refits + self.ensemble_refits
+        self.drift_refits + self.cadence_refits + self.manual_refits
     }
 
     /// Batches whose drift trigger was suppressed by the cooldown.
@@ -419,96 +416,6 @@ impl StreamSession {
     /// Propagates refit errors.
     pub fn refit_now(&mut self) -> Result<RefitReport, StreamError> {
         self.refit(RefitTrigger::Manual)
-    }
-
-    /// Refresh the serving model with a **fresh consensus-ensemble fit**
-    /// over the accumulated corpus — the heavyweight alternative to the
-    /// warm mini-batch refresh for when drift has moved the stream far
-    /// enough that warm-starting a single basin is not trusted. Runs
-    /// `mtrl_ensemble::run_spec` on the current corpus (shared-artifact
-    /// member generation, sparse co-association, robust merge), then
-    /// hot-swaps the exported model exactly like [`Self::refit_now`]:
-    /// one validated assigner, shared with any attached engine via
-    /// `register_shared`, in-flight requests finishing on the old model.
-    ///
-    /// The refreshed model carries `method = "ensemble"` provenance, so
-    /// a gateway's `/v1/models` shows which registered models came from
-    /// an ensemble refresh.
-    ///
-    /// # Errors
-    /// [`StreamError::Invalid`] when the session's
-    /// [`rhchme::RhchmeConfig`] holds a setting that
-    /// [`rhchme::pipeline::PipelineParams`] cannot carry (a non-default
-    /// `weight_scheme` or `laplacian_kind`): the ensemble would otherwise
-    /// refit on other graphs than the session's warm refits.
-    /// Propagates ensemble fit, export and validation errors.
-    pub fn refit_ensemble(
-        &mut self,
-        spec: &rhchme::pipeline::EnsembleSpec,
-    ) -> Result<RefitReport, StreamError> {
-        let _span = mtrl_obs::span!("stream.refit_ensemble");
-        let cfg = self.rhchme.config();
-        let params = rhchme::pipeline::PipelineParams {
-            lambda: cfg.lambda,
-            gamma: cfg.gamma,
-            alpha: cfg.alpha,
-            beta: cfg.beta,
-            p: cfg.p,
-            graph_backend: cfg.graph_backend,
-            spg_max_iter: cfg.spg_max_iter,
-            max_iter: cfg.max_iter,
-            tol: cfg.tol,
-            seed: cfg.seed,
-            feature_cluster_divisor: cfg.feature_cluster_divisor,
-            record_doc_labels: cfg.record_doc_labels,
-            export_model: true,
-            ..rhchme::pipeline::PipelineParams::default()
-        };
-        if params.rhchme_config() != *cfg {
-            return Err(StreamError::Invalid(format!(
-                "an ensemble refit runs on PipelineParams, which cannot carry this session's \
-                 weight scheme {:?} and Laplacian {:?}",
-                cfg.weight_scheme, cfg.laplacian_kind
-            )));
-        }
-        let out = mtrl_ensemble::run_spec(
-            &self.corpus,
-            &rhchme::pipeline::MethodSpec::Ensemble(spec.clone()),
-            &params,
-        )?;
-        let model = out.model.ok_or_else(|| {
-            StreamError::Invalid("ensemble run with export_model set returned no model".into())
-        })?;
-        self.assigner = Arc::new(Assigner::new(model)?);
-        let swapped = if let Some((engine, name)) = &self.engine {
-            engine.register_shared(name.clone(), Arc::clone(&self.assigner));
-            true
-        } else {
-            false
-        };
-        self.telemetry.ensemble_refits += 1;
-        if swapped {
-            self.telemetry.hot_swaps += 1;
-        }
-        if mtrl_obs::enabled() {
-            let reg = mtrl_obs::global();
-            reg.add("stream.refit.ensemble", 1);
-            reg.record_event(mtrl_obs::StreamEvent {
-                kind: "refit".to_string(),
-                label: "ensemble".to_string(),
-                value: out.iterations as f64,
-            });
-            if swapped {
-                reg.add("stream.hot_swap", 1);
-            }
-        }
-        self.batches_since_refit = 0;
-        Ok(RefitReport {
-            trigger: RefitTrigger::Manual,
-            iterations: out.iterations,
-            final_objective: *out.objective_trace.last().unwrap_or(&f64::NAN),
-            corpus_docs: self.corpus.num_docs(),
-        })
     }
 
     /// The refit's pNN member `L_E`: the document block comes from the
@@ -811,81 +718,36 @@ mod tests {
     }
 
     #[test]
-    fn ensemble_refresh_swaps_a_tagged_model() {
+    fn zero_p_session_streams_and_refits_on_empty_graphs() {
+        // `p = 0` fits in batch (every pNN graph is empty), so the
+        // session built on it must stream and refit too.
         let (initial, batches) = generate_stream(&stream_cfg());
         let mut session = StreamSession::new(
             initial,
-            fast_rhchme(),
+            Rhchme::new(RhchmeConfig {
+                lambda: 1.0,
+                p: 0,
+                ..RhchmeConfig::fast()
+            }),
             RefreshPolicy {
                 every_batches: None,
                 min_confidence: None,
+                warm_iters: 5,
                 ..RefreshPolicy::default()
             },
         )
         .unwrap();
-        let engine = Arc::new(ServeEngine::new(2));
-        session.attach_engine(Arc::clone(&engine), "live").unwrap();
-        // The cold fit is a plain RHCHME export.
-        assert_eq!(session.model().method.as_deref(), Some("rhchme"));
-        session.push_batch(&batches[0]).unwrap();
-
-        let spec = rhchme::pipeline::EnsembleSpec {
-            members: 3,
-            ..Default::default()
-        };
-        let report = session.refit_ensemble(&spec).unwrap();
-        assert_eq!(report.iterations, 3, "one iteration per member");
-        assert!(report.final_objective.is_finite());
-        assert_eq!(report.corpus_docs, session.corpus().num_docs());
-        assert_eq!(session.batches_since_refit, 0);
-        // The swapped model covers the grown corpus, carries ensemble
-        // provenance, and is live in the engine.
-        assert_eq!(session.model().sizes[0], session.corpus().num_docs());
-        assert_eq!(session.model().method.as_deref(), Some("ensemble"));
-        assert_eq!(
-            engine.model_methods(),
-            vec![("live".to_string(), Some("ensemble".to_string()))]
-        );
-        let tel = session.telemetry();
-        assert_eq!(tel.ensemble_refits, 1);
-        assert_eq!(tel.total_refits(), 1);
-        assert_eq!(tel.hot_swaps, 1);
-        // Serving still works against the refreshed model.
-        assert!(engine
-            .assign("live", 0, vec![SparseVec::from_dense(&[0.5; 120])])
-            .is_ok());
-    }
-
-    #[test]
-    fn ensemble_refresh_rejects_settings_the_pipeline_cannot_carry() {
-        use mtrl_graph::{LaplacianKind, WeightScheme};
-        let spec = rhchme::pipeline::EnsembleSpec {
-            members: 3,
-            ..Default::default()
-        };
-        for cfg in [
-            RhchmeConfig {
-                weight_scheme: WeightScheme::Binary,
-                ..RhchmeConfig::fast()
-            },
-            RhchmeConfig {
-                laplacian_kind: LaplacianKind::Unnormalized,
-                ..RhchmeConfig::fast()
-            },
-        ] {
-            let (initial, batches) = generate_stream(&stream_cfg());
-            let mut session =
-                StreamSession::new(initial, Rhchme::new(cfg), RefreshPolicy::default()).unwrap();
-            session.push_batch(&batches[0]).unwrap();
-            let before = session.model().method.clone();
-            match session.refit_ensemble(&spec) {
-                Err(StreamError::Invalid(msg)) => assert!(msg.contains("PipelineParams"), "{msg}"),
-                other => panic!("expected Invalid, got {other:?}"),
-            }
-            // Nothing was swapped.
-            assert_eq!(session.model().method, before);
-            assert_eq!(session.telemetry().ensemble_refits, 0);
+        for batch in &batches {
+            let report = session.push_batch(batch).unwrap();
+            assert_eq!(report.labels.len(), batch.len());
         }
+        let graph = session.doc_graph().graph();
+        assert_eq!(graph.rows(), 30 + 18);
+        assert_eq!(graph.nnz(), 0);
+        let report = session.refit_now().unwrap();
+        assert_eq!(report.corpus_docs, 48);
+        assert!(report.iterations >= 1 && report.iterations <= 5);
+        assert!(report.final_objective.is_finite());
     }
 
     #[test]
