@@ -18,14 +18,17 @@
 //! `ensemble_fit` workload (`n = 430` objects, `c = 22` clusters of
 //! 3 + 15 + 4, `nnz(R) ≈ 40k`) — the type-blocked kernels the engine
 //! loop calls: `R·G` as each column type's block of `R` times `G`'s
-//! packed own block (`Csr::spmm_into`), and a `G·B` product on each
-//! type's own rows and cluster columns (`matmul_block`) — and one whole
-//! RMC engine fit (six-candidate ensemble regulariser).
+//! packed own block (`Csr::spmm_into`), eight ensemble members' `R·G`
+//! as one stacked product (`CsrBlock::spmm_stacked` over a `LaneStack`
+//! of their packed blocks, as the lockstep engine refreshes them), and a
+//! `G·B` product on each type's own rows and cluster columns
+//! (`matmul_block`) — and one whole RMC engine fit (six-candidate
+//! ensemble regulariser).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtrl_linalg::block::stack_membership;
 use mtrl_linalg::Mat;
-use mtrl_sparse::CsrBuilder;
+use mtrl_sparse::{CsrBuilder, LaneStack};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rhchme::engine::{run_engine, run_engine_dense_reference, EngineConfig, GraphRegularizer};
@@ -193,6 +196,69 @@ fn bench_narrow_shapes(c: &mut Criterion) {
     );
     group.bench_function("typed_spmm_rg", |bencher| {
         bencher.iter(|| typed_rg(black_box(&r_blocks), &packed, &mut out));
+    });
+    // Eight ensemble members' R·G as one product: members of the default
+    // plan's kind (odd members re-specced to more document clusters),
+    // each type's G blocks stacked side by side and every nonempty block
+    // of R read in place once per 32-lane panel for all eight, packing
+    // included (the engine packs on every refresh).
+    let members: Vec<(MultiTypeData, Mat)> = [3usize, 4, 3, 6, 3, 5, 3, 4]
+        .iter()
+        .enumerate()
+        .map(|(m, &doc_k)| {
+            let mut counts = arts.data.cluster_counts().to_vec();
+            counts[0] = doc_k;
+            let data = arts.data.with_cluster_counts(counts).expect("layout");
+            let g = rhchme::rhchme::init_membership(&data, &arts.features, 100 + m as u64);
+            (data, g)
+        })
+        .collect();
+    let mut stacks: Vec<LaneStack> = (0..types.num_blocks())
+        .map(|t| {
+            let widths: Vec<usize> = members.iter().map(|(d, _)| d.cluster_counts()[t]).collect();
+            LaneStack::new(types.size(t), &widths)
+        })
+        .collect();
+    let mut outs: Vec<Mat> = members
+        .iter()
+        .map(|(d, _)| Mat::zeros(n, d.total_clusters()))
+        .collect();
+    let r_views: Vec<Vec<mtrl_sparse::CsrBlock>> = (0..types.num_blocks())
+        .map(|t| {
+            (0..types.num_blocks())
+                .map(|u| arts.r.block(types.range(t), types.range(u)))
+                .collect()
+        })
+        .collect();
+    let stacked_rg = |stacks: &mut [LaneStack], outs: &mut [Mat]| {
+        for (u, stack) in stacks.iter_mut().enumerate() {
+            for (m, (data, g)) in members.iter().enumerate() {
+                stack.set(m, g, types.range(u), data.cluster_spec().range(u));
+            }
+        }
+        for (t, row_blocks) in r_blocks.iter().enumerate() {
+            for (u, stack) in stacks.iter().enumerate() {
+                if row_blocks[u].nnz() > 0 {
+                    let mut windows: Vec<(&mut Mat, usize)> = outs
+                        .iter_mut()
+                        .zip(&members)
+                        .map(|(out, (data, _))| (out, data.cluster_spec().offset(u)))
+                        .collect();
+                    r_views[t][u].spmm_stacked(stack, &mut windows);
+                }
+            }
+        }
+    };
+    stacked_rg(&mut stacks, &mut outs);
+    for ((_, g), out) in members.iter().zip(&outs) {
+        assert_eq!(
+            out.as_slice(),
+            arts.r.spmm_dense(g).as_slice(),
+            "stacked R·G equals each member's full-width SpMM"
+        );
+    }
+    group.bench_function("typed_spmm_rg_x8", |bencher| {
+        bencher.iter(|| stacked_rg(black_box(&mut stacks), &mut outs));
     });
     let s = mtrl_linalg::random::rand_uniform(k, k, -1.0, 1.0, 65);
     group.bench_function("matmul_block_own_430x22", |bencher| {

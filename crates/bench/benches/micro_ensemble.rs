@@ -1,7 +1,8 @@
 //! Criterion microbenches of the consensus-ensemble layer: the sparse
 //! co-association build (the stage that must never densify to n×n), the
 //! anchor-selected trajectory merge, and the full ensemble fit against
-//! the single RHCHME fit it wraps.
+//! the single RHCHME fit it wraps, plus the default 8-member fit on the
+//! end-to-end workload's 240-document shape.
 //!
 //! With `MTRL_BENCH_JSON` set, the run emits the summary the CI
 //! `bench-smoke` job gates against the committed `BENCH_ensemble.json`.
@@ -110,6 +111,21 @@ fn bench_full_fit(c: &mut Criterion) {
                 &params,
             )
             .unwrap()
+        });
+    });
+    // The default 8-member spec on the end-to-end `ensemble_fit`
+    // workload's input shape (240 Large3 documents, quick parameters):
+    // artifacts, regularisers, the members in lockstep and the merge.
+    let seed = 64;
+    let corpus = generate(&CorpusConfig {
+        docs_per_class: vec![80, 80, 80],
+        seed,
+        ..mtrl_eval::CorpusShape::Large3.config()
+    });
+    let quick = mtrl_eval::runner::quick_params(seed);
+    group.bench_function("members8_240docs", |bencher| {
+        bencher.iter(|| {
+            mtrl_ensemble::fit_corpus(black_box(&corpus), &EnsembleSpec::default(), &quick).unwrap()
         });
     });
     group.finish();

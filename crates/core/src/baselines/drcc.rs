@@ -105,7 +105,8 @@ pub(crate) fn variant_matrix(corpus: &mtrl_datagen::MultiTypeCorpus, variant: Dr
 /// Run DRCC on a rectangular nonnegative matrix (`docs x features`).
 ///
 /// # Errors
-/// Returns [`RhchmeError::InvalidData`] for degenerate inputs and
+/// Returns [`RhchmeError::InvalidData`] for degenerate inputs (a
+/// relation holding a NaN or infinite value included) and
 /// [`RhchmeError::Diverged`] if the iterates become non-finite.
 pub(crate) fn run_drcc(r: &Mat, cfg: &DrccConfig) -> Result<DrccResult> {
     let (n, m) = r.shape();
@@ -113,6 +114,11 @@ pub(crate) fn run_drcc(r: &Mat, cfg: &DrccConfig) -> Result<DrccResult> {
         return Err(RhchmeError::InvalidData(format!(
             "DRCC needs at least a 2x2 relation, got {n}x{m}"
         )));
+    }
+    if r.has_non_finite() {
+        return Err(RhchmeError::InvalidData(
+            "DRCC relation matrix has a non-finite value".into(),
+        ));
     }
     if r.min() < 0.0 {
         return Err(RhchmeError::InvalidData(

@@ -56,10 +56,9 @@
 //! lanes instead of `c` (3 + 15 + 4 of 22 on the `ensemble_fit` member
 //! shape, so 3,130 of `G`'s 9,460 entries):
 //!
-//! * `R·G` — `R` is cut into type blocks once per fit
-//!   ([`Csr::split_blocks`]); block `(k, l)` times `G`'s packed block `l`
-//!   ([`Csr::spmm_into`]) fills type `k`'s rows in type `l`'s columns,
-//!   and the empty type-self blocks are never touched;
+//! * `R·G` — block `(k, l)` of `R`, read in place, times `G`'s packed
+//!   block `l` ([`CsrBlock::spmm_stacked`]) fills type `k`'s rows in type
+//!   `l`'s columns, and the empty type-self blocks are never touched;
 //! * `L±·G` — each Laplacian block (one per object type; any other
 //!   layout is rejected) times its type's packed block
 //!   ([`SparseBlockDiag::mul_typed`]), own columns only, as the update
@@ -75,8 +74,10 @@
 //! * the update, the row ℓ1 normalisation, the residual's cross term and
 //!   quadratic form, and `tr(GᵀLG)` — own columns only.
 //!
-//! The `n x c` operands live in buffers allocated once per fit; no
-//! `n x c` matrix is allocated per iteration, and the loop calls no
+//! The `n x c` operands live in buffers allocated once per call (per
+//! fit for `G` and `R·G`, shared by a batch's fits for the work
+//! buffers); no `n x c` matrix is allocated per iteration (the work
+//! buffers only change shape between fits), and the loop calls no
 //! full-width kernel. Every stored entry sums the same nonzero terms in
 //! the same order as the full-width kernels did, so every output is
 //! bit-identical to them. The terms dropped are `±0`: a structural zero
@@ -93,6 +94,26 @@
 //!   [`RhchmeError::Diverged`] as soon as `G` or `S` is non-finite.
 //!   (A product that overflows to `±∞` from finite operands is the one
 //!   case this does not cover.)
+//!
+//! # Lockstep batches
+//!
+//! An ensemble fits several members over the same `R`, and every one of
+//! them multiplies `R` by its own `G` on every iteration.
+//! [`run_engine_lockstep`] runs such fits together, one loop for all of
+//! them: each fit's state (`G`, `R·G`, `GᵀG`, `S`, the `E_R` factors and
+//! RMC's weights) lives in its own record with two half-steps around the
+//! `R·G` refresh — steps 3–5, then steps 6–7. Between them, per column
+//! type `l`, the live fits' packed `G_l` blocks sit side by side in one
+//! zero-padded operand of whole 32-lane panels ([`LaneStack`]), and each
+//! nonempty block of `R` multiplies them all at once, storing each fit's
+//! lanes into its own `R·G` — so `R`'s stored entries are read once per
+//! panel for every fit instead of once per fit. What does not depend on
+//! the fit is prepared once per batch: which blocks of `R` are empty,
+//! `R`'s row norms and finiteness scan, each distinct regulariser's
+//! `L⁺/L⁻` split or RMC union pattern, and one set of work buffers.
+//! Every entry sums the same terms in the same order as a fit run alone,
+//! so each fit's outputs are bit-identical to its [`run_engine`] fit,
+//! which is a batch of one.
 //!
 //! Each kernel keeps its output rows in fixed-size register
 //! accumulators (up to 32 columns per pass), and the dense `matmul` /
@@ -126,26 +147,28 @@
 //!
 //! # Observability (stable metric-name contract)
 //!
-//! With `MTRL_OBS=1` (see `mtrl-obs`), every [`run_engine`] call reports
-//! into the global registry. The names below are a **stable contract** —
+//! With `MTRL_OBS=1` (see `mtrl-obs`), every [`run_engine`] and
+//! [`run_engine_lockstep`] call reports into the global registry. The names below are a **stable contract** —
 //! exporters, dashboards, and the CI manifest rely on them:
 //!
 //! * span `engine.fit` — wall time of the whole call (nested under any
-//!   caller spans, e.g. `rhchme.fit/engine.fit`);
+//!   caller spans, e.g. `rhchme.fit/engine.fit`); a lockstep batch is
+//!   one call, so one span covers all its fits;
 //! * span aggregates `engine.fit.spmm`, `engine.fit.lowrank`,
 //!   `engine.fit.update`, `engine.fit.residual` — cumulative per-phase
-//!   kernel time across the iteration loop (`count` = iterations):
-//!   `spmm` is the packing of `G`'s type blocks and the typed `R·G` /
-//!   `GᵀG` refresh; `lowrank` the regulariser resolve, `U = G·S`, the
+//!   kernel time across the iteration loop (`count` = iterations), one
+//!   record per fit: `spmm` is the fit's share of the stacked `R·G`
+//!   refresh (packing included; the refresh time split evenly over the
+//!   live fits) and its `GᵀG`; `lowrank` the regulariser resolve, `U = G·S`, the
 //!   typed implicit-`E_R` correction, `Gᵀ(R − E_R)G` and the Eq. 18 `S`
 //!   solve; `update` the own-block `A`, `G·B±` and `L±·G` products, the
 //!   Eq. 21 multiplicative `G` update and the row normalisation;
 //!   `residual` the own-column `(R G Sᵀ)_i` / `M·g_i` products, the
 //!   trace-identity `‖q_i‖` / `E_R` update and the objective with
 //!   `tr(GᵀLG)`;
-//! * counters `engine.fits` (calls) and `engine.iterations` (total
-//!   iterations across calls);
-//! * a `FitTelemetry` record (label `engine.fit`) with the problem shape
+//! * counters `engine.fits` (fits, one per batch member) and
+//!   `engine.iterations` (total iterations across fits);
+//! * a `FitTelemetry` record per fit (label `engine.fit`) with the problem shape
 //!   (`n`, `c`, `nnz`), convergence outcome, the four phase totals, and
 //!   a per-iteration trace of `objective`, `rel_change`, and
 //!   `er_active_rows` (rows clearing the
@@ -170,7 +193,7 @@ use mtrl_linalg::solve::ridge_inverse;
 use mtrl_linalg::vecops;
 use mtrl_linalg::{Mat, Precision, EPS};
 use mtrl_obs::{FitTelemetry, IterTelemetry};
-use mtrl_sparse::{Csr, RowSparse, SparseBlockDiag};
+use mtrl_sparse::{Csr, CsrBlock, LaneStack, RowSparse, SparseBlockDiag};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -213,11 +236,22 @@ impl PhaseClock {
         }
     }
 
+    /// Whether the clock runs (observability is on).
+    fn enabled(&self) -> bool {
+        self.lap_start.is_some()
+    }
+
     /// Charge the time since the last mark/lap to `phase`.
     fn lap(&mut self, phase: usize) {
+        self.lap_with(phase, 0);
+    }
+
+    /// [`Self::lap`], plus `extra_ns` measured elsewhere (a fit's share
+    /// of a step run for the whole batch).
+    fn lap_with(&mut self, phase: usize, extra_ns: u64) {
         if let Some(start) = self.lap_start {
             let now = Instant::now();
-            let lap = u64::try_from(now.duration_since(start).as_nanos()).unwrap_or(0);
+            let lap = u64::try_from(now.duration_since(start).as_nanos()).unwrap_or(0) + extra_ns;
             self.ns[phase] += lap;
             self.max_ns[phase] = self.max_ns[phase].max(lap);
             self.lap_start = Some(now);
@@ -381,34 +415,70 @@ fn validate_common(
     }
 }
 
-/// The per-iteration regulariser state shared by both engine paths.
-enum RegState<'a> {
+/// A graph regulariser's fit-independent part, prepared once per
+/// distinct regulariser of a [`run_engine_lockstep`] batch: a fixed
+/// Laplacian's `L⁺/L⁻` split, or RMC's union pattern.
+enum PreparedReg<'a> {
     None,
-    /// A fixed Laplacian and its part split, computed once. The
-    /// Laplacian is **borrowed** from the caller's [`GraphRegularizer`]
-    /// — a fit never deep-copies the `O(p·n)` triplets (the split parts
-    /// are new matrices by necessity).
+    /// A fixed Laplacian, **borrowed** from the caller's
+    /// [`GraphRegularizer`] (a fit never deep-copies the `O(p·n)`
+    /// triplets), and its part split.
     Fixed {
         l: &'a SparseBlockDiag,
         lp: SparseBlockDiag,
         lm: SparseBlockDiag,
     },
-    /// RMC's candidate ensemble, re-weighted every iteration on one
-    /// union pattern (see [`UnionEnsemble`]).
-    Ensemble(UnionEnsemble<'a>),
+    /// RMC's candidates and their union pattern (see [`UnionEnsemble`]).
+    Ensemble {
+        candidates: &'a [SparseBlockDiag],
+        mu: f64,
+        pattern: Vec<UnionBlock>,
+    },
 }
 
-impl<'a> RegState<'a> {
-    fn new(reg: &'a GraphRegularizer, clusters: &BlockSpec) -> Self {
+impl<'a> PreparedReg<'a> {
+    fn new(reg: &'a GraphRegularizer) -> Self {
         match reg {
-            GraphRegularizer::None => RegState::None,
+            GraphRegularizer::None => PreparedReg::None,
             GraphRegularizer::Fixed(l) => {
                 let (lp, lm) = l.split_parts();
-                RegState::Fixed { l, lp, lm }
+                PreparedReg::Fixed { l, lp, lm }
             }
-            GraphRegularizer::Ensemble { candidates, mu } => {
-                RegState::Ensemble(UnionEnsemble::new(candidates, *mu, clusters))
-            }
+            GraphRegularizer::Ensemble { candidates, mu } => PreparedReg::Ensemble {
+                candidates,
+                mu: *mu,
+                pattern: union_pattern(candidates),
+            },
+        }
+    }
+}
+
+/// One fit's per-iteration regulariser state, shared by both engine
+/// paths; it borrows the fit-independent part from a [`PreparedReg`].
+enum RegState<'p> {
+    None,
+    Fixed {
+        l: &'p SparseBlockDiag,
+        lp: &'p SparseBlockDiag,
+        lm: &'p SparseBlockDiag,
+    },
+    /// RMC's candidate ensemble, re-weighted every iteration on one
+    /// union pattern (see [`UnionEnsemble`]).
+    Ensemble(Box<UnionEnsemble<'p>>),
+}
+
+impl<'p> RegState<'p> {
+    fn new(prepared: &'p PreparedReg<'_>, clusters: &BlockSpec) -> Self {
+        match prepared {
+            PreparedReg::None => RegState::None,
+            PreparedReg::Fixed { l, lp, lm } => RegState::Fixed { l, lp, lm },
+            PreparedReg::Ensemble {
+                candidates,
+                mu,
+                pattern,
+            } => RegState::Ensemble(Box::new(UnionEnsemble::new(
+                candidates, *mu, pattern, clusters,
+            ))),
         }
     }
 
@@ -431,6 +501,15 @@ impl<'a> RegState<'a> {
                 let (lp, lm) = ens.parts.as_ref().expect("resolved before use");
                 Some((lp, lm))
             }
+        }
+    }
+
+    /// Drop an ensemble's `(L⁺, L⁻)` once the update has used them (the
+    /// next resolve writes new ones), so the fits of a batch do not all
+    /// hold theirs at once.
+    fn release_parts(&mut self) {
+        if let RegState::Ensemble(ens) = self {
+            ens.parts = None;
         }
     }
 
@@ -465,15 +544,21 @@ impl<'a> RegState<'a> {
 /// objective's products are reused there. The combination and its
 /// `L⁺`/`L⁻` split are written into fixed value arrays.
 ///
+/// The pattern ([`union_pattern`]) does not depend on the fit, so the
+/// fits of a batch share it; each fit keeps its own products, weights
+/// and combination.
+///
 /// Every value equals what merging the candidates one by one
 /// (`L̂₀·β₀ + L̂₁·β₁ + …`, dropping entries that come out zero) and
 /// splitting the result produces, summed in the same order; an entry
 /// that merge would drop holds a zero here instead, which adds nothing
 /// to any product with the finite `G` the engine iterates on.
-struct UnionEnsemble<'a> {
-    candidates: &'a [SparseBlockDiag],
+struct UnionEnsemble<'p> {
+    candidates: usize,
     mu: f64,
-    blocks: Vec<UnionBlock>,
+    blocks: &'p [UnionBlock],
+    /// Per block, its type's cluster columns of `G`.
+    cols: Vec<Range<usize>>,
     /// Per block, `g_i · g_j` on the union pattern.
     dots: Vec<Vec<f64>>,
     /// Whether `dots` belong to the `G` the next [`Self::resolve`] sees.
@@ -490,8 +575,6 @@ struct UnionEnsemble<'a> {
 /// One diagonal block's union pattern.
 struct UnionBlock {
     offset: usize,
-    /// The block's type's cluster columns of `G`.
-    cols: Range<usize>,
     indptr: Vec<usize>,
     indices: Vec<usize>,
     /// Per candidate, the union slot and the value of each of its stored
@@ -540,7 +623,7 @@ impl SlotPattern {
 }
 
 impl UnionBlock {
-    fn new(blocks: &[&Csr], offset: usize, cols: Range<usize>) -> Self {
+    fn new(blocks: &[&Csr], offset: usize) -> Self {
         let n = blocks[0].rows();
         let mut indptr = vec![0];
         let mut indices: Vec<usize> = Vec::new();
@@ -581,7 +664,6 @@ impl UnionBlock {
         let neg = SlotPattern::select(&indptr, &indices, |slot| any_neg[slot]);
         UnionBlock {
             offset,
-            cols,
             indptr,
             indices,
             slots,
@@ -592,18 +674,28 @@ impl UnionBlock {
     }
 }
 
-impl<'a> UnionEnsemble<'a> {
-    fn new(candidates: &'a [SparseBlockDiag], mu: f64, clusters: &BlockSpec) -> Self {
-        let spec = candidates[0].spec();
-        let blocks: Vec<UnionBlock> = (0..candidates[0].num_blocks())
-            .map(|k| {
-                let members: Vec<&Csr> = candidates.iter().map(|c| c.block(k)).collect();
-                UnionBlock::new(&members, spec.offset(k), clusters.range(k))
-            })
-            .collect();
+/// The union pattern of each diagonal block of the candidates.
+fn union_pattern(candidates: &[SparseBlockDiag]) -> Vec<UnionBlock> {
+    let spec = candidates[0].spec();
+    (0..candidates[0].num_blocks())
+        .map(|k| {
+            let members: Vec<&Csr> = candidates.iter().map(|c| c.block(k)).collect();
+            UnionBlock::new(&members, spec.offset(k))
+        })
+        .collect()
+}
+
+impl<'p> UnionEnsemble<'p> {
+    fn new(
+        candidates: &[SparseBlockDiag],
+        mu: f64,
+        blocks: &'p [UnionBlock],
+        clusters: &BlockSpec,
+    ) -> Self {
         UnionEnsemble {
-            candidates,
+            candidates: candidates.len(),
             mu,
+            cols: (0..blocks.len()).map(|k| clusters.range(k)).collect(),
             dots: blocks.iter().map(|b| vec![0.0; b.indices.len()]).collect(),
             comb: blocks.iter().map(|b| vec![0.0; b.indices.len()]).collect(),
             blocks,
@@ -615,8 +707,8 @@ impl<'a> UnionEnsemble<'a> {
 
     /// Fill `dots` with `g_i · g_j` on the union pattern of every block.
     fn refresh_dots(&mut self, g: &Mat) {
-        for (block, dots) in self.blocks.iter().zip(&mut self.dots) {
-            pattern_dots(g, block, dots);
+        for ((block, cols), dots) in self.blocks.iter().zip(&self.cols).zip(&mut self.dots) {
+            pattern_dots(g, block, cols.clone(), dots);
         }
     }
 
@@ -628,7 +720,7 @@ impl<'a> UnionEnsemble<'a> {
         }
         // G changes before the next resolve.
         self.dots_fresh = false;
-        let traces: Vec<f64> = (0..self.candidates.len())
+        let traces: Vec<f64> = (0..self.candidates)
             .map(|c| {
                 self.blocks
                     .iter()
@@ -665,7 +757,7 @@ impl<'a> UnionEnsemble<'a> {
                 }
             }
         }
-        self.keep_zeros = self.candidates.len() == 1 && beta[0] != 0.0;
+        self.keep_zeros = self.candidates == 1 && beta[0] != 0.0;
         let split = |pick: fn(f64) -> f64, part: fn(&UnionBlock) -> &SlotPattern| {
             let blocks = self
                 .blocks
@@ -706,13 +798,13 @@ impl<'a> UnionEnsemble<'a> {
 }
 
 /// `dots[e] = g_i · g_j` for every entry `(i, j)` of one block's union
-/// pattern, over the block's type's cluster columns — the products of
-/// [`Csr::quad_form_at`] on the rows of a finite, type-blocked `G`. The
-/// terms outside those columns are `±0` there, and dropping them can
-/// change a dot product only in the sign of a zero result, which no
-/// `acc += v · dot` can see (see there).
-fn pattern_dots(g: &Mat, block: &UnionBlock, dots: &mut [f64]) {
-    let row = |j: usize| &g.row(block.offset + j)[block.cols.clone()];
+/// pattern, over the block's type's cluster columns `cols` — the
+/// products of [`Csr::quad_form_at`] on the rows of a finite,
+/// type-blocked `G`. The terms outside those columns are `±0` there, and
+/// dropping them can change a dot product only in the sign of a zero
+/// result, which no `acc += v · dot` can see (see there).
+fn pattern_dots(g: &Mat, block: &UnionBlock, cols: Range<usize>, dots: &mut [f64]) {
+    let row = |j: usize| &g.row(block.offset + j)[cols.clone()];
     for (i, w) in block.indptr.windows(2).enumerate() {
         let gi = row(i);
         let out = &mut dots[w[0]..w[1]];
@@ -789,9 +881,10 @@ fn multiplicative_update(
 ///
 /// Per iteration `O(nnz·c + n·c²)` work, `O(nnz + n·c)` memory; see the
 /// module docs for the implicit `E_R` / trace-identity formulation and
-/// the type-blocked kernels. The SpMMs run on the [`mtrl_linalg::par`]
-/// pool above their work threshold, the other kernels serially; results
-/// are bit-identical for every thread count.
+/// the type-blocked kernels. This is [`run_engine_lockstep`] on a batch
+/// of one fit. The SpMMs run on the [`mtrl_linalg::par`] pool above
+/// their work threshold, the other kernels serially; results are
+/// bit-identical for every thread count.
 ///
 /// # Errors
 /// * [`RhchmeError::InvalidData`] / [`RhchmeError::InvalidConfig`] on
@@ -807,6 +900,175 @@ pub fn run_engine(
     g0: Mat,
     cfg: &EngineConfig,
 ) -> Result<EngineResult> {
+    let fit = LockstepFit {
+        data,
+        reg,
+        g0,
+        cfg: cfg.clone(),
+    };
+    let mut out = run_engine_lockstep(r, vec![fit])?;
+    Ok(out.pop().expect("one fit, one result"))
+}
+
+/// One fit of a [`run_engine_lockstep`] batch: what [`run_engine`]
+/// takes besides `R`.
+pub struct LockstepFit<'a> {
+    /// Block layouts of this fit (the batch shares the object layout;
+    /// the cluster layout may differ per fit).
+    pub data: &'a MultiTypeData,
+    /// Graph regulariser; fits that pass the same one (by address)
+    /// share its prepared part.
+    pub reg: &'a GraphRegularizer,
+    /// Initial membership.
+    pub g0: Mat,
+    /// Engine configuration.
+    pub cfg: EngineConfig,
+}
+
+/// Run several engine fits over one `R` in lockstep, so that each
+/// iteration reads `R`'s stored entries once for all of them.
+///
+/// Every fit is exactly the [`run_engine`] fit of its inputs, bit for
+/// bit: each iteration runs steps 3–5 for every live fit, refreshes
+/// every live fit's `R·G` in one stacked product
+/// ([`CsrBlock::spmm_stacked`]: per block `R_kl`, the fits' packed `G_l`
+/// side by side), then runs steps 6–7 for each. A fit leaves the batch
+/// when it converges or reaches its iteration budget. The fits share
+/// what does not depend on them: `R`'s type blocks, row norms and
+/// finiteness scan, each distinct regulariser's prepared part, and one
+/// set of work buffers; only `G`, `R·G`, `GᵀG`, `S`, the `E_R` factors
+/// and RMC's weights are kept per fit.
+///
+/// Results come back in input order.
+///
+/// # Errors
+/// The error [`run_engine`] returns for the lowest-indexed fit that
+/// fails — what running the fits one after another would return — and
+/// [`RhchmeError::InvalidData`] for a fit whose object layout differs
+/// from the first fit's. Once a fit fails, the fits after it stop.
+pub fn run_engine_lockstep(r: &Csr, fits: Vec<LockstepFit<'_>>) -> Result<Vec<EngineResult>> {
+    // A fit that fails validation ends the batch there, as it would end
+    // a sequential run before the fits after it start.
+    let mut failure: Option<(usize, RhchmeError)> = None;
+    let mut r_finite = None;
+    let mut valid = Vec::with_capacity(fits.len());
+    for (index, fit) in fits.into_iter().enumerate() {
+        let types = valid.first().map(|f: &LockstepFit<'_>| f.data.spec());
+        if let Err(e) = validate_fit(r, &fit, types, &mut r_finite) {
+            failure = Some((index, e));
+            break;
+        }
+        valid.push(fit);
+    }
+    if valid.is_empty() {
+        return failure.map_or(Ok(Vec::new()), |(_, e)| Err(e));
+    }
+
+    // Observability (reads-only; skipped entirely when MTRL_OBS is off —
+    // the fit itself is byte-identical either way).
+    let obs = mtrl_obs::enabled();
+    let _fit_span = mtrl_obs::span!("engine.fit");
+
+    let problem = Problem::new(r, valid[0].data.spec());
+    let mut regs: Vec<&GraphRegularizer> = Vec::new();
+    for fit in &valid {
+        if !regs.iter().any(|&reg| std::ptr::eq(reg, fit.reg)) {
+            regs.push(fit.reg);
+        }
+    }
+    let prepared: Vec<PreparedReg<'_>> = regs.iter().map(|reg| PreparedReg::new(reg)).collect();
+    let mut scratch = Scratch::default();
+    let mut live: Vec<Fit<'_>> = valid
+        .into_iter()
+        .enumerate()
+        .map(|(index, spec)| {
+            let at = regs.iter().position(|&reg| std::ptr::eq(reg, spec.reg));
+            Fit::new(index, spec, &prepared[at.expect("prepared")], obs)
+        })
+        .collect();
+    let mut stacks: Vec<LaneStack> = Vec::new();
+    problem.refresh(&mut live, &mut stacks);
+    let mut finished: Vec<Fit<'_>> = Vec::new();
+    let mut t = 0;
+    loop {
+        let (done, running): (Vec<_>, Vec<_>) = live.into_iter().partition(Fit::done);
+        finished.extend(done);
+        live = running;
+        if live.is_empty() {
+            break;
+        }
+        // ---- Steps 3-5 -----------------------------------------------
+        let mut failed = Vec::new();
+        for fit in &mut live {
+            if let Err(e) = fit.update(t, scratch.fit(fit.data)) {
+                failed.push((fit.index, e));
+            }
+        }
+        drop_failed(&mut live, &mut failure, failed);
+        if live.is_empty() {
+            break;
+        }
+
+        // ---- R·G for every live fit's updated G ----------------------
+        let start = obs.then(Instant::now);
+        problem.refresh(&mut live, &mut stacks);
+        let share = start.map_or(0, |s| {
+            let ns = u64::try_from(s.elapsed().as_nanos()).unwrap_or(0);
+            ns / live.len() as u64
+        });
+
+        // ---- Steps 6-7 -----------------------------------------------
+        let mut failed = Vec::new();
+        for fit in &mut live {
+            if let Err(e) = fit.residual(t, &problem, scratch.fit(fit.data), share) {
+                failed.push((fit.index, e));
+            }
+        }
+        drop_failed(&mut live, &mut failure, failed);
+        t += 1;
+    }
+
+    finished.sort_by_key(|f| f.index);
+    let cutoff = failure.as_ref().map_or(usize::MAX, |(index, _)| *index);
+    let results = finished
+        .into_iter()
+        .filter(|f| f.index < cutoff)
+        .map(|f| f.finish(&problem))
+        .collect::<Result<Vec<_>>>()?;
+    match failure {
+        Some((_, e)) => Err(e),
+        None => Ok(results),
+    }
+}
+
+/// Record the failures of one half-step (the lowest index wins) and stop
+/// every fit from the failing one on.
+fn drop_failed(
+    live: &mut Vec<Fit<'_>>,
+    failure: &mut Option<(usize, RhchmeError)>,
+    failed: Vec<(usize, RhchmeError)>,
+) {
+    for (index, e) in failed {
+        if failure.as_ref().is_none_or(|(at, _)| index < *at) {
+            *failure = Some((index, e));
+        }
+    }
+    if let Some((at, _)) = failure {
+        let at = *at;
+        live.retain(|f| f.index < at);
+    }
+}
+
+/// [`run_engine`]'s checks of one fit, in its order: `R`'s shape, the
+/// configuration, `G0`, the Laplacians' layout, `R`'s values (scanned
+/// once per batch, into `r_finite`).
+fn validate_fit(
+    r: &Csr,
+    fit: &LockstepFit<'_>,
+    types: Option<&BlockSpec>,
+    r_finite: &mut Option<bool>,
+) -> Result<()> {
+    let data = fit.data;
     let n = data.total_objects();
     let c = data.total_clusters();
     if r.shape() != (n, n) {
@@ -815,16 +1077,17 @@ pub fn run_engine(
             r.shape()
         )));
     }
-    validate_common(n, c, &g0, reg, cfg)?;
+    if types.is_some_and(|t| t != data.spec()) {
+        return Err(RhchmeError::InvalidData(
+            "the fits of one lockstep batch must share the object layout".into(),
+        ));
+    }
+    validate_common(n, c, &fit.g0, fit.reg, &fit.cfg)?;
     // The type layout of Sec. I-A: type k owns rows `types.range(k)` and
     // cluster columns `clusters.range(k)`.
+    validate_typed_membership(&fit.g0, &type_blocks(data))?;
     let types = data.spec();
-    let clusters = data.cluster_spec();
-    let blocks: Vec<(Range<usize>, Range<usize>)> = (0..types.num_blocks())
-        .map(|k| (types.range(k), clusters.range(k)))
-        .collect();
-    validate_typed_membership(&g0, &blocks)?;
-    let laplacians: &[SparseBlockDiag] = match reg {
+    let laplacians: &[SparseBlockDiag] = match fit.reg {
         GraphRegularizer::None => &[],
         GraphRegularizer::Fixed(l) => std::slice::from_ref(l),
         GraphRegularizer::Ensemble { candidates, .. } => candidates,
@@ -836,200 +1099,352 @@ pub fn run_engine(
             types.sizes()
         )));
     }
-    if r.iter().any(|(_, _, v)| !v.is_finite()) {
+    let scan = || (0..r.rows()).all(|i| r.row(i).1.iter().all(|v| v.is_finite()));
+    if !*r_finite.get_or_insert_with(scan) {
         return Err(RhchmeError::InvalidData("R has a non-finite value".into()));
     }
+    Ok(())
+}
 
-    // Observability (reads-only; skipped entirely when MTRL_OBS is off —
-    // the fit itself is byte-identical either way).
-    let obs = mtrl_obs::enabled();
-    let _fit_span = mtrl_obs::span!("engine.fit");
-    let mut clock = PhaseClock::new(obs);
-    let mut iter_telemetry: Vec<IterTelemetry> = Vec::new();
+/// Each object type's rows and cluster columns.
+fn type_blocks(data: &MultiTypeData) -> Vec<(Range<usize>, Range<usize>)> {
+    let (types, clusters) = (data.spec(), data.cluster_spec());
+    (0..types.num_blocks())
+        .map(|k| (types.range(k), clusters.range(k)))
+        .collect()
+}
 
-    let mut g = g0;
-    let mut s = Mat::zeros(c, c);
-    let mut reg_state = RegState::new(reg, clusters);
-    let mut ensemble_weights: Option<Vec<f64>> = None;
+/// What every fit of a batch shares about `R`.
+struct Problem<'a> {
+    r: &'a Csr,
+    types: &'a BlockSpec,
+    /// The nonempty type blocks `R_kl` of `R`, read in place, each with
+    /// its column type `l`: block `(k, l)` of `R·G` is `R_kl` times `G`'s
+    /// packed block `l`, in type `k`'s rows and type `l`'s cluster
+    /// columns. Empty blocks (`R` has no type-self blocks) are never
+    /// written, so their entries of `R·G` stay `+0`.
+    blocks: Vec<(usize, CsrBlock<'a>)>,
+    /// `‖r_i‖²` of every row, for the residual trace identity.
+    r_row_sq: Vec<f64>,
+}
 
-    // Row structure of R for the residual trace identity.
-    let r_row_sq: Vec<f64> = (0..n)
-        .map(|i| r.row(i).1.iter().map(|v| v * v).sum())
-        .collect();
+impl<'a> Problem<'a> {
+    fn new(r: &'a Csr, types: &'a BlockSpec) -> Self {
+        let num_types = types.num_blocks();
+        let blocks = (0..num_types)
+            .flat_map(|k| (0..num_types).map(move |l| (k, l)))
+            .map(|(k, l)| (l, r.block(types.range(k), types.range(l))))
+            .filter(|(_, block)| block.nnz() > 0)
+            .collect();
+        Problem {
+            r,
+            types,
+            blocks,
+            r_row_sq: (0..r.rows())
+                .map(|i| r.row(i).1.iter().map(|v| v * v).sum())
+                .collect(),
+        }
+    }
 
-    // Implicit E_R: shrinkage factors f plus the previous iterate's
-    // low-rank factors U = G·S and H = G, so that
-    // R − E_R = D_{1−f}·R + D_f·U·Hᵀ. H is the G the next iteration
-    // starts from, so HᵀG is that iteration's GᵀG; U is rebuilt there
-    // from G and the previous S.
-    let mut f_er: Vec<f64> = vec![0.0; n];
-    let mut one_minus_f: Vec<f64> = vec![1.0; n];
-    let mut error_row_norms: Vec<f64> = Vec::new();
-    let mut final_q_norms: Vec<f64> = Vec::new();
+    /// `R·G` of every fit in `fits`, for its current `G`: per column
+    /// type `l`, the fits' packed `G_l` blocks are stacked side by side
+    /// (`stacks[l]`, laid out again only when the fits' widths change),
+    /// and each nonempty `R_kl`, read in place, multiplies them all in one
+    /// [`CsrBlock::spmm_stacked`], storing each fit's lanes into its own
+    /// `R·G`. Every entry equals the one-fit product
+    /// ([`typed_spmm`]) bit for bit.
+    fn refresh(&self, fits: &mut [Fit<'_>], stacks: &mut Vec<LaneStack>) {
+        let num_types = self.types.num_blocks();
+        stacks.resize_with(num_types, || LaneStack::new(0, &[]));
+        for (l, stack) in stacks.iter_mut().enumerate() {
+            let widths: Vec<usize> = fits.iter().map(|f| f.blocks[l].1.len()).collect();
+            if stack.widths() != widths {
+                *stack = LaneStack::new(self.types.size(l), &widths);
+            }
+            for (k, fit) in fits.iter().enumerate() {
+                let (rows, cols) = fit.blocks[l].clone();
+                stack.set(k, &fit.g, rows, cols);
+            }
+        }
+        for &(l, ref r_kl) in &self.blocks {
+            let mut outs: Vec<(&mut Mat, usize)> = fits
+                .iter_mut()
+                .map(|f| {
+                    let col0 = f.blocks[l].1.start;
+                    (&mut f.rg, col0)
+                })
+                .collect();
+            r_kl.spmm_stacked(&stacks[l], &mut outs);
+        }
+    }
+}
 
-    // The loop's n x c operands, allocated once per fit. Every product
-    // below reads and writes each type's own rows and cluster columns
-    // only; entries outside them are never read.
-    //   `rg`   — R·G for the current G, refreshed after every update and
-    //            shared by the residual of iteration t and step 3 of t+1;
-    //   `u`, `m1` — U = G·S and (R − E_R)·G (E_R only);
-    //   `prod`, `gb_pos`, `gb_neg` — the update's A = m1·Sᵀ and G·B±,
-    //            reused by the residual for R·G·Sᵀ and G·Mᵀ;
-    //   `lg`   — (L⁺·G, L⁻·G) with a regulariser;
-    //   `g_blocks` — each type's own block of G, packed (`n_k x c_k`),
-    //            the right operand of R·G and of L±·G.
-    let mut g_blocks: Vec<Mat> = blocks
-        .iter()
-        .map(|(rows, cols)| Mat::zeros(rows.len(), cols.len()))
-        .collect();
-    // R cut into type blocks once: block (k, l) of R·G is R_kl times
-    // G's packed block l, in type k's rows and type l's cluster columns.
-    // Empty blocks (R has no type-self blocks) are never written, so
-    // their entries of R·G stay +0.
-    let r_blocks = r.split_blocks(types, types);
-    pack_blocks(&g, &blocks, &mut g_blocks);
-    let mut rg = Mat::zeros(n, c);
-    typed_spmm(&r_blocks, &g_blocks, &blocks, &mut rg);
-    let mut lowrank = cfg
-        .use_error_matrix
-        .then(|| (Mat::zeros(n, c), Mat::zeros(n, c)));
-    let mut prod = Mat::zeros(n, c);
-    let mut gb_pos = Mat::zeros(n, c);
-    let mut gb_neg = Mat::zeros(n, c);
-    let mut lg =
-        (!matches!(reg, GraphRegularizer::None)).then(|| (Mat::zeros(n, c), Mat::zeros(n, c)));
-    // GᵀG for the current G: block-diagonal, refreshed with R·G.
-    let mut gram_cur = Mat::zeros(c, c);
-    typed_gram(&g, &blocks, &mut gram_cur);
-    let mut gtm = Mat::zeros(c, c);
+/// The loop's `n x c` work buffers, one set for every fit of a batch,
+/// re-shaped to each fit's cluster layout in turn ([`Mat::reshape`]).
+/// Every half-step writes each entry it reads before reading it, so
+/// what one fit leaves in them never reaches another.
+///   `g_blocks` — each type's own block of `G`, packed (`n_k x c_k`),
+///            the right operand of `L±·G`;
+///   `u`, `m1` — `U = G·S` and `(R − E_R)·G` (`E_R` only), then, once
+///            `A` is formed, `(L⁺·G, L⁻·G)` with a regulariser;
+///   `prod`, `gb_pos`, `gb_neg` — the update's `A = m1·Sᵀ` and `G·B±`,
+///            reused by the residual for `R·G·Sᵀ` and `G·Mᵀ`;
+///   `gtm`  — `Gᵀ(R − E_R)G`.
+#[derive(Default)]
+struct Scratch {
+    g_blocks: Vec<Mat>,
+    u: Mat,
+    m1: Mat,
+    prod: Mat,
+    gb_pos: Mat,
+    gb_neg: Mat,
+    gtm: Mat,
+}
 
-    let mut objective_trace = Vec::with_capacity(cfg.max_iter);
-    let mut label_trace = Vec::new();
-    let mut prev_obj = f64::INFINITY;
-    let mut converged = false;
-    let mut iterations = 0;
+impl Scratch {
+    /// Shape the buffers for `data`'s layout.
+    fn fit(&mut self, data: &MultiTypeData) -> &mut Self {
+        let (n, c) = (data.total_objects(), data.total_clusters());
+        let sizes = data.sizes().iter().zip(data.cluster_counts());
+        self.g_blocks.resize_with(data.num_types(), Mat::default);
+        for (block, (&nk, &ck)) in self.g_blocks.iter_mut().zip(sizes) {
+            block.reshape(nk, ck);
+        }
+        for m in [
+            &mut self.u,
+            &mut self.m1,
+            &mut self.prod,
+            &mut self.gb_pos,
+            &mut self.gb_neg,
+        ] {
+            m.reshape(n, c);
+        }
+        self.gtm.reshape(c, c);
+        self
+    }
+}
 
-    for t in 0..cfg.max_iter {
-        iterations = t + 1;
-        clock.mark();
+/// One fit's state across the two half-steps of an iteration.
+struct Fit<'p> {
+    index: usize,
+    data: &'p MultiTypeData,
+    cfg: EngineConfig,
+    reg: RegState<'p>,
+    /// Each type's rows and cluster columns.
+    blocks: Vec<(Range<usize>, Range<usize>)>,
+    g: Mat,
+    s: Mat,
+    /// `R·G` for the current `G`, refreshed after every update and
+    /// shared by the residual of iteration `t` and step 3 of `t + 1`.
+    rg: Mat,
+    /// `GᵀG` for the current `G`: block-diagonal, refreshed with `R·G`.
+    gram: Mat,
+    /// Implicit `E_R`: shrinkage factors `f` plus the previous iterate's
+    /// low-rank factors `U = G·S` and `H = G`, so that
+    /// `R − E_R = D_{1−f}·R + D_f·U·Hᵀ`. `H` is the `G` the next
+    /// iteration starts from, so `HᵀG` is that iteration's `GᵀG`; `U` is
+    /// rebuilt there from `G` and the previous `S`.
+    f_er: Vec<f64>,
+    one_minus_f: Vec<f64>,
+    error_row_norms: Vec<f64>,
+    final_q_norms: Vec<f64>,
+    ensemble_weights: Option<Vec<f64>>,
+    objective_trace: Vec<f64>,
+    label_trace: Vec<Vec<usize>>,
+    prev_obj: f64,
+    converged: bool,
+    iterations: usize,
+    clock: PhaseClock,
+    iter_telemetry: Vec<IterTelemetry>,
+}
+
+impl<'p> Fit<'p> {
+    fn new(index: usize, spec: LockstepFit<'p>, prepared: &'p PreparedReg<'_>, obs: bool) -> Self {
+        let LockstepFit { data, g0, cfg, .. } = spec;
+        let (n, c) = (data.total_objects(), data.total_clusters());
+        let blocks = type_blocks(data);
+        let mut gram = Mat::zeros(c, c);
+        typed_gram(&g0, &blocks, &mut gram);
+        Fit {
+            index,
+            data,
+            reg: RegState::new(prepared, data.cluster_spec()),
+            blocks,
+            g: g0,
+            s: Mat::zeros(c, c),
+            rg: Mat::zeros(n, c),
+            gram,
+            f_er: vec![0.0; n],
+            one_minus_f: vec![1.0; n],
+            error_row_norms: Vec::new(),
+            final_q_norms: Vec::new(),
+            ensemble_weights: None,
+            objective_trace: Vec::with_capacity(cfg.max_iter),
+            label_trace: Vec::new(),
+            prev_obj: f64::INFINITY,
+            converged: false,
+            iterations: 0,
+            clock: PhaseClock::new(obs),
+            iter_telemetry: Vec::new(),
+            cfg,
+        }
+    }
+
+    /// Steps 3–5 of iteration `t`: the regulariser, `S`, the
+    /// multiplicative `G` update and the row normalisation. Reads `R·G`
+    /// and `GᵀG` of the current `G`.
+    fn update(&mut self, t: usize, scratch: &mut Scratch) -> Result<()> {
+        self.iterations = t + 1;
+        self.clock.mark();
+        let c = self.data.total_clusters();
+        let n = self.data.total_objects();
+        let Scratch {
+            g_blocks,
+            u,
+            m1: m1_buf,
+            prod,
+            gb_pos,
+            gb_neg,
+            gtm,
+        } = scratch;
 
         // ---- Regulariser for this iteration -------------------------
-        reg_state.resolve(&g, &mut ensemble_weights);
+        self.reg.resolve(&self.g, &mut self.ensemble_weights);
 
         // ---- Step 3: S update (Eq. 18) ------------------------------
         // m1 = (R − E_R)·G = D_{1−f}·(R·G) + D_f·U·(GᵀG) with U = G·S of
         // the previous S; before the first shrinkage E_R = 0 and m1 is
         // R·G itself.
-        let m1: &Mat = match lowrank.as_mut() {
-            Some((u, m1)) if t > 0 => {
-                for (rows, cols) in &blocks {
-                    matmul_block(&g, &s, rows.clone(), cols.clone(), 0..c, u);
-                }
-                for (_, cols) in &blocks {
-                    diag_lowrank_combine_block(
-                        &one_minus_f,
-                        &rg,
-                        &f_er,
-                        u,
-                        &gram_cur,
-                        0..n,
-                        cols.clone(),
-                        m1,
-                    );
-                }
-                m1
+        let m1: &Mat = if self.cfg.use_error_matrix && t > 0 {
+            for (rows, cols) in &self.blocks {
+                matmul_block(&self.g, &self.s, rows.clone(), cols.clone(), 0..c, u);
             }
-            _ => &rg,
+            for (_, cols) in &self.blocks {
+                diag_lowrank_combine_block(
+                    &self.one_minus_f,
+                    &self.rg,
+                    &self.f_er,
+                    u,
+                    &self.gram,
+                    0..n,
+                    cols.clone(),
+                    m1_buf,
+                );
+            }
+            &*m1_buf
+        } else {
+            &self.rg
         };
         // Gᵀ(R − E_R)G, c x c: cluster row a sums over its type's rows.
-        for (rows, cols) in &blocks {
-            matmul_tn_block(&g, m1, rows.clone(), cols.clone(), 0..c, &mut gtm);
+        for (rows, cols) in &self.blocks {
+            matmul_tn_block(&self.g, m1, rows.clone(), cols.clone(), 0..c, gtm);
         }
-        let ginv = ridge_inverse(&gram_cur, cfg.ridge)?;
-        s = matmul(&matmul(&ginv, &gtm)?, &ginv)?;
-        if s.has_non_finite() {
+        let ginv = ridge_inverse(&self.gram, self.cfg.ridge)?;
+        self.s = matmul(&matmul(&ginv, gtm)?, &ginv)?;
+        if self.s.has_non_finite() {
             return Err(RhchmeError::Diverged { iteration: t });
         }
-        let st = s.transpose();
-        clock.lap(PHASE_LOWRANK);
+        let st = self.s.transpose();
+        self.clock.lap(PHASE_LOWRANK);
 
         // ---- Step 4: multiplicative G update (Eq. 21) ---------------
         // Every operand of the update on the own blocks:
         // A = m1·Sᵀ = (R − E_R)·G·Sᵀ, G·B± with B = Sᵀ GᵀG S, and L±·G.
-        let b = matmul_tn(&s, &matmul(&gram_cur, &s)?)?; // Sᵀ GᵀG S, c x c
+        let b = matmul_tn(&self.s, &matmul(&self.gram, &self.s)?)?; // Sᵀ GᵀG S, c x c
         let (b_pos, b_neg) = mtrl_linalg::parts::split_parts(&b);
-        for (rows, cols) in &blocks {
-            matmul_block(m1, &st, rows.clone(), 0..c, cols.clone(), &mut prod);
+        for (rows, cols) in &self.blocks {
+            matmul_block(m1, &st, rows.clone(), 0..c, cols.clone(), prod);
             matmul_block(
-                &g,
+                &self.g,
                 &b_pos,
                 rows.clone(),
                 cols.clone(),
                 cols.clone(),
-                &mut gb_pos,
+                gb_pos,
             );
             matmul_block(
-                &g,
+                &self.g,
                 &b_neg,
                 rows.clone(),
                 cols.clone(),
                 cols.clone(),
-                &mut gb_neg,
+                gb_neg,
             );
         }
-        if let (Some((lp, lm)), Some((lpg, lmg))) = (reg_state.parts(), lg.as_mut()) {
-            lp.mul_typed(&g_blocks, clusters, lpg)?;
-            lm.mul_typed(&g_blocks, clusters, lmg)?;
-        }
+        // L±·G into the buffers of U and m1, which A has consumed.
+        let l_g = match self.reg.parts() {
+            Some((lp, lm)) => {
+                pack_blocks(&self.g, &self.blocks, g_blocks);
+                let clusters = self.data.cluster_spec();
+                lp.mul_typed(g_blocks, clusters, u)?;
+                lm.mul_typed(g_blocks, clusters, m1_buf)?;
+                Some((&*u, &*m1_buf))
+            }
+            None => None,
+        };
         // G stays finite outside its own blocks (zeros never move), so
         // the updated entries decide divergence.
         let mut finite = true;
-        for (rows, cols) in &blocks {
-            let l_g = lg.as_ref().map(|(lp, lm)| (lp, lm));
+        for (rows, cols) in &self.blocks {
             finite &= multiplicative_update(
-                &mut g,
-                &prod,
-                &gb_pos,
-                &gb_neg,
+                &mut self.g,
+                prod,
+                gb_pos,
+                gb_neg,
                 l_g,
-                cfg.lambda,
+                self.cfg.lambda,
                 rows.clone(),
                 cols.clone(),
             );
         }
+        self.reg.release_parts();
         if !finite {
             return Err(RhchmeError::Diverged { iteration: t });
         }
 
         // ---- Step 5: row-l1 normalisation (Eq. 22) ------------------
-        if cfg.l1_row_normalize {
-            for (rows, cols) in &blocks {
+        if self.cfg.l1_row_normalize {
+            for (rows, cols) in &self.blocks {
                 for i in rows.clone() {
-                    normalize_l1(&mut g.row_mut(i)[cols.clone()], 1e-300);
+                    normalize_l1(&mut self.g.row_mut(i)[cols.clone()], 1e-300);
                 }
             }
         }
-        clock.lap(PHASE_UPDATE);
+        self.clock.lap(PHASE_UPDATE);
+        Ok(())
+    }
 
-        // ---- Steps 6-7: E_R update (Eqs. 25-27), trace form ----------
-        // Refresh R·G and GᵀG for the updated G (also next iteration's
-        // step 3 — neither is recomputed there).
-        pack_blocks(&g, &blocks, &mut g_blocks);
-        typed_spmm(&r_blocks, &g_blocks, &blocks, &mut rg);
-        typed_gram(&g, &blocks, &mut gram_cur);
-        clock.lap(PHASE_SPMM);
+    /// Steps 6–7 of iteration `t` once `R·G` holds the updated `G`:
+    /// `GᵀG`, the `E_R` update, the objective and the convergence
+    /// check. `refresh_ns` is this fit's share of the `R·G` refresh, for
+    /// the phase clock.
+    fn residual(
+        &mut self,
+        t: usize,
+        problem: &Problem<'_>,
+        scratch: &mut Scratch,
+        refresh_ns: u64,
+    ) -> Result<()> {
+        let n = self.data.total_objects();
+        let cfg = &self.cfg;
+        self.clock.mark();
+        typed_gram(&self.g, &self.blocks, &mut self.gram);
+        self.clock.lap_with(PHASE_SPMM, refresh_ns);
+
         // ‖q_i‖² = ‖r_i‖² − 2·(R G Sᵀ)_i·g_i + g_i (S GᵀG Sᵀ) g_iᵀ —
         // per row, no Q matrix, own columns only (g_i is zero outside
         // them). Cancellation is clamped at zero.
-        let m_q = matmul(&matmul(&s, &gram_cur)?, &st)?; // S K Sᵀ
+        let st = self.s.transpose();
+        let m_q = matmul(&matmul(&self.s, &self.gram)?, &st)?; // S K Sᵀ
         let mut q_norms = vec![0.0; n];
+        let r_row_sq = &problem.r_row_sq;
         residual_terms(
-            &rg,
+            &self.rg,
             &st,
-            &g,
+            &self.g,
             &m_q,
-            &blocks,
-            (&mut prod, &mut gb_pos),
+            &self.blocks,
+            (&mut scratch.prod, &mut scratch.gb_pos),
             |i, cross, quad| {
                 q_norms[i] = (r_row_sq[i] - 2.0 * cross + quad).max(0.0).sqrt();
             },
@@ -1037,50 +1452,60 @@ pub fn run_engine(
         let mut fit = 0.0;
         let mut l21 = 0.0;
         if cfg.use_error_matrix {
-            for i in 0..n {
+            let factors = self.f_er.iter_mut().zip(&mut self.one_minus_f);
+            for ((f, one_minus_f), &q) in factors.zip(&q_norms) {
                 // (βD + I)⁻¹ row factor: f = 1 / (1 + β / (2‖q_i‖ + ζ)).
-                f_er[i] = 1.0 / (1.0 + cfg.beta / (2.0 * q_norms[i] + cfg.zeta));
-                one_minus_f[i] = 1.0 - f_er[i];
+                *f = 1.0 / (1.0 + cfg.beta / (2.0 * q + cfg.zeta));
+                *one_minus_f = 1.0 - *f;
                 // ‖Q − E_R‖² = Σ (1−f)²‖q‖², ‖E_R‖₂,₁ = Σ f‖q‖.
-                let residual = one_minus_f[i] * q_norms[i];
+                let residual = *one_minus_f * q;
                 fit += residual * residual;
-                l21 += f_er[i] * q_norms[i];
+                l21 += *f * q;
             }
-            error_row_norms = f_er.iter().zip(&q_norms).map(|(f, qn)| f * qn).collect();
-            final_q_norms = q_norms;
+            self.error_row_norms = self
+                .f_er
+                .iter()
+                .zip(&q_norms)
+                .map(|(f, qn)| f * qn)
+                .collect();
+            self.final_q_norms = q_norms;
         } else {
             fit = q_norms.iter().map(|x| x * x).sum();
         }
 
         // ---- Objective J₄ (Eq. 15) ----------------------------------
-        let reg_term = reg_state.trace(&g, clusters)?;
+        let reg_term = self.reg.trace(&self.g, self.data.cluster_spec())?;
         let l21_term = if cfg.use_error_matrix {
             cfg.beta * l21
         } else {
             0.0
         };
         let obj = fit + l21_term + cfg.lambda * reg_term;
-        objective_trace.push(obj);
-        clock.lap(PHASE_RESIDUAL);
+        self.objective_trace.push(obj);
+        self.clock.lap(PHASE_RESIDUAL);
 
-        if obs {
+        if self.clock.enabled() {
+            let prev_obj = self.prev_obj;
             let rel_change = if t > 0 {
                 (prev_obj - obj).abs() / prev_obj.abs().max(1.0)
             } else {
                 0.0
             };
-            let er_active_rows = if error_row_norms.is_empty() {
+            let er_active_rows = if self.error_row_norms.is_empty() {
                 0
             } else {
-                let max = error_row_norms.iter().cloned().fold(0.0, f64::max);
+                let max = self.error_row_norms.iter().cloned().fold(0.0, f64::max);
                 let threshold = cfg.error_export_rel * max;
                 if max > 0.0 {
-                    error_row_norms.iter().filter(|&&x| x >= threshold).count()
+                    self.error_row_norms
+                        .iter()
+                        .filter(|&&x| x >= threshold)
+                        .count()
                 } else {
                     0
                 }
             };
-            iter_telemetry.push(IterTelemetry {
+            self.iter_telemetry.push(IterTelemetry {
                 objective: obj,
                 rel_change,
                 er_active_rows,
@@ -1088,68 +1513,84 @@ pub fn run_engine(
         }
 
         if let Some(ty) = cfg.record_labels_for_type {
-            label_trace.push(data.labels_from_membership(&g, ty));
+            self.label_trace
+                .push(self.data.labels_from_membership(&self.g, ty));
         }
 
         // ---- Convergence ---------------------------------------------
         if t > 0 {
-            let denom = prev_obj.abs().max(1.0);
-            if (prev_obj - obj).abs() / denom < cfg.tol {
-                converged = true;
-                break;
+            let denom = self.prev_obj.abs().max(1.0);
+            if (self.prev_obj - obj).abs() / denom < cfg.tol {
+                self.converged = true;
+                return Ok(());
             }
         }
-        prev_obj = obj;
+        self.prev_obj = obj;
+        Ok(())
     }
 
-    if obs {
-        let reg_handle = mtrl_obs::global();
-        let iters = iterations as u64;
-        for (name, phase) in PHASE_SPANS {
-            reg_handle.record_span_agg(name, iters, clock.ns[phase], clock.max_ns[phase]);
+    /// Whether the fit has converged or spent its iteration budget.
+    fn done(&self) -> bool {
+        self.converged || self.iterations == self.cfg.max_iter
+    }
+
+    /// Report the finished fit's telemetry and package its result.
+    fn finish(self, problem: &Problem<'_>) -> Result<EngineResult> {
+        let (n, c) = (self.data.total_objects(), self.data.total_clusters());
+        if self.clock.enabled() {
+            let reg_handle = mtrl_obs::global();
+            let iters = self.iterations as u64;
+            for (name, phase) in PHASE_SPANS {
+                reg_handle.record_span_agg(
+                    name,
+                    iters,
+                    self.clock.ns[phase],
+                    self.clock.max_ns[phase],
+                );
+            }
+            reg_handle.add("engine.fits", 1);
+            reg_handle.add("engine.iterations", iters);
+            reg_handle.record_fit(FitTelemetry {
+                label: "engine.fit".to_string(),
+                n,
+                c,
+                nnz: problem.r.nnz(),
+                iterations: self.iterations,
+                converged: self.converged,
+                spmm_ns: self.clock.ns[PHASE_SPMM],
+                lowrank_ns: self.clock.ns[PHASE_LOWRANK],
+                update_ns: self.clock.ns[PHASE_UPDATE],
+                residual_ns: self.clock.ns[PHASE_RESIDUAL],
+                iters: self.iter_telemetry,
+            });
         }
-        reg_handle.add("engine.fits", 1);
-        reg_handle.add("engine.iterations", iters);
-        reg_handle.record_fit(FitTelemetry {
-            label: "engine.fit".to_string(),
-            n,
-            c,
-            nnz: r.nnz(),
-            iterations,
-            converged,
-            spmm_ns: clock.ns[PHASE_SPMM],
-            lowrank_ns: clock.ns[PHASE_LOWRANK],
-            update_ns: clock.ns[PHASE_UPDATE],
-            residual_ns: clock.ns[PHASE_RESIDUAL],
-            iters: iter_telemetry,
-        });
+
+        let error_rows = if self.cfg.use_error_matrix {
+            materialize_error_rows(
+                problem.r,
+                &self.g,
+                &self.s,
+                &self.f_er,
+                &self.final_q_norms,
+                &self.error_row_norms,
+                self.cfg.error_export_rel,
+            )?
+        } else {
+            RowSparse::new(n, n)
+        };
+
+        Ok(EngineResult {
+            g: self.g,
+            s: self.s,
+            objective_trace: self.objective_trace,
+            label_trace: self.label_trace,
+            iterations: self.iterations,
+            converged: self.converged,
+            ensemble_weights: self.ensemble_weights,
+            error_row_norms: self.error_row_norms,
+            error_rows,
+        })
     }
-
-    let error_rows = if cfg.use_error_matrix {
-        materialize_error_rows(
-            r,
-            &g,
-            &s,
-            &f_er,
-            &final_q_norms,
-            &error_row_norms,
-            cfg.error_export_rel,
-        )?
-    } else {
-        RowSparse::new(n, n)
-    };
-
-    Ok(EngineResult {
-        g,
-        s,
-        objective_trace,
-        label_trace,
-        iterations,
-        converged,
-        ensemble_weights,
-        error_row_norms,
-        error_rows,
-    })
 }
 
 /// The preconditions of the typed loop on `G0`: every entry finite, and
@@ -1190,7 +1631,9 @@ fn pack_blocks(g: &Mat, blocks: &[(Range<usize>, Range<usize>)], packed: &mut [M
 /// which are all the nonzero terms of the full-width
 /// [`Csr::spmm_dense`] entry (the others are a finite value times a zero
 /// of `G`), in the same order — so `out` equals `spmm_dense` bit for
-/// bit, and an entry with no terms is the `+0` it would sum to.
+/// bit, and an entry with no terms is the `+0` it would sum to. The
+/// oracle of the stacked refresh ([`Problem::refresh`]) on one fit.
+#[cfg(test)]
 fn typed_spmm(
     r_blocks: &[Vec<Csr>],
     g_blocks: &[Mat],
@@ -1368,7 +1811,8 @@ pub fn run_engine_dense_reference(
 
     let mut g = g0;
     let mut s = Mat::zeros(c, c);
-    let mut reg_state = RegState::new(reg, data.cluster_spec());
+    let prepared = PreparedReg::new(reg);
+    let mut reg_state = RegState::new(&prepared, data.cluster_spec());
     let mut ensemble_weights: Option<Vec<f64>> = None;
 
     // Workhorse n x n buffers.
@@ -1739,7 +2183,8 @@ mod tests {
         candidates.push(candidates[1].scaled(-0.5));
         for n_cands in [1usize, 2, candidates.len()] {
             let cands = &candidates[..n_cands];
-            let mut ens = UnionEnsemble::new(cands, 0.7, data.cluster_spec());
+            let pattern = union_pattern(cands);
+            let mut ens = UnionEnsemble::new(cands, 0.7, &pattern, data.cluster_spec());
             for seed in 0..4 {
                 let mut g = init_g(&data, seed);
                 if seed == 3 {
@@ -1984,6 +2429,184 @@ mod tests {
         ] {
             let res = run_engine(&r, &data, &reg, init_g(&data, 8), &EngineConfig::default());
             assert!(matches!(res, Err(RhchmeError::InvalidData(_))), "{res:?}");
+        }
+    }
+
+    /// Every float of two results, bit for bit.
+    fn assert_same_fit(a: &EngineResult, b: &EngineResult, what: &str) {
+        assert!(same_bits(a.g.as_slice(), b.g.as_slice()), "{what}: G");
+        assert!(same_bits(a.s.as_slice(), b.s.as_slice()), "{what}: S");
+        assert!(
+            same_bits(&a.objective_trace, &b.objective_trace),
+            "{what}: objective trace"
+        );
+        assert!(
+            same_bits(&a.error_row_norms, &b.error_row_norms),
+            "{what}: E_R norms"
+        );
+        assert_eq!(a.label_trace, b.label_trace, "{what}: label trace");
+        assert_eq!(
+            (a.iterations, a.converged),
+            (b.iterations, b.converged),
+            "{what}"
+        );
+        let weights = |r: &EngineResult| r.ensemble_weights.clone().unwrap_or_default();
+        assert!(same_bits(&weights(a), &weights(b)), "{what}: β");
+        assert_eq!(
+            a.error_rows.active_iter().count(),
+            b.error_rows.active_iter().count()
+        );
+        for ((i, x), (j, y)) in a.error_rows.active_iter().zip(b.error_rows.active_iter()) {
+            assert!(i == j && same_bits(x, y), "{what}: E_R row {i}");
+        }
+    }
+
+    #[test]
+    fn lockstep_fits_equal_solo_fits() {
+        // Fits of every regulariser kind and two cluster layouts in one
+        // batch, two of them sharing a regulariser: one converges early,
+        // one has no iterations, the rest run their budgets. Each equals
+        // its solo fit bit for bit at 1 and 4 threads.
+        let (data, _) = tiny_data();
+        let wide = data.with_cluster_counts(vec![3, 4, 2]).unwrap();
+        let r = data.assemble_r_csr();
+        let feats = data.all_features();
+        let fixed = GraphRegularizer::Fixed(pnn_block_laplacian(&data));
+        let rmc = GraphRegularizer::Ensemble {
+            candidates: crate::intra::rmc_candidates(&feats, LaplacianKind::SymNormalized, None)
+                .unwrap(),
+            mu: 0.7,
+        };
+        let robust = EngineConfig {
+            lambda: 0.5,
+            beta: 10.0,
+            max_iter: 40,
+            tol: 1e-3,
+            record_labels_for_type: Some(0),
+            ..EngineConfig::default()
+        };
+        let plain = EngineConfig {
+            lambda: 0.5,
+            use_error_matrix: false,
+            l1_row_normalize: false,
+            max_iter: 9,
+            tol: 0.0,
+            ..EngineConfig::default()
+        };
+        let cases: Vec<(&MultiTypeData, &GraphRegularizer, Mat, EngineConfig)> = vec![
+            (&data, &fixed, init_g(&data, 1), robust.clone()),
+            (
+                &wide,
+                &GraphRegularizer::None,
+                init_g(&wide, 2),
+                plain.clone(),
+            ),
+            (&wide, &rmc, init_g(&wide, 3), plain.clone()),
+            (&data, &fixed, init_g(&data, 4), plain.clone()),
+            (
+                &data,
+                &rmc,
+                init_g(&data, 5),
+                EngineConfig {
+                    max_iter: 0,
+                    ..robust.clone()
+                },
+            ),
+            (&wide, &fixed, init_g(&wide, 6), robust),
+        ];
+        let before = mtrl_linalg::par::num_threads();
+        for threads in [1usize, 4] {
+            mtrl_linalg::par::set_num_threads(threads);
+            let fits = cases
+                .iter()
+                .map(|(data, reg, g0, cfg)| LockstepFit {
+                    data,
+                    reg,
+                    g0: g0.clone(),
+                    cfg: cfg.clone(),
+                })
+                .collect();
+            let batch = run_engine_lockstep(&r, fits).unwrap();
+            assert_eq!(batch.len(), cases.len());
+            for (i, ((data, reg, g0, cfg), got)) in cases.iter().zip(&batch).enumerate() {
+                let solo = run_engine(&r, data, reg, g0.clone(), cfg).unwrap();
+                assert_same_fit(got, &solo, &format!("fit {i}, {threads} threads"));
+            }
+            assert!(batch[0].converged && batch[0].iterations < 40);
+            assert_eq!(batch[4].iterations, 0);
+        }
+        mtrl_linalg::par::set_num_threads(before);
+        assert!(run_engine_lockstep(&r, Vec::new()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn lockstep_returns_the_lowest_indexed_failure() {
+        // A batch stops at the error a sequential run would return: that
+        // of the lowest-indexed failing fit, even when a later fit fails
+        // first in time; a fit that fails validation ends the batch there.
+        let (data, _) = tiny_data();
+        let r = data.assemble_r_csr();
+        let (lp, lm) = pnn_block_laplacian(&data).split_parts();
+        // A Laplacian whose negative part outweighs its positive part by
+        // `k` makes the update grow G by about √k per iteration, so G
+        // overflows after a number of iterations set by `k`.
+        let blowing = |k: f64| GraphRegularizer::Fixed(lp.lin_comb(1.0, &lm, -k).unwrap());
+        let (late, early) = (blowing(1e60), blowing(1e300));
+        let cfg = EngineConfig {
+            lambda: 1.0,
+            use_error_matrix: false,
+            l1_row_normalize: false,
+            max_iter: 30,
+            tol: 0.0,
+            ..EngineConfig::default()
+        };
+        let converging = EngineConfig {
+            tol: 1e-2,
+            ..cfg.clone()
+        };
+        let mut bad_g0 = init_g(&data, 3);
+        bad_g0[(0, 0)] = f64::NAN;
+        let none = GraphRegularizer::None;
+        let fit = |reg, g0: Mat, cfg: &EngineConfig| (reg, g0, cfg.clone());
+        let batches: Vec<Vec<(&GraphRegularizer, Mat, EngineConfig)>> = vec![
+            vec![
+                fit(&none, init_g(&data, 1), &converging),
+                fit(&late, init_g(&data, 2), &cfg),
+                fit(&early, init_g(&data, 2), &cfg),
+                fit(&none, bad_g0.clone(), &cfg),
+                fit(&none, init_g(&data, 4), &cfg),
+            ],
+            vec![
+                fit(&none, init_g(&data, 1), &cfg),
+                fit(&none, bad_g0, &cfg),
+                fit(&early, init_g(&data, 2), &cfg),
+            ],
+        ];
+        for (b, batch) in batches.into_iter().enumerate() {
+            let sequential = batch
+                .iter()
+                .map(|(reg, g0, cfg)| run_engine(&r, &data, reg, g0.clone(), cfg))
+                .find_map(|res| res.err())
+                .expect("a failing fit");
+            if b == 0 {
+                // The premise: fit 1 fails after fit 2 does.
+                let iteration = |reg| match run_engine(&r, &data, reg, init_g(&data, 2), &cfg) {
+                    Err(RhchmeError::Diverged { iteration }) => iteration,
+                    other => panic!("{other:?}"),
+                };
+                assert!(iteration(&late) > iteration(&early));
+            }
+            let fits = batch
+                .into_iter()
+                .map(|(reg, g0, cfg)| LockstepFit {
+                    data: &data,
+                    reg,
+                    g0,
+                    cfg,
+                })
+                .collect();
+            let got = run_engine_lockstep(&r, fits).expect_err("a failing fit");
+            assert_eq!(format!("{got:?}"), format!("{sequential:?}"), "batch {b}");
         }
     }
 

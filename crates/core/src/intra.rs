@@ -140,6 +140,57 @@ pub fn hetero_laplacian(
     Ok(l_s.lin_comb(alpha, l_e, 1.0)?)
 }
 
+/// Each type's exact neighbour lists at depth `p`
+/// ([`CentredRows::p_nearest`], in [`mtrl_graph::dist_less`] order), so
+/// several graphs of one feature set can share one search: the order is
+/// total, so a list's first `q` entries are its list at depth `q`.
+pub(crate) type RankedLists = Vec<Vec<Vec<(f64, usize)>>>;
+
+/// The exact search of every type at depth `p`.
+pub(crate) fn exact_neighbours(features: &[Mat], p: usize) -> RankedLists {
+    let _span = mtrl_obs::span!("graph.knn_search");
+    features
+        .iter()
+        .map(|f| CentredRows::new(f).p_nearest(p))
+        .collect()
+}
+
+/// Each list's first `take` neighbours, index-sorted.
+fn prefixes(ranked: &[Vec<(f64, usize)>], take: usize) -> Vec<Vec<usize>> {
+    ranked
+        .iter()
+        .map(|best| {
+            let mut list: Vec<usize> = best.iter().take(take).map(|&(_, j)| j).collect();
+            list.sort_unstable();
+            list
+        })
+        .collect()
+}
+
+/// [`pnn_laplacians_backend_prec`] on the exact backend, from lists
+/// [`exact_neighbours`] ranked at depth `p` or more: each block is the
+/// graph of every list's first `p` neighbours, which are the lists the
+/// exact search returns at `p`, so the result is equal.
+pub(crate) fn pnn_laplacians_ranked(
+    features: &[Mat],
+    ranked: &RankedLists,
+    p: usize,
+    scheme: WeightScheme,
+    kind: LaplacianKind,
+) -> Result<SparseBlockDiag> {
+    let blocks = features
+        .iter()
+        .zip(ranked)
+        .map(|(f, lists)| {
+            let _span = mtrl_obs::span!("graph.weights");
+            let threads = threads_for(f.rows() * f.rows() * f.cols());
+            let w = graph_from_neighbours(f, &prefixes(lists, p), scheme, threads);
+            laplacian_csr(&w, kind)
+        })
+        .collect();
+    Ok(SparseBlockDiag::new(blocks)?)
+}
+
 /// The six RMC candidate Laplacians of Sec. IV-B: `p ∈ {5, 10}` crossed
 /// with binary / heat-kernel (self-tuned σ) / cosine weighting, each as a
 /// block diagonal over all types.
@@ -157,26 +208,26 @@ pub fn rmc_candidates(
     kind: LaplacianKind,
     pnn5_cosine: Option<&SparseBlockDiag>,
 ) -> Result<Vec<SparseBlockDiag>> {
+    rmc_candidates_ranked(features, &exact_neighbours(features, 10), kind, pnn5_cosine)
+}
+
+/// [`rmc_candidates`] from lists [`exact_neighbours`] ranked at depth 10
+/// or more (the search `pipeline::Artifacts` ran for `L_E`).
+pub(crate) fn rmc_candidates_ranked(
+    features: &[Mat],
+    ranked: &RankedLists,
+    kind: LaplacianKind,
+    pnn5_cosine: Option<&SparseBlockDiag>,
+) -> Result<Vec<SparseBlockDiag>> {
     const SCHEMES: [WeightScheme; 3] = [
         WeightScheme::Binary,
         WeightScheme::HeatKernel { sigma: -1.0 },
         WeightScheme::Cosine,
     ];
     let mut blocks: Vec<Vec<Csr>> = vec![Vec::new(); 6];
-    for f in features {
+    for (f, lists) in features.iter().zip(ranked) {
         let threads = threads_for(f.rows() * f.rows() * f.cols());
-        let ranked = CentredRows::new(f).p_nearest(10);
-        let sorted = |take: usize| -> Vec<Vec<usize>> {
-            ranked
-                .iter()
-                .map(|best| {
-                    let mut list: Vec<usize> = best.iter().take(take).map(|&(_, j)| j).collect();
-                    list.sort_unstable();
-                    list
-                })
-                .collect()
-        };
-        let (p5, p10) = (sorted(5), sorted(10));
+        let (p5, p10) = (prefixes(lists, 5), prefixes(lists, 10));
         for (slot, neighbours) in [&p5, &p5, &p5, &p10, &p10, &p10].into_iter().enumerate() {
             if slot == 2 && pnn5_cosine.is_some() {
                 continue;

@@ -17,6 +17,7 @@ use mtrl_linalg::block::BlockSpec;
 use mtrl_linalg::Mat;
 use mtrl_sparse::Csr;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A multi-type relational dataset: `K` types plus pairwise relations.
 #[derive(Debug, Clone)]
@@ -24,7 +25,8 @@ pub struct MultiTypeData {
     sizes: Vec<usize>,
     cluster_counts: Vec<usize>,
     /// Relations keyed by `(k, l)` with `k < l`; matrix is `n_k x n_l`.
-    relations: HashMap<(usize, usize), Csr>,
+    /// Shared by the re-specs of [`Self::with_cluster_counts`].
+    relations: Arc<HashMap<(usize, usize), Csr>>,
     spec: BlockSpec,
     cluster_spec: BlockSpec,
 }
@@ -36,7 +38,9 @@ impl MultiTypeData {
     ///
     /// # Errors
     /// Returns [`RhchmeError::InvalidData`] for inconsistent shapes,
-    /// out-of-range type indices, duplicate or self relations, and
+    /// out-of-range type indices, duplicate or self relations, a
+    /// relation holding a NaN or infinite value (every fit, k-means
+    /// start included, reads these values), and
     /// [`RhchmeError::InvalidConfig`] for cluster counts `< 2` or larger
     /// than the type size.
     pub fn new(
@@ -84,6 +88,11 @@ impl MultiTypeData {
                     sizes[l]
                 )));
             }
+            if (0..m.rows()).any(|i| !m.row(i).1.iter().all(|v| v.is_finite())) {
+                return Err(RhchmeError::InvalidData(format!(
+                    "relation ({k},{l}) has a non-finite value"
+                )));
+            }
             if map.insert((k, l), m).is_some() {
                 return Err(RhchmeError::InvalidData(format!(
                     "duplicate relation ({k},{l})"
@@ -98,7 +107,7 @@ impl MultiTypeData {
         Ok(MultiTypeData {
             sizes,
             cluster_counts,
-            relations: map,
+            relations: Arc::new(map),
             spec,
             cluster_spec,
         })
@@ -108,6 +117,10 @@ impl MultiTypeData {
     /// from a generated corpus. Term/concept cluster counts follow the
     /// paper's rule of thumb (`m/divisor`, clamped to `[2, 30]`; the paper
     /// explores `m/10` to `m/100`).
+    ///
+    /// # Errors
+    /// As [`Self::new`]; a relation with a NaN or infinite value is
+    /// rejected here, before any fit reads it.
     pub fn from_corpus(
         corpus: &mtrl_datagen::MultiTypeCorpus,
         feature_cluster_divisor: usize,
@@ -132,8 +145,8 @@ impl MultiTypeData {
     /// The same dataset with different requested cluster counts — the
     /// cheap re-spec used by the consensus-ensemble generator's random-k
     /// perturbation. Relations (and therefore `R`, feature views and all
-    /// object-dimension graphs) are shared content; only the cluster
-    /// block layout changes.
+    /// object-dimension graphs) are shared content, held once by every
+    /// re-spec; only the cluster block layout changes.
     ///
     /// # Errors
     /// Returns [`RhchmeError::InvalidConfig`] for counts `< 2`, larger
@@ -217,7 +230,7 @@ impl MultiTypeData {
     pub fn assemble_r(&self) -> Mat {
         let n = self.total_objects();
         let mut r = Mat::zeros(n, n);
-        for (&(k, l), m) in &self.relations {
+        for (&(k, l), m) in self.relations.iter() {
             let (ro, co) = (self.spec.offset(k), self.spec.offset(l));
             for (i, j, v) in m.iter() {
                 r[(ro + i, co + j)] = v;
@@ -238,7 +251,7 @@ impl MultiTypeData {
         // Per (row-type, col-type) block: the relation, transposed when
         // it is stored the other way. Transposes cost O(nnz) once.
         let mut blocks: HashMap<(usize, usize), Csr> = HashMap::new();
-        for (&(k, l), m) in &self.relations {
+        for (&(k, l), m) in self.relations.iter() {
             blocks.insert((l, k), m.transpose());
         }
         let nnz = 2 * self.relations.values().map(Csr::nnz).sum::<usize>();

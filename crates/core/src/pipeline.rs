@@ -51,7 +51,8 @@
 use crate::baselines::{run_drcc, variant_matrix, DrccConfig, DrccVariant};
 use crate::engine::{run_engine, EngineConfig, EngineResult, GraphRegularizer};
 use crate::intra::{
-    hetero_laplacian, pnn_laplacians_backend_prec, rmc_candidates, subspace_laplacians,
+    exact_neighbours, hetero_laplacian, pnn_laplacians_backend_prec, pnn_laplacians_ranked,
+    rmc_candidates, rmc_candidates_ranked, subspace_laplacians, RankedLists,
 };
 use crate::multitype::MultiTypeData;
 use crate::rhchme::{init_membership, package_result, Rhchme, RhchmeConfig};
@@ -166,9 +167,10 @@ impl Method {
     /// SRC's, SNMTF's or RMC's graph regulariser on `features`: none, the
     /// pNN Laplacian of RHCHME's `L_E` recipe, or RMC's six candidates —
     /// all built exact, since the graph backend belongs to RHCHME. A
-    /// caller that holds RHCHME's `L_E` for the same features and
-    /// `params` passes it as `l_e`; it is reused where it is the same
-    /// graph (an exact `L_E`, and for RMC only at `p = 5`).
+    /// caller that holds the [`Artifacts`] of the same features and
+    /// `params` passes them as `shared`; their `L_E` is reused where it
+    /// is the same graph (an exact `L_E`, and for RMC only at `p = 5`),
+    /// and RMC's candidates reuse their exact neighbour search.
     ///
     /// # Errors
     /// [`RhchmeError::InvalidConfig`] for RHCHME (its regulariser is the
@@ -178,10 +180,12 @@ impl Method {
         self,
         features: &[Mat],
         params: &PipelineParams,
-        l_e: Option<&SparseBlockDiag>,
+        shared: Option<&Artifacts>,
     ) -> Result<GraphRegularizer> {
         let cfg = params.rhchme_config();
-        let exact_l_e = l_e.filter(|_| cfg.graph_backend.is_exact());
+        let exact_l_e = shared
+            .map(|arts| &arts.l_pnn)
+            .filter(|_| cfg.graph_backend.is_exact());
         match self {
             Method::Src => Ok(GraphRegularizer::None),
             Method::Snmtf => Ok(GraphRegularizer::Fixed(match exact_l_e {
@@ -195,14 +199,19 @@ impl Method {
                     Default::default(),
                 )?,
             })),
-            Method::Rmc => Ok(GraphRegularizer::Ensemble {
-                candidates: rmc_candidates(
-                    features,
-                    cfg.laplacian_kind,
-                    exact_l_e.filter(|_| cfg.p == 5),
-                )?,
-                mu: params.rmc_mu,
-            }),
+            Method::Rmc => {
+                let pnn5_cosine = exact_l_e.filter(|_| cfg.p == 5);
+                let candidates = match shared.and_then(|arts| arts.ranked.as_ref()) {
+                    Some(ranked) => {
+                        rmc_candidates_ranked(features, ranked, cfg.laplacian_kind, pnn5_cosine)?
+                    }
+                    None => rmc_candidates(features, cfg.laplacian_kind, pnn5_cosine)?,
+                };
+                Ok(GraphRegularizer::Ensemble {
+                    candidates,
+                    mu: params.rmc_mu,
+                })
+            }
             _ => Err(RhchmeError::InvalidConfig(format!(
                 "{} has no baseline graph regulariser",
                 self.paper_name()
@@ -567,6 +576,10 @@ pub struct Artifacts {
     /// RHCHME's pNN Laplacian ensemble member `L_E` (sparse block
     /// diagonal), at the parameters' graph backend.
     pub l_pnn: SparseBlockDiag,
+    /// On the exact backend, the one exact neighbour search per type
+    /// (depth `max(p, 10)`) that `L_E` was built from, kept for RMC's
+    /// candidates ([`Method::baseline_regularizer`]).
+    ranked: Option<RankedLists>,
 }
 
 impl Artifacts {
@@ -580,20 +593,37 @@ impl Artifacts {
         let features = data.all_features();
         let g0 = init_membership(&data, &features, cfg.seed);
         let r = data.assemble_r_csr();
-        let l_pnn = pnn_laplacians_backend_prec(
-            &features,
-            cfg.p,
-            cfg.weight_scheme,
-            cfg.laplacian_kind,
-            &cfg.graph_backend,
-            cfg.precision,
-        )?;
+        // On the exact backend one search per type serves `L_E` (the
+        // first `p` of each list) and RMC's candidates (the first 5 and
+        // 10).
+        let ranked = cfg
+            .graph_backend
+            .is_exact()
+            .then(|| exact_neighbours(&features, cfg.p.max(10)));
+        let l_pnn = match &ranked {
+            Some(ranked) => pnn_laplacians_ranked(
+                &features,
+                ranked,
+                cfg.p,
+                cfg.weight_scheme,
+                cfg.laplacian_kind,
+            )?,
+            None => pnn_laplacians_backend_prec(
+                &features,
+                cfg.p,
+                cfg.weight_scheme,
+                cfg.laplacian_kind,
+                &cfg.graph_backend,
+                cfg.precision,
+            )?,
+        };
         Ok(Artifacts {
             data,
             r,
             features,
             g0,
             l_pnn,
+            ranked,
         })
     }
 

@@ -5,10 +5,11 @@
 //! `rhchme::pipeline`), so the generator computes the heavyweight inputs
 //! once — assembled `R`, feature views, pNN and subspace Laplacians, RMC
 //! candidate pool, all via [`rhchme::pipeline::Artifacts`] — and then
-//! runs one cheap engine fit per member on its method's
-//! [`Method::engine_config`] row. A member at the canonical seed and
-//! cluster counts therefore equals the solo fit of its method. Diversity
-//! comes from perturbing three axes:
+//! fits every member on its method's [`Method::engine_config`] row, all
+//! members in lockstep over the one `R`
+//! ([`rhchme::engine::run_engine_lockstep`]). A member at the canonical
+//! seed and cluster counts therefore equals the solo fit of its method.
+//! Diversity comes from perturbing three axes:
 //!
 //! * **seed** — each member draws its k-means initialisation seed from a
 //!   splitmix64 stream keyed on the canonical seed;
@@ -25,7 +26,7 @@
 //! candidate; the merge then selects the best-scoring anchor among all
 //! same-k members (see `merge::consensus_over_references`).
 
-use rhchme::engine::{run_engine, GraphRegularizer};
+use rhchme::engine::{run_engine_lockstep, GraphRegularizer, LockstepFit};
 use rhchme::intra::hetero_laplacian;
 use rhchme::multitype::MultiTypeData;
 use rhchme::pipeline::{Artifacts, EnsembleSpec, Method, PipelineParams};
@@ -65,8 +66,7 @@ impl SharedRegularizers {
     pub fn new(arts: &Artifacts, params: &PipelineParams) -> Result<Self> {
         let l_sub = arts.subspace_laplacian(params.gamma, params.spg_max_iter, params.seed)?;
         let l_hetero = hetero_laplacian(&l_sub, &arts.l_pnn, params.alpha)?;
-        let baseline =
-            |m: Method| m.baseline_regularizer(&arts.features, params, Some(&arts.l_pnn));
+        let baseline = |m: Method| m.baseline_regularizer(&arts.features, params, Some(arts));
         Ok(SharedRegularizers {
             none: baseline(Method::Src)?,
             pnn: baseline(Method::Snmtf)?,
@@ -113,9 +113,18 @@ fn member_plan(
 
 /// Generate `spec.members` base partitions over the shared artifacts.
 ///
+/// The members fit in lockstep ([`run_engine_lockstep`]): every member
+/// is set up first (cluster layout, initial membership, engine row and
+/// regulariser), then all of them iterate together, so each iteration
+/// reads `R` once for every member. Each member equals the fit it would
+/// be on its own, bit for bit; a member at the canonical seed and
+/// cluster counts starts from [`Artifacts::g0`].
+///
 /// # Errors
 /// Returns [`RhchmeError::InvalidConfig`] for an empty pool or zero
-/// members, and propagates engine failures.
+/// members, and otherwise the error of the lowest-indexed member whose
+/// fit fails — what fitting the members one after another would
+/// return.
 pub fn generate_members(
     arts: &Artifacts,
     regs: &SharedRegularizers,
@@ -138,52 +147,50 @@ pub fn generate_members(
         )));
     }
     let mut state = params.seed ^ 0xE15E_B1E5_EED5_EED5;
-    let mut members = Vec::with_capacity(spec.members);
-    for i in 0..spec.members {
-        let (method, seed, doc_k) = member_plan(i, spec, params, &arts.data, &mut state);
-        let _span = mtrl_obs::span!("ensemble.member");
-        members.push(fit_member(arts, regs, params, method, seed, doc_k)?);
-    }
-    Ok(members)
-}
-
-/// Run one member: re-spec cluster counts if needed, initialise, run the
-/// engine with the flavour's regulariser, and extract per-type labels.
-fn fit_member(
-    arts: &Artifacts,
-    regs: &SharedRegularizers,
-    params: &PipelineParams,
-    method: Method,
-    seed: u64,
-    doc_k: usize,
-) -> Result<BasePartition> {
-    let respecced;
-    let data = if doc_k == arts.data.cluster_counts()[0] {
-        &arts.data
-    } else {
-        let mut counts = arts.data.cluster_counts().to_vec();
-        counts[0] = doc_k;
-        respecced = arts.data.with_cluster_counts(counts)?;
-        &respecced
-    };
-    // Errors for the DRCC methods, which are not engine rows.
-    let cfg = method.engine_config(&params.rhchme_config())?;
-    let reg = match method {
-        Method::Src => &regs.none,
-        Method::Snmtf => &regs.pnn,
-        Method::Rmc => &regs.rmc,
-        _ => &regs.hetero,
-    };
-    let g0 = init_membership(data, &arts.features, seed);
-    let out = run_engine(&arts.r, data, reg, g0, &cfg)?;
-    let labels_per_type = (0..data.num_types())
-        .map(|k| data.labels_from_membership(&out.g, k))
+    let plans: Vec<(Method, u64, usize)> = (0..spec.members)
+        .map(|i| member_plan(i, spec, params, &arts.data, &mut state))
         .collect();
-    Ok(BasePartition {
-        method,
-        seed,
-        doc_clusters: doc_k,
-        labels_per_type,
-        final_objective: out.objective_trace.last().copied().unwrap_or(f64::NAN),
-    })
+    // Each member's cluster layout (a re-spec shares the relations).
+    let datas = plans
+        .iter()
+        .map(|&(_, _, doc_k)| {
+            let mut counts = arts.data.cluster_counts().to_vec();
+            counts[0] = doc_k;
+            arts.data.with_cluster_counts(counts)
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let mut fits = Vec::with_capacity(plans.len());
+    for (data, &(method, seed, doc_k)) in datas.iter().zip(&plans) {
+        // Errors for the DRCC methods, which are not engine rows.
+        let cfg = method.engine_config(&params.rhchme_config())?;
+        let reg = match method {
+            Method::Src => &regs.none,
+            Method::Snmtf => &regs.pnn,
+            Method::Rmc => &regs.rmc,
+            _ => &regs.hetero,
+        };
+        let g0 = if seed == params.seed && doc_k == arts.data.cluster_counts()[0] {
+            arts.g0.clone()
+        } else {
+            init_membership(data, &arts.features, seed)
+        };
+        fits.push(LockstepFit { data, reg, g0, cfg });
+    }
+    let outs = run_engine_lockstep(&arts.r, fits)?;
+    Ok(outs
+        .into_iter()
+        .zip(&datas)
+        .zip(plans)
+        .map(
+            |((out, data), (method, seed, doc_clusters))| BasePartition {
+                method,
+                seed,
+                doc_clusters,
+                labels_per_type: (0..data.num_types())
+                    .map(|k| data.labels_from_membership(&out.g, k))
+                    .collect(),
+                final_objective: out.objective_trace.last().copied().unwrap_or(f64::NAN),
+            },
+        )
+        .collect())
 }

@@ -98,7 +98,7 @@ pub fn kmeans_seeded(data: &Mat, init: Mat, max_iter: usize) -> KmeansResult {
                     .max_by(|&a, &b| {
                         let da = sq_dist(data.row(a), centroids.row(labels[a]));
                         let db = sq_dist(data.row(b), centroids.row(labels[b]));
-                        da.partial_cmp(&db).expect("NaN distance")
+                        da.total_cmp(&db)
                     })
                     .expect("nonempty data");
                 centroids.row_mut(c).copy_from_slice(data.row(far));

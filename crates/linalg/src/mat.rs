@@ -43,8 +43,8 @@ pub mod alloc_peak {
     }
 }
 
-/// Dense row-major matrix of `f64`.
-#[derive(PartialEq)]
+/// Dense row-major matrix of `f64` (the default is `0 x 0`).
+#[derive(PartialEq, Default)]
 pub struct Mat {
     rows: usize,
     cols: usize,
@@ -140,6 +140,21 @@ impl Mat {
             cols,
             data,
         })
+    }
+
+    /// Give the matrix the shape `rows x cols` over the same storage: the
+    /// row-major entries keep their places, storage grows with zeros
+    /// when the new shape is larger, and the allocation is kept when it
+    /// is smaller. For a work buffer reused across shapes whose every
+    /// read entry is written first.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        let len = rows
+            .checked_mul(cols)
+            .expect("matrix dimensions overflow usize");
+        alloc_peak::record(len);
+        self.data.resize(len, 0.0);
+        self.rows = rows;
+        self.cols = cols;
     }
 
     /// Number of rows.
@@ -521,6 +536,19 @@ mod tests {
         assert_eq!(m.shape(), (3, 4));
         assert_eq!(m.sum(), 0.0);
         assert!(!m.is_square());
+    }
+
+    #[test]
+    fn reshape_keeps_storage_order_and_grows_with_zeros() {
+        let mut m = Mat::from_fn(2, 3, |i, j| (i * 10 + j + 1) as f64);
+        m.reshape(3, 2);
+        assert_eq!(m.shape(), (3, 2));
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 11.0, 12.0, 13.0]);
+        m.reshape(1, 4);
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 11.0]);
+        m.reshape(2, 3);
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 11.0, 0.0, 0.0]);
+        assert_eq!(Mat::default().shape(), (0, 0));
     }
 
     #[test]

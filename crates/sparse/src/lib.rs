@@ -27,11 +27,15 @@
 //! register accumulator (up to 32 columns per pass), and skip only exact
 //! zeros, so results are bit-identical to the scalar loops they replaced
 //! (kept as `#[cfg(test)]` oracles). For the engine's block-diagonal
-//! `G`, [`Csr::split_blocks`] cuts `R` into object-type blocks so each
-//! block multiplies one type's packed block of `G` in that type's
-//! cluster columns, [`SparseBlockDiag::mul_typed`] does the same for
-//! `L·G`, and [`SparseBlockDiag::trace_quad`] runs each `g_i · g_j`
-//! over its type's cluster columns only.
+//! `G`, [`CsrBlock::spmm_stacked`] multiplies each object-type block of
+//! `R`, read in place ([`Csr::block`]), by one type's packed block of `G` in that type's
+//! cluster columns — or by many such blocks at once (the ensemble's
+//! members, stacked side by side in a [`LaneStack`]), reading each
+//! stored entry once per 32-lane panel for all of them;
+//! [`Csr::split_blocks`] cuts the blocks out as matrices of their own,
+//! [`SparseBlockDiag::mul_typed`] does the same for `L·G`, and
+//! [`SparseBlockDiag::trace_quad`] runs each `g_i · g_j` over its
+//! type's cluster columns only.
 
 pub mod block;
 mod coo;
@@ -41,8 +45,10 @@ mod csr;
 #[path = "../../linalg/src/lanes.rs"]
 mod lanes;
 mod rowsparse;
+mod stack;
 
 pub use block::SparseBlockDiag;
 pub use coo::Coo;
 pub use csr::{Csr, CsrBuilder};
 pub use rowsparse::RowSparse;
+pub use stack::{CsrBlock, LaneStack};

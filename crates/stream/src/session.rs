@@ -152,6 +152,9 @@ pub struct BatchTelemetry {
     pub mean_confidence: f64,
     /// The policy's decision for this batch.
     pub decision: RefreshDecision,
+    /// Whether inserting the batch tripped the document graph's rebuild
+    /// threshold, so the graph was rebuilt from scratch.
+    pub graph_rebuilt: bool,
 }
 
 /// Accumulated session telemetry, exposed by
@@ -178,6 +181,9 @@ pub struct SessionTelemetry {
     pub total_warm_iterations: usize,
     /// Models hot-swapped into an attached [`ServeEngine`].
     pub hot_swaps: usize,
+    /// Pushes whose insert tripped the document graph's rebuild
+    /// threshold ([`BatchTelemetry::graph_rebuilt`]).
+    pub graph_rebuilds: usize,
 }
 
 impl SessionTelemetry {
@@ -352,11 +358,13 @@ impl StreamSession {
                 row
             })
             .collect();
+        let mut graph_rebuilt = false;
         if !dense_rows.is_empty() {
             let mat =
                 Mat::from_rows(&dense_rows).map_err(|e| StreamError::Invalid(e.to_string()))?;
-            self.doc_graph.insert_batch(&mat);
+            graph_rebuilt = self.doc_graph.insert_batch(&mat).rebuilt;
         }
+        self.telemetry.graph_rebuilds += usize::from(graph_rebuilt);
         self.total_batches += 1;
         self.batches_since_refit += 1;
 
@@ -386,10 +394,12 @@ impl StreamSession {
             docs: batch.len(),
             mean_confidence,
             decision,
+            graph_rebuilt,
         });
         if mtrl_obs::enabled() {
             let reg = mtrl_obs::global();
             reg.add("stream.batches", 1);
+            reg.add("stream.graph_rebuilds", u64::from(graph_rebuilt));
             reg.set_gauge("stream.last_confidence", mean_confidence);
             if drift {
                 reg.record_event(mtrl_obs::StreamEvent {
@@ -671,6 +681,36 @@ mod tests {
         assert_eq!(tel.plain_warm_refits, 1);
         assert_eq!(tel.hot_swaps, 1);
         assert!(tel.total_warm_iterations >= 1 && tel.total_warm_iterations <= 8);
+    }
+
+    #[test]
+    fn telemetry_counts_threshold_rebuilds_of_the_document_graph() {
+        let (initial, batches) = generate_stream(&StreamConfig {
+            batches: 6,
+            ..stream_cfg()
+        });
+        let mut session = StreamSession::new(
+            initial,
+            fast_rhchme(),
+            RefreshPolicy {
+                every_batches: None,
+                min_confidence: None,
+                ..RefreshPolicy::default()
+            },
+        )
+        .unwrap();
+        for batch in &batches {
+            session.push_batch(batch).unwrap();
+            let rebuilt = session.telemetry().batches.last().unwrap().graph_rebuilt;
+            // A rebuild resets the patched fraction; an insert that
+            // patches rows without tripping the threshold leaves it up.
+            assert_eq!(rebuilt, session.doc_graph().patched_fraction() == 0.0);
+        }
+        let tel = session.telemetry();
+        let flagged = tel.batches.iter().filter(|b| b.graph_rebuilt).count();
+        assert!(flagged > 0, "no push tripped the rebuild threshold");
+        assert!(flagged < batches.len(), "every push rebuilt");
+        assert_eq!(tel.graph_rebuilds, flagged);
     }
 
     #[test]

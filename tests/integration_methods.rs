@@ -219,11 +219,20 @@ fn forest_corpus(seed: u64) -> MultiTypeCorpus {
 /// parameters, and under the rp-forest backend, which belongs to RHCHME
 /// alone (SRC, SNMTF and RMC stay exact in both paths; RHCHME's `L_E`
 /// takes the backend in both paths).
+///
+/// And every member of the default 8-member plan (random-k on), which
+/// the generator fits in lockstep, is the solo `run_engine` fit of its
+/// plan — method, seed and document cluster count — on regularisers
+/// built apart from the shared ones: the same labels of every type and
+/// final objective, and the lockstep batch of those plans gives the
+/// solo fits' `G`, `S` and objective trace bit for bit.
 #[test]
 fn ensemble_members_equal_solo_fits() {
     use mtrl_ensemble::generator::{generate_members, SharedRegularizers};
-    use rhchme::intra::pnn_laplacians_backend_prec;
+    use rhchme::engine::{run_engine, run_engine_lockstep, GraphRegularizer, LockstepFit};
+    use rhchme::intra::{hetero_laplacian, pnn_laplacians_backend_prec};
     use rhchme::pipeline::{Artifacts, EnsembleSpec};
+    use rhchme::rhchme::init_membership;
     use rhchme_repro::graph::{GraphBackend, LaplacianKind, RpForestParams, WeightScheme};
 
     let corpus = forest_corpus(331);
@@ -279,6 +288,130 @@ fn ensemble_members_equal_solo_fits() {
                 solo.objective_trace.last().unwrap().to_bits(),
                 "{leg}: {method:?} member objective differs from the solo fit"
             );
+        }
+
+        let members = generate_members(&arts, &regs, &EnsembleSpec::default(), params).unwrap();
+        assert_eq!(members.len(), 8);
+        let canonical = arts.data.cluster_counts()[0];
+        assert!(members.iter().any(|m| m.doc_clusters != canonical));
+        let l_sub = arts
+            .subspace_laplacian(params.gamma, params.spg_max_iter, params.seed)
+            .unwrap();
+        let hetero =
+            GraphRegularizer::Fixed(hetero_laplacian(&l_sub, &arts.l_pnn, params.alpha).unwrap());
+        let apart = |m: Method| {
+            m.baseline_regularizer(&arts.features, params, None)
+                .unwrap()
+        };
+        let (src, snmtf, rmc) = (apart(Method::Src), apart(Method::Snmtf), apart(Method::Rmc));
+        let plans: Vec<_> = members
+            .iter()
+            .map(|m| {
+                let mut counts = arts.data.cluster_counts().to_vec();
+                counts[0] = m.doc_clusters;
+                let data = arts.data.with_cluster_counts(counts).unwrap();
+                let reg = match m.method {
+                    Method::Src => &src,
+                    Method::Snmtf => &snmtf,
+                    Method::Rmc => &rmc,
+                    _ => &hetero,
+                };
+                let cfg = m.method.engine_config(&params.rhchme_config()).unwrap();
+                let g0 = init_membership(&data, &arts.features, m.seed);
+                (data, reg, g0, cfg)
+            })
+            .collect();
+        let batch = run_engine_lockstep(
+            &arts.r,
+            plans
+                .iter()
+                .map(|(data, reg, g0, cfg)| LockstepFit {
+                    data,
+                    reg,
+                    g0: g0.clone(),
+                    cfg: cfg.clone(),
+                })
+                .collect(),
+        )
+        .unwrap();
+        for (i, ((member, (data, reg, g0, cfg)), got)) in
+            members.iter().zip(&plans).zip(&batch).enumerate()
+        {
+            let solo = run_engine(&arts.r, data, reg, g0.clone(), cfg).unwrap();
+            let labels: Vec<Vec<usize>> = (0..data.num_types())
+                .map(|k| data.labels_from_membership(&solo.g, k))
+                .collect();
+            assert_eq!(member.labels_per_type, labels, "{leg}: member {i} labels");
+            assert_eq!(
+                member.final_objective.to_bits(),
+                solo.objective_trace.last().unwrap().to_bits(),
+                "{leg}: member {i} objective"
+            );
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(got.g.as_slice()),
+                bits(solo.g.as_slice()),
+                "{leg}: {i} G"
+            );
+            assert_eq!(
+                bits(got.s.as_slice()),
+                bits(solo.s.as_slice()),
+                "{leg}: {i} S"
+            );
+            assert_eq!(
+                bits(&got.objective_trace),
+                bits(&solo.objective_trace),
+                "{leg}: {i} objective trace"
+            );
+        }
+    }
+}
+
+/// `m` with the first stored value of row `i` set to `v`.
+fn with_value(m: &rhchme_repro::sparse::Csr, i: usize, v: f64) -> rhchme_repro::sparse::Csr {
+    let rows: Vec<(Vec<usize>, Vec<f64>)> = (0..m.rows())
+        .map(|r| {
+            let (cols, vals) = m.row(r);
+            let mut vals = vals.to_vec();
+            if r == i {
+                vals[0] = v;
+            }
+            (cols.to_vec(), vals)
+        })
+        .collect();
+    rhchme_repro::sparse::Csr::from_sparse_rows(&rows, m.cols())
+}
+
+/// A NaN or infinite relation value is a typed error for every method
+/// and for the ensemble — never a panic (k-means++ used to sample from
+/// a NaN total, and only RHCHME's SPG stage checked its input first).
+#[test]
+fn non_finite_relations_are_errors_for_every_method() {
+    let clean = test_corpus(0.0, 341);
+    let params = PipelineParams {
+        max_iter: 5,
+        spg_max_iter: 5,
+        ..fast_params()
+    };
+    let mut specs: Vec<MethodSpec> = Method::all().into_iter().map(MethodSpec::from).collect();
+    specs.push(MethodSpec::ensemble());
+    for bad in [f64::NAN, f64::INFINITY] {
+        let mut corpus = clean.clone();
+        corpus.doc_term = with_value(&corpus.doc_term, 3, bad);
+        corpus.doc_concept = with_value(&corpus.doc_concept, 5, bad);
+        for spec in &specs {
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                mtrl_ensemble::run_spec(&corpus, spec, &params)
+            }));
+            match out {
+                Ok(Err(e)) => assert!(
+                    matches!(e, rhchme::RhchmeError::InvalidData(_)),
+                    "{} on {bad}: {e:?}",
+                    spec.key()
+                ),
+                Ok(Ok(_)) => panic!("{} fitted a corpus holding {bad}", spec.key()),
+                Err(_) => panic!("{} panicked on a corpus holding {bad}", spec.key()),
+            }
         }
     }
 }
