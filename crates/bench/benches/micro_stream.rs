@@ -1,7 +1,8 @@
 //! Criterion microbenches of the streaming subsystem: batch-insert
 //! throughput of the incremental pNN maintenance against the full
-//! rebuild it replaces, the Laplacian refresh path, and warm vs cold
-//! refit wall-clock.
+//! rebuild it replaces, the Laplacian refresh path, warm vs cold
+//! refit wall-clock, and a whole session refit at the end-to-end
+//! benchmark's stream shape.
 //!
 //! With `MTRL_BENCH_JSON` set, the run emits the summary the CI
 //! `bench-smoke` job gates against the committed `BENCH_stream.json`.
@@ -12,9 +13,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtrl_datagen::corpus::{generate, CorpusConfig};
+use mtrl_datagen::stream::{generate_stream, StreamConfig};
+use mtrl_eval::{quick_params, rhchme_config, CorpusShape};
 use mtrl_graph::{laplacian_csr, pnn_graph, GraphBackend, LaplacianKind, WeightScheme};
 use mtrl_linalg::random::rand_uniform;
-use mtrl_stream::{warm_membership, DynamicGraph, DynamicGraphConfig};
+use mtrl_stream::{
+    warm_membership, DynamicGraph, DynamicGraphConfig, RefreshPolicy, StreamSession,
+};
 use rhchme::rhchme::WarmStart;
 use rhchme::{MultiTypeData, Rhchme, RhchmeConfig};
 use std::hint::black_box;
@@ -159,5 +164,58 @@ fn bench_refit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_insert, bench_laplacian_refresh, bench_refit);
+/// `StreamSession::refit_now` at 630 documents: a Large3 stream of 330
+/// initial documents (110 per class, seed 1, `quick_params`) after 10
+/// drifting batches of 30 under a 4-batch cadence — the shape of
+/// perfbench's `stream_refresh` workload, one kernel thread. Every timed
+/// call refits the same corpus, so after the first it finds no new
+/// document to fold into the vocabulary searches: the row times the
+/// rest of a refit (data assembly, the finished term/concept searches
+/// and graphs, the warm `G₀`, the capped engine run, export and swap).
+fn bench_session_refit(c: &mut Criterion) {
+    let threads = mtrl_linalg::par::num_threads();
+    mtrl_linalg::par::set_num_threads(1);
+    let params = quick_params(1);
+    let (initial, batches) = generate_stream(&StreamConfig {
+        base: CorpusConfig {
+            docs_per_class: vec![110; 3],
+            seed: 1,
+            ..CorpusShape::Large3.config()
+        },
+        batches: 10,
+        docs_per_batch: 30,
+        drift_after: Some(8),
+        drift_shift: 0.4,
+    });
+    let mut session = StreamSession::new(
+        initial,
+        Rhchme::new(rhchme_config(&params)),
+        RefreshPolicy {
+            every_batches: Some(4),
+            min_confidence: None,
+            ..RefreshPolicy::default()
+        },
+    )
+    .expect("session");
+    for batch in &batches {
+        session.push_batch(batch).expect("push");
+    }
+    assert_eq!(session.corpus().num_docs(), 630);
+
+    let mut group = c.benchmark_group("stream_refit_large3");
+    group.sample_size(10);
+    group.bench_function("refit_now_630docs", |bencher| {
+        bencher.iter(|| session.refit_now().expect("refit"));
+    });
+    group.finish();
+    mtrl_linalg::par::set_num_threads(threads);
+}
+
+criterion_group!(
+    benches,
+    bench_insert,
+    bench_laplacian_refresh,
+    bench_refit,
+    bench_session_refit
+);
 criterion_main!(benches);

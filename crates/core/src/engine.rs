@@ -497,19 +497,7 @@ impl<'p> RegState<'p> {
         match self {
             RegState::None => None,
             RegState::Fixed { lp, lm, .. } => Some((lp, lm)),
-            RegState::Ensemble(ens) => {
-                let (lp, lm) = ens.parts.as_ref().expect("resolved before use");
-                Some((lp, lm))
-            }
-        }
-    }
-
-    /// Drop an ensemble's `(L⁺, L⁻)` once the update has used them (the
-    /// next resolve writes new ones), so the fits of a batch do not all
-    /// hold theirs at once.
-    fn release_parts(&mut self) {
-        if let RegState::Ensemble(ens) = self {
-            ens.parts = None;
+            RegState::Ensemble(ens) => Some((&ens.parts.0, &ens.parts.1)),
         }
     }
 
@@ -542,7 +530,9 @@ impl<'p> RegState<'p> {
 /// that set `β`, and by the objective's `tr(GᵀLG)`. The `G` the
 /// objective reads is the `G` the next iteration's traces read, so the
 /// objective's products are reused there. The combination and its
-/// `L⁺`/`L⁻` split are written into fixed value arrays.
+/// `L⁺`/`L⁻` split are written into fixed value arrays: the split's two
+/// block matrices are built once per fit on the pos/neg patterns, and
+/// each resolve overwrites their values in place.
 ///
 /// The pattern ([`union_pattern`]) does not depend on the fit, so the
 /// fits of a batch share it; each fit keeps its own products, weights
@@ -568,8 +558,9 @@ struct UnionEnsemble<'p> {
     /// Whether a zero in `comb` is a stored entry (one candidate, which
     /// is scaled, never merged) rather than a dropped one.
     keep_zeros: bool,
-    /// This iteration's `(L⁺, L⁻)`.
-    parts: Option<(SparseBlockDiag, SparseBlockDiag)>,
+    /// This iteration's `(L⁺, L⁻)` on the fixed pos/neg patterns (zero
+    /// before the first resolve).
+    parts: (SparseBlockDiag, SparseBlockDiag),
 }
 
 /// One diagonal block's union pattern.
@@ -615,10 +606,19 @@ impl SlotPattern {
         out
     }
 
-    /// The `n x n` CSR with `value(slot)` at each entry.
-    fn csr(&self, n: usize, value: impl Fn(usize) -> f64) -> Csr {
-        let values = self.slots.iter().map(|&slot| value(slot)).collect();
+    /// The `n x n` CSR of the pattern, every value zero.
+    fn zeros(&self) -> Csr {
+        let n = self.indptr.len() - 1;
+        let values = vec![0.0; self.slots.len()];
         Csr::from_raw_parts(n, n, self.indptr.clone(), self.indices.clone(), values)
+    }
+
+    /// Write `value(slot)` at each entry of `values`, the pattern's
+    /// stored values.
+    fn fill(&self, values: &mut [f64], value: impl Fn(usize) -> f64) {
+        for (v, &slot) in values.iter_mut().zip(&self.slots) {
+            *v = value(slot);
+        }
     }
 }
 
@@ -692,6 +692,10 @@ impl<'p> UnionEnsemble<'p> {
         blocks: &'p [UnionBlock],
         clusters: &BlockSpec,
     ) -> Self {
+        let part_zeros = |part: fn(&UnionBlock) -> &SlotPattern| {
+            SparseBlockDiag::new(blocks.iter().map(|b| part(b).zeros()).collect())
+                .expect("square blocks")
+        };
         UnionEnsemble {
             candidates: candidates.len(),
             mu,
@@ -701,7 +705,7 @@ impl<'p> UnionEnsemble<'p> {
             blocks,
             dots_fresh: false,
             keep_zeros: false,
-            parts: None,
+            parts: (part_zeros(|b| &b.pos), part_zeros(|b| &b.neg)),
         }
     }
 
@@ -758,20 +762,13 @@ impl<'p> UnionEnsemble<'p> {
             }
         }
         self.keep_zeros = self.candidates == 1 && beta[0] != 0.0;
-        let split = |pick: fn(f64) -> f64, part: fn(&UnionBlock) -> &SlotPattern| {
-            let blocks = self
-                .blocks
-                .iter()
-                .zip(&self.comb)
-                .map(|(block, comb)| {
-                    part(block).csr(block.indptr.len() - 1, |slot| pick(comb[slot]))
-                })
-                .collect();
-            SparseBlockDiag::new(blocks).expect("square blocks")
-        };
-        let lp = split(|v| if v > 0.0 { v } else { 0.0 }, |b| &b.pos);
-        let lm = split(|v| if v < 0.0 { -v } else { 0.0 }, |b| &b.neg);
-        self.parts = Some((lp, lm));
+        let (lp, lm) = &mut self.parts;
+        for (k, (block, comb)) in self.blocks.iter().zip(&self.comb).enumerate() {
+            let pos = |slot: usize| if comb[slot] > 0.0 { comb[slot] } else { 0.0 };
+            let neg = |slot: usize| if comb[slot] < 0.0 { -comb[slot] } else { 0.0 };
+            block.pos.fill(lp.block_values_mut(k), pos);
+            block.neg.fill(lm.block_values_mut(k), neg);
+        }
         beta
     }
 
@@ -1397,7 +1394,6 @@ impl<'p> Fit<'p> {
                 cols.clone(),
             );
         }
-        self.reg.release_parts();
         if !finite {
             return Err(RhchmeError::Diverged { iteration: t });
         }
@@ -2193,7 +2189,7 @@ mod tests {
                 let beta = ens.resolve(&g);
                 let (beta_o, l_o, lp_o, lm_o) = resolve_oracle(cands, 0.7, &g, data.cluster_spec());
                 assert!(same_bits(&beta, &beta_o), "β, {n_cands} candidates");
-                let (lp, lm) = ens.parts.as_ref().unwrap();
+                let (lp, lm) = &ens.parts;
                 assert!(same_bits(
                     lp.mul_dense(&g).unwrap().as_slice(),
                     lp_o.mul_dense(&g).unwrap().as_slice()

@@ -311,9 +311,8 @@ pub fn build_model(
             data.sizes()[t],
             data.cluster_counts()[t],
         );
-        let features = data.features(t);
-        let (centroid, norms) = weighted_centroids(&features, &g_k);
-        feature_dims.push(features.cols());
+        let (centroid, norms) = weighted_centroids(data, t, &g_k);
+        feature_dims.push(centroid.cols());
         g_blocks.push(g_k);
         centroids.push(centroid);
         centroid_norms.push(norms);
@@ -334,27 +333,47 @@ pub fn build_model(
     Ok(model)
 }
 
-/// Membership-weighted cluster centroids: row `c` of the output is
-/// `Σ_i w[i,c] x_i / Σ_i w[i,c]`, row-ℓ2 normalised afterwards. Returns
-/// the centroid matrix and the pre-normalisation row norms.
-fn weighted_centroids(features: &Mat, weights: &Mat) -> (Mat, Vec<f64>) {
-    let (n, d) = features.shape();
-    let c = weights.cols();
-    debug_assert_eq!(weights.rows(), n);
-    let mut centroid = Mat::zeros(c, d);
-    let mut mass = vec![0.0f64; c];
-    for i in 0..n {
-        let x = features.row(i);
-        let w = weights.row(i);
-        for (cluster, &wc) in w.iter().enumerate() {
-            if wc <= 0.0 {
-                continue;
-            }
-            mass[cluster] += wc;
-            let row = centroid.row_mut(cluster);
-            mtrl_linalg::vecops::axpy(wc, x, row);
+/// Membership-weighted cluster centroids of type `t`: row `c` of the
+/// output is `Σ_i w[i,c] x_i / Σ_i w[i,c]` over the rows `x_i` of its
+/// feature view, summed over the objects `i` of positive (or NaN) weight
+/// in ascending order, then row-ℓ2 normalised. Returns the centroid
+/// matrix and the pre-normalisation row norms.
+///
+/// The view is never densified. `w·x` is summed over each relation's
+/// stored entries only: the sums over the view's columns are the sparse
+/// product `Xᵀ·W` (`D × c`), one [`mtrl_sparse::Csr::spmm_into`] per
+/// relation block — the relation itself when the view reads it
+/// transposed, its transpose otherwise — whose every entry sums its
+/// stored terms in ascending object order from `+0`, as the dense sum
+/// runs. A skipped term is `w·(+0) = +0`, and a weight the sum skips is
+/// set to `0` and adds `0·x = ±0`; neither changes a sum that starts at
+/// `+0`, which never becomes `−0`. So every bit equals the dense sum.
+fn weighted_centroids(data: &MultiTypeData, t: usize, weights: &Mat) -> (Mat, Vec<f64>) {
+    let (n, c) = weights.shape();
+    debug_assert_eq!(n, data.sizes()[t]);
+    let mut kept = weights.clone();
+    for w in kept.as_mut_slice() {
+        if *w <= 0.0 {
+            *w = 0.0;
         }
     }
+    let mut mass = vec![0.0f64; c];
+    for i in 0..n {
+        for (m, &w) in mass.iter_mut().zip(kept.row(i)) {
+            *m += w;
+        }
+    }
+    let blocks = data.feature_blocks(t);
+    let d = blocks.iter().map(|b| b.width()).sum();
+    let mut sums = Mat::zeros(d, c);
+    for b in &blocks {
+        if b.transposed {
+            b.rel.spmm_into(&kept, &mut sums, b.offset, 0);
+        } else {
+            b.rel.transpose().spmm_into(&kept, &mut sums, b.offset, 0);
+        }
+    }
+    let mut centroid = sums.transpose();
     for (cluster, &m) in mass.iter().enumerate() {
         if m > 1e-300 {
             let inv = 1.0 / m;
@@ -396,6 +415,103 @@ mod tests {
         });
         let result = model.fit_corpus(&corpus).unwrap();
         (corpus, model, result)
+    }
+
+    /// The dense centroids: every feature row of the densified view,
+    /// `axpy`'d into the clusters of positive weight.
+    fn dense_centroids(features: &Mat, weights: &Mat) -> (Mat, Vec<f64>) {
+        let (n, d) = features.shape();
+        let c = weights.cols();
+        let mut centroid = Mat::zeros(c, d);
+        let mut mass = vec![0.0f64; c];
+        for i in 0..n {
+            for (cluster, &wc) in weights.row(i).iter().enumerate() {
+                if wc <= 0.0 {
+                    continue;
+                }
+                mass[cluster] += wc;
+                for (c, &x) in centroid.row_mut(cluster).iter_mut().zip(features.row(i)) {
+                    *c += wc * x;
+                }
+            }
+        }
+        for (cluster, &m) in mass.iter().enumerate() {
+            if m > 1e-300 {
+                let inv = 1.0 / m;
+                for x in centroid.row_mut(cluster) {
+                    *x *= inv;
+                }
+            }
+        }
+        let norms = (0..c)
+            .map(|cluster| mtrl_linalg::vecops::norm2(centroid.row(cluster)))
+            .collect();
+        centroid.normalize_rows_l2(1e-300);
+        (centroid, norms)
+    }
+
+    #[test]
+    fn sparse_centroids_equal_the_dense_ones_bit_for_bit() {
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let (corpus, model, result) = fitted();
+        // Empty documents (rows 0 and 5 of both document relations) and
+        // a term no document uses and no concept maps to (an all-zero
+        // term row), refitted so the weights see them.
+        let blank = |m: &mtrl_sparse::Csr, rows: &[usize], col: Option<usize>| {
+            let mut dense = m.to_dense();
+            for &i in rows {
+                dense.row_mut(i).fill(0.0);
+            }
+            if let Some(j) = col {
+                for i in 0..dense.rows() {
+                    dense[(i, j)] = 0.0;
+                }
+            }
+            mtrl_sparse::Csr::from_dense(&dense, 0.0)
+        };
+        let blanked = MultiTypeData::new(
+            vec![corpus.num_docs(), corpus.num_terms(), corpus.num_concepts()],
+            vec![3, 6, 3],
+            vec![
+                (0, 1, blank(&corpus.doc_term, &[0, 5], Some(4))),
+                (0, 2, blank(&corpus.doc_concept, &[0, 5], None)),
+                (1, 2, blank(&corpus.term_concept, &[4], None)),
+            ],
+        )
+        .unwrap();
+        let data =
+            MultiTypeData::from_corpus(&corpus, model.config().feature_cluster_divisor).unwrap();
+        let refit = model.fit_data(&blanked).unwrap();
+        // Zero, −0 and negative weights are skipped by both paths.
+        let mut signed = result.clone();
+        for (i, v) in [(0, 0.0), (1, -0.0), (2, -0.5)] {
+            signed.g[(i, 0)] = v;
+        }
+        for (data, result) in [(&data, &result), (&blanked, &refit), (&data, &signed)] {
+            let got = build_model(model.config().clone(), result, data).unwrap();
+            for t in 0..data.num_types() {
+                let g_k = result.g.submatrix(
+                    data.spec().offset(t),
+                    data.cluster_spec().offset(t),
+                    data.sizes()[t],
+                    data.cluster_counts()[t],
+                );
+                let features = data.features(t);
+                let (centroids, norms) = dense_centroids(&features, &g_k);
+                assert_eq!(got.feature_dims[t], features.cols(), "type {t}");
+                assert_eq!(got.centroids[t].shape(), centroids.shape(), "type {t}");
+                assert_eq!(
+                    bits(got.centroids[t].as_slice()),
+                    bits(centroids.as_slice()),
+                    "type {t}: centroids"
+                );
+                assert_eq!(
+                    bits(&got.centroid_norms[t]),
+                    bits(&norms),
+                    "type {t}: norms"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,29 @@ use mtrl_sparse::Csr;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// One relation block of a feature view (see
+/// [`MultiTypeData::feature_blocks`]).
+pub(crate) struct FeatureBlock<'a> {
+    /// The relation as stored, `n_min(k,l) x n_max(k,l)`.
+    pub(crate) rel: &'a Csr,
+    /// Whether the view reads `rel` transposed (its partner type comes
+    /// first).
+    pub(crate) transposed: bool,
+    /// The block's first column in the view.
+    pub(crate) offset: usize,
+}
+
+impl FeatureBlock<'_> {
+    /// Columns the block spans in the view.
+    pub(crate) fn width(&self) -> usize {
+        if self.transposed {
+            self.rel.rows()
+        } else {
+            self.rel.cols()
+        }
+    }
+}
+
 /// A multi-type relational dataset: `K` types plus pairwise relations.
 #[derive(Debug, Clone)]
 pub struct MultiTypeData {
@@ -286,31 +309,42 @@ impl MultiTypeData {
         b.build()
     }
 
+    /// The relation blocks of type `k`'s feature view, left to right: one
+    /// per observed relation with another type, in ascending partner
+    /// order, each with its first column in the view. A block is read as
+    /// stored (`R_kl`, `k < l`) or transposed (`R_lkᵀ`).
+    pub(crate) fn feature_blocks(&self, k: usize) -> Vec<FeatureBlock<'_>> {
+        assert!(k < self.num_types(), "type index out of range");
+        let mut offset = 0;
+        let mut blocks = Vec::new();
+        for l in (0..self.num_types()).filter(|&l| l != k) {
+            if let Some(rel) = self.relations.get(&(k.min(l), k.max(l))) {
+                blocks.push(FeatureBlock {
+                    rel,
+                    transposed: l < k,
+                    offset,
+                });
+                offset += self.sizes[l];
+            }
+        }
+        blocks
+    }
+
     /// Dense feature view of type `k`: the horizontal concatenation of all
     /// its observed relations (transposed where needed), one object per
     /// row. This is the `x_i^k ∈ R^D` representation the paper feeds to
-    /// both the pNN graph and the subspace learner.
+    /// both the pNN graph and the subspace learner. Each stored entry is
+    /// written once, straight into the view.
     pub fn features(&self, k: usize) -> Mat {
-        assert!(k < self.num_types(), "type index out of range");
-        let mut blocks: Vec<Mat> = Vec::new();
-        for l in 0..self.num_types() {
-            if l == k {
-                continue;
-            }
-            let (a, b) = if k < l { (k, l) } else { (l, k) };
-            if let Some(rel) = self.relations.get(&(a, b)) {
-                let dense = if k < l {
-                    rel.to_dense()
-                } else {
-                    rel.transpose().to_dense()
-                };
-                blocks.push(dense);
-            }
-        }
+        let blocks = self.feature_blocks(k);
         assert!(!blocks.is_empty(), "type {k} participates in no relations");
-        let mut out = blocks[0].clone();
-        for b in &blocks[1..] {
-            out = out.hstack(b).expect("row counts agree by construction");
+        let width = blocks.iter().map(|b| b.width()).sum();
+        let mut out = Mat::zeros(self.sizes[k], width);
+        for b in &blocks {
+            for (i, j, v) in b.rel.iter() {
+                let (row, col) = if b.transposed { (j, i) } else { (i, j) };
+                out[(row, b.offset + col)] = v;
+            }
         }
         out
     }
@@ -431,6 +465,66 @@ mod tests {
         let dt = c.doc_term.to_dense();
         assert_eq!(fd[(3, 7)], dt[(3, 7)]);
         assert_eq!(ft[(7, 3)], dt[(3, 7)]);
+    }
+
+    /// The feature view as densified relations, transposed where needed
+    /// and concatenated left to right.
+    fn hstacked_features(d: &MultiTypeData, k: usize) -> Mat {
+        let mut out: Option<Mat> = None;
+        for l in (0..d.num_types()).filter(|&l| l != k) {
+            let Some(rel) = d.relation(k.min(l), k.max(l)) else {
+                continue;
+            };
+            let dense = if k < l {
+                rel.to_dense()
+            } else {
+                rel.transpose().to_dense()
+            };
+            out = Some(match out {
+                None => dense,
+                Some(acc) => acc.hstack(&dense).unwrap(),
+            });
+        }
+        out.unwrap()
+    }
+
+    #[test]
+    fn features_equal_the_concatenated_dense_blocks() {
+        let bits = |m: &Mat| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let c = tiny_corpus();
+        let three = MultiTypeData::from_corpus(&c, 10).unwrap();
+        // Four types with one pair unrelated, signed values and a stored
+        // −0: offsets must skip the missing block and keep every bit.
+        let signed = |rows, cols, seed| {
+            let dense = mtrl_linalg::random::rand_uniform(rows, cols, -1.0, 1.0, seed);
+            Csr::from_dense(&dense, 0.4)
+        };
+        let neg_zero = Csr::from_raw_parts(
+            7,
+            4,
+            vec![0, 1, 1, 2, 2, 2, 2, 3],
+            vec![2, 0, 3],
+            vec![-0.0, 0.5, -2.0],
+        );
+        let four = MultiTypeData::new(
+            vec![5, 6, 7, 4],
+            vec![2, 2, 2, 2],
+            vec![
+                (0, 1, signed(5, 6, 3)),
+                (0, 3, signed(5, 4, 4)),
+                (1, 2, signed(6, 7, 5)),
+                (2, 3, neg_zero),
+            ],
+        )
+        .unwrap();
+        for d in [&three, &four] {
+            for k in 0..d.num_types() {
+                let got = d.features(k);
+                let want = hstacked_features(d, k);
+                assert_eq!(got.shape(), want.shape(), "type {k}");
+                assert_eq!(bits(&got), bits(&want), "type {k}");
+            }
+        }
     }
 
     #[test]

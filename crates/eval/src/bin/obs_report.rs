@@ -15,7 +15,8 @@
 //! drift trigger (stream events, refit counters). Everything lands in
 //! one `mtrl-obs-manifest/v1` JSON; `--prom` additionally writes the
 //! same registry as a Prometheus text-format dump. The run fails if
-//! the manifest is missing any `gateway.*` counter.
+//! the manifest is missing any `gateway.*` counter or either stage span
+//! of a stream refit (`stream.refit.graphs`, `stream.refit.export`).
 
 use mtrl_datagen::split_corpus;
 use mtrl_datagen::stream::{generate_stream, StreamConfig};
@@ -197,6 +198,19 @@ fn stream_leg() -> Result<(), String> {
         t.cooldown_suppressed(),
         t.total_warm_iterations
     );
+    // A refit's stages: its inputs, the engine and the export must each
+    // carry a span under `stream.refit`.
+    let spans = mtrl_obs::global().spans_snapshot();
+    for stage in [
+        "stream.refit.graphs",
+        "rhchme.fit_warm",
+        "stream.refit.export",
+    ] {
+        let path = format!("stream.refit/{stage}");
+        if !spans.iter().any(|(p, _)| p.ends_with(&path)) {
+            return Err(format!("obs span {path} missing after stream leg"));
+        }
+    }
     Ok(())
 }
 

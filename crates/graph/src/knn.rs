@@ -50,6 +50,7 @@ use mtrl_linalg::par::{par_chunks_map, threads_for};
 use mtrl_linalg::vecops::{cosine, dot, dots, norm2, sq_dist};
 use mtrl_linalg::Mat;
 use mtrl_sparse::Csr;
+use std::ops::Range;
 
 /// Edge weighting schemes of Eq. (3).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -214,6 +215,147 @@ impl CentredRows {
             }
             best
         })
+    }
+}
+
+/// The exact search of [`CentredRows::p_nearest`] on rows whose leading
+/// columns arrive over time and never change once seen: a vocabulary
+/// type's feature view in a growing document stream,
+/// `[document columns | fixed columns]`.
+///
+/// Every sum of that search resumes from a saved prefix. Each column is
+/// centred on its own mean over the rows, summed in row order, so its
+/// centred values do not depend on the other columns. Each squared norm
+/// is one ascending [`dot`] fold from `−0`. Each cross term is one
+/// ascending-`k` FMA chain from `+0`, the kernel of
+/// [`cross_sq_dist_map`]. So the search keeps the `rows × rows` cross
+/// terms and the squared-norm partial sums over the leading columns
+/// folded so far. [`Self::fold`] adds columns to them, and
+/// [`Self::p_nearest`] finishes a copy with the remaining columns and
+/// selects with [`insert_capped`]. Its lists equal
+/// `CentredRows::new(data).p_nearest(p)` bit for bit whenever the
+/// leading columns of `data` are the ones folded before.
+///
+/// It holds `rows²` doubles, so it suits the small types.
+#[derive(Debug, Clone)]
+pub struct PrefixSearch {
+    rows: usize,
+    folded: usize,
+    /// Row-major `rows × rows` cross terms `−2·Σ_k c_ik c_jk`.
+    cross: Vec<f64>,
+    /// `Σ_k c_ik²` per row.
+    sq_norms: Vec<f64>,
+}
+
+impl PrefixSearch {
+    /// A search over `rows` objects with no column folded yet.
+    pub fn new(rows: usize) -> Self {
+        PrefixSearch {
+            rows,
+            folded: 0,
+            cross: vec![0.0; rows * rows],
+            sq_norms: vec![-0.0; rows],
+        }
+    }
+
+    /// Fold columns `[folded, upto)` of `data` into the saved sums, where
+    /// `folded` is where the last fold stopped (0 for a new search).
+    ///
+    /// # Panics
+    /// Panics if `data` has another row count or `upto` lies outside
+    /// `folded..=data.cols()`.
+    pub fn fold(&mut self, data: &Mat, upto: usize) {
+        self.check(data, upto);
+        fold_columns(data, self.folded..upto, &mut self.cross, &mut self.sq_norms);
+        self.folded = upto;
+    }
+
+    /// Each row's `p` nearest other rows of `data`, as
+    /// [`CentredRows::p_nearest`] returns them: a copy of the saved sums
+    /// takes the columns past the last fold, then each row's strip is
+    /// selected in index order.
+    ///
+    /// # Panics
+    /// As [`Self::fold`] with `upto = data.cols()`.
+    pub fn p_nearest(&self, data: &Mat, p: usize) -> Vec<Vec<(f64, usize)>> {
+        self.check(data, data.cols());
+        let n = self.rows;
+        let mut cross = self.cross.clone();
+        let mut g = self.sq_norms.clone();
+        fold_columns(data, self.folded..data.cols(), &mut cross, &mut g);
+        (0..n)
+            .map(|i| {
+                let mut best = Vec::with_capacity(p + 1);
+                let strip = &cross[i * n..(i + 1) * n];
+                for (j, (&c, &gj)) in strip.iter().zip(&g).enumerate() {
+                    if j != i {
+                        insert_capped(&mut best, (c + (g[i] + gj), j), p);
+                    }
+                }
+                best
+            })
+            .collect()
+    }
+
+    fn check(&self, data: &Mat, upto: usize) {
+        assert_eq!(data.rows(), self.rows, "PrefixSearch: row count");
+        assert!(
+            (self.folded..=data.cols()).contains(&upto),
+            "PrefixSearch: columns {}..{upto} of {}",
+            self.folded,
+            data.cols()
+        );
+    }
+}
+
+/// Add columns `cols` of `data`, each centred on its own mean, to the
+/// cross terms and squared norms of [`PrefixSearch`] in the order of
+/// [`CentredRows::new`] and [`cross_sq_dist_map`].
+fn fold_columns(data: &Mat, cols: Range<usize>, cross: &mut [f64], sq_norms: &mut [f64]) {
+    let n = data.rows();
+    let w = cols.len();
+    if w == 0 || n == 0 {
+        return;
+    }
+    let mut means = vec![0.0; w];
+    for i in 0..n {
+        for (m, &v) in means.iter_mut().zip(&data.row(i)[cols.clone()]) {
+            *m += v;
+        }
+    }
+    for m in &mut means {
+        *m /= n as f64;
+        if !m.is_finite() {
+            *m = 0.0;
+        }
+    }
+    // The centred columns, one per row, and each row's norm fold.
+    let mut ct = Mat::zeros(w, n);
+    for (i, g) in sq_norms.iter_mut().enumerate() {
+        for (k, (&v, &m)) in data.row(i)[cols.clone()].iter().zip(&means).enumerate() {
+            let c = v - m;
+            ct[(k, i)] = c;
+            *g += c * c;
+        }
+    }
+    // A tile of rows shares each strip of four centred columns, so the
+    // strips are read from cache once per tile, not once per row.
+    for (t, tile) in cross.chunks_mut(TILE * n).enumerate() {
+        let i0 = t * TILE;
+        let mut k = 0;
+        while k + 4 <= w {
+            let x = [ct.row(k), ct.row(k + 1), ct.row(k + 2), ct.row(k + 3)];
+            for (local, row) in tile.chunks_mut(n).enumerate() {
+                let a = [k, k + 1, k + 2, k + 3].map(|q| -2.0 * ct[(q, i0 + local)]);
+                axpy4_fma(row, a, x);
+            }
+            k += 4;
+        }
+        for k in k..w {
+            for (local, row) in tile.chunks_mut(n).enumerate() {
+                axpy1_fma(row, -2.0 * ct[(k, i0 + local)], ct.row(k));
+            }
+        }
     }
 }
 
@@ -1116,6 +1258,46 @@ mod tests {
                 WeightScheme::Cosine,
             ] {
                 prop_assert_eq!(pnn_t(&data, p, scheme, threads), pnn_t(&data, p, scheme, 1));
+            }
+        }
+
+        #[test]
+        fn prefix_search_resumes_the_exact_search_bit_for_bit(
+            n in 1usize..24,
+            d in 0usize..19,
+            p in 0usize..8,
+            cuts in proptest::collection::vec(0usize..19, 0..4),
+            duplicate in any::<bool>(),
+            seed in any::<u64>()
+        ) {
+            // Rows far from the origin (so centring matters), some of
+            // them repeated (exact ties), folded at arbitrary column
+            // cuts, then finished; every stage's lists must equal the
+            // search over the columns seen so far.
+            let mut data = rand_uniform(n, d, 50.0, 52.0, seed);
+            if duplicate && n > 1 {
+                let first = data.row(0).to_vec();
+                data.row_mut(n - 1).copy_from_slice(&first);
+            }
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(d)).collect();
+            cuts.sort_unstable();
+            let mut search = PrefixSearch::new(n);
+            let bits = |lists: Vec<Vec<(f64, usize)>>| -> Vec<Vec<(u64, usize)>> {
+                lists
+                    .into_iter()
+                    .map(|l| l.into_iter().map(|(v, j)| (v.to_bits(), j)).collect())
+                    .collect()
+            };
+            for upto in cuts.into_iter().chain([d]) {
+                search.fold(&data, upto);
+                prop_assert_eq!(search.folded, upto);
+                for width in upto..=d {
+                    let seen = data.submatrix(0, 0, n, width);
+                    prop_assert_eq!(
+                        bits(search.p_nearest(&seen, p)),
+                        bits(CentredRows::new(&seen).p_nearest(p))
+                    );
+                }
             }
         }
 

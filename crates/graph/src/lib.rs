@@ -33,6 +33,6 @@ mod serde_impl;
 pub use ann::{GraphBackend, RpForestIndex, RpForestParams};
 pub use knn::{
     cross_sq_dist_map, dist_less, gram_sq_dist, graph_from_neighbours, insert_capped, knn_indices,
-    pnn_graph, CentredRows, WeightScheme,
+    pnn_graph, CentredRows, PrefixSearch, WeightScheme,
 };
 pub use laplacian::{laplacian_csr, LaplacianKind};

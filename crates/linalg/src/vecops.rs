@@ -61,18 +61,6 @@ pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
     (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
 }
 
-/// `y += alpha * x`.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Index of the maximum element; ties resolve to the first occurrence.
 /// Returns `None` for empty input.
 pub fn argmax(a: &[f64]) -> Option<usize> {
@@ -143,13 +131,6 @@ mod tests {
         // Clamped into [-1, 1] despite rounding.
         let v = vec![1e-10; 100];
         assert!(cosine(&v, &v) <= 1.0);
-    }
-
-    #[test]
-    fn axpy_works() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, -1.0], &mut y);
-        assert_eq!(y, vec![7.0, -1.0]);
     }
 
     #[test]

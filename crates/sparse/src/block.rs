@@ -57,6 +57,12 @@ impl SparseBlockDiag {
         &self.blocks[k]
     }
 
+    /// The stored values of block `k`, writable in place; its pattern
+    /// stays as it is, and a zero written here stays a stored entry.
+    pub fn block_values_mut(&mut self, k: usize) -> &mut [f64] {
+        self.blocks[k].values_mut()
+    }
+
     /// Total stacked dimension `n`.
     pub fn n(&self) -> usize {
         self.spec.total()
@@ -359,8 +365,7 @@ mod tests {
         let a = sample();
         let b = sample().scaled(0.5);
         let c = a.lin_comb(2.0, &b, -1.0).unwrap();
-        let mut expect = densify(&a).scaled(2.0);
-        mtrl_linalg::vecops::axpy(-1.0, densify(&b).as_slice(), expect.as_mut_slice());
+        let expect = densify(&a).scaled(2.0).sub(&densify(&b)).unwrap();
         assert!(densify(&c).approx_eq(&expect, 1e-12));
         // Layout mismatch rejected.
         let d = SparseBlockDiag::new(vec![random_block(15, 86)]).unwrap();

@@ -119,6 +119,11 @@ impl Csr {
         m
     }
 
+    /// The stored values, writable in place.
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

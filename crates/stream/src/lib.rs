@@ -21,6 +21,19 @@
 //!   fold-in confidence), and atomic hot-swap of each refreshed model
 //!   into a live [`mtrl_serve::ServeEngine`].
 //!
+//! A warm refit redoes only what the new documents change. The
+//! document graph is maintained on every push. On the exact backend the
+//! term and concept searches resume: their feature views only gain
+//! document columns, so each keeps a [`mtrl_graph::PrefixSearch`] of
+//! its sums over the columns seen so far, seeded when the session is
+//! created, and a refit folds in the documents appended since the last
+//! one before it finishes the search with the fixed vocabulary columns.
+//! Every graph equals the batch `pnn_graph` bit for bit. The weights,
+//! the warm `G₀`, the engine run and the export (centroids from the
+//! relations' stored entries) are recomputed. With obs on, a refit's
+//! stages are the spans `stream.refit.graphs`, `rhchme.fit_warm` and
+//! `stream.refit.export` under `stream.refit`.
+//!
 //! ```
 //! use mtrl_datagen::stream::{generate_stream, StreamConfig};
 //! use mtrl_datagen::CorpusConfig;

@@ -23,19 +23,31 @@
 //!    finish against the old model, new submissions see the new one
 //!    (see `ServeEngine::register`'s atomic-swap contract).
 //!
-//! Terms and concepts have feature views that *grow* with the document
-//! count (their features are relations *to* documents), so their pNN
-//! graphs are rebuilt per refit — they are the small types; the
-//! documents, whose feature view has fixed width `terms + concepts`,
-//! are the type that streams and the type whose graph is maintained
-//! incrementally.
+//! The documents, whose feature view has fixed width
+//! `terms + concepts`, are the type that streams and the type whose
+//! graph is maintained incrementally, on every push. Terms and concepts
+//! are fixed objects whose feature views *grow* by one column per
+//! document (`[document columns | fixed vocabulary columns]`), and no
+//! column ever changes once appended. On the exact backend their searches
+//! resume at each refit: the session keeps each vocabulary type's
+//! [`mtrl_graph::PrefixSearch`] (its cross terms and squared-norm partial
+//! sums over the document columns seen so far), seeded when the session
+//! is created. A refit folds in only the documents appended since the
+//! last one, finishes a copy with the vocabulary columns and selects the
+//! neighbours; the weights come from `graph_from_neighbours` on the
+//! dense rows, as in the batch build, so the graphs equal
+//! `pnn_graph(&data.features(t), …)` bit for bit. Other backends rebuild
+//! the vocabulary graphs per refit. A refit's stages are timed as
+//! `stream.refit.graphs` (data assembly, both ensemble members and the
+//! warm `G₀`), `rhchme.fit_warm` and `stream.refit.export` (model export
+//! and hot swap).
 
 use crate::dynamic::{DynamicGraph, DynamicGraphConfig};
 use crate::error::StreamError;
 use crate::warm::{grown_survivors, warm_membership_opts, WarmOptions};
 use mtrl_datagen::stream::{append_batch, StreamBatch};
 use mtrl_datagen::MultiTypeCorpus;
-use mtrl_graph::{laplacian_csr, pnn_graph};
+use mtrl_graph::{graph_from_neighbours, laplacian_csr, pnn_graph, GraphBackend, PrefixSearch};
 use mtrl_linalg::Mat;
 use mtrl_serve::{Assigner, ServeEngine, SparseVec};
 use mtrl_sparse::SparseBlockDiag;
@@ -58,8 +70,9 @@ pub struct RefreshPolicy {
     /// Batches to suppress the drift trigger for after any refit.
     /// Under *sustained* drift the confidence floor would otherwise
     /// refit on every single batch — each refit incorporates the new
-    /// evidence, but it also rebuilds the growing term/concept graphs,
-    /// so per-batch cost scales with corpus size. `0` (the default)
+    /// evidence, but it also re-densifies the growing term/concept views
+    /// and runs the engine over the whole corpus, so per-batch cost
+    /// scales with corpus size. `0` (the default)
     /// keeps the maximally adaptive behaviour; raise it to bound the
     /// refresh rate during long drifts. The cadence trigger is not
     /// affected.
@@ -218,6 +231,9 @@ pub struct StreamSession {
     assigner: Arc<Assigner>,
     last_result: RhchmeResult,
     engine: Option<(Arc<ServeEngine>, String)>,
+    /// Per vocabulary type (types `1..`), its resumable exact search over
+    /// the document columns seen so far; empty off the exact backend.
+    vocab_searches: Vec<PrefixSearch>,
     batches_since_refit: usize,
     total_batches: usize,
     telemetry: SessionTelemetry,
@@ -248,6 +264,16 @@ impl StreamSession {
                 ..DynamicGraphConfig::default()
             },
         );
+        let vocab_searches = match rhchme.config().graph_backend {
+            GraphBackend::Exact => (1..data.num_types())
+                .map(|t| {
+                    let mut search = PrefixSearch::new(data.sizes()[t]);
+                    search.fold(&data.features(t), data.sizes()[0]);
+                    search
+                })
+                .collect(),
+            GraphBackend::RpForest(_) => Vec::new(),
+        };
         let assigner = Arc::new(Assigner::new(model)?);
         Ok(StreamSession {
             rhchme,
@@ -257,6 +283,7 @@ impl StreamSession {
             assigner,
             last_result: result,
             engine: None,
+            vocab_searches,
             batches_since_refit: 0,
             total_batches: 0,
             telemetry: SessionTelemetry::default(),
@@ -429,31 +456,49 @@ impl StreamSession {
     }
 
     /// The refit's pNN member `L_E`: the document block comes from the
-    /// incrementally maintained graph; term/concept blocks (small types,
-    /// growing feature views) are rebuilt. Both follow the configured
+    /// incrementally maintained graph. On the exact backend each
+    /// vocabulary block folds the documents appended since the last
+    /// refit into its [`PrefixSearch`] and finishes the search from
+    /// there; other backends rebuild it. Both follow the configured
     /// backend, like the cold fit's `L_E`.
-    fn pnn_member(&self, data: &MultiTypeData) -> Result<SparseBlockDiag, StreamError> {
+    fn pnn_member(&mut self, data: &MultiTypeData) -> Result<SparseBlockDiag, StreamError> {
         let cfg = self.rhchme.config();
+        let docs = data.sizes()[0];
         let mut blocks = vec![self.doc_graph.laplacian(cfg.laplacian_kind)];
         for t in 1..data.num_types() {
-            let w = pnn_graph(
-                &data.features(t),
-                cfg.p,
-                cfg.weight_scheme,
-                &cfg.graph_backend,
-            );
+            let features = data.features(t);
+            let w = match self.vocab_searches.get_mut(t - 1) {
+                Some(search) => {
+                    search.fold(&features, docs);
+                    let neighbours: Vec<Vec<usize>> = search
+                        .p_nearest(&features, cfg.p)
+                        .into_iter()
+                        .map(|list| {
+                            let mut ids: Vec<usize> = list.into_iter().map(|(_, j)| j).collect();
+                            ids.sort_unstable();
+                            ids
+                        })
+                        .collect();
+                    // The weights do not depend on the worker count, and
+                    // a vocabulary type's few rows need one.
+                    graph_from_neighbours(&features, &neighbours, cfg.weight_scheme, 1)
+                }
+                None => pnn_graph(&features, cfg.p, cfg.weight_scheme, &cfg.graph_backend),
+            };
             blocks.push(laplacian_csr(&w, cfg.laplacian_kind));
         }
         SparseBlockDiag::new(blocks)
             .map_err(|e| StreamError::Invalid(format!("laplacian block assembly failed: {e}")))
     }
 
-    /// The warm mini-batch refresh (step 4 of the module docs).
-    fn refit(&mut self, trigger: RefitTrigger) -> Result<RefitReport, StreamError> {
-        let _span = mtrl_obs::span!("stream.refit");
+    /// Everything a warm refit feeds the engine, timed as
+    /// `stream.refit.graphs`: the grown corpus's data, the ensemble
+    /// Laplacian (the pNN member, plus the subspace member when the
+    /// policy refreshes it) and the warm `G₀`.
+    fn refit_inputs(&mut self) -> Result<(MultiTypeData, SparseBlockDiag, Mat), StreamError> {
+        let _span = mtrl_obs::span!("stream.refit.graphs");
         let cfg = self.rhchme.config().clone();
         let data = MultiTypeData::from_corpus(&self.corpus, cfg.feature_cluster_divisor)?;
-
         let l_e = self.pnn_member(&data)?;
         let l = if self.policy.refresh_subspace {
             let spg_cfg = SpgConfig {
@@ -467,7 +512,6 @@ impl StreamSession {
         } else {
             l_e
         };
-
         let survivors = grown_survivors(&self.model().sizes, data.sizes());
         let g0 = warm_membership_opts(
             &data,
@@ -478,6 +522,13 @@ impl StreamSession {
                 ..WarmOptions::default()
             },
         )?;
+        Ok((data, l, g0))
+    }
+
+    /// The warm mini-batch refresh (step 4 of the module docs).
+    fn refit(&mut self, trigger: RefitTrigger) -> Result<RefitReport, StreamError> {
+        let _span = mtrl_obs::span!("stream.refit");
+        let (data, l, g0) = self.refit_inputs()?;
         let result = self.rhchme.fit_warm(
             &data,
             WarmStart {
@@ -486,17 +537,20 @@ impl StreamSession {
                 max_iter: self.policy.warm_iters,
             },
         )?;
-        let model = self.rhchme.export_model_from_data(&result, &data)?;
-        // 5. Atomic hot swap: one validated assigner is built and
-        // shared between the session and the attached engine
-        // (ServeEngine::register_shared replaces in one map insert;
-        // in-flight requests finish on the old model).
-        self.assigner = Arc::new(Assigner::new(model)?);
-        let swapped = if let Some((engine, name)) = &self.engine {
-            engine.register_shared(name.clone(), Arc::clone(&self.assigner));
-            true
-        } else {
-            false
+        let swapped = {
+            let _span = mtrl_obs::span!("stream.refit.export");
+            let model = self.rhchme.export_model_from_data(&result, &data)?;
+            // 5. Atomic hot swap: one validated assigner is built and
+            // shared between the session and the attached engine
+            // (ServeEngine::register_shared replaces in one map insert;
+            // in-flight requests finish on the old model).
+            self.assigner = Arc::new(Assigner::new(model)?);
+            if let Some((engine, name)) = &self.engine {
+                engine.register_shared(name.clone(), Arc::clone(&self.assigner));
+                true
+            } else {
+                false
+            }
         };
         let report = RefitReport {
             trigger,
@@ -554,6 +608,7 @@ mod tests {
     use super::*;
     use mtrl_datagen::stream::{generate_stream, StreamConfig};
     use mtrl_datagen::CorpusConfig;
+    use mtrl_graph::{CentredRows, WeightScheme};
     use rhchme::RhchmeConfig;
 
     fn stream_cfg() -> StreamConfig {
@@ -811,6 +866,202 @@ mod tests {
         assert_eq!(report.trigger, RefitTrigger::Manual);
         assert!(report.iterations <= 5 && report.iterations >= 1);
         assert!(report.final_objective.is_finite());
+    }
+
+    fn csr_bits(m: &mtrl_sparse::Csr) -> Vec<(usize, usize, u64)> {
+        m.iter().map(|(i, j, v)| (i, j, v.to_bits())).collect()
+    }
+
+    fn list_bits(lists: Vec<Vec<(f64, usize)>>) -> Vec<Vec<(u64, usize)>> {
+        lists
+            .into_iter()
+            .map(|l| l.into_iter().map(|(v, j)| (v.to_bits(), j)).collect())
+            .collect()
+    }
+
+    fn mat_bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `batch` with only its rows in `range`.
+    fn batch_rows(batch: &StreamBatch, range: std::ops::Range<usize>) -> StreamBatch {
+        StreamBatch {
+            doc_term: batch.doc_term[range.clone()].to_vec(),
+            doc_concept: batch.doc_concept[range.clone()].to_vec(),
+            labels: batch.labels[range].to_vec(),
+            ..batch.clone()
+        }
+    }
+
+    #[test]
+    fn vocabulary_graphs_equal_the_batch_build_after_every_push() {
+        let (initial, batches) = generate_stream(&StreamConfig {
+            batches: 2,
+            docs_per_batch: 30,
+            drift_after: Some(1),
+            drift_shift: 0.4,
+            ..stream_cfg()
+        });
+        // Pushes of 1 document, an empty batch, and 30 documents, with
+        // cadence refits folding in between.
+        let pushes = [
+            batch_rows(&batches[0], 0..1),
+            batch_rows(&batches[0], 1..1),
+            batch_rows(&batches[0], 1..30),
+            batches[1].clone(),
+        ];
+        let schemes = [
+            WeightScheme::Binary,
+            WeightScheme::HeatKernel { sigma: -1.0 },
+            WeightScheme::Cosine,
+        ];
+        for p in [0, 1, 5, 10] {
+            for scheme in schemes {
+                let mut session = StreamSession::new(
+                    initial.clone(),
+                    Rhchme::new(RhchmeConfig {
+                        lambda: 1.0,
+                        p,
+                        weight_scheme: scheme,
+                        ..RhchmeConfig::fast()
+                    }),
+                    RefreshPolicy {
+                        every_batches: Some(2),
+                        min_confidence: None,
+                        warm_iters: 3,
+                        ..RefreshPolicy::default()
+                    },
+                )
+                .unwrap();
+                for batch in &pushes {
+                    session.push_batch(batch).unwrap();
+                    let cfg = session.rhchme.config().clone();
+                    let data =
+                        MultiTypeData::from_corpus(session.corpus(), cfg.feature_cluster_divisor)
+                            .unwrap();
+                    let l_e = session.pnn_member(&data).unwrap();
+                    for t in 1..data.num_types() {
+                        let features = data.features(t);
+                        let search = &session.vocab_searches[t - 1];
+                        assert_eq!(
+                            list_bits(search.p_nearest(&features, p)),
+                            list_bits(CentredRows::new(&features).p_nearest(p)),
+                            "p {p}, {scheme:?}, type {t}: neighbour lists"
+                        );
+                        let w = pnn_graph(&features, p, scheme, &GraphBackend::Exact);
+                        assert_eq!(
+                            csr_bits(l_e.block(t)),
+                            csr_bits(&laplacian_csr(&w, cfg.laplacian_kind)),
+                            "p {p}, {scheme:?}, type {t}: graph"
+                        );
+                    }
+                }
+                assert_eq!(session.telemetry().cadence_refits, 2);
+            }
+        }
+    }
+
+    /// A warm refit as it ran before the vocabulary searches resumed:
+    /// every term/concept graph rebuilt by `pnn_graph`, the rest as
+    /// [`StreamSession::refit`].
+    fn rebuilt_refit(session: &StreamSession) -> RhchmeResult {
+        let cfg = session.rhchme.config().clone();
+        let data =
+            MultiTypeData::from_corpus(session.corpus(), cfg.feature_cluster_divisor).unwrap();
+        let mut blocks = vec![session.doc_graph().laplacian(cfg.laplacian_kind)];
+        for t in 1..data.num_types() {
+            let w = pnn_graph(
+                &data.features(t),
+                cfg.p,
+                cfg.weight_scheme,
+                &cfg.graph_backend,
+            );
+            blocks.push(laplacian_csr(&w, cfg.laplacian_kind));
+        }
+        let l_e = SparseBlockDiag::new(blocks).unwrap();
+        let l = if session.policy.refresh_subspace {
+            let spg_cfg = SpgConfig {
+                gamma: cfg.gamma,
+                max_iter: cfg.spg_max_iter,
+                seed: cfg.seed,
+                ..SpgConfig::default()
+            };
+            let l_s =
+                subspace_laplacians(&data.all_features(), &spg_cfg, cfg.laplacian_kind).unwrap();
+            hetero_laplacian(&l_s, &l_e, cfg.alpha).unwrap()
+        } else {
+            l_e
+        };
+        let survivors = grown_survivors(&session.model().sizes, data.sizes());
+        let g0 = warm_membership_opts(
+            &data,
+            &session.assigner,
+            &survivors,
+            &WarmOptions {
+                reseed_confidence: session.policy.reseed_confidence,
+                ..WarmOptions::default()
+            },
+        )
+        .unwrap();
+        session
+            .rhchme
+            .fit_warm(
+                &data,
+                WarmStart {
+                    g0,
+                    laplacian: Some(l),
+                    max_iter: session.policy.warm_iters,
+                },
+            )
+            .unwrap()
+    }
+
+    #[test]
+    fn refits_equal_the_rebuilt_path_on_every_backend_and_member() {
+        use mtrl_graph::RpForestParams;
+        let backends = [
+            GraphBackend::Exact,
+            GraphBackend::RpForest(RpForestParams {
+                trees: 1,
+                leaf_size: 8,
+                probes: 1,
+                seed: 5,
+            }),
+        ];
+        let (initial, batches) = generate_stream(&stream_cfg());
+        for backend in backends {
+            for refresh_subspace in [false, true] {
+                let mut session = StreamSession::new(
+                    initial.clone(),
+                    Rhchme::new(RhchmeConfig {
+                        lambda: 1.0,
+                        graph_backend: backend,
+                        ..RhchmeConfig::fast()
+                    }),
+                    RefreshPolicy {
+                        every_batches: None,
+                        min_confidence: None,
+                        warm_iters: 4,
+                        refresh_subspace,
+                        ..RefreshPolicy::default()
+                    },
+                )
+                .unwrap();
+                for batch in &batches {
+                    session.push_batch(batch).unwrap();
+                    let expected = rebuilt_refit(&session);
+                    session.refit_now().unwrap();
+                    let got = session.last_result();
+                    let case = format!("{backend:?}, refresh_subspace {refresh_subspace}");
+                    assert_eq!(mat_bits(&got.g), mat_bits(&expected.g), "{case}: G");
+                    assert_eq!(mat_bits(&got.s), mat_bits(&expected.s), "{case}: S");
+                    let trace = |r: &RhchmeResult| -> Vec<u64> {
+                        r.objective_trace.iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(trace(got), trace(&expected), "{case}: objective");
+                }
+            }
+        }
     }
 
     #[test]

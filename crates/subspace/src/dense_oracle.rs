@@ -14,7 +14,7 @@
 use super::SpgConfig;
 use mtrl_linalg::ops::{matmul, row_gram};
 use mtrl_linalg::random::rand_uniform;
-use mtrl_linalg::vecops::{axpy, norm2};
+use mtrl_linalg::vecops::norm2;
 use mtrl_linalg::{LinalgError, Mat};
 
 /// Output of the dense solver.
@@ -185,6 +185,14 @@ fn bb_products(w_old: &Mat, w_new: &Mat, g_old: &Mat, g_new: &Mat) -> (f64, f64)
         yty += y * y;
     }
     (sty, yty)
+}
+
+/// `y += alpha * x`.
+fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += alpha * xi;
+    }
 }
 
 #[test]
