@@ -1,6 +1,6 @@
 //! Microbenches of the network gateway: end-to-end HTTP round trips
-//! with the coalescing window on vs off, and model loading in both
-//! persistence formats.
+//! with the coalescing window on vs off, and loading a model bundle
+//! from disk.
 //!
 //! `gateway/serial_64x1doc` is a latency reference on one keep-alive
 //! connection. The two `concurrent_*_128x1doc` entries move identical
@@ -152,31 +152,20 @@ fn bench_model_load(c: &mut Criterion) {
     let model = fitted_model();
     let dir = std::env::temp_dir().join("mtrl_bench_gateway");
     std::fs::create_dir_all(&dir).expect("tempdir");
-    let json_path = dir.join("model.json");
-    let binary_path = dir.join("model.mtrl");
-    persist::save(&model, &json_path).expect("save json");
-    persist::save_binary(&model, &binary_path).expect("save binary");
-    // The formats must agree before their load speeds are compared.
+    let path = dir.join("model.mtrl");
+    persist::save(&model, &path).expect("save bundle");
     assert_eq!(
-        persist::load(&json_path).unwrap().content_digest(),
-        persist::load_binary(&binary_path).unwrap().content_digest()
+        persist::load(&path).unwrap().content_digest(),
+        model.content_digest()
     );
 
     let mut group = c.benchmark_group("gateway_model_load");
     group.sample_size(10);
-    group.bench_function("from_disk_json", |bencher| {
-        bencher.iter(|| persist::load(black_box(&json_path)).unwrap());
-    });
     group.bench_function("from_disk_binary", |bencher| {
-        bencher.iter(|| persist::load_binary(black_box(&binary_path)).unwrap());
-    });
-    // The fleet-restart entry point: one buffered read + format sniff.
-    group.bench_function("load_any_binary", |bencher| {
-        bencher.iter(|| persist::load_any(black_box(&binary_path)).unwrap());
+        bencher.iter(|| persist::load(black_box(&path)).unwrap());
     });
     group.finish();
-    std::fs::remove_file(&json_path).ok();
-    std::fs::remove_file(&binary_path).ok();
+    std::fs::remove_file(&path).ok();
 }
 
 criterion_group!(benches, bench_end_to_end, bench_model_load);

@@ -87,21 +87,13 @@ fn bench_engine_round_trip(c: &mut Criterion) {
 
 fn bench_persistence(c: &mut Criterion) {
     let model = fitted_model();
-    let json = persist::to_json(&model).expect("serialize");
-    let bytes = persist::to_bytes(&model).expect("serialize binary");
-    // The load paths must agree before their speeds are compared.
+    let bytes = persist::to_bytes(&model).expect("serialize");
     assert_eq!(
-        persist::from_json(&json).unwrap().content_digest(),
-        persist::from_bytes(&bytes).unwrap().content_digest()
+        persist::from_bytes(&bytes).unwrap().content_digest(),
+        model.content_digest()
     );
     let mut group = c.benchmark_group("persist");
     group.sample_size(10);
-    group.bench_function("to_json", |bencher| {
-        bencher.iter(|| persist::to_json(black_box(&model)).unwrap());
-    });
-    group.bench_function("from_json_verified", |bencher| {
-        bencher.iter(|| persist::from_json(black_box(&json)).unwrap());
-    });
     group.bench_function("to_binary", |bencher| {
         bencher.iter(|| persist::to_bytes(black_box(&model)).unwrap());
     });

@@ -12,18 +12,17 @@
 //! [`FittedModel`] is that bundle, with a schema version and shape
 //! metadata so the serving layer (`mtrl-serve`) can validate a loaded
 //! bundle before trusting it. See `mtrl_serve::persist` for the on-disk
-//! JSON envelope (version + content digest + this struct).
+//! bundle (version + content digest + this struct's sections).
 
 use crate::error::RhchmeError;
 use crate::multitype::MultiTypeData;
 use crate::rhchme::{RhchmeConfig, RhchmeResult};
 use crate::Result;
 use mtrl_linalg::Mat;
-use serde::{Deserialize, Serialize};
 
 /// Version of the serialized [`FittedModel`] schema.
 ///
-/// Bump on any breaking change to the JSON layout; loaders refuse
+/// Bump on any breaking change to the bundle layout; loaders refuse
 /// bundles whose `schema_version` differs from the version they were
 /// built against (see `mtrl_serve::persist::load`).
 pub const SCHEMA_VERSION: u32 = 1;
@@ -34,12 +33,6 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// `s` is `c x c` over the stacked cluster dimension, and `centroids[k]`
 /// is `c_k x D_k` over type `k`'s feature view (row-ℓ2 normalised, the
 /// pre-normalisation norms kept in `centroid_norms`).
-///
-/// Serialization is hand-written (not derived) so the optional
-/// [`FittedModel::method`] provenance field can be *omitted* when absent:
-/// bundles saved before the field existed deserialize unchanged, and
-/// models without provenance serialize byte-identically to the old
-/// layout — the v1 JSON and v2 binary loaders both tolerate its absence.
 #[derive(Debug, Clone)]
 pub struct FittedModel {
     /// Schema version of this bundle ([`SCHEMA_VERSION`] at save time).
@@ -145,7 +138,7 @@ impl FittedModel {
 
     /// FNV-1a digest over the model's full content — schema version,
     /// configuration, shape metadata and matrix data bit patterns — used
-    /// by the persistence envelope to detect silent corruption of a saved
+    /// by the persistence layer to detect silent corruption of a saved
     /// bundle (including corruption of the stored hyper-parameters).
     pub fn content_digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -188,48 +181,6 @@ impl FittedModel {
     pub fn with_method(mut self, method: &str) -> Self {
         self.method = Some(method.to_string());
         self
-    }
-}
-
-impl Serialize for FittedModel {
-    fn to_value(&self) -> serde::Value {
-        let mut pairs = vec![("schema_version".to_string(), self.schema_version.to_value())];
-        // Omitted (not null) when absent: models without provenance
-        // serialize byte-identically to the pre-`method` layout.
-        if let Some(m) = &self.method {
-            pairs.push(("method".to_string(), m.to_value()));
-        }
-        pairs.extend([
-            ("config".to_string(), self.config.to_value()),
-            ("sizes".to_string(), self.sizes.to_value()),
-            ("cluster_counts".to_string(), self.cluster_counts.to_value()),
-            ("feature_dims".to_string(), self.feature_dims.to_value()),
-            ("g_blocks".to_string(), self.g_blocks.to_value()),
-            ("s".to_string(), self.s.to_value()),
-            ("centroids".to_string(), self.centroids.to_value()),
-            ("centroid_norms".to_string(), self.centroid_norms.to_value()),
-        ]);
-        serde::Value::Object(pairs)
-    }
-}
-
-impl Deserialize for FittedModel {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        Ok(FittedModel {
-            schema_version: Deserialize::from_value(v.get_field("schema_version")?)?,
-            method: match v.get("method") {
-                None | Some(serde::Value::Null) => None,
-                Some(m) => Some(Deserialize::from_value(m)?),
-            },
-            config: Deserialize::from_value(v.get_field("config")?)?,
-            sizes: Deserialize::from_value(v.get_field("sizes")?)?,
-            cluster_counts: Deserialize::from_value(v.get_field("cluster_counts")?)?,
-            feature_dims: Deserialize::from_value(v.get_field("feature_dims")?)?,
-            g_blocks: Deserialize::from_value(v.get_field("g_blocks")?)?,
-            s: Deserialize::from_value(v.get_field("s")?)?,
-            centroids: Deserialize::from_value(v.get_field("centroids")?)?,
-            centroid_norms: Deserialize::from_value(v.get_field("centroid_norms")?)?,
-        })
     }
 }
 
@@ -558,22 +509,13 @@ mod tests {
         // The RHCHME export path tags its provenance.
         assert_eq!(exported.method.as_deref(), Some("rhchme"));
 
-        // A model without provenance serializes byte-identically to the
-        // pre-`method` layout, and its digest is unchanged by the field's
-        // existence.
+        // A model without provenance still validates, and tagged models
+        // fold the provenance into the digest (bundle round-trips of
+        // both live in `mtrl_serve::persist`).
         let mut untagged = exported.clone();
         untagged.method = None;
-        let tree = untagged.to_value();
-        assert!(tree.get("method").is_none(), "absent, not null");
-        let reloaded = FittedModel::from_value(&tree).unwrap();
-        assert_eq!(reloaded.method, None);
-        assert_eq!(reloaded.content_digest(), untagged.content_digest());
-
-        // Tagged models round-trip the provenance and fold it into the
-        // digest.
+        untagged.validate().unwrap();
         assert_ne!(exported.content_digest(), untagged.content_digest());
-        let reloaded = FittedModel::from_value(&exported.to_value()).unwrap();
-        assert_eq!(reloaded.method.as_deref(), Some("rhchme"));
 
         // with_method is builder-style retagging.
         let retagged = untagged.with_method("ensemble");

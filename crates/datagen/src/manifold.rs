@@ -162,7 +162,7 @@ mod tests {
         for s in 0..3 {
             assert_eq!(labels.iter().filter(|&&l| l == s).count(), 30);
         }
-        assert!(pts.rows_iter().all(|r| norm2(r) > 0.0));
+        assert!((0..pts.rows()).all(|i| norm2(pts.row(i)) > 0.0));
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! ranges back in order, and every per-row computation is a pure function
 //! of the (order-insensitive) partition multiset — so the built matrix is
 //! bit-identical across thread counts *and* across how partitions were
-//! batched into the builder. The proptest suite pins both.
+//! batched into the builder. The proptest suite pins both, and a unit
+//! test sweeps thread counts on an input above the parallel threshold.
 
-use mtrl_linalg::par::{num_threads, par_chunks_map};
+use mtrl_linalg::par::{par_chunks_map, threads_for};
 use mtrl_sparse::Csr;
 
 /// Incremental builder: feed base partitions (in any batching), then
@@ -73,7 +74,9 @@ impl CoAssocBuilder {
             })
             .collect();
         let inv_m = 1.0 / m as f64;
-        let rows: Vec<(Vec<usize>, Vec<f64>)> = par_chunks_map(n, num_threads(), |range| {
+        // Work: the co-cluster pairs the rows visit.
+        let work = buckets.iter().flatten().map(|b| b.len() * b.len()).sum();
+        let rows: Vec<(Vec<usize>, Vec<f64>)> = par_chunks_map(n, threads_for(work), |range| {
             let mut counts = CountScratch::new(n);
             let mut out = Vec::with_capacity(range.len());
             for i in range {
@@ -216,6 +219,26 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn thread_count_does_not_change_a_build_above_the_threshold() {
+        // 5 partitions of 1,500 objects into 3 clusters visit ≈ 3.75M
+        // co-cluster pairs, over the ~1M-pair fan-out threshold.
+        let n = 1500;
+        let mut builder = CoAssocBuilder::new(n);
+        for m in 0..5 {
+            let labels: Vec<usize> = (0..n).map(|i| (i * (m + 7) / 13 + m) % 3).collect();
+            builder.add_partition(&labels);
+        }
+        let before = mtrl_linalg::par::num_threads();
+        mtrl_linalg::par::set_num_threads(1);
+        let serial = builder.build(10);
+        for t in 2..=4 {
+            mtrl_linalg::par::set_num_threads(t);
+            assert_eq!(builder.build(10), serial, "threads={t}");
+        }
+        mtrl_linalg::par::set_num_threads(before);
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //!
 //! Exits 1 when that list is longer than [`CEILING`]: a new public item
 //! that only its own crate uses should be `pub(crate)` or private.
+//!
+//! Last, an informational list of *ambiguous* methods: public methods of
+//! an `impl T` that pass only by a bare name another function shares,
+//! with no caller naming `T::name` (or `Self::name` inside `impl T`).
 
 use std::collections::{BTreeMap, HashSet};
 use std::fs;
@@ -107,6 +111,35 @@ fn module_file(parent: &Path, name: &str) -> PathBuf {
     base.join(format!("{name}.rs"))
 }
 
+/// Per line, the type of the column-0 `impl` block it is in (`impl<..>
+/// a::T<..>` and `impl<..> Tr for T` both give `T`).
+fn impl_types(lines: &[String]) -> Vec<Option<String>> {
+    let mut this = None;
+    let mut step = |line: &String| {
+        if line == "}" {
+            this = None;
+        } else if let Some(head) =
+            (line.strip_prefix("impl")).filter(|h| h.starts_with([' ', '<']) && !h.ends_with("{}"))
+        {
+            // Drop the generics; the type follows `for`, else `impl`.
+            let mut depth = 0;
+            let flat: String = (head.chars())
+                .filter(|&c| {
+                    depth += i32::from(c == '<') - i32::from(c == '>');
+                    depth == 0 && c != '>'
+                })
+                .collect();
+            let ty = flat
+                .rsplit(" for ")
+                .next()
+                .and_then(|t| t.split_whitespace().next());
+            this = ty.and_then(|t| t.rsplit("::").next()).map(str::to_string);
+        }
+        this.clone()
+    };
+    lines.iter().map(&mut step).collect()
+}
+
 /// `(kind, name)` of a public declaration line.
 fn declaration(line: &str) -> Option<(&'static str, String)> {
     let rest = line.trim_start().strip_prefix("pub ")?;
@@ -122,11 +155,21 @@ fn declaration(line: &str) -> Option<(&'static str, String)> {
     Some((kind, name))
 }
 
-/// Identifiers on the non-comment lines of `lines`.
-fn identifiers(lines: &[String], into: &mut HashSet<String>) {
-    for line in lines.iter().filter(|l| !l.trim_start().starts_with("//")) {
+/// Identifiers on the non-comment lines of `lines`, and their typed
+/// paths `T::name` (`Self` resolved to the enclosing `impl`'s type).
+fn identifiers(lines: &[String], into: &mut HashSet<String>, typed: &mut HashSet<String>) {
+    for (line, this) in lines.iter().zip(impl_types(lines)) {
+        if line.trim_start().starts_with("//") {
+            continue;
+        }
         let words = line.split(|c: char| !(c.is_alphanumeric() || c == '_'));
         into.extend(words.filter(|w| !w.is_empty()).map(str::to_string));
+        for path in line.split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':')) {
+            for pair in path.split("::").collect::<Vec<_>>().windows(2) {
+                let ty = this.as_deref().filter(|_| pair[0] == "Self");
+                typed.insert(format!("{}::{}", ty.unwrap_or(pair[0]), pair[1]));
+            }
+        }
     }
 }
 
@@ -172,13 +215,24 @@ fn main() -> ExitCode {
         }
     }
 
+    // How many functions of any visibility carry each name.
+    let mut declared: BTreeMap<String, usize> = BTreeMap::new();
+    for line in lines.iter().flatten() {
+        let bare = line.trim_start().trim_start_matches("pub(crate) ");
+        if let Some(("fn", name)) = declaration(&format!("pub {}", bare.trim_start_matches("pub ")))
+        {
+            *declared.entry(name).or_default() += 1;
+        }
+    }
+
     let (mut count, mut non_test) = (0, 0);
     let mut unused: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    let mut ambiguous: BTreeMap<String, Vec<String>> = BTreeMap::new();
     for (c, dir) in crate_dirs.iter().enumerate() {
-        let mut callers = HashSet::new();
+        let (mut callers, mut typed) = (HashSet::new(), HashSet::new());
         for (i, text) in lines.iter().enumerate() {
             if files.get(i).is_none_or(|(_, owner)| *owner != Some(c)) {
-                identifiers(text, &mut callers);
+                identifiers(text, &mut callers, &mut typed);
             }
         }
         for (i, (path, owner)) in files.iter().enumerate() {
@@ -186,12 +240,19 @@ fn main() -> ExitCode {
                 continue;
             }
             non_test += lines[i].len();
-            for (kind, name) in lines[i].iter().filter_map(|l| declaration(l)) {
+            let rel = path.strip_prefix(&root).unwrap_or(path).display();
+            let decls = lines[i].iter().zip(impl_types(&lines[i]));
+            for ((kind, name), this) in decls.filter_map(|(l, t)| Some((declaration(l)?, t))) {
                 count += 1;
-                if *owner == Some(c) && kind != "use" && !callers.contains(&name) {
-                    let rel = path.strip_prefix(&root).unwrap_or(path);
-                    let entry = unused.entry(rel.display().to_string()).or_default();
+                let mine = *owner == Some(c) && kind != "use";
+                if mine && !callers.contains(&name) {
+                    let entry = unused.entry(rel.to_string()).or_default();
                     entry.push(format!("{kind} {name}"));
+                } else if let Some(ty) = this.filter(|_| mine && kind == "fn") {
+                    let path = format!("{ty}::{name}");
+                    if declared[&name] > 1 && !typed.contains(&path) {
+                        ambiguous.entry(rel.to_string()).or_default().push(path);
+                    }
                 }
             }
         }
@@ -202,6 +263,11 @@ fn main() -> ExitCode {
     println!("public declarations: {count}");
     println!("public items without an outside caller: {total} (ceiling {CEILING})");
     for (file, items) in &unused {
+        println!("  {file}: {}", items.join(", "));
+    }
+    let shared: usize = ambiguous.values().map(Vec::len).sum();
+    println!("ambiguous public methods (informational, not gated): {shared}");
+    for (file, items) in &ambiguous {
         println!("  {file}: {}", items.join(", "));
     }
     if total > CEILING {

@@ -49,7 +49,6 @@ pub mod par;
 pub mod parts;
 mod precision;
 pub mod random;
-mod serde_impl;
 pub mod simplex;
 pub mod solve;
 pub mod vecops;

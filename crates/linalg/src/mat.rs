@@ -226,7 +226,7 @@ impl Mat {
     }
 
     /// Iterate over rows as slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
+    pub(crate) fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.cols.max(1))
     }
 

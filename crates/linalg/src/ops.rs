@@ -23,13 +23,9 @@
 use crate::error::LinalgError;
 use crate::lanes::{panels, store_lanes, with_lanes, Panel};
 use crate::mat::Mat;
-use crate::par::{num_threads, par_row_chunks};
+use crate::par::{par_row_chunks, threads_for};
 use crate::Result;
 use std::ops::Range;
-
-/// Work threshold (`m * k * n` multiply-adds) above which products go
-/// multi-threaded. Below it, thread spawn overhead dominates.
-const PAR_THRESHOLD: usize = 1 << 22;
 
 /// Output rows a narrow kernel accumulates side by side.
 const GROUP: usize = 4;
@@ -48,14 +44,10 @@ pub fn matmul(a: &Mat, b: &Mat) -> Result<Mat> {
     }
     let (m, n) = (a.rows(), b.cols());
     let mut out = Mat::zeros(m, n);
-    let work = m * a.cols() * n;
-    if work < PAR_THRESHOLD || num_threads() == 1 || m < 2 {
-        mul_rows_into(a, b, 0..a.cols(), 0..n, out.as_mut_slice(), 0..m);
-    } else {
-        par_row_chunks(out.as_mut_slice(), m, n, |r0, r1, chunk| {
-            mul_rows_into(a, b, 0..a.cols(), 0..n, chunk, r0..r1)
-        });
-    }
+    let threads = threads_for(m * a.cols() * n);
+    par_row_chunks(out.as_mut_slice(), m, n, threads, |r0, r1, chunk| {
+        mul_rows_into(a, b, 0..a.cols(), 0..n, chunk, r0..r1)
+    });
     Ok(out)
 }
 
@@ -191,14 +183,10 @@ pub fn matmul_nt(a: &Mat, b: &Mat) -> Result<Mat> {
     }
     let (m, n) = (a.rows(), b.rows());
     let mut out = Mat::zeros(m, n);
-    let work = m * n * a.cols();
-    if work < PAR_THRESHOLD || num_threads() == 1 || m < 2 {
-        nt_rows_into(a, b, out.as_mut_slice(), 0, m);
-    } else {
-        par_row_chunks(out.as_mut_slice(), m, n, |r0, r1, chunk| {
-            nt_rows_into(a, b, chunk, r0, r1)
-        });
-    }
+    let threads = threads_for(m * n * a.cols());
+    par_row_chunks(out.as_mut_slice(), m, n, threads, |r0, r1, chunk| {
+        nt_rows_into(a, b, chunk, r0, r1)
+    });
     Ok(out)
 }
 
@@ -244,11 +232,9 @@ pub fn row_gram(a: &Mat) -> Mat {
             }
         }
     };
-    if n * n * a.cols() < 2 * PAR_THRESHOLD || num_threads() == 1 || n < 2 {
-        upper_rows(0, n, out.as_mut_slice());
-    } else {
-        par_row_chunks(out.as_mut_slice(), n, n, upper_rows);
-    }
+    // n²·cols/2 multiply-adds: only the upper triangle is computed.
+    let threads = threads_for(n * n * a.cols() / 2);
+    par_row_chunks(out.as_mut_slice(), n, n, threads, upper_rows);
     for i in 1..n {
         for j in 0..i {
             let v = out[(j, i)];
@@ -420,7 +406,7 @@ mod tests {
     use super::*;
     use crate::block::BlockSpec;
     use crate::lanes::oracle::{awkward, block_rows, same_bits, typed_rows};
-    use crate::par::set_num_threads;
+    use crate::par::{num_threads, set_num_threads};
     use crate::random::rand_uniform;
 
     /// The scalar loop [`mul_rows_into`] replaced: i-k-j, the output row
@@ -537,11 +523,11 @@ mod tests {
                 .shape(),
             (4, 0)
         );
-        // All-zero rows of A, and a product above PAR_THRESHOLD so the
-        // row fan-out runs.
+        // All-zero rows of A, and a product above the parallel threshold
+        // so the row fan-out runs at 4 threads.
         let a = mat(300, 230, block_rows(300, 230, 7));
         let b = mat(230, 70, awkward(230 * 70, 8, true));
-        const { assert!(300 * 230 * 70 >= PAR_THRESHOLD) };
+        const { assert!(300 * 230 * 70 >= crate::par::PAR_WORK) };
         let expect = matmul_oracle(&a, &b);
         let before = num_threads();
         for threads in [1usize, 4] {
@@ -702,7 +688,7 @@ mod tests {
 
     #[test]
     fn matmul_parallel_path() {
-        // Large enough to exceed PAR_THRESHOLD: 256*256*256 = 16.7M.
+        // Above the parallel threshold: 256*256*256 = 16.7M.
         let a = rand_uniform(256, 256, -1.0, 1.0, 3);
         let b = rand_uniform(256, 256, -1.0, 1.0, 4);
         let fast = matmul(&a, &b).unwrap();

@@ -44,14 +44,14 @@ pub fn set_num_threads(n: usize) {
 
 /// Work (multiply-adds) below which a row fan-out costs more than it
 /// saves.
-const PAR_WORK: usize = 1 << 20;
+pub(crate) const PAR_WORK: usize = 1 << 20;
 
 /// Worker threads for a pass of `work` multiply-adds: one below the ~1M
-/// threshold, [`num_threads`] above it. The sparse product, the SPG
-/// support product and every parallel graph pass (batch search,
-/// incremental maintenance, RMC candidates) ask this one test, each with
-/// its own work expression; the dense products in [`crate::ops`] keep
-/// their own, larger threshold.
+/// threshold, [`num_threads`] above it. Every parallel kernel asks this
+/// one test, each with its own work expression: the dense and sparse
+/// products, the SPG support product, every parallel graph pass (batch
+/// search, incremental maintenance, RMC candidates) and the ensemble's
+/// co-association build.
 pub fn threads_for(work: usize) -> usize {
     if work < PAR_WORK {
         1
@@ -73,15 +73,18 @@ fn default_num_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Split `out` (an `m x n` row-major buffer) into per-thread row chunks
-/// and run `f(r0, r1, chunk)` on each in parallel.
+/// Split `out` (an `m x n` row-major buffer) into row chunks, one per
+/// worker of `threads` (callers pass [`threads_for`] of their work), and
+/// run `f(r0, r1, chunk)` on each in parallel; one worker runs
+/// `f(0, m, out)` on the caller's thread.
 pub fn par_row_chunks(
     out: &mut [f64],
     m: usize,
     n: usize,
+    threads: usize,
     f: impl Fn(usize, usize, &mut [f64]) + Sync,
 ) {
-    let threads = num_threads().min(m.max(1));
+    let threads = threads.min(m.max(1));
     if threads <= 1 {
         f(0, m, out);
         return;
@@ -177,7 +180,7 @@ mod tests {
     fn row_chunks_cover_all_rows() {
         let (m, n) = (23, 4);
         let mut buf = vec![0.0; m * n];
-        par_row_chunks(&mut buf, m, n, |r0, r1, chunk| {
+        par_row_chunks(&mut buf, m, n, 3, |r0, r1, chunk| {
             for (local, gi) in (r0..r1).enumerate() {
                 for v in &mut chunk[local * n..(local + 1) * n] {
                     *v = gi as f64;

@@ -7,11 +7,9 @@
 //! Three layers:
 //!
 //! * [`persist`] — versioned on-disk bundles around
-//!   [`rhchme::FittedModel`]: the v1 JSON envelope ([`persist::save`] /
-//!   [`persist::load`], bit-exact `f64` round-trips) and the v2 binary
-//!   format ([`persist::save_binary`] / [`persist::load_binary`],
-//!   length-prefixed LE sections + FNV digest, ≥10× faster loads for
-//!   fleet restarts), with [`persist::load_any`] sniffing either;
+//!   [`rhchme::FittedModel`] ([`persist::save`] / [`persist::load`]):
+//!   length-prefixed little-endian sections closed by an FNV digest,
+//!   bit-exact `f64` round-trips, atomic replacement on save;
 //! * `assign` — the fold-in predictor: [`Assigner`] maps a sparse
 //!   feature vector of any object type to a posterior over that type's
 //!   clusters via cosine similarity against the learned centroids

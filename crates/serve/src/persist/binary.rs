@@ -1,72 +1,18 @@
-//! The v2 binary bundle: length-prefixed little-endian sections with an
-//! FNV integrity digest — fleet-restart-fast model loads.
-//!
-//! # Why a second format
-//!
-//! The v1 JSON envelope costs ~2 ms to parse per model, which is fine
-//! for one model and hopeless for a gateway restart that must reload
-//! hundreds. The binary layout below loads by slicing: every `f64`
-//! payload is stored as raw little-endian bit patterns at an 8-byte
-//! aligned offset, so reconstruction is bounds-checking plus `memcpy`
-//! — no text parsing anywhere. Round-trips are bit-exact by
+//! Encoder and decoder of the bundle layout described in the parent
+//! module. Every `f64` payload is written as its raw little-endian bit
+//! pattern at an 8-byte aligned offset, so reading a bundle back is
+//! bounds checks plus copies, and round-trips are bit-exact by
 //! construction (the bytes *are* the bit patterns).
-//!
-//! # Layout
-//!
-//! All integers little-endian. The header is 32 bytes; every section
-//! payload starts at an 8-byte aligned offset, so a reader may view
-//! `f64` sections in place on LE hardware.
-//!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"MTRLFMv2"
-//! 8       4     container version (2)
-//! 12      4     model schema version (rhchme::export::SCHEMA_VERSION)
-//! 16      8     model content digest (FittedModel::content_digest)
-//! 24      4     section count
-//! 28      4     reserved (0)
-//! 32      …     sections, each:
-//!                 tag u32 | reserved u32 | payload_len u64 |
-//!                 payload (payload_len bytes) | zero-pad to 8
-//! end-8   8     file digest: FNV-1a over the preceding bytes taken as
-//!               little-endian u64 words (the layout guarantees the
-//!               digested region is a whole number of words)
-//! ```
-//!
-//! Section tags (1–6 required, any order, duplicates rejected; tag 7 is
-//! optional — bundles written before method provenance existed simply
-//! omit it, and a reader never requires it):
-//!
-//! | tag | content                                                        |
-//! |-----|----------------------------------------------------------------|
-//! | 1   | config: UTF-8 JSON of `RhchmeConfig`                           |
-//! | 2   | shapes: `k` then `sizes[k]`, `cluster_counts[k]`,              |
-//! |     | `feature_dims[k]`, all u64                                     |
-//! | 3   | G blocks: count u64, then per block rows u64, cols u64, data   |
-//! | 4   | S: rows u64, cols u64, data                                    |
-//! | 5   | centroids: same encoding as tag 3                              |
-//! | 6   | centroid norms: count u64, then per type len u64, data         |
-//! | 7   | method provenance: UTF-8 key of the producing method           |
-//!       | (optional; present only when the model carries one)            |
-//!
-//! Integrity: the trailing file digest catches any byte flip in header
-//! or payload (word-wise FNV-1a — 8× fewer multiplies than the
-//! byte-wise variant, so verification cannot eat the speedup the format
-//! exists for). After reconstruction the model is structurally
-//! validated like every other load path. The header's model content
-//! digest lets fleet tooling identify a bundle without loading it and
-//! ties a migrated binary bundle back to its JSON v1 original.
 
 use crate::error::ServeError;
 use rhchme::export::{FittedModel, SCHEMA_VERSION};
 use rhchme::rhchme::RhchmeConfig;
 use serde::Deserialize;
-use std::path::Path;
 
 use mtrl_linalg::Mat;
 
-/// Leading magic of a v2 binary bundle (deliberately not valid JSON).
-pub(crate) const BINARY_MAGIC: &[u8; 8] = b"MTRLFMv2";
+/// Leading magic of a bundle (deliberately not valid JSON).
+const BINARY_MAGIC: &[u8; 8] = b"MTRLFMv2";
 
 /// Version of the binary container layout itself.
 const CONTAINER_VERSION: u32 = 2;
@@ -142,7 +88,7 @@ fn mat_list(w: &mut Writer, mats: &[Mat]) {
     }
 }
 
-/// Serialize a model into the v2 binary layout.
+/// Serialize a model into a bundle (layout in [`crate::persist`]).
 ///
 /// # Errors
 /// Returns [`ServeError::Corrupt`] when the model fails its own
@@ -261,7 +207,7 @@ fn read_mat_list(c: &mut Cursor<'_>, what: &str) -> Result<Vec<Mat>, ServeError>
     (0..count).map(|_| read_mat(c, what)).collect()
 }
 
-/// Parse and verify a v2 binary bundle: magic, versions, file digest,
+/// Parse and verify a bundle: magic, versions, file digest,
 /// section completeness, and structural model validation.
 ///
 /// # Errors
@@ -395,26 +341,6 @@ pub fn from_bytes(bytes: &[u8]) -> Result<FittedModel, ServeError> {
     Ok(model)
 }
 
-/// Save a model as a v2 binary bundle.
-///
-/// # Errors
-/// Propagates validation failures and I/O errors.
-pub fn save_binary(model: &FittedModel, path: impl AsRef<Path>) -> Result<(), ServeError> {
-    let bytes = to_bytes(model)?;
-    super::write_durably(path.as_ref(), &bytes)?;
-    Ok(())
-}
-
-/// Load and verify a v2 binary bundle from a file.
-///
-/// # Errors
-/// Propagates I/O errors and every verification failure of
-/// [`from_bytes`].
-pub fn load_binary(path: impl AsRef<Path>) -> Result<FittedModel, ServeError> {
-    let bytes = std::fs::read(path)?;
-    from_bytes(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,18 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip() {
-        let model = tiny_fitted_model(72);
-        let dir = std::env::temp_dir().join("mtrl_serve_binary_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.mtrl");
-        save_binary(&model, &path).unwrap();
-        let back = load_binary(&path).unwrap();
-        assert_eq!(back.content_digest(), model.content_digest());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn every_byte_flip_in_the_header_is_caught() {
         let model = tiny_fitted_model(73);
         let bytes = to_bytes(&model).unwrap();
@@ -484,10 +398,23 @@ mod tests {
             Err(ServeError::Corrupt(msg)) => assert!(msg.contains("digest"), "{msg}"),
             other => panic!("expected digest failure, got {other:?}"),
         }
-        // Truncation is caught too (the digest moves with the tail).
-        assert!(from_bytes(&bytes[..bytes.len() - 16]).is_err());
-        assert!(from_bytes(&bytes[..7]).is_err());
-        assert!(from_bytes(b"MTRLFMv2").is_err());
+    }
+
+    #[test]
+    fn a_missing_section_is_named() {
+        // A resealed bundle that declares one section fewer loses its
+        // last required one (centroid norms) and says so.
+        let mut plain = tiny_fitted_model(80);
+        plain.method = None;
+        let mut bytes = to_bytes(&plain).unwrap();
+        bytes[24..28].copy_from_slice(&5u32.to_le_bytes());
+        let digest_at = bytes.len() - 8;
+        let reseal = word_fnv(&bytes[..digest_at]);
+        bytes[digest_at..].copy_from_slice(&reseal.to_le_bytes());
+        match from_bytes(&bytes) {
+            Err(ServeError::Corrupt(msg)) => assert!(msg.contains("centroid norms"), "{msg}"),
+            other => panic!("expected a missing-section error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -552,15 +479,5 @@ mod tests {
         let back = from_bytes(&tagged_bytes).unwrap();
         assert_eq!(back.method.as_deref(), Some("ensemble"));
         assert_eq!(back.content_digest(), tagged.content_digest());
-    }
-
-    #[test]
-    fn json_and_binary_agree() {
-        // The migration path: a model saved as JSON v1 and reloaded
-        // must produce byte-identical binary output to the original.
-        let model = tiny_fitted_model(76);
-        let via_json =
-            crate::persist::from_json(&crate::persist::to_json(&model).unwrap()).unwrap();
-        assert_eq!(to_bytes(&model).unwrap(), to_bytes(&via_json).unwrap());
     }
 }

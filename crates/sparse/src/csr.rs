@@ -256,11 +256,8 @@ impl Csr {
             }
         };
         // nnz * w multiply-adds.
-        if mtrl_linalg::par::threads_for(self.nnz() * w) == 1 {
-            rows_into(0, self.rows, span);
-        } else {
-            mtrl_linalg::par::par_row_chunks(span, self.rows, stride, rows_into);
-        }
+        let threads = mtrl_linalg::par::threads_for(self.nnz() * w);
+        mtrl_linalg::par::par_row_chunks(span, self.rows, stride, threads, rows_into);
     }
 
     /// `self` cut into blocks by a row layout and a column layout:

@@ -128,11 +128,8 @@ pub(crate) fn support_product(k: &Mat, support: &Support, x: &Mat, out: &mut Mat
         }
     };
     // n·(K′+1)² multiply-adds.
-    if threads_for(n * width * width) == 1 {
-        rows(0, n, out.as_mut_slice());
-    } else {
-        par_row_chunks(out.as_mut_slice(), n, width, rows);
-    }
+    let threads = threads_for(n * width * width);
+    par_row_chunks(out.as_mut_slice(), n, width, threads, rows);
 }
 
 /// `acc[a] += x · K[l, cols[a]]` for each term `(x, K[l, ·])` in order,

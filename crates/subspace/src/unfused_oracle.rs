@@ -276,9 +276,6 @@ pub(crate) fn support_product_zero_tested(k: &Mat, support: &Support, x: &Mat, o
             orow.copy_from_slice(&acc[..width]);
         }
     };
-    if threads_for(n * width * width) == 1 {
-        rows(0, n, out.as_mut_slice());
-    } else {
-        par_row_chunks(out.as_mut_slice(), n, width, rows);
-    }
+    let threads = threads_for(n * width * width);
+    par_row_chunks(out.as_mut_slice(), n, width, threads, rows);
 }

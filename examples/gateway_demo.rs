@@ -1,5 +1,5 @@
-//! End-to-end demo of the network gateway: fit a model, persist it in
-//! the v2 binary format, serve it over HTTP, and drive it with serial
+//! End-to-end demo of the network gateway: fit a model, save it as a
+//! bundle and load it back, serve it over HTTP, and drive it with serial
 //! and concurrent clients.
 //!
 //! ```text
@@ -7,10 +7,10 @@
 //! ```
 //!
 //! The demo doubles as an executable acceptance check (CI runs it in
-//! the demos job): it asserts that the binary model format loads at
-//! least 10x faster than the v1 JSON path, and that under the same
-//! concurrent load the coalescing gateway needs far fewer engine
-//! submits — and is no slower — than one with coalescing disabled.
+//! the demos job): it asserts that the reloaded bundle carries the
+//! fitted model's content digest, and that under the same concurrent
+//! load the coalescing gateway needs far fewer engine submits — and is
+//! no slower — than one with coalescing disabled.
 
 use rhchme_repro::gateway::{Gateway, GatewayConfig};
 use rhchme_repro::prelude::*;
@@ -98,31 +98,20 @@ fn main() {
 
     let dir = std::env::temp_dir().join("mtrl_gateway_demo");
     std::fs::create_dir_all(&dir).expect("tempdir");
-    let json_path = dir.join("demo.json");
-    let binary_path = dir.join("demo.mtrl");
-    persist::save(&model, &json_path).expect("save json");
-    persist::save_binary(&model, &binary_path).expect("save binary");
-
+    let path = dir.join("demo.mtrl");
+    persist::save(&model, &path).expect("save bundle");
     let t0 = Instant::now();
-    let from_json = persist::load(&json_path).expect("load json");
-    let json_load = t0.elapsed();
-    let t0 = Instant::now();
-    let from_binary = persist::load_binary(&binary_path).expect("load binary");
-    let binary_load = t0.elapsed();
-    assert_eq!(from_json.content_digest(), from_binary.content_digest());
-    let speedup = json_load.as_secs_f64() / binary_load.as_secs_f64().max(1e-12);
-    println!(
-        "model load: v1 json {:.2?}, v2 binary {:.2?} ({speedup:.0}x faster)",
-        json_load, binary_load
-    );
-    assert!(
-        speedup >= 10.0,
-        "binary load must be >=10x faster than JSON (got {speedup:.1}x)"
+    let loaded = persist::load(&path).expect("load bundle");
+    println!("model load: {:.2?}", t0.elapsed());
+    assert_eq!(
+        loaded.content_digest(),
+        model.content_digest(),
+        "the reloaded bundle must be the fitted model"
     );
 
     // ── serve ───────────────────────────────────────────────────────
     let engine = Arc::new(ServeEngine::with_queue_capacity(2, 1024));
-    engine.register("demo", from_binary).expect("register");
+    engine.register("demo", loaded).expect("register");
     let gateway = Gateway::bind(Arc::clone(&engine), GatewayConfig::default()).expect("bind");
     let addr = gateway.addr();
     let dim = model.feature_dims[0];
@@ -232,7 +221,6 @@ fn main() {
          (window off {nocoalesce:.2?}, window on {coalesced:.2?})"
     );
 
-    std::fs::remove_file(&json_path).ok();
-    std::fs::remove_file(&binary_path).ok();
+    std::fs::remove_file(&path).ok();
     println!("gateway demo OK");
 }

@@ -8,7 +8,7 @@
 //!    training side (8 docs/class, exactly the `Scale::Tiny` D1 profile)
 //!    and 110 held-out documents the model never sees;
 //! 2. fit RHCHME on the training side and export the `FittedModel`;
-//! 3. save the bundle to JSON, then load it into a *fresh* `ServeEngine`
+//! 3. save the bundle to a file, then load it into a *fresh* `ServeEngine`
 //!    (4 workers) — nothing of the fit survives but the file;
 //! 4. fold the held-out documents in concurrently, in batches;
 //! 5. compare fold-in quality against the gold standard: a full refit on
@@ -50,7 +50,7 @@ fn main() {
 
     // Persist, then reload into a fresh engine.
     let model = rhchme.export_model(&result, &train).expect("export");
-    let path = std::env::temp_dir().join("serve_demo_model.json");
+    let path = std::env::temp_dir().join("serve_demo_model.mtrl");
     persist::save(&model, &path).expect("save bundle");
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     println!(

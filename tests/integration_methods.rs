@@ -415,3 +415,101 @@ fn non_finite_relations_are_errors_for_every_method() {
         }
     }
 }
+
+/// `m` with row `r` replaced by `row(r)`'s choice of source row, or
+/// emptied where it gives `None`.
+fn with_rows(
+    m: &rhchme_repro::sparse::Csr,
+    row: impl Fn(usize) -> Option<usize>,
+) -> rhchme_repro::sparse::Csr {
+    let rows: Vec<(Vec<usize>, Vec<f64>)> = (0..m.rows())
+        .map(|r| match row(r) {
+            Some(src) => (m.row(src).0.to_vec(), m.row(src).1.to_vec()),
+            None => (Vec::new(), Vec::new()),
+        })
+        .collect();
+    rhchme_repro::sparse::Csr::from_sparse_rows(&rows, m.cols())
+}
+
+/// The degenerate corpora of the robustness property test, by name.
+fn degenerate_corpora(seed: u64) -> Vec<(&'static str, MultiTypeCorpus)> {
+    let seed = seed + mtrl_datagen::seed_from_env(0);
+    let generate = |docs_per_class: Vec<usize>| {
+        mtrl_datagen::corpus::generate(&CorpusConfig {
+            docs_per_class,
+            vocab_size: 60,
+            concept_count: 18,
+            doc_len_range: (20, 30),
+            background_frac: 0.3,
+            topic_noise: 0.3,
+            concept_map_noise: 0.1,
+            corrupt_frac: 0.0,
+            subtopics_per_class: 1,
+            view_confusion: 0.0,
+            seed,
+        })
+    };
+    let base = generate(vec![8, 8, 8]);
+    // Every fifth document has no terms and no concepts.
+    let mut empty_docs = base.clone();
+    let keep = |d: usize| (!d.is_multiple_of(5)).then_some(d);
+    empty_docs.doc_term = with_rows(&base.doc_term, keep);
+    empty_docs.doc_concept = with_rows(&base.doc_concept, keep);
+    let mut zero_term_concept = base.clone();
+    zero_term_concept.term_concept =
+        rhchme_repro::sparse::Csr::zeros(base.num_terms(), base.num_concepts());
+    // Documents 1, 2 repeat document 0, and 9, 23 repeat 8 and 16.
+    let mut duplicates = base.clone();
+    let copy = |d: usize| {
+        Some(match d {
+            1 | 2 => 0,
+            9 => 8,
+            23 => 16,
+            d => d,
+        })
+    };
+    duplicates.doc_term = with_rows(&base.doc_term, copy);
+    duplicates.doc_concept = with_rows(&base.doc_concept, copy);
+    // The generator needs two classes; relabel one of its corpora.
+    let mut single_class = generate(vec![12, 12]);
+    single_class.labels.fill(0);
+    single_class.num_classes = 1;
+    vec![
+        ("empty documents", empty_docs),
+        ("all-zero term-concept block", zero_term_concept),
+        ("duplicate rows", duplicates),
+        ("two documents", generate(vec![1, 1])),
+        ("40/1/1 class split", generate(vec![40, 1, 1])),
+        ("single class", single_class),
+    ]
+}
+
+// Every method and the ensemble, on every degenerate corpus, return a
+// labelling of every document or a typed error — never a panic.
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
+
+    #[test]
+    fn degenerate_corpora_give_labels_or_typed_errors(seed in 0u64..1000) {
+        let params = PipelineParams {
+            max_iter: 5,
+            spg_max_iter: 5,
+            ..fast_params()
+        };
+        let mut specs: Vec<MethodSpec> = Method::all().into_iter().map(MethodSpec::from).collect();
+        specs.push(MethodSpec::ensemble());
+        for (case, corpus) in degenerate_corpora(seed) {
+            for spec in &specs {
+                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    mtrl_ensemble::run_spec(&corpus, spec, &params)
+                }));
+                let Ok(result) = out else {
+                    panic!("{} panicked on {case}", spec.key());
+                };
+                if let Ok(fit) = result {
+                    assert_eq!(fit.doc_labels.len(), corpus.num_docs(), "{} on {case}", spec.key());
+                }
+            }
+        }
+    }
+}

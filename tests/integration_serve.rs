@@ -51,7 +51,7 @@ fn save_load_assign_equals_in_memory_assignment() {
     // Through the persistence layer and a fresh engine.
     let dir = std::env::temp_dir().join("mtrl_serve_integration");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("roundtrip.json");
+    let path = dir.join("roundtrip.mtrl");
     persist::save(&model, &path).unwrap();
     let loaded = persist::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
@@ -72,28 +72,38 @@ fn save_load_assign_equals_in_memory_assignment() {
 }
 
 #[test]
-fn v1_json_to_v2_binary_migration_is_lossless() {
+fn v1_json_file_is_a_typed_corrupt_error() {
     let full = corpus(75);
     let (train, _) = split_corpus(&full, 0.25, 75);
     let model = fit_and_export(&train);
 
-    let dir = std::env::temp_dir().join("mtrl_serve_migration");
+    let dir = std::env::temp_dir().join("mtrl_serve_one_format");
     std::fs::create_dir_all(&dir).unwrap();
-    let v1 = dir.join("model_v1.json");
-    let v2 = dir.join("model_v2.mtrl");
+    let bundle = dir.join("model.mtrl");
+    let json = dir.join("model_v1.json");
 
-    // The v1 → v2 migration path: save JSON, load it back through the
-    // format-sniffing loader, re-save binary, load that back too.
-    persist::save(&model, &v1).unwrap();
-    let from_v1 = persist::load_any(&v1).unwrap();
-    persist::save_binary(&from_v1, &v2).unwrap();
-    let from_v2 = persist::load_any(&v2).unwrap();
-    std::fs::remove_file(&v1).ok();
-    std::fs::remove_file(&v2).ok();
+    // A JSON envelope of the retired v1 format beside a current bundle:
+    // the JSON file fails the magic check, typed, and the bundle loads.
+    persist::save(&model, &bundle).unwrap();
+    std::fs::write(
+        &json,
+        format!(
+            "{{\"format\": \"mtrl-serve/fitted-model\", \"schema_version\": 1, \
+             \"content_digest\": \"{:#018x}\", \"model\": {{}}}}",
+            model.content_digest()
+        ),
+    )
+    .unwrap();
+    let from_json = persist::load(&json);
+    let from_bundle = persist::load(&bundle).unwrap();
+    std::fs::remove_file(&json).ok();
+    std::fs::remove_file(&bundle).ok();
 
-    // Bit-identity across the whole chain, not mere closeness.
-    assert_eq!(model.content_digest(), from_v1.content_digest());
-    assert_eq!(model.content_digest(), from_v2.content_digest());
+    match from_json {
+        Err(ServeError::Corrupt(msg)) => assert!(msg.contains("bad magic"), "{msg}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    assert_eq!(model.content_digest(), from_bundle.content_digest());
 }
 
 #[test]
@@ -160,7 +170,7 @@ proptest! {
     }
 
     #[test]
-    fn binary_round_trip_is_bit_identical_to_json_path(seed in 0u64..1000, scale in 0.5f64..2.0) {
+    fn binary_round_trip_is_bit_identical(seed in 0u64..1000, scale in 0.5f64..2.0) {
         // One base fit (fitting per case would dominate the runtime);
         // each case derives a distinct model by scaling the shared
         // cluster indicator, so the bytes under test vary per case.
@@ -175,11 +185,10 @@ proptest! {
         model.s.as_mut_slice()[k] *= scale;
 
         let bytes = persist::to_bytes(&model).unwrap();
-        let json = persist::to_json(&model).unwrap();
-        let from_binary = persist::from_bytes(&bytes).unwrap();
-        let from_json = persist::from_json(&json).unwrap();
-        prop_assert_eq!(model.content_digest(), from_binary.content_digest());
-        prop_assert_eq!(from_json.content_digest(), from_binary.content_digest());
+        let back = persist::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(model.content_digest(), back.content_digest());
+        // Re-encoding the loaded model reproduces the bundle byte for byte.
+        prop_assert_eq!(persist::to_bytes(&back).unwrap(), bytes);
     }
 
     #[test]
