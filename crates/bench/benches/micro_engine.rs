@@ -283,7 +283,7 @@ fn bench_narrow_shapes(c: &mut Criterion) {
             None,
         )
         .expect("candidates"),
-        mu: params.rmc_mu,
+        mu: rhchme::pipeline::RMC_MU,
     };
     let cfg = EngineConfig {
         lambda: params.lambda,

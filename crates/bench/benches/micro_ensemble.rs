@@ -59,9 +59,8 @@ fn bench_trajectory_merge(c: &mut Criterion) {
     let coassoc = builder.build(16);
     let candidates: Vec<&[usize]> = partitions.iter().map(Vec::as_slice).collect();
     c.bench_function("trajectory_merge_2000", |bencher| {
-        bencher.iter(|| {
-            consensus_over_references(black_box(&coassoc), &candidates, 5, 3, 0.8, false, &[])
-        });
+        bencher
+            .iter(|| consensus_over_references(black_box(&coassoc), &candidates, 5, 3, 0.8, &[]));
     });
 }
 

@@ -40,7 +40,6 @@ fn bench_insert(c: &mut Criterion) {
         p: 5,
         scheme: WeightScheme::Cosine,
         rebuild_threshold: 1.0,
-        ..DynamicGraphConfig::default()
     };
     let base = DynamicGraph::new(&base_rows, cfg.clone());
     {

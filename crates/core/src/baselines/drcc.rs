@@ -12,7 +12,7 @@
 //! Unlike HOCC it cannot exploit the inter-relatedness between the term
 //! and concept cluster structures — which is precisely the paper's point.
 
-use crate::engine::EngineConfig;
+use crate::engine::GRAM_RIDGE;
 use crate::error::RhchmeError;
 use crate::kmeans::{kmeans, labels_to_membership};
 use crate::Result;
@@ -146,7 +146,6 @@ pub(crate) fn run_drcc(r: &Mat, cfg: &DrccConfig) -> Result<DrccResult> {
     let mut g = labels_to_membership(&kmeans(r, cg, cfg.seed, 50).labels, cg, 0.2);
     let mut f = labels_to_membership(&kmeans(&rt, cf, cfg.seed + 1, 50).labels, cf, 0.2);
 
-    let ridge = EngineConfig::default().ridge;
     let mut objective_trace = Vec::with_capacity(cfg.max_iter);
     let mut label_trace = Vec::new();
     let mut prev_obj = f64::INFINITY;
@@ -159,8 +158,8 @@ pub(crate) fn run_drcc(r: &Mat, cfg: &DrccConfig) -> Result<DrccResult> {
         // S = (GᵀG)⁻¹ Gᵀ R F (FᵀF)⁻¹.
         let gram_g = gram(&g);
         let gram_f = gram(&f);
-        let ginv = ridge_inverse(&gram_g, ridge)?;
-        let finv = ridge_inverse(&gram_f, ridge)?;
+        let ginv = ridge_inverse(&gram_g, GRAM_RIDGE)?;
+        let finv = ridge_inverse(&gram_f, GRAM_RIDGE)?;
         let rf = matmul(r, &f)?; // n x cf
         let gtrf = matmul_tn(&g, &rf)?; // cg x cf
         let s = matmul(&matmul(&ginv, &gtrf)?, &finv)?;

@@ -12,6 +12,11 @@
 //! | RMC     | [`GraphRegularizer::Ensemble`] (6 pNN candidates) | off | off |
 //! | RHCHME  | [`GraphRegularizer::Fixed`] (heterogeneous, Eq. 12) | on | on |
 //!
+//! The numerical guards are constants, not settings: the ridge
+//! [`GRAM_RIDGE`] `= 1e-10` on every `GᵀG` inversion, the ζ `= 1e-8`
+//! perturbation of Eq. 27's `D_ii` (Sec. III-D3) and the half-maximum
+//! threshold that selects the exported `E_R` rows.
+//!
 //! # The sparse formulation
 //!
 //! The decomposition target `R` is a symmetric block matrix of
@@ -141,7 +146,7 @@
 //! The final `E_R` is reported two ways: `error_row_norms` (every row's
 //! `‖(E_R)_i‖`, the corruption indicator) and `error_rows` — a
 //! [`mtrl_sparse::RowSparse`] materialising only the *shrunk-active*
-//! rows (norm ≥ [`EngineConfig::error_export_rel`] of the largest),
+//! rows (norm ≥ `ERROR_EXPORT_REL` = ½ of the largest),
 //! matching the ℓ2,1 model: most rows shrink to near-zero, corrupted
 //! samples stay large.
 //!
@@ -172,7 +177,7 @@
 //!   (`n`, `c`, `nnz`), convergence outcome, the four phase totals, and
 //!   a per-iteration trace of `objective`, `rel_change`, and
 //!   `er_active_rows` (rows clearing the
-//!   [`EngineConfig::error_export_rel`] threshold — Fig. 3's
+//!   `ERROR_EXPORT_REL` threshold — Fig. 3's
 //!   convergence evidence, machine-readable).
 //!
 //! Instrumentation only reads iterates and the monotonic clock; it is
@@ -279,6 +284,22 @@ pub enum GraphRegularizer {
     },
 }
 
+/// Ridge added to `GᵀG` before every inversion (empty-cluster
+/// protection): the engine's Eq. 18 `S` solve, DRCC's and the consensus
+/// ensemble's closed-form `S`.
+pub const GRAM_RIDGE: f64 = 1e-10;
+
+/// The ζ perturbation regularising `D_ii` when `‖q_i‖ = 0`
+/// (Sec. III-D3).
+const ZETA: f64 = 1e-8;
+
+/// Activity threshold for materialising final `E_R` rows into
+/// [`EngineResult::error_rows`], relative to the largest row norm: rows
+/// with `‖(E_R)_i‖ ≥ ERROR_EXPORT_REL · max_j ‖(E_R)_j‖` are stored.
+/// Keeps the export at `O(active · n)` — under the ℓ2,1 model only
+/// outlier (corrupted) rows clear half the maximum.
+const ERROR_EXPORT_REL: f64 = 0.5;
+
 /// Engine configuration (one struct drives all four NMTF methods).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -297,17 +318,6 @@ pub struct EngineConfig {
     pub tol: f64,
     /// Record per-iteration argmax labels of this type (Fig. 3 traces).
     pub record_labels_for_type: Option<usize>,
-    /// Ridge added to `GᵀG` before inversion (empty-cluster protection).
-    pub ridge: f64,
-    /// The ζ perturbation regularising `D_ii` when `‖q_i‖ = 0`
-    /// (Sec. III-D3).
-    pub zeta: f64,
-    /// Activity threshold for materialising final `E_R` rows into
-    /// [`EngineResult::error_rows`], relative to the largest row norm:
-    /// rows with `‖(E_R)_i‖ ≥ error_export_rel · max_j ‖(E_R)_j‖` are
-    /// stored. Keeps the export at `O(active · n)` — under the ℓ2,1
-    /// model only outlier (corrupted) rows clear half the maximum.
-    pub error_export_rel: f64,
     /// Operand precision; [`Precision`] has the one value `F64`, which
     /// every kernel of the loop runs in.
     pub precision: Precision,
@@ -323,9 +333,6 @@ impl Default for EngineConfig {
             max_iter: 100,
             tol: 1e-6,
             record_labels_for_type: None,
-            ridge: 1e-10,
-            zeta: 1e-8,
-            error_export_rel: 0.5,
             precision: Precision::F64,
         }
     }
@@ -352,8 +359,8 @@ pub struct EngineResult {
     /// samples show up as the large entries.
     pub error_row_norms: Vec<f64>,
     /// The shrunk-active rows of the final `E_R` (rows whose norm clears
-    /// [`EngineConfig::error_export_rel`] of the maximum), stored
-    /// row-sparsely; an all-zero `n x n` when `E_R` is disabled.
+    /// half the maximum), stored row-sparsely; an all-zero `n x n` when
+    /// `E_R` is disabled.
     pub error_rows: RowSparse,
 }
 
@@ -375,12 +382,6 @@ fn validate_common(
         return Err(RhchmeError::InvalidConfig(
             "lambda and beta must be nonnegative".into(),
         ));
-    }
-    if !(0.0..=1.0).contains(&cfg.error_export_rel) {
-        return Err(RhchmeError::InvalidConfig(format!(
-            "error_export_rel {} outside [0, 1]",
-            cfg.error_export_rel
-        )));
     }
     if g0.min() < 0.0 {
         return Err(RhchmeError::InvalidData("G0 has negative entries".into()));
@@ -1336,7 +1337,7 @@ impl<'p> Fit<'p> {
         for (rows, cols) in &self.blocks {
             matmul_tn_block(&self.g, m1, rows.clone(), cols.clone(), 0..c, gtm);
         }
-        let ginv = ridge_inverse(&self.gram, self.cfg.ridge)?;
+        let ginv = ridge_inverse(&self.gram, GRAM_RIDGE)?;
         self.s = matmul(&matmul(&ginv, gtm)?, &ginv)?;
         if self.s.has_non_finite() {
             return Err(RhchmeError::Diverged { iteration: t });
@@ -1451,7 +1452,7 @@ impl<'p> Fit<'p> {
             let factors = self.f_er.iter_mut().zip(&mut self.one_minus_f);
             for ((f, one_minus_f), &q) in factors.zip(&q_norms) {
                 // (βD + I)⁻¹ row factor: f = 1 / (1 + β / (2‖q_i‖ + ζ)).
-                *f = 1.0 / (1.0 + cfg.beta / (2.0 * q + cfg.zeta));
+                *f = 1.0 / (1.0 + cfg.beta / (2.0 * q + ZETA));
                 *one_minus_f = 1.0 - *f;
                 // ‖Q − E_R‖² = Σ (1−f)²‖q‖², ‖E_R‖₂,₁ = Σ f‖q‖.
                 let residual = *one_minus_f * q;
@@ -1491,7 +1492,7 @@ impl<'p> Fit<'p> {
                 0
             } else {
                 let max = self.error_row_norms.iter().cloned().fold(0.0, f64::max);
-                let threshold = cfg.error_export_rel * max;
+                let threshold = ERROR_EXPORT_REL * max;
                 if max > 0.0 {
                     self.error_row_norms
                         .iter()
@@ -1569,7 +1570,6 @@ impl<'p> Fit<'p> {
                 &self.f_er,
                 &self.final_q_norms,
                 &self.error_row_norms,
-                self.cfg.error_export_rel,
             )?
         } else {
             RowSparse::new(n, n)
@@ -1748,7 +1748,6 @@ fn materialize_error_rows(
     f_er: &[f64],
     q_norms: &[f64],
     row_norms: &[f64],
-    rel: f64,
 ) -> Result<RowSparse> {
     let n = r.rows();
     let mut out = RowSparse::new(n, n);
@@ -1756,7 +1755,7 @@ fn materialize_error_rows(
     if max <= 0.0 {
         return Ok(out);
     }
-    let threshold = rel * max;
+    let threshold = ERROR_EXPORT_REL * max;
     let gs = matmul(g, s)?;
     for i in 0..n {
         if row_norms[i] < threshold || q_norms[i] == 0.0 {
@@ -1833,7 +1832,7 @@ pub fn run_engine_dense_reference(
         // ---- Step 3: S update (Eq. 18) ------------------------------
         let m1 = matmul(&r_eff, &g)?; // (R − E_R)·G, n x c
         let gram_g = gram(&g); // c x c
-        let ginv = ridge_inverse(&gram_g, cfg.ridge)?;
+        let ginv = ridge_inverse(&gram_g, GRAM_RIDGE)?;
         let gtm = matmul_tn(&g, &m1)?; // Gᵀ(R − E_R)G, c x c
         s = matmul(&matmul(&ginv, &gtm)?, &ginv)?;
 
@@ -1863,7 +1862,7 @@ pub fn run_engine_dense_reference(
         if cfg.use_error_matrix {
             for (i, f) in er_factors.iter_mut().enumerate() {
                 // (βD + I)⁻¹ row factor: f = 1 / (1 + β / (2‖q_i‖ + ζ)).
-                *f = 1.0 / (1.0 + cfg.beta / (2.0 * q_norms[i] + cfg.zeta));
+                *f = 1.0 / (1.0 + cfg.beta / (2.0 * q_norms[i] + ZETA));
             }
             // R − E_R for the next iteration, and objective pieces:
             // ‖Q − E_R‖² = Σ (1−f)²‖q‖², ‖E_R‖₂,₁ = Σ f‖q‖.
@@ -1919,7 +1918,7 @@ pub fn run_engine_dense_reference(
         let max = error_row_norms.iter().cloned().fold(0.0, f64::max);
         let mut rows = RowSparse::new(n, n);
         if max > 0.0 {
-            let threshold = cfg.error_export_rel * max;
+            let threshold = ERROR_EXPORT_REL * max;
             for i in 0..n {
                 if error_row_norms[i] < threshold || final_q_norms[i] == 0.0 {
                     continue;
@@ -2851,11 +2850,6 @@ mod tests {
             ..EngineConfig::default()
         };
         assert!(run_engine(&r, &data, &GraphRegularizer::None, g0.clone(), &bad_cfg).is_err());
-        let bad_export = EngineConfig {
-            error_export_rel: 1.5,
-            ..EngineConfig::default()
-        };
-        assert!(run_engine(&r, &data, &GraphRegularizer::None, g0.clone(), &bad_export).is_err());
         let wrong_r = Csr::zeros(3, 3);
         assert!(run_engine(&wrong_r, &data, &GraphRegularizer::None, g0.clone(), &cfg).is_err());
         // The dense reference enforces the same contracts.

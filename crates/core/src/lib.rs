@@ -55,7 +55,7 @@ pub use error::RhchmeError;
 pub use export::{FittedModel, SCHEMA_VERSION};
 pub use mtrl_graph::GraphBackend;
 pub use multitype::MultiTypeData;
-pub use pipeline::{run_spec, EnsembleSpec, MergeStrategy, Method, MethodOutput, MethodSpec};
+pub use pipeline::{run_spec, EnsembleSpec, Method, MethodOutput, MethodSpec};
 pub use rhchme::{Rhchme, RhchmeConfig, RhchmeResult, WarmStart};
 
 /// Result alias for this crate.

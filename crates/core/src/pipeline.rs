@@ -47,6 +47,11 @@
 //!
 //! DRCC (ref \[1\]) has its own two-type solver (`baselines::drcc`) and
 //! runs as DR-T (terms), DR-C (concepts) and DR-TC (concatenated).
+//!
+//! The baselines' own weights are constants at their Sec. IV-B values,
+//! not [`PipelineParams`] fields: RMC's simplex penalty μ = 1
+//! ([`RMC_MU`]) and DRCC's graph weights λ = μ = 0.1. The parameters a
+//! sweep varies are the paper's tuned λ, γ, α, β and p (Sec. IV-E).
 
 use crate::baselines::{run_drcc, variant_matrix, DrccConfig, DrccVariant};
 use crate::engine::{run_engine, EngineConfig, EngineResult, GraphRegularizer};
@@ -209,7 +214,7 @@ impl Method {
                 };
                 Ok(GraphRegularizer::Ensemble {
                     candidates,
-                    mu: params.rmc_mu,
+                    mu: RMC_MU,
                 })
             }
             _ => Err(RhchmeError::InvalidConfig(format!(
@@ -220,25 +225,14 @@ impl Method {
     }
 }
 
-/// How the consensus-ensemble layer merges base partitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MergeStrategy {
-    /// Probability-trajectory random walk over the sparse co-association
-    /// graph (the robust default); falls back to [`Self::HyperedgeMedoid`]
-    /// when the walk degenerates (fewer than two consensus clusters).
-    ProbabilityTrajectory,
-    /// k-hyperedge-medoid consensus: greedily select one base cluster per
-    /// consensus cluster by coverage, then assign objects by co-association
-    /// affinity to the selected hyperedges.
-    HyperedgeMedoid,
-}
-
 /// Configuration of the consensus-ensemble method layer (`mtrl-ensemble`).
 ///
 /// This is plain specification data: `crates/core` defines it so one
 /// [`MethodSpec`] type spans the whole workspace, while the execution
-/// lives in the `mtrl-ensemble` crate (`mtrl_ensemble::run_spec`). All
-/// `with_*` methods are fluent builders over [`EnsembleSpec::default`].
+/// lives in the `mtrl-ensemble` crate (`mtrl_ensemble::run_spec`).
+/// The merge is fixed: the anchor-selected probability-trajectory walk,
+/// with the k-hyperedge-medoid labels scored as one more anchor and
+/// used alone only when every walk degenerates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnsembleSpec {
     /// Number of base partitions to generate.
@@ -261,8 +255,6 @@ pub struct EnsembleSpec {
     /// Per-step decay θ of the trajectory vote memory
     /// `E_t = θ·E_{t-1} + W·onehot(labels_{t-1})`.
     pub walk_decay: f64,
-    /// Merge strategy for turning co-associations into consensus labels.
-    pub merge: MergeStrategy,
     /// Posterior smoothing of the exported consensus membership blocks.
     pub smoothing: f64,
 }
@@ -276,7 +268,6 @@ impl Default for EnsembleSpec {
             coassoc_p: 12,
             walk_steps: 3,
             walk_decay: 0.8,
-            merge: MergeStrategy::ProbabilityTrajectory,
             smoothing: 0.2,
         }
     }
@@ -320,11 +311,24 @@ impl MethodSpec {
     }
 }
 
+/// RMC's quadratic penalty μ on its ensemble weights `β` (Eq. 2; the
+/// Sec. IV-B setting).
+pub const RMC_MU: f64 = 1.0;
+
+/// DRCC's document-side graph weight λ (Sec. IV-B).
+const DRCC_LAMBDA: f64 = 0.1;
+
+/// DRCC's feature-side graph weight μ (Sec. IV-B).
+const DRCC_MU: f64 = 0.1;
+
 /// Shared parameter bundle for all methods (tuned defaults from
-/// Sec. IV-B/E; per-method interpretations documented inline).
+/// Sec. IV-B/E; per-method interpretations documented inline). The
+/// baselines' own weights stay at their Sec. IV-B values: RMC's μ = 1,
+/// DRCC's λ = μ = 0.1.
 #[derive(Debug, Clone)]
 pub struct PipelineParams {
-    /// Laplacian weight λ for SNMTF/RMC/RHCHME (DRCC uses `drcc_lambda`).
+    /// Laplacian weight λ for SNMTF/RMC/RHCHME (DRCC's graph weights are
+    /// fixed at 0.1).
     pub lambda: f64,
     /// Subspace-learning γ (RHCHME only).
     pub gamma: f64,
@@ -340,12 +344,6 @@ pub struct PipelineParams {
     /// graphs ([`Method::baseline_regularizer`]), so their ensemble
     /// members equal their solo fits under any backend.
     pub graph_backend: GraphBackend,
-    /// RMC's quadratic penalty μ on ensemble weights.
-    pub rmc_mu: f64,
-    /// DRCC document-side graph weight.
-    pub drcc_lambda: f64,
-    /// DRCC feature-side graph weight.
-    pub drcc_mu: f64,
     /// Multiplicative-update iteration budget (all NMTF methods).
     pub max_iter: usize,
     /// Relative objective tolerance.
@@ -372,9 +370,6 @@ impl Default for PipelineParams {
             beta: 50.0,
             p: 5,
             graph_backend: GraphBackend::Exact,
-            rmc_mu: 1.0,
-            drcc_lambda: 0.1,
-            drcc_mu: 0.1,
             max_iter: 100,
             tol: 1e-6,
             spg_max_iter: 60,
@@ -389,8 +384,8 @@ impl Default for PipelineParams {
 impl PipelineParams {
     /// The estimator-side view of this bundle — the one mapping from
     /// [`PipelineParams`] to [`RhchmeConfig`]. The weight scheme and
-    /// Laplacian kind keep their defaults; the DRCC, RMC and export
-    /// fields have no estimator counterpart.
+    /// Laplacian kind keep their defaults; the export flag has no
+    /// estimator counterpart.
     pub fn rhchme_config(&self) -> RhchmeConfig {
         RhchmeConfig {
             lambda: self.lambda,
@@ -481,8 +476,8 @@ pub fn run_spec(
             let res = run_drcc(
                 &r,
                 &DrccConfig {
-                    lambda: params.drcc_lambda,
-                    mu: params.drcc_mu,
+                    lambda: DRCC_LAMBDA,
+                    mu: DRCC_MU,
                     doc_clusters: corpus.num_classes,
                     feature_clusters: (r.cols() / div).clamp(2, 30),
                     p: params.p,

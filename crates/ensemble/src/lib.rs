@@ -10,7 +10,11 @@
 //! 2. [`CoAssocBuilder`] — a sparse per-type co-association structure
 //!    keyed on each object's p-nearest co-cluster neighbours (never n×n);
 //! 3. [`consensus_over_references`] — probability-trajectory random-walk
-//!    consensus with a k-hyperedge-medoid fallback.
+//!    consensus seeded from every same-k member, with the
+//!    k-hyperedge-medoid labels scored as one more anchor and used alone
+//!    only when every walk degenerates. The merge has no strategy
+//!    switch; the association `S` is re-estimated with the engine's
+//!    [`rhchme::engine::GRAM_RIDGE`].
 //!
 //! The merged per-type memberships export through the existing
 //! [`rhchme::FittedModel`] path (association `S` re-estimated in closed
@@ -161,14 +165,12 @@ pub fn merge_members(
             .map(|m| m.labels_per_type[t].as_slice())
             .filter(|labels| labels.iter().all(|&c| c < k_t))
             .collect();
-        let force_fallback = spec.merge == rhchme::pipeline::MergeStrategy::HyperedgeMedoid;
         let out = consensus_over_references(
             &coassoc,
             &candidates,
             k_t,
             spec.walk_steps,
             spec.walk_decay,
-            force_fallback,
             &hyperedges,
         );
         fallback_types += usize::from(out.used_fallback);
@@ -196,10 +198,11 @@ pub fn merge_members(
 }
 
 /// The engine's closed-form association update evaluated once at the
-/// consensus membership: `S = (GᵀG + εI)⁻¹ GᵀRG (GᵀG + εI)⁻¹`.
+/// consensus membership: `S = (GᵀG + εI)⁻¹ GᵀRG (GᵀG + εI)⁻¹`, with the
+/// engine's ε ([`rhchme::engine::GRAM_RIDGE`]).
 fn closed_form_s(r: &mtrl_sparse::Csr, g: &Mat) -> Result<Mat> {
     let gtg = ops::matmul_tn(g, g)?;
-    let inv = solve::ridge_inverse(&gtg, 1e-10)?;
+    let inv = solve::ridge_inverse(&gtg, rhchme::engine::GRAM_RIDGE)?;
     let rg = r.spmm_dense(g);
     let gtrg = ops::matmul_tn(g, &rg)?;
     Ok(ops::matmul(&ops::matmul(&inv, &gtrg)?, &inv)?)

@@ -12,8 +12,8 @@
 //! propagate consensus along trajectories, the probability-trajectory
 //! reading of Huang et al.'s PTA (PAPERS.md).
 //!
-//! When the walk degenerates (fewer than two consensus clusters) — or
-//! when explicitly selected — the k-hyperedge-medoid fallback takes every
+//! When the walk degenerates (fewer than two consensus clusters), the
+//! k-hyperedge-medoid fallback takes every
 //! base cluster as a hyperedge, greedily selects `k` of them by uncovered
 //! coverage, and assigns each object to its highest-affinity selected
 //! edge (containment plus mean co-association into the edge).
@@ -51,7 +51,6 @@ pub fn consensus_over_references(
     k: usize,
     walk_steps: usize,
     walk_decay: f64,
-    force_fallback: bool,
     hyperedges: &[Vec<usize>],
 ) -> MergeOutcome {
     let n = coassoc.rows();
@@ -61,12 +60,6 @@ pub fn consensus_over_references(
         hyperedges,
         candidates.first().map_or(&[], |c| c),
     );
-    if force_fallback {
-        return MergeOutcome {
-            labels: medoid,
-            used_fallback: true,
-        };
-    }
     let mut best: Option<(f64, Vec<usize>)> = None;
     for reference in candidates
         .iter()
@@ -248,7 +241,6 @@ mod tests {
         k: usize,
         walk_steps: usize,
         walk_decay: f64,
-        force_fallback: bool,
         hyperedges: &[Vec<usize>],
     ) -> MergeOutcome {
         let n = coassoc.rows();
@@ -257,14 +249,12 @@ mod tests {
             reference.iter().all(|&c| c < k),
             "reference label out of range"
         );
-        if !force_fallback {
-            let labels = trajectory_labels(coassoc, reference, k, walk_steps, walk_decay);
-            if distinct_clusters(&labels, k) >= 2.min(k) {
-                return MergeOutcome {
-                    labels,
-                    used_fallback: false,
-                };
-            }
+        let labels = trajectory_labels(coassoc, reference, k, walk_steps, walk_decay);
+        if distinct_clusters(&labels, k) >= 2.min(k) {
+            return MergeOutcome {
+                labels,
+                used_fallback: false,
+            };
         }
         MergeOutcome {
             labels: hyperedge_medoid_labels(coassoc, k, hyperedges, reference),
@@ -284,7 +274,7 @@ mod tests {
     fn unanimous_partitions_are_reproduced() {
         let labels = vec![0, 0, 0, 1, 1, 1];
         let c = coassoc_of(&[labels.clone(), labels.clone()], 6, 4);
-        let out = consensus_labels(&c, &labels, 2, 3, 0.8, false, &[]);
+        let out = consensus_labels(&c, &labels, 2, 3, 0.8, &[]);
         assert!(!out.used_fallback);
         assert_eq!(out.labels, labels);
     }
@@ -300,7 +290,7 @@ mod tests {
             6,
             4,
         );
-        let out = consensus_labels(&c, &reference, 2, 3, 0.8, false, &[]);
+        let out = consensus_labels(&c, &reference, 2, 3, 0.8, &[]);
         assert!(!out.used_fallback);
         assert_eq!(out.labels, majority);
     }
@@ -312,7 +302,7 @@ mod tests {
         let reference = vec![0, 0, 0, 0];
         let c = Csr::zeros(4, 4);
         let edges = vec![vec![0, 1], vec![2, 3]];
-        let out = consensus_labels(&c, &reference, 2, 3, 0.8, false, &edges);
+        let out = consensus_labels(&c, &reference, 2, 3, 0.8, &edges);
         assert!(out.used_fallback);
         assert_eq!(out.labels[0], out.labels[1]);
         assert_eq!(out.labels[2], out.labels[3]);
@@ -320,14 +310,13 @@ mod tests {
     }
 
     #[test]
-    fn forced_fallback_selects_by_coverage() {
+    fn hyperedge_medoids_select_by_coverage() {
         let labels = vec![0, 0, 0, 1, 1, 1];
         let c = coassoc_of(std::slice::from_ref(&labels), 6, 4);
         let edges = vec![vec![0, 1, 2], vec![3, 4, 5], vec![0, 1]];
-        let out = consensus_labels(&c, &labels, 2, 3, 0.8, true, &edges);
-        assert!(out.used_fallback);
-        assert_eq!(out.labels[..3], [out.labels[0]; 3]);
-        assert_eq!(out.labels[3..], [out.labels[3]; 3]);
-        assert_ne!(out.labels[0], out.labels[3]);
+        let out = hyperedge_medoid_labels(&c, 2, &edges, &labels);
+        assert_eq!(out[..3], [out[0]; 3]);
+        assert_eq!(out[3..], [out[3]; 3]);
+        assert_ne!(out[0], out[3]);
     }
 }

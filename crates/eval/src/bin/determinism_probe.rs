@@ -36,7 +36,9 @@
 //! fold-in labels, then the last refit's labels, `G`, `S` and objective
 //! trace, and fails unless some push ran a threshold rebuild (counted
 //! by the session's telemetry), so the dump covers incremental inserts,
-//! full rebuilds and warm refits.
+//! full rebuilds and warm refits. Stream sessions keep exact graphs
+//! only, so `--stream` together with `--ann` fails: the session refuses
+//! the rp-forest backend with a typed error.
 
 use mtrl_datagen::stream::{generate_stream, StreamConfig};
 use mtrl_datagen::{seed_from_env, CorpusConfig, CorruptionSpec};

@@ -9,12 +9,11 @@
 //! corpus.
 //!
 //! Membership is decided by the *routing predicate* (`proj < threshold`)
-//! at build time, never by sorted-half assignment, so inserting a row
-//! later routes to exactly the leaf batch construction would have
-//! chosen — the invariant `DynamicGraph`'s incremental maintenance
-//! relies on.
+//! at build time, never by sorted-half assignment, so a query descends
+//! to exactly the leaf its own row was built into. The index is built
+//! once per search and never updated.
 
-use super::{GraphBackend, RpForestParams};
+use super::RpForestParams;
 use mtrl_linalg::vecops::dot;
 use mtrl_linalg::Mat;
 use rand::rngs::StdRng;
@@ -164,33 +163,6 @@ impl Tree {
             }
         }
     }
-
-    /// Route to the single leaf the row belongs to (the `probes = 1`
-    /// descent of an insert).
-    fn route_mut(&mut self, row: &[f64]) -> &mut Vec<usize> {
-        let mut node = Self::ROOT;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { .. } => break,
-                Node::Internal {
-                    dir,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    node = if dot(dir, row) < *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
-        match &mut self.nodes[node] {
-            Node::Leaf { members } => members,
-            Node::Internal { .. } => unreachable!("routing ends at a leaf"),
-        }
-    }
 }
 
 /// A forest of random-projection trees over centred rows.
@@ -199,12 +171,10 @@ impl Tree {
 /// (centred) feature matrix and compute distances themselves through
 /// the exact kernel primitives, so the index can only *miss*
 /// neighbours, never change a distance. Every `row` argument must be
-/// centred by the same fixed translation as the rows the index was
-/// built from ([`crate::CentredRows`]; incremental callers such as
-/// `mtrl-stream`'s `DynamicGraph` keep its means fixed between
-/// rebuilds).
+/// centred by the same translation as the rows the index was built
+/// from ([`crate::CentredRows`]).
 #[derive(Debug, Clone)]
-pub struct RpForestIndex {
+pub(crate) struct RpForestIndex {
     params: RpForestParams,
     trees: Vec<Tree>,
 }
@@ -231,39 +201,12 @@ impl RpForestIndex {
         }
     }
 
-    /// The index `backend` describes over `rows` (timed as
-    /// `graph.index_build`), or `None` for [`GraphBackend::Exact`] —
-    /// the exact kernel needs no index.
-    ///
-    /// # Panics
-    /// Panics if `ids.len() != rows.rows()`.
-    pub fn for_backend(rows: &Mat, ids: &[usize], backend: &GraphBackend) -> Option<RpForestIndex> {
-        match backend {
-            GraphBackend::Exact => None,
-            GraphBackend::RpForest(params) => {
-                let _span = mtrl_obs::span!("graph.index_build");
-                Some(RpForestIndex::build(rows, ids, params))
-            }
-        }
-    }
-
     /// Append candidate ids for a query row: the members of the
     /// `probes` best leaves of every tree. May contain duplicates and
     /// the query's own id; callers dedup and filter.
-    pub fn candidates_into(&self, row: &[f64], out: &mut Vec<usize>) {
+    pub(crate) fn candidates_into(&self, row: &[f64], out: &mut Vec<usize>) {
         for tree in &self.trees {
             tree.probe(row, self.params.probes, out);
-        }
-    }
-
-    /// Register a new row under `id`, routed to the leaf a batch build
-    /// would have put it in.
-    pub fn insert(&mut self, id: usize, row: &[f64]) {
-        for tree in &mut self.trees {
-            let members = tree.route_mut(row);
-            // Keep leaves sorted so candidate order stays deterministic.
-            let pos = members.partition_point(|&m| m < id);
-            members.insert(pos, id);
         }
     }
 }
@@ -315,23 +258,6 @@ mod tests {
             forest.candidates_into(data.row(i), &mut out);
             assert!(out.contains(&i), "row {i} missing from its own leaves");
         }
-    }
-
-    #[test]
-    fn inserted_row_joins_its_leaves() {
-        let data = rand_uniform(64, 5, -1.0, 1.0, 7);
-        let params = RpForestParams {
-            trees: 2,
-            leaf_size: 8,
-            probes: usize::MAX,
-            seed: 3,
-        };
-        let mut forest = RpForestIndex::build(&data, &identity_ids(64), &params);
-        let row: Vec<f64> = data.row(10).to_vec();
-        forest.insert(64, &row);
-        let mut out = Vec::new();
-        forest.candidates_into(&row, &mut out);
-        assert!(out.contains(&64));
     }
 
     #[test]

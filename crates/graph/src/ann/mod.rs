@@ -2,12 +2,13 @@
 //! behind [`GraphBackend::RpForest`] and its recall oracle.
 //!
 //! The exact all-pairs Gram kernel ([`crate::knn`]) is O(n²) and the
-//! hard cap on corpus size. [`RpForestIndex`] (O(n log n) per tree,
-//! multi-probe descent; knobs `trees`, `leaf_size`, `probes`) supplies
-//! candidates instead, so [`crate::knn_indices`], [`crate::pnn_graph`],
-//! `mtrl-stream`'s `DynamicGraph` and the eval runner gain approximate
-//! mode through the [`GraphBackend`] config enum rather than new call
-//! sites.
+//! hard cap on corpus size. A random-projection forest (O(n log n) per
+//! tree, multi-probe descent; knobs `trees`, `leaf_size`, `probes`)
+//! supplies candidates instead, so [`crate::knn_indices`],
+//! [`crate::pnn_graph`] and the eval runner gain approximate mode
+//! through the [`GraphBackend`] config enum rather than new call sites.
+//! The forest is built per search; `mtrl-stream`'s incrementally
+//! maintained graphs stay exact.
 //!
 //! # The bit-exactness contract
 //!
@@ -16,7 +17,7 @@
 //!
 //! * rows are centred with [`crate::CentredRows`] — the same
 //!   transformation the exact search applies;
-//! * candidate distances come from [`crate::gram_sq_dist`], whose
+//! * candidate distances come from `knn::gram_sq_dist`, whose
 //!   ascending-k FMA chain is bit-identical to the blocked tile kernel;
 //! * the `p` nearest are selected under [`crate::dist_less`]'s strict
 //!   total order.
@@ -37,7 +38,7 @@
 mod forest;
 mod recall;
 
-pub use forest::RpForestIndex;
+use forest::RpForestIndex;
 pub use recall::{sampled_recall, RecallProbe, RecallResult};
 
 use crate::knn::{gram_sq_dist, gram_sq_dist_x4, select_p_nearest, CentredRows};
@@ -77,10 +78,9 @@ impl Default for RpForestParams {
 }
 
 /// Which neighbour-search kernel builds the pNN graph — the one config
-/// enum `rhchme`'s `RhchmeConfig`, the pipeline params, the eval runner
-/// and `mtrl-stream`'s `DynamicGraphConfig` all carry, so switching a
-/// fit from the exact O(n²) kernel to the approximate index is a
-/// configuration change, never a new call site.
+/// enum `rhchme`'s `RhchmeConfig`, the pipeline params and the eval
+/// runner carry, so switching a fit from the exact O(n²) kernel to the
+/// approximate index is a configuration change, never a new call site.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum GraphBackend {
     /// The exact blocked Gram kernel ([`crate::knn`]). O(n²) but the

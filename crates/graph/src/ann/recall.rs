@@ -63,13 +63,16 @@ pub fn sampled_recall(
 ) -> RecallResult {
     let n = data.rows();
     let samples = sample_indices(n, probe.samples, probe.seed);
-    if backend.is_exact() || samples.is_empty() || p == 0 {
-        return RecallResult {
-            recall_at_p: 1.0,
-            samples: samples.len(),
-            p,
-        };
-    }
+    let params = match backend {
+        GraphBackend::RpForest(params) if !samples.is_empty() && p > 0 => params,
+        _ => {
+            return RecallResult {
+                recall_at_p: 1.0,
+                samples: samples.len(),
+                p,
+            }
+        }
+    };
     let centred = CentredRows::new(data);
     let (centered, sq_norms) = (&centred.rows, &centred.sq_norms);
 
@@ -102,7 +105,7 @@ pub fn sampled_recall(
     );
 
     let ids: Vec<usize> = (0..n).collect();
-    let index = RpForestIndex::for_backend(centered, &ids, backend).expect("non-exact backend");
+    let index = RpForestIndex::build(centered, &ids, params);
     let mut cands = Vec::new();
     let mut scratch = QueryScratch::default();
     let mut total = 0.0;

@@ -433,11 +433,10 @@ fn gram_tile_neg2(src: &Mat, xt: &Mat, t0: usize, t1: usize, tile_buf: &mut [f64
 /// pair. `g_a` / `g_b` must be `dot(a, a)` / `dot(b, b)` of the rows as
 /// passed (callers that centre their data pass centred rows and norms).
 ///
-/// Candidate-based searches ([`crate::ann`], and `mtrl-stream`'s
-/// `DynamicGraph` on the rp-forest backend) rank with it, so their lists
-/// agree with the exact search's wherever the candidates cover it.
+/// The candidate-based search ([`crate::ann`]) ranks with it, so its
+/// lists agree with the exact search's wherever the candidates cover it.
 #[inline]
-pub fn gram_sq_dist(a: &[f64], b: &[f64], g_a: f64, g_b: f64) -> f64 {
+pub(crate) fn gram_sq_dist(a: &[f64], b: &[f64], g_a: f64, g_b: f64) -> f64 {
     let mut acc = 0.0;
     for (&av, &bv) in a.iter().zip(b) {
         acc = (-2.0 * av).mul_add(bv, acc);

@@ -30,9 +30,9 @@ pub mod knn;
 mod laplacian;
 mod serde_impl;
 
-pub use ann::{GraphBackend, RpForestIndex, RpForestParams};
+pub use ann::{GraphBackend, RpForestParams};
 pub use knn::{
-    cross_sq_dist_map, dist_less, gram_sq_dist, graph_from_neighbours, insert_capped, knn_indices,
-    pnn_graph, CentredRows, PrefixSearch, WeightScheme,
+    cross_sq_dist_map, dist_less, graph_from_neighbours, insert_capped, knn_indices, pnn_graph,
+    CentredRows, PrefixSearch, WeightScheme,
 };
 pub use laplacian::{laplacian_csr, LaplacianKind};

@@ -14,7 +14,7 @@ pub struct IterTelemetry {
     /// (`|prev − cur| / max(|prev|, 1)`, 0 on the first iteration).
     pub rel_change: f64,
     /// Rows whose E_R residual norm clears the active-row threshold
-    /// (`error_export_rel` × max row norm) — the paper's outlier set.
+    /// (half the largest row norm) — the paper's outlier set.
     pub er_active_rows: usize,
 }
 

@@ -708,19 +708,27 @@ mod tests {
 
     #[test]
     fn bounded_queue_sheds_with_overloaded() {
-        // Occupy the single worker with a large batch, then flood the
-        // capacity-1 queue: at most the one queued slot (plus the race
-        // window while the worker pops) can be admitted — everything
-        // else must resolve to Overloaded immediately, no hang, and
-        // depth stays bounded.
+        // Stall the single worker on a first request, then flood the
+        // capacity-1 queue: only the one queued slot can be admitted —
+        // everything else must resolve to Overloaded immediately, no
+        // hang, and depth stays bounded. Holding the registry's write
+        // lock stalls the worker where it resolves the model, so the
+        // flood never races a worker that has finished early.
         let engine = ServeEngine::with_queue_capacity(1, 1);
         engine.register("m", tiny_fitted_model(65)).unwrap();
         assert_eq!(engine.inner.queue_capacity, 1);
-        let big = engine.submit(AssignRequest::new("m").docs(some_docs(20_000)));
+        let registry = engine.inner.models.write().unwrap();
+        let big = engine.submit(AssignRequest::new("m").docs(some_docs(64)));
+        // Wait for the worker to pop the first request; it then blocks
+        // on the registry until the flood is in.
+        while engine.inner.queue_depth.load(Ordering::Acquire) != 0 {
+            std::thread::yield_now();
+        }
         let flood: Vec<SparseVec> = some_docs(4);
         let pending: Vec<PendingAssign> = (0..64)
             .map(|_| engine.submit(AssignRequest::new("m").docs(flood.clone())))
             .collect();
+        drop(registry);
         let mut served = 0u64;
         let mut shed = 0u64;
         for p in pending {
@@ -774,10 +782,12 @@ mod tests {
         let pb = Assigner::new(b.clone()).unwrap().assign(0, &probe).unwrap();
         assert_ne!(pa, pb, "probe must distinguish the two models");
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let answered = Arc::new(AtomicU64::new(0));
         let hammers: Vec<_> = (0..4)
             .map(|_| {
                 let engine = Arc::clone(&engine);
                 let stop = Arc::clone(&stop);
+                let answered = Arc::clone(&answered);
                 let probe = probe.clone();
                 let (pa, pb) = (pa.clone(), pb.clone());
                 std::thread::spawn(move || {
@@ -789,17 +799,26 @@ mod tests {
                         let p = &r.posteriors[0];
                         assert!(p == &pa || p == &pb, "torn read: {p:?}");
                         served += 1;
+                        answered.fetch_add(1, Ordering::Relaxed);
                     }
                     served
                 })
             })
             .collect();
-        for i in 0..200 {
+        // At least 200 swaps, and more until the hammers have been
+        // answered between swaps (the swaps alone can finish before a
+        // descheduled hammer thread gets its first response) or have all
+        // stopped on a failed assertion.
+        let mut i = 0;
+        while i < 200
+            || (answered.load(Ordering::Relaxed) < 64 && !hammers.iter().all(|h| h.is_finished()))
+        {
             let next = if i % 2 == 0 { b.clone() } else { a.clone() };
             engine.register("m", next).unwrap();
             if i % 50 == 0 {
                 std::thread::yield_now();
             }
+            i += 1;
         }
         stop.store(true, Ordering::Relaxed);
         let total: u64 = hammers.into_iter().map(|h| h.join().unwrap()).sum();

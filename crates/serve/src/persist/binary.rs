@@ -207,12 +207,14 @@ fn read_mat_list(c: &mut Cursor<'_>, what: &str) -> Result<Vec<Mat>, ServeError>
     (0..count).map(|_| read_mat(c, what)).collect()
 }
 
-/// Parse and verify a bundle: magic, versions, file digest,
-/// section completeness, and structural model validation.
+/// Parse and verify a bundle: magic, versions, file digest, section
+/// completeness, no bytes past the declared sections, and structural
+/// model validation.
 ///
 /// # Errors
 /// * [`ServeError::Corrupt`] — wrong magic, truncation, digest
-///   mismatch, malformed sections, or shape violations;
+///   mismatch, malformed sections, bytes after the declared sections,
+///   or shape violations;
 /// * [`ServeError::SchemaVersion`] — a well-formed bundle written by an
 ///   incompatible model schema version.
 pub fn from_bytes(bytes: &[u8]) -> Result<FittedModel, ServeError> {
@@ -337,6 +339,12 @@ pub fn from_bytes(bytes: &[u8]) -> Result<FittedModel, ServeError> {
         centroids: centroids.ok_or_else(|| corrupt("missing centroids section"))?,
         centroid_norms: centroid_norms.ok_or_else(|| corrupt("missing centroid norms section"))?,
     };
+    if c.pos != body.len() {
+        return Err(corrupt(format!(
+            "{} bytes after the {section_count} declared sections",
+            body.len() - c.pos
+        )));
+    }
     model.validate().map_err(|e| corrupt(e.to_string()))?;
     Ok(model)
 }
@@ -360,6 +368,14 @@ mod tests {
             }
         }
         assert_eq!(a.content_digest(), b.content_digest());
+    }
+
+    /// Recompute the trailing file digest over everything before it, so
+    /// a deliberate edit passes the file check and a later one fires.
+    fn reseal(bytes: &mut [u8]) {
+        let digest_at = bytes.len() - 8;
+        let digest = word_fnv(&bytes[..digest_at]);
+        bytes[digest_at..].copy_from_slice(&digest.to_le_bytes());
     }
 
     #[test]
@@ -408,9 +424,7 @@ mod tests {
         plain.method = None;
         let mut bytes = to_bytes(&plain).unwrap();
         bytes[24..28].copy_from_slice(&5u32.to_le_bytes());
-        let digest_at = bytes.len() - 8;
-        let reseal = word_fnv(&bytes[..digest_at]);
-        bytes[digest_at..].copy_from_slice(&reseal.to_le_bytes());
+        reseal(&mut bytes);
         match from_bytes(&bytes) {
             Err(ServeError::Corrupt(msg)) => assert!(msg.contains("centroid norms"), "{msg}"),
             other => panic!("expected a missing-section error, got {other:?}"),
@@ -424,9 +438,7 @@ mod tests {
         bytes[12..16].copy_from_slice(&99u32.to_le_bytes());
         // Re-seal so the digest check passes and the version check is
         // what fires.
-        let digest_at = bytes.len() - 8;
-        let reseal = word_fnv(&bytes[..digest_at]);
-        bytes[digest_at..].copy_from_slice(&reseal.to_le_bytes());
+        reseal(&mut bytes);
         match from_bytes(&bytes) {
             Err(ServeError::SchemaVersion { found, supported }) => {
                 assert_eq!(found, 99);
@@ -447,9 +459,7 @@ mod tests {
             .position(|w| w == field)
             .expect("the config records its precision");
         bytes[at + field.len() - 3..at + field.len() - 1].copy_from_slice(b"32");
-        let digest_at = bytes.len() - 8;
-        let reseal = word_fnv(&bytes[..digest_at]);
-        bytes[digest_at..].copy_from_slice(&reseal.to_le_bytes());
+        reseal(&mut bytes);
         match from_bytes(&bytes) {
             Err(ServeError::Corrupt(msg)) => assert!(!msg.contains("digest"), "{msg}"),
             other => panic!("expected a config error, got {other:?}"),
@@ -479,5 +489,28 @@ mod tests {
         let back = from_bytes(&tagged_bytes).unwrap();
         assert_eq!(back.method.as_deref(), Some("ensemble"));
         assert_eq!(back.content_digest(), tagged.content_digest());
+    }
+
+    #[test]
+    fn resealed_bundles_with_bytes_past_their_sections_are_corrupt() {
+        let tagged = tiny_fitted_model(81).with_method("ensemble");
+        // Declaring six of the seven sections leaves the method section
+        // unread after the last declared one.
+        let mut fewer = to_bytes(&tagged).unwrap();
+        fewer[24..28].copy_from_slice(&6u32.to_le_bytes());
+        // Two extra zero words between the last section and the trailer.
+        let mut longer = to_bytes(&tagged).unwrap();
+        let trailer_at = longer.len() - 8;
+        longer.splice(trailer_at..trailer_at, [0u8; 16]);
+        for (case, mut bytes, expect) in [
+            ("six sections", fewer, "after the 6 declared sections"),
+            ("extra words", longer, "16 bytes after"),
+        ] {
+            reseal(&mut bytes);
+            match from_bytes(&bytes) {
+                Err(ServeError::Corrupt(msg)) => assert!(msg.contains(expect), "{case}: {msg}"),
+                other => panic!("{case}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 }

@@ -43,7 +43,10 @@
 //! [`ServeError::Corrupt`]), the file digest (any byte flip or
 //! truncation), the container and schema versions (another schema is
 //! [`ServeError::SchemaVersion`], never migrated silently), that every
-//! required section is present, and the model's own validation.
+//! required section is present and nothing follows the declared ones
+//! (also [`ServeError::Corrupt`]), and the model's own validation. The
+//! header's model content digest is metadata: the file digest already
+//! covers every byte it would.
 
 use crate::error::ServeError;
 use rhchme::export::FittedModel;

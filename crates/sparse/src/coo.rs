@@ -34,11 +34,6 @@ impl Coo {
         }
     }
 
-    /// Matrix shape `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
     /// Push one entry. Zero values are skipped.
     ///
     /// # Panics

@@ -5,10 +5,8 @@
 //! (near-)zero norm and leaves a small set of *active* rows — the
 //! corrupted samples — with large dense rows `f_i·q_i`. Storing only the
 //! active rows keeps the representation at `O(active · n)` instead of
-//! `n²`, and row-level operations (norms, products, densification) never
-//! visit the implicit zero rows.
-
-use mtrl_linalg::Mat;
+//! `n²`, and iterating the active rows never visits the implicit zero
+//! rows.
 
 /// Matrix stored as a sorted list of `(row index, dense row)` pairs;
 /// every unlisted row is implicitly zero.
@@ -58,57 +56,15 @@ impl RowSparse {
         self.entries.is_empty()
     }
 
-    /// The stored row `i`, or `None` when row `i` is implicitly zero —
-    /// `O(log active)` by binary search.
-    pub fn row(&self, i: usize) -> Option<&[f64]> {
-        self.entries
-            .binary_search_by_key(&i, |&(r, _)| r)
-            .ok()
-            .map(|pos| self.entries[pos].1.as_slice())
-    }
-
     /// Iterate over `(row index, row)` pairs in increasing row order.
     pub fn active_iter(&self) -> impl Iterator<Item = (usize, &[f64])> {
         self.entries.iter().map(|(i, v)| (*i, v.as_slice()))
-    }
-
-    /// Product with a dense matrix, `O(active · cols · b.cols())`: only
-    /// active rows produce nonzero output rows.
-    ///
-    /// # Panics
-    /// Panics if `b.rows() != cols`.
-    pub fn mul_dense(&self, b: &Mat) -> Mat {
-        assert_eq!(b.rows(), self.cols, "mul_dense: dimension mismatch");
-        let mut out = Mat::zeros(self.rows, b.cols());
-        for (i, row) in self.active_iter() {
-            let orow = out.row_mut(i);
-            for (k, &v) in row.iter().enumerate() {
-                if v == 0.0 {
-                    continue;
-                }
-                for (o, &bv) in orow.iter_mut().zip(b.row(k)) {
-                    *o += v * bv;
-                }
-            }
-        }
-        out
-    }
-
-    /// Materialise as dense (tests and small matrices only).
-    pub fn to_dense(&self) -> Mat {
-        let mut m = Mat::zeros(self.rows, self.cols);
-        for (i, row) in self.active_iter() {
-            m.row_mut(i).copy_from_slice(row);
-        }
-        m
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtrl_linalg::ops::matmul;
-    use mtrl_linalg::random::rand_uniform;
 
     fn sample() -> RowSparse {
         let mut e = RowSparse::new(6, 4);
@@ -123,22 +79,9 @@ mod tests {
         assert_eq!(e.shape(), (6, 4));
         assert_eq!(e.active_iter().count(), 2);
         assert!(!e.is_empty());
-        assert_eq!(e.row(1).unwrap()[1], -2.0);
-        assert!(e.row(0).is_none());
-        assert!(e.row(5).is_none());
-    }
-
-    #[test]
-    fn dense_roundtrip_and_product() {
-        let e = sample();
-        let d = e.to_dense();
-        assert_eq!(d.shape(), (6, 4));
-        assert_eq!(d[(4, 1)], 3.0);
-        assert_eq!(d[(3, 2)], 0.0);
-        let b = rand_uniform(4, 3, -1.0, 1.0, 7);
-        let fast = e.mul_dense(&b);
-        let slow = matmul(&d, &b).unwrap();
-        assert!(fast.approx_eq(&slow, 1e-12));
+        let rows: Vec<usize> = e.active_iter().map(|(i, _)| i).collect();
+        assert_eq!(rows, [1, 4]);
+        assert_eq!(e.active_iter().next().unwrap().1[1], -2.0);
     }
 
     #[test]

@@ -38,18 +38,13 @@
 //! `tests/integration_stream.rs` fuzzes this over random batch splits
 //! and thread counts).
 //!
-//! With the rp-forest backend ([`DynamicGraphConfig::backend`]), the
-//! same maintenance runs against an incrementally maintained
-//! [`RpForestIndex`] (`mtrl_graph::ann`): inserts route rows through the
-//! index (whose routing is a pure function of the row, so they land
-//! exactly where a batch build would place them) and neighbour
-//! candidates come from it instead of full scans. Distances, selection
-//! order and graph assembly are unchanged, so at exhaustive index
-//! settings the maintained graph is bit-identical to exact mode.
+//! The graph is exact only: a session configured with another
+//! neighbour-search backend is refused (`StreamSession::new`), so every
+//! maintained list is the true p-nearest list under the exact kernel.
 
 use mtrl_graph::{
-    cross_sq_dist_map, dist_less, gram_sq_dist, graph_from_neighbours, insert_capped,
-    laplacian_csr, CentredRows, GraphBackend, LaplacianKind, RpForestIndex, WeightScheme,
+    cross_sq_dist_map, dist_less, graph_from_neighbours, insert_capped, laplacian_csr, CentredRows,
+    LaplacianKind, WeightScheme,
 };
 use mtrl_linalg::par::threads_for;
 use mtrl_linalg::Mat;
@@ -69,19 +64,6 @@ pub struct DynamicGraphConfig {
     /// full rebuild. `1.0` disables automatic rebuilds (the fraction
     /// never exceeds 1).
     pub rebuild_threshold: f64,
-    /// Neighbour-search backend. [`GraphBackend::Exact`] (the default)
-    /// keeps the blocked all-pairs kernel and the exact maintenance
-    /// contract. [`GraphBackend::RpForest`] maintains an
-    /// [`RpForestIndex`] (`mtrl_graph::ann`) incrementally — inserts
-    /// route through it, and neighbour candidates come from it instead
-    /// of full scans — so per-insert cost drops from `O(n · d)` per row
-    /// to the index's candidate volume. Distances and selection still go
-    /// through the exact kernel primitives: at exhaustive index settings
-    /// the maintained graph is bit-identical to exact mode, and at any
-    /// setting it is deterministic for a given insert sequence.
-    /// Threshold rebuilds re-batch-build the index, healing leaf
-    /// growth from long insert streams.
-    pub backend: GraphBackend,
 }
 
 impl Default for DynamicGraphConfig {
@@ -90,7 +72,6 @@ impl Default for DynamicGraphConfig {
             p: 5,
             scheme: WeightScheme::Cosine,
             rebuild_threshold: 0.5,
-            backend: GraphBackend::Exact,
         }
     }
 }
@@ -110,7 +91,7 @@ pub struct InsertReport {
 /// rows. See the module docs for the maintenance contract.
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
-    pub(crate) cfg: DynamicGraphConfig,
+    cfg: DynamicGraphConfig,
     /// Raw feature rows (edge weights are computed on them).
     features: Mat,
     /// The rows under the fixed centring, with their squared norms.
@@ -120,9 +101,6 @@ pub struct DynamicGraph {
     /// Rows patched since the last full build.
     patched: Vec<bool>,
     patched_rows: usize,
-    /// The maintained ANN index over the centred rows (`None` in exact
-    /// mode). Refreshed by [`DynamicGraph::rebuild`].
-    index: Option<RpForestIndex>,
 }
 
 impl DynamicGraph {
@@ -145,14 +123,8 @@ impl DynamicGraph {
             neigh: Vec::new(),
             patched: Vec::new(),
             patched_rows: 0,
-            index: None,
         };
-        // The initial lists always come from the exact batch search
-        // (fastest way to seed them); ANN mode then batch-builds its
-        // index over the seeded corpus so *subsequent* inserts route
-        // through it.
         g.reset_lists(g.centred.p_nearest(g.cfg.p));
-        g.refresh_index();
         g
     }
 
@@ -216,10 +188,6 @@ impl DynamicGraph {
         self.neigh.extend(std::iter::repeat_with(Vec::new).take(b));
         self.patched.extend(std::iter::repeat_n(false, b));
 
-        if self.index.is_some() {
-            self.insert_lists_ann(base, b);
-            return;
-        }
         let p = self.cfg.p;
         let n_total = self.features.rows();
         let threads = threads_for(b * n_total * self.dim());
@@ -281,68 +249,6 @@ impl DynamicGraph {
         }
     }
 
-    /// ANN-mode insertion: sequential maintenance through the index. Row
-    /// `r` enters the index, then selects its own neighbours from the
-    /// index's candidates — candidate sets therefore contain ids `≤ r`
-    /// only, so every pair is considered exactly once (when its later
-    /// row arrives), mirroring the exact path's contract on the index's
-    /// candidate subsets. Reverse patches repair earlier rows whose own
-    /// selection ran before `r` existed. Serial by construction, so the
-    /// result is a pure function of the insert sequence.
-    fn insert_lists_ann(&mut self, base: usize, b: usize) {
-        let p = self.cfg.p;
-        let mut cands = Vec::new();
-        for r in base..base + b {
-            let row: Vec<f64> = self.centred.rows.row(r).to_vec();
-            let index = self.index.as_mut().expect("ANN insert path");
-            index.insert(r, &row);
-            cands.clear();
-            index.candidates_into(&row, &mut cands);
-            cands.sort_unstable();
-            cands.dedup();
-            let gr = self.centred.sq_norms[r];
-            let mut own: Vec<(f64, usize)> = Vec::with_capacity(p + 1);
-            for &j in &cands {
-                if j == r {
-                    continue;
-                }
-                let d = gram_sq_dist(&row, self.centred.rows.row(j), gr, self.centred.sq_norms[j]);
-                insert_capped(&mut own, (d, j), p);
-                if insert_capped(&mut self.neigh[j], (d, r), p) {
-                    self.mark_patched(j);
-                }
-            }
-            self.neigh[r] = own;
-        }
-    }
-
-    /// Fresh p-nearest list of row `i` from the index's candidate set —
-    /// distances and selection as in the exact search.
-    fn row_list(&self, index: &RpForestIndex, i: usize) -> Vec<(f64, usize)> {
-        let xi = self.centred.rows.row(i);
-        let gi = self.centred.sq_norms[i];
-        let mut cands = Vec::new();
-        index.candidates_into(xi, &mut cands);
-        cands.sort_unstable();
-        cands.dedup();
-        let mut list: Vec<(f64, usize)> = Vec::with_capacity(self.cfg.p + 1);
-        for &j in &cands {
-            if j == i {
-                continue;
-            }
-            let d = gram_sq_dist(xi, self.centred.rows.row(j), gi, self.centred.sq_norms[j]);
-            insert_capped(&mut list, (d, j), self.cfg.p);
-        }
-        list
-    }
-
-    /// (Re)build the ANN index over the centred rows; no-op in exact
-    /// mode.
-    fn refresh_index(&mut self) {
-        let ids: Vec<usize> = (0..self.features.rows()).collect();
-        self.index = RpForestIndex::for_backend(&self.centred.rows, &ids, &self.cfg.backend);
-    }
-
     /// Install freshly built lists and clear the patch bookkeeping.
     fn reset_lists(&mut self, lists: Vec<Vec<(f64, usize)>>) {
         self.patched = vec![false; lists.len()];
@@ -351,19 +257,10 @@ impl DynamicGraph {
     }
 
     /// Full rebuild: re-centre on the column means of every row and
-    /// recompute every neighbour list — the batch search in exact mode,
-    /// a fresh index's candidates in ANN mode (`O(n · candidates · d)`,
-    /// not the quadratic pass).
+    /// recompute every neighbour list with the batch search.
     pub fn rebuild(&mut self) {
         self.centred = CentredRows::new(&self.features);
-        self.refresh_index();
-        let lists = match &self.index {
-            Some(index) => (0..self.features.rows())
-                .map(|i| self.row_list(index, i))
-                .collect(),
-            None => self.centred.p_nearest(self.cfg.p),
-        };
-        self.reset_lists(lists);
+        self.reset_lists(self.centred.p_nearest(self.cfg.p));
     }
 
     /// Export the symmetric weighted pNN graph (Eq. 3). Weighting and
@@ -388,7 +285,7 @@ impl DynamicGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtrl_graph::{knn_indices, pnn_graph, RpForestParams};
+    use mtrl_graph::{knn_indices, pnn_graph, GraphBackend};
     use mtrl_linalg::random::rand_uniform;
 
     fn graph_cfg(p: usize) -> DynamicGraphConfig {
@@ -396,7 +293,6 @@ mod tests {
             p,
             scheme: WeightScheme::Cosine,
             rebuild_threshold: 1.0, // manual control in tests
-            backend: GraphBackend::Exact,
         }
     }
 
@@ -467,7 +363,6 @@ mod tests {
                 p: 3,
                 scheme: WeightScheme::Cosine,
                 rebuild_threshold: 0.0, // any patch trips it
-                backend: GraphBackend::Exact,
             },
         );
         // A duplicate of row 0 patches its nearest neighbours → rebuild.
@@ -506,74 +401,6 @@ mod tests {
             g.graph(),
             pnn_graph(&shifted, 4, WeightScheme::Cosine, &GraphBackend::Exact)
         );
-    }
-
-    #[test]
-    fn ann_exhaustive_forest_matches_exact_mode_bitwise() {
-        // At exhaustive index settings the candidate sets cover every
-        // row, so the whole insert/rebuild lifecycle must reproduce
-        // exact mode bit for bit.
-        let data = rand_uniform(70, 5, -1.0, 1.0, 107);
-        let run = |backend: GraphBackend| {
-            let mut g = DynamicGraph::new(
-                &data.submatrix(0, 0, 30, 5),
-                DynamicGraphConfig {
-                    p: 4,
-                    scheme: WeightScheme::Cosine,
-                    rebuild_threshold: 1.0,
-                    backend,
-                },
-            );
-            g.insert_batch(&data.submatrix(30, 0, 25, 5));
-            g.insert_batch(&data.submatrix(55, 0, 15, 5));
-            let before_rebuild = g.graph();
-            g.rebuild();
-            (before_rebuild, g.graph())
-        };
-        let forest = run(GraphBackend::RpForest(RpForestParams {
-            trees: 2,
-            leaf_size: 6,
-            probes: usize::MAX,
-            seed: 9,
-        }));
-        assert_eq!(forest, run(GraphBackend::Exact));
-    }
-
-    #[test]
-    fn ann_default_mode_maintains_valid_lists() {
-        // Non-exhaustive settings: lists must stay structurally valid
-        // (sorted, ≤ p, self-free) through inserts and a rebuild, and
-        // the run must be deterministic.
-        let data = rand_uniform(120, 6, -1.0, 1.0, 108);
-        let run = || {
-            let mut g = DynamicGraph::new(
-                &data.submatrix(0, 0, 60, 6),
-                DynamicGraphConfig {
-                    p: 5,
-                    scheme: WeightScheme::Cosine,
-                    rebuild_threshold: 1.0,
-                    backend: GraphBackend::RpForest(RpForestParams {
-                        trees: 4,
-                        leaf_size: 8,
-                        probes: 2,
-                        seed: 3,
-                    }),
-                },
-            );
-            g.insert_batch(&data.submatrix(60, 0, 40, 6));
-            g.rebuild();
-            g.insert_batch(&data.submatrix(100, 0, 20, 6));
-            g
-        };
-        let g = run();
-        assert_eq!(g.features.rows(), 120);
-        for i in 0..120 {
-            let nb = g.neighbours(i);
-            assert!(nb.len() <= 5);
-            assert!(nb.windows(2).all(|w| w[0] < w[1]));
-            assert!(!nb.contains(&i));
-        }
-        assert_eq!(g.graph(), run().graph(), "deterministic lifecycle");
     }
 
     #[test]

@@ -22,13 +22,15 @@
 //!   into a live [`mtrl_serve::ServeEngine`].
 //!
 //! A warm refit redoes only what the new documents change. The
-//! document graph is maintained on every push. On the exact backend the
-//! term and concept searches resume: their feature views only gain
+//! document graph is maintained on every push, and the term and concept
+//! searches resume: their feature views only gain
 //! document columns, so each keeps a [`mtrl_graph::PrefixSearch`] of
 //! its sums over the columns seen so far, seeded when the session is
 //! created, and a refit folds in the documents appended since the last
 //! one before it finishes the search with the fixed vocabulary columns.
-//! Every graph equals the batch `pnn_graph` bit for bit. The weights,
+//! Every graph is exact and equals the batch `pnn_graph` bit for bit;
+//! [`StreamSession::new`] returns [`StreamError::Invalid`] for an
+//! estimator configured with the rp-forest backend. The weights,
 //! the warm `G₀`, the engine run and the export (centroids from the
 //! relations' stored entries) are recomputed. With obs on, a refit's
 //! stages are the spans `stream.refit.graphs`, `rhchme.fit_warm` and
@@ -63,10 +65,8 @@
 //! let mut session = StreamSession::new(initial, rhchme, RefreshPolicy {
 //!     every_batches: Some(2),
 //!     min_confidence: None,
-//!     drift_cooldown: 0,
 //!     warm_iters: 5,
-//!     refresh_subspace: false,
-//!     reseed_confidence: None,
+//!     ..RefreshPolicy::default()
 //! }).unwrap();
 //! let first = session.push_batch(&batches[0]).unwrap();
 //! assert_eq!(first.labels.len(), 4);

@@ -28,16 +28,17 @@
 //! graph is maintained incrementally, on every push. Terms and concepts
 //! are fixed objects whose feature views *grow* by one column per
 //! document (`[document columns | fixed vocabulary columns]`), and no
-//! column ever changes once appended. On the exact backend their searches
-//! resume at each refit: the session keeps each vocabulary type's
+//! column ever changes once appended. Their searches resume at each
+//! refit: the session keeps each vocabulary type's
 //! [`mtrl_graph::PrefixSearch`] (its cross terms and squared-norm partial
 //! sums over the document columns seen so far), seeded when the session
 //! is created. A refit folds in only the documents appended since the
 //! last one, finishes a copy with the vocabulary columns and selects the
 //! neighbours; the weights come from `graph_from_neighbours` on the
 //! dense rows, as in the batch build, so the graphs equal
-//! `pnn_graph(&data.features(t), …)` bit for bit. Other backends rebuild
-//! the vocabulary graphs per refit. A refit's stages are timed as
+//! `pnn_graph(&data.features(t), …)` bit for bit. Every streamed graph is
+//! exact: [`StreamSession::new`] refuses an estimator configured with
+//! another neighbour-search backend. A refit's stages are timed as
 //! `stream.refit.graphs` (data assembly, both ensemble members and the
 //! warm `G₀`), `rhchme.fit_warm` and `stream.refit.export` (model export
 //! and hot swap).
@@ -47,7 +48,7 @@ use crate::error::StreamError;
 use crate::warm::{grown_survivors, warm_membership_opts, WarmOptions};
 use mtrl_datagen::stream::{append_batch, StreamBatch};
 use mtrl_datagen::MultiTypeCorpus;
-use mtrl_graph::{graph_from_neighbours, laplacian_csr, pnn_graph, GraphBackend, PrefixSearch};
+use mtrl_graph::{graph_from_neighbours, laplacian_csr, PrefixSearch};
 use mtrl_linalg::Mat;
 use mtrl_serve::{Assigner, ServeEngine, SparseVec};
 use mtrl_sparse::SparseBlockDiag;
@@ -232,7 +233,7 @@ pub struct StreamSession {
     last_result: RhchmeResult,
     engine: Option<(Arc<ServeEngine>, String)>,
     /// Per vocabulary type (types `1..`), its resumable exact search over
-    /// the document columns seen so far; empty off the exact backend.
+    /// the document columns seen so far.
     vocab_searches: Vec<PrefixSearch>,
     batches_since_refit: usize,
     total_batches: usize,
@@ -244,12 +245,22 @@ impl StreamSession {
     /// around the fitted model.
     ///
     /// # Errors
-    /// Propagates fit and export errors.
+    /// [`StreamError::Invalid`] when `rhchme` is configured with a
+    /// neighbour-search backend other than the exact one (a session
+    /// maintains exact graphs only); otherwise propagates fit and export
+    /// errors.
     pub fn new(
         initial: MultiTypeCorpus,
         rhchme: Rhchme,
         policy: RefreshPolicy,
     ) -> Result<Self, StreamError> {
+        let backend = rhchme.config().graph_backend;
+        if !backend.is_exact() {
+            return Err(StreamError::Invalid(format!(
+                "a stream session maintains exact graphs only, not the {} backend",
+                backend.key()
+            )));
+        }
         // Assemble the multi-type data once and share it between the
         // fit, the export and the graph construction.
         let data = MultiTypeData::from_corpus(&initial, rhchme.config().feature_cluster_divisor)?;
@@ -260,20 +271,16 @@ impl StreamSession {
             DynamicGraphConfig {
                 p: rhchme.config().p,
                 scheme: rhchme.config().weight_scheme,
-                backend: rhchme.config().graph_backend,
                 ..DynamicGraphConfig::default()
             },
         );
-        let vocab_searches = match rhchme.config().graph_backend {
-            GraphBackend::Exact => (1..data.num_types())
-                .map(|t| {
-                    let mut search = PrefixSearch::new(data.sizes()[t]);
-                    search.fold(&data.features(t), data.sizes()[0]);
-                    search
-                })
-                .collect(),
-            GraphBackend::RpForest(_) => Vec::new(),
-        };
+        let vocab_searches = (1..data.num_types())
+            .map(|t| {
+                let mut search = PrefixSearch::new(data.sizes()[t]);
+                search.fold(&data.features(t), data.sizes()[0]);
+                search
+            })
+            .collect();
         let assigner = Arc::new(Assigner::new(model)?);
         Ok(StreamSession {
             rhchme,
@@ -456,35 +463,28 @@ impl StreamSession {
     }
 
     /// The refit's pNN member `L_E`: the document block comes from the
-    /// incrementally maintained graph. On the exact backend each
-    /// vocabulary block folds the documents appended since the last
-    /// refit into its [`PrefixSearch`] and finishes the search from
-    /// there; other backends rebuild it. Both follow the configured
-    /// backend, like the cold fit's `L_E`.
+    /// incrementally maintained graph; each vocabulary block folds the
+    /// documents appended since the last refit into its [`PrefixSearch`]
+    /// and finishes the search from there.
     fn pnn_member(&mut self, data: &MultiTypeData) -> Result<SparseBlockDiag, StreamError> {
         let cfg = self.rhchme.config();
         let docs = data.sizes()[0];
         let mut blocks = vec![self.doc_graph.laplacian(cfg.laplacian_kind)];
-        for t in 1..data.num_types() {
+        for (t, search) in (1..data.num_types()).zip(&mut self.vocab_searches) {
             let features = data.features(t);
-            let w = match self.vocab_searches.get_mut(t - 1) {
-                Some(search) => {
-                    search.fold(&features, docs);
-                    let neighbours: Vec<Vec<usize>> = search
-                        .p_nearest(&features, cfg.p)
-                        .into_iter()
-                        .map(|list| {
-                            let mut ids: Vec<usize> = list.into_iter().map(|(_, j)| j).collect();
-                            ids.sort_unstable();
-                            ids
-                        })
-                        .collect();
-                    // The weights do not depend on the worker count, and
-                    // a vocabulary type's few rows need one.
-                    graph_from_neighbours(&features, &neighbours, cfg.weight_scheme, 1)
-                }
-                None => pnn_graph(&features, cfg.p, cfg.weight_scheme, &cfg.graph_backend),
-            };
+            search.fold(&features, docs);
+            let neighbours: Vec<Vec<usize>> = search
+                .p_nearest(&features, cfg.p)
+                .into_iter()
+                .map(|list| {
+                    let mut ids: Vec<usize> = list.into_iter().map(|(_, j)| j).collect();
+                    ids.sort_unstable();
+                    ids
+                })
+                .collect();
+            // The weights do not depend on the worker count, and a
+            // vocabulary type's few rows need one.
+            let w = graph_from_neighbours(&features, &neighbours, cfg.weight_scheme, 1);
             blocks.push(laplacian_csr(&w, cfg.laplacian_kind));
         }
         SparseBlockDiag::new(blocks)
@@ -608,7 +608,7 @@ mod tests {
     use super::*;
     use mtrl_datagen::stream::{generate_stream, StreamConfig};
     use mtrl_datagen::CorpusConfig;
-    use mtrl_graph::{CentredRows, WeightScheme};
+    use mtrl_graph::{pnn_graph, CentredRows, GraphBackend, WeightScheme};
     use rhchme::RhchmeConfig;
 
     fn stream_cfg() -> StreamConfig {
@@ -974,7 +974,7 @@ mod tests {
                 &data.features(t),
                 cfg.p,
                 cfg.weight_scheme,
-                &cfg.graph_backend,
+                &GraphBackend::Exact,
             );
             blocks.push(laplacian_csr(&w, cfg.laplacian_kind));
         }
@@ -1017,117 +1017,54 @@ mod tests {
     }
 
     #[test]
-    fn refits_equal_the_rebuilt_path_on_every_backend_and_member() {
-        use mtrl_graph::RpForestParams;
-        let backends = [
-            GraphBackend::Exact,
-            GraphBackend::RpForest(RpForestParams {
-                trees: 1,
-                leaf_size: 8,
-                probes: 1,
-                seed: 5,
-            }),
-        ];
+    fn refits_equal_the_rebuilt_path_on_every_member() {
         let (initial, batches) = generate_stream(&stream_cfg());
-        for backend in backends {
-            for refresh_subspace in [false, true] {
-                let mut session = StreamSession::new(
-                    initial.clone(),
-                    Rhchme::new(RhchmeConfig {
-                        lambda: 1.0,
-                        graph_backend: backend,
-                        ..RhchmeConfig::fast()
-                    }),
-                    RefreshPolicy {
-                        every_batches: None,
-                        min_confidence: None,
-                        warm_iters: 4,
-                        refresh_subspace,
-                        ..RefreshPolicy::default()
-                    },
-                )
-                .unwrap();
-                for batch in &batches {
-                    session.push_batch(batch).unwrap();
-                    let expected = rebuilt_refit(&session);
-                    session.refit_now().unwrap();
-                    let got = session.last_result();
-                    let case = format!("{backend:?}, refresh_subspace {refresh_subspace}");
-                    assert_eq!(mat_bits(&got.g), mat_bits(&expected.g), "{case}: G");
-                    assert_eq!(mat_bits(&got.s), mat_bits(&expected.s), "{case}: S");
-                    let trace = |r: &RhchmeResult| -> Vec<u64> {
-                        r.objective_trace.iter().map(|v| v.to_bits()).collect()
-                    };
-                    assert_eq!(trace(got), trace(&expected), "{case}: objective");
-                }
+        for refresh_subspace in [false, true] {
+            let mut session = StreamSession::new(
+                initial.clone(),
+                fast_rhchme(),
+                RefreshPolicy {
+                    every_batches: None,
+                    min_confidence: None,
+                    warm_iters: 4,
+                    refresh_subspace,
+                    ..RefreshPolicy::default()
+                },
+            )
+            .unwrap();
+            for batch in &batches {
+                session.push_batch(batch).unwrap();
+                let expected = rebuilt_refit(&session);
+                session.refit_now().unwrap();
+                let got = session.last_result();
+                let case = format!("refresh_subspace {refresh_subspace}");
+                assert_eq!(mat_bits(&got.g), mat_bits(&expected.g), "{case}: G");
+                assert_eq!(mat_bits(&got.s), mat_bits(&expected.s), "{case}: S");
+                let trace = |r: &RhchmeResult| -> Vec<u64> {
+                    r.objective_trace.iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(trace(got), trace(&expected), "{case}: objective");
             }
         }
     }
 
     #[test]
-    fn session_graphs_follow_the_configured_backend() {
-        use mtrl_graph::{GraphBackend, RpForestParams};
-        use rhchme::intra::pnn_laplacians_backend_prec;
-
-        // A deliberately coarse forest (one tree, small leaves, one
-        // probe) whose lists differ from the exact ones, so a block built
-        // on the wrong backend cannot pass for a right one.
-        let backend = GraphBackend::RpForest(RpForestParams {
-            trees: 1,
-            leaf_size: 8,
-            probes: 1,
-            seed: 5,
-        });
-        let (initial, batches) = generate_stream(&stream_cfg());
-        let mut session = StreamSession::new(
+    fn an_approximate_backend_is_a_typed_error() {
+        use mtrl_graph::RpForestParams;
+        let (initial, _) = generate_stream(&stream_cfg());
+        let out = StreamSession::new(
             initial,
             Rhchme::new(RhchmeConfig {
                 lambda: 1.0,
-                graph_backend: backend,
+                graph_backend: GraphBackend::RpForest(RpForestParams::default()),
                 ..RhchmeConfig::fast()
             }),
-            RefreshPolicy {
-                every_batches: None,
-                min_confidence: None,
-                ..RefreshPolicy::default()
-            },
-        )
-        .unwrap();
-        for batch in &batches {
-            session.push_batch(batch).unwrap();
-        }
-        let graph_cfg = &session.doc_graph.cfg;
-        assert_eq!(graph_cfg.backend, backend);
-
-        let cfg = session.rhchme.config().clone();
-        let data =
-            MultiTypeData::from_corpus(session.corpus(), cfg.feature_cluster_divisor).unwrap();
-        let l_e = session.pnn_member(&data).unwrap();
-        let laplacians = |backend: &GraphBackend| {
-            pnn_laplacians_backend_prec(
-                &data.all_features(),
-                cfg.p,
-                cfg.weight_scheme,
-                cfg.laplacian_kind,
-                backend,
-                cfg.precision,
-            )
-            .unwrap()
-        };
-        let expected = laplacians(&backend);
-        let exact = laplacians(&GraphBackend::Exact);
-        assert!(
-            (1..exact.num_blocks()).any(|t| exact.block(t) != expected.block(t)),
-            "the coarse forest must move some term/concept graph"
+            RefreshPolicy::default(),
         );
-        assert_eq!(l_e.num_blocks(), expected.num_blocks());
-        assert_eq!(
-            l_e.block(0),
-            &session.doc_graph().laplacian(cfg.laplacian_kind)
-        );
-        for t in 1..l_e.num_blocks() {
-            assert_eq!(l_e.block(t), expected.block(t), "type {t}");
+        match out {
+            Err(StreamError::Invalid(msg)) => assert!(msg.contains("rp_forest"), "{msg}"),
+            Err(other) => panic!("expected StreamError::Invalid, got {other:?}"),
+            Ok(_) => panic!("a stream session started on the rp-forest backend"),
         }
-        assert!(session.refit_now().is_ok());
     }
 }

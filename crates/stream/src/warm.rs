@@ -59,16 +59,16 @@ pub(crate) struct WarmOptions {
     /// track the drifted data ([`rhchme::kmeans::kmeans_seeded`]).
     /// `None` disables reseeding (the pre-reseed warm path).
     pub reseed_confidence: Option<f64>,
-    /// Lloyd iteration budget of the reseed k-means pass.
-    pub reseed_kmeans_iters: usize,
 }
+
+/// Lloyd iteration budget of the partial-reseed k-means pass.
+const RESEED_KMEANS_ITERS: usize = 20;
 
 impl Default for WarmOptions {
     fn default() -> Self {
         WarmOptions {
             smoothing: 0.1,
             reseed_confidence: None,
-            reseed_kmeans_iters: 20,
         }
     }
 }
@@ -226,7 +226,7 @@ pub(crate) fn warm_membership_opts(
                             }
                         }
                     }
-                    let km = rhchme::kmeans::kmeans_seeded(&feats, init, opts.reseed_kmeans_iters);
+                    let km = rhchme::kmeans::kmeans_seeded(&feats, init, RESEED_KMEANS_ITERS);
                     for &i in &low {
                         let mut row = vec![0.0; ck];
                         row[km.labels[i]] = 1.0;
@@ -414,7 +414,6 @@ mod tests {
             &WarmOptions {
                 smoothing: 0.1,
                 reseed_confidence: Some(0.0),
-                ..WarmOptions::default()
             },
         )
         .unwrap();
@@ -430,7 +429,6 @@ mod tests {
             &WarmOptions {
                 smoothing: 0.1,
                 reseed_confidence: Some(1.1),
-                ..WarmOptions::default()
             },
         )
         .unwrap();

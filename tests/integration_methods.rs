@@ -431,6 +431,26 @@ fn with_rows(
     rhchme_repro::sparse::Csr::from_sparse_rows(&rows, m.cols())
 }
 
+/// `m` with the columns `drop(j)` selects emptied, or cut off when
+/// `keep` is narrower than `m`.
+fn with_columns(
+    m: &rhchme_repro::sparse::Csr,
+    keep: usize,
+    drop: impl Fn(usize) -> bool,
+) -> rhchme_repro::sparse::Csr {
+    let rows: Vec<(Vec<usize>, Vec<f64>)> = (0..m.rows())
+        .map(|r| {
+            let (idx, vals) = m.row(r);
+            idx.iter()
+                .zip(vals)
+                .filter(|&(&j, _)| j < keep && !drop(j))
+                .map(|(&j, &v)| (j, v))
+                .unzip()
+        })
+        .collect();
+    rhchme_repro::sparse::Csr::from_sparse_rows(&rows, keep)
+}
+
 /// The degenerate corpora of the robustness property test, by name.
 fn degenerate_corpora(seed: u64) -> Vec<(&'static str, MultiTypeCorpus)> {
     let seed = seed + mtrl_datagen::seed_from_env(0);
@@ -474,6 +494,17 @@ fn degenerate_corpora(seed: u64) -> Vec<(&'static str, MultiTypeCorpus)> {
     let mut single_class = generate(vec![12, 12]);
     single_class.labels.fill(0);
     single_class.num_classes = 1;
+    // Term 0 and concept 0 occur in no document.
+    let mut zero_column = base.clone();
+    zero_column.doc_term = with_columns(&base.doc_term, base.num_terms(), |j| j == 0);
+    zero_column.doc_concept = with_columns(&base.doc_concept, base.num_concepts(), |j| j == 0);
+    // One concept, below the two clusters every feature type gets.
+    let mut one_concept = base.clone();
+    one_concept.doc_concept = with_columns(&base.doc_concept, 1, |_| false);
+    one_concept.term_concept = with_columns(&base.term_concept, 1, |_| false);
+    // Three document clusters asked of two documents.
+    let mut more_classes_than_docs = generate(vec![1, 1]);
+    more_classes_than_docs.num_classes = 3;
     vec![
         ("empty documents", empty_docs),
         ("all-zero term-concept block", zero_term_concept),
@@ -481,6 +512,9 @@ fn degenerate_corpora(seed: u64) -> Vec<(&'static str, MultiTypeCorpus)> {
         ("two documents", generate(vec![1, 1])),
         ("40/1/1 class split", generate(vec![40, 1, 1])),
         ("single class", single_class),
+        ("all-zero feature column", zero_column),
+        ("one concept, two concept clusters", one_concept),
+        ("three clusters, two documents", more_classes_than_docs),
     ]
 }
 

@@ -17,7 +17,6 @@ fn dyn_cfg(p: usize) -> DynamicGraphConfig {
         p,
         scheme: WeightScheme::Cosine,
         rebuild_threshold: 1.0, // exercise the incremental path, not the fallback
-        ..DynamicGraphConfig::default()
     }
 }
 
