@@ -15,7 +15,8 @@
 
 use mtrl_bench::{print_table, scale_from_env, scale_name, section, write_json};
 use mtrl_datagen::datasets::{load, DatasetId};
-use rhchme::pipeline::{Artifacts, PipelineParams};
+use rhchme::pipeline::Artifacts;
+use rhchme::RhchmeConfig;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -34,20 +35,23 @@ fn main() {
         scale_name(scale)
     ));
     let corpus = load(DatasetId::D3, scale);
-    let params = PipelineParams::default();
+    let params = RhchmeConfig::default();
     let max_iter = 60; // sweep budget; convergence is earlier in practice
 
     eprintln!("building shared artifacts…");
     let arts = Artifacts::new(&corpus, &params).expect("artifacts");
-    let l_sub_default = arts
-        .subspace_laplacian(params.gamma, params.spg_max_iter, params.seed)
-        .expect("subspace");
+    let l_sub_default = arts.subspace_laplacian(&params).expect("subspace");
 
     let mut points: Vec<SweepPoint> = Vec::new();
     let run = |l_sub: &mtrl_sparse::SparseBlockDiag, alpha: f64, lambda: f64, beta: f64| {
-        let res = arts
-            .run_rhchme_engine(l_sub, alpha, lambda, beta, max_iter, 1e-6, false)
-            .expect("engine");
+        let cfg = RhchmeConfig {
+            alpha,
+            lambda,
+            beta,
+            max_iter,
+            ..params.clone()
+        };
+        let res = arts.run_rhchme_engine(l_sub, &cfg).expect("engine");
         (
             mtrl_metrics::fscore(&corpus.labels, &res.doc_labels),
             mtrl_metrics::nmi(&corpus.labels, &res.doc_labels),
@@ -79,7 +83,10 @@ fn main() {
     let mut rows = Vec::new();
     for &gamma in &[0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 100.0] {
         let l_sub = arts
-            .subspace_laplacian(gamma, params.spg_max_iter, params.seed)
+            .subspace_laplacian(&RhchmeConfig {
+                gamma,
+                ..params.clone()
+            })
             .expect("subspace");
         let (f, n) = run(&l_sub, params.alpha, params.lambda, params.beta);
         rows.push(vec![

@@ -8,7 +8,8 @@
 
 use mtrl_bench::{print_table, scale_from_env, scale_name, section, write_json};
 use mtrl_datagen::datasets::{load, DatasetId};
-use rhchme::pipeline::{run_spec, Method, PipelineParams};
+use rhchme::pipeline::{run_spec, Method};
+use rhchme::RhchmeConfig;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -26,11 +27,11 @@ fn main() {
         "Fig. 3: convergence curves (scale = {})",
         scale_name(scale)
     ));
-    let params = PipelineParams {
+    let params = RhchmeConfig {
         max_iter: 100,
         tol: 0.0, // run the full 100 iterations like the figure's x-axis
         record_doc_labels: true,
-        ..PipelineParams::default()
+        ..RhchmeConfig::default()
     };
 
     let checkpoints = [1usize, 2, 5, 10, 20, 30, 50, 75, 100];

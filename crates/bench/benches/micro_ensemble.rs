@@ -10,7 +10,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mtrl_datagen::corpus::{generate, CorpusConfig};
 use mtrl_ensemble::{consensus_over_references, CoAssocBuilder};
-use rhchme::pipeline::{EnsembleSpec, PipelineParams};
+use rhchme::pipeline::EnsembleSpec;
+use rhchme::RhchmeConfig;
 use std::hint::black_box;
 
 /// Deterministic synthetic partitions: a planted k-way split with a
@@ -78,11 +79,11 @@ fn bench_full_fit(c: &mut Criterion) {
         view_confusion: 0.0,
         seed: 12,
     });
-    let params = PipelineParams {
+    let params = RhchmeConfig {
         max_iter: 20,
         spg_max_iter: 20,
         feature_cluster_divisor: 10,
-        ..PipelineParams::default()
+        ..RhchmeConfig::default()
     };
     let mut group = c.benchmark_group("ensemble_fit");
     group.sample_size(10);

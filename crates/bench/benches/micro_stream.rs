@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mtrl_datagen::corpus::{generate, CorpusConfig};
 use mtrl_datagen::stream::{generate_stream, StreamConfig};
-use mtrl_eval::{quick_params, rhchme_config, CorpusShape};
+use mtrl_eval::{quick_params, CorpusShape};
 use mtrl_graph::{laplacian_csr, pnn_graph, GraphBackend, LaplacianKind, WeightScheme};
 use mtrl_linalg::random::rand_uniform;
 use mtrl_stream::{
@@ -174,7 +174,6 @@ fn bench_refit(c: &mut Criterion) {
 fn bench_session_refit(c: &mut Criterion) {
     let threads = mtrl_linalg::par::num_threads();
     mtrl_linalg::par::set_num_threads(1);
-    let params = quick_params(1);
     let (initial, batches) = generate_stream(&StreamConfig {
         base: CorpusConfig {
             docs_per_class: vec![110; 3],
@@ -188,7 +187,7 @@ fn bench_session_refit(c: &mut Criterion) {
     });
     let mut session = StreamSession::new(
         initial,
-        Rhchme::new(rhchme_config(&params)),
+        Rhchme::new(quick_params(1)),
         RefreshPolicy {
             every_batches: Some(4),
             min_confidence: None,

@@ -1,7 +1,7 @@
 //! Tables III & IV — FScore and NMI of all seven methods on D1–D4.
 //!
 //! For every dataset this runs DR-T, DR-C, DR-TC, SRC, SNMTF, RMC and
-//! RHCHME with the tuned defaults (PipelineParams; the λ/γ scale mapping
+//! RHCHME with the tuned defaults (RhchmeConfig; the λ/γ scale mapping
 //! versus the paper's grid is documented in `rhchme::RhchmeConfig`) and
 //! prints measured-vs-paper values side by side. The shape to check:
 //! two-way DR-* trail the HOCC family, SRC is the weakest HOCC method,
@@ -11,7 +11,8 @@ use mtrl_bench::{
     mean, paper, print_table, scale_from_env, scale_name, section, write_json, MethodRecord,
 };
 use mtrl_datagen::datasets::{load, DatasetId};
-use rhchme::pipeline::{run_spec, Method, PipelineParams};
+use rhchme::pipeline::{run_spec, Method};
+use rhchme::RhchmeConfig;
 
 fn main() {
     let scale = scale_from_env();
@@ -19,7 +20,7 @@ fn main() {
         "Tables III & IV: clustering quality (scale = {})",
         scale_name(scale)
     ));
-    let params = PipelineParams::default();
+    let params = RhchmeConfig::default();
 
     // measured[m][d] = (fscore, nmi)
     let mut measured = vec![vec![(0.0f64, 0.0f64); 4]; 7];

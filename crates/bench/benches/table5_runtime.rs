@@ -10,7 +10,8 @@ use mtrl_bench::{
     paper, print_table, scale_from_env, scale_name, section, write_json, MethodRecord,
 };
 use mtrl_datagen::datasets::{load, DatasetId};
-use rhchme::pipeline::{run_spec, Method, PipelineParams};
+use rhchme::pipeline::{run_spec, Method};
+use rhchme::RhchmeConfig;
 
 fn main() {
     let scale = scale_from_env();
@@ -18,7 +19,7 @@ fn main() {
         "Table V: running time (scale = {})",
         scale_name(scale)
     ));
-    let params = PipelineParams::default();
+    let params = RhchmeConfig::default();
 
     let mut seconds = vec![vec![0.0f64; 4]; 7];
     let mut records = Vec::new();

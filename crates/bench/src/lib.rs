@@ -20,7 +20,8 @@
 //!
 //! The experiment scale is controlled by `MTRL_SCALE` (`tiny` / `small` /
 //! `paper`, default `small`); each run also writes machine-readable JSON
-//! to `target/bench-results/` for EXPERIMENTS.md.
+//! to `target/bench-results/` (README, "Reproducing the paper's
+//! evaluation").
 
 use mtrl_datagen::datasets::Scale;
 use serde::Serialize;

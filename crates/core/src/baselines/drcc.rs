@@ -106,8 +106,10 @@ pub(crate) fn variant_matrix(corpus: &mtrl_datagen::MultiTypeCorpus, variant: Dr
 ///
 /// # Errors
 /// Returns [`RhchmeError::InvalidData`] for degenerate inputs (a
-/// relation holding a NaN or infinite value included) and
-/// [`RhchmeError::Diverged`] if the iterates become non-finite.
+/// relation holding a NaN or infinite value included),
+/// [`RhchmeError::InvalidConfig`] for more document clusters than
+/// documents (as the multi-type methods do) and [`RhchmeError::Diverged`]
+/// if the iterates become non-finite.
 pub(crate) fn run_drcc(r: &Mat, cfg: &DrccConfig) -> Result<DrccResult> {
     let (n, m) = r.shape();
     if n < 2 || m < 2 {
@@ -125,7 +127,13 @@ pub(crate) fn run_drcc(r: &Mat, cfg: &DrccConfig) -> Result<DrccResult> {
             "DRCC expects a nonnegative relation matrix".into(),
         ));
     }
-    let cg = cfg.doc_clusters.clamp(2, n);
+    if cfg.doc_clusters > n {
+        return Err(RhchmeError::InvalidConfig(format!(
+            "DRCC: {} document clusters for {n} documents",
+            cfg.doc_clusters
+        )));
+    }
+    let cg = cfg.doc_clusters.max(2);
     let cf = cfg.feature_clusters.clamp(2, m);
 
     // Graph Laplacians: documents over rows, features over columns —
@@ -324,5 +332,14 @@ mod tests {
         assert!(run_drcc(&tiny, &DrccConfig::default()).is_err());
         let neg = Mat::from_vec(2, 2, vec![1.0, -0.5, 0.0, 1.0]).unwrap();
         assert!(run_drcc(&neg, &DrccConfig::default()).is_err());
+        let two_docs = Mat::from_vec(2, 2, vec![1.0, 0.5, 0.0, 1.0]).unwrap();
+        let three_clusters = DrccConfig {
+            doc_clusters: 3,
+            ..DrccConfig::default()
+        };
+        assert!(matches!(
+            run_drcc(&two_docs, &three_clusters),
+            Err(RhchmeError::InvalidConfig(_))
+        ));
     }
 }

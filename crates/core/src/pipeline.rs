@@ -1,7 +1,7 @@
 //! One-call experiment runners and the method table.
 //!
-//! [`run_spec`] executes a [`MethodSpec`] on a corpus with a single
-//! parameter bundle and returns labels, traces and wall time. The
+//! [`run_spec`] executes a [`MethodSpec`] on a corpus under one
+//! [`RhchmeConfig`] and returns labels, traces and wall time. The
 //! heavyweight intermediates (assembled `R`, feature views, pNN
 //! Laplacians, subspace Laplacians) are also exposed through
 //! [`Artifacts`] so parameter sweeps recompute only what a swept
@@ -23,9 +23,9 @@
 //! SRC, SNMTF, RMC and RHCHME are one NMTF objective (Eqs. 1, 2, 15) on
 //! one engine; they differ in the intra-type regulariser and in whether
 //! the `E_R` and row-ℓ1 terms are on (the table in [`crate::engine`]).
-//! [`PipelineParams::rhchme_config`] is the one mapping from a parameter
-//! bundle to a [`RhchmeConfig`], [`Method::engine_config`] is the one
-//! place a method's [`EngineConfig`] row is written, and
+//! Every method reads its parameters from one [`RhchmeConfig`],
+//! [`Method::engine_config`] is the one place a method's
+//! [`EngineConfig`] row is written, and
 //! [`Method::baseline_regularizer`] builds the SRC, SNMTF and RMC graph
 //! regularisers. Every fit of these four methods builds its engine input
 //! there: [`run_spec`], [`Rhchme`],
@@ -49,7 +49,7 @@
 //! runs as DR-T (terms), DR-C (concepts) and DR-TC (concatenated).
 //!
 //! The baselines' own weights are constants at their Sec. IV-B values,
-//! not [`PipelineParams`] fields: RMC's simplex penalty μ = 1
+//! not [`RhchmeConfig`] fields: RMC's simplex penalty μ = 1
 //! ([`RMC_MU`]) and DRCC's graph weights λ = μ = 0.1. The parameters a
 //! sweep varies are the paper's tuned λ, γ, α, β and p (Sec. IV-E).
 
@@ -63,10 +63,9 @@ use crate::multitype::MultiTypeData;
 use crate::rhchme::{init_membership, package_result, Rhchme, RhchmeConfig};
 use crate::{Result, RhchmeError};
 use mtrl_datagen::MultiTypeCorpus;
-use mtrl_graph::{GraphBackend, LaplacianKind};
+use mtrl_graph::GraphBackend;
 use mtrl_linalg::Mat;
 use mtrl_sparse::SparseBlockDiag;
-use mtrl_subspace::SpgConfig;
 use std::time::{Duration, Instant};
 
 /// The seven methods of Tables III–V.
@@ -173,7 +172,7 @@ impl Method {
     /// pNN Laplacian of RHCHME's `L_E` recipe, or RMC's six candidates —
     /// all built exact, since the graph backend belongs to RHCHME. A
     /// caller that holds the [`Artifacts`] of the same features and
-    /// `params` passes them as `shared`; their `L_E` is reused where it
+    /// `cfg` passes them as `shared`; their `L_E` is reused where it
     /// is the same graph (an exact `L_E`, and for RMC only at `p = 5`),
     /// and RMC's candidates reuse their exact neighbour search.
     ///
@@ -184,10 +183,9 @@ impl Method {
     pub fn baseline_regularizer(
         self,
         features: &[Mat],
-        params: &PipelineParams,
+        cfg: &RhchmeConfig,
         shared: Option<&Artifacts>,
     ) -> Result<GraphRegularizer> {
-        let cfg = params.rhchme_config();
         let exact_l_e = shared
             .map(|arts| &arts.l_pnn)
             .filter(|_| cfg.graph_backend.is_exact());
@@ -321,91 +319,12 @@ const DRCC_LAMBDA: f64 = 0.1;
 /// DRCC's feature-side graph weight μ (Sec. IV-B).
 const DRCC_MU: f64 = 0.1;
 
-/// Shared parameter bundle for all methods (tuned defaults from
-/// Sec. IV-B/E; per-method interpretations documented inline). The
-/// baselines' own weights stay at their Sec. IV-B values: RMC's μ = 1,
-/// DRCC's λ = μ = 0.1.
-#[derive(Debug, Clone)]
-pub struct PipelineParams {
-    /// Laplacian weight λ for SNMTF/RMC/RHCHME (DRCC's graph weights are
-    /// fixed at 0.1).
-    pub lambda: f64,
-    /// Subspace-learning γ (RHCHME only).
-    pub gamma: f64,
-    /// Ensemble trade-off α (RHCHME only).
-    pub alpha: f64,
-    /// Error-matrix β (RHCHME only).
-    pub beta: f64,
-    /// pNN neighbour count for SNMTF/RHCHME/DRCC graphs.
-    pub p: usize,
-    /// Neighbour-search backend for RHCHME's pNN graph `L_E`: the exact
-    /// blocked kernel or the rp-forest index of `mtrl_graph::ann`. It
-    /// belongs to RHCHME alone: SRC, SNMTF and RMC always build exact
-    /// graphs ([`Method::baseline_regularizer`]), so their ensemble
-    /// members equal their solo fits under any backend.
-    pub graph_backend: GraphBackend,
-    /// Multiplicative-update iteration budget (all NMTF methods).
-    pub max_iter: usize,
-    /// Relative objective tolerance.
-    pub tol: f64,
-    /// SPG iteration budget (RHCHME stage 1).
-    pub spg_max_iter: usize,
-    /// Term/concept cluster divisor (`m / divisor`, clamped to `[2, 30]`).
-    pub feature_cluster_divisor: usize,
-    /// Seed for k-means / SPG initialisation.
-    pub seed: u64,
-    /// Record per-iteration document labels (Fig. 3).
-    pub record_doc_labels: bool,
-    /// Export a serving-ready [`crate::FittedModel`] with the result
-    /// (RHCHME only; other methods ignore this flag).
-    pub export_model: bool,
-}
+/// Another name for [`RhchmeConfig`], kept because the `perfbench/`
+/// harness names it.
+pub type PipelineParams = RhchmeConfig;
 
-impl Default for PipelineParams {
-    fn default() -> Self {
-        PipelineParams {
-            lambda: 0.05,
-            gamma: 5.0,
-            alpha: 1.0,
-            beta: 50.0,
-            p: 5,
-            graph_backend: GraphBackend::Exact,
-            max_iter: 100,
-            tol: 1e-6,
-            spg_max_iter: 60,
-            feature_cluster_divisor: 20,
-            seed: 2015,
-            record_doc_labels: false,
-            export_model: false,
-        }
-    }
-}
-
-impl PipelineParams {
-    /// The estimator-side view of this bundle — the one mapping from
-    /// [`PipelineParams`] to [`RhchmeConfig`]. The weight scheme and
-    /// Laplacian kind keep their defaults; the export flag has no
-    /// estimator counterpart.
-    pub fn rhchme_config(&self) -> RhchmeConfig {
-        RhchmeConfig {
-            lambda: self.lambda,
-            gamma: self.gamma,
-            alpha: self.alpha,
-            beta: self.beta,
-            p: self.p,
-            graph_backend: self.graph_backend,
-            spg_max_iter: self.spg_max_iter,
-            max_iter: self.max_iter,
-            tol: self.tol,
-            seed: self.seed,
-            feature_cluster_divisor: self.feature_cluster_divisor,
-            record_doc_labels: self.record_doc_labels,
-            ..RhchmeConfig::default()
-        }
-    }
-}
-
-/// Unified method output for the benches.
+/// Unified method output for the benches and the evaluation layer,
+/// which scores `doc_labels` with `mtrl_metrics::quality_scores`.
 #[derive(Debug, Clone)]
 pub struct MethodOutput {
     /// Which method produced this output.
@@ -422,23 +341,12 @@ pub struct MethodOutput {
     pub iterations: usize,
     /// Whether the tolerance was met.
     pub converged: bool,
-    /// Serving-ready export of the fitted model (present only when
-    /// [`PipelineParams::export_model`] is set and the method supports it).
-    pub model: Option<crate::FittedModel>,
 }
 
-impl MethodOutput {
-    /// Score the document labels against a ground truth — the report
-    /// hook the evaluation layer (`mtrl-eval`) aggregates per scenario.
-    ///
-    /// # Panics
-    /// Panics if `truth` and the document labels differ in length.
-    pub fn quality(&self, truth: &[usize]) -> mtrl_metrics::QualityScores {
-        mtrl_metrics::quality_scores(truth, &self.doc_labels)
-    }
-}
-
-/// Run a [`MethodSpec`] end to end on a corpus.
+/// Run a [`MethodSpec`] end to end on a corpus under `cfg`; each method
+/// reads its share of the configuration (see the field docs of
+/// [`RhchmeConfig`]). A fitted RHCHME model exports through
+/// [`Rhchme::export_model`].
 ///
 /// This crate executes the seven base methods. [`MethodSpec::Ensemble`]
 /// is implemented by the `mtrl-ensemble` crate; pass ensemble specs to
@@ -451,7 +359,7 @@ impl MethodOutput {
 pub fn run_spec(
     corpus: &MultiTypeCorpus,
     spec: &MethodSpec,
-    params: &PipelineParams,
+    cfg: &RhchmeConfig,
 ) -> Result<MethodOutput> {
     let method = match spec {
         MethodSpec::Base(m) => *m,
@@ -472,7 +380,7 @@ pub fn run_spec(
                 _ => DrccVariant::TermsAndConcepts,
             };
             let r = variant_matrix(corpus, variant);
-            let div = params.feature_cluster_divisor.max(1);
+            let div = cfg.feature_cluster_divisor.max(1);
             let res = run_drcc(
                 &r,
                 &DrccConfig {
@@ -480,11 +388,11 @@ pub fn run_spec(
                     mu: DRCC_MU,
                     doc_clusters: corpus.num_classes,
                     feature_clusters: (r.cols() / div).clamp(2, 30),
-                    p: params.p,
-                    max_iter: params.max_iter,
-                    tol: params.tol,
-                    seed: params.seed,
-                    record_doc_labels: params.record_doc_labels,
+                    p: cfg.p,
+                    max_iter: cfg.max_iter,
+                    tol: cfg.tol,
+                    seed: cfg.seed,
+                    record_doc_labels: cfg.record_doc_labels,
                 },
             )?;
             MethodOutput {
@@ -495,28 +403,16 @@ pub fn run_spec(
                 elapsed: start.elapsed(),
                 iterations: res.iterations,
                 converged: res.converged,
-                model: None,
             }
         }
         Method::Src | Method::Snmtf | Method::Rmc => {
-            let data = MultiTypeData::from_corpus(corpus, params.feature_cluster_divisor)?;
-            let out = fit_baseline(&data, method, params)?;
+            let data = MultiTypeData::from_corpus(corpus, cfg.feature_cluster_divisor)?;
+            let out = fit_baseline(&data, method, cfg)?;
             to_output(method, package_result(&data, out), start)
         }
         Method::Rhchme => {
-            let model = Rhchme::new(params.rhchme_config());
-            // Assemble the multi-type data once and share it between the
-            // fit and the export (export_model would rebuild it).
-            let data = MultiTypeData::from_corpus(corpus, params.feature_cluster_divisor)?;
-            let res = model.fit_data(&data)?;
-            let exported = if params.export_model {
-                Some(model.export_model_from_data(&res, &data)?)
-            } else {
-                None
-            };
-            let mut out = to_output(method, res, start);
-            out.model = exported;
-            out
+            let res = Rhchme::new(cfg.clone()).fit_corpus(corpus)?;
+            to_output(method, res, start)
         }
     };
     Ok(out)
@@ -524,15 +420,11 @@ pub fn run_spec(
 
 /// SRC, SNMTF or RMC on assembled data: the method's graph regulariser,
 /// a k-means start and its engine row.
-fn fit_baseline(
-    data: &MultiTypeData,
-    method: Method,
-    params: &PipelineParams,
-) -> Result<EngineResult> {
+fn fit_baseline(data: &MultiTypeData, method: Method, cfg: &RhchmeConfig) -> Result<EngineResult> {
     let features = data.all_features();
-    let reg = method.baseline_regularizer(&features, params, None)?;
-    let engine_cfg = method.engine_config(&params.rhchme_config())?;
-    let g0 = init_membership(data, &features, params.seed);
+    let reg = method.baseline_regularizer(&features, cfg, None)?;
+    let engine_cfg = method.engine_config(cfg)?;
+    let g0 = init_membership(data, &features, cfg.seed);
     run_engine(&data.assemble_r_csr(), data, &reg, g0, &engine_cfg)
 }
 
@@ -545,7 +437,6 @@ fn to_output(method: Method, res: crate::rhchme::RhchmeResult, start: Instant) -
         elapsed: start.elapsed(),
         iterations: res.iterations,
         converged: res.converged,
-        model: None,
     }
 }
 
@@ -558,6 +449,11 @@ fn to_output(method: Method, res: crate::rhchme::RhchmeResult, start: Instant) -
 /// | λ, β            | nothing (reuse `l_hetero(α)`)      |
 /// | α               | only the linear combination        |
 /// | γ               | the subspace Laplacians            |
+///
+/// Every stage reads the one [`RhchmeConfig`]: [`Self::new`] its graph
+/// settings, [`Self::subspace_laplacian`] its SPG settings and
+/// [`Self::run_rhchme_engine`] its α and RHCHME engine row, so a sweep
+/// varies one field of a config and calls the stage it touches.
 pub struct Artifacts {
     /// Assembled multi-type dataset.
     pub data: MultiTypeData,
@@ -569,7 +465,7 @@ pub struct Artifacts {
     /// k-means initial membership.
     pub g0: Mat,
     /// RHCHME's pNN Laplacian ensemble member `L_E` (sparse block
-    /// diagonal), at the parameters' graph backend.
+    /// diagonal), at the configuration's graph backend.
     pub l_pnn: SparseBlockDiag,
     /// On the exact backend, the one exact neighbour search per type
     /// (depth `max(p, 10)`) that `L_E` was built from, kept for RMC's
@@ -582,8 +478,7 @@ impl Artifacts {
     ///
     /// # Errors
     /// Propagates data-assembly errors.
-    pub fn new(corpus: &MultiTypeCorpus, params: &PipelineParams) -> Result<Self> {
-        let cfg = params.rhchme_config();
+    pub fn new(corpus: &MultiTypeCorpus, cfg: &RhchmeConfig) -> Result<Self> {
         let data = MultiTypeData::from_corpus(corpus, cfg.feature_cluster_divisor)?;
         let features = data.all_features();
         let g0 = init_membership(&data, &features, cfg.seed);
@@ -622,62 +517,33 @@ impl Artifacts {
         })
     }
 
-    /// Subspace Laplacians for a given γ (the only γ-dependent stage).
+    /// Subspace Laplacians at `cfg`'s SPG settings (the only
+    /// γ-dependent stage).
     ///
     /// # Errors
     /// Propagates SPG failures.
-    pub fn subspace_laplacian(
-        &self,
-        gamma: f64,
-        spg_max_iter: usize,
-        seed: u64,
-    ) -> Result<SparseBlockDiag> {
-        subspace_laplacians(
-            &self.features,
-            &SpgConfig {
-                gamma,
-                max_iter: spg_max_iter,
-                seed,
-                ..SpgConfig::default()
-            },
-            LaplacianKind::SymNormalized,
-        )
+    pub fn subspace_laplacian(&self, cfg: &RhchmeConfig) -> Result<SparseBlockDiag> {
+        subspace_laplacians(&self.features, &cfg.spg_config(), cfg.laplacian_kind)
     }
 
     /// Run the RHCHME engine stage on cached artifacts with an explicit
-    /// heterogeneous ensemble (`l_sub` from [`Self::subspace_laplacian`]).
-    ///
-    /// The argument list mirrors the four swept hyper-parameters plus the
-    /// iteration budget — a struct would only restate `PipelineParams`.
+    /// heterogeneous ensemble (`l_sub` from [`Self::subspace_laplacian`]),
+    /// weighted by `cfg.alpha`, under RHCHME's engine row of `cfg`.
     ///
     /// # Errors
     /// Propagates engine failures.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_rhchme_engine(
         &self,
         l_sub: &SparseBlockDiag,
-        alpha: f64,
-        lambda: f64,
-        beta: f64,
-        max_iter: usize,
-        tol: f64,
-        record_doc_labels: bool,
+        cfg: &RhchmeConfig,
     ) -> Result<crate::rhchme::RhchmeResult> {
-        let l = hetero_laplacian(l_sub, &self.l_pnn, alpha)?;
-        let cfg = RhchmeConfig {
-            lambda,
-            beta,
-            max_iter,
-            tol,
-            record_doc_labels,
-            ..RhchmeConfig::default()
-        };
+        let l = hetero_laplacian(l_sub, &self.l_pnn, cfg.alpha)?;
         let out = run_engine(
             &self.r,
             &self.data,
             &GraphRegularizer::Fixed(l),
             self.g0.clone(),
-            &Method::Rhchme.engine_config(&cfg)?,
+            &Method::Rhchme.engine_config(cfg)?,
         )?;
         Ok(package_result(&self.data, out))
     }
@@ -704,13 +570,13 @@ mod tests {
         })
     }
 
-    fn fast_params() -> PipelineParams {
-        PipelineParams {
+    fn fast_params() -> RhchmeConfig {
+        RhchmeConfig {
             lambda: 0.5,
             max_iter: 20,
             spg_max_iter: 20,
             feature_cluster_divisor: 10,
-            ..PipelineParams::default()
+            ..RhchmeConfig::default()
         }
     }
 
@@ -723,7 +589,7 @@ mod tests {
             assert_eq!(out.doc_labels.len(), 16, "{method:?}");
             assert!(!out.objective_trace.is_empty(), "{method:?}");
             assert!(out.elapsed.as_nanos() > 0);
-            let q = out.quality(&c.labels);
+            let q = mtrl_metrics::quality_scores(&c.labels, &out.doc_labels);
             assert!(q.fscore > 0.5, "{method:?} fscore {}", q.fscore);
             assert!(q.nmi >= 0.0 && q.ari.is_finite(), "{method:?}");
         }
@@ -733,7 +599,7 @@ mod tests {
     fn a_non_finite_spg_gamma_is_a_typed_error() {
         let c = corpus();
         for gamma in [f64::NAN, f64::INFINITY] {
-            let params = PipelineParams {
+            let params = RhchmeConfig {
                 gamma,
                 ..fast_params()
             };
@@ -807,7 +673,7 @@ mod tests {
         for drcc in [Method::DrT, Method::DrC, Method::DrTC] {
             assert!(drcc.engine_config(&cfg).is_err(), "{drcc:?}");
         }
-        let params = PipelineParams::default();
+        let params = RhchmeConfig::default();
         for other in [Method::Rhchme, Method::DrT] {
             assert!(other.baseline_regularizer(&[], &params, None).is_err());
         }
@@ -815,7 +681,7 @@ mod tests {
 
     /// `method`'s table-row fit of a clean two-class corpus: the
     /// document FScore and the engine result.
-    fn fit_clean(method: Method, seed: u64, params: &PipelineParams) -> (f64, EngineResult) {
+    fn fit_clean(method: Method, seed: u64, params: &RhchmeConfig) -> (f64, EngineResult) {
         let corpus = generate(&CorpusConfig {
             docs_per_class: vec![10, 10],
             vocab_size: 60,
@@ -837,9 +703,9 @@ mod tests {
 
     #[test]
     fn src_clusters_clean_data() {
-        let params = PipelineParams {
+        let params = RhchmeConfig {
             max_iter: 40,
-            ..PipelineParams::default()
+            ..RhchmeConfig::default()
         };
         let (f, out) = fit_clean(Method::Src, 41, &params);
         assert!(f > 0.7, "fscore {f}");
@@ -848,10 +714,10 @@ mod tests {
 
     #[test]
     fn snmtf_clusters_clean_data() {
-        let params = PipelineParams {
+        let params = RhchmeConfig {
             lambda: 0.5,
             max_iter: 40,
-            ..PipelineParams::default()
+            ..RhchmeConfig::default()
         };
         let (f, _) = fit_clean(Method::Snmtf, 42, &params);
         assert!(f > 0.7, "fscore {f}");
@@ -859,10 +725,10 @@ mod tests {
 
     #[test]
     fn rmc_clusters_and_weights_on_simplex() {
-        let params = PipelineParams {
+        let params = RhchmeConfig {
             lambda: 0.5,
             max_iter: 25,
-            ..PipelineParams::default()
+            ..RhchmeConfig::default()
         };
         let (f, out) = fit_clean(Method::Rmc, 43, &params);
         assert!(f > 0.7, "fscore {f}");
@@ -878,12 +744,8 @@ mod tests {
         let c = corpus();
         let params = fast_params();
         let arts = Artifacts::new(&c, &params).unwrap();
-        let l_sub = arts
-            .subspace_laplacian(params.gamma, params.spg_max_iter, params.seed)
-            .unwrap();
-        let res = arts
-            .run_rhchme_engine(&l_sub, 1.0, params.lambda, params.beta, 20, 1e-6, false)
-            .unwrap();
+        let l_sub = arts.subspace_laplacian(&params).unwrap();
+        let res = arts.run_rhchme_engine(&l_sub, &params).unwrap();
         assert_eq!(res.doc_labels.len(), 16);
         let f = mtrl_metrics::fscore(&c.labels, &res.doc_labels);
         assert!(f > 0.5, "fscore {f}");

@@ -24,7 +24,12 @@ use mtrl_linalg::block::stack_membership;
 use mtrl_linalg::{Mat, Precision};
 use mtrl_subspace::SpgConfig;
 
-/// RHCHME hyper-parameters.
+/// The hyper-parameters of a fit: the one parameter struct of
+/// [`Rhchme`], [`crate::pipeline::run_spec`] (every method reads its
+/// share), [`crate::pipeline::Artifacts`] and the `mtrl-ensemble` and
+/// `mtrl-stream` layers. [`RhchmeConfig::spg_config`] derives stage 1's
+/// settings and [`crate::pipeline::Method::engine_config`] a method's
+/// engine row from it.
 ///
 /// Defaults are tuned for this workspace's data conventions and map onto
 /// the paper's tuned values (Sec. IV-E: λ ≈ 250, γ ∈ [10, 50], α = 1,
@@ -36,18 +41,20 @@ use mtrl_subspace::SpgConfig;
 /// same `O(n)` scale — the equivalent operating point is λ ≈ 0.1.
 /// Likewise γ trades reconstruction against the `‖WWᵀ‖₁` sparsity on
 /// unit-norm rows, shifting its sweet spot from ~25 to ~5. The Fig. 2
-/// bench sweeps both grids and EXPERIMENTS.md records the mapping.
+/// bench sweeps both grids (README, "Reproducing the paper's evaluation").
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RhchmeConfig {
-    /// Laplacian regularisation weight λ.
+    /// Laplacian regularisation weight λ (SNMTF, RMC, RHCHME; SRC has no
+    /// graph term and DRCC's graph weights are fixed at 0.1).
     pub lambda: f64,
-    /// Subspace-learning noise tolerance γ (Eq. 9).
+    /// Subspace-learning noise tolerance γ (Eq. 9; RHCHME only).
     pub gamma: f64,
-    /// Ensemble trade-off α (Eq. 12).
+    /// Ensemble trade-off α (Eq. 12; RHCHME only).
     pub alpha: f64,
-    /// Error-matrix trade-off β (Eq. 15).
+    /// Error-matrix trade-off β (Eq. 15; RHCHME only).
     pub beta: f64,
-    /// pNN neighbour count `p` (paper sets 5).
+    /// pNN neighbour count `p` (paper sets 5) of the SNMTF, RHCHME and
+    /// DRCC graphs.
     pub p: usize,
     /// pNN weighting (paper uses cosine for `L_E`).
     pub weight_scheme: WeightScheme,
@@ -55,6 +62,9 @@ pub struct RhchmeConfig {
     /// blocked kernel, or the rp-forest index (`mtrl_graph::ann`) for
     /// large corpora. The index changes candidate generation only;
     /// distances and selection stay bit-identical to the exact kernel.
+    /// It belongs to RHCHME alone: SRC, SNMTF and RMC always build exact
+    /// graphs (`Method::baseline_regularizer`), so their ensemble members
+    /// equal their solo fits under any backend.
     pub graph_backend: mtrl_graph::GraphBackend,
     /// Operand precision; [`Precision`] has the one value `F64`, which
     /// every stage of the fit runs in.
@@ -63,11 +73,13 @@ pub struct RhchmeConfig {
     pub laplacian_kind: LaplacianKind,
     /// SPG iteration budget for stage 1.
     pub spg_max_iter: usize,
-    /// Multiplicative-update iteration budget.
+    /// Multiplicative-update iteration budget (every NMTF method and
+    /// DRCC).
     pub max_iter: usize,
     /// Relative objective-change tolerance.
     pub tol: f64,
-    /// RNG seed (k-means init + SPG init).
+    /// RNG seed (k-means init + SPG init; the ensemble's member seeds
+    /// derive from it).
     pub seed: u64,
     /// Term/concept cluster count divisor (`m / divisor`, clamped to
     /// `[2, 30]`; the paper explores `m/10` – `m/100`).
@@ -88,7 +100,7 @@ impl Default for RhchmeConfig {
             graph_backend: mtrl_graph::GraphBackend::Exact,
             precision: Precision::F64,
             laplacian_kind: LaplacianKind::SymNormalized,
-            spg_max_iter: 80,
+            spg_max_iter: 60,
             max_iter: 100,
             tol: 1e-6,
             seed: 2015,
@@ -105,6 +117,17 @@ impl RhchmeConfig {
             spg_max_iter: 30,
             max_iter: 30,
             ..RhchmeConfig::default()
+        }
+    }
+
+    /// Stage 1's SPG settings: this configuration's γ, SPG budget and
+    /// seed over the solver's defaults.
+    pub fn spg_config(&self) -> SpgConfig {
+        SpgConfig {
+            gamma: self.gamma,
+            max_iter: self.spg_max_iter,
+            seed: self.seed,
+            ..SpgConfig::default()
         }
     }
 }
@@ -226,13 +249,7 @@ impl Rhchme {
     fn full_laplacian(&self, features: &[Mat]) -> Result<mtrl_sparse::SparseBlockDiag> {
         let _span = mtrl_obs::span!("rhchme.laplacian");
         let cfg = &self.config;
-        let spg_cfg = SpgConfig {
-            gamma: cfg.gamma,
-            max_iter: cfg.spg_max_iter,
-            seed: cfg.seed,
-            ..SpgConfig::default()
-        };
-        let l_s = subspace_laplacians(features, &spg_cfg, cfg.laplacian_kind)?;
+        let l_s = subspace_laplacians(features, &cfg.spg_config(), cfg.laplacian_kind)?;
         let l_e = pnn_laplacians_backend_prec(
             features,
             cfg.p,

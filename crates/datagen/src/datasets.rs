@@ -122,7 +122,7 @@ pub fn load(id: DatasetId, scale: Scale) -> MultiTypeCorpus {
     generate(&config(id, scale))
 }
 
-/// The fixed seed for each dataset (documented in EXPERIMENTS.md).
+/// The fixed seed for each dataset.
 pub(crate) fn dataset_seed(id: DatasetId) -> u64 {
     match id {
         DatasetId::D1 => 101,

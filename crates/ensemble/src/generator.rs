@@ -29,8 +29,8 @@
 use rhchme::engine::{run_engine_lockstep, GraphRegularizer, LockstepFit};
 use rhchme::intra::hetero_laplacian;
 use rhchme::multitype::MultiTypeData;
-use rhchme::pipeline::{Artifacts, EnsembleSpec, Method, PipelineParams};
-use rhchme::rhchme::init_membership;
+use rhchme::pipeline::{Artifacts, EnsembleSpec, Method};
+use rhchme::rhchme::{init_membership, RhchmeConfig};
 use rhchme::{Result, RhchmeError};
 
 /// One fitted base partition.
@@ -63,10 +63,10 @@ impl SharedRegularizers {
     ///
     /// # Errors
     /// Propagates SPG / graph-construction failures.
-    pub fn new(arts: &Artifacts, params: &PipelineParams) -> Result<Self> {
-        let l_sub = arts.subspace_laplacian(params.gamma, params.spg_max_iter, params.seed)?;
-        let l_hetero = hetero_laplacian(&l_sub, &arts.l_pnn, params.alpha)?;
-        let baseline = |m: Method| m.baseline_regularizer(&arts.features, params, Some(arts));
+    pub fn new(arts: &Artifacts, cfg: &RhchmeConfig) -> Result<Self> {
+        let l_sub = arts.subspace_laplacian(cfg)?;
+        let l_hetero = hetero_laplacian(&l_sub, &arts.l_pnn, cfg.alpha)?;
+        let baseline = |m: Method| m.baseline_regularizer(&arts.features, cfg, Some(arts));
         Ok(SharedRegularizers {
             none: baseline(Method::Src)?,
             pnn: baseline(Method::Snmtf)?,
@@ -88,14 +88,14 @@ fn splitmix64(state: &mut u64) -> u64 {
 fn member_plan(
     i: usize,
     spec: &EnsembleSpec,
-    params: &PipelineParams,
+    cfg: &RhchmeConfig,
     data: &MultiTypeData,
     state: &mut u64,
 ) -> (Method, u64, usize) {
     let method = spec.pool[i % spec.pool.len()];
     let c0 = data.cluster_counts()[0];
     if i == 0 {
-        return (method, params.seed, c0);
+        return (method, cfg.seed, c0);
     }
     let seed = splitmix64(state);
     // Only odd slots draw a random k: the even half of the pool stays at
@@ -129,7 +129,7 @@ pub fn generate_members(
     arts: &Artifacts,
     regs: &SharedRegularizers,
     spec: &EnsembleSpec,
-    params: &PipelineParams,
+    cfg: &RhchmeConfig,
 ) -> Result<Vec<BasePartition>> {
     if spec.members == 0 {
         return Err(RhchmeError::InvalidConfig(
@@ -146,9 +146,9 @@ pub fn generate_members(
             "ensemble pool member {m:?} is not a multi-type method"
         )));
     }
-    let mut state = params.seed ^ 0xE15E_B1E5_EED5_EED5;
+    let mut state = cfg.seed ^ 0xE15E_B1E5_EED5_EED5;
     let plans: Vec<(Method, u64, usize)> = (0..spec.members)
-        .map(|i| member_plan(i, spec, params, &arts.data, &mut state))
+        .map(|i| member_plan(i, spec, cfg, &arts.data, &mut state))
         .collect();
     // Each member's cluster layout (a re-spec shares the relations).
     let datas = plans
@@ -162,19 +162,24 @@ pub fn generate_members(
     let mut fits = Vec::with_capacity(plans.len());
     for (data, &(method, seed, doc_k)) in datas.iter().zip(&plans) {
         // Errors for the DRCC methods, which are not engine rows.
-        let cfg = method.engine_config(&params.rhchme_config())?;
+        let row = method.engine_config(cfg)?;
         let reg = match method {
             Method::Src => &regs.none,
             Method::Snmtf => &regs.pnn,
             Method::Rmc => &regs.rmc,
             _ => &regs.hetero,
         };
-        let g0 = if seed == params.seed && doc_k == arts.data.cluster_counts()[0] {
+        let g0 = if seed == cfg.seed && doc_k == arts.data.cluster_counts()[0] {
             arts.g0.clone()
         } else {
             init_membership(data, &arts.features, seed)
         };
-        fits.push(LockstepFit { data, reg, g0, cfg });
+        fits.push(LockstepFit {
+            data,
+            reg,
+            g0,
+            cfg: row,
+        });
     }
     let outs = run_engine_lockstep(&arts.r, fits)?;
     Ok(outs

@@ -17,9 +17,10 @@
 //!    [`rhchme::engine::GRAM_RIDGE`].
 //!
 //! The merged per-type memberships export through the existing
-//! [`rhchme::FittedModel`] path (association `S` re-estimated in closed
-//! form), tagged with `method = "ensemble"` provenance, so serve,
-//! gateway and stream consume ensemble models unchanged.
+//! [`rhchme::FittedModel`] path ([`export_model`]; association `S`
+//! re-estimated in closed form), tagged with `method = "ensemble"`
+//! provenance, so serve, gateway and stream consume ensemble models
+//! unchanged.
 //!
 //! [`run_spec`] is the *universal* dispatcher: it executes
 //! [`MethodSpec::Ensemble`] here and delegates every base spec to
@@ -35,8 +36,8 @@ use mtrl_linalg::block::stack_membership;
 use mtrl_linalg::kmeans::labels_to_membership;
 use mtrl_linalg::{ops, solve, Mat};
 use rhchme::multitype::MultiTypeData;
-use rhchme::pipeline::{Artifacts, EnsembleSpec, MethodOutput, MethodSpec, PipelineParams};
-use rhchme::rhchme::RhchmeResult;
+use rhchme::pipeline::{Artifacts, EnsembleSpec, MethodOutput, MethodSpec};
+use rhchme::rhchme::{RhchmeConfig, RhchmeResult};
 use rhchme::{FittedModel, Result, RhchmeError};
 use std::time::Instant;
 
@@ -73,7 +74,9 @@ pub struct EnsembleResult {
     pub fallback_types: usize,
 }
 
-/// Run the full consensus-ensemble fit on a corpus.
+/// Run the full consensus-ensemble fit on a corpus under `cfg`, the
+/// configuration every member's method reads (export the result with
+/// [`export_model`]).
 ///
 /// # Errors
 /// Returns [`RhchmeError::InvalidConfig`] for a degenerate spec and
@@ -81,17 +84,17 @@ pub struct EnsembleResult {
 pub fn fit_corpus(
     corpus: &mtrl_datagen::MultiTypeCorpus,
     spec: &EnsembleSpec,
-    params: &PipelineParams,
+    cfg: &RhchmeConfig,
 ) -> Result<EnsembleResult> {
     validate_spec(spec)?;
-    let arts = Artifacts::new(corpus, params)?;
+    let arts = Artifacts::new(corpus, cfg)?;
     let regs = {
         let _span = mtrl_obs::span!("ensemble.regularizers");
-        SharedRegularizers::new(&arts, params)?
+        SharedRegularizers::new(&arts, cfg)?
     };
     let members = {
         let _span = mtrl_obs::span!("ensemble.members");
-        generator::generate_members(&arts, &regs, spec, params)?
+        generator::generate_members(&arts, &regs, spec, cfg)?
     };
     merge_members(&arts.data, &arts.r, &members, spec)
 }
@@ -216,19 +219,14 @@ fn closed_form_s(r: &mtrl_sparse::Csr, g: &Mat) -> Result<Mat> {
 pub fn run_spec(
     corpus: &mtrl_datagen::MultiTypeCorpus,
     spec: &MethodSpec,
-    params: &PipelineParams,
+    cfg: &RhchmeConfig,
 ) -> Result<MethodOutput> {
     let ensemble_spec = match spec {
-        MethodSpec::Base(_) => return rhchme::pipeline::run_spec(corpus, spec, params),
+        MethodSpec::Base(_) => return rhchme::pipeline::run_spec(corpus, spec, cfg),
         MethodSpec::Ensemble(e) => e,
     };
     let start = Instant::now();
-    let result = fit_corpus(corpus, ensemble_spec, params)?;
-    let model = if params.export_model {
-        Some(export_model(corpus, &result, params)?)
-    } else {
-        None
-    };
+    let result = fit_corpus(corpus, ensemble_spec, cfg)?;
     Ok(MethodOutput {
         method: spec.clone(),
         objective_trace: result.members.iter().map(|m| m.final_objective).collect(),
@@ -237,33 +235,21 @@ pub fn run_spec(
         elapsed: start.elapsed(),
         iterations: result.members.len(),
         converged: true,
-        model,
     })
 }
 
-/// Export a consensus fit as a serving-ready [`FittedModel`] with
+/// Export a consensus fit of `corpus` under `cfg` (the [`fit_corpus`]
+/// call's arguments) as a serving-ready [`FittedModel`] with
 /// `method = "ensemble"` provenance.
 ///
 /// # Errors
-/// Propagates export validation failures.
-pub(crate) fn export_model(
+/// Propagates data-assembly and export validation failures.
+pub fn export_model(
     corpus: &mtrl_datagen::MultiTypeCorpus,
     result: &EnsembleResult,
-    params: &PipelineParams,
+    cfg: &RhchmeConfig,
 ) -> Result<FittedModel> {
-    let data = MultiTypeData::from_corpus(corpus, params.feature_cluster_divisor)?;
-    export_model_from_data(&data, result, params)
-}
-
-/// [`export_model`] for pre-assembled data.
-///
-/// # Errors
-/// Propagates export validation failures.
-pub(crate) fn export_model_from_data(
-    data: &MultiTypeData,
-    result: &EnsembleResult,
-    params: &PipelineParams,
-) -> Result<FittedModel> {
+    let data = MultiTypeData::from_corpus(corpus, cfg.feature_cluster_divisor)?;
     let packaged = RhchmeResult {
         doc_labels: result.doc_labels.clone(),
         labels_per_type: result.labels_per_type.clone(),
@@ -276,10 +262,7 @@ pub(crate) fn export_model_from_data(
         iterations: result.members.len(),
         converged: true,
     };
-    Ok(
-        rhchme::export::build_model(params.rhchme_config(), &packaged, data)?
-            .with_method("ensemble"),
-    )
+    Ok(rhchme::export::build_model(cfg.clone(), &packaged, &data)?.with_method("ensemble"))
 }
 
 #[cfg(test)]
@@ -304,13 +287,13 @@ mod tests {
         })
     }
 
-    fn fast_params() -> PipelineParams {
-        PipelineParams {
+    fn fast_params() -> RhchmeConfig {
+        RhchmeConfig {
             lambda: 0.5,
             max_iter: 15,
             spg_max_iter: 15,
             feature_cluster_divisor: 10,
-            ..PipelineParams::default()
+            ..RhchmeConfig::default()
         }
     }
 
@@ -348,18 +331,14 @@ mod tests {
         assert_eq!(ens.method.key(), "ensemble");
         assert_eq!(ens.iterations, 4);
         assert_eq!(ens.objective_trace.len(), 4);
-        assert!(ens.model.is_none());
     }
 
     #[test]
     fn exported_model_is_valid_and_tagged() {
         let c = corpus();
-        let params = PipelineParams {
-            export_model: true,
-            ..fast_params()
-        };
-        let out = run_spec(&c, &MethodSpec::Ensemble(fast_spec()), &params).unwrap();
-        let model = out.model.expect("export requested");
+        let params = fast_params();
+        let result = fit_corpus(&c, &fast_spec(), &params).unwrap();
+        let model = export_model(&c, &result, &params).unwrap();
         model.validate().unwrap();
         assert_eq!(model.method.as_deref(), Some("ensemble"));
         assert_eq!(model.sizes[0], 16);

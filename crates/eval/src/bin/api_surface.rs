@@ -4,21 +4,27 @@
 //! api_surface [<workspace root>]
 //! ```
 //!
-//! Prints three numbers and a list:
+//! Prints four numbers and a list:
 //! * the non-test line count of `crates/*/src` and `src`: every line
 //!   except the items gated by a column-0 `#[cfg(test)]` (a one-line
 //!   `mod name;`, or a braced item up to its column-0 `}`) and the files
 //!   of modules declared that way;
 //! * the public-declaration count: non-test lines matching
 //!   `pub (fn|struct|enum|trait|type|const|static|mod|use) ` there;
+//! * the settable-value count: the `pub` fields of the `pub struct`s
+//!   there whose names end in `Config`, `Params`, `Spec`, `Options` or
+//!   `Policy` — every value a caller can set on a fit, a corpus, a
+//!   stream or a server;
 //! * every `pub` item (re-exports aside) whose name appears in no
 //!   caller outside its crate's library. A caller is non-test code in
 //!   another crate's `src/` or `benches/`, the crate's own `src/bin/`
 //!   or `benches/`, `examples/` or `perfbench/src/`; comment lines and
 //!   `tests/` do not count.
 //!
-//! Exits 1 when that list is longer than [`CEILING`]: a new public item
-//! that only its own crate uses should be `pub(crate)` or private.
+//! Exits 1 when that list is longer than [`CEILING`] (a new public item
+//! that only its own crate uses should be `pub(crate)` or private) or
+//! the settable values exceed [`SETTABLE_CEILING`] (a new setting needs
+//! a caller that varies it, and the ceiling raised with it).
 //!
 //! Last, an informational list of *ambiguous* methods: public methods of
 //! an `impl T` that pass only by a bare name another function shares,
@@ -31,6 +37,12 @@ use std::process::ExitCode;
 
 /// Largest accepted number of public items without an outside caller.
 const CEILING: usize = 27;
+
+/// Largest accepted number of settable values.
+const SETTABLE_CEILING: usize = 77;
+
+/// Name endings of the structs whose `pub` fields are settable values.
+const SETTINGS: [&str; 5] = ["Config", "Params", "Spec", "Options", "Policy"];
 
 const KINDS: [&str; 9] = [
     "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "use",
@@ -155,6 +167,33 @@ fn declaration(line: &str) -> Option<(&'static str, String)> {
     Some((kind, name))
 }
 
+/// The `pub` fields of the settings structs declared in `lines`: from a
+/// `pub struct` whose name ends in one of [`SETTINGS`] to the `}` at its
+/// indentation.
+fn settable_fields(lines: &[String]) -> usize {
+    let mut closing: Option<String> = None;
+    let mut count = 0;
+    for line in lines {
+        if let Some(end) = &closing {
+            if line == end {
+                closing = None;
+            } else if let Some((name, _)) = line
+                .trim_start()
+                .strip_prefix("pub ")
+                .and_then(|f| f.split_once(':'))
+            {
+                count += usize::from(name.chars().all(|c| c.is_alphanumeric() || c == '_'));
+            }
+        } else if let Some(("struct", name)) = declaration(line) {
+            if line.ends_with('{') && SETTINGS.iter().any(|s| name.ends_with(s)) {
+                let indent = line.len() - line.trim_start().len();
+                closing = Some(format!("{}}}", &line[..indent]));
+            }
+        }
+    }
+    count
+}
+
 /// Identifiers on the non-comment lines of `lines`, and their typed
 /// paths `T::name` (`Self` resolved to the enclosing `impl`'s type).
 fn identifiers(lines: &[String], into: &mut HashSet<String>, typed: &mut HashSet<String>) {
@@ -225,7 +264,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let (mut count, mut non_test) = (0, 0);
+    let (mut count, mut non_test, mut settable) = (0, 0, 0);
     let mut unused: BTreeMap<String, Vec<String>> = BTreeMap::new();
     let mut ambiguous: BTreeMap<String, Vec<String>> = BTreeMap::new();
     for (c, dir) in crate_dirs.iter().enumerate() {
@@ -240,6 +279,7 @@ fn main() -> ExitCode {
                 continue;
             }
             non_test += lines[i].len();
+            settable += settable_fields(&lines[i]);
             let rel = path.strip_prefix(&root).unwrap_or(path).display();
             let decls = lines[i].iter().zip(impl_types(&lines[i]));
             for ((kind, name), this) in decls.filter_map(|(l, t)| Some((declaration(l)?, t))) {
@@ -261,6 +301,7 @@ fn main() -> ExitCode {
     let total: usize = unused.values().map(Vec::len).sum();
     println!("non-test lines: {non_test}");
     println!("public declarations: {count}");
+    println!("settable values: {settable} (ceiling {SETTABLE_CEILING})");
     println!("public items without an outside caller: {total} (ceiling {CEILING})");
     for (file, items) in &unused {
         println!("  {file}: {}", items.join(", "));
@@ -270,9 +311,20 @@ fn main() -> ExitCode {
     for (file, items) in &ambiguous {
         println!("  {file}: {}", items.join(", "));
     }
+    let mut failed = false;
     if total > CEILING {
         eprintln!("api_surface: {total} uncalled public items exceed the ceiling of {CEILING}");
-        return ExitCode::FAILURE;
+        failed = true;
     }
-    ExitCode::SUCCESS
+    if settable > SETTABLE_CEILING {
+        eprintln!(
+            "api_surface: {settable} settable values exceed the ceiling of {SETTABLE_CEILING}"
+        );
+        failed = true;
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }

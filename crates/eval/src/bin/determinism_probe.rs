@@ -42,11 +42,11 @@
 
 use mtrl_datagen::stream::{generate_stream, StreamConfig};
 use mtrl_datagen::{seed_from_env, CorpusConfig, CorruptionSpec};
-use mtrl_eval::{quick_params, rhchme_config, CorpusShape};
+use mtrl_eval::{quick_params, CorpusShape};
 use mtrl_linalg::Mat;
 use mtrl_stream::{RefreshPolicy, StreamSession};
-use rhchme::pipeline::{EnsembleSpec, PipelineParams};
-use rhchme::rhchme::Rhchme;
+use rhchme::pipeline::EnsembleSpec;
+use rhchme::rhchme::{Rhchme, RhchmeConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: determinism_probe <out_file> [--ann] [--ensemble] [--large] [--stream]";
@@ -57,7 +57,7 @@ type Dump = (Vec<Vec<usize>>, Mat, Mat, Vec<f64>, usize);
 
 /// The `--stream` leg: per-batch fold-in labels, then the last refit's
 /// labels, factors and trace.
-fn stream_dump(seed: u64, params: &PipelineParams) -> Result<Dump, String> {
+fn stream_dump(seed: u64, params: &RhchmeConfig) -> Result<Dump, String> {
     let (initial, batches) = generate_stream(&StreamConfig {
         base: CorpusConfig {
             docs_per_class: vec![110; 3],
@@ -74,7 +74,7 @@ fn stream_dump(seed: u64, params: &PipelineParams) -> Result<Dump, String> {
         min_confidence: None,
         ..RefreshPolicy::default()
     };
-    let rhchme = Rhchme::new(rhchme_config(params));
+    let rhchme = Rhchme::new(params.clone());
     let mut session = StreamSession::new(initial, rhchme, policy).map_err(|e| e.to_string())?;
     let mut labels = Vec::new();
     for batch in &batches {
@@ -152,7 +152,7 @@ fn main() -> ExitCode {
             })
             .map_err(|e| format!("ensemble fit failed: {e}"))
     } else {
-        let rhchme = Rhchme::new(rhchme_config(&params));
+        let rhchme = Rhchme::new(params);
         rhchme
             .fit_corpus(&corpus())
             .map(|r| {

@@ -20,7 +20,7 @@
 
 use mtrl_datagen::split_corpus;
 use mtrl_datagen::stream::{generate_stream, StreamConfig};
-use mtrl_eval::{quick_params, rhchme_config, CorpusShape};
+use mtrl_eval::{quick_params, CorpusShape};
 use mtrl_gateway::{Gateway, GatewayConfig};
 use mtrl_serve::{AssignRequest, ServeEngine, SparseVec};
 use mtrl_stream::{RefreshPolicy, StreamSession};
@@ -33,12 +33,11 @@ use std::time::Duration;
 const USAGE: &str = "usage: obs_report <manifest.json> [--prom <metrics.prom>]";
 
 fn serve_leg() -> Result<Arc<ServeEngine>, String> {
-    let params = quick_params(11);
     let mut config = CorpusShape::Balanced3.config();
     config.seed = 11;
     let corpus = mtrl_datagen::corpus::generate(&config);
     let (train, heldout) = split_corpus(&corpus, 0.35, 11);
-    let rhchme = Rhchme::new(rhchme_config(&params));
+    let rhchme = Rhchme::new(quick_params(11));
     let result = rhchme.fit_corpus(&train).map_err(|e| e.to_string())?;
     let model = rhchme
         .export_model(&result, &train)
@@ -170,7 +169,7 @@ fn stream_leg() -> Result<(), String> {
     });
     let mut session = StreamSession::new(
         initial,
-        Rhchme::new(rhchme_config(&params)),
+        Rhchme::new(params.clone()),
         RefreshPolicy {
             every_batches: None,
             // A floor above any real fold-in confidence: every batch past

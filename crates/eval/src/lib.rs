@@ -40,7 +40,5 @@ pub mod scenario;
 
 pub use gate::{bench_gate, quality_gate, GateReport, BENCH_TOLERANCE, QUALITY_TOLERANCE};
 pub use report::{QualityReport, ReportMeta, ScenarioStats, Stat};
-pub use runner::{
-    quick_params, rhchme_config, run_matrix, run_scenario, RunOptions, ScenarioResult,
-};
+pub use runner::{quick_params, run_matrix, run_scenario, RunOptions, ScenarioResult};
 pub use scenario::{quick_matrix, CorpusShape, EvalPath, Scenario, QUICK_SEEDS};

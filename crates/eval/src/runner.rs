@@ -19,7 +19,6 @@ use mtrl_datagen::stream::{generate_stream, StreamBatch, StreamConfig};
 use mtrl_metrics::{quality_scores, QualityScores};
 use mtrl_serve::{Assigner, SparseVec};
 use mtrl_stream::{RefreshPolicy, StreamSession};
-use rhchme::pipeline::PipelineParams;
 use rhchme::rhchme::{Rhchme, RhchmeConfig};
 
 /// Eval-layer result: failures carry a human-readable context string.
@@ -71,32 +70,30 @@ impl ScenarioResult {
     }
 }
 
-/// The shared quick-budget parameter bundle of the evaluation layer
-/// (also what the robustness examples use, so example numbers and gated
+/// The shared quick-budget configuration of the evaluation layer (also
+/// what the robustness examples use, so example numbers and gated
 /// numbers come from the same configuration).
-pub fn quick_params(seed: u64) -> PipelineParams {
-    PipelineParams {
+pub fn quick_params(seed: u64) -> RhchmeConfig {
+    RhchmeConfig {
         lambda: 1.0,
         beta: 10.0,
         max_iter: 40,
         spg_max_iter: 30,
         feature_cluster_divisor: 10,
         seed,
-        ..PipelineParams::default()
+        ..RhchmeConfig::default()
     }
 }
 
-fn apply_degrade(params: &mut PipelineParams) {
+fn apply_degrade(params: &mut RhchmeConfig) {
     params.lambda = 0.0;
     params.beta = 1e9;
 }
 
-/// The estimator-side view of a [`PipelineParams`] bundle, for every
-/// direct `Rhchme` construction in the evaluation layer (serve/stream
-/// scenario paths, `determinism_probe`); delegates to the one mapping,
-/// [`PipelineParams::rhchme_config`].
-pub fn rhchme_config(params: &PipelineParams) -> RhchmeConfig {
-    params.rhchme_config()
+/// An owned copy of `params`, for a `Rhchme` built from a borrowed
+/// configuration.
+pub fn rhchme_config(params: &RhchmeConfig) -> RhchmeConfig {
+    params.clone()
 }
 
 /// Run one scenario across a seed matrix.
@@ -150,12 +147,12 @@ fn run_seed(scenario: &Scenario, seed: u64, opts: &RunOptions) -> Result<Quality
         EvalPath::ColdFit(ref spec) => {
             let corpus = scenario.corruption.corpus(&scenario.shape.config(), seed);
             let out = mtrl_ensemble::run_spec(&corpus, spec, &params).map_err(|e| e.to_string())?;
-            Ok(out.quality(&corpus.labels))
+            Ok(quality_scores(&corpus.labels, &out.doc_labels))
         }
         EvalPath::ServeFoldIn => {
             let corpus = scenario.corruption.corpus(&scenario.shape.config(), seed);
             let (train, heldout) = split_corpus(&corpus, 0.35, seed);
-            let rhchme = Rhchme::new(rhchme_config(&params));
+            let rhchme = Rhchme::new(params);
             let result = rhchme.fit_corpus(&train).map_err(|e| e.to_string())?;
             let model = rhchme
                 .export_model(&result, &train)
@@ -186,7 +183,7 @@ fn run_seed(scenario: &Scenario, seed: u64, opts: &RunOptions) -> Result<Quality
             let num_terms = initial.num_terms();
             let mut session = StreamSession::new(
                 initial,
-                Rhchme::new(rhchme_config(&params)),
+                Rhchme::new(params.clone()),
                 RefreshPolicy {
                     // Triggers off: the scenario exercises the warm-refit
                     // path deterministically via refit_now below, so the

@@ -10,6 +10,7 @@
 use mtrl_datagen::{CorpusConfig, CorruptionSpec};
 use mtrl_eval::{quick_params, CorpusShape};
 use mtrl_graph::{GraphBackend, RpForestParams};
+use mtrl_metrics::quality_scores;
 use rhchme::pipeline::{run_spec, Method};
 
 fn quality_delta(config: &CorpusConfig, seed: u64) -> (f64, f64) {
@@ -18,8 +19,8 @@ fn quality_delta(config: &CorpusConfig, seed: u64) -> (f64, f64) {
     let mut ann_params = quick_params(seed);
     ann_params.graph_backend = GraphBackend::RpForest(RpForestParams::default());
     let ann = run_spec(&corpus, &Method::Rhchme.into(), &ann_params).unwrap();
-    let qe = exact.quality(&corpus.labels);
-    let qa = ann.quality(&corpus.labels);
+    let qe = quality_scores(&corpus.labels, &exact.doc_labels);
+    let qa = quality_scores(&corpus.labels, &ann.doc_labels);
     ((qe.fscore - qa.fscore).abs(), (qe.nmi - qa.nmi).abs())
 }
 

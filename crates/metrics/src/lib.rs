@@ -11,8 +11,9 @@
 //!   (the paper's printed denominator omits the square root, which would
 //!   not be bounded by 1; ref \[26\] uses the sqrt form).
 //!
-//! [`purity`] and [`adjusted_rand_index`] are provided for the extended
-//! analyses in EXPERIMENTS.md.
+//! [`purity`] and [`adjusted_rand_index`] extend the paper's two
+//! criteria; the evaluation layer reports the ARI beside them (README,
+//! "The evaluation layer").
 
 mod confusion;
 

@@ -52,7 +52,6 @@ use mtrl_graph::{graph_from_neighbours, laplacian_csr, PrefixSearch};
 use mtrl_linalg::Mat;
 use mtrl_serve::{Assigner, ServeEngine, SparseVec};
 use mtrl_sparse::SparseBlockDiag;
-use mtrl_subspace::SpgConfig;
 use rhchme::export::FittedModel;
 use rhchme::intra::{hetero_laplacian, subspace_laplacians};
 use rhchme::rhchme::WarmStart;
@@ -501,13 +500,8 @@ impl StreamSession {
         let data = MultiTypeData::from_corpus(&self.corpus, cfg.feature_cluster_divisor)?;
         let l_e = self.pnn_member(&data)?;
         let l = if self.policy.refresh_subspace {
-            let spg_cfg = SpgConfig {
-                gamma: cfg.gamma,
-                max_iter: cfg.spg_max_iter,
-                seed: cfg.seed,
-                ..SpgConfig::default()
-            };
-            let l_s = subspace_laplacians(&data.all_features(), &spg_cfg, cfg.laplacian_kind)?;
+            let l_s =
+                subspace_laplacians(&data.all_features(), &cfg.spg_config(), cfg.laplacian_kind)?;
             hetero_laplacian(&l_s, &l_e, cfg.alpha)?
         } else {
             l_e
@@ -980,14 +974,9 @@ mod tests {
         }
         let l_e = SparseBlockDiag::new(blocks).unwrap();
         let l = if session.policy.refresh_subspace {
-            let spg_cfg = SpgConfig {
-                gamma: cfg.gamma,
-                max_iter: cfg.spg_max_iter,
-                seed: cfg.seed,
-                ..SpgConfig::default()
-            };
             let l_s =
-                subspace_laplacians(&data.all_features(), &spg_cfg, cfg.laplacian_kind).unwrap();
+                subspace_laplacians(&data.all_features(), &cfg.spg_config(), cfg.laplacian_kind)
+                    .unwrap();
             hetero_laplacian(&l_s, &l_e, cfg.alpha).unwrap()
         } else {
             l_e

@@ -38,22 +38,10 @@ fn main() {
         };
         let corpus = spec.corpus(&CorpusShape::Skewed5.config(), params.seed);
         let arts = Artifacts::new(&corpus, &params).expect("artifacts");
-        let l_sub = arts
-            .subspace_laplacian(params.gamma, params.spg_max_iter, params.seed)
-            .expect("subspace");
+        let l_sub = arts.subspace_laplacian(&params).expect("subspace");
 
         // With the error matrix (RHCHME proper).
-        let with_er = arts
-            .run_rhchme_engine(
-                &l_sub,
-                params.alpha,
-                params.lambda,
-                params.beta,
-                params.max_iter,
-                params.tol,
-                false,
-            )
-            .expect("rhchme");
+        let with_er = arts.run_rhchme_engine(&l_sub, &params).expect("rhchme");
         let f_with = fscore(&corpus.labels, &with_er.doc_labels);
 
         // Same ensemble, error matrix off (squared-loss ablation).

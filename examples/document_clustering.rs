@@ -21,12 +21,12 @@ fn main() {
         corpus.num_classes
     );
 
-    let params = PipelineParams {
+    let params = RhchmeConfig {
         lambda: 1.0,
         max_iter: 60,
         spg_max_iter: 40,
         feature_cluster_divisor: 10,
-        ..PipelineParams::default()
+        ..RhchmeConfig::default()
     };
 
     println!(

@@ -16,6 +16,7 @@
 //! pins — the consensus F never falls below the best single method.
 
 use rhchme_repro::core::pipeline::MethodSpec;
+use rhchme_repro::metrics::quality_scores;
 use rhchme_repro::prelude::*;
 
 fn main() {
@@ -34,7 +35,7 @@ fn main() {
     for method in [Method::Src, Method::Snmtf, Method::Rmc, Method::Rhchme] {
         let spec = MethodSpec::from(method);
         let out = mtrl_ensemble::run_spec(&corpus, &spec, &params).expect("base fit");
-        let q = out.quality(&corpus.labels);
+        let q = quality_scores(&corpus.labels, &out.doc_labels);
         if q.fscore > best_single.0 {
             best_single = (q.fscore, method.key());
         }
@@ -49,7 +50,7 @@ fn main() {
 
     let spec = MethodSpec::ensemble();
     let out = mtrl_ensemble::run_spec(&corpus, &spec, &params).expect("ensemble fit");
-    let q = out.quality(&corpus.labels);
+    let q = quality_scores(&corpus.labels, &out.doc_labels);
     println!(
         "{:<10} {:>8.3} {:>8.3} {:>10}  consensus of seed/random-k/method perturbations",
         spec.key(),

@@ -27,7 +27,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let arts = Artifacts::new(&corpus, &params).expect("artifacts");
     let l_sub = arts
-        .subspace_laplacian(params.gamma, params.spg_max_iter, params.seed)
+        .subspace_laplacian(&params)
         .expect("subspace laplacian");
     println!("shared artifacts built in {:.2?}\n", t0.elapsed());
 
@@ -37,12 +37,10 @@ fn main() {
         let res = arts
             .run_rhchme_engine(
                 &l_sub,
-                alpha,
-                params.lambda,
-                params.beta,
-                params.max_iter,
-                params.tol,
-                false,
+                &RhchmeConfig {
+                    alpha,
+                    ..params.clone()
+                },
             )
             .expect("engine");
         println!(
@@ -59,12 +57,10 @@ fn main() {
         let res = arts
             .run_rhchme_engine(
                 &l_sub,
-                params.alpha,
-                params.lambda,
-                beta,
-                params.max_iter,
-                params.tol,
-                false,
+                &RhchmeConfig {
+                    beta,
+                    ..params.clone()
+                },
             )
             .expect("engine");
         println!(

@@ -44,7 +44,7 @@ pub mod prelude {
         BatchTelemetry, DynamicGraph, DynamicGraphConfig, PushReport, RefitReport, RefitTrigger,
         RefreshDecision, RefreshPolicy, SessionTelemetry, StreamError, StreamSession,
     };
-    pub use rhchme::pipeline::{run_spec, Method, MethodOutput, MethodSpec, PipelineParams};
+    pub use rhchme::pipeline::{run_spec, Method, MethodOutput, MethodSpec};
     pub use rhchme::rhchme::{Rhchme, RhchmeConfig, RhchmeResult, WarmStart};
     pub use rhchme::MultiTypeData;
 }

@@ -9,7 +9,8 @@
 //! `Mat` would pollute the high-water mark.
 
 use mtrl_ensemble::generator::{generate_members, SharedRegularizers};
-use rhchme::pipeline::{Artifacts, EnsembleSpec, PipelineParams};
+use rhchme::pipeline::{Artifacts, EnsembleSpec};
+use rhchme::RhchmeConfig;
 
 #[test]
 fn ensemble_path_allocates_no_nxn_dense() {
@@ -27,11 +28,11 @@ fn ensemble_path_allocates_no_nxn_dense() {
         seed: 71 ^ mtrl_datagen::seed_from_env(0),
     });
     // Divisor 20 keeps c small so `n·c ≪ n²` and the bound is sharp.
-    let params = PipelineParams {
+    let params = RhchmeConfig {
         feature_cluster_divisor: 20,
         max_iter: 10,
         spg_max_iter: 10,
-        ..PipelineParams::default()
+        ..RhchmeConfig::default()
     };
     let arts = Artifacts::new(&corpus, &params).unwrap();
     let n = arts.data.total_objects();

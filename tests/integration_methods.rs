@@ -22,12 +22,12 @@ fn test_corpus(corrupt: f64, seed: u64) -> MultiTypeCorpus {
     })
 }
 
-fn fast_params() -> PipelineParams {
-    PipelineParams {
+fn fast_params() -> RhchmeConfig {
+    RhchmeConfig {
         max_iter: 50,
         spg_max_iter: 40,
         feature_cluster_divisor: 10,
-        ..PipelineParams::default()
+        ..RhchmeConfig::default()
     }
 }
 
@@ -236,14 +236,14 @@ fn ensemble_members_equal_solo_fits() {
     use rhchme_repro::graph::{GraphBackend, LaplacianKind, RpForestParams, WeightScheme};
 
     let corpus = forest_corpus(331);
-    let exact = PipelineParams {
+    let exact = RhchmeConfig {
         max_iter: 15,
         spg_max_iter: 10,
         feature_cluster_divisor: 10,
-        ..PipelineParams::default()
+        ..RhchmeConfig::default()
     };
     let forest = GraphBackend::RpForest(RpForestParams::default());
-    let forest_params = PipelineParams {
+    let forest_params = RhchmeConfig {
         graph_backend: forest,
         ..exact.clone()
     };
@@ -294,9 +294,7 @@ fn ensemble_members_equal_solo_fits() {
         assert_eq!(members.len(), 8);
         let canonical = arts.data.cluster_counts()[0];
         assert!(members.iter().any(|m| m.doc_clusters != canonical));
-        let l_sub = arts
-            .subspace_laplacian(params.gamma, params.spg_max_iter, params.seed)
-            .unwrap();
+        let l_sub = arts.subspace_laplacian(params).unwrap();
         let hetero =
             GraphRegularizer::Fixed(hetero_laplacian(&l_sub, &arts.l_pnn, params.alpha).unwrap());
         let apart = |m: Method| {
@@ -316,7 +314,7 @@ fn ensemble_members_equal_solo_fits() {
                     Method::Rmc => &rmc,
                     _ => &hetero,
                 };
-                let cfg = m.method.engine_config(&params.rhchme_config()).unwrap();
+                let cfg = m.method.engine_config(params).unwrap();
                 let g0 = init_membership(&data, &arts.features, m.seed);
                 (data, reg, g0, cfg)
             })
@@ -388,7 +386,7 @@ fn with_value(m: &rhchme_repro::sparse::Csr, i: usize, v: f64) -> rhchme_repro::
 #[test]
 fn non_finite_relations_are_errors_for_every_method() {
     let clean = test_corpus(0.0, 341);
-    let params = PipelineParams {
+    let params = RhchmeConfig {
         max_iter: 5,
         spg_max_iter: 5,
         ..fast_params()
@@ -452,6 +450,9 @@ fn with_columns(
 }
 
 /// The degenerate corpora of the robustness property test, by name.
+/// The degenerate case every method must refuse with `InvalidConfig`.
+const MORE_CLUSTERS_THAN_DOCS: &str = "three clusters, two documents";
+
 fn degenerate_corpora(seed: u64) -> Vec<(&'static str, MultiTypeCorpus)> {
     let seed = seed + mtrl_datagen::seed_from_env(0);
     let generate = |docs_per_class: Vec<usize>| {
@@ -514,7 +515,7 @@ fn degenerate_corpora(seed: u64) -> Vec<(&'static str, MultiTypeCorpus)> {
         ("single class", single_class),
         ("all-zero feature column", zero_column),
         ("one concept, two concept clusters", one_concept),
-        ("three clusters, two documents", more_classes_than_docs),
+        (MORE_CLUSTERS_THAN_DOCS, more_classes_than_docs),
     ]
 }
 
@@ -525,7 +526,7 @@ proptest::proptest! {
 
     #[test]
     fn degenerate_corpora_give_labels_or_typed_errors(seed in 0u64..1000) {
-        let params = PipelineParams {
+        let params = RhchmeConfig {
             max_iter: 5,
             spg_max_iter: 5,
             ..fast_params()
@@ -540,7 +541,15 @@ proptest::proptest! {
                 let Ok(result) = out else {
                     panic!("{} panicked on {case}", spec.key());
                 };
-                if let Ok(fit) = result {
+                if case == MORE_CLUSTERS_THAN_DOCS {
+                    // Every method refuses the request the same way.
+                    assert!(
+                        matches!(result, Err(rhchme::RhchmeError::InvalidConfig(_))),
+                        "{} on {case} gave {:?}",
+                        spec.key(),
+                        result.map(|fit| fit.doc_labels)
+                    );
+                } else if let Ok(fit) = result {
                     assert_eq!(fit.doc_labels.len(), corpus.num_docs(), "{} on {case}", spec.key());
                 }
             }

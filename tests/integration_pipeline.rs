@@ -1,7 +1,7 @@
 //! Integration tests of the pipeline plumbing: artifact caching,
 //! label-trace recording, error-matrix diagnostics.
 
-use rhchme_repro::core::pipeline::{Artifacts, PipelineParams};
+use rhchme_repro::core::pipeline::Artifacts;
 use rhchme_repro::prelude::*;
 
 fn corpus(seed: u64) -> MultiTypeCorpus {
@@ -27,31 +27,19 @@ fn artifacts_cache_equals_full_run() {
     // Running RHCHME through Artifacts (the sweep path) must give the
     // same labels as the one-shot estimator with identical parameters.
     let c = corpus(401);
-    let params = PipelineParams {
+    let params = RhchmeConfig {
         lambda: 1.0,
         beta: 10.0,
         max_iter: 30,
         spg_max_iter: 30,
         feature_cluster_divisor: 10,
-        ..PipelineParams::default()
+        ..RhchmeConfig::default()
     };
     let direct = run_spec(&c, &Method::Rhchme.into(), &params).unwrap();
 
     let arts = Artifacts::new(&c, &params).unwrap();
-    let l_sub = arts
-        .subspace_laplacian(params.gamma, params.spg_max_iter, params.seed)
-        .unwrap();
-    let cached = arts
-        .run_rhchme_engine(
-            &l_sub,
-            params.alpha,
-            params.lambda,
-            params.beta,
-            params.max_iter,
-            params.tol,
-            false,
-        )
-        .unwrap();
+    let l_sub = arts.subspace_laplacian(&params).unwrap();
+    let cached = arts.run_rhchme_engine(&l_sub, &params).unwrap();
     assert_eq!(direct.doc_labels, cached.doc_labels);
 }
 
@@ -61,20 +49,19 @@ fn sweep_reuses_artifacts_consistently() {
     // share initialisation (deterministic caching), and an identical
     // lambda must reproduce identical results.
     let c = corpus(402);
-    let params = PipelineParams {
+    let params = RhchmeConfig {
+        lambda: 1.0,
+        gamma: 25.0,
+        beta: 10.0,
         max_iter: 20,
         spg_max_iter: 25,
         feature_cluster_divisor: 10,
-        ..PipelineParams::default()
+        ..RhchmeConfig::default()
     };
     let arts = Artifacts::new(&c, &params).unwrap();
-    let l_sub = arts.subspace_laplacian(25.0, 25, params.seed).unwrap();
-    let a = arts
-        .run_rhchme_engine(&l_sub, 1.0, 1.0, 10.0, 20, 1e-6, false)
-        .unwrap();
-    let b = arts
-        .run_rhchme_engine(&l_sub, 1.0, 1.0, 10.0, 20, 1e-6, false)
-        .unwrap();
+    let l_sub = arts.subspace_laplacian(&params).unwrap();
+    let a = arts.run_rhchme_engine(&l_sub, &params).unwrap();
+    let b = arts.run_rhchme_engine(&l_sub, &params).unwrap();
     assert_eq!(a.doc_labels, b.doc_labels);
     assert_eq!(a.objective_trace, b.objective_trace);
 }
@@ -82,14 +69,14 @@ fn sweep_reuses_artifacts_consistently() {
 #[test]
 fn label_trace_has_iteration_granularity() {
     let c = corpus(403);
-    let params = PipelineParams {
+    let params = RhchmeConfig {
         lambda: 1.0,
         max_iter: 12,
         tol: 0.0, // force all iterations
         spg_max_iter: 20,
         feature_cluster_divisor: 10,
         record_doc_labels: true,
-        ..PipelineParams::default()
+        ..RhchmeConfig::default()
     };
     let out = run_spec(&c, &Method::Rhchme.into(), &params).unwrap();
     assert_eq!(out.label_trace.len(), out.iterations);
@@ -110,19 +97,18 @@ fn label_trace_has_iteration_granularity() {
 fn error_matrix_flags_corrupted_documents() {
     let c = corpus(404);
     assert!(!c.corrupted_docs.is_empty());
-    let params = PipelineParams {
+    let params = RhchmeConfig {
         lambda: 1.0,
+        gamma: 25.0,
         beta: 5.0,
         max_iter: 40,
         spg_max_iter: 25,
         feature_cluster_divisor: 10,
-        ..PipelineParams::default()
+        ..RhchmeConfig::default()
     };
     let arts = Artifacts::new(&c, &params).unwrap();
-    let l_sub = arts.subspace_laplacian(25.0, 25, params.seed).unwrap();
-    let res = arts
-        .run_rhchme_engine(&l_sub, 1.0, 1.0, 5.0, 40, 1e-6, false)
-        .unwrap();
+    let l_sub = arts.subspace_laplacian(&params).unwrap();
+    let res = arts.run_rhchme_engine(&l_sub, &params).unwrap();
     let doc_norms = &res.error_row_norms[..c.num_docs()];
     let corrupted_mean = mtrl_linalg::vecops::mean(
         &c.corrupted_docs
@@ -145,12 +131,12 @@ fn error_matrix_flags_corrupted_documents() {
 #[test]
 fn dataset_presets_integrate_with_pipeline() {
     // Tiny presets of all four datasets must run end to end.
-    let params = PipelineParams {
+    let params = RhchmeConfig {
         lambda: 1.0,
         max_iter: 15,
         spg_max_iter: 15,
         feature_cluster_divisor: 10,
-        ..PipelineParams::default()
+        ..RhchmeConfig::default()
     };
     for id in DatasetId::all() {
         let c = load(id, Scale::Tiny);

@@ -107,21 +107,22 @@ fn v1_json_file_is_a_typed_corrupt_error() {
 }
 
 #[test]
-fn pipeline_export_flag_round_trips_through_engine() {
+fn pipeline_export_round_trips_through_engine() {
     let full = corpus(72);
-    let params = PipelineParams {
+    let params = RhchmeConfig {
         lambda: 1.0,
         max_iter: 30,
         spg_max_iter: 30,
         feature_cluster_divisor: 10,
-        export_model: true,
-        ..PipelineParams::default()
+        ..RhchmeConfig::default()
     };
     let out = run_spec(&full, &Method::Rhchme.into(), &params).unwrap();
-    let model = out.model.expect("export_model was requested");
-    // Other methods ignore the flag.
-    let src = run_spec(&full, &Method::Src.into(), &params).unwrap();
-    assert!(src.model.is_none());
+    // The estimator under the same configuration fits the same model,
+    // and exports it.
+    let rhchme = Rhchme::new(params);
+    let result = rhchme.fit_corpus(&full).unwrap();
+    assert_eq!(result.doc_labels, out.doc_labels);
+    let model = rhchme.export_model(&result, &full).unwrap();
 
     let engine = ServeEngine::new(1);
     engine.register("from-pipeline", model).unwrap();
