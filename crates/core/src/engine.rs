@@ -7,6 +7,7 @@
 //!
 //! | method  | graph regulariser            | `E_R` | row ℓ1 |
 //! |---------|------------------------------|-------|--------|
+//! | DRCC    | [`GraphRegularizer::Fixed`] (pNN, two types) | off | off |
 //! | SRC     | [`GraphRegularizer::None`]   | off   | off    |
 //! | SNMTF   | [`GraphRegularizer::Fixed`] (pNN) | off | off |
 //! | RMC     | [`GraphRegularizer::Ensemble`] (6 pNN candidates) | off | off |
@@ -285,7 +286,7 @@ pub enum GraphRegularizer {
 }
 
 /// Ridge added to `GᵀG` before every inversion (empty-cluster
-/// protection): the engine's Eq. 18 `S` solve, DRCC's and the consensus
+/// protection): the engine's Eq. 18 `S` solve and the consensus
 /// ensemble's closed-form `S`.
 pub const GRAM_RIDGE: f64 = 1e-10;
 

@@ -19,10 +19,10 @@
 //!   retired dense loop kept as a test reference;
 //! * [`rhchme`] — the end-to-end RHCHME estimator;
 //! * [`pipeline`] — the method table of Sec. IV-B's comparison suite
-//!   (one engine row per method for SRC, SNMTF, RMC and RHCHME, with
-//!   their paper references; DRCC's DR-T/DR-C/DR-TC run their own
-//!   solver), and one-call runners with artifact caching used by the
-//!   table/figure benches;
+//!   (one engine row per method, with its paper reference: DRCC's
+//!   DR-T/DR-C/DR-TC on two-type data, SRC, SNMTF, RMC and RHCHME on
+//!   the three types), and one-call runners with artifact caching used
+//!   by the table/figure benches;
 //! * [`export`] — the serving-ready [`FittedModel`] bundle (per-type
 //!   membership blocks, association matrix `S`, feature centroids)
 //!   consumed by the `mtrl-serve` crate for out-of-sample fold-in.
@@ -40,7 +40,6 @@
 //! assert!(f > 0.3);
 //! ```
 
-mod baselines;
 pub mod engine;
 mod error;
 pub mod export;

@@ -42,6 +42,12 @@ impl FeatureBlock<'_> {
     }
 }
 
+/// The cluster count of a feature type with `m` objects: `m / divisor`
+/// (a divisor of 0 reads as 1), clamped to `[2, 30]`.
+pub(crate) fn feature_clusters(m: usize, divisor: usize) -> usize {
+    (m / divisor.max(1)).clamp(2, 30)
+}
+
 /// A multi-type relational dataset: `K` types plus pairwise relations.
 #[derive(Debug, Clone)]
 pub struct MultiTypeData {
@@ -148,14 +154,13 @@ impl MultiTypeData {
         corpus: &mtrl_datagen::MultiTypeCorpus,
         feature_cluster_divisor: usize,
     ) -> Result<Self> {
-        let div = feature_cluster_divisor.max(1);
-        let clamp = |m: usize| (m / div).clamp(2, 30);
+        let (terms, concepts) = (corpus.num_terms(), corpus.num_concepts());
         MultiTypeData::new(
-            vec![corpus.num_docs(), corpus.num_terms(), corpus.num_concepts()],
+            vec![corpus.num_docs(), terms, concepts],
             vec![
                 corpus.num_classes,
-                clamp(corpus.num_terms()),
-                clamp(corpus.num_concepts()),
+                feature_clusters(terms, feature_cluster_divisor),
+                feature_clusters(concepts, feature_cluster_divisor),
             ],
             vec![
                 (0, 1, corpus.doc_term.clone()),
@@ -470,22 +475,21 @@ mod tests {
     /// The feature view as densified relations, transposed where needed
     /// and concatenated left to right.
     fn hstacked_features(d: &MultiTypeData, k: usize) -> Mat {
-        let mut out: Option<Mat> = None;
-        for l in (0..d.num_types()).filter(|&l| l != k) {
-            let Some(rel) = d.relation(k.min(l), k.max(l)) else {
-                continue;
-            };
-            let dense = if k < l {
-                rel.to_dense()
-            } else {
-                rel.transpose().to_dense()
-            };
-            out = Some(match out {
-                None => dense,
-                Some(acc) => acc.hstack(&dense).unwrap(),
-            });
-        }
-        out.unwrap()
+        let blocks: Vec<Mat> = (0..d.num_types())
+            .filter(|&l| l != k)
+            .filter_map(|l| {
+                let rel = d.relation(k.min(l), k.max(l))?;
+                Some(if k < l {
+                    rel.to_dense()
+                } else {
+                    rel.transpose().to_dense()
+                })
+            })
+            .collect();
+        let rows: Vec<Vec<f64>> = (0..d.sizes()[k])
+            .map(|i| blocks.iter().flat_map(|b| b.row(i).to_vec()).collect())
+            .collect();
+        Mat::from_rows(&rows).unwrap()
     }
 
     #[test]

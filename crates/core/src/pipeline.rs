@@ -20,46 +20,46 @@
 //!
 //! # The method table
 //!
-//! SRC, SNMTF, RMC and RHCHME are one NMTF objective (Eqs. 1, 2, 15) on
-//! one engine; they differ in the intra-type regulariser and in whether
-//! the `E_R` and row-ℓ1 terms are on (the table in [`crate::engine`]).
-//! Every method reads its parameters from one [`RhchmeConfig`],
+//! All seven methods are one NMTF objective (Eqs. 1, 2, 15) on one
+//! engine; they differ in their data, in the intra-type regulariser and
+//! in whether the `E_R` and row-ℓ1 terms are on (the table in
+//! [`crate::engine`]). Every method reads its parameters from one
+//! [`RhchmeConfig`]; [`Method::data`] builds its dataset,
 //! [`Method::engine_config`] is the one place a method's
 //! [`EngineConfig`] row is written, and
-//! [`Method::baseline_regularizer`] builds the SRC, SNMTF and RMC graph
-//! regularisers. Every fit of these four methods builds its engine input
-//! there: [`run_spec`], [`Rhchme`],
-//! [`Artifacts::run_rhchme_engine`] and the `mtrl-ensemble` members. The
-//! graph backend belongs to RHCHME alone, so an ensemble
-//! member equals the solo fit of its method at the same seed and
-//! cluster counts. The rows and their paper references:
+//! [`Method::baseline_regularizer`] builds the DRCC, SRC, SNMTF and RMC
+//! graph regularisers. Every fit builds its engine input there:
+//! [`run_spec`], [`Rhchme`], [`Artifacts::run_rhchme_engine`] and the
+//! `mtrl-ensemble` members. The graph backend belongs to RHCHME alone,
+//! so an ensemble member equals the solo fit of its method at the same
+//! seed and cluster counts. The rows and their paper references:
 //!
 //! | method | reference | graph regulariser | `E_R`, row ℓ1 |
 //! |--------|-----------|-------------------|---------------|
+//! | DR-T, DR-C, DR-TC | ref \[1\] (Gu & Zhou): DRCC, `‖R − G S Fᵀ‖² + λ·tr(GᵀL_G G) + μ·tr(FᵀL_F F)` on two types, documents × terms, concepts or both (concatenated); here λ = μ = 0.1 | fixed pNN on both types | off |
 //! | SRC    | ref \[2\] (Long et al.): collective NMTF on inter-type relationships only | none (λ = 0) | off |
 //! | SNMTF  | refs \[5, 6\] (Wang et al.): Eq. (1), NMTF + a single pNN Laplacian (`p = 5`, cosine) | fixed pNN | off |
 //! | RMC    | ref \[15\] (Li et al.): Eq. (2), NMTF + a learned linear ensemble `Σ βᵢ L̂ᵢ` of six pNN candidates (`p ∈ {5, 10}` × binary / heat-kernel / cosine), β re-optimised on the simplex each iteration | ensemble | off |
 //! | RHCHME | the paper, Eq. (15) | heterogeneous ensemble (Eq. 12) | on |
 //!
 //! SNMTF's original orthogonality constraint is replaced by the engine's
-//! multiplicative form, matching RMC's treatment. The baselines build
-//! their graphs exact; the graph backend belongs to RHCHME.
-//!
-//! DRCC (ref \[1\]) has its own two-type solver (`baselines::drcc`) and
-//! runs as DR-T (terms), DR-C (concepts) and DR-TC (concatenated).
+//! multiplicative form, matching RMC's treatment. DRCC's objective is
+//! the engine's on a two-type dataset with SNMTF's row: its feature
+//! factor `F` is the second type's block of `G`, and one λ weights both
+//! Laplacian blocks. The baselines build their graphs exact; the graph
+//! backend belongs to RHCHME.
 //!
 //! The baselines' own weights are constants at their Sec. IV-B values,
 //! not [`RhchmeConfig`] fields: RMC's simplex penalty μ = 1
-//! ([`RMC_MU`]) and DRCC's graph weights λ = μ = 0.1. The parameters a
+//! ([`RMC_MU`]) and DRCC's graph weight λ = 0.1. The parameters a
 //! sweep varies are the paper's tuned λ, γ, α, β and p (Sec. IV-E).
 
-use crate::baselines::{run_drcc, variant_matrix, DrccConfig, DrccVariant};
 use crate::engine::{run_engine, EngineConfig, EngineResult, GraphRegularizer};
 use crate::intra::{
     exact_neighbours, hetero_laplacian, pnn_laplacians_backend_prec, pnn_laplacians_ranked,
     rmc_candidates, rmc_candidates_ranked, subspace_laplacians, RankedLists,
 };
-use crate::multitype::MultiTypeData;
+use crate::multitype::{feature_clusters, MultiTypeData};
 use crate::rhchme::{init_membership, package_result, Rhchme, RhchmeConfig};
 use crate::{Result, RhchmeError};
 use mtrl_datagen::MultiTypeCorpus;
@@ -132,31 +132,62 @@ impl Method {
         }
     }
 
-    /// This method's row of the engine table (see the module docs for
-    /// each row's paper reference): the [`EngineConfig`] every fit of
-    /// SRC, SNMTF, RMC or RHCHME runs with.
-    ///
-    /// The four rows share `cfg`'s iteration budget, tolerance and label
-    /// recording. SRC has no graph term (λ = 0); SNMTF and RMC weight
-    /// theirs by `cfg.lambda`. Only RHCHME turns on the error matrix
-    /// `E_R` (weight `cfg.beta`) and the row-ℓ1 normalisation.
+    /// The dataset this method fits on `corpus`. The multi-type methods
+    /// get the three-type documents × terms × concepts data of
+    /// [`MultiTypeData::from_corpus`]. DR-T, DR-C and DR-TC get a
+    /// two-type documents × features dataset whose one relation is
+    /// `doc_term`, `doc_concept` or their column concatenation, with the
+    /// features clustered by the same `m / divisor` rule.
     ///
     /// # Errors
-    /// [`RhchmeError::InvalidConfig`] for the DRCC variants, which have
-    /// their own solver.
-    pub fn engine_config(self, cfg: &RhchmeConfig) -> Result<EngineConfig> {
+    /// As [`MultiTypeData::new`]; [`RhchmeError::InvalidData`] when DR-TC's
+    /// two relations disagree on the document count.
+    pub fn data(self, corpus: &MultiTypeCorpus, cfg: &RhchmeConfig) -> Result<MultiTypeData> {
+        let relation = match self {
+            Method::DrT => corpus.doc_term.clone(),
+            Method::DrC => corpus.doc_concept.clone(),
+            Method::DrTC => {
+                if corpus.doc_term.rows() != corpus.doc_concept.rows() {
+                    return Err(RhchmeError::InvalidData(format!(
+                        "DR-TC: {} documents with terms, {} with concepts",
+                        corpus.doc_term.rows(),
+                        corpus.doc_concept.rows()
+                    )));
+                }
+                // `[terms | concepts]`, stacked as columns of the transposes.
+                let terms_t = corpus.doc_term.transpose();
+                terms_t.vstack(&corpus.doc_concept.transpose()).transpose()
+            }
+            _ => return MultiTypeData::from_corpus(corpus, cfg.feature_cluster_divisor),
+        };
+        let features = relation.cols();
+        MultiTypeData::new(
+            vec![corpus.num_docs(), features],
+            vec![
+                corpus.num_classes,
+                feature_clusters(features, cfg.feature_cluster_divisor),
+            ],
+            vec![(0, 1, relation)],
+        )
+    }
+
+    /// This method's row of the engine table (see the module docs for
+    /// each row's paper reference): the [`EngineConfig`] every fit of
+    /// the method runs with.
+    ///
+    /// The rows share `cfg`'s iteration budget, tolerance and label
+    /// recording. SRC has no graph term (λ = 0); SNMTF and RMC weight
+    /// theirs by `cfg.lambda` and DRCC by its fixed λ = 0.1. Only
+    /// RHCHME turns on the error matrix `E_R` (weight `cfg.beta`) and
+    /// the row-ℓ1 normalisation.
+    pub fn engine_config(self, cfg: &RhchmeConfig) -> EngineConfig {
         let (lambda, robust) = match self {
             Method::Src => (0.0, false),
             Method::Snmtf | Method::Rmc => (cfg.lambda, false),
             Method::Rhchme => (cfg.lambda, true),
-            Method::DrT | Method::DrC | Method::DrTC => {
-                return Err(RhchmeError::InvalidConfig(format!(
-                    "{} is not an NMTF engine method",
-                    self.paper_name()
-                )))
-            }
+            Method::DrT | Method::DrC | Method::DrTC => (DRCC_LAMBDA, false),
         };
-        Ok(EngineConfig {
+        EngineConfig {
             lambda,
             beta: if robust { cfg.beta } else { 0.0 },
             use_error_matrix: robust,
@@ -165,21 +196,22 @@ impl Method {
             tol: cfg.tol,
             record_labels_for_type: cfg.record_doc_labels.then_some(0),
             ..EngineConfig::default()
-        })
+        }
     }
 
-    /// SRC's, SNMTF's or RMC's graph regulariser on `features`: none, the
-    /// pNN Laplacian of RHCHME's `L_E` recipe, or RMC's six candidates —
-    /// all built exact, since the graph backend belongs to RHCHME. A
-    /// caller that holds the [`Artifacts`] of the same features and
-    /// `cfg` passes them as `shared`; their `L_E` is reused where it
-    /// is the same graph (an exact `L_E`, and for RMC only at `p = 5`),
-    /// and RMC's candidates reuse their exact neighbour search.
+    /// A baseline's graph regulariser on `features`: none for SRC, the
+    /// pNN Laplacian of RHCHME's `L_E` recipe for SNMTF and DRCC (on
+    /// DRCC's two types, its document and feature graphs), or RMC's six
+    /// candidates — all built exact, since the graph backend belongs to
+    /// RHCHME. A caller that holds the [`Artifacts`] of the same features
+    /// and `cfg` passes them as `shared` (DRCC callers pass `None`:
+    /// [`Artifacts`] hold the three-type data); their `L_E` is reused
+    /// where it is the same graph (an exact `L_E`, and for RMC only at
+    /// `p = 5`), and RMC's candidates reuse their exact neighbour search.
     ///
     /// # Errors
     /// [`RhchmeError::InvalidConfig`] for RHCHME (its regulariser is the
-    /// heterogeneous ensemble) and the DRCC variants; propagates graph
-    /// construction failures.
+    /// heterogeneous ensemble); propagates graph construction failures.
     pub fn baseline_regularizer(
         self,
         features: &[Mat],
@@ -191,17 +223,19 @@ impl Method {
             .filter(|_| cfg.graph_backend.is_exact());
         match self {
             Method::Src => Ok(GraphRegularizer::None),
-            Method::Snmtf => Ok(GraphRegularizer::Fixed(match exact_l_e {
-                Some(l) => l.clone(),
-                None => pnn_laplacians_backend_prec(
-                    features,
-                    cfg.p,
-                    cfg.weight_scheme,
-                    cfg.laplacian_kind,
-                    &GraphBackend::Exact,
-                    Default::default(),
-                )?,
-            })),
+            Method::Snmtf | Method::DrT | Method::DrC | Method::DrTC => {
+                Ok(GraphRegularizer::Fixed(match exact_l_e {
+                    Some(l) => l.clone(),
+                    None => pnn_laplacians_backend_prec(
+                        features,
+                        cfg.p,
+                        cfg.weight_scheme,
+                        cfg.laplacian_kind,
+                        &GraphBackend::Exact,
+                        Default::default(),
+                    )?,
+                }))
+            }
             Method::Rmc => {
                 let pnn5_cosine = exact_l_e.filter(|_| cfg.p == 5);
                 let candidates = match shared.and_then(|arts| arts.ranked.as_ref()) {
@@ -215,10 +249,9 @@ impl Method {
                     mu: RMC_MU,
                 })
             }
-            _ => Err(RhchmeError::InvalidConfig(format!(
-                "{} has no baseline graph regulariser",
-                self.paper_name()
-            ))),
+            Method::Rhchme => Err(RhchmeError::InvalidConfig(
+                "RHCHME has no baseline graph regulariser".into(),
+            )),
         }
     }
 }
@@ -313,11 +346,9 @@ impl MethodSpec {
 /// Sec. IV-B setting).
 pub const RMC_MU: f64 = 1.0;
 
-/// DRCC's document-side graph weight λ (Sec. IV-B).
+/// DRCC's graph weight λ on its document and feature Laplacians
+/// (Sec. IV-B).
 const DRCC_LAMBDA: f64 = 0.1;
-
-/// DRCC's feature-side graph weight μ (Sec. IV-B).
-const DRCC_MU: f64 = 0.1;
 
 /// Another name for [`RhchmeConfig`], kept because the `perfbench/`
 /// harness names it.
@@ -372,64 +403,14 @@ pub fn run_spec(
         }
     };
     let start = Instant::now();
-    let out = match method {
-        Method::DrT | Method::DrC | Method::DrTC => {
-            let variant = match method {
-                Method::DrT => DrccVariant::Terms,
-                Method::DrC => DrccVariant::Concepts,
-                _ => DrccVariant::TermsAndConcepts,
-            };
-            let r = variant_matrix(corpus, variant);
-            let div = cfg.feature_cluster_divisor.max(1);
-            let res = run_drcc(
-                &r,
-                &DrccConfig {
-                    lambda: DRCC_LAMBDA,
-                    mu: DRCC_MU,
-                    doc_clusters: corpus.num_classes,
-                    feature_clusters: (r.cols() / div).clamp(2, 30),
-                    p: cfg.p,
-                    max_iter: cfg.max_iter,
-                    tol: cfg.tol,
-                    seed: cfg.seed,
-                    record_doc_labels: cfg.record_doc_labels,
-                },
-            )?;
-            MethodOutput {
-                method: MethodSpec::Base(method),
-                doc_labels: res.doc_labels,
-                objective_trace: res.objective_trace,
-                label_trace: res.label_trace,
-                elapsed: start.elapsed(),
-                iterations: res.iterations,
-                converged: res.converged,
-            }
-        }
-        Method::Src | Method::Snmtf | Method::Rmc => {
-            let data = MultiTypeData::from_corpus(corpus, cfg.feature_cluster_divisor)?;
-            let out = fit_baseline(&data, method, cfg)?;
-            to_output(method, package_result(&data, out), start)
-        }
-        Method::Rhchme => {
-            let res = Rhchme::new(cfg.clone()).fit_corpus(corpus)?;
-            to_output(method, res, start)
+    let res = match method {
+        Method::Rhchme => Rhchme::new(cfg.clone()).fit_corpus(corpus)?,
+        _ => {
+            let data = method.data(corpus, cfg)?;
+            package_result(&data, fit_baseline(&data, method, cfg)?)
         }
     };
-    Ok(out)
-}
-
-/// SRC, SNMTF or RMC on assembled data: the method's graph regulariser,
-/// a k-means start and its engine row.
-fn fit_baseline(data: &MultiTypeData, method: Method, cfg: &RhchmeConfig) -> Result<EngineResult> {
-    let features = data.all_features();
-    let reg = method.baseline_regularizer(&features, cfg, None)?;
-    let engine_cfg = method.engine_config(cfg)?;
-    let g0 = init_membership(data, &features, cfg.seed);
-    run_engine(&data.assemble_r_csr(), data, &reg, g0, &engine_cfg)
-}
-
-fn to_output(method: Method, res: crate::rhchme::RhchmeResult, start: Instant) -> MethodOutput {
-    MethodOutput {
+    Ok(MethodOutput {
         method: MethodSpec::Base(method),
         doc_labels: res.doc_labels,
         objective_trace: res.objective_trace,
@@ -437,7 +418,17 @@ fn to_output(method: Method, res: crate::rhchme::RhchmeResult, start: Instant) -
         elapsed: start.elapsed(),
         iterations: res.iterations,
         converged: res.converged,
-    }
+    })
+}
+
+/// A baseline on its [`Method::data`]: the method's graph regulariser, a
+/// k-means start and its engine row.
+fn fit_baseline(data: &MultiTypeData, method: Method, cfg: &RhchmeConfig) -> Result<EngineResult> {
+    let features = data.all_features();
+    let reg = method.baseline_regularizer(&features, cfg, None)?;
+    let engine_cfg = method.engine_config(cfg);
+    let g0 = init_membership(data, &features, cfg.seed);
+    run_engine(&data.assemble_r_csr(), data, &reg, g0, &engine_cfg)
 }
 
 /// Precomputed heavyweight intermediates for parameter sweeps (Fig. 2).
@@ -543,7 +534,7 @@ impl Artifacts {
             &self.data,
             &GraphRegularizer::Fixed(l),
             self.g0.clone(),
-            &Method::Rhchme.engine_config(cfg)?,
+            &Method::Rhchme.engine_config(cfg),
         )?;
         Ok(package_result(&self.data, out))
     }
@@ -658,31 +649,41 @@ mod tests {
             record_doc_labels: true,
             ..RhchmeConfig::default()
         };
-        let rows = [Method::Src, Method::Snmtf, Method::Rmc, Method::Rhchme]
-            .map(|m| m.engine_config(&cfg).unwrap());
+        let rows = Method::all().map(|m| m.engine_config(&cfg));
         let lambdas: Vec<f64> = rows.iter().map(|r| r.lambda).collect();
-        assert_eq!(lambdas, vec![0.0, 0.3, 0.3, 0.3]);
+        assert_eq!(lambdas, vec![0.1, 0.1, 0.1, 0.0, 0.3, 0.3, 0.3]);
         let betas: Vec<f64> = rows.iter().map(|r| r.beta).collect();
-        assert_eq!(betas, vec![0.0, 0.0, 0.0, 7.0]);
-        for (row, robust) in rows.iter().zip([false, false, false, true]) {
+        assert_eq!(betas, vec![0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.0]);
+        for (row, method) in rows.iter().zip(Method::all()) {
+            let robust = method == Method::Rhchme;
             assert_eq!(row.use_error_matrix, robust);
             assert_eq!(row.l1_row_normalize, robust);
             assert_eq!((row.max_iter, row.tol), (11, 1e-4));
             assert_eq!(row.record_labels_for_type, Some(0));
         }
-        for drcc in [Method::DrT, Method::DrC, Method::DrTC] {
-            assert!(drcc.engine_config(&cfg).is_err(), "{drcc:?}");
-        }
         let params = RhchmeConfig::default();
-        for other in [Method::Rhchme, Method::DrT] {
-            assert!(other.baseline_regularizer(&[], &params, None).is_err());
-        }
+        assert!(Method::Rhchme
+            .baseline_regularizer(&[], &params, None)
+            .is_err());
     }
 
     /// `method`'s table-row fit of a clean two-class corpus: the
     /// document FScore and the engine result.
     fn fit_clean(method: Method, seed: u64, params: &RhchmeConfig) -> (f64, EngineResult) {
-        let corpus = generate(&CorpusConfig {
+        let corpus = clean_corpus(seed);
+        let params = RhchmeConfig {
+            feature_cluster_divisor: 10,
+            ..params.clone()
+        };
+        let data = method.data(&corpus, &params).unwrap();
+        let out = fit_baseline(&data, method, &params).unwrap();
+        let doc_labels = data.labels_from_membership(&out.g, 0);
+        (mtrl_metrics::fscore(&corpus.labels, &doc_labels), out)
+    }
+
+    /// A clean two-class corpus: 20 documents, 60 terms, 15 concepts.
+    fn clean_corpus(seed: u64) -> MultiTypeCorpus {
+        generate(&CorpusConfig {
             docs_per_class: vec![10, 10],
             vocab_size: 60,
             concept_count: 15,
@@ -694,11 +695,60 @@ mod tests {
             subtopics_per_class: 1,
             view_confusion: 0.0,
             seed,
-        });
-        let data = MultiTypeData::from_corpus(&corpus, 10).unwrap();
-        let out = fit_baseline(&data, method, params).unwrap();
-        let doc_labels = data.labels_from_membership(&out.g, 0);
-        (mtrl_metrics::fscore(&corpus.labels, &doc_labels), out)
+        })
+    }
+
+    #[test]
+    fn drcc_data_is_documents_by_one_feature_view() {
+        let c = clean_corpus(44);
+        let params = RhchmeConfig {
+            feature_cluster_divisor: 10,
+            ..RhchmeConfig::default()
+        };
+        for (method, width, clusters) in [
+            (Method::DrT, 60, 6),
+            (Method::DrC, 15, 2),
+            (Method::DrTC, 75, 7),
+        ] {
+            let data = method.data(&c, &params).unwrap();
+            assert_eq!(data.sizes(), &[20, width], "{method:?}");
+            assert_eq!(data.cluster_counts(), &[2, clusters], "{method:?}");
+        }
+        let tc = Method::DrTC.data(&c, &params).unwrap();
+        let r = tc.relation(0, 1).unwrap();
+        assert_eq!(r.nnz(), c.doc_term.nnz() + c.doc_concept.nnz());
+        for i in 0..20 {
+            for j in 0..75 {
+                let want = if j < 60 {
+                    c.doc_term.get(i, j)
+                } else {
+                    c.doc_concept.get(i, j - 60)
+                };
+                assert_eq!(r.get(i, j).to_bits(), want.to_bits(), "({i}, {j})");
+            }
+        }
+        // A concept relation one document short is refused by every
+        // method that reads it, never a panic.
+        let mut short = c.clone();
+        short.doc_concept = mtrl_sparse::Csr::zeros(19, 15);
+        for method in Method::all().into_iter().filter(|&m| m != Method::DrT) {
+            let out = method.data(&short, &params);
+            assert!(
+                matches!(out, Err(RhchmeError::InvalidData(_))),
+                "{method:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn drt_clusters_clean_data() {
+        let params = RhchmeConfig {
+            max_iter: 40,
+            ..RhchmeConfig::default()
+        };
+        let (f, out) = fit_clean(Method::DrT, 44, &params);
+        assert!(f > 0.7, "fscore {f}");
+        assert!(out.error_row_norms.is_empty());
     }
 
     #[test]

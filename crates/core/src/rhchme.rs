@@ -45,7 +45,7 @@ use mtrl_subspace::SpgConfig;
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RhchmeConfig {
     /// Laplacian regularisation weight λ (SNMTF, RMC, RHCHME; SRC has no
-    /// graph term and DRCC's graph weights are fixed at 0.1).
+    /// graph term and DRCC's graph weight is fixed at 0.1).
     pub lambda: f64,
     /// Subspace-learning noise tolerance γ (Eq. 9; RHCHME only).
     pub gamma: f64,
@@ -73,8 +73,7 @@ pub struct RhchmeConfig {
     pub laplacian_kind: LaplacianKind,
     /// SPG iteration budget for stage 1.
     pub spg_max_iter: usize,
-    /// Multiplicative-update iteration budget (every NMTF method and
-    /// DRCC).
+    /// Multiplicative-update iteration budget (every method).
     pub max_iter: usize,
     /// Relative objective-change tolerance.
     pub tol: f64,
@@ -275,7 +274,7 @@ impl Rhchme {
         let r = data.assemble_r_csr();
         let engine_cfg = EngineConfig {
             max_iter,
-            ..Method::Rhchme.engine_config(&self.config)?
+            ..Method::Rhchme.engine_config(&self.config)
         };
         let engine_out = run_engine(&r, data, &GraphRegularizer::Fixed(l), g0, &engine_cfg)?;
         Ok(package_result(data, engine_out))

@@ -161,8 +161,7 @@ pub fn generate_members(
         .collect::<Result<Vec<_>>>()?;
     let mut fits = Vec::with_capacity(plans.len());
     for (data, &(method, seed, doc_k)) in datas.iter().zip(&plans) {
-        // Errors for the DRCC methods, which are not engine rows.
-        let row = method.engine_config(cfg)?;
+        let row = method.engine_config(cfg);
         let reg = match method {
             Method::Src => &regs.none,
             Method::Snmtf => &regs.pnn,

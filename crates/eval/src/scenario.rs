@@ -191,11 +191,15 @@ pub const QUICK_SEEDS: [u64; 3] = [11, 23, 37];
 pub(crate) const HOCC_METHODS: [Method; 4] =
     [Method::Src, Method::Snmtf, Method::Rmc, Method::Rhchme];
 
+/// The two-way DRCC baselines the quality matrix covers: one feature
+/// view, and the concatenation of both.
+const DRCC_METHODS: [Method; 2] = [Method::DrT, Method::DrTC];
+
 /// The paper-faithful quick matrix: clean vs feature-noise vs
-/// relation-corruption cold fits for all four HOCC methods *and* the
-/// consensus ensemble over them, plus the serve fold-in and stream
-/// warm-refit paths — every subsystem's quality is gated, not just the
-/// cold fit.
+/// relation-corruption cold fits for the two-way DR-T and DR-TC
+/// baselines, all four HOCC methods *and* the consensus ensemble over
+/// the latter, plus the serve fold-in and stream warm-refit paths —
+/// every subsystem's quality is gated, not just the cold fit.
 ///
 /// Known tie: at this scale RMC's learned 6-candidate ensemble settles
 /// into the same label partition as SNMTF's single cosine graph on
@@ -215,7 +219,7 @@ pub fn quick_matrix() -> Vec<Scenario> {
     ];
     let mut matrix = Vec::new();
     for corruption in corruptions {
-        for method in HOCC_METHODS {
+        for method in DRCC_METHODS.into_iter().chain(HOCC_METHODS) {
             matrix.push(Scenario::new(
                 CorpusShape::Balanced3,
                 corruption,
@@ -273,8 +277,8 @@ mod tests {
     #[test]
     fn quick_matrix_covers_methods_and_paths() {
         let m = quick_matrix();
-        assert_eq!(m.len(), 19);
-        for method in HOCC_METHODS {
+        assert_eq!(m.len(), 25);
+        for method in DRCC_METHODS.into_iter().chain(HOCC_METHODS) {
             assert!(
                 m.iter()
                     .filter(|s| s.path == EvalPath::cold_fit(method))

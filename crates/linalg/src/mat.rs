@@ -410,26 +410,6 @@ impl Mat {
         }
     }
 
-    /// Horizontally concatenate `[self | other]`.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] if row counts differ.
-    pub fn hstack(&self, other: &Mat) -> Result<Mat> {
-        if self.rows != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "hstack",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let mut out = Mat::zeros(self.rows, self.cols + other.cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(other.row(i));
-        }
-        Ok(out)
-    }
-
     /// Vertically concatenate `[self; other]`.
     ///
     /// # Errors
@@ -661,19 +641,13 @@ mod tests {
     }
 
     #[test]
-    fn hstack_vstack() {
+    fn vstack_shapes() {
         let a = Mat::filled(2, 2, 1.0);
         let b = Mat::filled(2, 3, 2.0);
-        let h = a.hstack(&b).unwrap();
-        assert_eq!(h.shape(), (2, 5));
-        assert_eq!(h[(0, 4)], 2.0);
-
         let c = Mat::filled(3, 2, 4.0);
         let v = a.vstack(&c).unwrap();
         assert_eq!(v.shape(), (5, 2));
         assert_eq!(v[(4, 1)], 4.0);
-
-        assert!(a.hstack(&c).is_err());
         assert!(a.vstack(&b).is_err());
     }
 

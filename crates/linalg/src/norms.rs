@@ -1,7 +1,5 @@
-//! Matrix and vector norms used throughout the paper.
-//!
-//! * `‖·‖²_F` — squared Frobenius norm of the factorisation residual (Eqs. 1, 9, 15);
-//! * `‖·‖₂,₁` — the row-wise L2,1 norm of the sparse error matrix (Eq. 14).
+//! Row norms of the paper's robust terms: `‖·‖₂,₁`, the row-wise L2,1
+//! norm of the sparse error matrix (Eq. 14), and the row l2 norms it sums.
 
 use crate::mat::Mat;
 
@@ -21,23 +19,6 @@ pub fn row_l2_norms(m: &Mat) -> Vec<f64> {
     m.rows_iter()
         .map(|row| row.iter().map(|x| x * x).sum::<f64>().sqrt())
         .collect()
-}
-
-/// Squared Frobenius norm of `A - B` without materialising the difference.
-///
-/// # Panics
-/// Panics if shapes differ (programming error in callers, which control
-/// both operands).
-pub fn frobenius_sq_diff(a: &Mat, b: &Mat) -> f64 {
-    assert_eq!(a.shape(), b.shape(), "frobenius_sq_diff: shape mismatch");
-    a.as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(x, y)| {
-            let d = x - y;
-            d * d
-        })
-        .sum()
 }
 
 #[cfg(test)]
@@ -74,13 +55,5 @@ mod tests {
         let l = l21(&m);
         assert!(f <= l + 1e-12);
         assert!(l <= (3.0f64).sqrt() * f + 1e-12);
-    }
-
-    #[test]
-    fn diff_norm_matches_explicit() {
-        let a = sample();
-        let b = Mat::filled(2, 2, 1.0);
-        let explicit = frobenius_sq(&a.sub(&b).unwrap());
-        assert!((frobenius_sq_diff(&a, &b) - explicit).abs() < 1e-12);
     }
 }

@@ -1067,7 +1067,8 @@ mod tests {
         .unwrap();
         let recon = |w: &Csr| {
             let xw = matmul(&w.to_dense(), &data).unwrap();
-            mtrl_linalg::norms::frobenius_sq_diff(&xw, &data)
+            let diff = xw.as_slice().iter().zip(data.as_slice());
+            diff.map(|(a, b)| (a - b) * (a - b)).sum::<f64>()
         };
         assert!(
             recon(&hi.w) < recon(&lo.w),

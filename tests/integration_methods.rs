@@ -121,10 +121,10 @@ fn objective_traces_decrease_monotonically() {
     // Theorem 1 for RHCHME; the same engine property for the baselines.
     let corpus = test_corpus(0.1, 305);
     let params = fast_params();
-    for method in [Method::Src, Method::Snmtf, Method::Rhchme] {
+    for method in Method::all().into_iter().filter(|&m| m != Method::Rmc) {
         let out = run_spec(&corpus, &method.into(), &params).unwrap();
         let t = &out.objective_trace;
-        // SRC/SNMTF follow Theorem 1 exactly (strict bound). RHCHME
+        // DRCC/SRC/SNMTF follow Theorem 1 exactly (strict bound). RHCHME
         // interleaves the row-ℓ1 normalisation of Eq. (22) and the IRLS
         // `E_R` re-weighting with the multiplicative updates; both steps
         // descend a surrogate, so the *true* objective may wiggle by a
@@ -314,7 +314,7 @@ fn ensemble_members_equal_solo_fits() {
                     Method::Rmc => &rmc,
                     _ => &hetero,
                 };
-                let cfg = m.method.engine_config(params).unwrap();
+                let cfg = m.method.engine_config(params);
                 let g0 = init_membership(&data, &arts.features, m.seed);
                 (data, reg, g0, cfg)
             })
@@ -450,8 +450,10 @@ fn with_columns(
 }
 
 /// The degenerate corpora of the robustness property test, by name.
-/// The degenerate case every method must refuse with `InvalidConfig`.
+/// The degenerate cases every method must refuse with `InvalidConfig`:
+/// a document cluster count above the document count, or below two.
 const MORE_CLUSTERS_THAN_DOCS: &str = "three clusters, two documents";
+const SINGLE_CLASS: &str = "single class";
 
 fn degenerate_corpora(seed: u64) -> Vec<(&'static str, MultiTypeCorpus)> {
     let seed = seed + mtrl_datagen::seed_from_env(0);
@@ -512,7 +514,7 @@ fn degenerate_corpora(seed: u64) -> Vec<(&'static str, MultiTypeCorpus)> {
         ("duplicate rows", duplicates),
         ("two documents", generate(vec![1, 1])),
         ("40/1/1 class split", generate(vec![40, 1, 1])),
-        ("single class", single_class),
+        (SINGLE_CLASS, single_class),
         ("all-zero feature column", zero_column),
         ("one concept, two concept clusters", one_concept),
         (MORE_CLUSTERS_THAN_DOCS, more_classes_than_docs),
@@ -541,7 +543,7 @@ proptest::proptest! {
                 let Ok(result) = out else {
                     panic!("{} panicked on {case}", spec.key());
                 };
-                if case == MORE_CLUSTERS_THAN_DOCS {
+                if case == MORE_CLUSTERS_THAN_DOCS || case == SINGLE_CLASS {
                     // Every method refuses the request the same way.
                     assert!(
                         matches!(result, Err(rhchme::RhchmeError::InvalidConfig(_))),
