@@ -1,7 +1,8 @@
 //! Criterion microbenches of the graph substrate: pNN construction
 //! (the `O(n_k² p K)` term of Sec. III-F), the parallel-scaling curve of
-//! the blocked Gram kernel against the seed brute-force path, and the
-//! sparse Laplacian assembly.
+//! the packed-tile Gram kernel against the seed brute-force path, the
+//! exact search on the feature views of a cold fit, and the sparse
+//! Laplacian assembly.
 //!
 //! With `MTRL_BENCH_JSON` set, the run emits the summary that the CI
 //! `bench-smoke` job gates against the committed `BENCH_graph.json`.
@@ -9,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mtrl_graph::knn::pnn_graph_brute_reference;
 use mtrl_graph::{
-    knn_indices, laplacian_csr, pnn_graph, GraphBackend, LaplacianKind, WeightScheme,
+    knn_indices, laplacian_csr, pnn_graph, CentredRows, GraphBackend, LaplacianKind, WeightScheme,
 };
 use mtrl_linalg::par::{num_threads, set_num_threads};
 use mtrl_linalg::random::rand_uniform;
@@ -98,6 +99,38 @@ fn bench_pnn_gram_bandwidth(c: &mut Criterion) {
     set_num_threads(pool);
 }
 
+/// `exact_search/large3_330docs`: the exact `p = 5` search
+/// ([`CentredRows::p_nearest`]) on each of the three centred feature
+/// views of the Large3-shaped corpus perfbench's cold fit builds its
+/// graphs from (330 documents, 150 terms, 40 concepts), on one kernel
+/// thread as perfbench runs it.
+fn bench_exact_search(c: &mut Criterion) {
+    let pool = num_threads();
+    set_num_threads(1);
+    let corpus = mtrl_datagen::corpus::generate(&mtrl_datagen::CorpusConfig {
+        docs_per_class: vec![110; 3],
+        seed: 1,
+        ..mtrl_eval::CorpusShape::Large3.config()
+    });
+    let params = mtrl_eval::runner::quick_params(1);
+    let data = rhchme::MultiTypeData::from_corpus(&corpus, params.feature_cluster_divisor)
+        .expect("Large3 corpus assembles");
+    let views: Vec<CentredRows> = (0..data.num_types())
+        .map(|t| CentredRows::new(&data.features(t)))
+        .collect();
+    let mut group = c.benchmark_group("exact_search");
+    group.bench_function("large3_330docs", |bencher| {
+        bencher.iter(|| {
+            views
+                .iter()
+                .map(|v| black_box(v).p_nearest(5))
+                .collect::<Vec<_>>()
+        });
+    });
+    group.finish();
+    set_num_threads(pool);
+}
+
 fn bench_weight_schemes(c: &mut Criterion) {
     let data = rand_uniform(300, 64, 0.0, 1.0, 12);
     let mut group = c.benchmark_group("weighting_scheme_300");
@@ -148,6 +181,7 @@ criterion_group!(
     bench_pnn,
     bench_pnn_scaling,
     bench_pnn_gram_bandwidth,
+    bench_exact_search,
     bench_weight_schemes,
     bench_laplacian,
     bench_spmm_quad

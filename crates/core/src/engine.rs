@@ -25,29 +25,37 @@
 //! the quantity the paper's own complexity analysis in Sec. III-F is
 //! written in). [`run_engine`] therefore takes `R` as a
 //! [`mtrl_sparse::Csr`] (from [`MultiTypeData::assemble_r_csr`]) and
-//! never forms an `n x n` dense matrix:
+//! never forms an `n x n` dense matrix. Each product is formed once per
+//! iteration and read by every step that needs it:
 //!
 //! * **`E_R` is implicit.** Eq. 27's row shrinkage is
 //!   `(E_R)_i = f_i·q_i` with `f_i = 1/(1 + β/(2‖q_i‖ + ζ))` and
-//!   `Q = R − G S Gᵀ`, so
-//!   `R − E_R = D_{1−f}·R + D_f·U·Hᵀ` where `U = G S` and `H = G` are
-//!   the previous iterate's factors — a diagonal scaling of sparse `R`
-//!   plus a rank-`c` correction. `H` is the `G` the next iteration
-//!   starts from, so `HᵀG` there is that iteration's `GᵀG`; the engine
-//!   stores only `f` and rebuilds `U` from `G` and the previous `S`.
-//!   [`mtrl_linalg::lowrank::diag_lowrank_combine_block`] applies the
-//!   correction directly to `R·G`.
-//! * **`G S Gᵀ` is never materialised.** `A = (R − E_R)·G·Sᵀ` runs as
-//!   one sparse SpMM (`R·G`, reused across steps) plus the low-rank
-//!   correction; the Eq. 27 row residuals come from the trace identity
+//!   `Q = R − G S Gᵀ`, so `(R − E_R)·G = D_{1−f}·R·G + D_f·G S GᵀG`
+//!   for the `G` the next iteration starts from and the `S` of this
+//!   one — a diagonal scaling of sparse `R`'s product plus a rank-`c`
+//!   term. The residual step (steps 6–7) forms `V = G·(S·GᵀG)` for that
+//!   `G` and `S`, and the next update's `m1 = (R − E_R)·G` is the
+//!   entrywise `(1 − f_i)·(R·G)_ij + f_i·v_ij`; the engine keeps only
+//!   `f` and `V` between the two.
+//! * **`G S Gᵀ` is never materialised.** The Eq. 27 row residuals come
+//!   from the trace identity
 //!   `‖q_i‖² = ‖r_i‖² − 2·(R G Sᵀ)_i·g_i + g_i (S GᵀG Sᵀ) g_iᵀ`
-//!   evaluated per row.
+//!   evaluated per row with `U = G·S`: the cross term is
+//!   `(R·G)_i·u_i`, and the quadratic form `u_i·v_i` for an `E_R` fit
+//!   (the `V` its next update reads) or `g_i·M·g_iᵀ` with
+//!   `M = S GᵀG Sᵀ` on the row's own columns for the others.
 //! * **The objective is trace-form.** `J₄`'s fit term is
 //!   `Σ_i (1 − f_i)²‖q_i‖²` (equivalently
 //!   `tr((R−E)ᵀ(R−E)) − 2·tr(Gᵀ(R−E)G Sᵀ) + tr(SᵀGᵀG S GᵀG)` — the
 //!   identities `tr((R−E)ᵀGSGᵀ) = tr(Gᵀ(R−E)G Sᵀ)` and
-//!   `‖GSGᵀ‖²_F = tr(SᵀGᵀG S GᵀG)` folded into the row residuals), so
-//!   no `n x n` temporary survives anywhere in the loop.
+//!   `‖GSGᵀ‖²_F = tr(SᵀGᵀG S GᵀG)` folded into the row residuals), and a
+//!   fixed Laplacian's `tr(GᵀLG) = Σ_i g_i·((L⁺G)_i − (L⁻G)_i)` is read
+//!   off `L±·G` of the updated `G`, formed once in steps 6–7 (each
+//!   type's own block, packed) and handed to the next update, which
+//!   multiplies by the same `L±` and `G`. RMC's combination changes at
+//!   every resolve, so its update forms `L±·G` and its trace runs on
+//!   the union pattern (see below). No `n x n` temporary
+//!   survives anywhere in the loop.
 //!
 //! Per-iteration cost is `O(nnz·c + n·c²)` (was `O(n²·c)`) and resident
 //! memory is `O(nnz + n·c)` (was three `n x n` buffers).
@@ -66,48 +74,41 @@
 //!   block `l` ([`CsrBlock::spmm_stacked`]) fills type `k`'s rows in type
 //!   `l`'s columns, and the empty type-self blocks are never touched;
 //! * `L±·G` — each Laplacian block (one per object type; any other
-//!   layout is rejected) times its type's packed block
-//!   ([`SparseBlockDiag::mul_typed`]), own columns only, as the update
-//!   reads no others;
+//!   layout is rejected) times its type's packed block, into a packed
+//!   `n_k x c_k` block ([`Csr::spmm_into`]): own columns only, as the
+//!   update and the trace read no others;
 //! * `GᵀG`, `Gᵀ(R − E_R)G` — each cluster row sums over its own type's
 //!   rows ([`matmul_tn_block`]);
-//! * `U = G·S`, `A = (R − E_R)·G·Sᵀ`, `G·B±`, `(R G Sᵀ)_i`, `M·g_i` —
+//! * `U = G·S`, `V = G·(S·GᵀG)`, `A = (R − E_R)·G·Sᵀ`, `G·B±`, `M·g_i` —
 //!   each over the type's rows, reading or writing its own columns
 //!   ([`matmul_block`]);
-//! * the low-rank correction — one column block per type against the
-//!   block-diagonal `GᵀG`
-//!   ([`mtrl_linalg::lowrank::diag_lowrank_combine_block`]);
-//! * the update, the row ℓ1 normalisation, the residual's cross term and
-//!   quadratic form, and `tr(GᵀLG)` — own columns only.
+//! * the update, the row ℓ1 normalisation, the residual's quadratic form
+//!   without `E_R`, and `tr(GᵀLG)` — own columns only.
 //!
 //! The `n x c` operands live in buffers allocated once per call (per
 //! fit for `G` and `R·G`, shared by a batch's fits for the work
-//! buffers); no `n x c` matrix is allocated per iteration (the work
-//! buffers only change shape between fits), and the loop calls no
-//! full-width kernel. Every stored entry sums the same nonzero terms in
-//! the same order as the full-width kernels did, so every output is
-//! bit-identical to them. The terms dropped are `±0`: a structural zero
-//! of `G` (or an empty block of `R` or `L`) times a finite value, which
-//! leaves a `+0`-started sum unchanged. Two places need more:
-//!
-//! * a sum that starts at `-0` — the residual's cross term (summed like
-//!   `Iterator::sum`) and the low-rank correction (which starts from
-//!   `(1 − f_i)·(R·G)_ij`) — can come out `-0` where a dropped `+0` would
-//!   have made it `+0`; such an entry is summed again in full width;
-//! * a non-finite operand turns a dropped `0·x` into NaN. [`run_engine`]
-//!   therefore rejects a non-finite `G0` or `R` and a `G0` with a
-//!   nonzero outside its type's columns, and returns
-//!   [`RhchmeError::Diverged`] as soon as `G` or `S` is non-finite.
-//!   (A product that overflows to `±∞` from finite operands is the one
-//!   case this does not cover.)
+//! buffers; `V` and the packed `L±·G` per fit); no `n x c` matrix is
+//! allocated per iteration (the work buffers only change shape between
+//! fits), and the loop calls no full-width kernel. Every stored entry
+//! of `R·G`, `GᵀG`, `L±·G`, `U`, `V`, `A` and `G·B±` sums the same
+//! nonzero terms in the same order as the full-width kernels do, so
+//! each equals its full-width entry bit for bit. The terms dropped are
+//! `±0`: a structural zero of `G` (or an empty block of `R` or `L`)
+//! times a finite value, which leaves a `+0`-started sum unchanged. A
+//! non-finite operand would turn a dropped `0·x` into NaN, so
+//! [`run_engine`] rejects a non-finite `G0` or `R` and a `G0` with a
+//! nonzero outside its type's columns, and returns
+//! [`RhchmeError::Diverged`] as soon as `G` or `S` is non-finite. (A
+//! product that overflows to `±∞` from finite operands is the one case
+//! this does not cover.)
 //!
 //! # Lockstep batches
 //!
 //! An ensemble fits several members over the same `R`, and every one of
 //! them multiplies `R` by its own `G` on every iteration.
 //! [`run_engine_lockstep`] runs such fits together, one loop for all of
-//! them: each fit's state (`G`, `R·G`, `GᵀG`, `S`, the `E_R` factors and
-//! RMC's weights) lives in its own record with two half-steps around the
+//! them: each fit's state (`G`, `R·G`, `GᵀG`, `S`, the `E_R` factors,
+//! `V`, `L±·G` and RMC's weights) lives in its own record with two half-steps around the
 //! `R·G` refresh — steps 3–5, then steps 6–7. Between them, per column
 //! type `l`, the live fits' packed `G_l` blocks sit side by side in one
 //! zero-padded operand of whole 32-lane panels ([`LaneStack`]), and each
@@ -165,13 +166,15 @@
 //!   kernel time across the iteration loop (`count` = iterations), one
 //!   record per fit: `spmm` is the fit's share of the stacked `R·G`
 //!   refresh (packing included; the refresh time split evenly over the
-//!   live fits) and its `GᵀG`; `lowrank` the regulariser resolve, `U = G·S`, the
-//!   typed implicit-`E_R` correction, `Gᵀ(R − E_R)G` and the Eq. 18 `S`
-//!   solve; `update` the own-block `A`, `G·B±` and `L±·G` products, the
+//!   live fits) and its `GᵀG`; `lowrank` the regulariser resolve, the
+//!   entrywise `(R − E_R)·G` from `R·G` and `V`, `Gᵀ(R − E_R)G` and the
+//!   Eq. 18 `S` solve; `update` the own-block `A` and `G·B±` products,
+//!   `L±·G` where the update forms it (the first iteration and RMC), the
 //!   Eq. 21 multiplicative `G` update and the row normalisation;
-//!   `residual` the own-column `(R G Sᵀ)_i` / `M·g_i` products, the
-//!   trace-identity `‖q_i‖` / `E_R` update and the objective with
-//!   `tr(GᵀLG)`;
+//!   `residual` `U = G·S`, `V` (`E_R` fits) or the own-column `M·g_i`,
+//!   the trace-identity `‖q_i‖` / `E_R` update, a fixed Laplacian's
+//!   `L±·G` with the trace read off it (RMC's union-pattern trace) and
+//!   the objective;
 //! * counters `engine.fits` (fits, one per batch member) and
 //!   `engine.iterations` (total iterations across fits);
 //! * a `FitTelemetry` record per fit (label `engine.fit`) with the problem shape
@@ -191,7 +194,6 @@ use crate::error::RhchmeError;
 use crate::multitype::MultiTypeData;
 use crate::Result;
 use mtrl_linalg::block::BlockSpec;
-use mtrl_linalg::lowrank::diag_lowrank_combine_block;
 use mtrl_linalg::norms::row_l2_norms;
 use mtrl_linalg::ops::{g_s_gt, gram, matmul, matmul_block, matmul_tn, matmul_tn_block};
 use mtrl_linalg::simplex::project_simplex;
@@ -422,11 +424,10 @@ fn validate_common(
 /// Laplacian's `L⁺/L⁻` split, or RMC's union pattern.
 enum PreparedReg<'a> {
     None,
-    /// A fixed Laplacian, **borrowed** from the caller's
-    /// [`GraphRegularizer`] (a fit never deep-copies the `O(p·n)`
-    /// triplets), and its part split.
+    /// A fixed Laplacian's part split (the Laplacian itself stays
+    /// with the caller's [`GraphRegularizer`]; a fit never deep-copies
+    /// its `O(p·n)` triplets).
     Fixed {
-        l: &'a SparseBlockDiag,
         lp: SparseBlockDiag,
         lm: SparseBlockDiag,
     },
@@ -444,7 +445,7 @@ impl<'a> PreparedReg<'a> {
             GraphRegularizer::None => PreparedReg::None,
             GraphRegularizer::Fixed(l) => {
                 let (lp, lm) = l.split_parts();
-                PreparedReg::Fixed { l, lp, lm }
+                PreparedReg::Fixed { lp, lm }
             }
             GraphRegularizer::Ensemble { candidates, mu } => PreparedReg::Ensemble {
                 candidates,
@@ -460,7 +461,6 @@ impl<'a> PreparedReg<'a> {
 enum RegState<'p> {
     None,
     Fixed {
-        l: &'p SparseBlockDiag,
         lp: &'p SparseBlockDiag,
         lm: &'p SparseBlockDiag,
     },
@@ -473,7 +473,7 @@ impl<'p> RegState<'p> {
     fn new(prepared: &'p PreparedReg<'_>, clusters: &BlockSpec) -> Self {
         match prepared {
             PreparedReg::None => RegState::None,
-            PreparedReg::Fixed { l, lp, lm } => RegState::Fixed { l, lp, lm },
+            PreparedReg::Fixed { lp, lm } => RegState::Fixed { lp, lm },
             PreparedReg::Ensemble {
                 candidates,
                 mu,
@@ -513,11 +513,15 @@ impl<'p> RegState<'p> {
     }
 
     /// The regulariser trace `tr(GᵀLG)` of the objective (0 without a
-    /// regulariser).
-    fn trace(&mut self, g: &Mat, clusters: &BlockSpec) -> Result<f64> {
+    /// regulariser); a fixed Laplacian's from its full-width part
+    /// products ([`parts_trace`]).
+    fn trace(&mut self, g: &Mat) -> Result<f64> {
         Ok(match self {
             RegState::None => 0.0,
-            RegState::Fixed { l, .. } => l.trace_quad(g, clusters)?,
+            RegState::Fixed { .. } => {
+                let (lpg, lmg) = self.part_products(g)?.expect("a fixed Laplacian");
+                parts_trace([(g, &lpg, &lmg)])
+            }
             RegState::Ensemble(ens) => ens.trace(g),
         })
     }
@@ -826,6 +830,8 @@ fn pattern_dots(g: &Mat, block: &UnionBlock, cols: Range<usize>, dots: &mut [f64
 /// `G[rows, cols]`, shared by both paths: each entry scales by
 /// `sqrt(num/den)`; structural zeros stay zero. The typed path updates
 /// each type's own block; the dense reference, the whole matrix.
+/// `l_g` holds `(L⁺·G, L⁻·G)` on the block alone: entry `(i, j)` of the
+/// block is their entry `(i − rows.start, j − cols.start)`.
 /// Returns whether every updated entry is finite.
 #[allow(clippy::too_many_arguments)]
 fn multiplicative_update(
@@ -839,12 +845,13 @@ fn multiplicative_update(
     cols: Range<usize>,
 ) -> bool {
     let mut finite = true;
+    let (i0, j0) = (rows.start, cols.start);
     for i in rows {
         let a_row = a.row(i);
         let gbp = gb_pos.row(i);
         let gbn = gb_neg.row(i);
-        let lpg = l_g.map(|(lp, _)| lp.row(i));
-        let lmg = l_g.map(|(_, lm)| lm.row(i));
+        let lpg = l_g.map(|(lp, _)| lp.row(i - i0));
+        let lmg = l_g.map(|(_, lm)| lm.row(i - i0));
         let grow = g.row_mut(i);
         for j in cols.clone() {
             let gv = grow[j];
@@ -854,7 +861,7 @@ fn multiplicative_update(
             let a_pos = a_row[j].max(0.0);
             let a_neg = (-a_row[j]).max(0.0);
             let (l_num, l_den) = match (lmg, lpg) {
-                (Some(lm), Some(lp)) => (lambda * lm[j], lambda * lp[j]),
+                (Some(lm), Some(lp)) => (lambda * lm[j - j0], lambda * lp[j - j0]),
                 _ => (0.0, 0.0),
             };
             let num = l_num + a_pos + gbn[j];
@@ -936,7 +943,7 @@ pub struct LockstepFit<'a> {
 /// what does not depend on them: `R`'s type blocks, row norms and
 /// finiteness scan, each distinct regulariser's prepared part, and one
 /// set of work buffers; only `G`, `R·G`, `GᵀG`, `S`, the `E_R` factors
-/// and RMC's weights are kept per fit.
+/// and `V`, the packed `L±·G` and RMC's weights are kept per fit.
 ///
 /// Results come back in input order.
 ///
@@ -1184,15 +1191,14 @@ impl<'a> Problem<'a> {
 /// what one fit leaves in them never reaches another.
 ///   `g_blocks` — each type's own block of `G`, packed (`n_k x c_k`),
 ///            the right operand of `L±·G`;
-///   `u`, `m1` — `U = G·S` and `(R − E_R)·G` (`E_R` only), then, once
-///            `A` is formed, `(L⁺·G, L⁻·G)` with a regulariser;
+///   `m1`   — `(R − E_R)·G` (`E_R` fits after the first iteration);
 ///   `prod`, `gb_pos`, `gb_neg` — the update's `A = m1·Sᵀ` and `G·B±`,
-///            reused by the residual for `R·G·Sᵀ` and `G·Mᵀ`;
+///            then the residual's `U = G·S` and `G·Mᵀ` (fits without
+///            `E_R`) in `prod` and `gb_pos`;
 ///   `gtm`  — `Gᵀ(R − E_R)G`.
 #[derive(Default)]
 struct Scratch {
     g_blocks: Vec<Mat>,
-    u: Mat,
     m1: Mat,
     prod: Mat,
     gb_pos: Mat,
@@ -1210,7 +1216,6 @@ impl Scratch {
             block.reshape(nk, ck);
         }
         for m in [
-            &mut self.u,
             &mut self.m1,
             &mut self.prod,
             &mut self.gb_pos,
@@ -1238,13 +1243,20 @@ struct Fit<'p> {
     rg: Mat,
     /// `GᵀG` for the current `G`: block-diagonal, refreshed with `R·G`.
     gram: Mat,
-    /// Implicit `E_R`: shrinkage factors `f` plus the previous iterate's
-    /// low-rank factors `U = G·S` and `H = G`, so that
-    /// `R − E_R = D_{1−f}·R + D_f·U·Hᵀ`. `H` is the `G` the next
-    /// iteration starts from, so `HᵀG` is that iteration's `GᵀG`; `U` is
-    /// rebuilt there from `G` and the previous `S`.
+    /// Implicit `E_R`: shrinkage factors `f` and
+    /// `V = G·(S·GᵀG)` of the current `G` and the last `S`, so that
+    /// `(R − E_R)·G = D_{1−f}·R·G + D_f·V` (`V` stays empty without
+    /// `E_R`).
     f_er: Vec<f64>,
     one_minus_f: Vec<f64>,
+    v: Mat,
+    /// `(L⁺·G, L⁻·G)` on each type's own block (`n_k x c_k`), with a
+    /// regulariser; `lg_fresh` says whether they belong to the current
+    /// `G` and the parts the next update multiplies by, which only the
+    /// residual step of a fixed Laplacian makes true (an ensemble
+    /// resolve changes the parts).
+    lg: (Vec<Mat>, Vec<Mat>),
+    lg_fresh: bool,
     error_row_norms: Vec<f64>,
     final_q_norms: Vec<f64>,
     ensemble_weights: Option<Vec<f64>>,
@@ -1268,13 +1280,16 @@ impl<'p> Fit<'p> {
             index,
             data,
             reg: RegState::new(prepared, data.cluster_spec()),
-            blocks,
+            lg: Default::default(),
+            lg_fresh: false,
             g: g0,
             s: Mat::zeros(c, c),
             rg: Mat::zeros(n, c),
             gram,
             f_er: vec![0.0; n],
             one_minus_f: vec![1.0; n],
+            v: Mat::default(),
+            blocks,
             error_row_norms: Vec::new(),
             final_q_norms: Vec::new(),
             ensemble_weights: None,
@@ -1290,45 +1305,41 @@ impl<'p> Fit<'p> {
     }
 
     /// Steps 3–5 of iteration `t`: the regulariser, `S`, the
-    /// multiplicative `G` update and the row normalisation. Reads `R·G`
-    /// and `GᵀG` of the current `G`.
+    /// multiplicative `G` update and the row normalisation. Reads `R·G`,
+    /// `GᵀG` and `V` of the current `G`, and its `L±·G` when the last
+    /// residual step formed them.
     fn update(&mut self, t: usize, scratch: &mut Scratch) -> Result<()> {
         self.iterations = t + 1;
         self.clock.mark();
         let c = self.data.total_clusters();
-        let n = self.data.total_objects();
         let Scratch {
             g_blocks,
-            u,
             m1: m1_buf,
             prod,
             gb_pos,
             gb_neg,
             gtm,
+            ..
         } = scratch;
 
         // ---- Regulariser for this iteration -------------------------
         self.reg.resolve(&self.g, &mut self.ensemble_weights);
 
         // ---- Step 3: S update (Eq. 18) ------------------------------
-        // m1 = (R − E_R)·G = D_{1−f}·(R·G) + D_f·U·(GᵀG) with U = G·S of
-        // the previous S; before the first shrinkage E_R = 0 and m1 is
-        // R·G itself.
+        // m1 = (R − E_R)·G = D_{1−f}·(R·G) + D_f·V, entry by entry, with
+        // V = G·(S·GᵀG) formed by the last residual step; before the
+        // first shrinkage E_R = 0 and m1 is R·G itself.
         let m1: &Mat = if self.cfg.use_error_matrix && t > 0 {
-            for (rows, cols) in &self.blocks {
-                matmul_block(&self.g, &self.s, rows.clone(), cols.clone(), 0..c, u);
-            }
-            for (_, cols) in &self.blocks {
-                diag_lowrank_combine_block(
-                    &self.one_minus_f,
-                    &self.rg,
-                    &self.f_er,
-                    u,
-                    &self.gram,
-                    0..n,
-                    cols.clone(),
-                    m1_buf,
-                );
+            let rows = m1_buf
+                .as_mut_slice()
+                .chunks_exact_mut(c)
+                .zip(self.rg.as_slice().chunks_exact(c))
+                .zip(self.v.as_slice().chunks_exact(c));
+            let factors = self.one_minus_f.iter().zip(&self.f_er);
+            for (((m, rg), v), (&keep, &f)) in rows.zip(factors) {
+                for ((m, &rg), &v) in m.iter_mut().zip(rg).zip(v) {
+                    *m = keep * rg + f * v;
+                }
             }
             &*m1_buf
         } else {
@@ -1370,32 +1381,35 @@ impl<'p> Fit<'p> {
                 gb_neg,
             );
         }
-        // L±·G into the buffers of U and m1, which A has consumed.
+        // L±·G: a fixed Laplacian's from the last residual step, which
+        // read the trace off them; formed here on the first iteration and
+        // after an ensemble resolve.
         let l_g = match self.reg.parts() {
             Some((lp, lm)) => {
-                pack_blocks(&self.g, &self.blocks, g_blocks);
-                let clusters = self.data.cluster_spec();
-                lp.mul_typed(g_blocks, clusters, u)?;
-                lm.mul_typed(g_blocks, clusters, m1_buf)?;
-                Some((&*u, &*m1_buf))
+                if !self.lg_fresh {
+                    pack_blocks(&self.g, &self.blocks, g_blocks);
+                    typed_parts(lp, lm, g_blocks, &mut self.lg);
+                }
+                Some(&self.lg)
             }
             None => None,
         };
         // G stays finite outside its own blocks (zeros never move), so
         // the updated entries decide divergence.
         let mut finite = true;
-        for (rows, cols) in &self.blocks {
+        for (k, (rows, cols)) in self.blocks.iter().enumerate() {
             finite &= multiplicative_update(
                 &mut self.g,
                 prod,
                 gb_pos,
                 gb_neg,
-                l_g,
+                l_g.map(|(lp, lm)| (&lp[k], &lm[k])),
                 self.cfg.lambda,
                 rows.clone(),
                 cols.clone(),
             );
         }
+        self.lg_fresh = false;
         if !finite {
             return Err(RhchmeError::Diverged { iteration: t });
         }
@@ -1414,8 +1428,9 @@ impl<'p> Fit<'p> {
 
     /// Steps 6–7 of iteration `t` once `R·G` holds the updated `G`:
     /// `GᵀG`, the `E_R` update, the objective and the convergence
-    /// check. `refresh_ns` is this fit's share of the `R·G` refresh, for
-    /// the phase clock.
+    /// check; for the next update, `V` (`E_R` fits) and a fixed
+    /// Laplacian's `L±·G`. `refresh_ns` is this fit's share of the `R·G`
+    /// refresh, for the phase clock.
     fn residual(
         &mut self,
         t: usize,
@@ -1423,30 +1438,57 @@ impl<'p> Fit<'p> {
         scratch: &mut Scratch,
         refresh_ns: u64,
     ) -> Result<()> {
-        let n = self.data.total_objects();
+        let (n, c) = (self.data.total_objects(), self.data.total_clusters());
         let cfg = &self.cfg;
         self.clock.mark();
         typed_gram(&self.g, &self.blocks, &mut self.gram);
         self.clock.lap_with(PHASE_SPMM, refresh_ns);
 
-        // ‖q_i‖² = ‖r_i‖² − 2·(R G Sᵀ)_i·g_i + g_i (S GᵀG Sᵀ) g_iᵀ —
-        // per row, no Q matrix, own columns only (g_i is zero outside
-        // them). Cancellation is clamped at zero.
-        let st = self.s.transpose();
-        let m_q = matmul(&matmul(&self.s, &self.gram)?, &st)?; // S K Sᵀ
-        let mut q_norms = vec![0.0; n];
+        // ‖q_i‖² = ‖r_i‖² − 2·(R G Sᵀ)_i·g_i + g_i (S GᵀG Sᵀ) g_iᵀ per
+        // row, no Q matrix. With U = G·S the cross term is rg_i·u_i, and
+        // the quadratic form u_i·v_i with V = G·(S GᵀG), the next
+        // update's U·GᵀG for this G and S (E_R fits), or g_i·M·g_iᵀ with
+        // M = S GᵀG Sᵀ on the own columns (the others: g_i is zero
+        // elsewhere). Cancellation is clamped at zero.
+        let Scratch {
+            prod: u,
+            gb_pos: gmt,
+            ..
+        } = scratch;
+        for (rows, cols) in &self.blocks {
+            matmul_block(&self.g, &self.s, rows.clone(), cols.clone(), 0..c, u);
+        }
         let r_row_sq = &problem.r_row_sq;
-        residual_terms(
-            &self.rg,
-            &st,
-            &self.g,
-            &m_q,
-            &self.blocks,
-            (&mut scratch.prod, &mut scratch.gb_pos),
-            |i, cross, quad| {
-                q_norms[i] = (r_row_sq[i] - 2.0 * cross + quad).max(0.0).sqrt();
-            },
-        );
+        let q_norm =
+            |i: usize, cross: f64, quad: f64| (r_row_sq[i] - 2.0 * cross + quad).max(0.0).sqrt();
+        let mut q_norms = vec![0.0; n];
+        if cfg.use_error_matrix {
+            let w = matmul(&self.s, &self.gram)?;
+            self.v.reshape(n, c);
+            for (rows, cols) in &self.blocks {
+                matmul_block(&self.g, &w, rows.clone(), cols.clone(), 0..c, &mut self.v);
+            }
+            for (i, q) in q_norms.iter_mut().enumerate() {
+                let [cross, quad] = vecops::dots(u.row(i), [self.rg.row(i), self.v.row(i)]);
+                *q = q_norm(i, cross, quad);
+            }
+        } else {
+            let mt = matmul(&matmul(&self.s, &self.gram)?, &self.s.transpose())?.transpose();
+            for (rows, cols) in &self.blocks {
+                matmul_block(&self.g, &mt, rows.clone(), cols.clone(), cols.clone(), gmt);
+                for i in rows.clone() {
+                    let gi = &self.g.row(i)[cols.clone()];
+                    let mut quad = 0.0;
+                    for (&gj, &tj) in gi.iter().zip(&gmt.row(i)[cols.clone()]) {
+                        if gj != 0.0 {
+                            quad += gj * tj;
+                        }
+                    }
+                    let [cross] = vecops::dots(u.row(i), [self.rg.row(i)]);
+                    q_norms[i] = q_norm(i, cross, quad);
+                }
+            }
+        }
         let mut fit = 0.0;
         let mut l21 = 0.0;
         if cfg.use_error_matrix {
@@ -1472,7 +1514,24 @@ impl<'p> Fit<'p> {
         }
 
         // ---- Objective J₄ (Eq. 15) ----------------------------------
-        let reg_term = self.reg.trace(&self.g, self.data.cluster_spec())?;
+        // A fixed Laplacian's trace comes off L±·G of this G, which the
+        // next update reads too; RMC's off its union pattern.
+        let reg_term = if let RegState::Fixed { lp, lm } = self.reg {
+            pack_blocks(&self.g, &self.blocks, &mut scratch.g_blocks);
+            typed_parts(lp, lm, &scratch.g_blocks, &mut self.lg);
+            self.lg_fresh = true;
+            let (lpg, lmg) = &self.lg;
+            parts_trace(
+                scratch
+                    .g_blocks
+                    .iter()
+                    .zip(lpg)
+                    .zip(lmg)
+                    .map(|((g, p), m)| (g, p, m)),
+            )
+        } else {
+            self.reg.trace(&self.g)?
+        };
         let l21_term = if cfg.use_error_matrix {
             cfg.beta * l21
         } else {
@@ -1669,74 +1728,36 @@ fn normalize_l1(row: &mut [f64], floor: f64) {
     }
 }
 
-/// The two `G`-dependent terms of the Eq. 27 row residual
-/// `‖q_i‖² = ‖r_i‖² − 2·(R G Sᵀ)_i·g_i + g_i M g_iᵀ` (`M = S GᵀG Sᵀ`),
-/// handed to `row(i, cross, quad)` for every row, each on its type's own
-/// columns — `g_i` is zero elsewhere.
-///
-/// `(R G Sᵀ)_i` and `M·g_i` are computed in those columns only, into the
-/// two work matrices. The cross term sums from `-0` like
-/// `Iterator::sum` over the whole row would; its dropped terms are
-/// `±0`, so it can differ from the full-width sum only by coming out
-/// `-0`, and such a row is summed again in full width
-/// ([`full_cross`]). The quadratic form skips the zeros of `g_i` in both
-/// sums, so it sums exactly the full-width kernel's terms when `M` is
-/// finite.
-fn residual_terms(
-    rg: &Mat,
-    st: &Mat,
-    g: &Mat,
-    m: &Mat,
-    blocks: &[(Range<usize>, Range<usize>)],
-    (rgst, gmt): (&mut Mat, &mut Mat),
-    mut row: impl FnMut(usize, f64, f64),
+/// `(L⁺·G, L⁻·G)` on each type's own block from `G`'s packed blocks:
+/// `lg.0[k] = L⁺_k · G_k` and `lg.1[k] = L⁻_k · G_k`, each entry
+/// summed in the order of [`SparseBlockDiag::mul_dense`], so equal to
+/// that product's entry in type `k`'s rows and cluster columns.
+fn typed_parts(
+    lp: &SparseBlockDiag,
+    lm: &SparseBlockDiag,
+    g_blocks: &[Mat],
+    lg: &mut (Vec<Mat>, Vec<Mat>),
 ) {
-    let c = st.cols();
-    let mt = m.transpose();
-    for (rows, cols) in blocks {
-        matmul_block(rg, st, rows.clone(), 0..c, cols.clone(), rgst);
-        matmul_block(g, &mt, rows.clone(), cols.clone(), cols.clone(), gmt);
-    }
-    for (rows, cols) in blocks {
-        for i in rows.clone() {
-            let gi = &g.row(i)[cols.clone()];
-            let mut cross: f64 = rgst.row(i)[cols.clone()]
-                .iter()
-                .zip(gi)
-                .map(|(x, y)| x * y)
-                .sum();
-            if cross.to_bits() == (-0.0f64).to_bits() {
-                cross = full_cross(rg.row(i), st, g.row(i));
-            }
-            let mut quad = 0.0;
-            for (&gj, &tj) in gi.iter().zip(&gmt.row(i)[cols.clone()]) {
-                if gj != 0.0 {
-                    quad += gj * tj;
-                }
-            }
-            row(i, cross, quad);
+    for (part, out) in [(lp, &mut lg.0), (lm, &mut lg.1)] {
+        out.resize_with(g_blocks.len(), Mat::default);
+        for (k, (g_k, out_k)) in g_blocks.iter().zip(out.iter_mut()).enumerate() {
+            out_k.reshape(g_k.rows(), g_k.cols());
+            part.block(k).spmm_into(g_k, out_k, 0, 0);
         }
     }
 }
 
-/// The residual's cross term `(R G Sᵀ)_i · g_i` summed over every
-/// column, as the full-width product computes it: `(R G Sᵀ)_i` from
-/// `rg_i` and `Sᵀ` (zeros of `rg_i` skipped), then the dot product from
-/// `-0`. The own-column sum equals it unless it comes out `-0`, where a
-/// dropped `+0` term would have made it `+0`.
-fn full_cross(rg_i: &[f64], st: &Mat, g_i: &[f64]) -> f64 {
-    let rgst: Vec<f64> = (0..st.cols())
-        .map(|j| {
-            let mut acc = 0.0;
-            for (b, &v) in rg_i.iter().enumerate() {
-                if v != 0.0 {
-                    acc += v * st[(b, j)];
-                }
-            }
-            acc
-        })
-        .collect();
-    rgst.iter().zip(g_i).map(|(x, y)| x * y).sum()
+/// The regulariser trace read off the part products:
+/// `tr(GᵀLG) = Σ_i g_i·((L⁺G)_i − (L⁻G)_i)`, one `g·(p − m)` per entry
+/// of each `(G, L⁺G, L⁻G)` block in turn, row-major, summed from `+0`.
+fn parts_trace<'a>(blocks: impl IntoIterator<Item = (&'a Mat, &'a Mat, &'a Mat)>) -> f64 {
+    let mut acc = 0.0;
+    for (g, p, m) in blocks {
+        for ((&gv, &pv), &mv) in g.as_slice().iter().zip(p.as_slice()).zip(m.as_slice()) {
+            acc += gv * (pv - mv);
+        }
+    }
+    acc
 }
 
 /// Materialise the shrunk-active rows of `E_R = D_f·(R − G S Gᵀ)`: rows
@@ -1890,7 +1911,7 @@ pub fn run_engine_dense_reference(
         }
 
         // ---- Objective J₄ (Eq. 15) ----------------------------------
-        let reg_term = reg_state.trace(&g, data.cluster_spec())?;
+        let reg_term = reg_state.trace(&g)?;
         let l21_term = if cfg.use_error_matrix {
             cfg.beta * l21
         } else {
@@ -2141,18 +2162,19 @@ mod tests {
     }
 
     /// Today's per-iteration ensemble resolve, kept as the oracle of
-    /// [`UnionEnsemble`]: candidate traces by [`SparseBlockDiag::trace_quad`],
+    /// [`UnionEnsemble`]: candidate traces by the per-block quadratic form
+    /// (`trace_quad` below),
     /// the combination by merging candidates one by one, the split by
     /// [`SparseBlockDiag::split_parts`].
     fn resolve_oracle(
         candidates: &[SparseBlockDiag],
         mu: f64,
         g: &Mat,
-        clusters: &BlockSpec,
+        blocks: &[(Range<usize>, Range<usize>)],
     ) -> (Vec<f64>, SparseBlockDiag, SparseBlockDiag, SparseBlockDiag) {
         let traces: Vec<f64> = candidates
             .iter()
-            .map(|c| c.trace_quad(g, clusters).unwrap())
+            .map(|c| trace_quad(c, g, blocks))
             .collect();
         let target: Vec<f64> = traces.iter().map(|&t| -t / (2.0 * mu)).collect();
         let beta = project_simplex(&target, 1.0);
@@ -2187,7 +2209,7 @@ mod tests {
                     g.as_mut_slice()[5] = -0.0;
                 }
                 let beta = ens.resolve(&g);
-                let (beta_o, l_o, lp_o, lm_o) = resolve_oracle(cands, 0.7, &g, data.cluster_spec());
+                let (beta_o, l_o, lp_o, lm_o) = resolve_oracle(cands, 0.7, &g, &layout(&data));
                 assert!(same_bits(&beta, &beta_o), "β, {n_cands} candidates");
                 let (lp, lm) = &ens.parts;
                 assert!(same_bits(
@@ -2201,7 +2223,7 @@ mod tests {
                 // The objective's trace, then a resolve that reuses its
                 // products for the same G.
                 let t = ens.trace(&g);
-                let t_o = l_o.trace_quad(&g, data.cluster_spec()).unwrap();
+                let t_o = trace_quad(&l_o, &g, &layout(&data));
                 assert!(same_bits(&[t], &[t_o]), "trace");
                 assert!(same_bits(&ens.resolve(&g), &beta_o));
             }
@@ -2694,10 +2716,9 @@ mod tests {
             .collect()
     }
 
-    /// `row_dots` and `row_quad_forms` as the loop called them before the
-    /// typed layout: full-width dot products from `-0`, and per row
-    /// `Σ_j g_ij·(M·g_i)_j` over nonzero `g_ij` with `M·g_i` summed from
-    /// `-0` over nonzero `g_ik`.
+    /// The residual's two terms as the loop summed them before `U` and
+    /// `V`: `(R G Sᵀ)_i·g_i` from `-0`, and `g_i M g_iᵀ` over nonzero
+    /// `g_ij` with `M·g_i` summed from `-0` over nonzero `g_ik`.
     fn residual_oracle(rg: &Mat, st: &Mat, g: &Mat, m: &Mat) -> Vec<(f64, f64)> {
         let rgst = matmul(rg, st).unwrap();
         (0..g.rows())
@@ -2722,14 +2743,35 @@ mod tests {
             .collect()
     }
 
+    /// `tr(GᵀLG)` as the loop read it before the part products (the
+    /// former `SparseBlockDiag::trace_quad`): per block, the quadratic
+    /// form on `G`'s packed block, the blocks summed in order.
+    fn trace_quad(l: &SparseBlockDiag, g: &Mat, blocks: &[(Range<usize>, Range<usize>)]) -> f64 {
+        packed_blocks(g, blocks)
+            .iter()
+            .enumerate()
+            .map(|(k, g_k)| l.block(k).quad_form(g_k))
+            .sum()
+    }
+
+    /// `G`'s own blocks, packed.
+    fn packed_blocks(g: &Mat, blocks: &[(Range<usize>, Range<usize>)]) -> Vec<Mat> {
+        let mut packed: Vec<Mat> = blocks
+            .iter()
+            .map(|(r, cl)| Mat::zeros(r.len(), cl.len()))
+            .collect();
+        pack_blocks(g, blocks, &mut packed);
+        packed
+    }
+
     #[test]
     fn typed_loop_kernels_match_the_full_width_ones() {
         // Every typed step of one iteration against the full-width kernel
-        // it replaced, bit for bit: R·G (spmm_dense), GᵀG (gram), L±·G
-        // (mul_dense), the residual's cross term (row_dots) and quadratic
-        // form (row_quad_forms). G carries -0.0 and an all-zero row, R·G
-        // negative values (a sign-flipped S), so some cross terms come out
-        // -0 own-column-wise; 1 and 4 threads.
+        // it stands for, bit for bit: R·G (spmm_dense), GᵀG (gram) and
+        // L±·G (mul_dense); and the residual's terms through U = G·S and
+        // V = G·(S·GᵀG) against the full-width forms they replaced, to
+        // rounding. G carries -0.0 and all-zero rows, S negative values;
+        // 1 and 4 threads.
         let (data, _) = tiny_data();
         let blocks = layout(&data);
         let (n, c) = (data.total_objects(), data.total_clusters());
@@ -2749,36 +2791,11 @@ mod tests {
                 g[(i, j)] = -0.0;
             }
         }
-        let rg_full = r.spmm_dense(&g);
-        // An S under which some all-zero row's own-column cross terms
-        // are all -0 while a term outside its columns is +0: there
-        // the own-column sum is -0 and the full-width one +0.
-        let flips = |s: &Mat| {
-            let rgst = matmul(&rg_full, &s.transpose()).unwrap();
-            blocks.iter().any(|(rows, cols)| {
-                rows.clone().any(|i| {
-                    let own: f64 = rgst.row(i)[cols.clone()]
-                        .iter()
-                        .zip(&g.row(i)[cols.clone()])
-                        .map(|(x, y)| x * y)
-                        .sum();
-                    let full: f64 = rgst.row(i).iter().zip(g.row(i)).map(|(x, y)| x * y).sum();
-                    own.to_bits() == (-0.0f64).to_bits() && full.to_bits() == 0
-                })
-            })
-        };
-        let s = (0..64)
-            .map(|seed| mtrl_linalg::random::rand_uniform(c, c, -1.0, 1.0, seed))
-            .find(|s| flips(s))
-            .expect("an S that exercises the -0 cross term");
+        let s = mtrl_linalg::random::rand_uniform(c, c, -1.0, 1.0, 7);
         let st = s.transpose();
         for threads in [1usize, 4] {
             mtrl_linalg::par::set_num_threads(threads);
-            let mut packed: Vec<Mat> = blocks
-                .iter()
-                .map(|(r, cl)| Mat::zeros(r.len(), cl.len()))
-                .collect();
-            pack_blocks(&g, &blocks, &mut packed);
+            let packed = packed_blocks(&g, &blocks);
             let mut rg = Mat::zeros(n, c);
             typed_spmm(
                 &r.split_blocks(data.spec(), data.spec()),
@@ -2790,35 +2807,74 @@ mod tests {
             let mut k = Mat::filled(c, c, 9.0);
             typed_gram(&g, &blocks, &mut k);
             assert!(same_bits(k.as_slice(), gram(&g).as_slice()), "GᵀG");
-            for part in [&lp, &lm] {
-                let mut lg = Mat::zeros(n, c);
-                part.mul_typed(&packed, data.cluster_spec(), &mut lg)
-                    .unwrap();
+            let mut lg = Default::default();
+            typed_parts(&lp, &lm, &packed, &mut lg);
+            for (part, typed) in [(&lp, &lg.0), (&lm, &lg.1)] {
                 let full = part.mul_dense(&g).unwrap();
-                for (rows, cols) in &blocks {
-                    for i in rows.clone() {
-                        assert!(same_bits(
-                            &lg.row(i)[cols.clone()],
-                            &full.row(i)[cols.clone()]
-                        ));
+                for ((rows, cols), block) in blocks.iter().zip(typed) {
+                    for (local, i) in rows.clone().enumerate() {
+                        assert!(same_bits(block.row(local), &full.row(i)[cols.clone()]));
                     }
                 }
             }
             let m = matmul(&matmul(&s, &k).unwrap(), &st).unwrap();
-            let expect = residual_oracle(&rg, &st, &g, &m);
-            let mut got = vec![(f64::NAN, f64::NAN); n];
-            let (mut a, mut b) = (Mat::zeros(n, c), Mat::zeros(n, c));
-            residual_terms(&rg, &st, &g, &m, &blocks, (&mut a, &mut b), |i, x, q| {
-                got[i] = (x, q)
-            });
-            for (i, (&(x, q), &(ex, eq))) in got.iter().zip(&expect).enumerate() {
+            let u = matmul(&g, &s).unwrap();
+            let v = matmul(&g, &matmul(&s, &k).unwrap()).unwrap();
+            for (i, &(cross, quad)) in residual_oracle(&rg, &st, &g, &m).iter().enumerate() {
+                let [x, q] = vecops::dots(u.row(i), [rg.row(i), v.row(i)]);
+                let scale = |a: &[f64], b: &[f64]| -> f64 {
+                    a.iter().zip(b).map(|(x, y)| (x * y).abs()).sum::<f64>() + 1.0
+                };
+                let (sx, sq) = (scale(u.row(i), rg.row(i)), scale(u.row(i), v.row(i)));
                 assert!(
-                    same_bits(&[x, q], &[ex, eq]),
-                    "row {i}: ({x}, {q}) vs ({ex}, {eq})"
+                    (x - cross).abs() <= 1e-12 * sx,
+                    "row {i} cross {x} vs {cross}"
                 );
+                assert!((q - quad).abs() <= 1e-12 * sq, "row {i} quad {q} vs {quad}");
             }
         }
         mtrl_linalg::par::set_num_threads(before);
+    }
+
+    #[test]
+    fn trace_read_off_the_part_products_matches_the_quadratic_form() {
+        // tr(GᵀLG) = Σ g_i·(L⁺G − L⁻G)_i on random block-diagonal G, the
+        // typed loop's packed form and the dense reference's full-width
+        // one, against the per-block quadratic form.
+        let (data, _) = tiny_data();
+        let blocks = layout(&data);
+        let (n, c) = (data.total_objects(), data.total_clusters());
+        let lap = pnn_block_laplacian(&data);
+        let (lp, lm) = lap.split_parts();
+        for seed in 0..8 {
+            let noise = mtrl_linalg::random::rand_uniform(n, c, 0.0, 1.0, 40 + seed);
+            let mut g = Mat::zeros(n, c);
+            for (rows, cols) in &blocks {
+                for i in rows.clone() {
+                    for j in cols.clone() {
+                        g[(i, j)] = noise[(i, j)];
+                    }
+                }
+            }
+            let expect = trace_quad(&lap, &g, &blocks);
+            let packed = packed_blocks(&g, &blocks);
+            let mut lg = Default::default();
+            typed_parts(&lp, &lm, &packed, &mut lg);
+            let typed = parts_trace(
+                packed
+                    .iter()
+                    .zip(&lg.0)
+                    .zip(&lg.1)
+                    .map(|((g, p), m)| (g, p, m)),
+            );
+            let dense = RegState::Fixed { lp: &lp, lm: &lm }.trace(&g).unwrap();
+            for got in [typed, dense] {
+                assert!(
+                    (got - expect).abs() <= 1e-12 * expect.abs(),
+                    "seed {seed}: {got} vs {expect}"
+                );
+            }
+        }
     }
 
     #[test]

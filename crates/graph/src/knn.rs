@@ -13,20 +13,26 @@
 //!
 //! * rows are centred once ([`CentredRows`]) and distances come from
 //!   the Gram identity `‖x_i − x_j‖² = g_i + g_j − 2·x_iᵀx_j`, with the
-//!   `−2 X_tile Xᵀ` term computed one row tile at a time through a
-//!   vectorisable axpy kernel over the pre-transposed data
-//!   ([`cross_sq_dist_map`]) — memory stays `O(tile · n)` per worker
-//!   instead of `O(n²)`;
-//! * each row's strip is scanned once by [`insert_capped`], which keeps
-//!   the `p` best under [`dist_less`];
-//! * row tiles are distributed over [`mtrl_linalg::par`] worker threads.
+//!   `−2·x_iᵀx_j` terms computed on the packed `8 x 8` register tile
+//!   that `mtrl-linalg`'s row Gram also runs on (its private `tile`
+//!   module, compiled here): each cross term is one FMA chain
+//!   `(−2·x_ik).mul_add(x_jk, acc)` over ascending `k` from `+0`;
+//! * the search computes each unordered pair once and offers it to both
+//!   rows' lists ([`insert_capped`], which keeps the `p` best under
+//!   [`dist_less`]): `−2·x` is exact, so the chain of `(i, j)` and the
+//!   chain of `(j, i)` round the same exact products onto the same sums
+//!   and give the same bits. Where a centred value is `∞`, NaN or past
+//!   `f64::MAX / 2` (doubling it is not exact, or NaN payloads could
+//!   depend on operand order), both orientations are computed instead;
+//! * row tiles are distributed over [`mtrl_linalg::par`] worker threads,
+//!   each keeping its own lists, merged at the end.
 //!
-//! Each row's distance vector is accumulated in the same `k` order no
-//! matter which tile or thread computes it, and ties are broken by
-//! neighbour index under `f64::total_cmp`, so neighbour sets are
-//! **bit-identical** for every thread count (see the cross-thread
-//! proptests below, which force thread counts on the private bodies,
-//! and in `tests/proptest_invariants.rs`, which go through the pool).
+//! The lists hold the `p` smallest candidates of a strict total order,
+//! so neither the order the pairs arrive in nor the split into workers
+//! changes them; neighbour sets are **bit-identical** for every thread
+//! count (see the cross-thread proptests below, which force thread
+//! counts on the private bodies, and in `tests/proptest_invariants.rs`,
+//! which go through the pool).
 //!
 //! ## Entry points
 //!
@@ -46,6 +52,7 @@
 //! the raw rows.
 
 use crate::ann::{self, GraphBackend};
+use crate::tile::{for_each_tile, kernel, Panels, Tile, MR, NR};
 use mtrl_linalg::par::{par_chunks_map, threads_for};
 use mtrl_linalg::vecops::{cosine, dot, dots, norm2, sq_dist};
 use mtrl_linalg::Mat;
@@ -69,9 +76,8 @@ pub enum WeightScheme {
     Cosine,
 }
 
-/// Rows per distance tile: bounds the per-worker scratch at
-/// `TILE * n` doubles (512 KB at `n = 2000`) while keeping the axpy
-/// kernel long enough to vectorise.
+/// Query rows per strip batch of [`cross_sq_dist_map`]: bounds the
+/// per-worker scratch at `TILE * n` doubles (512 KB at `n = 2000`).
 const TILE: usize = 32;
 
 /// Threads for an all-pairs pass over `data`: `n² d` multiply-adds.
@@ -120,12 +126,6 @@ fn sorted_indices(list: &[(f64, usize)]) -> Vec<usize> {
     ids.sort_unstable();
     ids
 }
-
-/// Query rows that share each streamed strip of `Xᵀ` in the Gram tile.
-const GROUP: usize = 4;
-/// Column-strip width of the Gram micro-kernel: four 4 KB output strips
-/// plus one 4 KB strip of `Xᵀ` stay L1-resident across the `k` loop.
-const JT: usize = 512;
 
 /// Rows translated by fixed column means, with their squared norms: the
 /// operands every exact and approximate search ranks on.
@@ -194,28 +194,90 @@ impl CentredRows {
 
     /// The crate's one exact all-pairs search: each row's `p` nearest
     /// other rows as `(distance, index)` pairs, ascending under
-    /// [`dist_less`] (fewer when there are fewer other rows). Distances
-    /// are [`cross_sq_dist_map`] strips of the rows against themselves,
-    /// selected by [`insert_capped`]; the order is total, so a prefix of
-    /// a row's list is its list for a smaller `p`. Output is
-    /// bit-identical for every pool size.
+    /// [`dist_less`] (fewer when there are fewer other rows). Distance
+    /// `(i, j)` is `−2·x_iᵀx_j + (g_i + g_j)`, its cross term one FMA
+    /// chain over ascending `k` from `+0` on the packed tile, computed
+    /// once per unordered pair and offered to both rows'
+    /// [`insert_capped`] lists (both orientations when a centred value
+    /// does not double exactly; see the module docs). The order is
+    /// total, so a prefix of a row's list is its list for a smaller `p`.
+    /// Output is bit-identical for every pool size.
     pub fn p_nearest(&self, p: usize) -> Vec<Vec<(f64, usize)>> {
         self.p_nearest_on(p, all_pairs_threads(&self.rows))
     }
 
-    /// [`Self::p_nearest`] on `threads` workers.
+    /// [`Self::p_nearest`] on `threads` workers: each searches a range
+    /// of row tiles into its own lists, and the lists are merged.
     fn p_nearest_on(&self, p: usize, threads: usize) -> Vec<Vec<(f64, usize)>> {
-        let (x, g) = (&self.rows, &self.sq_norms);
-        cross_sq_dist_map(x, g, x, g, threads, |i, strip| {
-            let mut best = Vec::with_capacity(p + 1);
-            for (j, &d) in strip.iter().enumerate() {
-                if j != i {
-                    insert_capped(&mut best, (d, j), p);
+        let (n, d) = self.rows.shape();
+        if p == 0 {
+            return vec![Vec::new(); n];
+        }
+        let x = self.rows.as_slice();
+        let once = doubles_exactly(x);
+        let right = Panels::<NR>::of_rows(x, n, d, 1.0);
+        let g = &self.sq_norms;
+        let search = |panels: Range<usize>| {
+            let mut lists = vec![Vec::with_capacity(p + 1); n];
+            for_each_tile(x, n, d, -2.0, panels, right.count(), once, |a, b, left| {
+                let mut acc: Tile = [[0.0; NR]; MR];
+                kernel::<true>(left, right.panel(b), &mut acc);
+                for (i, row) in (a * MR..n.min(a * MR + MR)).zip(&acc) {
+                    for (j, &cross) in (b * NR..n.min(b * NR + NR)).zip(row) {
+                        let dist = cross + (g[i] + g[j]);
+                        if once {
+                            if j > i {
+                                insert_capped(&mut lists[i], (dist, j), p);
+                                insert_capped(&mut lists[j], (dist, i), p);
+                            }
+                        } else if j != i {
+                            insert_capped(&mut lists[i], (dist, j), p);
+                        }
+                    }
+                }
+            });
+            lists
+        };
+        let ranges = split_panels(n.div_ceil(MR), threads, n, once);
+        let parts = par_chunks_map(ranges.len(), ranges.len(), |workers| {
+            workers.map(|w| search(ranges[w].clone())).collect()
+        });
+        let mut parts = parts.into_iter();
+        let mut lists = parts.next().unwrap_or_default();
+        for part in parts {
+            for (list, other) in lists.iter_mut().zip(part) {
+                for cand in other {
+                    insert_capped(list, cand, p);
                 }
             }
-            best
-        })
+        }
+        lists
     }
+}
+
+/// Split `count` row tiles into at most `parts` contiguous ranges of
+/// about equal work against `rows` rows: a tile meets all of them, or
+/// with `upper` those from its own first row on.
+fn split_panels(count: usize, parts: usize, rows: usize, upper: bool) -> Vec<Range<usize>> {
+    let cost = |p: usize| rows.saturating_sub(if upper { p * MR } else { 0 }).max(1);
+    let total: usize = (0..count).map(cost).sum();
+    let (mut out, mut start, mut done) = (Vec::with_capacity(parts), 0, 0);
+    for p in 0..count {
+        done += cost(p);
+        // The last tile always closes a range: `done` is then `total`.
+        if done * parts >= total * (out.len() + 1) {
+            out.push(start..p + 1);
+            start = p + 1;
+        }
+    }
+    out
+}
+
+/// Whether every value doubles exactly (finite, `|x| ≤ f64::MAX / 2`),
+/// so that an FMA chain over these rows gives the same bits in either
+/// orientation of a pair and the search may read each pair once.
+fn doubles_exactly(values: &[f64]) -> bool {
+    values.iter().all(|v| v.abs() <= f64::MAX / 2.0)
 }
 
 /// The exact search of [`CentredRows::p_nearest`] on rows whose leading
@@ -227,14 +289,17 @@ impl CentredRows {
 /// centred on its own mean over the rows, summed in row order, so its
 /// centred values do not depend on the other columns. Each squared norm
 /// is one ascending [`dot`] fold from `−0`. Each cross term is one
-/// ascending-`k` FMA chain from `+0`, the kernel of
-/// [`cross_sq_dist_map`]. So the search keeps the `rows × rows` cross
+/// ascending-`k` FMA chain from `+0`, the chain of the packed tile the
+/// exact search runs on. So the search keeps the `rows × rows` cross
 /// terms and the squared-norm partial sums over the leading columns
-/// folded so far. [`Self::fold`] adds columns to them, and
-/// [`Self::p_nearest`] finishes a copy with the remaining columns and
-/// selects with [`insert_capped`]. Its lists equal
-/// `CentredRows::new(data).p_nearest(p)` bit for bit whenever the
-/// leading columns of `data` are the ones folded before.
+/// folded so far. [`Self::fold`] adds columns to them on the same tile,
+/// one chain per unordered pair stored in both orientations while every
+/// folded value doubles exactly (both orientations computed from the
+/// first fold that holds one that does not), and [`Self::p_nearest`]
+/// finishes a copy with the remaining columns and selects with
+/// [`insert_capped`]. Its lists equal `CentredRows::new(data).p_nearest(p)`
+/// bit for bit whenever the leading columns of `data` are the ones
+/// folded before.
 ///
 /// It holds `rows²` doubles, so it suits the small types.
 #[derive(Debug, Clone)]
@@ -245,6 +310,9 @@ pub struct PrefixSearch {
     cross: Vec<f64>,
     /// `Σ_k c_ik²` per row.
     sq_norms: Vec<f64>,
+    /// Whether every folded centred value doubles exactly, so `cross` is
+    /// symmetric and a fold may run each pair's chain once.
+    once: bool,
 }
 
 impl PrefixSearch {
@@ -255,6 +323,7 @@ impl PrefixSearch {
             folded: 0,
             cross: vec![0.0; rows * rows],
             sq_norms: vec![-0.0; rows],
+            once: true,
         }
     }
 
@@ -266,7 +335,14 @@ impl PrefixSearch {
     /// `folded..=data.cols()`.
     pub fn fold(&mut self, data: &Mat, upto: usize) {
         self.check(data, upto);
-        fold_columns(data, self.folded..upto, &mut self.cross, &mut self.sq_norms);
+        let cols = self.folded..upto;
+        fold_columns(
+            data,
+            cols,
+            &mut self.cross,
+            &mut self.sq_norms,
+            &mut self.once,
+        );
         self.folded = upto;
     }
 
@@ -282,7 +358,14 @@ impl PrefixSearch {
         let n = self.rows;
         let mut cross = self.cross.clone();
         let mut g = self.sq_norms.clone();
-        fold_columns(data, self.folded..data.cols(), &mut cross, &mut g);
+        let mut once = self.once;
+        fold_columns(
+            data,
+            self.folded..data.cols(),
+            &mut cross,
+            &mut g,
+            &mut once,
+        );
         (0..n)
             .map(|i| {
                 let mut best = Vec::with_capacity(p + 1);
@@ -310,8 +393,17 @@ impl PrefixSearch {
 
 /// Add columns `cols` of `data`, each centred on its own mean, to the
 /// cross terms and squared norms of [`PrefixSearch`] in the order of
-/// [`CentredRows::new`] and [`cross_sq_dist_map`].
-fn fold_columns(data: &Mat, cols: Range<usize>, cross: &mut [f64], sq_norms: &mut [f64]) {
+/// [`CentredRows::new`] and [`CentredRows::p_nearest`]. While `once`
+/// holds, `cross` is symmetric, and each pair's chain runs once and is
+/// stored in both places; `once` falls for good at the first centred
+/// value that does not double exactly.
+fn fold_columns(
+    data: &Mat,
+    cols: Range<usize>,
+    cross: &mut [f64],
+    sq_norms: &mut [f64],
+    once: &mut bool,
+) {
     let n = data.rows();
     let w = cols.len();
     if w == 0 || n == 0 {
@@ -329,108 +421,56 @@ fn fold_columns(data: &Mat, cols: Range<usize>, cross: &mut [f64], sq_norms: &mu
             *m = 0.0;
         }
     }
-    // The centred columns, one per row, and each row's norm fold.
-    let mut ct = Mat::zeros(w, n);
-    for (i, g) in sq_norms.iter_mut().enumerate() {
-        for (k, (&v, &m)) in data.row(i)[cols.clone()].iter().zip(&means).enumerate() {
-            let c = v - m;
-            ct[(k, i)] = c;
-            *g += c * c;
+    // The centred columns, row by row, and each row's norm fold.
+    let mut centred = vec![0.0; n * w];
+    for (i, (g, out)) in sq_norms
+        .iter_mut()
+        .zip(centred.chunks_exact_mut(w))
+        .enumerate()
+    {
+        for ((o, &v), &m) in out.iter_mut().zip(&data.row(i)[cols.clone()]).zip(&means) {
+            *o = v - m;
+            *g += *o * *o;
         }
     }
-    // A tile of rows shares each strip of four centred columns, so the
-    // strips are read from cache once per tile, not once per row.
-    for (t, tile) in cross.chunks_mut(TILE * n).enumerate() {
-        let i0 = t * TILE;
-        let mut k = 0;
-        while k + 4 <= w {
-            let x = [ct.row(k), ct.row(k + 1), ct.row(k + 2), ct.row(k + 3)];
-            for (local, row) in tile.chunks_mut(n).enumerate() {
-                let a = [k, k + 1, k + 2, k + 3].map(|q| -2.0 * ct[(q, i0 + local)]);
-                axpy4_fma(row, a, x);
+    *once &= doubles_exactly(&centred);
+    let once = *once;
+    let right = Panels::<NR>::of_rows(&centred, n, w, 1.0);
+    let left = 0..n.div_ceil(MR);
+    for_each_tile(
+        &centred,
+        n,
+        w,
+        -2.0,
+        left,
+        right.count(),
+        once,
+        |a, b, left| {
+            let (rows, cols) = (a * MR..n.min(a * MR + MR), b * NR..n.min(b * NR + NR));
+            let mut acc: Tile = [[0.0; NR]; MR];
+            for (i, row) in rows.clone().zip(&mut acc) {
+                row[..cols.len()].copy_from_slice(&cross[i * n + cols.start..i * n + cols.end]);
             }
-            k += 4;
-        }
-        for k in k..w {
-            for (local, row) in tile.chunks_mut(n).enumerate() {
-                axpy1_fma(row, -2.0 * ct[(k, i0 + local)], ct.row(k));
-            }
-        }
-    }
-}
-
-/// Accumulate `tile_buf[local][j] = −2 · src[t0 + local] · Xᵀ[.., j]`
-/// for the row tile `[t0, t1)` of `src` — the Gram micro-kernel of
-/// [`cross_sq_dist_map`].
-///
-/// Every output row is accumulated over `k` in ascending order with no
-/// skip, so the value of each `(i, j)` cross term is independent of
-/// tiles, register blocking and threads.
-fn gram_tile_neg2(src: &Mat, xt: &Mat, t0: usize, t1: usize, tile_buf: &mut [f64]) {
-    let n = xt.cols();
-    let d = src.cols();
-    let rows = t1 - t0;
-    tile_buf[..rows * n].fill(0.0);
-    let mut brows: Vec<&mut [f64]> = tile_buf[..rows * n].chunks_mut(n.max(1)).collect();
-    for (g, group) in brows.chunks_mut(GROUP).enumerate() {
-        let i0 = t0 + g * GROUP;
-        if group.len() == GROUP {
-            // Register-blocked micro-kernel: a group of output rows
-            // shares each streamed strip of Xᵀ and the k dimension is
-            // unrolled by four so each output load/store amortises over
-            // four FMAs. `mul_add` maps to one hardware FMA per element
-            // (the repo builds with `target-cpu=native`, see
-            // .cargo/config.toml); on FMA-less targets it falls back to
-            // a slow libm call but stays exact. A nested `mul_add` chain
-            // performs the exact same rounding sequence as the
-            // sequential k loop of the remainder kernel below, keeping
-            // every path bit-identical.
-            let mut jt = 0;
-            while jt < n {
-                let je = (jt + JT).min(n);
-                let mut k = 0;
-                while k + 4 <= d {
-                    let xk = [
-                        &xt.row(k)[jt..je],
-                        &xt.row(k + 1)[jt..je],
-                        &xt.row(k + 2)[jt..je],
-                        &xt.row(k + 3)[jt..je],
-                    ];
-                    for (local, b) in group.iter_mut().enumerate() {
-                        let x = &src.row(i0 + local)[k..k + 4];
-                        let a = [-2.0 * x[0], -2.0 * x[1], -2.0 * x[2], -2.0 * x[3]];
-                        axpy4_fma(&mut b[jt..je], a, xk);
+            kernel::<true>(left, right.panel(b), &mut acc);
+            for (i, row) in rows.zip(&acc) {
+                for (j, &v) in cols.clone().zip(row) {
+                    if !once {
+                        cross[i * n + j] = v;
+                    } else if j >= i {
+                        cross[i * n + j] = v;
+                        cross[j * n + i] = v;
                     }
-                    k += 4;
-                }
-                while k < d {
-                    let xk = &xt.row(k)[jt..je];
-                    for (local, b) in group.iter_mut().enumerate() {
-                        axpy1_fma(&mut b[jt..je], -2.0 * src.row(i0 + local)[k], xk);
-                    }
-                    k += 1;
-                }
-                jt = je;
-            }
-        } else {
-            // Remainder rows one at a time; per-(i, j) arithmetic is
-            // the same k-ascending accumulation as the group kernel.
-            for (local, brow) in group.iter_mut().enumerate() {
-                let xrow = src.row(i0 + local);
-                for (k, &xv) in xrow.iter().enumerate() {
-                    axpy1_fma(brow, -2.0 * xv, xt.row(k));
                 }
             }
-        }
-    }
+        },
+    );
 }
 
 /// Squared distance `‖a − b‖²` through the Gram identity
 /// `g_a + g_b − 2·aᵀb`, with the cross term accumulated in ascending-`k`
-/// FMA order — **the exact rounding sequence of the blocked kernel**
-/// (`axpy1_fma` / `axpy4_fma` chains), so the value equals what any
-/// tile/thread layout of [`cross_sq_dist_map`] produces for the same
-/// pair. `g_a` / `g_b` must be `dot(a, a)` / `dot(b, b)` of the rows as
+/// FMA order — **the exact rounding sequence of the packed tile**, so
+/// the value equals what any tile/thread layout of
+/// [`cross_sq_dist_map`] produces for the same pair. `g_a` / `g_b` must be `dot(a, a)` / `dot(b, b)` of the rows as
 /// passed (callers that centre their data pass centred rows and norms).
 ///
 /// The candidate-based search ([`crate::ann`]) ranks with it, so its
@@ -482,17 +522,19 @@ pub(crate) fn gram_sq_dist_x4(a: &[f64], b: [&[f64]; 4], g_a: f64, g_b: [f64; 4]
     ]
 }
 
-/// Blocked Gram-trick distances of `queries` rows against **all**
-/// `corpus` rows, streamed to a per-query callback.
+/// Gram-trick distances of `queries` rows against **all** `corpus`
+/// rows, streamed to a per-query callback.
 ///
 /// For each query row `q` (in order), `f(q, strip)` receives the strip
-/// `strip[j] = g_q + g_j − 2·x_qᵀx_j` over every corpus row `j`,
-/// computed with a register-blocked ascending-`k` FMA kernel — each
-/// `(q, j)` value is a pure function of the two rows, independent of
-/// tiling, threading and of how queries are batched across calls. This
-/// is what makes an incrementally maintained graph equal the batch one
-/// bit for bit. Queries are distributed over `threads` workers in
-/// contiguous chunks; results come back in query order.
+/// `strip[j] = −2·x_qᵀx_j + (g_q + g_j)` over every corpus row `j`, its
+/// cross terms computed on the packed tile of [`CentredRows::p_nearest`]
+/// — each `(q, j)` value is a pure function of the two rows, independent
+/// of tiling, threading and of how queries are batched across calls,
+/// and equal to the exact search's value for the same pair. This is
+/// what makes an incrementally maintained graph equal the batch one bit
+/// for bit. Queries are distributed over `threads` workers in
+/// contiguous chunks, 32 rows at a time; results come back in
+/// query order.
 ///
 /// Callers own the centring policy: pass rows (and matching `q_norms` /
 /// `c_norms` of squared row norms) translated by one [`CentredRows`]
@@ -520,55 +562,47 @@ where
     );
     assert_eq!(q_norms.len(), queries.rows(), "q_norms length");
     assert_eq!(c_norms.len(), corpus.rows(), "c_norms length");
-    let n = corpus.rows();
+    let (n, d) = corpus.shape();
     if n == 0 {
         // Degenerate but well-formed: every query sees an empty strip.
         return (0..queries.rows()).map(|q| f(q, &[])).collect();
     }
-    let ct = corpus.transpose();
+    let right = Panels::<NR>::of_rows(corpus.as_slice(), n, d, 1.0);
     par_chunks_map(queries.rows(), threads, |range| {
         let mut out = Vec::with_capacity(range.len());
-        let mut tile_buf = vec![0.0; TILE.min(range.len().max(1)) * n];
-        let mut t0 = range.start;
-        while t0 < range.end {
-            let t1 = (t0 + TILE).min(range.end);
-            gram_tile_neg2(queries, &ct, t0, t1, &mut tile_buf);
-            for local in 0..(t1 - t0) {
+        let mut strips = vec![0.0; TILE.min(range.len()) * n];
+        for t0 in range.clone().step_by(TILE) {
+            let rows = TILE.min(range.end - t0);
+            let block = &queries.as_slice()[t0 * d..(t0 + rows) * d];
+            let left = 0..rows.div_ceil(MR);
+            for_each_tile(
+                block,
+                rows,
+                d,
+                -2.0,
+                left,
+                right.count(),
+                false,
+                |a, b, left| {
+                    let mut acc: Tile = [[0.0; NR]; MR];
+                    kernel::<true>(left, right.panel(b), &mut acc);
+                    let cols = b * NR..n.min(b * NR + NR);
+                    for (local, row) in (a * MR..rows.min(a * MR + MR)).zip(&acc) {
+                        let strip = &mut strips[local * n..(local + 1) * n];
+                        strip[cols.clone()].copy_from_slice(&row[..cols.len()]);
+                    }
+                },
+            );
+            for (local, strip) in strips.chunks_exact_mut(n).take(rows).enumerate() {
                 let q = t0 + local;
-                let gq = q_norms[q];
-                let strip = &mut tile_buf[local * n..(local + 1) * n];
                 for (s, &gj) in strip.iter_mut().zip(c_norms) {
-                    *s += gq + gj;
+                    *s += q_norms[q] + gj;
                 }
                 out.push(f(q, strip));
             }
-            t0 = t1;
         }
         out
     })
-}
-
-/// `o[j] += a · x[j]` as one FMA per element.
-#[inline]
-fn axpy1_fma(o: &mut [f64], a: f64, x: &[f64]) {
-    for (ov, &xv) in o.iter_mut().zip(x) {
-        *ov = a.mul_add(xv, *ov);
-    }
-}
-
-/// Four accumulation steps per element in ascending-k order:
-/// `o[j] += a₀x₀[j]; o[j] += a₁x₁[j]; …` as a nested FMA chain — the
-/// same rounding sequence as four [`axpy1_fma`] calls, with the output
-/// load/store amortised over all four.
-#[inline]
-fn axpy4_fma(o: &mut [f64], a: [f64; 4], x: [&[f64]; 4]) {
-    let [x0, x1, x2, x3] = x;
-    for ((((ov, &v0), &v1), &v2), &v3) in o.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
-        *ov = a[3].mul_add(
-            v3,
-            a[2].mul_add(v2, a[1].mul_add(v1, a[0].mul_add(v0, *ov))),
-        );
-    }
 }
 
 /// `(dist, index)` strict total order: `f64::total_cmp` on the distance
@@ -832,6 +866,14 @@ mod tests {
     /// The exact f64 search on an explicit worker count.
     fn knn_t(data: &Mat, p: usize, threads: usize) -> Vec<Vec<usize>> {
         knn_exact(data, p, threads)
+    }
+
+    /// Lists with each distance as its bits, for exact comparison.
+    fn bits(lists: Vec<Vec<(f64, usize)>>) -> Vec<Vec<(u64, usize)>> {
+        lists
+            .into_iter()
+            .map(|l| l.into_iter().map(|(v, j)| (v.to_bits(), j)).collect())
+            .collect()
     }
 
     /// The exact f64 graph through the public entry.
@@ -1261,32 +1303,76 @@ mod tests {
         }
 
         #[test]
+        fn tile_search_equals_the_strip_kernel_bit_for_bit(
+            n in 1usize..40,
+            d in 1usize..12,
+            p in 0usize..10,
+            duplicate in any::<bool>(),
+            nan in any::<bool>(),
+            huge in any::<bool>(),
+            seed in any::<u64>()
+        ) {
+            // Fewer rows than a tile, no more rows than `p`, exact ties
+            // from a repeated row, a NaN row, and values whose doubling
+            // overflows (both orientations computed): the tiled search's
+            // lists, distances included, must equal the strip kernel's at
+            // one and four workers, and the strips of the cross map too.
+            let mut data = rand_uniform(n, d, -2.0, 2.0, seed);
+            if duplicate && n > 2 {
+                let first = data.row(0).to_vec();
+                data.row_mut(n / 2).copy_from_slice(&first);
+            }
+            if nan && n > 1 {
+                data[(n - 1, 0)] = f64::NAN;
+            }
+            if huge && n > 1 {
+                data[(0, d - 1)] = f64::MAX;
+                data[(1, d - 1)] = -f64::MAX;
+            }
+            let c = CentredRows::new(&data);
+            let oracle = bits(crate::strip_oracle::p_nearest(&c.rows, &c.sq_norms, p, 1));
+            for threads in [1, 4] {
+                prop_assert_eq!(&bits(c.p_nearest_on(p, threads)), &oracle, "threads {}", threads);
+            }
+            if !huge {
+                prop_assert_eq!(knn_t(&data, p, 4), knn_indices_brute_reference(&data, p));
+            }
+            let strip_bits = |_: usize, s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let (x, g) = (&c.rows, &c.sq_norms);
+            let expect = crate::strip_oracle::strip_map(x, g, x, g, 1, strip_bits);
+            for threads in [1, 4] {
+                prop_assert_eq!(&cross_sq_dist_map(x, g, x, g, threads, strip_bits), &expect);
+            }
+        }
+
+        #[test]
         fn prefix_search_resumes_the_exact_search_bit_for_bit(
             n in 1usize..24,
             d in 0usize..19,
             p in 0usize..8,
             cuts in proptest::collection::vec(0usize..19, 0..4),
             duplicate in any::<bool>(),
+            huge in any::<bool>(),
             seed in any::<u64>()
         ) {
             // Rows far from the origin (so centring matters), some of
             // them repeated (exact ties), folded at arbitrary column
             // cuts, then finished; every stage's lists must equal the
-            // search over the columns seen so far.
+            // search over the columns seen so far. With `huge`, the last
+            // column holds values whose doubling overflows, so the folds
+            // run both orientations from there on.
             let mut data = rand_uniform(n, d, 50.0, 52.0, seed);
             if duplicate && n > 1 {
                 let first = data.row(0).to_vec();
                 data.row_mut(n - 1).copy_from_slice(&first);
             }
+            if huge && n > 1 && d > 0 {
+                data[(0, d - 1)] = f64::MAX;
+                data[(1, d - 1)] = -f64::MAX;
+            }
             let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(d)).collect();
             cuts.sort_unstable();
             let mut search = PrefixSearch::new(n);
-            let bits = |lists: Vec<Vec<(f64, usize)>>| -> Vec<Vec<(u64, usize)>> {
-                lists
-                    .into_iter()
-                    .map(|l| l.into_iter().map(|(v, j)| (v.to_bits(), j)).collect())
-                    .collect()
-            };
             for upto in cuts.into_iter().chain([d]) {
                 search.fold(&data, upto);
                 prop_assert_eq!(search.folded, upto);

@@ -29,6 +29,12 @@ pub mod ann;
 pub mod knn;
 mod laplacian;
 mod serde_impl;
+#[cfg(test)]
+mod strip_oracle;
+// The packed register tile of `mtrl-linalg`'s row Gram, compiled here
+// for the exact search without widening either public API.
+#[path = "../../linalg/src/tile.rs"]
+mod tile;
 
 pub use ann::{GraphBackend, RpForestParams};
 pub use knn::{

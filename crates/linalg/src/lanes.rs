@@ -4,7 +4,7 @@
 //! that adds into the output row in memory reloads and re-stores that
 //! row once per term, so it runs at store-forwarding latency, not at
 //! the speed of the arithmetic. The narrow kernels (`mtrl_linalg::ops`,
-//! `mtrl_linalg::lowrank`, `mtrl_sparse::Csr`'s SpMM) instead make one
+//! `mtrl_sparse::Csr`'s SpMM) instead make one
 //! pass per output row and keep the row in a `[f64; W]` accumulator
 //! (`W` a multiple of 8, at most `MAX_LANES`), which the compiler holds
 //! in vector registers. Wider outputs take further passes of at most

@@ -13,9 +13,10 @@
 //! * blocked and multi-threaded matrix products ([`ops`]);
 //! * the scoped-thread worker pool shared by every parallel kernel in
 //!   the workspace ([`par`]; `MTRL_NUM_THREADS` overrides the count);
-//! * the diagonal-plus-low-rank correction behind the sparse-first NMTF
-//!   engine's implicit `R − E_R` representation, one type's column block
-//!   at a time ([`lowrank`]);
+//! * the packed register tile behind every all-pairs pass — the row
+//!   Gram [`ops::row_gram`] here, and the exact p-nearest search, the
+//!   stream's inserts and the resumable prefix search of `mtrl-graph`,
+//!   which compiles the same private file;
 //! * norms used by the paper: Frobenius, `l1`, `l2,1` ([`norms`]);
 //! * the ridge-stabilised inverse behind Eq. (18)'s `(GᵀG)⁻¹` ([`solve`]);
 //! * positive/negative part splits used by Eq. (21) ([`parts`]);
@@ -29,19 +30,17 @@
 //! The crate is deliberately free of `unsafe` code; hot loops are written
 //! so that bounds checks vanish after slicing rows. The narrow kernels
 //! behind the NMTF engine (`matmul` and `matmul_tn` and their sub-block
-//! forms `matmul_block` / `matmul_tn_block`, `gram`,
-//! `diag_lowrank_combine_block`) make one pass per output row with the
-//! row held in a fixed-size register accumulator (up to 32 columns per
-//! pass), and skip only exact zeros, so their results are bit-identical
-//! to the scalar loops they replaced (kept as `#[cfg(test)]` oracles).
-//! The engine runs the sub-block forms on each object type's own rows
-//! and cluster columns.
+//! forms `matmul_block` / `matmul_tn_block`, `gram`) make one pass per
+//! output row with the row held in a fixed-size register accumulator
+//! (up to 32 columns per pass), and skip only exact zeros, so their
+//! results are bit-identical to the scalar loops they replaced (kept as
+//! `#[cfg(test)]` oracles). The engine runs the sub-block forms on each
+//! object type's own rows and cluster columns.
 
 pub mod block;
 pub mod error;
 pub mod kmeans;
 mod lanes;
-pub mod lowrank;
 pub mod mat;
 pub mod norms;
 pub mod ops;
@@ -51,6 +50,7 @@ mod precision;
 pub mod random;
 pub mod simplex;
 pub mod solve;
+mod tile;
 pub mod vecops;
 
 pub use block::BlockSpec;

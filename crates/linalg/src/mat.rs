@@ -410,27 +410,25 @@ impl Mat {
         }
     }
 
-    /// Vertically concatenate `[self; other]`.
+    /// Append the rows of `other` below the last row, in place. The
+    /// storage grows like a `Vec` (doubling when full), so a matrix
+    /// grown one batch at a time copies each entry `O(1)` times
+    /// amortised instead of once per batch.
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] if column counts differ.
-    pub fn vstack(&self, other: &Mat) -> Result<Mat> {
+    pub fn append_rows(&mut self, other: &Mat) -> Result<()> {
         if self.cols != other.cols {
             return Err(LinalgError::ShapeMismatch {
-                op: "vstack",
+                op: "append_rows",
                 lhs: self.shape(),
                 rhs: other.shape(),
             });
         }
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        alloc_peak::record(data.len());
-        Ok(Mat {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        })
+        self.data.extend_from_slice(&other.data);
+        self.rows += other.rows;
+        alloc_peak::record(self.data.len());
+        Ok(())
     }
 
     /// `true` when every entry of `self` is within `tol` of `other`.
@@ -641,14 +639,18 @@ mod tests {
     }
 
     #[test]
-    fn vstack_shapes() {
-        let a = Mat::filled(2, 2, 1.0);
+    fn append_rows_grows_in_place() {
+        let mut a = Mat::filled(2, 2, 1.0);
         let b = Mat::filled(2, 3, 2.0);
         let c = Mat::filled(3, 2, 4.0);
-        let v = a.vstack(&c).unwrap();
-        assert_eq!(v.shape(), (5, 2));
-        assert_eq!(v[(4, 1)], 4.0);
-        assert!(a.vstack(&b).is_err());
+        a.append_rows(&c).unwrap();
+        assert_eq!(a.shape(), (5, 2));
+        assert_eq!(a[(1, 1)], 1.0);
+        assert_eq!(a[(4, 1)], 4.0);
+        a.append_rows(&Mat::zeros(0, 2)).unwrap();
+        assert_eq!(a.shape(), (5, 2));
+        assert!(a.append_rows(&b).is_err());
+        assert_eq!(a.shape(), (5, 2));
     }
 
     #[test]

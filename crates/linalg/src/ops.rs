@@ -24,6 +24,7 @@ use crate::error::LinalgError;
 use crate::lanes::{panels, store_lanes, with_lanes, Panel};
 use crate::mat::Mat;
 use crate::par::{par_row_chunks, threads_for};
+use crate::tile::{for_each_tile, kernel, Panels, Tile, MR, NR};
 use crate::Result;
 use std::ops::Range;
 
@@ -210,30 +211,49 @@ pub fn gram(a: &Mat) -> Mat {
 /// Row Gram matrix `A Aᵀ` (`rows x rows`): the inner products of every
 /// pair of rows, e.g. the object Gram `K = X Xᵀ` of a feature matrix.
 ///
-/// Row `i` accumulates `Σ_k a_ik · (Aᵀ)_k` over the contiguous rows of
-/// `Aᵀ`, so the inner loop is a vectorisable axpy that skips zero
-/// features; only the upper triangle is computed and then mirrored, so
-/// the result is exactly symmetric. Each entry sums its products in
-/// feature order, independent of the thread count.
+/// Runs on the packed register tile (the private `tile` module) in its
+/// unfused mode: entry `(i, j)` sums `a_ik · a_jk` over ascending `k`
+/// from `+0`, one rounding for the product and one for the sum. Only
+/// the tiles on or above the diagonal are computed and then mirrored,
+/// so the result is exactly symmetric, and rows split across the
+/// [`crate::par`] pool, so it is bit-identical for every thread count. For a finite `A` this is the skip-zero loop it replaced, bit
+/// for bit: a skipped `0 · x` adds `±0` to a `+0`-started sum, which
+/// never holds `-0`.
 pub fn row_gram(a: &Mat) -> Mat {
-    let n = a.rows();
-    let at = a.transpose();
+    let (n, d) = a.shape();
     let mut out = Mat::zeros(n, n);
+    let right = Panels::<NR>::of_rows(a.as_slice(), n, d, 1.0);
+    // The upper triangle of rows `[r0, r1)`, from the tiles that hold
+    // them (a tile across a chunk border is run by both chunks).
     let upper_rows = |r0: usize, r1: usize, chunk: &mut [f64]| {
-        for (local, i) in (r0..r1).enumerate() {
-            let orow = &mut chunk[local * n + i..(local + 1) * n];
-            for (k, &v) in a.row(i).iter().enumerate() {
-                if v == 0.0 {
-                    continue;
+        let panels = r0 / MR..r1.div_ceil(MR);
+        for_each_tile(
+            a.as_slice(),
+            n,
+            d,
+            1.0,
+            panels,
+            right.count(),
+            true,
+            |p, q, left| {
+                let mut acc: Tile = [[0.0; NR]; MR];
+                kernel::<false>(left, right.panel(q), &mut acc);
+                for (i, row) in (p * MR..r1.min(p * MR + MR))
+                    .zip(&acc)
+                    .filter(|(i, _)| *i >= r0)
+                {
+                    let out_row = &mut chunk[(i - r0) * n..(i - r0 + 1) * n];
+                    for (j, &v) in (q * NR..n.min(q * NR + NR)).zip(row) {
+                        if j >= i {
+                            out_row[j] = v;
+                        }
+                    }
                 }
-                for (o, &x) in orow.iter_mut().zip(&at.row(k)[i..]) {
-                    *o += v * x;
-                }
-            }
-        }
+            },
+        );
     };
     // n²·cols/2 multiply-adds: only the upper triangle is computed.
-    let threads = threads_for(n * n * a.cols() / 2);
+    let threads = threads_for(n * n * d / 2);
     par_row_chunks(out.as_mut_slice(), n, n, threads, upper_rows);
     for i in 1..n {
         for j in 0..i {
@@ -630,6 +650,74 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The row Gram's loop before the tile: row `i` takes `a_ik · (Aᵀ)_k`
+    /// over ascending `k`, skipping zero features, into the upper
+    /// triangle, which is then mirrored.
+    fn row_gram_axpy_oracle(a: &Mat) -> Mat {
+        let n = a.rows();
+        let at = a.transpose();
+        let mut out = Mat::zeros(n, n);
+        for i in 0..n {
+            for (k, &v) in a.row(i).iter().enumerate() {
+                if v == 0.0 {
+                    continue;
+                }
+                for (o, &x) in out.row_mut(i)[i..].iter_mut().zip(&at.row(k)[i..]) {
+                    *o += v * x;
+                }
+            }
+        }
+        for i in 1..n {
+            for j in 0..i {
+                out[(i, j)] = out[(j, i)];
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn row_gram_tile_equals_the_axpy_loop_bit_for_bit() {
+        let before = num_threads();
+        // Shapes below one tile, between tiles and across cache blocks;
+        // a third of the features zero (the skipped terms), signed
+        // values, subnormal and huge entries.
+        for (case, (n, d)) in [
+            (1, 1),
+            (3, 5),
+            (4, 16),
+            (17, 3),
+            (37, 11),
+            (70, 190),
+            (300, 40),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut a = rand_uniform(n, d, -1.0, 1.0, 90 + case as u64);
+            for (e, v) in a.as_mut_slice().iter_mut().enumerate() {
+                match e % 7 {
+                    0 | 3 => *v = 0.0,
+                    5 => *v = -0.0,
+                    _ => {}
+                }
+            }
+            a.as_mut_slice()[0] = 1e-310;
+            if n * d > 2 {
+                a.as_mut_slice()[1] = 1e150;
+            }
+            let expect = row_gram_axpy_oracle(&a);
+            for threads in [1, 4] {
+                set_num_threads(threads);
+                let got = row_gram(&a);
+                assert!(
+                    same_bits(got.as_slice(), expect.as_slice()),
+                    "{n}x{d} t{threads}"
+                );
+            }
+        }
+        set_num_threads(before);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Section I-A of the paper makes the global intra-type Laplacian `L`
 //! block diagonal with one `n_k x n_k` block per object type, and a pNN
 //! Laplacian block carries at most `2pn_k + n_k` entries. Keeping the
-//! blocks in CSR form turns the fit loop's `L·G` products into
-//! `O(nnz · c)` work and its `tr(GᵀLG)` regulariser into `O(nnz · c)`
-//! reductions — no `n x n` matrix is ever materialised while fitting.
+//! blocks in CSR form turns the fit loop's `L·G` products (and the
+//! `tr(GᵀLG)` regulariser read off them) into `O(nnz · c)` work — no
+//! `n x n` matrix is ever materialised while fitting.
 //!
 //! The block layout is an [`mtrl_linalg::BlockSpec`].
 
@@ -90,45 +90,6 @@ impl SparseBlockDiag {
         Ok(out)
     }
 
-    /// The own-type columns of `blockdiag(L_k) * G` for a block-diagonal
-    /// `G`, given as its packed blocks: `g_blocks[k]` is `G`'s block-`k`
-    /// rows in type `k`'s cluster columns `clusters.range(k)`
-    /// (`n_k x c_k`). Block `k`'s rows of `out` take `L_k · G_k` in those
-    /// columns, in `c_k`-lane accumulators; every other entry of `out` is
-    /// left as it is.
-    ///
-    /// Each written entry sums the same terms in the same order as
-    /// [`Self::mul_dense`], so it is bit-identical to that entry.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] if a packed block is not
-    /// `n_k x c_k` or `out` is not `n x clusters.total()`.
-    pub fn mul_typed(
-        &self,
-        g_blocks: &[Mat],
-        clusters: &BlockSpec,
-        out: &mut Mat,
-    ) -> Result<(), LinalgError> {
-        let fits = g_blocks.len() == self.blocks.len()
-            && clusters.num_blocks() == self.blocks.len()
-            && out.shape() == (self.n(), clusters.total())
-            && g_blocks
-                .iter()
-                .enumerate()
-                .all(|(k, b)| b.shape() == (self.spec.size(k), clusters.size(k)));
-        if !fits {
-            return Err(LinalgError::ShapeMismatch {
-                op: "SparseBlockDiag::mul_typed",
-                lhs: (self.n(), self.n()),
-                rhs: out.shape(),
-            });
-        }
-        for (k, block) in self.blocks.iter().enumerate() {
-            block.spmm_into(&g_blocks[k], out, self.spec.offset(k), clusters.offset(k));
-        }
-        Ok(())
-    }
-
     fn check_rows(&self, op: &'static str, g: &Mat) -> Result<(), LinalgError> {
         if g.rows() != self.n() {
             return Err(LinalgError::ShapeMismatch {
@@ -138,32 +99,6 @@ impl SparseBlockDiag {
             });
         }
         Ok(())
-    }
-
-    /// The quadratic form `tr(Gᵀ L G) = Σ_k tr(G_kᵀ L_k G_k)` in
-    /// `O(nnz · c)` without materialising `L G` or copying `G` blocks, for
-    /// a block-diagonal `G`: block `k`'s rows are zero outside the
-    /// cluster columns `clusters.range(k)`, and each block's products run
-    /// over those columns (`Csr::quad_form_at`).
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] if `g.rows() != n` or
-    /// `clusters` does not split `g`'s columns into one range per block.
-    pub fn trace_quad(&self, g: &Mat, clusters: &BlockSpec) -> Result<f64, LinalgError> {
-        self.check_rows("SparseBlockDiag::trace_quad", g)?;
-        if clusters.total() != g.cols() || clusters.num_blocks() != self.blocks.len() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "SparseBlockDiag::trace_quad",
-                lhs: (self.n(), clusters.total()),
-                rhs: g.shape(),
-            });
-        }
-        Ok(self
-            .blocks
-            .iter()
-            .enumerate()
-            .map(|(k, block)| block.quad_form_at(g, self.spec.offset(k), clusters.range(k)))
-            .sum())
     }
 
     /// Linear combination `alpha * self + beta * other`.
@@ -256,13 +191,6 @@ mod tests {
         out
     }
 
-    /// The block holding stacked index `i`.
-    fn block_of(spec: &BlockSpec, i: usize) -> usize {
-        (0..spec.num_blocks())
-            .find(|&k| spec.range(k).contains(&i))
-            .unwrap()
-    }
-
     #[test]
     fn rejects_non_square_blocks() {
         let mut c = Coo::new(2, 3);
@@ -278,86 +206,6 @@ mod tests {
         let slow = ops::matmul(&densify(&s), &g).unwrap();
         assert!(fast.approx_eq(&slow, 1e-12));
         assert!(s.mul_dense(&Mat::zeros(4, 2)).is_err());
-    }
-
-    #[test]
-    fn mul_typed_writes_the_own_columns_of_mul_dense() {
-        // Blocks of 6 and 9 rows owning clusters [0, 2) and [2, 5); G is
-        // zero outside them, with -0.0 and zeros inside.
-        let s = sample();
-        let clusters = BlockSpec::from_sizes(&[2, 3]);
-        let mut g = Mat::zeros(15, 5);
-        for i in 0..15 {
-            for j in clusters.range(block_of(s.spec(), i)) {
-                g[(i, j)] = match (i + j) % 5 {
-                    0 => 0.0,
-                    1 => -0.0,
-                    v => 0.3 * v as f64 + 0.01 * i as f64,
-                };
-            }
-        }
-        let packed: Vec<Mat> = (0..2)
-            .map(|k| {
-                let rows = s.spec().range(k);
-                let data = rows
-                    .flat_map(|i| g.row(i)[clusters.range(k)].to_vec())
-                    .collect();
-                Mat::from_vec(s.spec().size(k), clusters.size(k), data).unwrap()
-            })
-            .collect();
-        let mut out = Mat::filled(15, 5, 9.0);
-        s.mul_typed(&packed, &clusters, &mut out).unwrap();
-        let full = s.mul_dense(&g).unwrap();
-        for i in 0..15 {
-            let own = clusters.range(block_of(s.spec(), i));
-            for j in 0..5 {
-                if own.contains(&j) {
-                    assert_eq!(out[(i, j)].to_bits(), full[(i, j)].to_bits(), "({i},{j})");
-                } else {
-                    assert_eq!(out[(i, j)], 9.0, "({i},{j}) written");
-                }
-            }
-        }
-        assert!(s.mul_typed(&packed[..1], &clusters, &mut out).is_err());
-        assert!(s
-            .mul_typed(&packed, &BlockSpec::from_sizes(&[3, 2]), &mut out)
-            .is_err());
-    }
-
-    #[test]
-    fn trace_quad_matches_dense_oracle() {
-        // A block-diagonal G (block 0 in columns [0, 1), block 1 in
-        // [1, 4)), with -0.0 and zeros inside its blocks.
-        let s = sample();
-        let clusters = BlockSpec::from_sizes(&[1, 3]);
-        let dense = rand_uniform(15, 4, 0.0, 1.0, 85);
-        let mut g = Mat::zeros(15, 4);
-        for i in 0..15 {
-            for j in clusters.range(block_of(s.spec(), i)) {
-                g[(i, j)] = match (i * 4 + j) % 7 {
-                    0 => 0.0,
-                    1 => -0.0,
-                    _ => dense[(i, j)],
-                };
-            }
-        }
-        let fast = s.trace_quad(&g, &clusters).unwrap();
-        // Bit-identical to the full-width products over every column.
-        let full: f64 = (0..2)
-            .map(|k| s.block(k).quad_form_at(&g, s.spec().offset(k), 0..4))
-            .sum();
-        assert_eq!(fast.to_bits(), full.to_bits());
-        let lg = ops::matmul(&densify(&s), &g).unwrap();
-        let slow: f64 = lg
-            .as_slice()
-            .iter()
-            .zip(g.as_slice())
-            .map(|(a, b)| a * b)
-            .sum();
-        assert!((fast - slow).abs() < 1e-10);
-        assert!(s
-            .trace_quad(&g, &BlockSpec::from_sizes(&[2, 2, 0]))
-            .is_err());
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::lanes::{panels, store_lanes, with_lanes, Panel};
 use mtrl_linalg::block::BlockSpec;
 use mtrl_linalg::vecops::dots;
 use mtrl_linalg::Mat;
-use std::ops::Range;
 
 /// Compressed sparse row (CSR) matrix of `f64`.
 ///
@@ -305,45 +304,16 @@ impl Csr {
     /// without materialising `A·G` — `O(nnz · c)`.
     ///
     /// Accumulated serially in row-major entry order so the value is
-    /// deterministic.
+    /// deterministic. The dot products of a row's entries are computed
+    /// four at a time ([`mtrl_linalg::vecops::dots`]), each still summed
+    /// in column order, and added to the total in entry order.
     ///
     /// # Panics
     /// Panics if `self` is not square or `g.rows() != self.rows`.
     pub fn quad_form(&self, g: &Mat) -> f64 {
-        assert_eq!(g.rows(), self.rows, "quad_form: dimension mismatch");
-        self.quad_form_at(g, 0, 0..g.cols())
-    }
-
-    /// [`Self::quad_form`] against the rows `[offset, offset + n)` of a
-    /// taller stacked `G`, whose entries in those rows are zero outside
-    /// the columns `cols` — the per-block step of
-    /// [`crate::SparseBlockDiag::trace_quad`], where `cols` is the
-    /// block's type's cluster columns.
-    ///
-    /// When `G` is finite in the window, each `g_i · g_j` runs over
-    /// `cols` only: the terms outside have an exact-zero factor and a
-    /// finite one, so they are `±0`, and dropping them can change the
-    /// dot product only in the sign of a zero result, which
-    /// `acc += v · dot` cannot see (a `+0`-started sum never becomes
-    /// `-0`, and a non-finite `v` gives NaN either way). Otherwise every
-    /// column is used. The dot products of a row's entries are computed
-    /// four at a time ([`mtrl_linalg::vecops::dots`]), each still summed
-    /// in column order, and added to `acc` in entry order.
-    ///
-    /// # Panics
-    /// Panics if `self` is not square, `g` has fewer than
-    /// `offset + rows` rows, or `cols` runs past `g`.
-    pub(crate) fn quad_form_at(&self, g: &Mat, offset: usize, cols: Range<usize>) -> f64 {
         assert_eq!(self.rows, self.cols, "quad_form requires square");
-        assert!(
-            g.rows() >= offset + self.rows,
-            "quad_form_at: G ends before the block does"
-        );
-        assert!(cols.end <= g.cols(), "quad_form_at: window past G");
-        let finite = (offset..offset + self.rows)
-            .all(|i| g.row(i)[cols.clone()].iter().all(|v| v.is_finite()));
-        let window = if finite { cols } else { 0..g.cols() };
-        let row = |j: usize| &g.row(offset + j)[window.clone()];
+        assert_eq!(g.rows(), self.rows, "quad_form: dimension mismatch");
+        let row = |j: usize| g.row(j);
         let mut acc = 0.0;
         for i in 0..self.rows {
             let (idx, vals) = self.row(i);
@@ -1017,7 +987,8 @@ mod tests {
         let b = random_sparse(3, 7, 0.6, 71);
         let stacked = a.vstack(&b);
         assert_eq!(stacked.shape(), (8, 7));
-        let expect = a.to_dense().vstack(&b.to_dense()).unwrap();
+        let mut expect = a.to_dense();
+        expect.append_rows(&b.to_dense()).unwrap();
         assert!(stacked.to_dense().approx_eq(&expect, 0.0));
         // Empty sides are fine.
         assert_eq!(a.vstack(&Csr::zeros(0, 7)), a);

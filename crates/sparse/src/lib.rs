@@ -33,9 +33,8 @@
 //! members, stacked side by side in a [`LaneStack`]), reading each
 //! stored entry once per 32-lane panel for all of them;
 //! [`Csr::split_blocks`] cuts the blocks out as matrices of their own,
-//! [`SparseBlockDiag::mul_typed`] does the same for `L·G`, and
-//! [`SparseBlockDiag::trace_quad`] runs each `g_i · g_j` over its
-//! type's cluster columns only.
+//! and [`Csr::spmm_into`] multiplies a [`SparseBlockDiag`] block by one
+//! type's packed block of `G` for the engine's `L·G`.
 
 pub mod block;
 mod coo;

@@ -11,7 +11,8 @@
 //!   order as the batch search (`f64::total_cmp`, index tie-break);
 //! * the initial batch and every full rebuild run the batch search
 //!   itself ([`mtrl_graph::CentredRows::p_nearest`]);
-//! * **insertion** runs the blocked Gram kernel
+//! * **insertion** appends the new rows in place (amortised growth, no
+//!   copy of the corpus per batch) and runs the packed-tile Gram strips
 //!   ([`mtrl_graph::cross_sq_dist_map`]) of the new rows against the
 //!   current corpus, selects each new row's `p` nearest, and patches
 //!   reverse edges on existing rows — every pair is compared exactly
@@ -151,8 +152,9 @@ impl DynamicGraph {
     /// Insert a batch of new rows; they occupy the last `rows.rows()`
     /// row indices.
     ///
-    /// Cost: `O(b · n · d)` blocked-Gram distance work plus `O(n)`
-    /// reverse-edge checks per new row — no `O(n² d)` rebuild. If the
+    /// Cost: `O(b · n · d)` Gram-strip distance work plus `O(n)`
+    /// reverse-edge checks per new row, and the rows appended in place —
+    /// no `O(n² d)` rebuild and no `O(n · d)` copy. If the
     /// patched fraction crosses the rebuild threshold afterwards, a full
     /// rebuild runs before returning (reported in the result).
     ///
@@ -180,10 +182,13 @@ impl DynamicGraph {
             return;
         }
         let base = self.features.rows();
-        // Append raw + centred rows and their norms.
-        self.features = self.features.vstack(rows).expect("same width");
+        // Append raw + centred rows and their norms in place.
+        self.features.append_rows(rows).expect("same width");
         let new = CentredRows::with_means(rows, self.centred.means.clone());
-        self.centred.rows = self.centred.rows.vstack(&new.rows).expect("same width");
+        self.centred
+            .rows
+            .append_rows(&new.rows)
+            .expect("same width");
         self.centred.sq_norms.extend_from_slice(&new.sq_norms);
         self.neigh.extend(std::iter::repeat_with(Vec::new).take(b));
         self.patched.extend(std::iter::repeat_n(false, b));
@@ -371,7 +376,8 @@ mod tests {
         assert_eq!(g.patched_fraction(), 0.0, "rebuild resets the counter");
         // After the rebuild the graph still matches the batch path on
         // the full 31-row corpus (fresh means = batch means).
-        let full = data.vstack(&data.submatrix(0, 0, 1, 4)).unwrap();
+        let mut full = data.clone();
+        full.append_rows(&data.submatrix(0, 0, 1, 4)).unwrap();
         assert_eq!(
             g.graph(),
             pnn_graph(&full, 3, WeightScheme::Cosine, &GraphBackend::Exact)
