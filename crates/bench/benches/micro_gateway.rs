@@ -39,7 +39,7 @@ fn fitted_model() -> FittedModel {
         ..RhchmeConfig::fast()
     });
     let result = rhchme.fit_corpus(&corpus).expect("fit");
-    rhchme.export_model(&result, &corpus).expect("export")
+    rhchme.export_model(&result).expect("export")
 }
 
 fn start_gateway(engine: Arc<ServeEngine>, coalesce: bool) -> Gateway {

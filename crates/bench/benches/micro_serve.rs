@@ -26,7 +26,7 @@ fn fitted_model() -> FittedModel {
         ..RhchmeConfig::fast()
     });
     let result = rhchme.fit_corpus(&corpus).expect("fit");
-    rhchme.export_model(&result, &corpus).expect("export")
+    rhchme.export_model(&result).expect("export")
 }
 
 fn synthetic_docs(n: usize, dim: usize, nnz: usize) -> Vec<SparseVec> {

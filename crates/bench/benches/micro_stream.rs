@@ -20,8 +20,9 @@ use mtrl_linalg::random::rand_uniform;
 use mtrl_stream::{
     warm_membership, DynamicGraph, DynamicGraphConfig, RefreshPolicy, StreamSession,
 };
+use rhchme::pipeline::Method;
 use rhchme::rhchme::WarmStart;
-use rhchme::{MultiTypeData, Rhchme, RhchmeConfig};
+use rhchme::{Rhchme, RhchmeConfig};
 use std::hint::black_box;
 
 /// The acceptance benchmark: a 5% batch (100 rows) into an existing
@@ -120,20 +121,12 @@ fn bench_refit(c: &mut Criterion) {
         lambda: 1.0,
         ..RhchmeConfig::fast()
     });
-    let result = rhchme.fit_corpus(&corpus).expect("initial fit");
-    let model = rhchme.export_model(&result, &corpus).expect("export");
+    let data = Method::Rhchme.data(&corpus, rhchme.config()).expect("data");
+    let (result, arts) = rhchme.fit_staged(data).expect("initial fit");
+    let model = rhchme.export_model(&result).expect("export");
     let assigner = mtrl_serve::Assigner::new(model).expect("assigner");
-    let data = MultiTypeData::from_corpus(&corpus, 20).expect("data");
-    let features = data.all_features();
-    let laplacian = rhchme::intra::pnn_laplacians_backend_prec(
-        &features,
-        5,
-        WeightScheme::Cosine,
-        LaplacianKind::SymNormalized,
-        &GraphBackend::Exact,
-        Default::default(),
-    )
-    .expect("laplacian");
+    // The warm refit runs under the fit's exact p = 5 cosine pNN `L_E`.
+    let (data, laplacian) = (arts.data, arts.l_pnn.expect("an RHCHME fit stages L_E"));
     let survivors: Vec<Vec<Option<usize>>> = data
         .sizes()
         .iter()
@@ -150,7 +143,7 @@ fn bench_refit(c: &mut Criterion) {
                     black_box(&data),
                     WarmStart {
                         g0: g0.clone(),
-                        laplacian: Some(laplacian.clone()),
+                        laplacian: laplacian.clone(),
                         max_iter: 15,
                     },
                 )
@@ -158,7 +151,11 @@ fn bench_refit(c: &mut Criterion) {
         });
     });
     group.bench_function("cold_full", |bencher| {
-        bencher.iter(|| rhchme.fit_data(black_box(&data)).expect("cold refit"));
+        bencher.iter(|| {
+            rhchme
+                .fit_staged(black_box(data.clone()))
+                .expect("cold refit")
+        });
     });
     group.finish();
 }

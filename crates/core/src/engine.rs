@@ -87,9 +87,10 @@
 //!
 //! The `n x c` operands live in buffers allocated once per call (per
 //! fit for `G` and `R·G`, shared by a batch's fits for the work
-//! buffers; `V` and the packed `L±·G` per fit); no `n x c` matrix is
-//! allocated per iteration (the work buffers only change shape between
-//! fits), and the loop calls no full-width kernel. Every stored entry
+//! buffers, RMC's `L±·G` too; `V` and a fixed Laplacian's `L±·G` per
+//! fit); no `n x c` matrix is allocated per iteration (the work buffers
+//! only change shape between fits), and the loop calls no full-width
+//! kernel. Every stored entry
 //! of `R·G`, `GᵀG`, `L±·G`, `U`, `V`, `A` and `G·B±` sums the same
 //! nonzero terms in the same order as the full-width kernels do, so
 //! each equals its full-width entry bit for bit. The terms dropped are
@@ -108,8 +109,9 @@
 //! them multiplies `R` by its own `G` on every iteration.
 //! [`run_engine_lockstep`] runs such fits together, one loop for all of
 //! them: each fit's state (`G`, `R·G`, `GᵀG`, `S`, the `E_R` factors,
-//! `V`, `L±·G` and RMC's weights) lives in its own record with two half-steps around the
-//! `R·G` refresh — steps 3–5, then steps 6–7. Between them, per column
+//! `V`, a fixed Laplacian's `L±·G` and RMC's weights) lives in its own
+//! record with two half-steps around the `R·G` refresh — steps 3–5, then
+//! steps 6–7. Between them, per column
 //! type `l`, the live fits' packed `G_l` blocks sit side by side in one
 //! zero-padded operand of whole 32-lane panels ([`LaneStack`]), and each
 //! nonempty block of `R` multiplies them all at once, storing each fit's
@@ -943,7 +945,8 @@ pub struct LockstepFit<'a> {
 /// what does not depend on them: `R`'s type blocks, row norms and
 /// finiteness scan, each distinct regulariser's prepared part, and one
 /// set of work buffers; only `G`, `R·G`, `GᵀG`, `S`, the `E_R` factors
-/// and `V`, the packed `L±·G` and RMC's weights are kept per fit.
+/// and `V`, a fixed Laplacian's packed `L±·G` and RMC's weights are kept
+/// per fit.
 ///
 /// Results come back in input order.
 ///
@@ -1195,7 +1198,8 @@ impl<'a> Problem<'a> {
 ///   `prod`, `gb_pos`, `gb_neg` — the update's `A = m1·Sᵀ` and `G·B±`,
 ///            then the residual's `U = G·S` and `G·Mᵀ` (fits without
 ///            `E_R`) in `prod` and `gb_pos`;
-///   `gtm`  — `Gᵀ(R − E_R)G`.
+///   `gtm`  — `Gᵀ(R − E_R)G`;
+///   `lg`   — `L±·G` where an update forms it (RMC, a first iteration).
 #[derive(Default)]
 struct Scratch {
     g_blocks: Vec<Mat>,
@@ -1204,6 +1208,7 @@ struct Scratch {
     gb_pos: Mat,
     gb_neg: Mat,
     gtm: Mat,
+    lg: (Vec<Mat>, Vec<Mat>),
 }
 
 impl Scratch {
@@ -1250,11 +1255,10 @@ struct Fit<'p> {
     f_er: Vec<f64>,
     one_minus_f: Vec<f64>,
     v: Mat,
-    /// `(L⁺·G, L⁻·G)` on each type's own block (`n_k x c_k`), with a
-    /// regulariser; `lg_fresh` says whether they belong to the current
-    /// `G` and the parts the next update multiplies by, which only the
-    /// residual step of a fixed Laplacian makes true (an ensemble
-    /// resolve changes the parts).
+    /// A fixed Laplacian's `(L⁺·G, L⁻·G)` on each type's own block
+    /// (`n_k x c_k`) from the residual step, which the next update reads
+    /// when `lg_fresh` (an ensemble's resolve changes the parts, so RMC
+    /// forms its own in [`Scratch::lg`] and leaves this empty).
     lg: (Vec<Mat>, Vec<Mat>),
     lg_fresh: bool,
     error_row_norms: Vec<f64>,
@@ -1319,7 +1323,7 @@ impl<'p> Fit<'p> {
             gb_pos,
             gb_neg,
             gtm,
-            ..
+            lg,
         } = scratch;
 
         // ---- Regulariser for this iteration -------------------------
@@ -1382,15 +1386,14 @@ impl<'p> Fit<'p> {
             );
         }
         // L±·G: a fixed Laplacian's from the last residual step, which
-        // read the trace off them; formed here on the first iteration and
-        // after an ensemble resolve.
+        // read the trace off them; formed here, in the scratch, on the
+        // first iteration and after an ensemble resolve.
         let l_g = match self.reg.parts() {
+            Some(_) if self.lg_fresh => Some(&self.lg),
             Some((lp, lm)) => {
-                if !self.lg_fresh {
-                    pack_blocks(&self.g, &self.blocks, g_blocks);
-                    typed_parts(lp, lm, g_blocks, &mut self.lg);
-                }
-                Some(&self.lg)
+                pack_blocks(&self.g, &self.blocks, g_blocks);
+                typed_parts(lp, lm, g_blocks, lg);
+                Some(&*lg)
             }
             None => None,
         };

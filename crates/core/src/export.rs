@@ -223,20 +223,18 @@ fn fnv_eat_value(h: &mut u64, v: &serde::Value) {
     }
 }
 
-/// Assemble a [`FittedModel`] from a finished optimisation.
+/// Assemble a [`FittedModel`] from a finished optimisation on the data
+/// it carries.
 ///
 /// Splits the stacked `G` into per-type blocks and derives each type's
 /// cluster centroids as the membership-weighted mean of its feature rows
 /// (then row-ℓ2 normalises them, keeping the raw norms as stats).
 ///
 /// # Errors
-/// Returns [`RhchmeError::InvalidData`] when `result` does not match
-/// `data`'s block layout.
-pub fn build_model(
-    config: RhchmeConfig,
-    result: &RhchmeResult,
-    data: &MultiTypeData,
-) -> Result<FittedModel> {
+/// Returns [`RhchmeError::InvalidData`] when `result`'s `G` or `S` does
+/// not match its data's block layout.
+pub fn build_model(config: RhchmeConfig, result: &RhchmeResult) -> Result<FittedModel> {
+    let data = &result.data;
     let (n, c) = (data.total_objects(), data.total_clusters());
     if result.g.shape() != (n, c) {
         return Err(RhchmeError::InvalidData(format!(
@@ -430,16 +428,15 @@ mod tests {
             ],
         )
         .unwrap();
-        let data =
-            MultiTypeData::from_corpus(&corpus, model.config().feature_cluster_divisor).unwrap();
-        let refit = model.fit_data(&blanked).unwrap();
+        let refit = model.fit_staged(blanked).unwrap().0;
         // Zero, −0 and negative weights are skipped by both paths.
         let mut signed = result.clone();
         for (i, v) in [(0, 0.0), (1, -0.0), (2, -0.5)] {
             signed.g[(i, 0)] = v;
         }
-        for (data, result) in [(&data, &result), (&blanked, &refit), (&data, &signed)] {
-            let got = build_model(model.config().clone(), result, data).unwrap();
+        for result in [&result, &refit, &signed] {
+            let data = &result.data;
+            let got = build_model(model.config().clone(), result).unwrap();
             for t in 0..data.num_types() {
                 let g_k = result.g.submatrix(
                     data.spec().offset(t),
@@ -467,8 +464,8 @@ mod tests {
 
     #[test]
     fn export_shapes_and_validation() {
-        let (corpus, model, result) = fitted();
-        let fitted = model.export_model(&result, &corpus).unwrap();
+        let (_, model, result) = fitted();
+        let fitted = model.export_model(&result).unwrap();
         assert_eq!(fitted.schema_version, SCHEMA_VERSION);
         assert_eq!(fitted.num_types(), 3);
         assert_eq!(fitted.sizes, vec![24, 60, 15]);
@@ -488,8 +485,8 @@ mod tests {
 
     #[test]
     fn digest_detects_mutation() {
-        let (corpus, model, result) = fitted();
-        let fitted = model.export_model(&result, &corpus).unwrap();
+        let (_, model, result) = fitted();
+        let fitted = model.export_model(&result).unwrap();
         let d0 = fitted.content_digest();
         assert_eq!(d0, fitted.clone().content_digest());
         let mut tampered = fitted.clone();
@@ -504,8 +501,8 @@ mod tests {
 
     #[test]
     fn method_provenance_is_optional_and_tolerated() {
-        let (corpus, model, result) = fitted();
-        let exported = model.export_model(&result, &corpus).unwrap();
+        let (_, model, result) = fitted();
+        let exported = model.export_model(&result).unwrap();
         // The RHCHME export path tags its provenance.
         assert_eq!(exported.method.as_deref(), Some("rhchme"));
 
@@ -524,16 +521,16 @@ mod tests {
 
     #[test]
     fn validate_rejects_inconsistent_shapes() {
-        let (corpus, model, result) = fitted();
-        let mut fitted = model.export_model(&result, &corpus).unwrap();
+        let (_, model, result) = fitted();
+        let mut fitted = model.export_model(&result).unwrap();
         fitted.cluster_counts[1] += 1;
         assert!(fitted.validate().is_err());
     }
 
     #[test]
     fn validate_rejects_degenerate_types() {
-        let (corpus, model, result) = fitted();
-        let exported = model.export_model(&result, &corpus).unwrap();
+        let (_, model, result) = fitted();
+        let exported = model.export_model(&result).unwrap();
         // Zero clusters for a type: internally consistent shapes, but a
         // serving dead end — must be rejected.
         let mut degenerate = exported.clone();
@@ -555,11 +552,9 @@ mod tests {
     fn centroids_separate_classes() {
         // On a clean corpus, each doc should be closest to its own
         // cluster's centroid far more often than chance.
-        let (corpus, model, result) = fitted();
-        let fitted = model.export_model(&result, &corpus).unwrap();
-        let data =
-            MultiTypeData::from_corpus(&corpus, model.config().feature_cluster_divisor).unwrap();
-        let docs = data.features(0);
+        let (_, model, result) = fitted();
+        let fitted = model.export_model(&result).unwrap();
+        let docs = result.data.features(0);
         let mut agree = 0;
         for i in 0..docs.rows() {
             let mut x = docs.row(i).to_vec();

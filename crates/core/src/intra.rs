@@ -146,12 +146,15 @@ pub fn hetero_laplacian(
 /// total, so a list's first `q` entries are its list at depth `q`.
 pub(crate) type RankedLists = Vec<Vec<Vec<(f64, usize)>>>;
 
-/// The exact search of every type at depth `p`.
+/// The exact search of every type at depth `p`, each type timed as
+/// one `graph.knn_search`.
 pub(crate) fn exact_neighbours(features: &[Mat], p: usize) -> RankedLists {
-    let _span = mtrl_obs::span!("graph.knn_search");
     features
         .iter()
-        .map(|f| CentredRows::new(f).p_nearest(p))
+        .map(|f| {
+            let _span = mtrl_obs::span!("graph.knn_search");
+            CentredRows::new(f).p_nearest(p)
+        })
         .collect()
 }
 
@@ -212,7 +215,7 @@ pub fn rmc_candidates(
 }
 
 /// [`rmc_candidates`] from lists [`exact_neighbours`] ranked at depth 10
-/// or more (the search `pipeline::Artifacts` ran for `L_E`).
+/// or more (the search a fit's `pipeline::Artifacts` hold).
 pub(crate) fn rmc_candidates_ranked(
     features: &[Mat],
     ranked: &RankedLists,

@@ -1,11 +1,11 @@
 //! One-call experiment runners and the method table.
 //!
 //! [`run_spec`] executes a [`MethodSpec`] on a corpus under one
-//! [`RhchmeConfig`] and returns labels, traces and wall time. The
-//! heavyweight intermediates (assembled `R`, feature views, pNN
-//! Laplacians, subspace Laplacians) are also exposed through
-//! [`Artifacts`] so parameter sweeps recompute only what a swept
-//! parameter actually touches (Fig. 2).
+//! [`RhchmeConfig`] and returns labels, traces and wall time. Every fit
+//! stages its inputs (data, assembled `R`, feature views, the k-means
+//! `G₀`, the exact neighbour search and the pNN Laplacian `L_E`) once
+//! through [`Artifacts`], which parameter sweeps also hold so they
+//! recompute only what a swept parameter touches (Fig. 2).
 //!
 //! # Method dispatch
 //!
@@ -28,11 +28,13 @@
 //! [`Method::engine_config`] is the one place a method's
 //! [`EngineConfig`] row is written, and
 //! [`Method::baseline_regularizer`] builds the DRCC, SRC, SNMTF and RMC
-//! graph regularisers. Every fit builds its engine input there:
-//! [`run_spec`], [`Rhchme`], [`Artifacts::run_rhchme_engine`] and the
-//! `mtrl-ensemble` members. The graph backend belongs to RHCHME alone,
-//! so an ensemble member equals the solo fit of its method at the same
-//! seed and cluster counts. The rows and their paper references:
+//! graph regularisers from a fit's [`Artifacts`]. Every fit builds its
+//! engine input there: [`run_spec`]'s arms (DR-T, DR-C and DR-TC on the
+//! two-type data of [`Method::data`]), [`Rhchme`], the `mtrl-ensemble`
+//! members and the `mtrl-stream` session's cold fit. The graph backend
+//! belongs to RHCHME alone, so an ensemble member equals the solo fit of
+//! its method at the same seed and cluster counts. The rows and their
+//! paper references:
 //!
 //! | method | reference | graph regulariser | `E_R`, row ℓ1 |
 //! |--------|-----------|-------------------|---------------|
@@ -54,18 +56,19 @@
 //! ([`RMC_MU`]) and DRCC's graph weight λ = 0.1. The parameters a
 //! sweep varies are the paper's tuned λ, γ, α, β and p (Sec. IV-E).
 
-use crate::engine::{run_engine, EngineConfig, EngineResult, GraphRegularizer};
+use crate::engine::{run_engine, EngineConfig, GraphRegularizer};
 use crate::intra::{
     exact_neighbours, hetero_laplacian, pnn_laplacians_backend_prec, pnn_laplacians_ranked,
-    rmc_candidates, rmc_candidates_ranked, subspace_laplacians, RankedLists,
+    rmc_candidates_ranked, subspace_laplacians, RankedLists,
 };
 use crate::multitype::{feature_clusters, MultiTypeData};
 use crate::rhchme::{init_membership, package_result, Rhchme, RhchmeConfig};
 use crate::{Result, RhchmeError};
 use mtrl_datagen::MultiTypeCorpus;
-use mtrl_graph::GraphBackend;
+use mtrl_graph::WeightScheme;
 use mtrl_linalg::Mat;
 use mtrl_sparse::SparseBlockDiag;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// The seven methods of Tables III–V.
@@ -199,51 +202,42 @@ impl Method {
         }
     }
 
-    /// A baseline's graph regulariser on `features`: none for SRC, the
-    /// pNN Laplacian of RHCHME's `L_E` recipe for SNMTF and DRCC (on
-    /// DRCC's two types, its document and feature graphs), or RMC's six
-    /// candidates — all built exact, since the graph backend belongs to
-    /// RHCHME. A caller that holds the [`Artifacts`] of the same features
-    /// and `cfg` passes them as `shared` (DRCC callers pass `None`:
-    /// [`Artifacts`] hold the three-type data); their `L_E` is reused
-    /// where it is the same graph (an exact `L_E`, and for RMC only at
-    /// `p = 5`), and RMC's candidates reuse their exact neighbour search.
+    /// A baseline's graph regulariser from `arts`, under their graph
+    /// settings: none for SRC, the pNN Laplacian of RHCHME's `L_E` recipe
+    /// for SNMTF and DRCC (on DRCC's two types, its document and feature
+    /// graphs), or RMC's six candidates. All are exact (the graph backend
+    /// belongs to RHCHME) and take the exact search `arts` hold; an exact
+    /// `L_E` there is reused where it is the same graph.
     ///
     /// # Errors
     /// [`RhchmeError::InvalidConfig`] for RHCHME (its regulariser is the
     /// heterogeneous ensemble); propagates graph construction failures.
-    pub fn baseline_regularizer(
-        self,
-        features: &[Mat],
-        cfg: &RhchmeConfig,
-        shared: Option<&Artifacts>,
-    ) -> Result<GraphRegularizer> {
-        let exact_l_e = shared
-            .map(|arts| &arts.l_pnn)
-            .filter(|_| cfg.graph_backend.is_exact());
+    pub fn baseline_regularizer(self, arts: &Artifacts) -> Result<GraphRegularizer> {
+        let cfg = &arts.cfg;
+        let exact_l_e = arts.l_pnn.as_ref().filter(|_| cfg.graph_backend.is_exact());
         match self {
             Method::Src => Ok(GraphRegularizer::None),
             Method::Snmtf | Method::DrT | Method::DrC | Method::DrTC => {
                 Ok(GraphRegularizer::Fixed(match exact_l_e {
                     Some(l) => l.clone(),
-                    None => pnn_laplacians_backend_prec(
-                        features,
+                    None => pnn_laplacians_ranked(
+                        &arts.features,
+                        &arts.ranked(cfg.p),
                         cfg.p,
                         cfg.weight_scheme,
                         cfg.laplacian_kind,
-                        &GraphBackend::Exact,
-                        Default::default(),
                     )?,
                 }))
             }
             Method::Rmc => {
-                let pnn5_cosine = exact_l_e.filter(|_| cfg.p == 5);
-                let candidates = match shared.and_then(|arts| arts.ranked.as_ref()) {
-                    Some(ranked) => {
-                        rmc_candidates_ranked(features, ranked, cfg.laplacian_kind, pnn5_cosine)?
-                    }
-                    None => rmc_candidates(features, cfg.laplacian_kind, pnn5_cosine)?,
-                };
+                let pnn5_cosine =
+                    exact_l_e.filter(|_| cfg.p == 5 && cfg.weight_scheme == WeightScheme::Cosine);
+                let candidates = rmc_candidates_ranked(
+                    &arts.features,
+                    &arts.ranked(10),
+                    cfg.laplacian_kind,
+                    pnn5_cosine,
+                )?;
                 Ok(GraphRegularizer::Ensemble {
                     candidates,
                     mu: RMC_MU,
@@ -376,8 +370,8 @@ pub struct MethodOutput {
 
 /// Run a [`MethodSpec`] end to end on a corpus under `cfg`; each method
 /// reads its share of the configuration (see the field docs of
-/// [`RhchmeConfig`]). A fitted RHCHME model exports through
-/// [`Rhchme::export_model`].
+/// [`RhchmeConfig`]). Each arm stages its inputs through [`Artifacts`];
+/// a fitted RHCHME model exports through [`Rhchme::export_model`].
 ///
 /// This crate executes the seven base methods. [`MethodSpec::Ensemble`]
 /// is implemented by the `mtrl-ensemble` crate; pass ensemble specs to
@@ -407,7 +401,11 @@ pub fn run_spec(
         Method::Rhchme => Rhchme::new(cfg.clone()).fit_corpus(corpus)?,
         _ => {
             let data = method.data(corpus, cfg)?;
-            package_result(&data, fit_baseline(&data, method, cfg)?)
+            let arts = Artifacts::stage(data.all_features(), data, Some(method), cfg)?;
+            let reg = method.baseline_regularizer(&arts)?;
+            let Artifacts { data, r, g0, .. } = arts;
+            let out = run_engine(&r, &data, &reg, g0, &method.engine_config(cfg))?;
+            package_result(&data, out)
         }
     };
     Ok(MethodOutput {
@@ -421,19 +419,15 @@ pub fn run_spec(
     })
 }
 
-/// A baseline on its [`Method::data`]: the method's graph regulariser, a
-/// k-means start and its engine row.
-fn fit_baseline(data: &MultiTypeData, method: Method, cfg: &RhchmeConfig) -> Result<EngineResult> {
-    let features = data.all_features();
-    let reg = method.baseline_regularizer(&features, cfg, None)?;
-    let engine_cfg = method.engine_config(cfg);
-    let g0 = init_membership(data, &features, cfg.seed);
-    run_engine(&data.assemble_r_csr(), data, &reg, g0, &engine_cfg)
-}
-
-/// Precomputed heavyweight intermediates for parameter sweeps (Fig. 2).
+/// A fit's staged inputs, each built once: every fit ([`run_spec`]'s
+/// arms, [`Rhchme`], the ensemble members, the stream session) gets them
+/// here. A fit builds only what it reads and searches each type's
+/// neighbours once, as deep as its deepest graph: SRC not at all,
+/// RHCHME, SNMTF and DRCC at `p`, RMC and [`Self::new`] (every method)
+/// at `max(p, 10)`.
 ///
-/// A full RHCHME run decomposes into cacheable stages:
+/// A full RHCHME run decomposes into cacheable stages, so a sweep
+/// (Fig. 2) recomputes only what its parameter touches:
 ///
 /// | swept parameter | must recompute                     |
 /// |-----------------|------------------------------------|
@@ -456,56 +450,85 @@ pub struct Artifacts {
     /// k-means initial membership.
     pub g0: Mat,
     /// RHCHME's pNN Laplacian ensemble member `L_E` (sparse block
-    /// diagonal), at the configuration's graph backend.
-    pub l_pnn: SparseBlockDiag,
-    /// On the exact backend, the one exact neighbour search per type
-    /// (depth `max(p, 10)`) that `L_E` was built from, kept for RMC's
-    /// candidates ([`Method::baseline_regularizer`]).
-    ranked: Option<RankedLists>,
+    /// diagonal) at the configuration's graph backend; `None` in a
+    /// baseline's own artifacts.
+    pub l_pnn: Option<SparseBlockDiag>,
+    /// The exact search of every type and its depth, whose list
+    /// prefixes the exact graphs take.
+    search: Option<(usize, RankedLists)>,
+    /// The configuration the graphs were built under.
+    cfg: RhchmeConfig,
 }
 
 impl Artifacts {
-    /// Build the sweep-invariant artifacts once.
+    /// The artifacts every multi-type method reads (an ensemble's or a
+    /// sweep's): the three-type data, `R`, `G₀`, `L_E` and the search.
     ///
     /// # Errors
     /// Propagates data-assembly errors.
     pub fn new(corpus: &MultiTypeCorpus, cfg: &RhchmeConfig) -> Result<Self> {
-        let data = MultiTypeData::from_corpus(corpus, cfg.feature_cluster_divisor)?;
-        let features = data.all_features();
-        let g0 = init_membership(&data, &features, cfg.seed);
-        let r = data.assemble_r_csr();
-        // On the exact backend one search per type serves `L_E` (the
-        // first `p` of each list) and RMC's candidates (the first 5 and
-        // 10).
-        let ranked = cfg
-            .graph_backend
-            .is_exact()
-            .then(|| exact_neighbours(&features, cfg.p.max(10)));
-        let l_pnn = match &ranked {
-            Some(ranked) => pnn_laplacians_ranked(
+        let data = Method::Rhchme.data(corpus, cfg)?;
+        Self::stage(data.all_features(), data, None, cfg)
+    }
+
+    /// The artifacts `method` reads on `data` and its `features`
+    /// ([`MultiTypeData::all_features`]), or every multi-type method's
+    /// when `method` is `None`.
+    pub(crate) fn stage(
+        features: Vec<Mat>,
+        data: MultiTypeData,
+        method: Option<Method>,
+        cfg: &RhchmeConfig,
+    ) -> Result<Self> {
+        let exact = cfg.graph_backend.is_exact();
+        let (depth, reads_l_e) = match method {
+            None | Some(Method::Rmc) => (Some(cfg.p.max(10)), method.is_none()),
+            Some(Method::Src) => (None, false),
+            Some(Method::Rhchme) => (exact.then_some(cfg.p), true),
+            Some(_) => (Some(cfg.p), false),
+        };
+        let search = depth.map(|d| (d, exact_neighbours(&features, d)));
+        let l_pnn = match (&search, reads_l_e) {
+            (_, false) => None,
+            (Some((_, ranked)), true) if exact => Some(pnn_laplacians_ranked(
                 &features,
                 ranked,
                 cfg.p,
                 cfg.weight_scheme,
                 cfg.laplacian_kind,
-            )?,
-            None => pnn_laplacians_backend_prec(
+            )?),
+            _ => Some(pnn_laplacians_backend_prec(
                 &features,
                 cfg.p,
                 cfg.weight_scheme,
                 cfg.laplacian_kind,
                 &cfg.graph_backend,
                 cfg.precision,
-            )?,
+            )?),
         };
+        let g0 = {
+            let _span = mtrl_obs::span!("rhchme.kmeans_init");
+            init_membership(&data, &features, cfg.seed)
+        };
+        let r = data.assemble_r_csr();
         Ok(Artifacts {
             data,
             r,
             features,
             g0,
             l_pnn,
-            ranked,
+            search,
+            cfg: cfg.clone(),
         })
+    }
+
+    /// The exact search's lists, at least `depth` deep (a new search
+    /// when these artifacts hold a shallower one).
+    fn ranked(&self, depth: usize) -> Cow<'_, RankedLists> {
+        match &self.search {
+            Some((d, ranked)) if *d >= depth => Cow::Borrowed(ranked),
+            _ => Cow::Owned(exact_neighbours(&self.features, depth)),
+        }
     }
 
     /// Subspace Laplacians at `cfg`'s SPG settings (the only
@@ -522,13 +545,17 @@ impl Artifacts {
     /// weighted by `cfg.alpha`, under RHCHME's engine row of `cfg`.
     ///
     /// # Errors
-    /// Propagates engine failures.
+    /// [`RhchmeError::InvalidConfig`] when these artifacts hold no
+    /// `L_E`; propagates engine failures.
     pub fn run_rhchme_engine(
         &self,
         l_sub: &SparseBlockDiag,
         cfg: &RhchmeConfig,
     ) -> Result<crate::rhchme::RhchmeResult> {
-        let l = hetero_laplacian(l_sub, &self.l_pnn, cfg.alpha)?;
+        let l_e = self.l_pnn.as_ref().ok_or_else(|| {
+            RhchmeError::InvalidConfig("these artifacts hold no pNN Laplacian L_E".into())
+        })?;
+        let l = hetero_laplacian(l_sub, l_e, cfg.alpha)?;
         let out = run_engine(
             &self.r,
             &self.data,
@@ -543,6 +570,7 @@ impl Artifacts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineResult;
     use mtrl_datagen::corpus::{generate, CorpusConfig};
 
     fn corpus() -> MultiTypeCorpus {
@@ -661,10 +689,8 @@ mod tests {
             assert_eq!((row.max_iter, row.tol), (11, 1e-4));
             assert_eq!(row.record_labels_for_type, Some(0));
         }
-        let params = RhchmeConfig::default();
-        assert!(Method::Rhchme
-            .baseline_regularizer(&[], &params, None)
-            .is_err());
+        let arts = Artifacts::new(&corpus(), &RhchmeConfig::default()).unwrap();
+        assert!(Method::Rhchme.baseline_regularizer(&arts).is_err());
     }
 
     /// `method`'s table-row fit of a clean two-class corpus: the
@@ -676,8 +702,11 @@ mod tests {
             ..params.clone()
         };
         let data = method.data(&corpus, &params).unwrap();
-        let out = fit_baseline(&data, method, &params).unwrap();
-        let doc_labels = data.labels_from_membership(&out.g, 0);
+        let arts = Artifacts::stage(data.all_features(), data, Some(method), &params).unwrap();
+        let reg = method.baseline_regularizer(&arts).unwrap();
+        let cfg = method.engine_config(&params);
+        let out = run_engine(&arts.r, &arts.data, &reg, arts.g0.clone(), &cfg).unwrap();
+        let doc_labels = arts.data.labels_from_membership(&out.g, 0);
         (mtrl_metrics::fscore(&corpus.labels, &doc_labels), out)
     }
 

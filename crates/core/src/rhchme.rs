@@ -11,13 +11,18 @@
 //! 4. initialise `G` by per-type k-means;
 //! 5. optimise the robust objective (Eq. 15) with Algorithm 2 — sparse
 //!    error matrix `E_R`, row-ℓ1 normalised `G`.
+//!
+//! Steps 1, 4 and the pNN half of step 3 are staged once, after SPG,
+//! as [`crate::pipeline::Artifacts`] (on the exact backend, one search
+//! per type at depth `p`). A result carries its data, so
+//! [`Rhchme::export_model`] takes no corpus.
 
 use crate::engine::{run_engine, EngineConfig, EngineResult, GraphRegularizer};
 use crate::export::FittedModel;
-use crate::intra::{hetero_laplacian, pnn_laplacians_backend_prec, subspace_laplacians};
+use crate::intra::subspace_laplacians;
 use crate::kmeans::{kmeans, labels_to_membership};
 use crate::multitype::MultiTypeData;
-use crate::pipeline::Method;
+use crate::pipeline::{Artifacts, Method};
 use crate::Result;
 use mtrl_graph::{LaplacianKind, WeightScheme};
 use mtrl_linalg::block::stack_membership;
@@ -155,6 +160,9 @@ pub struct RhchmeResult {
     pub iterations: usize,
     /// Whether the tolerance was reached before `max_iter`.
     pub converged: bool,
+    /// The data the fit ran on (its relations are shared, not copied),
+    /// which [`Rhchme::export_model`] reads.
+    pub data: MultiTypeData,
 }
 
 /// Warm-start specification for [`Rhchme::fit_warm`].
@@ -164,10 +172,9 @@ pub struct WarmStart {
     /// rows copied from a previous solution for surviving objects,
     /// fold-in posteriors for new ones.
     pub g0: Mat,
-    /// Prebuilt heterogeneous Laplacian to reuse (e.g. maintained
-    /// incrementally by `mtrl-stream`); `None` recomputes stages 1–2
-    /// from the configuration exactly as [`Rhchme::fit_data`] does.
-    pub laplacian: Option<mtrl_sparse::SparseBlockDiag>,
+    /// The heterogeneous Laplacian to refit under (e.g. maintained
+    /// incrementally by `mtrl-stream`).
+    pub laplacian: mtrl_sparse::SparseBlockDiag,
     /// Iteration cap for the refresh (clamped to the configuration's
     /// `max_iter` and at least 1).
     pub max_iter: usize,
@@ -195,24 +202,30 @@ impl Rhchme {
     /// # Errors
     /// Propagates data-assembly and optimisation errors.
     pub fn fit_corpus(&self, corpus: &mtrl_datagen::MultiTypeCorpus) -> Result<RhchmeResult> {
-        let data = MultiTypeData::from_corpus(corpus, self.config.feature_cluster_divisor)?;
-        self.fit_data(&data)
+        let data = Method::Rhchme.data(corpus, &self.config)?;
+        Ok(self.fit_staged(data)?.0)
     }
 
-    /// Fit on arbitrary K-type relational data.
+    /// Fit on arbitrary K-type relational data, handing back the
+    /// [`Artifacts`] it staged for a caller that goes on from the fit (a
+    /// stream session). Spans: `rhchme.laplacian` (`L_S`) and
+    /// `rhchme.kmeans_init` (in the staging) under `rhchme.fit`.
     ///
     /// # Errors
     /// Propagates optimisation errors ([`crate::RhchmeError`]).
-    pub fn fit_data(&self, data: &MultiTypeData) -> Result<RhchmeResult> {
+    pub fn fit_staged(&self, data: MultiTypeData) -> Result<(RhchmeResult, Artifacts)> {
         let _span = mtrl_obs::span!("rhchme.fit");
         let cfg = &self.config;
         let features = data.all_features();
-        let l = self.full_laplacian(&features)?;
-        let g0 = {
-            let _init_span = mtrl_obs::span!("rhchme.kmeans_init");
-            init_membership(data, &features, cfg.seed)
+        // SPG runs before `R` and the graphs are staged, so its scratch
+        // is never live beside them.
+        let l_sub = {
+            let _span = mtrl_obs::span!("rhchme.laplacian");
+            subspace_laplacians(&features, &cfg.spg_config(), cfg.laplacian_kind)?
         };
-        self.run_with(data, l, g0, cfg.max_iter)
+        let arts = Artifacts::stage(features, data, Some(Method::Rhchme), cfg)?;
+        let result = arts.run_rhchme_engine(&l_sub, cfg)?;
+        Ok((result, arts))
     }
 
     /// Warm-started mini-batch refresh: re-optimise on updated data from
@@ -224,10 +237,9 @@ impl Rhchme {
     /// see `mtrl_stream::warm_membership`) starts close to the optimum
     /// and `warm.max_iter` can be a fraction of a cold run's budget —
     /// the warm-start property matrix-factorisation multi-aspect
-    /// clustering inherits (Luong & Nayak). `warm.laplacian` lets the
-    /// caller reuse incrementally maintained graph artifacts (e.g. a
-    /// `DynamicGraph` Laplacian) instead of recomputing stages 1–2; when
-    /// `None`, both stages run exactly as in [`Self::fit_data`].
+    /// clustering inherits (Luong & Nayak). The caller supplies the
+    /// Laplacian (e.g. from a `DynamicGraph` maintained incrementally),
+    /// so no graph stage runs here; `R` is assembled from `data`.
     ///
     /// # Errors
     /// Returns [`crate::RhchmeError::InvalidData`] when `warm.g0` does
@@ -235,78 +247,24 @@ impl Rhchme {
     /// optimisation errors.
     pub fn fit_warm(&self, data: &MultiTypeData, warm: WarmStart) -> Result<RhchmeResult> {
         let _span = mtrl_obs::span!("rhchme.fit_warm");
-        let l = match warm.laplacian {
-            Some(l) => l,
-            None => self.full_laplacian(&data.all_features())?,
-        };
-        let max_iter = warm.max_iter.min(self.config.max_iter).max(1);
-        self.run_with(data, l, warm.g0, max_iter)
-    }
-
-    /// Stages 1 & 2 of the paper: subspace Laplacians, pNN Laplacians,
-    /// and their heterogeneous ensemble (Eq. 12), per this config.
-    fn full_laplacian(&self, features: &[Mat]) -> Result<mtrl_sparse::SparseBlockDiag> {
-        let _span = mtrl_obs::span!("rhchme.laplacian");
-        let cfg = &self.config;
-        let l_s = subspace_laplacians(features, &cfg.spg_config(), cfg.laplacian_kind)?;
-        let l_e = pnn_laplacians_backend_prec(
-            features,
-            cfg.p,
-            cfg.weight_scheme,
-            cfg.laplacian_kind,
-            &cfg.graph_backend,
-            cfg.precision,
-        )?;
-        hetero_laplacian(&l_s, &l_e, cfg.alpha)
-    }
-
-    /// Shared optimisation tail: assemble `R` (sparse — the engine is
-    /// sparse-first and no `n x n` dense matrix is formed), run
-    /// Algorithm 2 with the given regulariser, initial membership and
-    /// iteration budget.
-    fn run_with(
-        &self,
-        data: &MultiTypeData,
-        l: mtrl_sparse::SparseBlockDiag,
-        g0: Mat,
-        max_iter: usize,
-    ) -> Result<RhchmeResult> {
-        let r = data.assemble_r_csr();
         let engine_cfg = EngineConfig {
-            max_iter,
+            max_iter: warm.max_iter.min(self.config.max_iter).max(1),
             ..Method::Rhchme.engine_config(&self.config)
         };
-        let engine_out = run_engine(&r, data, &GraphRegularizer::Fixed(l), g0, &engine_cfg)?;
-        Ok(package_result(data, engine_out))
+        let reg = GraphRegularizer::Fixed(warm.laplacian);
+        let out = run_engine(&data.assemble_r_csr(), data, &reg, warm.g0, &engine_cfg)?;
+        Ok(package_result(data, out))
     }
 
     /// Export a fitted result as a serving-ready [`FittedModel`]
     /// (membership blocks, association matrix, feature centroids) for the
-    /// corpus it was fitted on.
+    /// data it was fitted on.
     ///
     /// # Errors
-    /// Propagates data-assembly errors and shape mismatches between
-    /// `result` and the corpus layout.
-    pub fn export_model(
-        &self,
-        result: &RhchmeResult,
-        corpus: &mtrl_datagen::MultiTypeCorpus,
-    ) -> Result<FittedModel> {
-        let data = MultiTypeData::from_corpus(corpus, self.config.feature_cluster_divisor)?;
-        self.export_model_from_data(result, &data)
-    }
-
-    /// [`Self::export_model`] for arbitrary K-type relational data.
-    ///
-    /// # Errors
-    /// Returns [`crate::RhchmeError::InvalidData`] when `result` does not
-    /// match `data`'s block layout.
-    pub fn export_model_from_data(
-        &self,
-        result: &RhchmeResult,
-        data: &MultiTypeData,
-    ) -> Result<FittedModel> {
-        Ok(crate::export::build_model(self.config.clone(), result, data)?.with_method("rhchme"))
+    /// Returns [`crate::RhchmeError::InvalidData`] when `result`'s `G` or
+    /// `S` does not match its data's block layout.
+    pub fn export_model(&self, result: &RhchmeResult) -> Result<FittedModel> {
+        Ok(crate::export::build_model(self.config.clone(), result)?.with_method("rhchme"))
     }
 }
 
@@ -325,7 +283,8 @@ pub fn init_membership(data: &MultiTypeData, features: &[Mat], seed: u64) -> Mat
     stack_membership(&blocks)
 }
 
-/// Convert an engine result into the public result type. Public so
+/// Convert an engine result into the public result type, which keeps a
+/// handle on `data` (its relations are shared). Public so
 /// method layers built on [`crate::engine::run_engine`] (the pipeline's
 /// baseline arms, the `mtrl-ensemble` generator) can package their fits
 /// uniformly.
@@ -344,6 +303,7 @@ pub fn package_result(data: &MultiTypeData, out: EngineResult) -> RhchmeResult {
         error_rows: out.error_rows,
         iterations: out.iterations,
         converged: out.converged,
+        data: data.clone(),
     }
 }
 
@@ -399,6 +359,12 @@ mod tests {
         assert_eq!(res.label_trace.len(), res.iterations);
     }
 
+    /// The heterogeneous Laplacian a cold fit of `arts` runs under.
+    fn staged_laplacian(arts: &Artifacts, cfg: &RhchmeConfig) -> mtrl_sparse::SparseBlockDiag {
+        let l_sub = arts.subspace_laplacian(cfg).unwrap();
+        crate::intra::hetero_laplacian(&l_sub, arts.l_pnn.as_ref().unwrap(), cfg.alpha).unwrap()
+    }
+
     #[test]
     fn warm_fit_from_previous_solution_converges_fast() {
         let corpus = tiny_corpus(0.0, 34);
@@ -406,17 +372,18 @@ mod tests {
             lambda: 1.0,
             ..RhchmeConfig::fast()
         });
-        let cold = model.fit_corpus(&corpus).unwrap();
-        let data = crate::multitype::MultiTypeData::from_corpus(&corpus, 20).unwrap();
+        let data = Method::Rhchme.data(&corpus, model.config()).unwrap();
+        let (cold, arts) = model.fit_staged(data).unwrap();
+        let laplacian = staged_laplacian(&arts, model.config());
         // Seeding from the cold solution, a handful of iterations keeps
         // the solution: same labels, objective no worse than the cold end
         // (within the engine's surrogate-descent slack).
         let warm = model
             .fit_warm(
-                &data,
+                &arts.data,
                 WarmStart {
                     g0: cold.g.clone(),
-                    laplacian: None,
+                    laplacian,
                     max_iter: 5,
                 },
             )
@@ -434,28 +401,35 @@ mod tests {
     #[test]
     fn warm_fit_accepts_prebuilt_laplacian() {
         let corpus = tiny_corpus(0.0, 35);
-        let model = Rhchme::new(RhchmeConfig {
+        let cfg = RhchmeConfig {
             lambda: 1.0,
             ..RhchmeConfig::fast()
-        });
-        let data = crate::multitype::MultiTypeData::from_corpus(&corpus, 20).unwrap();
-        let features = data.all_features();
-        let l = crate::intra::pnn_laplacians_backend_prec(
-            &features,
-            5,
-            mtrl_graph::WeightScheme::Cosine,
-            mtrl_graph::LaplacianKind::SymNormalized,
-            &mtrl_graph::GraphBackend::Exact,
-            Default::default(),
-        )
-        .unwrap();
-        let g0 = init_membership(&data, &features, 35);
+        };
+        let model = Rhchme::new(cfg.clone());
+        let data = Method::Rhchme.data(&corpus, &cfg).unwrap();
+        let arts = Artifacts::stage(data.all_features(), data, Some(Method::Rhchme), &cfg).unwrap();
+        let l = staged_laplacian(&arts, &cfg);
+        // From the staged G₀ and Laplacian with the full budget, the warm
+        // fit is the cold fit.
+        let warm = model
+            .fit_warm(
+                &arts.data,
+                WarmStart {
+                    g0: arts.g0.clone(),
+                    laplacian: l.clone(),
+                    max_iter: cfg.max_iter,
+                },
+            )
+            .unwrap();
+        let cold = model.fit_corpus(&corpus).unwrap();
+        assert_eq!(warm.doc_labels, cold.doc_labels);
+        assert_eq!(warm.objective_trace, cold.objective_trace);
         let res = model
             .fit_warm(
-                &data,
+                &arts.data,
                 WarmStart {
-                    g0,
-                    laplacian: Some(l),
+                    g0: arts.g0.clone(),
+                    laplacian: l.clone(),
                     max_iter: 10,
                 },
             )
@@ -465,10 +439,10 @@ mod tests {
         // Bad G0 shape is rejected.
         assert!(model
             .fit_warm(
-                &data,
+                &arts.data,
                 WarmStart {
                     g0: Mat::zeros(3, 3),
-                    laplacian: None,
+                    laplacian: l,
                     max_iter: 5
                 }
             )

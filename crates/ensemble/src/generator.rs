@@ -3,8 +3,9 @@
 //! All four HOCC methods in this workspace are the same sparse-first
 //! NMTF engine under different graph regularisers (the method table of
 //! `rhchme::pipeline`), so the generator computes the heavyweight inputs
-//! once — assembled `R`, feature views, pNN and subspace Laplacians, RMC
-//! candidate pool, all via [`rhchme::pipeline::Artifacts`] — and then
+//! once — assembled `R`, feature views, one exact neighbour search per
+//! type, pNN and subspace Laplacians, RMC candidate pool, all via
+//! [`rhchme::pipeline::Artifacts::new`] — and then
 //! fits every member on its method's [`Method::engine_config`] row, all
 //! members in lockstep over the one `R`
 //! ([`rhchme::engine::run_engine_lockstep`]). A member at the canonical
@@ -64,9 +65,11 @@ impl SharedRegularizers {
     /// # Errors
     /// Propagates SPG / graph-construction failures.
     pub fn new(arts: &Artifacts, cfg: &RhchmeConfig) -> Result<Self> {
-        let l_sub = arts.subspace_laplacian(cfg)?;
-        let l_hetero = hetero_laplacian(&l_sub, &arts.l_pnn, cfg.alpha)?;
-        let baseline = |m: Method| m.baseline_regularizer(&arts.features, cfg, Some(arts));
+        let l_e = arts.l_pnn.as_ref().ok_or_else(|| {
+            RhchmeError::InvalidConfig("ensemble artifacts come from Artifacts::new".into())
+        })?;
+        let l_hetero = hetero_laplacian(&arts.subspace_laplacian(cfg)?, l_e, cfg.alpha)?;
+        let baseline = |m: Method| m.baseline_regularizer(arts);
         Ok(SharedRegularizers {
             none: baseline(Method::Src)?,
             pnn: baseline(Method::Snmtf)?,

@@ -72,6 +72,8 @@ pub struct EnsembleResult {
     pub members: Vec<MemberSummary>,
     /// How many types were merged by the hyperedge-medoid fallback.
     pub fallback_types: usize,
+    /// The data the members ran on, which [`export_model`] reads.
+    pub data: MultiTypeData,
 }
 
 /// Run the full consensus-ensemble fit on a corpus under `cfg`, the
@@ -197,6 +199,7 @@ pub fn merge_members(
             })
             .collect(),
         fallback_types,
+        data: data.clone(),
     })
 }
 
@@ -238,18 +241,14 @@ pub fn run_spec(
     })
 }
 
-/// Export a consensus fit of `corpus` under `cfg` (the [`fit_corpus`]
-/// call's arguments) as a serving-ready [`FittedModel`] with
-/// `method = "ensemble"` provenance.
+/// Export a consensus fit under `cfg` (the [`fit_corpus`] call's
+/// configuration) as a serving-ready [`FittedModel`] with
+/// `method = "ensemble"` provenance, on the data the fit ran on.
 ///
 /// # Errors
-/// Propagates data-assembly and export validation failures.
-pub fn export_model(
-    corpus: &mtrl_datagen::MultiTypeCorpus,
-    result: &EnsembleResult,
-    cfg: &RhchmeConfig,
-) -> Result<FittedModel> {
-    let data = MultiTypeData::from_corpus(corpus, cfg.feature_cluster_divisor)?;
+/// Propagates export validation failures.
+pub fn export_model(result: &EnsembleResult, cfg: &RhchmeConfig) -> Result<FittedModel> {
+    let n = result.data.total_objects();
     let packaged = RhchmeResult {
         doc_labels: result.doc_labels.clone(),
         labels_per_type: result.labels_per_type.clone(),
@@ -258,11 +257,12 @@ pub fn export_model(
         objective_trace: result.members.iter().map(|m| m.final_objective).collect(),
         label_trace: Vec::new(),
         error_row_norms: Vec::new(),
-        error_rows: mtrl_sparse::RowSparse::new(data.total_objects(), data.total_objects()),
+        error_rows: mtrl_sparse::RowSparse::new(n, n),
         iterations: result.members.len(),
         converged: true,
+        data: result.data.clone(),
     };
-    Ok(rhchme::export::build_model(cfg.clone(), &packaged, &data)?.with_method("ensemble"))
+    Ok(rhchme::export::build_model(cfg.clone(), &packaged)?.with_method("ensemble"))
 }
 
 #[cfg(test)]
@@ -338,7 +338,7 @@ mod tests {
         let c = corpus();
         let params = fast_params();
         let result = fit_corpus(&c, &fast_spec(), &params).unwrap();
-        let model = export_model(&c, &result, &params).unwrap();
+        let model = export_model(&result, &params).unwrap();
         model.validate().unwrap();
         assert_eq!(model.method.as_deref(), Some("ensemble"));
         assert_eq!(model.sizes[0], 16);

@@ -39,9 +39,7 @@ fn serve_leg() -> Result<Arc<ServeEngine>, String> {
     let (train, heldout) = split_corpus(&corpus, 0.35, 11);
     let rhchme = Rhchme::new(quick_params(11));
     let result = rhchme.fit_corpus(&train).map_err(|e| e.to_string())?;
-    let model = rhchme
-        .export_model(&result, &train)
-        .map_err(|e| e.to_string())?;
+    let model = rhchme.export_model(&result).map_err(|e| e.to_string())?;
 
     let engine = Arc::new(ServeEngine::new(2));
     engine.register("obs", model).map_err(|e| e.to_string())?;

@@ -154,9 +154,7 @@ fn run_seed(scenario: &Scenario, seed: u64, opts: &RunOptions) -> Result<Quality
             let (train, heldout) = split_corpus(&corpus, 0.35, seed);
             let rhchme = Rhchme::new(params);
             let result = rhchme.fit_corpus(&train).map_err(|e| e.to_string())?;
-            let model = rhchme
-                .export_model(&result, &train)
-                .map_err(|e| e.to_string())?;
+            let model = rhchme.export_model(&result).map_err(|e| e.to_string())?;
             let assigner = Assigner::new(model).map_err(|e| e.to_string())?;
             let docs: Vec<SparseVec> = heldout
                 .iter()

@@ -859,7 +859,7 @@ mod tests {
             ..rhchme::rhchme::RhchmeConfig::fast()
         });
         let result = rhchme.fit_corpus(&corpus).expect("fit");
-        rhchme.export_model(&result, &corpus).expect("export")
+        rhchme.export_model(&result).expect("export")
     }
 
     /// Send one request on a fresh connection and read the whole answer:

@@ -29,7 +29,7 @@ fn gateway_with_model() -> Gateway {
         ..RhchmeConfig::fast()
     });
     let result = rhchme.fit_corpus(&corpus).expect("fit");
-    let model = rhchme.export_model(&result, &corpus).expect("export");
+    let model = rhchme.export_model(&result).expect("export");
     let engine = Arc::new(ServeEngine::new(2));
     engine.register("m", model).expect("register");
     Gateway::bind(engine, GatewayConfig::default()).expect("bind")

@@ -47,7 +47,7 @@
 //! let (train, heldout) = split_corpus(&corpus, 0.2, 7);
 //! let rhchme = Rhchme::new(RhchmeConfig { lambda: 1.0, ..RhchmeConfig::fast() });
 //! let result = rhchme.fit_corpus(&train).unwrap();
-//! let model = rhchme.export_model(&result, &train).unwrap();
+//! let model = rhchme.export_model(&result).unwrap();
 //!
 //! // Serve the held-out documents.
 //! let engine = ServeEngine::new(2);
@@ -95,6 +95,6 @@ pub(crate) mod test_support {
             ..RhchmeConfig::fast()
         });
         let result = model.fit_corpus(&corpus).unwrap();
-        model.export_model(&result, &corpus).unwrap()
+        model.export_model(&result).unwrap()
     }
 }

@@ -54,6 +54,7 @@ use mtrl_serve::{Assigner, ServeEngine, SparseVec};
 use mtrl_sparse::SparseBlockDiag;
 use rhchme::export::FittedModel;
 use rhchme::intra::{hetero_laplacian, subspace_laplacians};
+use rhchme::pipeline::{Artifacts, Method};
 use rhchme::rhchme::WarmStart;
 use rhchme::{MultiTypeData, Rhchme, RhchmeResult};
 use std::sync::Arc;
@@ -260,23 +261,24 @@ impl StreamSession {
                 backend.key()
             )));
         }
-        // Assemble the multi-type data once and share it between the
-        // fit, the export and the graph construction.
-        let data = MultiTypeData::from_corpus(&initial, rhchme.config().feature_cluster_divisor)?;
-        let result = rhchme.fit_data(&data)?;
-        let model = rhchme.export_model_from_data(&result, &data)?;
+        // The fit's staged feature views seed the graphs; the rest of
+        // its staging (`R`, `L_E`) is dropped here.
+        let data = Method::Rhchme.data(&initial, rhchme.config())?;
+        let (result, Artifacts { features, .. }) = rhchme.fit_staged(data)?;
+        let model = rhchme.export_model(&result)?;
         let doc_graph = DynamicGraph::new(
-            &data.features(0),
+            &features[0],
             DynamicGraphConfig {
                 p: rhchme.config().p,
                 scheme: rhchme.config().weight_scheme,
                 ..DynamicGraphConfig::default()
             },
         );
-        let vocab_searches = (1..data.num_types())
+        let sizes = result.data.sizes();
+        let vocab_searches = (1..sizes.len())
             .map(|t| {
-                let mut search = PrefixSearch::new(data.sizes()[t]);
-                search.fold(&data.features(t), data.sizes()[0]);
+                let mut search = PrefixSearch::new(sizes[t]);
+                search.fold(&features[t], sizes[0]);
                 search
             })
             .collect();
@@ -497,7 +499,7 @@ impl StreamSession {
     fn refit_inputs(&mut self) -> Result<(MultiTypeData, SparseBlockDiag, Mat), StreamError> {
         let _span = mtrl_obs::span!("stream.refit.graphs");
         let cfg = self.rhchme.config().clone();
-        let data = MultiTypeData::from_corpus(&self.corpus, cfg.feature_cluster_divisor)?;
+        let data = Method::Rhchme.data(&self.corpus, &cfg)?;
         let l_e = self.pnn_member(&data)?;
         let l = if self.policy.refresh_subspace {
             let l_s =
@@ -527,13 +529,13 @@ impl StreamSession {
             &data,
             WarmStart {
                 g0,
-                laplacian: Some(l),
+                laplacian: l,
                 max_iter: self.policy.warm_iters,
             },
         )?;
         let swapped = {
             let _span = mtrl_obs::span!("stream.refit.export");
-            let model = self.rhchme.export_model_from_data(&result, &data)?;
+            let model = self.rhchme.export_model(&result)?;
             // 5. Atomic hot swap: one validated assigner is built and
             // shared between the session and the attached engine
             // (ServeEngine::register_shared replaces in one map insert;
@@ -998,7 +1000,7 @@ mod tests {
                 &data,
                 WarmStart {
                     g0,
-                    laplacian: Some(l),
+                    laplacian: l,
                     max_iter: session.policy.warm_iters,
                 },
             )

@@ -320,7 +320,7 @@ mod tests {
             ..RhchmeConfig::fast()
         });
         let result = rhchme.fit_corpus(&corpus).unwrap();
-        let model = rhchme.export_model(&result, &corpus).unwrap();
+        let model = rhchme.export_model(&result).unwrap();
         (corpus, rhchme, Assigner::new(model).unwrap())
     }
 

@@ -45,7 +45,8 @@ fn main() {
         let f_with = fscore(&corpus.labels, &with_er.doc_labels);
 
         // Same ensemble, error matrix off (squared-loss ablation).
-        let l = rhchme_repro::core::intra::hetero_laplacian(&l_sub, &arts.l_pnn, params.alpha)
+        let l_e = arts.l_pnn.as_ref().expect("Artifacts::new builds L_E");
+        let l = rhchme_repro::core::intra::hetero_laplacian(&l_sub, l_e, params.alpha)
             .expect("ensemble");
         let cfg = EngineConfig {
             lambda: params.lambda,

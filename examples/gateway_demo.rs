@@ -43,7 +43,7 @@ fn fit_model() -> FittedModel {
         ..RhchmeConfig::fast()
     });
     let result = rhchme.fit_corpus(&corpus).expect("fit");
-    rhchme.export_model(&result, &corpus).expect("export")
+    rhchme.export_model(&result).expect("export")
 }
 
 fn assign_body(doc: usize, dim: usize) -> String {

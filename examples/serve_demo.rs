@@ -49,7 +49,7 @@ fn main() {
     );
 
     // Persist, then reload into a fresh engine.
-    let model = rhchme.export_model(&result, &train).expect("export");
+    let model = rhchme.export_model(&result).expect("export");
     let path = std::env::temp_dir().join("serve_demo_model.mtrl");
     persist::save(&model, &path).expect("save bundle");
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);

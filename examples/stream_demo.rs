@@ -228,9 +228,7 @@ fn main() {
     // k-means initialisation, full iteration budget, full two-stage
     // Laplacian — scored on the same drifted documents.
     let cold = rhchme.fit_corpus(session.corpus()).expect("cold refit");
-    let cold_model = rhchme
-        .export_model(&cold, session.corpus())
-        .expect("cold export");
+    let cold_model = rhchme.export_model(&cold).expect("cold export");
     let f_cold = score(&Assigner::new(cold_model).expect("cold model"));
     println!(
         "cold refit: {} iterations, post-drift fold-in F {f_cold:.3}; \

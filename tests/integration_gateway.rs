@@ -29,7 +29,7 @@ fn fitted_model() -> FittedModel {
         ..RhchmeConfig::fast()
     });
     let result = rhchme.fit_corpus(&corpus).unwrap();
-    rhchme.export_model(&result, &corpus).unwrap()
+    rhchme.export_model(&result).unwrap()
 }
 
 fn shared_model() -> &'static FittedModel {

@@ -230,7 +230,7 @@ fn forest_corpus(seed: u64) -> MultiTypeCorpus {
 fn ensemble_members_equal_solo_fits() {
     use mtrl_ensemble::generator::{generate_members, SharedRegularizers};
     use rhchme::engine::{run_engine, run_engine_lockstep, GraphRegularizer, LockstepFit};
-    use rhchme::intra::{hetero_laplacian, pnn_laplacians_backend_prec};
+    use rhchme::intra::{hetero_laplacian, pnn_laplacians_backend_prec, rmc_candidates};
     use rhchme::pipeline::{Artifacts, EnsembleSpec};
     use rhchme::rhchme::init_membership;
     use rhchme_repro::graph::{GraphBackend, LaplacianKind, RpForestParams, WeightScheme};
@@ -295,13 +295,26 @@ fn ensemble_members_equal_solo_fits() {
         let canonical = arts.data.cluster_counts()[0];
         assert!(members.iter().any(|m| m.doc_clusters != canonical));
         let l_sub = arts.subspace_laplacian(params).unwrap();
-        let hetero =
-            GraphRegularizer::Fixed(hetero_laplacian(&l_sub, &arts.l_pnn, params.alpha).unwrap());
-        let apart = |m: Method| {
-            m.baseline_regularizer(&arts.features, params, None)
-                .unwrap()
+        let l_e = arts.l_pnn.as_ref().unwrap();
+        let hetero = GraphRegularizer::Fixed(hetero_laplacian(&l_sub, l_e, params.alpha).unwrap());
+        // The baselines' regularisers by hand, each with its own exact
+        // search: SNMTF's pNN graph and RMC's six candidates.
+        let snmtf = GraphRegularizer::Fixed(
+            pnn_laplacians_backend_prec(
+                &arts.features,
+                params.p,
+                params.weight_scheme,
+                params.laplacian_kind,
+                &GraphBackend::Exact,
+                Default::default(),
+            )
+            .unwrap(),
+        );
+        let rmc = GraphRegularizer::Ensemble {
+            candidates: rmc_candidates(&arts.features, params.laplacian_kind, None).unwrap(),
+            mu: rhchme::pipeline::RMC_MU,
         };
-        let (src, snmtf, rmc) = (apart(Method::Src), apart(Method::Snmtf), apart(Method::Rmc));
+        let src = GraphRegularizer::None;
         let plans: Vec<_> = members
             .iter()
             .map(|m| {

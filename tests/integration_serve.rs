@@ -30,7 +30,7 @@ fn fit_and_export(train: &MultiTypeCorpus) -> FittedModel {
         ..RhchmeConfig::fast()
     });
     let result = rhchme.fit_corpus(train).unwrap();
-    rhchme.export_model(&result, train).unwrap()
+    rhchme.export_model(&result).unwrap()
 }
 
 fn to_sparse(doc: &HeldOutDoc) -> SparseVec {
@@ -122,7 +122,7 @@ fn pipeline_export_round_trips_through_engine() {
     let rhchme = Rhchme::new(params);
     let result = rhchme.fit_corpus(&full).unwrap();
     assert_eq!(result.doc_labels, out.doc_labels);
-    let model = rhchme.export_model(&result, &full).unwrap();
+    let model = rhchme.export_model(&result).unwrap();
 
     let engine = ServeEngine::new(1);
     engine.register("from-pipeline", model).unwrap();
